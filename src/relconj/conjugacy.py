@@ -1,5 +1,13 @@
-"""Hyperbolic/parabolic classification and the conjugacy decision built on
-the precomputed tables.
+"""Hyperbolic/parabolic classification and the conjugacy decision.
+
+Both rest on the canonical cyclic form of shortening.cyclic_shorten.  A
+cyclic form of one parabolic run is parabolic, any other nonempty one is
+hyperbolic.  Two hyperbolic elements are conjugate exactly when their cyclic
+forms are equal strings (the conjugacy theorem for free products; only
+relator-free presentations get tables).  Two parabolic elements are
+conjugate when the subgroup oracle conjugates one representative onto the
+other, or when both reach a conjugate pair of the within-subgroup list L7
+through B_i = L3.
 
 Conventions.  Every internal conjugator is carried in right form: a step
 from x to y stores c with y = c^-1 * x * c, so chains compose by plain
@@ -8,9 +16,10 @@ the boundary to g = c^-1 with v = g * u * g^-1.  Every "conjugate" answer
 is verified through the word problem before the certificate is issued; a
 failed verification is an internal error, never a silent downgrade.
 
-Negative answers are honest relative to the working radii of the profile:
-their reasons name the search that was exhausted (class-mismatch,
-long-search-exhausted, short-table-miss, parabolic-tables-miss) and the
+Negative answers name where the decision fell: class-mismatch (identity,
+parabolic and hyperbolic never meet), long-search-exhausted or
+short-table-miss (unequal hyperbolic cyclic forms, by the regime of the
+longer one against the profile's threshold) and parabolic-tables-miss; the
 certificate records the profile hash the answer depends on.
 """
 
@@ -72,14 +81,9 @@ class ConjugacyCertificate:
                     1 if self.verified else 0)
 
 
-def _rotations(w: str):
-    return [(w[:i], w[i:] + w[:i]) for i in range(max(1, len(w)))]
-
-
 class ConjugacyEngine:
     """Per-presentation caches shared across many decide() calls: cyclic
-    shortenings, classifications, rotation normal-form maps, and core
-    search results keyed by the canonical cyclic forms."""
+    shortenings, linear shortening lengths and classifications."""
 
     def __init__(self, p: RelativePresentation, tables: PrecomputedTables,
                  trivial=None):
@@ -88,17 +92,9 @@ class ConjugacyEngine:
         self.trivial = trivial
         self.k = tables.profile.k
         self.oracles = oracles_for(p)
-        key = p.shortlex_key
-        self.l4_sorted = tuple(sorted(tables.l4.members, key=key))
-        merged = set()
-        for ws in tables.l2.values():
-            merged.update(ws)
-        self.l2_sorted = tuple(sorted(merged, key=key))
         self._cyc = {}
         self._lin = {}
         self._cls = {}
-        self._rot = {}
-        self._core = {}
 
     def cyclic(self, w: str):
         res = self._cyc.get(w)
@@ -124,47 +120,13 @@ class ConjugacyEngine:
             self._cls[w] = res
         return res
 
-    def rotmap(self, w: str) -> dict:
-        """normal form of each rotation -> least rotation prefix."""
-        table = self._rot.get(w)
-        if table is None:
-            table = {}
-            for prefix, rot in _rotations(w):
-                table.setdefault(words.normalize(self.p, rot), prefix)
-            self._rot[w] = table
-        return table
-
     def core(self, alpha: str, beta: str, regime: str):
-        key = (alpha, beta, regime)
-        res = self._core.get(key)
-        if res is None:
-            scan = self.l4_sorted if regime == LONG else self.l2_sorted
-            miss = LONG_EXHAUSTED if regime == LONG else SHORT_MISS
-            res = self._scan(alpha, beta, scan, miss, regime)
-            self._core[key] = res
-        return res
-
-    def _scan(self, alpha, beta, candidates, miss, regime):
-        """First conjugator x (shortlex order, identity first) and rotation
-        pair with x * rot_a * x^-1 = rot_b; right-form result."""
-        p = self.p
-        beta_map = self.rotmap(beta)
-        for x in candidates:
-            xi = words.inverse(x)
-            for pa, ra in _rotations(alpha):
-                t = words.normalize(p, words.mul(x, ra, xi))
-                pb = beta_map.get(t)
-                if pb is not None:
-                    return ("conjugate",
-                            words.mul(pa, xi, words.inverse(pb)))
-        if regime == SHORT:
-            z_u = words.normalize(p, alpha)
-            z_v = words.normalize(p, beta)
-            if z_u in self.tables.l8_set and z_v in self.tables.l8_set:
-                c = self.tables.l88_pair(z_u, z_v)
-                if c is not None:
-                    return ("conjugate", c)
-        return ("not-conjugate", miss)
+        """Right-form conjugator between two hyperbolic cyclic forms: the
+        empty word when they are equal, else the regime's miss reason."""
+        if alpha == beta:
+            return ("conjugate", "")
+        return ("not-conjugate",
+                LONG_EXHAUSTED if regime == LONG else SHORT_MISS)
 
 
 def _engine(p, tables, engine, trivial):
@@ -173,18 +135,14 @@ def _engine(p, tables, engine, trivial):
     return ConjugacyEngine(p, tables, trivial)
 
 
-def _check_conjugation(p, tables, trivial, conj, rep, w, what):
-    residue = words.mul(conj, rep, words.inverse(conj), words.inverse(w))
-    if not shortening.word_problem(p, residue, tables=tables, trivial=trivial):
-        raise RelconjError("%s produced an invalid conjugator" % what)
-
-
 def classify(p: RelativePresentation, tables: PrecomputedTables, w: str,
              engine=None) -> Classification:
-    """Hyperbolic or parabolic, decided on the cyclic shortening: a pure
-    parabolic cyclic form is parabolic outright, a long cyclic form is
-    hyperbolic outright, and the remaining short mixed forms are parabolic
-    exactly when the geodesic table projects them into a parabolic list."""
+    """Hyperbolic or parabolic, decided on the cyclic shortening: a cyclic
+    form of one parabolic run is parabolic, any other nonempty one is
+    hyperbolic (a cyclically reduced free-product element of two or more
+    syllables is never conjugate into a factor).  The cyclic form is a
+    normal form, so it is the representative as it stands, and
+    cyclic_shorten has verified its conjugator."""
     eng = _engine(p, tables, engine, None)
     res = eng.cyclic(w)
     alpha, a = res.output, res.conjugator
@@ -193,20 +151,7 @@ def classify(p: RelativePresentation, tables: PrecomputedTables, w: str,
         return Classification(w, verdict, True, None, "", a)
     kinds = {p.letter_kind[c] for c in alpha}
     if len(kinds) == 1 and HYPERBOLIC not in kinds:
-        index = kinds.pop()
-        rep = eng.oracles[index].geodesic_form(alpha)
-        _check_conjugation(p, tables, eng.trivial, a, rep, w, "classification")
-        return Classification(w, "parabolic", False, index, rep, a)
-    rel = words.raw_relative_length(p, alpha)
-    if rel <= tables.profile.threshold:
-        z = words.normalize(p, alpha)
-        hit = tables.l10_witness.get(z)
-        if hit is not None:
-            index, q, c = hit
-            conj = words.mul(a, c)
-            _check_conjugation(p, tables, eng.trivial, conj, q, w,
-                               "classification")
-            return Classification(w, "parabolic", False, index, q, conj)
+        return Classification(w, "parabolic", False, kinds.pop(), alpha, a)
     return Classification(w, "hyperbolic", False, None, alpha, a)
 
 

@@ -22,7 +22,17 @@ shorten, then while rho o rho has a violating window crossing the seam,
 split rho = eta o mid o nu, replace nu o eta by a geodesic, absorb
 lab(eta) into the running conjugator and re-shorten.  The result alpha
 satisfies lab(alpha) = a^-1 * u * a and alpha o alpha passes the window
-check; a final shortlex-least rotation makes the answer canonical.
+check.
+
+On a presentation without relators the result is then made canonical:
+alpha is respelled as its normal form and rotated to the least rotation of
+its syllable sequence (hyperbolic letters one by one, parabolic runs whole,
+each compared by its shortlex letter ranks), found in linear time with
+Booth's algorithm.  Cyclically reduced elements of a free product are
+conjugate exactly when their syllable sequences are rotations of each other
+(Lyndon-Schupp, Combinatorial Group Theory, IV.1.4), so two elements of two
+or more syllables are conjugate exactly when their cyclic forms are equal
+strings.
 """
 
 from __future__ import annotations
@@ -167,11 +177,9 @@ def is_cyclic_local_geodesic(p, w, k, trivial=None) -> bool:
     return is_local_geodesic(p, w + w, k, trivial=trivial)
 
 
-def _geodesic_rep(p, sub, tables, trivial):
+def _geodesic_rep(p, sub, trivial):
     """Relative geodesic word with the same endpoints as sub: the canonical
-    representative from the ball oracle.  When tables are present this is,
-    by construction, exactly the L5 entry whenever the element is within
-    the L5 radii, so the table and the desk-scale fallback coincide."""
+    representative from the ball oracle."""
     return metric_oracle.normal_form(p, sub, trivial=trivial)
 
 
@@ -191,7 +199,7 @@ def shorten(p: RelativePresentation, w: str, tables=None, k=None,
         if win is None:
             break
         i, j = win
-        rep = _geodesic_rep(p, out[i:j], tables, trivial)
+        rep = _geodesic_rep(p, out[i:j], trivial)
         steps.append(ShorteningStep(i, j, out[i:j], rep, TABLE_REPLACEMENT))
         out = _normalization_phase(p, out[:i] + rep + out[j:], steps)
         guard -= 1
@@ -208,8 +216,7 @@ def word_problem(p: RelativePresentation, w: str, tables=None, k=None,
     form, which is the complete answer there (and keeps this linear in the
     input).  Otherwise: shorten; empty output is yes; output of relative
     length > 2*delta is no (a nonempty local geodesic that long cannot
-    close up); the remaining short outputs are resolved against the
-    trivial-loop table or, at desk scale, the triviality oracle.
+    close up); the remaining short outputs go to the triviality oracle.
     """
     p.check_word(w)
     if p.is_free_product and trivial is None:
@@ -219,30 +226,53 @@ def word_problem(p: RelativePresentation, w: str, tables=None, k=None,
         return True
     if words.raw_relative_length(p, out) > 2 * resolve_delta(p, tables, k):
         return False
-    if tables is not None:
-        return out in tables.trivial_loops
     return metric_oracle.triviality_test(p, trivial)(out)
 
 
-def _shortlex_min_rotation(p, w, k, trivial):
-    """Least valid rotation of w and the rotation prefix absorbed by it."""
-    best, prefix = w, ""
-    for j in range(1, len(w)):
-        cand = w[j:] + w[:j]
-        if p.shortlex_key(cand) < p.shortlex_key(best):
-            if is_cyclic_local_geodesic(p, cand, k, trivial=trivial):
-                best, prefix = cand, w[:j]
-    return best, prefix
+def least_rotation(seq) -> int:
+    """Start of the lexicographically least rotation of seq, the first one
+    when several are equal (Booth 1980, with the Knuth-Morris-Pratt failure
+    function over seq o seq): O(len(seq)) comparisons."""
+    n = len(seq)
+    fail = [-1] * (2 * n)
+    k = 0
+    for j in range(1, 2 * n):
+        c = seq[j % n]
+        i = fail[j - k - 1]
+        while i != -1 and c != seq[(k + i + 1) % n]:
+            if c < seq[(k + i + 1) % n]:
+                k = j - i - 1
+            i = fail[i]
+        if i == -1 and c != seq[k % n]:
+            if c < seq[k % n]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
+
+
+def _canonical_rotation(p, w):
+    """The normal form of the cyclic word w rotated to the least rotation of
+    its syllables, and the rotation prefix c with result = c^-1 * w * c."""
+    nf = words.normalize(p, w)
+    syls = words.raw_syllables(p, nf)
+    rank = p.letter_rank
+    start = syls[least_rotation(
+        [tuple(rank[c] for c in s.word) for s in syls])].start
+    return nf[start:] + nf[:start], nf[:start]
 
 
 def cyclic_shorten(p: RelativePresentation, w: str, tables=None, k=None,
                    trivial=None) -> CyclicShorteningResult:
     """Conjugacy normal form: a cyclic relative (8*delta+1)-local geodesic
-    alpha and a conjugator a with lab(alpha) = a^-1 * w * a, canonicalized
-    to the shortlex-least rotation.  The iteration count is capped at
-    L-bar + 1 (relative length of the first shortened form); exceeding it
-    means the constants profile is inconsistent with the presentation
-    (e.g. torsion with too small a delta) and raises."""
+    alpha and a conjugator a with lab(alpha) = a^-1 * w * a.  Without
+    relators alpha is the canonical cyclic form of the module docstring, so
+    conjugate words of two or more syllables get the same alpha.  The
+    iteration count is capped at L-bar + 1 (relative length of the first
+    shortened form); exceeding it means the constants profile is
+    inconsistent with the presentation (e.g. torsion with too small a
+    delta) and raises."""
     p.check_word(w)
     k = resolve_k(p, tables, k)
     steps = []
@@ -276,7 +306,7 @@ def cyclic_shorten(p: RelativePresentation, w: str, tables=None, k=None,
             # one per iteration instead of a couple of letters per window
             iterations += 1
             eta, mid, nu = first.word, rho[first.end:last.start], last.word
-            rep = _geodesic_rep(p, nu + eta, tables, trivial)
+            rep = _geodesic_rep(p, nu + eta, trivial)
             steps.append(ShorteningStep(last.start, len(rho) + len(eta),
                                         nu + eta, rep, TABLE_REPLACEMENT))
             conj = words.mul(conj, eta)
@@ -296,21 +326,19 @@ def cyclic_shorten(p: RelativePresentation, w: str, tables=None, k=None,
         head = max(0, j - len(rho))
         if head > i:
             # window wraps past a full copy; replace the whole cyclic word
-            rep = _geodesic_rep(p, rho, tables, trivial)
+            rep = _geodesic_rep(p, rho, trivial)
             steps.append(ShorteningStep(0, len(rho), rho, rep, TABLE_REPLACEMENT))
             rho = reduce_and_shorten(rep)
             continue
         eta, mid, nu = rho[:head], rho[head:i], rho[i:]
-        rep = _geodesic_rep(p, nu + eta, tables, trivial)
+        rep = _geodesic_rep(p, nu + eta, trivial)
         steps.append(ShorteningStep(i, j, nu + eta, rep, TABLE_REPLACEMENT))
         conj = words.mul(conj, eta)
         rho = reduce_and_shorten(mid + rep)
 
-    if rho:
-        best, prefix = _shortlex_min_rotation(p, rho, k, trivial)
-        if prefix:
-            conj = words.mul(conj, prefix)
-            rho = best
+    if rho and p.is_free_product:
+        rho, prefix = _canonical_rotation(p, rho)
+        conj = words.mul(conj, prefix)
     residue = words.mul(conj, rho, words.inverse(conj), words.inverse(w))
     if not word_problem(p, residue, tables=tables, k=k, trivial=trivial):
         raise RelconjError("cyclic shortening produced an invalid conjugator")

@@ -1,8 +1,10 @@
-"""The constants profile and the precomputed lists the decision engine
-consults: parabolic element lists L1-L3, filtered balls L4-L6, the geodesic
-list L8 with its conjugate-pair index L88/L12 and parabolic projection L10,
-the plain ball L9, per-parabolic constants K_i, bounded conjugacy classes,
-and the trivial-loop table for the word problem.
+"""The constants profile and the precomputed values the decision engine
+reads: the parabolic ball B_i = L3 (words of length <= C(3) in each
+parabolic), the within-subgroup conjugate pairs L7 with their conjugators
+(L11 is its key set), and the per-parabolic constants K_i.  The parabolic
+branch of conjugacy.decide walks B_i and L7; hyperbolic conjugacy needs no
+table, because the canonical cyclic form of shortening.cyclic_shorten
+decides it by string equality.
 
 Working-constants mode: every radius has a formula default taken from the
 profile's delta and C-constants (86*delta+3 and friends).  Those formula
@@ -13,21 +15,20 @@ quantities K^hyp_4delta = |B(4delta, 2*C3)|*(16*delta+2) and
 K_4delta = K^hyp_4delta + sum |S_i|^C3 are always computed from the true
 formula radii (they are reports, not enumeration bounds).
 
-Table construction assumes a relator-free presentation: there the filtered
-ball of canonical alternating words enumerates group elements exactly, and
-conjugacy grouping by canonical cyclic form (least rotation of the cyclic
-shortening, compared on normal forms) is exact.  Presentations with
-relators use the shortening and oracle layers directly and do not get
-tables.
+Only relator-free presentations get tables: there the filtered ball of
+canonical alternating words enumerates group elements exactly and the
+cyclic form is canonical.  Presentations with relators use the shortening
+and oracle layers directly.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass, fields, replace
 
-from . import metric_oracle, shortening, words
+from . import shortening, words
 from .errors import (
     BudgetExceededError,
     OracleUnavailableError,
@@ -55,23 +56,28 @@ _FORMULA = {
 @dataclass(frozen=True)
 class ConstantsProfile:
     """delta and the BCP constants C(2), C(3), C(7,2delta), plus working
-    radii (None = the formula value) and the linear-bound coefficients."""
+    radii (None = the formula value) and the linear-bound coefficients.
+
+    Every field is part of the serialized profile, and so of profile_hash,
+    of each certificate's profile= and of each cache header.  That is why
+    the fields marked unread, which no algorithm uses, stay until the
+    profile format itself changes."""
 
     delta: int = 1
     c2: int = 2
-    c3: int = 2
-    c7: int = 2
+    c3: int = 2  # radius of L3 = B_i
+    c7: int = 2  # unread
     budget: int = 1_000_000
     nlin: int = 1  # conjugator length slope, fitted on the reference groups
     mlin: int = 0  # conjugator length offset, fitted on the reference groups
-    threshold: int = None  # hyperbolic/parabolic dichotomy, 86*delta+3
-    r4: int = None  # relative radius of L4, 7*delta+1
-    r5: int = None  # relative radius of L5, 16*delta+1
-    r6: int = None  # relative radius of L6, 2*(274*delta+9)
-    r8: int = None  # component cap of L8, 2*C(3)
-    r9: int = None  # Gamma radius of L9, 4*delta*C(3)
-    rbcc: int = None  # relative radius of the BCC ball, 4*delta
-    rloops: int = None  # Gamma cap of the trivial-loop search, 2*delta*C(2)
+    threshold: int = None  # long/short-hyperbolic regime cut, 86*delta+3
+    r4: int = None  # unread, 7*delta+1
+    r5: int = None  # unread, 16*delta+1
+    r6: int = None  # unread, 2*(274*delta+9)
+    r8: int = None  # unread, 2*C(3)
+    r9: int = None  # unread, 4*delta*C(3)
+    rbcc: int = None  # unread, 4*delta
+    rloops: int = None  # unread, 2*delta*C(2)
     k_i: tuple = None  # per-parabolic K_i; computed by precompute when None
 
     def __post_init__(self):
@@ -164,101 +170,37 @@ def enumerate_filtered_ball(p: RelativePresentation, r1: int, r2: int,
 
 
 def cyclic_canonical(p: RelativePresentation, w: str, k: int):
-    """Conjugacy key for a relator-free presentation: the shortlex-least
-    normal form over all rotations of the cyclic shortening of w, plus the
-    conjugator c with key = c^-1 * w * c.  Conjugate elements share the key
-    (cyclically reduced free-product elements are conjugate exactly when
-    they are syllable rotations of each other, and rotation plus
-    normalization realizes that)."""
+    """Conjugacy key of w and the conjugator c with key = c^-1 * w * c: the
+    canonical cyclic form of shortening.cyclic_shorten."""
     res = shortening.cyclic_shorten(p, w, k=k)
-    alpha = res.output
-    best = words.normalize(p, alpha)
-    best_j = 0
-    for j in range(1, len(alpha)):
-        cand = words.normalize(p, alpha[j:] + alpha[:j])
-        if p.shortlex_key(cand) < p.shortlex_key(best):
-            best, best_j = cand, j
-    return best, words.mul(res.conjugator, alpha[:best_j])
+    return res.output, res.conjugator
 
 
 class PrecomputedTables:
-    """Immutable bundle of every precomputed list; see precompute()."""
+    """Immutable bundle of the precomputed values; see precompute()."""
 
-    def __init__(self, p_hash, profile, l1, l2, l3, l4, l5, l6, l8, l9,
-                 l7, l88_key, l10_witness, bcc_members, bcc_key,
-                 k_hyp_4delta, k_4delta, trivial_loops):
+    def __init__(self, p_hash, profile, l3, l7, k_hyp_4delta, k_4delta):
         self.p_hash = p_hash
         self.profile = profile
-        self.l1 = l1  # dict index -> tuple of parabolic words, |.| <= C(2)
-        self.l2 = l2  # ... <= C(7,2delta)
-        self.l3 = l3  # ... <= C(3); this is also B_i
-        self.l4 = l4
-        self.l5 = l5
-        self.l6 = l6
-        self.l8 = l8  # tuple, sorted canonical relative geodesics
-        self.l9 = l9  # frozenset, Gamma ball words
+        self.l3 = l3  # dict index -> parabolic words of |.| <= C(3): B_i
         self.l7 = l7  # dict (i, q1, q2) -> right-form conjugator in P_i
-        self.l88_key = l88_key  # dict l8 member -> (class key, conjugator)
-        self.l10_witness = l10_witness  # dict member -> (index, q, conjugator)
-        self.bcc_members = bcc_members
-        self.bcc_key = bcc_key  # dict member -> (class key, conjugator)
         self.k_hyp_4delta = k_hyp_4delta
         self.k_4delta = k_4delta
-        self.trivial_loops = trivial_loops
-        self.l8_set = frozenset(l8)
         self.l11 = frozenset(l7)
-        self.l10 = frozenset(l10_witness)
-        classes = {}
-        for m, (key, _) in bcc_key.items():
-            classes.setdefault(key, []).append(m)
-        self.bcc = {
-            key: tuple(sorted(ms)) for key, ms in sorted(classes.items())
-        }
-        self.bcc_class = {}
-        for key, ms in self.bcc.items():
-            rep = min(ms)
-            for m in ms:
-                self.bcc_class[m] = rep
 
     @property
     def b_i(self):
         return self.l3
-
-    def l88_pair(self, z1: str, z2: str):
-        """Right-form conjugator c with z2 = c^-1 * z1 * c for a conjugate
-        pair of L8 members, else None."""
-        e1, e2 = self.l88_key.get(z1), self.l88_key.get(z2)
-        if e1 is None or e2 is None or e1[0] != e2[0]:
-            return None
-        return words.mul(e1[1], words.inverse(e2[1]))
 
     def l11_pair(self, i: int, q1: str, j: int, q2: str):
         if i != j:
             return None
         return self.l7.get((i, q1, q2))
 
-    def bcc_witness(self, m: str):
-        """Right-form conjugator from m to its class representative."""
-        key, c = self.bcc_key[m]
-        rep = self.bcc_class[m]
-        return words.mul(c, words.inverse(self.bcc_key[rep][1]))
-
     def sizes(self) -> dict:
-        out = {}
-        for name in ("l1", "l2", "l3"):
-            out[name] = sum(len(v) for v in getattr(self, name).values())
-        for name in ("l4", "l5", "l6"):
-            out[name] = len(getattr(self, name).members)
-        out["l7"] = len(self.l7)
-        out["l8"] = len(self.l8)
-        out["l9"] = len(self.l9)
-        out["l10"] = len(self.l10)
-        out["l11"] = len(self.l11)
-        out["l88_classes"] = len({k for k, _ in self.l88_key.values()})
-        out["bcc"] = len(self.bcc_members)
-        out["bcc_classes"] = len(self.bcc)
-        out["trivial_loops"] = len(self.trivial_loops)
-        return out
+        return {"l3": sum(len(v) for v in self.l3.values()),
+                "l7": len(self.l7),
+                "l11": len(self.l11)}
 
 
 def _check_budget(label, n, budget):
@@ -266,66 +208,26 @@ def _check_budget(label, n, budget):
         raise BudgetExceededError(label, budget)
 
 
-def _trivial_loops(p, profile, trivial):
-    """Nonempty k-local geodesic words of relative length <= 2*delta (and
-    Gamma length <= the working cap) that represent the identity."""
-    if profile.rloops == 0:
-        return frozenset()
-    check = metric_oracle.triviality_test(p, trivial)
-    out = []
-    frontier = [""]
-    for _ in range(profile.rloops):
-        nxt = []
-        for w in frontier:
-            for c in p.alphabet:
-                if w and w[-1] == words.inverse(c):
-                    continue
-                nxt.append(w + c)
-        _check_budget("trivial_loops", len(out) + len(nxt), profile.budget)
-        for w in nxt:
-            if words.raw_relative_length(p, w) > 2 * profile.delta:
-                continue
-            if not check(w):
-                continue
-            if shortening.is_local_geodesic(p, w, profile.k, trivial=trivial):
-                out.append(w)
-        frontier = nxt
-    return frozenset(out)
-
-
-def precompute(p: RelativePresentation, profile=None, trivial=None) -> PrecomputedTables:
-    """Build every table for a relator-free presentation under the profile's
-    working radii.  Loudly reports which list overflowed the budget."""
+def precompute(p: RelativePresentation, profile=None) -> PrecomputedTables:
+    """Build the tables of a relator-free presentation under the profile:
+    B_i = L3, the within-subgroup conjugate pairs L7 (L11 is its key set),
+    K_i, K^hyp_4delta and K_4delta.  Loudly reports which list overflowed
+    the budget."""
+    if not p.is_free_product:
+        raise OracleUnavailableError(
+            "presentation %r has relators; presentations with relators get "
+            "no tables" % p.label
+        )
     profile = profile_for(p) if profile is None else profile
     budget = profile.budget
     oracles = oracles_for(p)
 
-    def par_lists(radius, label):
-        out = {}
-        total = 0
-        for i, orc in oracles.items():
-            ball = tuple(orc.ball(radius))
-            total += len(ball)
-            _check_budget(label, total, budget)
-            out[i] = ball
-        return out
-
-    l1 = par_lists(profile.c2, "l1")
-    l2 = par_lists(profile.c7, "l2")
-    l3 = par_lists(profile.c3, "l3")
-
-    l4 = enumerate_filtered_ball(p, profile.r4, profile.c7, budget, "l4")
-    l5 = enumerate_filtered_ball(p, profile.r5, profile.c2, budget, "l5")
-    l6 = enumerate_filtered_ball(p, profile.r6, profile.c7, budget, "l6")
-
-    l8_ball = enumerate_filtered_ball(p, profile.threshold, profile.r8,
-                                      budget, "l8")
-    l8 = tuple(sorted((w for w in l8_ball.members
-                       if metric_oracle.is_relative_geodesic(p, w)),
-                      key=p.shortlex_key))
-
-    l9 = frozenset(metric_oracle.ball(p, profile.r9, trivial=trivial,
-                                      budget=budget).elements)
+    l3 = {}
+    total = 0
+    for i, orc in oracles.items():
+        l3[i] = tuple(orc.ball(profile.c3))
+        total += len(l3[i])
+        _check_budget("l3", total, budget)
 
     # within-subgroup conjugate pairs and their conjugators (right form)
     l7 = {}
@@ -338,28 +240,6 @@ def precompute(p: RelativePresentation, profile=None, trivial=None) -> Precomput
                     l7[(i, q1, q2)] = orc.geodesic_form(words.inverse(t))
     _check_budget("l7", len(l7), budget)
 
-    l88_key = {w: cyclic_canonical(p, w, profile.k) for w in l8}
-
-    parabolic_keys = {}
-    for i in sorted(l3):
-        for q in l3[i]:
-            if not q:
-                continue
-            key, c = cyclic_canonical(p, q, profile.k)
-            parabolic_keys.setdefault(key, (i, q, c))
-    l10_witness = {}
-    for w in l8:
-        key, c_w = l88_key[w]
-        hit = parabolic_keys.get(key)
-        if hit is not None:
-            i, q, c_q = hit
-            l10_witness[w] = (i, q, words.mul(c_w, words.inverse(c_q)))
-
-    bcc_ball = enumerate_filtered_ball(p, profile.rbcc, profile.c3,
-                                       budget, "bcc")
-    bcc_members = tuple(sorted(bcc_ball.members, key=p.shortlex_key))
-    bcc_key = {w: cyclic_canonical(p, w, profile.k) for w in bcc_members}
-
     k_i = tuple(oracles[i].conjugacy_bound(profile.c3) for i in sorted(oracles))
     formula_ball = enumerate_filtered_ball(p, 4 * profile.delta,
                                            2 * profile.c3, budget,
@@ -369,14 +249,11 @@ def precompute(p: RelativePresentation, profile=None, trivial=None) -> Precomput
         len(par.generators) ** profile.c3 for par in p.parabolics
     )
 
-    tables = PrecomputedTables(
+    return PrecomputedTables(
         presentation_hash(p),
         replace(profile, k_i=k_i) if profile.k_i is None else profile,
-        l1, l2, l3, l4, l5, l6, l8, l9, l7, l88_key, l10_witness,
-        bcc_members, bcc_key, k_hyp_4delta, k_4delta,
-        _trivial_loops(p, profile, trivial),
+        l3, l7, k_hyp_4delta, k_4delta,
     )
-    return tables
 
 
 def compute_M(p: RelativePresentation, tables: PrecomputedTables, u: str) -> int:
@@ -403,145 +280,120 @@ def compute_M(p: RelativePresentation, tables: PrecomputedTables, u: str) -> int
 
 
 # ---------------------------------------------------------------------------
-# cache files
+# cache files: magic, presentation hash, profile text, L3, L7, K^hyp_4delta
+# and K_4delta, little-endian u32 counts and length-prefixed UTF-8 strings
 
-_MAGIC = b"RCT1"
-
-
-def _w_str(fh, s: str):
-    data = s.encode()
-    fh.write(struct.pack("<I", len(data)))
-    fh.write(data)
+_MAGIC = b"RCT2"
 
 
-def _r_str(fh) -> str:
-    (n,) = struct.unpack("<I", fh.read(4))
-    return fh.read(n).decode()
+def _encode(tables: PrecomputedTables) -> bytes:
+    out = [_MAGIC]
+
+    def u32(*values):
+        out.append(struct.pack("<%dI" % len(values), *values))
+
+    def text(*strings):
+        for s in strings:
+            data = s.encode()
+            u32(len(data))
+            out.append(data)
+
+    text(tables.p_hash, serialize_profile(tables.profile))
+    u32(len(tables.l3))
+    for i in sorted(tables.l3):
+        u32(i, len(tables.l3[i]))
+        text(*tables.l3[i])
+    u32(len(tables.l7))
+    for (i, q1, q2), c in sorted(tables.l7.items()):
+        u32(i)
+        text(q1, q2, c)
+    u32(tables.k_hyp_4delta, tables.k_4delta)
+    return b"".join(out)
 
 
-def _w_list(fh, items):
-    fh.write(struct.pack("<I", len(items)))
-    for s in items:
-        _w_str(fh, s)
+class _Reader:
+    """Length-checked reads over a cache body; every malformed read raises
+    RelconjError so callers can rebuild."""
 
+    def __init__(self, data: bytes, path):
+        self.data = data
+        self.pos = 0
+        self.path = path
 
-def _r_list(fh):
-    (n,) = struct.unpack("<I", fh.read(4))
-    return [_r_str(fh) for _ in range(n)]
+    def take(self, n: int) -> bytes:
+        end = self.pos + n
+        if end > len(self.data):
+            raise RelconjError("tables cache %s is truncated" % self.path)
+        chunk = self.data[self.pos:end]
+        self.pos = end
+        return chunk
+
+    def u32(self) -> int:
+        return struct.unpack("<I", self.take(4))[0]
+
+    def text(self) -> str:
+        try:
+            return self.take(self.u32()).decode()
+        except UnicodeDecodeError:
+            raise RelconjError("tables cache %s is corrupt" % self.path)
+
+    def finish(self):
+        if self.pos != len(self.data):
+            raise RelconjError("tables cache %s has trailing bytes" % self.path)
 
 
 def save_tables(path, tables: PrecomputedTables):
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        _w_str(fh, tables.p_hash)
-        _w_str(fh, serialize_profile(tables.profile))
-        for ldict in (tables.l1, tables.l2, tables.l3):
-            fh.write(struct.pack("<I", len(ldict)))
-            for i in sorted(ldict):
-                fh.write(struct.pack("<I", i))
-                _w_list(fh, ldict[i])
-        for ball in (tables.l4, tables.l5, tables.l6):
-            fh.write(struct.pack("<II", ball.rel_radius, ball.comp_bound))
-            _w_list(fh, sorted(ball.members))
-        _w_list(fh, tables.l8)
-        _w_list(fh, sorted(tables.l9))
-        fh.write(struct.pack("<I", len(tables.l7)))
-        for (i, q1, q2), c in sorted(tables.l7.items()):
-            fh.write(struct.pack("<I", i))
-            for s in (q1, q2, c):
-                _w_str(fh, s)
-        fh.write(struct.pack("<I", len(tables.l88_key)))
-        for w in sorted(tables.l88_key):
-            key, c = tables.l88_key[w]
-            for s in (w, key, c):
-                _w_str(fh, s)
-        fh.write(struct.pack("<I", len(tables.l10_witness)))
-        for w in sorted(tables.l10_witness):
-            i, q, c = tables.l10_witness[w]
-            _w_str(fh, w)
-            fh.write(struct.pack("<I", i))
-            _w_str(fh, q)
-            _w_str(fh, c)
-        _w_list(fh, tables.bcc_members)
-        fh.write(struct.pack("<I", len(tables.bcc_key)))
-        for w in sorted(tables.bcc_key):
-            key, c = tables.bcc_key[w]
-            for s in (w, key, c):
-                _w_str(fh, s)
-        fh.write(struct.pack("<II", tables.k_hyp_4delta, tables.k_4delta))
-        _w_list(fh, sorted(tables.trivial_loops))
+    """Write the cache atomically: a temporary file beside path, then a
+    rename over it, so readers never see a partial cache."""
+    path = os.fspath(path)
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_encode(tables))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_tables(path, p: RelativePresentation, profile=None) -> PrecomputedTables:
     """Load a cache, refusing one built for another presentation or (when a
-    profile is supplied) another profile."""
+    profile is supplied) another profile, and one that is truncated or
+    malformed."""
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise RelconjError("%s is not a tables cache" % path)
-        p_hash = _r_str(fh)
-        if p_hash != presentation_hash(p):
-            raise RelconjError("tables cache was built for a different presentation")
-        profile_text = _r_str(fh)
-        stored = profile_from_pairs(
-            (kv.split("=")[0], _parse_profile_value(kv))
-            for kv in profile_text.split()
-            if not kv.startswith("k_i=")
-        )
-        for kv in profile_text.split():
-            if kv.startswith("k_i="):
-                stored = replace(
-                    stored,
-                    k_i=tuple(int(v) for v in kv[4:].split(",") if v),
-                )
-        if profile is not None and profile_hash(replace(stored, k_i=None)) != \
-                profile_hash(replace(profile, k_i=None)):
-            raise RelconjError("tables cache was built with a different profile")
-
-        def r_pardict():
-            (n,) = struct.unpack("<I", fh.read(4))
-            out = {}
-            for _ in range(n):
-                (i,) = struct.unpack("<I", fh.read(4))
-                out[i] = tuple(_r_list(fh))
-            return out
-
-        l1, l2, l3 = r_pardict(), r_pardict(), r_pardict()
-        balls = []
-        for _ in range(3):
-            r1, r2 = struct.unpack("<II", fh.read(8))
-            balls.append(FilteredBall(r1, r2, frozenset(_r_list(fh))))
-        l4, l5, l6 = balls
-        l8 = tuple(_r_list(fh))
-        l9 = frozenset(_r_list(fh))
-        (n,) = struct.unpack("<I", fh.read(4))
-        l7 = {}
-        for _ in range(n):
-            (i,) = struct.unpack("<I", fh.read(4))
-            q1, q2, c = _r_str(fh), _r_str(fh), _r_str(fh)
-            l7[(i, q1, q2)] = c
-        (n,) = struct.unpack("<I", fh.read(4))
-        l88_key = {}
-        for _ in range(n):
-            w, key, c = _r_str(fh), _r_str(fh), _r_str(fh)
-            l88_key[w] = (key, c)
-        (n,) = struct.unpack("<I", fh.read(4))
-        l10_witness = {}
-        for _ in range(n):
-            w = _r_str(fh)
-            (i,) = struct.unpack("<I", fh.read(4))
-            l10_witness[w] = (i, _r_str(fh), _r_str(fh))
-        bcc_members = tuple(_r_list(fh))
-        (n,) = struct.unpack("<I", fh.read(4))
-        bcc_key = {}
-        for _ in range(n):
-            w, key, c = _r_str(fh), _r_str(fh), _r_str(fh)
-            bcc_key[w] = (key, c)
-        k_hyp, k4 = struct.unpack("<II", fh.read(8))
-        trivial_loops = frozenset(_r_list(fh))
-    return PrecomputedTables(p_hash, stored, l1, l2, l3, l4, l5, l6, l8, l9,
-                             l7, l88_key, l10_witness, bcc_members, bcc_key,
-                             k_hyp, k4, trivial_loops)
+        r = _Reader(fh.read(), path)
+    if r.take(4) != _MAGIC:
+        raise RelconjError("%s is not a tables cache" % path)
+    p_hash = r.text()
+    if p_hash != presentation_hash(p):
+        raise RelconjError("tables cache was built for a different presentation")
+    stored = _parse_profile(r.text())
+    if profile is not None and profile_hash(replace(stored, k_i=None)) != \
+            profile_hash(replace(profile, k_i=None)):
+        raise RelconjError("tables cache was built with a different profile")
+    l3 = {}
+    for _ in range(r.u32()):
+        i, n = r.u32(), r.u32()
+        l3[i] = tuple(r.text() for _ in range(n))
+    l7 = {}
+    for _ in range(r.u32()):
+        i = r.u32()
+        q1, q2, c = r.text(), r.text(), r.text()
+        l7[(i, q1, q2)] = c
+    k_hyp, k4 = r.u32(), r.u32()
+    r.finish()
+    return PrecomputedTables(p_hash, stored, l3, l7, k_hyp, k4)
 
 
-def _parse_profile_value(kv: str) -> int:
-    return int(kv.split("=", 1)[1])
+def _parse_profile(text: str) -> ConstantsProfile:
+    pairs, k_i = [], None
+    try:
+        for kv in text.split():
+            key, _, value = kv.partition("=")
+            if key == "k_i":
+                k_i = tuple(int(v) for v in value.split(",") if v)
+            else:
+                pairs.append((key, int(value)))
+    except ValueError:
+        raise RelconjError("tables cache has a malformed profile")
+    return replace(profile_from_pairs(pairs), k_i=k_i)

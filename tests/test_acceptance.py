@@ -282,3 +282,58 @@ def test_criterion_8_word_problem_scaling(capsys, pG2, tG2):
            "n=256..16384, log-log slope %.3f < 2.0, %.1fs)"
            % ("PASS" if ok else "FAIL", slope, elapsed))
     assert ok
+
+
+def cyclic_normal_word(rng, n):
+    """A random cyclically reduced normal form of Z * Z^2 with about n
+    letters: runs of a or A alternating with canonical x^i y^j runs, so the
+    two ends are of different kinds."""
+    w = ""
+    while len(w) < n:
+        w += rng.choice("aA") * rng.randint(1, 2)
+        i, j = rng.randint(-2, 2), rng.randint(-2, 2)
+        if i == j == 0:
+            i = 1
+        w += ("x" if i > 0 else "X") * abs(i) + ("y" if j > 0 else "Y") * abs(j)
+    return w
+
+
+def test_criterion_9_conjugacy_scaling(capsys, pG2, tG2):
+    t0 = time.perf_counter()
+    rng = random.Random(9)
+    g = "xaY"
+    sizes = [2 ** e for e in range(8, 13)]
+    points = {"conjugate": [], "not-conjugate": []}
+    for n in sizes:
+        while True:
+            u = cyclic_normal_word(rng, n)
+            rev = "".join(s.word for s in
+                          reversed(words.raw_syllables(pG2, u)))
+            if rev not in u + u:
+                break
+        assert words.normalize(pG2, u) == u
+        pos = words.normalize(pG2, words.mul(g, u, words.inverse(g)))
+        for v, answer in ((pos, "conjugate"), (rev, "not-conjugate")):
+            best = math.inf
+            for _ in range(3):
+                t1 = time.perf_counter()
+                cert = conjugacy.decide(pG2, tG2, u, v)
+                best = min(best, time.perf_counter() - t1)
+                assert cert.answer == answer
+            points[answer].append((math.log(len(u)), math.log(best)))
+
+    def slope(pts):
+        xbar = sum(x for x, _ in pts) / len(pts)
+        ybar = sum(y for _, y in pts) / len(pts)
+        return (sum((x - xbar) * (y - ybar) for x, y in pts)
+                / sum((x - xbar) ** 2 for x, _ in pts))
+
+    pos_slope = slope(points["conjugate"])
+    neg_slope = slope(points["not-conjugate"])
+    elapsed = time.perf_counter() - t0
+    ok = pos_slope < 1.3 and neg_slope < 1.3
+    report(capsys, "criterion 9: %s (conjugacy scaling on cyclically reduced "
+           "Z * Z^2 words, n=256..4096, log-log slopes conjugate %.3f, "
+           "not conjugate %.3f < 1.3, %.1fs)"
+           % ("PASS" if ok else "FAIL", pos_slope, neg_slope, elapsed))
+    assert ok

@@ -96,10 +96,9 @@ def test_conj_search_failure_exit_code(capsys, paths, g2_cache):
 def test_precompute_free_group(capsys, paths):
     code, out, _ = run(capsys, ["precompute", paths["F"]])
     assert code == 0
-    assert "size_l1=0" in out
-    assert "size_l2=0" in out
     assert "size_l3=0" in out
-    assert "size_l8=53" in out
+    assert "size_l7=0" in out
+    assert "size_l11=0" in out
     assert "k_i=-" in out
     assert "cache=-" in out
 
@@ -108,13 +107,13 @@ def test_precompute_writes_cache(capsys, paths, tmp_path, pG2):
     cache = os.fspath(tmp_path / "g2.tables")
     code, out, _ = run(capsys, ["precompute", paths["G2"], cache])
     assert code == 0
-    assert "size_l8=3727" in out
+    assert "size_l3=13" in out
     assert "k_i=0" in out
     assert "k_hyp_4delta=363762" in out
     assert "k_4delta=363766" in out
     assert os.path.exists(cache)
     loaded = tb.load_tables(cache, pG2)
-    assert loaded.sizes()["l8"] == 3727
+    assert loaded.sizes()["l3"] == 13
 
 
 def test_precompute_budget_error(capsys, paths, tmp_path):
@@ -127,12 +126,12 @@ def test_precompute_budget_error(capsys, paths, tmp_path):
 
 
 def test_profile_override_file(capsys, paths, tmp_path):
-    prof = tmp_path / "r9.prof"
-    prof.write_text("# tighter ball\nr9=1\n")
+    prof = tmp_path / "c3.prof"
+    prof.write_text("# tighter ball\nc2=1\nc3=1\n")
     code, out, _ = run(capsys, ["precompute", paths["G2"],
                                 "--profile", os.fspath(prof)])
     assert code == 0
-    assert "size_l9=7" in out
+    assert "size_l3=5" in out
 
 
 def test_profile_override_parse_error(capsys, paths, tmp_path):
@@ -147,8 +146,8 @@ def test_profile_override_parse_error(capsys, paths, tmp_path):
 def test_cache_invalidation_rebuilds(capsys, paths, tmp_path, g2_cache):
     cache = os.fspath(tmp_path / "copy.tables")
     shutil.copy(g2_cache, cache)
-    prof = tmp_path / "r9.prof"
-    prof.write_text("r9=1\n")
+    prof = tmp_path / "c3.prof"
+    prof.write_text("c2=1\nc3=1\n")
     # stale cache (different profile hash) is rebuilt and overwritten
     code, out, _ = run(capsys, ["crosscheck", paths["G2"], "2",
                                 "--cache", cache, "--profile", os.fspath(prof)])
@@ -156,7 +155,29 @@ def test_cache_invalidation_rebuilds(capsys, paths, tmp_path, g2_cache):
     assert "agreement=1.000000" in out
     code, out, _ = run(capsys, ["precompute", paths["G2"], cache,
                                 "--profile", os.fspath(prof)])
-    assert "size_l9=7" in out
+    assert "size_l3=5" in out
+
+
+def test_damaged_cache_is_rebuilt(capsys, paths, tmp_path, g2_cache):
+    argv = ["classify", paths["G2"], "axxayA"]
+    _, want, _ = run(capsys, argv + ["--cache", g2_cache])
+    with open(g2_cache, "rb") as fh:
+        good = fh.read()
+    cache = tmp_path / "damaged.tables"
+    for cut in (0, 3, 4, 30, len(good) // 2, len(good) - 1):
+        cache.write_bytes(good[:cut])
+        code, out, _ = run(capsys, argv + ["--cache", os.fspath(cache)])
+        assert code == 0
+        assert out == want
+        # the rebuilt cache replaced the damaged one
+        assert cache.read_bytes() == good
+
+
+def test_relator_presentation_gets_no_tables(capsys, paths):
+    code, out, _ = run(capsys, ["classify", paths["C5"], "a"])
+    assert code == 1
+    assert out.startswith("status=error\nerror=oracle\n")
+    assert "relators get no tables" in out
 
 
 def test_crosscheck_exhaustive(capsys, paths, g2_cache):

@@ -5,6 +5,17 @@ import pytest
 
 from relconj import conjugacy as cj, metric_oracle as mo, shortening as sh, tables as tb, words
 from relconj.errors import NotConjugateError
+from relconj.presentation import HYPERBOLIC, parse_presentation
+
+ZZ_TEXT = """\
+group zz2
+hyperbolic a
+parabolic free_abelian 2
+letters x y
+parabolic free_abelian 2
+letters s t
+constants delta=1 c2=1 c3=1 c7=1 threshold=3 r4=1 r5=1 r6=2 r9=2
+"""
 
 
 def rand_word(p, rng, hi):
@@ -207,3 +218,32 @@ def test_engine_reuse_is_equivalent(pG2, tG2, engG2):
         cached = cj.decide(pG2, tG2, u, v, engine=engG2)
         assert fresh.answer == cached.answer
         assert fresh.to_record() == cached.to_record()
+
+
+def cyclic_syllable_count(p, w):
+    """Relative length of w read as a cyclic word: a parabolic run split
+    across the ends counts once."""
+    syls = words.raw_syllables(p, w)
+    n = len(syls)
+    if n >= 2 and syls[0].kind != HYPERBOLIC and syls[0].kind == syls[-1].kind:
+        n -= 1
+    return n
+
+
+def test_cyclic_form_keeps_parabolic_runs_whole():
+    # Two parabolic factors and no hyperbolic letter in the cyclic form: a
+    # rotation by letters could start inside a run and count it twice in L.
+    p = parse_presentation(ZZ_TEXT)
+    t = tb.precompute(p)
+    cert = cj.decide(p, t, "tYxTtS", "tYxTtS")
+    assert cert.answer == "conjugate"
+    assert cert.length == 2
+    rep = cj.classify(p, t, "tYxTtS").representative
+    assert words.raw_relative_length(p, rep) == 2
+    eng = cj.ConjugacyEngine(p, t)
+    rng = random.Random(28)
+    for _ in range(300):
+        w = rand_word(p, rng, 10)
+        c = cj.classify(p, t, w, engine=eng)
+        assert words.raw_relative_length(p, c.representative) == \
+            cyclic_syllable_count(p, c.representative)

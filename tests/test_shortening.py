@@ -135,6 +135,19 @@ def test_cyclic_shorten_contract(pG2, tG2):
                 assert not sh.is_cyclic_local_geodesic(pG2, cand, k)
 
 
+def test_least_rotation_matches_brute_force():
+    # the first start of the least rotation, also on periodic sequences
+    rng = random.Random(19)
+    for trial in range(2000):
+        letters = "abc"[:2 + trial % 2]
+        seq = [rng.choice(letters) for _ in range(rng.randint(1, 10))]
+        if trial % 3 == 0:
+            seq = seq[:3] * 3
+        n = len(seq)
+        want = min(range(n), key=lambda i: (seq[i:] + seq[:i], i))
+        assert sh.least_rotation(seq) == want
+
+
 def test_cyclic_shorten_is_class_invariant(pG2):
     # conjugating the input by a generator never changes the cyclic form
     rng = random.Random(17)
