@@ -101,7 +101,7 @@ def _tables_for(p, profile, cache_path):
 def cmd_wp(presentation_path, word, profile_path=None) -> CommandResult:
     p, profile = _setup(presentation_path, profile_path)
     res = shortening.shorten(p, word, k=profile.k)
-    trivial = shortening.word_problem(p, word, k=profile.k)
+    trivial = shortening.shortened_is_trivial(p, res.output, k=profile.k)
     return CommandResult("ok", {
         "trivial": trivial,
         "shortened": res.output,

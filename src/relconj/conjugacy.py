@@ -83,7 +83,8 @@ class ConjugacyCertificate:
 
 class ConjugacyEngine:
     """Per-presentation caches shared across many decide() calls: cyclic
-    shortenings, linear shortening lengths and classifications."""
+    shortenings, linear shortening lengths, classifications with the
+    relative lengths of their representatives, and the profile hash."""
 
     def __init__(self, p: RelativePresentation, tables: PrecomputedTables,
                  trivial=None):
@@ -92,9 +93,11 @@ class ConjugacyEngine:
         self.trivial = trivial
         self.k = tables.profile.k
         self.oracles = oracles_for(p)
+        self.profile_hash = profile_hash(tables.profile)
         self._cyc = {}
         self._lin = {}
         self._cls = {}
+        self._rep_len = {}  # relative length of each classification's rep
 
     def cyclic(self, w: str):
         res = self._cyc.get(w)
@@ -105,11 +108,12 @@ class ConjugacyEngine:
         return res
 
     def linear_rel(self, w: str) -> int:
+        """Relative length of the linear shortening of w.  Tables exist
+        only without relators, where shortening reaches the normal form up
+        to the spelling inside runs, so this is its syllable count."""
         val = self._lin.get(w)
         if val is None:
-            out = shortening.shorten(self.p, w, k=self.k,
-                                     trivial=self.trivial).output
-            val = words.raw_relative_length(self.p, out)
+            val = words.decompose(self.p, w).relative_length
             self._lin[w] = val
         return val
 
@@ -118,6 +122,8 @@ class ConjugacyEngine:
         if res is None:
             res = classify(self.p, self.tables, w, engine=self)
             self._cls[w] = res
+            self._rep_len[w] = words.raw_relative_length(self.p,
+                                                         res.representative)
         return res
 
     def core(self, alpha: str, beta: str, regime: str):
@@ -194,9 +200,8 @@ def decide(p: RelativePresentation, tables: PrecomputedTables, u: str,
     cu = eng.classification(u)
     cv = eng.classification(v)
     lbar = max(eng.linear_rel(u), eng.linear_rel(v))
-    length = max(words.raw_relative_length(p, cu.representative),
-                 words.raw_relative_length(p, cv.representative))
-    phash = profile_hash(tables.profile)
+    length = max(eng._rep_len[u], eng._rep_len[v])
+    phash = eng.profile_hash
 
     def negative(reason, regime=None):
         return ConjugacyCertificate(u, v, "not-conjugate", None, reason,

@@ -17,22 +17,27 @@ anyway, which the test suite uses to confirm the claim.  With relators the
 scan is the whole point and replacements come from the ball oracle, which
 needs an injected triviality test.
 
-Cyclic shortening follows the doubled-word iteration: reduce cyclically,
-shorten, then while rho o rho has a violating window crossing the seam,
-split rho = eta o mid o nu, replace nu o eta by a geodesic, absorb
-lab(eta) into the running conjugator and re-shorten.  The result alpha
-satisfies lab(alpha) = a^-1 * u * a and alpha o alpha passes the window
-check.
-
-On a presentation without relators the result is then made canonical:
-alpha is respelled as its normal form and rotated to the least rotation of
-its syllable sequence (hyperbolic letters one by one, parabolic runs whole,
-each compared by its shortlex letter ranks), found in linear time with
-Booth's algorithm.  Cyclically reduced elements of a free product are
-conjugate exactly when their syllable sequences are rotations of each other
-(Lyndon-Schupp, Combinatorial Group Theory, IV.1.4), so two elements of two
-or more syllables are conjugate exactly when their cyclic forms are equal
+Cyclic shortening without relators is one linear pass over the normal
+form of the word.  Cyclic reduction of a free-product normal form happens
+at its syllable ends only (Lyndon-Schupp, Combinatorial Group Theory,
+IV.1.4): mutually inverse hyperbolic end letters cancel, and end runs of
+one factor merge into one run, which is either trivial (and the reduction
+goes on inwards) or a syllable between two of other kinds (and it stops).
+The kept core is rotated to the least rotation of its syllable sequence
+(hyperbolic letters one by one, parabolic runs whole, each compared by its
+shortlex letter ranks), found in linear time with Booth's algorithm, and a
+lone parabolic run is cyclically reduced inside its factor.  Cyclically
+reduced elements of a free product are conjugate exactly when their
+syllable sequences are rotations of each other, so two elements of two or
+more syllables are conjugate exactly when their cyclic forms are equal
 strings.
+
+With relators cyclic shortening follows the doubled-word iteration: reduce
+cyclically, shorten, then while rho o rho has a violating window crossing
+the seam, split rho = eta o mid o nu, replace nu o eta by a geodesic,
+absorb lab(eta) into the running conjugator and re-shorten, at most
+L-bar + 1 times.  The result alpha satisfies lab(alpha) = a^-1 * u * a and
+alpha o alpha passes the window check.
 """
 
 from __future__ import annotations
@@ -214,16 +219,27 @@ def word_problem(p: RelativePresentation, w: str, tables=None, k=None,
 
     Relator-free presentations short-circuit through the component normal
     form, which is the complete answer there (and keeps this linear in the
-    input).  Otherwise: shorten; empty output is yes; output of relative
-    length > 2*delta is no (a nonempty local geodesic that long cannot
-    close up); the remaining short outputs go to the triviality oracle.
+    input).  Otherwise w is shortened and the output decided by
+    shortened_is_trivial.
     """
     p.check_word(w)
     if p.is_free_product and trivial is None:
         return words.normalize(p, w) == ""
     out = shorten(p, w, tables=tables, k=k, trivial=trivial).output
+    return shortened_is_trivial(p, out, tables=tables, k=k, trivial=trivial)
+
+
+def shortened_is_trivial(p: RelativePresentation, out: str, tables=None,
+                         k=None, trivial=None) -> bool:
+    """The word problem for out, an output of shorten.  Empty is yes.
+    Without relators any other output is no: it is a normal form up to the
+    spelling inside its runs.  With relators an output of relative length
+    > 2*delta is no (a nonempty local geodesic that long cannot close up),
+    and the remaining short outputs go to the triviality oracle."""
     if out == "":
         return True
+    if p.is_free_product and trivial is None:
+        return False
     if words.raw_relative_length(p, out) > 2 * resolve_delta(p, tables, k):
         return False
     return metric_oracle.triviality_test(p, trivial)(out)
@@ -252,28 +268,51 @@ def least_rotation(seq) -> int:
     return k
 
 
-def _canonical_rotation(p, w):
-    """The normal form of the cyclic word w rotated to the least rotation of
-    its syllables, and the rotation prefix c with result = c^-1 * w * c."""
-    nf = words.normalize(p, w)
+def _syllable_cyclic_form(p, nf):
+    """Cyclic form of the normal form nf: (alpha, a, merges, steps) with
+    lab(alpha) = a^-1 * nf * a.  Cancels mutually inverse end letters and
+    merges end runs of one factor from the outside in, then rotates the
+    kept core to its least syllable rotation; a is a prefix of nf."""
     syls = words.raw_syllables(p, nf)
+    steps = []
+    merged = []
+    i, j = 0, len(syls) - 1
+    while i < j and not merged:
+        first, last = syls[i], syls[j]
+        if first.kind == HYPERBOLIC:
+            if last.word != inverse_letter(first.word):
+                break
+        elif first.kind == last.kind:
+            # merge the wrap-around run nu o eta (logged in the coordinates
+            # of the cyclic word left here); a nontrivial merge ends it
+            at = first.start
+            rep = words.normalize(p, last.word + first.word)
+            steps.append(ShorteningStep(last.start - at,
+                                        last.end - at + len(first.word),
+                                        last.word + first.word, rep,
+                                        TABLE_REPLACEMENT))
+            if rep:
+                merged.append(rep)
+        else:
+            break
+        i, j = i + 1, j - 1
+    if i > j:
+        return "", "", len(steps), steps
+    core = [s.word for s in syls[i : j + 1]] + merged
     rank = p.letter_rank
-    start = syls[least_rotation(
-        [tuple(rank[c] for c in s.word) for s in syls])].start
-    return nf[start:] + nf[:start], nf[:start]
+    r = least_rotation([tuple(rank[c] for c in s) for s in core])
+    alpha = "".join(core[r:] + core[:r])
+    conj = nf[: syls[i].start] + "".join(core[:r])
+    if len(core) == 1:
+        # a lone run of a free factor can still reduce cyclically inside it
+        alpha, pre = words.cyclic_reduce(alpha)
+        conj += pre
+    return alpha, conj, len(steps), steps
 
 
-def cyclic_shorten(p: RelativePresentation, w: str, tables=None, k=None,
-                   trivial=None) -> CyclicShorteningResult:
-    """Conjugacy normal form: a cyclic relative (8*delta+1)-local geodesic
-    alpha and a conjugator a with lab(alpha) = a^-1 * w * a.  Without
-    relators alpha is the canonical cyclic form of the module docstring, so
-    conjugate words of two or more syllables get the same alpha.  The
-    iteration count is capped at L-bar + 1 (relative length of the first
-    shortened form); exceeding it means the constants profile is
-    inconsistent with the presentation (e.g. torsion with too small a
-    delta) and raises."""
-    p.check_word(w)
+def _doubled_word_form(p, w, tables, k, trivial):
+    """The doubled-word iteration of the module docstring: (alpha, a,
+    iterations, steps)."""
     k = resolve_k(p, tables, k)
     steps = []
     conj = ""
@@ -335,10 +374,26 @@ def cyclic_shorten(p: RelativePresentation, w: str, tables=None, k=None,
         steps.append(ShorteningStep(i, j, nu + eta, rep, TABLE_REPLACEMENT))
         conj = words.mul(conj, eta)
         rho = reduce_and_shorten(mid + rep)
+    return rho, conj, iterations, steps
 
-    if rho and p.is_free_product:
-        rho, prefix = _canonical_rotation(p, rho)
-        conj = words.mul(conj, prefix)
+
+def cyclic_shorten(p: RelativePresentation, w: str, tables=None, k=None,
+                   trivial=None) -> CyclicShorteningResult:
+    """Conjugacy normal form: a cyclic relative (8*delta+1)-local geodesic
+    alpha and a conjugator a with lab(alpha) = a^-1 * w * a.  Without
+    relators alpha is the canonical cyclic form of the module docstring,
+    found in one linear pass, and iterations counts the end-run merges.
+    With relators exceeding L-bar + 1 iterations (L-bar the relative length
+    of the first shortened form) means the constants profile is
+    inconsistent with the presentation (e.g. torsion with too small a
+    delta) and raises."""
+    p.check_word(w)
+    if p.is_free_product:
+        rho, conj, iterations, steps = _syllable_cyclic_form(
+            p, words.normalize(p, w))
+    else:
+        rho, conj, iterations, steps = _doubled_word_form(
+            p, w, tables, k, trivial)
     residue = words.mul(conj, rho, words.inverse(conj), words.inverse(w))
     if not word_problem(p, residue, tables=tables, k=k, trivial=trivial):
         raise RelconjError("cyclic shortening produced an invalid conjugator")

@@ -42,11 +42,10 @@ def is_freely_reduced(w: str) -> bool:
 def cyclic_reduce(w: str):
     """Strip mutually inverse end letters: returns (core, a) with
     w = a * core * a^-1 letter for letter."""
-    a = []
-    while len(w) >= 2 and w[0] == inverse_letter(w[-1]):
-        a.append(w[0])
-        w = w[1:-1]
-    return w, "".join(a)
+    i, j = 0, len(w) - 1
+    while i < j and w[i] == inverse_letter(w[j]):
+        i, j = i + 1, j - 1
+    return w[i : j + 1], w[:i]
 
 
 def is_cyclically_reduced(w: str) -> bool:

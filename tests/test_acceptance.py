@@ -337,3 +337,35 @@ def test_criterion_9_conjugacy_scaling(capsys, pG2, tG2):
            "not conjugate %.3f < 1.3, %.1fs)"
            % ("PASS" if ok else "FAIL", pos_slope, neg_slope, elapsed))
     assert ok
+
+
+def test_criterion_10_conjugator_scaling(capsys, pG2, tG2):
+    t0 = time.perf_counter()
+    rng = random.Random(10)
+    sizes = [2 ** e for e in range(8, 12)]
+    points = []
+    for n in sizes:
+        u = cyclic_normal_word(rng, n)
+        # g ends in u's first letter, so nothing cancels or merges where
+        # g, u and g^-1 meet: v is a normal form of |u| + 2|g| letters
+        g = cyclic_normal_word(rng, n // 4 - 1) + u[0]
+        v = g + u + words.normalize(pG2, words.inverse(g))
+        assert words.normalize(pG2, v) == v
+        assert len(v) == len(u) + 2 * len(g)
+        best = math.inf
+        for _ in range(3):
+            t1 = time.perf_counter()
+            cert = conjugacy.decide(pG2, tG2, u, v)
+            best = min(best, time.perf_counter() - t1)
+            assert cert.answer == "conjugate" and cert.verified
+        points.append((math.log(len(u)), math.log(best)))
+    xbar = sum(x for x, _ in points) / len(points)
+    ybar = sum(y for _, y in points) / len(points)
+    slope = (sum((x - xbar) * (y - ybar) for x, y in points)
+             / sum((x - xbar) ** 2 for x, _ in points))
+    elapsed = time.perf_counter() - t0
+    ok = slope < 1.3
+    report(capsys, "criterion 10: %s (conjugacy scaling with conjugators of "
+           "n/4 letters on Z * Z^2, n=256..2048, log-log slope %.3f < 1.3, "
+           "%.1fs)" % ("PASS" if ok else "FAIL", slope, elapsed))
+    assert ok

@@ -230,6 +230,17 @@ def cyclic_syllable_count(p, w):
     return n
 
 
+def test_linear_rel_is_the_shortened_relative_length(pF, tF, pG2, tG2, pZC2,
+                                                     tZC2):
+    rng = random.Random(31)
+    for p, t in ((pF, tF), (pG2, tG2), (pZC2, tZC2)):
+        eng = cj.ConjugacyEngine(p, t)
+        for _ in range(400):
+            w = rand_word(p, rng, 20)
+            assert eng.linear_rel(w) == words.raw_relative_length(
+                p, sh.shorten(p, w).output)
+
+
 def test_cyclic_form_keeps_parabolic_runs_whole():
     # Two parabolic factors and no hyperbolic letter in the cyclic form: a
     # rotation by letters could start inside a run and count it twice in L.

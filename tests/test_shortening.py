@@ -5,6 +5,7 @@ import pytest
 from conftest import c5_trivial
 from relconj import metric_oracle as mo, shortening as sh, words
 from relconj.errors import RelconjError
+from relconj.presentation import parse_presentation
 
 
 def rand_word(p, rng, lo, hi):
@@ -157,6 +158,40 @@ def test_cyclic_shorten_is_class_invariant(pG2):
         a = sh.cyclic_shorten(pG2, w).output
         b = sh.cyclic_shorten(pG2, g + w + words.inverse(g)).output
         assert words.normalize(pG2, a) == words.normalize(pG2, b)
+
+
+def test_cyclic_shorten_long_conjugates(pF, pG2, pZC2):
+    # the cyclic form of normalize(g u g^-1) is u's, reached in at most
+    # lbar end-run merges however long g is
+    rng = random.Random(20)
+    for p in (pF, pG2, pZC2):
+        for _ in range(20):
+            u = rand_word(p, rng, 200, 400)
+            g = rand_word(p, rng, 50, 100)
+            v = words.normalize(p, g + u + words.inverse(g))
+            res = sh.cyclic_shorten(p, v)
+            assert res.output == sh.cyclic_shorten(p, u).output
+            assert res.iterations <= words.raw_relative_length(p, v)
+            assert sh.word_problem(p, words.mul(
+                res.conjugator, res.output, words.inverse(res.conjugator),
+                words.inverse(v)))
+
+
+def test_cyclic_shorten_counts_end_run_merges(pG2):
+    # x..X cancels as one trivial merge; the merge of XXXY with xxxxy
+    # leaves x, which ends the reduction
+    res = sh.cyclic_shorten(pG2, "xaX")
+    assert (res.output, res.conjugator, res.iterations) == ("a", "x", 1)
+    res = sh.cyclic_shorten(pG2, "xxxxyAXXXY")
+    assert (res.output, res.conjugator, res.iterations) == ("Ax", "xxxxy", 1)
+    assert [(s.before, s.after) for s in res.steps] == [("XXXYxxxxy", "x")]
+
+
+def test_cyclic_shorten_reduces_a_lone_free_factor_run():
+    p = parse_presentation("group fx\nhyperbolic a\nparabolic free 2\n"
+                           "letters x y\n")
+    res = sh.cyclic_shorten(p, "axyXA")
+    assert (res.output, res.conjugator) == ("y", "ax")
 
 
 def test_cyclic_shorten_torsion_parabolic(pZC2):
