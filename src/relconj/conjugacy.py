@@ -5,9 +5,10 @@ cyclic form of one parabolic run is parabolic, any other nonempty one is
 hyperbolic.  Two hyperbolic elements are conjugate exactly when their cyclic
 forms are equal strings (the conjugacy theorem for free products; only
 relator-free presentations get tables).  Two parabolic elements are
-conjugate when the subgroup oracle conjugates one representative onto the
-other, or when both reach a conjugate pair of the within-subgroup list L7
-through B_i = L3.
+conjugate exactly when they lie in one factor and the subgroup oracle
+conjugates one representative onto the other (Lyndon-Schupp, Combinatorial
+Group Theory, IV.1.4).  Neither branch reads a precomputed list; the
+tables supply the profile (the regime threshold and the profile hash).
 
 Conventions.  Every internal conjugator is carried in right form: a step
 from x to y stores c with y = c^-1 * x * c, so chains compose by plain
@@ -19,8 +20,9 @@ failed verification is an internal error, never a silent downgrade.
 Negative answers name where the decision fell: class-mismatch (identity,
 parabolic and hyperbolic never meet), long-search-exhausted or
 short-table-miss (unequal hyperbolic cyclic forms, by the regime of the
-longer one against the profile's threshold) and parabolic-tables-miss; the
-certificate records the profile hash the answer depends on.
+longer one against the profile's threshold) and parabolic-tables-miss (two
+factors, or no conjugator inside one); the certificate records the profile
+hash the answer depends on.
 """
 
 from __future__ import annotations
@@ -83,8 +85,8 @@ class ConjugacyCertificate:
 
 class ConjugacyEngine:
     """Per-presentation caches shared across many decide() calls: cyclic
-    shortenings, linear shortening lengths, classifications with the
-    relative lengths of their representatives, and the profile hash."""
+    shortenings (with the linear shortening lengths), classifications with
+    the relative lengths of their representatives, and the profile hash."""
 
     def __init__(self, p: RelativePresentation, tables: PrecomputedTables,
                  trivial=None):
@@ -95,7 +97,6 @@ class ConjugacyEngine:
         self.oracles = oracles_for(p)
         self.profile_hash = profile_hash(tables.profile)
         self._cyc = {}
-        self._lin = {}
         self._cls = {}
         self._rep_len = {}  # relative length of each classification's rep
 
@@ -108,14 +109,13 @@ class ConjugacyEngine:
         return res
 
     def linear_rel(self, w: str) -> int:
-        """Relative length of the linear shortening of w.  Tables exist
-        only without relators, where shortening reaches the normal form up
-        to the spelling inside runs, so this is its syllable count."""
-        val = self._lin.get(w)
-        if val is None:
-            val = words.decompose(self.p, w).relative_length
-            self._lin[w] = val
-        return val
+        """Relative length of the linear shortening of w: the syllable
+        count of its normal form, which the cyclic shortening has taken
+        (tables exist only without relators)."""
+        res = self._cyc.get(w)
+        if res is None:
+            res = self.cyclic(w)
+        return res.linear_length
 
     def classification(self, w: str) -> Classification:
         res = self._cls.get(w)
@@ -163,31 +163,15 @@ def classify(p: RelativePresentation, tables: PrecomputedTables, w: str,
 
 def _parabolic_core(eng: ConjugacyEngine, cu: Classification,
                     cv: Classification):
-    """Right-form conjugator between parabolic representatives: the direct
-    subgroup search first, then the exhaustive walk through the conjugates
-    inside B_i matched against the within-subgroup pair list."""
-    tables = eng.tables
+    """Right-form conjugator between parabolic representatives.  Elements
+    of one factor are conjugate in a free product exactly when they are
+    conjugate inside it, and elements of two factors never are, so the
+    subgroup oracle's answer is complete."""
     if cu.index == cv.index:
         orc = eng.oracles[cu.index]
         t = orc.conjugate(cu.representative, cv.representative)
         if t is not None:
             return ("conjugate", orc.geodesic_form(words.inverse(t)))
-
-    def reachable(cls):
-        orc = eng.oracles[cls.index]
-        out = []
-        for t in tables.l3[cls.index]:
-            y = orc.conjugate(cls.representative, t)
-            if y is not None:
-                out.append((t, words.inverse(y)))
-        return out
-
-    for pu, c1 in reachable(cu):
-        for pv, c2 in reachable(cv):
-            c11 = tables.l11_pair(cu.index, pu, cv.index, pv)
-            if c11 is not None:
-                return ("conjugate",
-                        words.mul(c1, c11, words.inverse(c2)))
     return ("not-conjugate", PARABOLIC_MISS)
 
 

@@ -17,7 +17,6 @@ true constants; they are labeled with the radius they used.
 
 from __future__ import annotations
 
-import struct
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,11 +25,7 @@ from functools import lru_cache
 from . import words
 from .errors import BudgetExceededError, OracleUnavailableError, RelconjError
 from .parabolic_oracles import oracles_for
-from .presentation import (
-    HYPERBOLIC,
-    RelativePresentation,
-    presentation_hash,
-)
+from .presentation import HYPERBOLIC, RelativePresentation
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -505,36 +500,3 @@ def estimate_bcp(p: RelativePresentation, params: QuasiGeodesicParams,
                     if counts[key] == 1:
                         best = max(best, end - start)
     return best
-
-
-# ---------------------------------------------------------------------------
-# ball cache files
-
-_BALL_MAGIC = b"RCB1"
-
-
-def save_ball(path, p: RelativePresentation, index: BallIndex):
-    with open(path, "wb") as fh:
-        fh.write(_BALL_MAGIC)
-        phash = presentation_hash(p).encode()
-        fh.write(struct.pack("<HII", len(phash), index.radius, len(index.dist)))
-        fh.write(phash)
-        for w, d in index.dist.items():
-            data = w.encode()
-            fh.write(struct.pack("<HI", len(data), d))
-            fh.write(data)
-
-
-def load_ball(path, p: RelativePresentation) -> BallIndex:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _BALL_MAGIC:
-            raise RelconjError("%s is not a ball cache" % path)
-        hlen, radius, count = struct.unpack("<HII", fh.read(10))
-        phash = fh.read(hlen).decode()
-        if phash != presentation_hash(p):
-            raise RelconjError("ball cache was built for a different presentation")
-        dist = {}
-        for _ in range(count):
-            wlen, d = struct.unpack("<HI", fh.read(6))
-            dist[fh.read(wlen).decode()] = d
-    return BallIndex(radius, dist)

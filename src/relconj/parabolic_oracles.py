@@ -16,7 +16,13 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import UnknownLetterError
-from .presentation import ParabolicDescriptor, RelativePresentation, inverse_letter
+from .presentation import (
+    ParabolicDescriptor,
+    RelativePresentation,
+    cyclic_reduce,
+    inverse,
+    inverse_letter,
+)
 
 
 class ParabolicOracle:
@@ -85,9 +91,8 @@ class ParabolicOracle:
         if t is None:
             return None
         target = self.geodesic_form(q)
-        inv = _word_inverse
         for cand in self.ball(len(t)):
-            if self.geodesic_form(cand + p + inv(cand)) == target:
+            if self.geodesic_form(cand + p + inverse(cand)) == target:
                 return cand
         return t
 
@@ -102,10 +107,6 @@ class ParabolicOracle:
                 if t is not None:
                     best = max(best, len(t))
         return best
-
-
-def _word_inverse(w: str) -> str:
-    return "".join(inverse_letter(c) for c in reversed(w))
 
 
 class FreeAbelianOracle(ParabolicOracle):
@@ -177,15 +178,15 @@ class FreeOracle(ParabolicOracle):
         self._check(q)
         rp = self.geodesic_form(p)
         rq = self.geodesic_form(q)
-        ap, cp = _cyclic_split(rp)
-        aq, cq = _cyclic_split(rq)
+        cp, ap = cyclic_reduce(rp)
+        cq, aq = cyclic_reduce(rq)
         if len(cp) != len(cq):
             return None
         for k in range(max(len(cp), 1)):
             if cp[k:] + cp[:k] == cq:
                 # cq = s^-1 cp s for the prefix s, so t = aq s^-1 ap^-1
                 s = cp[:k]
-                return self.geodesic_form(aq + _word_inverse(s) + _word_inverse(ap))
+                return self.geodesic_form(aq + inverse(s) + inverse(ap))
         return None
 
     def ball(self, r):
@@ -202,15 +203,6 @@ class FreeOracle(ParabolicOracle):
             frontier = nxt
         out.sort(key=self.shortlex_key)
         return out
-
-
-def _cyclic_split(w: str):
-    """w as a*core*a^-1 with the core cyclically reduced."""
-    a = []
-    while len(w) >= 2 and w[0] == inverse_letter(w[-1]):
-        a.append(w[0])
-        w = w[1:-1]
-    return "".join(a), w
 
 
 class FiniteOracle(ParabolicOracle):

@@ -44,6 +44,19 @@ def inverse_letter(c: str) -> str:
     return c.upper() if c.islower() else c.lower()
 
 
+def inverse(w: str) -> str:
+    return w.swapcase()[::-1]
+
+
+def cyclic_reduce(w: str):
+    """Strip mutually inverse end letters: returns (core, a) with
+    w = a * core * a^-1 letter for letter."""
+    i, j = 0, len(w) - 1
+    while i < j and w[i] == inverse_letter(w[j]):
+        i, j = i + 1, j - 1
+    return w[i : j + 1], w[:i]
+
+
 @dataclass(frozen=True)
 class ParabolicDescriptor:
     """One parabolic subgroup: solver kind, parameters and letters."""

@@ -12,10 +12,9 @@ Every step is an equality in the group and strictly decreases
 
 On a presentation without relators phase one alone produces a word that is
 a relative geodesic (alternating geodesic syllables admit no shortcut in a
-free product), so the window scan cannot fire; ``force_scan`` runs it
-anyway, which the test suite uses to confirm the claim.  With relators the
-scan is the whole point and replacements come from the ball oracle, which
-needs an injected triviality test.
+free product), so the window scan cannot fire and is skipped.  With
+relators the scan is the whole point and replacements come from the ball
+oracle, which needs an injected triviality test.
 
 Cyclic shortening without relators is one linear pass over the normal
 form of the word.  Cyclic reduction of a free-product normal form happens
@@ -78,6 +77,9 @@ class CyclicShorteningResult:
     conjugator: str  # a with lab(output) = a^-1 * input * a in G
     iterations: int
     steps: tuple
+    # relative length of the input's normal form, which is its linear
+    # shortening up to the spelling inside runs; None with relators
+    linear_length: int = None
 
 
 def resolve_k(p: RelativePresentation, tables=None, k=None) -> int:
@@ -189,14 +191,14 @@ def _geodesic_rep(p, sub, trivial):
 
 
 def shorten(p: RelativePresentation, w: str, tables=None, k=None,
-            trivial=None, force_scan=False) -> ShorteningResult:
+            trivial=None) -> ShorteningResult:
     """Rewrite w to a relative (8*delta+1)-local geodesic for the same
     group element, logging every step."""
     p.check_word(w)
     k = resolve_k(p, tables, k)
     steps = []
     out = _normalization_phase(p, w, steps)
-    if p.is_free_product and trivial is None and not force_scan:
+    if p.is_free_product and trivial is None:
         return ShorteningResult(w, out, tuple(steps))
     guard = 4 * (len(w) + 1)
     while True:
@@ -268,12 +270,12 @@ def least_rotation(seq) -> int:
     return k
 
 
-def _syllable_cyclic_form(p, nf):
-    """Cyclic form of the normal form nf: (alpha, a, merges, steps) with
-    lab(alpha) = a^-1 * nf * a.  Cancels mutually inverse end letters and
-    merges end runs of one factor from the outside in, then rotates the
-    kept core to its least syllable rotation; a is a prefix of nf."""
-    syls = words.raw_syllables(p, nf)
+def _syllable_cyclic_form(p, nf, syls):
+    """Cyclic form of the normal form nf with syllables syls: (alpha, a,
+    merges, steps) with lab(alpha) = a^-1 * nf * a.  Cancels mutually
+    inverse end letters and merges end runs of one factor from the outside
+    in, then rotates the kept core to its least syllable rotation; a is a
+    prefix of nf."""
     steps = []
     merged = []
     i, j = 0, len(syls) - 1
@@ -388,13 +390,17 @@ def cyclic_shorten(p: RelativePresentation, w: str, tables=None, k=None,
     inconsistent with the presentation (e.g. torsion with too small a
     delta) and raises."""
     p.check_word(w)
+    linear_length = None
     if p.is_free_product:
-        rho, conj, iterations, steps = _syllable_cyclic_form(
-            p, words.normalize(p, w))
+        nf = words.normalize(p, w)
+        syls = words.raw_syllables(p, nf)
+        linear_length = len(syls)
+        rho, conj, iterations, steps = _syllable_cyclic_form(p, nf, syls)
     else:
         rho, conj, iterations, steps = _doubled_word_form(
             p, w, tables, k, trivial)
     residue = words.mul(conj, rho, words.inverse(conj), words.inverse(w))
     if not word_problem(p, residue, tables=tables, k=k, trivial=trivial):
         raise RelconjError("cyclic shortening produced an invalid conjugator")
-    return CyclicShorteningResult(w, rho, conj, iterations, tuple(steps))
+    return CyclicShorteningResult(w, rho, conj, iterations, tuple(steps),
+                                  linear_length)

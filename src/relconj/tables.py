@@ -1,10 +1,9 @@
-"""The constants profile and the precomputed values the decision engine
-reads: the parabolic ball B_i = L3 (words of length <= C(3) in each
-parabolic), the within-subgroup conjugate pairs L7 with their conjugators
-(L11 is its key set), and the per-parabolic constants K_i.  The parabolic
-branch of conjugacy.decide walks B_i and L7; hyperbolic conjugacy needs no
-table, because the canonical cyclic form of shortening.cyclic_shorten
-decides it by string equality.
+"""The constants profile and the precomputed values: the parabolic balls
+B_i = L3 (words of length <= C(3) in each parabolic), which compute_M
+reads, the per-parabolic constants K_i, and the reported K^hyp_4delta and
+K_4delta.  conjugacy.decide reads only the profile: the canonical cyclic
+form of shortening.cyclic_shorten decides hyperbolic conjugacy by string
+equality, and the subgroup oracles decide parabolic conjugacy outright.
 
 Working-constants mode: every radius has a formula default taken from the
 profile's delta and C-constants (86*delta+3 and friends).  Those formula
@@ -179,40 +178,21 @@ def cyclic_canonical(p: RelativePresentation, w: str, k: int):
 class PrecomputedTables:
     """Immutable bundle of the precomputed values; see precompute()."""
 
-    def __init__(self, p_hash, profile, l3, l7, k_hyp_4delta, k_4delta):
+    def __init__(self, p_hash, profile, l3, k_hyp_4delta, k_4delta):
         self.p_hash = p_hash
         self.profile = profile
         self.l3 = l3  # dict index -> parabolic words of |.| <= C(3): B_i
-        self.l7 = l7  # dict (i, q1, q2) -> right-form conjugator in P_i
         self.k_hyp_4delta = k_hyp_4delta
         self.k_4delta = k_4delta
-        self.l11 = frozenset(l7)
-
-    @property
-    def b_i(self):
-        return self.l3
-
-    def l11_pair(self, i: int, q1: str, j: int, q2: str):
-        if i != j:
-            return None
-        return self.l7.get((i, q1, q2))
 
     def sizes(self) -> dict:
-        return {"l3": sum(len(v) for v in self.l3.values()),
-                "l7": len(self.l7),
-                "l11": len(self.l11)}
-
-
-def _check_budget(label, n, budget):
-    if n > budget:
-        raise BudgetExceededError(label, budget)
+        return {"l3": sum(len(v) for v in self.l3.values())}
 
 
 def precompute(p: RelativePresentation, profile=None) -> PrecomputedTables:
     """Build the tables of a relator-free presentation under the profile:
-    B_i = L3, the within-subgroup conjugate pairs L7 (L11 is its key set),
-    K_i, K^hyp_4delta and K_4delta.  Loudly reports which list overflowed
-    the budget."""
+    B_i = L3, K_i, K^hyp_4delta and K_4delta.  Loudly reports which list
+    overflowed the budget."""
     if not p.is_free_product:
         raise OracleUnavailableError(
             "presentation %r has relators; presentations with relators get "
@@ -227,18 +207,8 @@ def precompute(p: RelativePresentation, profile=None) -> PrecomputedTables:
     for i, orc in oracles.items():
         l3[i] = tuple(orc.ball(profile.c3))
         total += len(l3[i])
-        _check_budget("l3", total, budget)
-
-    # within-subgroup conjugate pairs and their conjugators (right form)
-    l7 = {}
-    for i, ball in l3.items():
-        orc = oracles[i]
-        for q1 in ball:
-            for q2 in ball:
-                t = orc.conjugate(q1, q2)
-                if t is not None:
-                    l7[(i, q1, q2)] = orc.geodesic_form(words.inverse(t))
-    _check_budget("l7", len(l7), budget)
+        if total > budget:
+            raise BudgetExceededError("l3", budget)
 
     k_i = tuple(oracles[i].conjugacy_bound(profile.c3) for i in sorted(oracles))
     formula_ball = enumerate_filtered_ball(p, 4 * profile.delta,
@@ -252,7 +222,7 @@ def precompute(p: RelativePresentation, profile=None) -> PrecomputedTables:
     return PrecomputedTables(
         presentation_hash(p),
         replace(profile, k_i=k_i) if profile.k_i is None else profile,
-        l3, l7, k_hyp_4delta, k_4delta,
+        l3, k_hyp_4delta, k_4delta,
     )
 
 
@@ -280,10 +250,10 @@ def compute_M(p: RelativePresentation, tables: PrecomputedTables, u: str) -> int
 
 
 # ---------------------------------------------------------------------------
-# cache files: magic, presentation hash, profile text, L3, L7, K^hyp_4delta
-# and K_4delta, little-endian u32 counts and length-prefixed UTF-8 strings
+# cache files: magic, presentation hash, profile text, L3, K^hyp_4delta and
+# K_4delta, little-endian u32 counts and length-prefixed UTF-8 strings
 
-_MAGIC = b"RCT2"
+_MAGIC = b"RCT3"
 
 
 def _encode(tables: PrecomputedTables) -> bytes:
@@ -303,10 +273,6 @@ def _encode(tables: PrecomputedTables) -> bytes:
     for i in sorted(tables.l3):
         u32(i, len(tables.l3[i]))
         text(*tables.l3[i])
-    u32(len(tables.l7))
-    for (i, q1, q2), c in sorted(tables.l7.items()):
-        u32(i)
-        text(q1, q2, c)
     u32(tables.k_hyp_4delta, tables.k_4delta)
     return b"".join(out)
 
@@ -375,14 +341,9 @@ def load_tables(path, p: RelativePresentation, profile=None) -> PrecomputedTable
     for _ in range(r.u32()):
         i, n = r.u32(), r.u32()
         l3[i] = tuple(r.text() for _ in range(n))
-    l7 = {}
-    for _ in range(r.u32()):
-        i = r.u32()
-        q1, q2, c = r.text(), r.text(), r.text()
-        l7[(i, q1, q2)] = c
     k_hyp, k4 = r.u32(), r.u32()
     r.finish()
-    return PrecomputedTables(p_hash, stored, l3, l7, k_hyp, k4)
+    return PrecomputedTables(p_hash, stored, l3, k_hyp, k4)
 
 
 def _parse_profile(text: str) -> ConstantsProfile:

@@ -13,11 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .parabolic_oracles import oracles_for
-from .presentation import HYPERBOLIC, RelativePresentation, inverse_letter
-
-
-def inverse(w: str) -> str:
-    return w.swapcase()[::-1]
+from .presentation import (  # noqa: F401 - inverse, cyclic_reduce re-exported
+    HYPERBOLIC,
+    RelativePresentation,
+    cyclic_reduce,
+    inverse,
+    inverse_letter,
+)
 
 
 def free_reduce(w: str) -> str:
@@ -37,15 +39,6 @@ def mul(*parts: str) -> str:
 
 def is_freely_reduced(w: str) -> bool:
     return all(w[i + 1] != inverse_letter(w[i]) for i in range(len(w) - 1))
-
-
-def cyclic_reduce(w: str):
-    """Strip mutually inverse end letters: returns (core, a) with
-    w = a * core * a^-1 letter for letter."""
-    i, j = 0, len(w) - 1
-    while i < j and w[i] == inverse_letter(w[j]):
-        i, j = i + 1, j - 1
-    return w[i : j + 1], w[:i]
 
 
 def is_cyclically_reduced(w: str) -> bool:

@@ -97,8 +97,6 @@ def test_precompute_free_group(capsys, paths):
     code, out, _ = run(capsys, ["precompute", paths["F"]])
     assert code == 0
     assert "size_l3=0" in out
-    assert "size_l7=0" in out
-    assert "size_l11=0" in out
     assert "k_i=-" in out
     assert "cache=-" in out
 
@@ -171,6 +169,18 @@ def test_damaged_cache_is_rebuilt(capsys, paths, tmp_path, g2_cache):
         assert out == want
         # the rebuilt cache replaced the damaged one
         assert cache.read_bytes() == good
+
+
+def test_old_format_cache_is_rebuilt(capsys, paths, tmp_path, g2_cache):
+    argv = ["classify", paths["G2"], "axxayA"]
+    _, want, _ = run(capsys, argv + ["--cache", g2_cache])
+    with open(g2_cache, "rb") as fh:
+        good = fh.read()
+    cache = tmp_path / "old.tables"
+    cache.write_bytes(b"RCT2" + good[4:])
+    code, out, _ = run(capsys, argv + ["--cache", os.fspath(cache)])
+    assert (code, out) == (0, want)
+    assert cache.read_bytes() == good
 
 
 def test_relator_presentation_gets_no_tables(capsys, paths):

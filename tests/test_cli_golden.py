@@ -1,0 +1,91 @@
+"""Golden transcript of the command line: fixed commands on the demo
+presentations, run in-process through cli.main, with their exit codes and
+stdout compared byte for byte against tests/cli_golden.txt.
+
+After a deliberate output change, rewrite the transcript with
+
+    PYTHONPATH=src python tests/test_cli_golden.py --write
+
+and record the change in CHANGES.md.
+"""
+
+import contextlib
+import io
+import shlex
+import sys
+from pathlib import Path
+
+from relconj import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+PRESENTATIONS = ROOT / "demos" / "presentations"
+TRANSCRIPT = Path(__file__).with_name("cli_golden.txt")
+
+# presentation arguments name files in demos/presentations
+COMMANDS = [
+    "wp free2.txt ab",
+    "wp free2.txt abBA",
+    "wp zxz2.txt xyXY",
+    "wp zxz2.txt axxyAXYyx",
+    "wp zc2.txt tt",
+    "wp zc2.txt tatA",
+    "wp c5.txt aaaaa",
+    "wp c5.txt aaAA",
+    "classify free2.txt abaBA",
+    "classify zxz2.txt axA",
+    "classify zxz2.txt ayxAxy",
+    "classify zxz2.txt ''",
+    "classify zc2.txt atAt",
+    "classify c5.txt a",
+    "conj free2.txt ab ba --search",
+    "conj free2.txt ab aB",
+    "conj zxz2.txt x y",
+    "conj zxz2.txt x y --search",
+    "conj zxz2.txt axA x --search",
+    "conj zxz2.txt axyA yx",
+    "conj zxz2.txt a x",
+    "conj zxz2.txt axxyAy xxyyA --search",
+    "conj zxz2.txt axxyAy yaxxyA --search",
+    "conj zc2.txt atA t --search",
+    "conj zc2.txt at ta",
+    "crosscheck free2.txt 2",
+    "crosscheck zxz2.txt 2",
+    "crosscheck zc2.txt 2",
+    "precompute free2.txt",
+    "precompute zxz2.txt",
+    "precompute zc2.txt",
+    "precompute c5.txt",
+]
+
+
+def _argv(command: str) -> list:
+    return [str(PRESENTATIONS / arg) if arg.endswith(".txt") else arg
+            for arg in shlex.split(command)]
+
+
+def render() -> str:
+    """Each command in plain form and with --json: a '$ command' line, the
+    exit code, then stdout."""
+    out = []
+    for command in COMMANDS:
+        for line in (command, "--json " + command):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(_argv(line))
+            out.append("$ %s\nexit=%d\n%s" % (line, code, stdout.getvalue()))
+    return "".join(out)
+
+
+def test_cli_golden_transcript():
+    want = TRANSCRIPT.read_text()
+    got = render()
+    for expected, actual in zip(want.split("$ ")[1:], got.split("$ ")[1:]):
+        assert actual == expected
+    assert got == want
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_cli_golden.py --write")
+    TRANSCRIPT.write_text(render())

@@ -17,6 +17,21 @@ letters s t
 constants delta=1 c2=1 c3=1 c7=1 threshold=3 r4=1 r5=1 r6=2 r9=2
 """
 
+THREE_TEXT = """\
+group zf3
+hyperbolic a
+parabolic free_abelian 2
+letters x y
+parabolic free 2
+letters u v
+parabolic finite 3
+letters s r
+table 0 1 2
+table 1 2 0
+table 2 0 1
+constants delta=1 c2=1 c3=1 c7=1 threshold=3
+"""
+
 
 def rand_word(p, rng, hi):
     return "".join(rng.choice(p.alphabet) for _ in range(rng.randint(0, hi)))
@@ -177,6 +192,33 @@ def test_decide_matches_closure_small_balls(pF, tF, engF, pG2, tG2, engG2,
             want = classes[u] == classes[v]
             got = cj.decide(p, t, u, v, engine=eng).answer == "conjugate"
             assert got == want, (u, v)
+
+
+def test_decide_matches_closure_on_three_factor_kinds():
+    # Z^2 * F2 * C3 * Z: parabolic pairs over a free (non-abelian) factor
+    # and over two different factors, which the reference groups lack
+    p = parse_presentation(THREE_TEXT)
+    t = tb.precompute(p)
+    classes = mo.conjugacy_classes(p, 2)
+    els = sorted(mo.ball(p, 2).elements, key=p.shortlex_key)
+    assert len(els) == 139
+    eng = cj.ConjugacyEngine(p, t)
+    parabolic = {}  # (same factor, answer) -> pairs in the parabolic regime
+    for u, v in itertools.product(els, els):
+        cert = cj.decide(p, t, u, v, engine=eng)
+        assert (cert.answer == "conjugate") == (classes[u] == classes[v]), \
+            (u, v)
+        if cert.regime == cj.PARABOLIC:
+            same = (eng.classification(u).index ==
+                    eng.classification(v).index)
+            key = (same, cert.answer)
+            parabolic[key] = parabolic.get(key, 0) + 1
+    assert sum(parabolic.values()) == 900
+    assert parabolic[(False, "not-conjugate")] > 0
+    assert parabolic[(True, "conjugate")] > 0
+    # a free-factor pair whose witness is nontrivial
+    cert = cj.decide(p, t, "uv", "vu", engine=eng)
+    assert cert.answer == "conjugate" and cert.witness == "U"
 
 
 def test_search_returns_verified_witness(pF, tF):

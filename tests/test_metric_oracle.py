@@ -189,18 +189,3 @@ def test_relator_group_with_injected_test(pC5):
 def test_validate_relators_rejects_wrong_test(pC5):
     with pytest.raises(RelconjError, match="fails the triviality test"):
         mo.validate_relators(pC5, lambda w: len(w) == 0)
-
-
-def test_save_load_ball_round_trip(tmp_path, pG2, pF):
-    index = mo.ball(pG2, 3)
-    path = tmp_path / "g2.ball"
-    mo.save_ball(path, pG2, index)
-    again = mo.load_ball(path, pG2)
-    assert again.radius == index.radius
-    assert again.dist == index.dist
-    with pytest.raises(RelconjError, match="different presentation"):
-        mo.load_ball(path, pF)
-    bogus = tmp_path / "bogus.ball"
-    bogus.write_bytes(b"nope")
-    with pytest.raises(RelconjError, match="not a ball cache"):
-        mo.load_ball(bogus, pG2)

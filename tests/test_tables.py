@@ -73,14 +73,14 @@ def test_filtered_ball_needs_free_product(pC5):
 
 
 def test_precompute_sizes_free_group(tF):
-    assert tF.sizes() == {"l3": 0, "l7": 0, "l11": 0}
+    assert tF.sizes() == {"l3": 0}
     assert tF.profile.k_i == ()
     assert tF.k_hyp_4delta == 2
     assert tF.k_4delta == 2
 
 
 def test_precompute_sizes_free_product(tG2):
-    assert tG2.sizes() == {"l3": 13, "l7": 13, "l11": 13}
+    assert tG2.sizes() == {"l3": 13}
     assert tG2.profile.k_i == (0,)
     # ball(4 delta, 2 C3) has 20209 members; the loop bound multiplies in
     # the 16 delta + 2 rotation factor
@@ -89,7 +89,7 @@ def test_precompute_sizes_free_product(tG2):
 
 
 def test_precompute_sizes_finite_parabolic(tZC2):
-    assert tZC2.sizes() == {"l3": 2, "l7": 2, "l11": 2}
+    assert tZC2.sizes() == {"l3": 2}
     assert tZC2.profile.k_i == (0,)
 
 
@@ -103,25 +103,6 @@ def test_per_index_lists_are_oracle_balls(pG2, tG2):
     from relconj.parabolic_oracles import oracles_for
     orc = oracles_for(pG2)[1]
     assert tG2.l3[1] == tuple(orc.ball(prof.c3))
-    assert tG2.b_i is tG2.l3
-
-
-def test_l7_conjugators_verify(pG2, tG2):
-    for (i, q1, q2), c in tG2.l7.items():
-        # right form: c^-1 q1 c = q2
-        assert sh.word_problem(
-            pG2, words.mul(words.inverse(c), q1, c, words.inverse(q2)))
-
-
-def test_l11_pair(pG2, tG2):
-    qs = tG2.l3[1]
-    for q1 in qs:
-        for q2 in qs:
-            c = tG2.l11_pair(1, q1, 1, q2)
-            if c is not None:
-                assert sh.word_problem(
-                    pG2, words.mul(words.inverse(c), q1, c, words.inverse(q2)))
-    assert tG2.l11_pair(1, "x", 2, "x") is None
 
 
 def test_cyclic_canonical_is_class_invariant(pG2, tG2):
@@ -152,7 +133,6 @@ def test_save_load_round_trip(tmp_path, pG2, tG2, pF):
     tb.save_tables(path, tG2)
     again = tb.load_tables(path, pG2)
     assert again.sizes() == tG2.sizes()
-    assert again.l7 == tG2.l7
     assert again.l3 == tG2.l3
     assert (again.k_hyp_4delta, again.k_4delta) == (tG2.k_hyp_4delta,
                                                     tG2.k_4delta)
@@ -170,7 +150,7 @@ def test_load_rejects_damaged_caches(tmp_path, pG2, tG2):
     path = tmp_path / "g2.tables"
     tb.save_tables(path, tG2)
     good = path.read_bytes()
-    assert good.startswith(b"RCT2")
+    assert good.startswith(b"RCT3")
     assert not list(tmp_path.glob("*.tmp"))  # the atomic write cleaned up
     bad = tmp_path / "bad.tables"
     for cut in range(len(good)):
