@@ -218,7 +218,7 @@ def parse_presentation(text: str) -> RelativePresentation:
     # state for the parabolic block currently being read
     pending = None  # dict with kind, param, letters, table rows
 
-    def flush(line_no):
+    def flush():
         nonlocal pending
         if pending is None:
             return
@@ -247,10 +247,10 @@ def parse_presentation(text: str) -> RelativePresentation:
                 raise ParseError("group expects one label", line_no)
             label = args[0]
         elif key == "hyperbolic":
-            flush(line_no)
+            flush()
             hyperbolic = tuple(args)
         elif key == "parabolic":
-            flush(line_no)
+            flush()
             if len(args) != 2:
                 raise ParseError("parabolic expects: kind and a size", line_no)
             kind = args[0]
@@ -275,12 +275,12 @@ def parse_presentation(text: str) -> RelativePresentation:
                 raise ParseError("table entries must be integers", line_no)
             pending["table"].append(row)
         elif key == "relator":
-            flush(line_no)
+            flush()
             if len(args) != 1:
                 raise ParseError("relator expects one word", line_no)
             relators.append(args[0])
         elif key == "constants":
-            flush(line_no)
+            flush()
             for item in args:
                 name, eq, value = item.partition("=")
                 if not eq:
@@ -291,17 +291,12 @@ def parse_presentation(text: str) -> RelativePresentation:
                     raise ParseError("constant %r must be an integer" % name, line_no)
         else:
             raise ParseError("unknown directive %r" % key, line_no)
-    flush(None)
+    flush()
     if label is None:
         raise ParseError("missing group line")
-    try:
-        return RelativePresentation(
-            label, hyperbolic, tuple(parabolics), tuple(relators), tuple(constants)
-        )
-    except ParseError:
-        raise
-    except UnknownLetterError:
-        raise
+    return RelativePresentation(
+        label, hyperbolic, tuple(parabolics), tuple(relators), tuple(constants)
+    )
 
 
 def serialize_presentation(p: RelativePresentation) -> str:

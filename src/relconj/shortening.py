@@ -1,20 +1,22 @@
 """Curve shortening: relative local geodesics, the word problem, and cyclic
 shortening with conjugator tracking.
 
-The linear procedure has two phases.  Phase one rewrites until stable: free
-reduction, replacement of every non-geodesic maximal parabolic run by its
-subgroup-geodesic form, and dropping of trivial runs (merging the newly
-adjacent neighbors).  Phase two repeatedly locates a minimal violating
-window - a subword of relative length at most k = 8*delta+1 that is not a
-relative geodesic - and splices in a geodesic word with the same endpoints.
-Every step is an equality in the group and strictly decreases
-(relative length, Gamma-length) lexicographically or merges components.
+The linear procedure has two phases.  Phase one is the component normal
+form (words.normalize): one left-to-right pass of free reduction in which
+every maximal parabolic run is respelled in its canonical geodesic form and
+trivial runs drop out, merging the newly adjacent neighbors.  Phase two
+repeatedly locates a minimal violating window - a subword of relative
+length at most k = 8*delta+1 that is not a relative geodesic - splices in a
+geodesic word with the same endpoints and renormalizes.  Every step is an
+equality in the group; phase one never lengthens the word and a splice
+strictly decreases (relative length, Gamma-length) lexicographically.
 
-On a presentation without relators phase one alone produces a word that is
-a relative geodesic (alternating geodesic syllables admit no shortcut in a
-free product), so the window scan cannot fire and is skipped.  With
-relators the scan is the whole point and replacements come from the ball
-oracle, which needs an injected triviality test.
+On a presentation without relators phase one alone produces the
+free-product normal form, which is a relative geodesic (alternating
+geodesic syllables admit no shortcut in a free product), so the window scan
+cannot fire and is skipped.  With relators the scan is the whole point and
+replacements come from the ball oracle, which needs an injected triviality
+test.
 
 Cyclic shortening without relators is one linear pass over the normal
 form of the word.  Cyclic reduction of a free-product normal form happens
@@ -78,7 +80,7 @@ class CyclicShorteningResult:
     iterations: int
     steps: tuple
     # relative length of the input's normal form, which is its linear
-    # shortening up to the spelling inside runs; None with relators
+    # shortening; None with relators
     linear_length: int = None
 
 
@@ -98,32 +100,6 @@ def resolve_delta(p: RelativePresentation, tables=None, k=None) -> int:
     if tables is not None:
         return tables.profile.delta
     return dict(p.constants).get("delta", 1)
-
-
-def _normalization_phase(p, w, steps):
-    """Free reduction + geodesic run replacement to a fixed point."""
-    oracles = oracles_for(p)
-    changed = True
-    while changed:
-        changed = False
-        r = words.free_reduce(w)
-        if r != w:
-            steps.append(ShorteningStep(0, len(w), w, r, PARABOLIC_NORMALIZATION))
-            w = r
-            changed = True
-            continue
-        for s in words.raw_syllables(p, w):
-            if s.kind == HYPERBOLIC:
-                continue
-            g = oracles[s.kind].geodesic_form(s.word)
-            if len(g) < len(s.word):
-                steps.append(
-                    ShorteningStep(s.start, s.end, s.word, g, PARABOLIC_NORMALIZATION)
-                )
-                w = w[: s.start] + g + w[s.end :]
-                changed = True
-                break
-    return w
 
 
 def find_violating_window(p, w, k, trivial=None):
@@ -190,14 +166,23 @@ def _geodesic_rep(p, sub, trivial):
     return metric_oracle.normal_form(p, sub, trivial=trivial)
 
 
+def _normalized(p, w, steps):
+    """Phase one: the component normal form of w, logged as one step."""
+    nf = words.normalize(p, w)
+    if nf != w:
+        steps.append(ShorteningStep(0, len(w), w, nf, PARABOLIC_NORMALIZATION))
+    return nf
+
+
 def shorten(p: RelativePresentation, w: str, tables=None, k=None,
             trivial=None) -> ShorteningResult:
     """Rewrite w to a relative (8*delta+1)-local geodesic for the same
-    group element, logging every step."""
+    group element, logging every step.  Without relators the output is
+    the normal form words.normalize(p, w)."""
     p.check_word(w)
     k = resolve_k(p, tables, k)
     steps = []
-    out = _normalization_phase(p, w, steps)
+    out = _normalized(p, w, steps)
     if p.is_free_product and trivial is None:
         return ShorteningResult(w, out, tuple(steps))
     guard = 4 * (len(w) + 1)
@@ -208,7 +193,7 @@ def shorten(p: RelativePresentation, w: str, tables=None, k=None,
         i, j = win
         rep = _geodesic_rep(p, out[i:j], trivial)
         steps.append(ShorteningStep(i, j, out[i:j], rep, TABLE_REPLACEMENT))
-        out = _normalization_phase(p, out[:i] + rep + out[j:], steps)
+        out = _normalized(p, out[:i] + rep + out[j:], steps)
         guard -= 1
         if guard <= 0:
             raise RelconjError("window replacement did not stabilize")
@@ -220,8 +205,8 @@ def word_problem(p: RelativePresentation, w: str, tables=None, k=None,
     """True iff w represents the identity.
 
     Relator-free presentations short-circuit through the component normal
-    form, which is the complete answer there (and keeps this linear in the
-    input).  Otherwise w is shortened and the output decided by
+    form, which is shorten's output there, without building a step log.
+    Otherwise w is shortened and the output decided by
     shortened_is_trivial.
     """
     p.check_word(w)
@@ -234,10 +219,10 @@ def word_problem(p: RelativePresentation, w: str, tables=None, k=None,
 def shortened_is_trivial(p: RelativePresentation, out: str, tables=None,
                          k=None, trivial=None) -> bool:
     """The word problem for out, an output of shorten.  Empty is yes.
-    Without relators any other output is no: it is a normal form up to the
-    spelling inside its runs.  With relators an output of relative length
-    > 2*delta is no (a nonempty local geodesic that long cannot close up),
-    and the remaining short outputs go to the triviality oracle."""
+    Without relators any other output is no: it is a nonempty normal form.
+    With relators an output of relative length > 2*delta is no (a nonempty
+    local geodesic that long cannot close up), and the remaining short
+    outputs go to the triviality oracle."""
     if out == "":
         return True
     if p.is_free_product and trivial is None:

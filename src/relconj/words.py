@@ -37,23 +37,8 @@ def mul(*parts: str) -> str:
     return free_reduce("".join(parts))
 
 
-def is_freely_reduced(w: str) -> bool:
-    return all(w[i + 1] != inverse_letter(w[i]) for i in range(len(w) - 1))
-
-
 def is_cyclically_reduced(w: str) -> bool:
     return len(w) < 2 or w[0] != inverse_letter(w[-1])
-
-
-def cyclic_permutations(w: str) -> list:
-    """All rotations of a freely and cyclically reduced word."""
-    if not is_freely_reduced(w):
-        raise ValueError("word %r is not freely reduced" % w)
-    if not is_cyclically_reduced(w):
-        raise ValueError("word %r is not cyclically reduced" % w)
-    if not w:
-        return [""]
-    return [w[i:] + w[:i] for i in range(len(w))]
 
 
 def normalize(p: RelativePresentation, w: str) -> str:

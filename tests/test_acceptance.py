@@ -27,6 +27,14 @@ def report(capsys, line):
         print(line, flush=True)
 
 
+def loglog_slope(points):
+    """Least-squares slope of (log n, log seconds) points."""
+    xbar = sum(x for x, _ in points) / len(points)
+    ybar = sum(y for _, y in points) / len(points)
+    return (sum((x - xbar) * (y - ybar) for x, y in points)
+            / sum((x - xbar) ** 2 for x, _ in points))
+
+
 def random_word(rng, letters, n):
     w = ""
     while len(w) < n:
@@ -272,10 +280,7 @@ def test_criterion_8_word_problem_scaling(capsys, pG2, tG2):
             assert shortening.word_problem(pG2, w, tables=tG2)
             best = min(best, time.perf_counter() - t1)
         points.append((math.log(n), math.log(best)))
-    xbar = sum(x for x, _ in points) / len(points)
-    ybar = sum(y for _, y in points) / len(points)
-    slope = (sum((x - xbar) * (y - ybar) for x, y in points)
-             / sum((x - xbar) ** 2 for x, _ in points))
+    slope = loglog_slope(points)
     elapsed = time.perf_counter() - t0
     ok = slope < 2.0
     report(capsys, "criterion 8: %s (word-problem scaling on trivial words, "
@@ -321,15 +326,8 @@ def test_criterion_9_conjugacy_scaling(capsys, pG2, tG2):
                 best = min(best, time.perf_counter() - t1)
                 assert cert.answer == answer
             points[answer].append((math.log(len(u)), math.log(best)))
-
-    def slope(pts):
-        xbar = sum(x for x, _ in pts) / len(pts)
-        ybar = sum(y for _, y in pts) / len(pts)
-        return (sum((x - xbar) * (y - ybar) for x, y in pts)
-                / sum((x - xbar) ** 2 for x, _ in pts))
-
-    pos_slope = slope(points["conjugate"])
-    neg_slope = slope(points["not-conjugate"])
+    pos_slope = loglog_slope(points["conjugate"])
+    neg_slope = loglog_slope(points["not-conjugate"])
     elapsed = time.perf_counter() - t0
     ok = pos_slope < 1.3 and neg_slope < 1.3
     report(capsys, "criterion 9: %s (conjugacy scaling on cyclically reduced "
@@ -359,13 +357,35 @@ def test_criterion_10_conjugator_scaling(capsys, pG2, tG2):
             best = min(best, time.perf_counter() - t1)
             assert cert.answer == "conjugate" and cert.verified
         points.append((math.log(len(u)), math.log(best)))
-    xbar = sum(x for x, _ in points) / len(points)
-    ybar = sum(y for _, y in points) / len(points)
-    slope = (sum((x - xbar) * (y - ybar) for x, y in points)
-             / sum((x - xbar) ** 2 for x, _ in points))
+    slope = loglog_slope(points)
     elapsed = time.perf_counter() - t0
     ok = slope < 1.3
     report(capsys, "criterion 10: %s (conjugacy scaling with conjugators of "
            "n/4 letters on Z * Z^2, n=256..2048, log-log slope %.3f < 1.3, "
+           "%.1fs)" % ("PASS" if ok else "FAIL", slope, elapsed))
+    assert ok
+
+
+def test_criterion_11_shortening_scaling(capsys, pG2, tG2):
+    # the path of `relconj wp`: shorten the word, then decide the output
+    t0 = time.perf_counter()
+    sizes = [2 ** e for e in range(9, 13)]
+    points = []
+    for n in sizes:
+        w = "xyXa" * (n // 4)
+        best = math.inf
+        for _ in range(3):
+            t1 = time.perf_counter()
+            res = shortening.shorten(pG2, w, tables=tG2)
+            trivial = shortening.shortened_is_trivial(pG2, res.output,
+                                                      tables=tG2)
+            best = min(best, time.perf_counter() - t1)
+            assert not trivial
+        points.append((math.log(n), math.log(best)))
+    slope = loglog_slope(points)
+    elapsed = time.perf_counter() - t0
+    ok = slope < 1.3
+    report(capsys, "criterion 11: %s (curve-shortening scaling on Z * Z^2 "
+           "words (xyXa)^(n/4), n=512..4096, log-log slope %.3f < 1.3, "
            "%.1fs)" % ("PASS" if ok else "FAIL", slope, elapsed))
     assert ok

@@ -31,6 +31,9 @@ COMMANDS = [
     "wp zc2.txt tatA",
     "wp c5.txt aaaaa",
     "wp c5.txt aaAA",
+    "wp zxz2.txt yx",
+    "wp zxz2.txt axyXYA",
+    "wp zc2.txt aTA",
     "classify free2.txt abaBA",
     "classify zxz2.txt axA",
     "classify zxz2.txt ayxAxy",

@@ -26,12 +26,6 @@ def test_mul_reduces_at_joins():
     assert words.mul("ax", "Xb") == "ab"
 
 
-def test_is_freely_reduced():
-    assert words.is_freely_reduced("")
-    assert words.is_freely_reduced("ab")
-    assert not words.is_freely_reduced("aAb")
-
-
 def test_cyclic_reduce():
     core, a = words.cyclic_reduce("AbxA".swapcase())  # aBXa -> reversed pair
     assert words.mul(a, core, words.inverse(a)) == "aBXa"
@@ -41,15 +35,6 @@ def test_cyclic_reduce():
     assert (core, a) == ("ab", "")
     assert words.is_cyclically_reduced("ab")
     assert not words.is_cyclically_reduced("Aba")
-
-
-def test_cyclic_permutations():
-    assert words.cyclic_permutations("") == [""]
-    assert words.cyclic_permutations("ab") == ["ab", "ba"]
-    with pytest.raises(ValueError):
-        words.cyclic_permutations("aA")
-    with pytest.raises(ValueError):
-        words.cyclic_permutations("Aba")
 
 
 def test_normalize_free_group(pF):
