@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 from . import metric_oracle, shortening, words
 from .errors import NotConjugateError, RelconjError
-from .parabolic_oracles import oracles_for
 from .presentation import HYPERBOLIC, RelativePresentation
 from .tables import PrecomputedTables, profile_hash
 
@@ -85,8 +84,8 @@ class ConjugacyCertificate:
 
 class ConjugacyEngine:
     """Per-presentation caches shared across many decide() calls: cyclic
-    shortenings (with the linear shortening lengths), classifications with
-    the relative lengths of their representatives, and the profile hash."""
+    shortenings (with the relative lengths of the linear shortening and of
+    the cyclic form), classifications, and the profile hash."""
 
     def __init__(self, p: RelativePresentation, tables: PrecomputedTables,
                  trivial=None):
@@ -94,11 +93,10 @@ class ConjugacyEngine:
         self.tables = tables
         self.trivial = trivial
         self.k = tables.profile.k
-        self.oracles = oracles_for(p)
+        self.oracles = p.oracles
         self.profile_hash = profile_hash(tables.profile)
         self._cyc = {}
         self._cls = {}
-        self._rep_len = {}  # relative length of each classification's rep
 
     def cyclic(self, w: str):
         res = self._cyc.get(w)
@@ -122,8 +120,6 @@ class ConjugacyEngine:
         if res is None:
             res = classify(self.p, self.tables, w, engine=self)
             self._cls[w] = res
-            self._rep_len[w] = words.raw_relative_length(self.p,
-                                                         res.representative)
         return res
 
     def core(self, alpha: str, beta: str, regime: str):
@@ -155,9 +151,9 @@ def classify(p: RelativePresentation, tables: PrecomputedTables, w: str,
     if alpha == "":
         verdict = "parabolic" if p.parabolics else "hyperbolic"
         return Classification(w, verdict, True, None, "", a)
-    kinds = {p.letter_kind[c] for c in alpha}
-    if len(kinds) == 1 and HYPERBOLIC not in kinds:
-        return Classification(w, "parabolic", False, kinds.pop(), alpha, a)
+    kind = p.letter_kind[alpha[0]]
+    if res.cyclic_length == 1 and kind != HYPERBOLIC:
+        return Classification(w, "parabolic", False, kind, alpha, a)
     return Classification(w, "hyperbolic", False, None, alpha, a)
 
 
@@ -184,7 +180,7 @@ def decide(p: RelativePresentation, tables: PrecomputedTables, u: str,
     cu = eng.classification(u)
     cv = eng.classification(v)
     lbar = max(eng.linear_rel(u), eng.linear_rel(v))
-    length = max(eng._rep_len[u], eng._rep_len[v])
+    length = max(eng._cyc[u].cyclic_length, eng._cyc[v].cyclic_length)
     phash = eng.profile_hash
 
     def negative(reason, regime=None):

@@ -24,8 +24,7 @@ from functools import lru_cache
 
 from . import words
 from .errors import BudgetExceededError, OracleUnavailableError, RelconjError
-from .parabolic_oracles import oracles_for
-from .presentation import HYPERBOLIC, RelativePresentation
+from .presentation import HYPERBOLIC, INVERSE_LETTER, RelativePresentation
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -271,7 +270,7 @@ def is_relative_geodesic(p: RelativePresentation, w: str, method="auto",
     """True iff the path labeled by w is a relative geodesic as written:
     every parabolic run is geodesic in its subgroup and the syllable count
     of w equals the relative distance between its endpoints."""
-    oracles = oracles_for(p)
+    oracles = p.oracles
     sylls = words.raw_syllables(p, w)
     for s in sylls:
         if s.kind != HYPERBOLIC:
@@ -469,13 +468,13 @@ def estimate_bcp(p: RelativePresentation, params: QuasiGeodesicParams,
         nxt = []
         for w in frontier:
             for c in p.alphabet:
-                if w and w[-1] == words.inverse_letter(c):
+                if w and w[-1] == INVERSE_LETTER[c]:
                     continue
                 nxt.append(w + c)
         paths += nxt
         frontier = nxt
     good = {}
-    oracles = oracles_for(p)
+    oracles = p.oracles
     for w in paths:
         runs_geodesic = all(
             s.kind == HYPERBOLIC

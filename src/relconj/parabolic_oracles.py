@@ -3,8 +3,20 @@
 Each parabolic factor gets an oracle exposing the handful of subgroup-local
 questions the main algorithms need: triviality, canonical geodesic forms,
 conjugacy with witness, and ball enumeration.  Oracles also expose a small
-accumulator interface (``identity_state`` / ``push`` / ...) so that word
-normalization can fold a parabolic run into a subgroup element in one pass.
+accumulator interface so that word normalization can fold a parabolic run
+into a subgroup element with one call per run:
+
+- ``push(state, run)`` returns the state of the element times the word run,
+  in time linear in len(run).  None is the state of the identity, both as
+  the argument (start a new element) and as the result (the product is
+  trivial, so normalization drops the run);
+- ``state_word(state)`` only reads a state that is not None: the canonical
+  geodesic word of its element.
+
+States may be mutable, and push may update the state it is given and return
+it.  So a state belongs to the caller that started it with push(None, ...):
+after push(state, run) that caller keeps only the returned state, and it
+never lets two runs share one state.
 
 Three kinds are provided: ``free_abelian`` (exponent vectors), ``free``
 (reduced words) and ``finite`` (multiplication table, generating set = all
@@ -13,12 +25,10 @@ nontrivial elements).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import UnknownLetterError
 from .presentation import (
+    INVERSE_LETTER,
     ParabolicDescriptor,
-    RelativePresentation,
     cyclic_reduce,
     inverse,
     inverse_letter,
@@ -35,27 +45,23 @@ class ParabolicOracle:
         self._rank = {c: i for i, c in enumerate(descriptor.letters)}
 
     # -- accumulator interface ------------------------------------------
-    def identity_state(self):
-        raise NotImplementedError
-
-    def push(self, state, letter):
-        raise NotImplementedError
-
-    def state_is_identity(self, state) -> bool:
+    def push(self, state, run):
+        """The state of state's element times the word run, with None for
+        the identity (see the module docstring for who owns state)."""
         raise NotImplementedError
 
     def state_word(self, state) -> str:
-        """Canonical geodesic word for the accumulated element."""
+        """Canonical geodesic word for an accumulated element other than
+        the identity."""
         raise NotImplementedError
 
     # -- word-level operations ------------------------------------------
     def state_of(self, w: str):
-        s = self.identity_state()
-        for c in w:
-            s = self.push(s, c)
-        return s
+        return self.push(None, w)
 
     def _check(self, w):
+        if self.letters.issuperset(w):
+            return
         for c in w:
             if c not in self.letters:
                 raise UnknownLetterError(
@@ -64,11 +70,12 @@ class ParabolicOracle:
 
     def trivial(self, w: str) -> bool:
         self._check(w)
-        return self.state_is_identity(self.state_of(w))
+        return self.state_of(w) is None
 
     def geodesic_form(self, w: str) -> str:
         self._check(w)
-        return self.state_word(self.state_of(w))
+        state = self.state_of(w)
+        return "" if state is None else self.state_word(state)
 
     def length(self, w: str) -> int:
         return len(self.geodesic_form(w))
@@ -86,7 +93,9 @@ class ParabolicOracle:
         return (len(w), tuple(self._rank[c] for c in w))
 
     def min_conjugator(self, p: str, q: str):
-        """Shortest t (shortlex ties) with t*p*t^-1 = q, or None."""
+        """Shortest t (shortlex ties) with t*p*t^-1 = q, or None.  It tries
+        the whole ball of radius |conjugate(p, q)|, so it runs only on the
+        short words of precompute's radius c3 (through conjugacy_bound)."""
         t = self.conjugate(p, q)
         if t is None:
             return None
@@ -110,35 +119,35 @@ class ParabolicOracle:
 
 
 class FreeAbelianOracle(ParabolicOracle):
-    """Z^rank with exponent-vector states; geodesic forms list the
-    generators in declaration order with sign carried by case."""
+    """Z^rank with exponent-vector states (lists updated in place);
+    geodesic forms list the generators in declaration order with sign
+    carried by case."""
 
     def __init__(self, descriptor):
         super().__init__(descriptor)
         self._index = {}
+        self._signed = []  # (generator, its inverse) in declaration order
         for j, g in enumerate(descriptor.generators):
             self._index[g] = (j, 1)
             self._index[inverse_letter(g)] = (j, -1)
-        self._zero = (0,) * descriptor.rank
+            self._signed.append((g, inverse_letter(g)))
 
-    def identity_state(self):
-        return self._zero
-
-    def push(self, state, letter):
-        j, sign = self._index[letter]
-        return state[:j] + (state[j] + sign,) + state[j + 1 :]
-
-    def state_is_identity(self, state):
-        return state == self._zero
+    def push(self, state, run):
+        if state is None:
+            state = [0] * self.descriptor.rank
+        index = self._index
+        for c in run:
+            j, sign = index[c]
+            state[j] += sign
+        return state if any(state) else None
 
     def state_word(self, state):
-        parts = []
-        for j, e in enumerate(state):
-            g = self.descriptor.generators[j]
-            parts.append((g if e > 0 else inverse_letter(g)) * abs(e))
-        return "".join(parts)
+        return "".join([g * e if e > 0 else g_inv * -e
+                        for (g, g_inv), e in zip(self._signed, state)])
 
     def conjugate(self, p, q):
+        self._check(p)
+        self._check(q)
         return "" if self.state_of(p) == self.state_of(q) else None
 
     def ball(self, r):
@@ -157,18 +166,19 @@ class FreeAbelianOracle(ParabolicOracle):
 
 
 class FreeOracle(ParabolicOracle):
-    """Free group on the block letters; states are reduced letter tuples."""
+    """Free group on the block letters; states are lists of the letters of
+    the freely reduced word, extended and cancelled in place."""
 
-    def identity_state(self):
-        return ()
-
-    def push(self, state, letter):
-        if state and state[-1] == inverse_letter(letter):
-            return state[:-1]
-        return state + (letter,)
-
-    def state_is_identity(self, state):
-        return not state
+    def push(self, state, run):
+        if state is None:
+            state = []
+        inv = INVERSE_LETTER
+        for c in run:
+            if state and state[-1] == inv[c]:
+                state.pop()
+            else:
+                state.append(c)
+        return state or None
 
     def state_word(self, state):
         return "".join(state)
@@ -182,12 +192,14 @@ class FreeOracle(ParabolicOracle):
         cq, aq = cyclic_reduce(rq)
         if len(cp) != len(cq):
             return None
-        for k in range(max(len(cp), 1)):
-            if cp[k:] + cp[:k] == cq:
-                # cq = s^-1 cp s for the prefix s, so t = aq s^-1 ap^-1
-                s = cp[:k]
-                return self.geodesic_form(aq + inverse(s) + inverse(ap))
-        return None
+        # the least k with cq = cp[k:] + cp[:k]: the first occurrence of cq
+        # in cp + cp (one substring search, linear in the worst case)
+        k = (cp + cp).find(cq)
+        if k < 0:
+            return None
+        # cq = s^-1 cp s for the prefix s, so t = aq s^-1 ap^-1
+        s = cp[:k]
+        return self.geodesic_form(aq + inverse(s) + inverse(ap))
 
     def ball(self, r):
         out = [""]
@@ -225,22 +237,22 @@ class FiniteOracle(ParabolicOracle):
             self._elt[g] = j + 1
             self._elt[inverse_letter(g)] = inv[j + 1]
 
-    def identity_state(self):
-        return 0
-
-    def push(self, state, letter):
-        return self._table[state][self._elt[letter]]
-
-    def state_is_identity(self, state):
-        return state == 0
+    def push(self, state, run):
+        # element 0 is the identity, which the interface spells None
+        table, elt = self._table, self._elt
+        state = state or 0
+        for c in run:
+            state = table[state][elt[c]]
+        return state or None
 
     def state_word(self, state):
         return "" if state == 0 else self.descriptor.generators[state - 1]
 
     def conjugate(self, p, q):
-        ep = self.state_of(self._check(p) or p)
-        eq = self.state_of(q)
+        self._check(p)
         self._check(q)
+        ep = self.state_of(p) or 0
+        eq = self.state_of(q) or 0
         for t in range(len(self._table)):
             if self._table[self._table[t][ep]][self._inv[t]] == eq:
                 return self.state_word(t)
@@ -261,9 +273,3 @@ _KIND_TO_CLASS = {
 
 def make_oracle(descriptor: ParabolicDescriptor) -> ParabolicOracle:
     return _KIND_TO_CLASS[descriptor.kind](descriptor)
-
-
-@lru_cache(maxsize=None)
-def oracles_for(p: RelativePresentation) -> dict:
-    """Map 1-based parabolic index -> oracle, cached per presentation."""
-    return {par.index: make_oracle(par) for par in p.parabolics}

@@ -29,6 +29,7 @@ elements and the table must be square of size ``len(letters) + 1``::
 from __future__ import annotations
 
 import hashlib
+import re
 import string
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -38,6 +39,12 @@ from .errors import ParseError, UnknownLetterError
 HYPERBOLIC = "hyp"
 
 PARABOLIC_KINDS = ("free_abelian", "free", "finite")
+
+
+# The inverse of every ASCII letter, for the per-letter loops of the word
+# kernels.  It holds letters only, so a kernel that indexes it must run
+# after check_word has rejected anything undeclared.
+INVERSE_LETTER = {c: c.swapcase() for c in string.ascii_letters}
 
 
 def inverse_letter(c: str) -> str:
@@ -51,8 +58,9 @@ def inverse(w: str) -> str:
 def cyclic_reduce(w: str):
     """Strip mutually inverse end letters: returns (core, a) with
     w = a * core * a^-1 letter for letter."""
+    inv = INVERSE_LETTER
     i, j = 0, len(w) - 1
-    while i < j and w[i] == inverse_letter(w[j]):
+    while i < j and w[i] == inv[w[j]]:
         i, j = i + 1, j - 1
     return w[i : j + 1], w[:i]
 
@@ -159,6 +167,27 @@ class RelativePresentation:
         return self._letter_kind_static()
 
     @cached_property
+    def oracles(self) -> dict:
+        """Map 1-based parabolic index -> the subgroup's oracle, built once
+        per presentation."""
+        from .parabolic_oracles import make_oracle  # that module imports this
+
+        return {par.index: make_oracle(par) for par in self.parabolics}
+
+    @cached_property
+    def letter_set(self) -> frozenset:
+        """Every declared signed letter."""
+        return frozenset(self.letter_kind)
+
+    @cached_property
+    def syllable_pattern(self) -> re.Pattern:
+        """Splits a checked word into syllables in one native pass: a
+        maximal run of one parabolic block's letters, or any single
+        (hyperbolic) letter."""
+        runs = ["[%s]+" % "".join(par.letters) for par in self.parabolics]
+        return re.compile("|".join(runs + ["."]))
+
+    @cached_property
     def letter_rank(self) -> dict:
         """Shortlex rank of every signed letter, in declaration order with
         each lowercase letter just before its uppercase inverse."""
@@ -168,6 +197,12 @@ class RelativePresentation:
         for par in self.parabolics:
             order += list(par.letters)
         return {c: i for i, c in enumerate(order)}
+
+    @cached_property
+    def rank_translation(self) -> dict:
+        """str.translate table spelling each letter as the character of its
+        shortlex rank, so translated words compare as their rank tuples."""
+        return {ord(c): r for c, r in self.letter_rank.items()}
 
     @cached_property
     def alphabet(self) -> tuple[str, ...]:
@@ -190,9 +225,11 @@ class RelativePresentation:
             raise UnknownLetterError("letter %r is not declared by %r" % (c, self.label))
 
     def check_word(self, w: str) -> str:
-        """Validate every letter of w; returns w unchanged."""
-        for c in w:
-            self.classify_letter(c)
+        """Validate every letter of w; returns w unchanged.  The letter loop
+        runs only to name the first undeclared letter."""
+        if not self.letter_set.issuperset(w):
+            for c in w:
+                self.classify_letter(c)
         return w
 
     def shortlex_key(self, w: str):

@@ -47,8 +47,7 @@ from dataclasses import dataclass
 
 from . import metric_oracle, words
 from .errors import RelconjError
-from .parabolic_oracles import oracles_for
-from .presentation import HYPERBOLIC, RelativePresentation, inverse_letter
+from .presentation import HYPERBOLIC, INVERSE_LETTER, RelativePresentation
 
 PARABOLIC_NORMALIZATION = "parabolic-normalization"
 TABLE_REPLACEMENT = "table-replacement"
@@ -74,6 +73,10 @@ class ShorteningResult:
 
 @dataclass
 class CyclicShorteningResult:
+    """What cyclic_shorten returns.  The two lengths are syllable counts
+    taken while the pass splits the words anyway, so that callers such as
+    the conjugacy engine never split them again."""
+
     input_word: str
     output: str
     conjugator: str  # a with lab(output) = a^-1 * input * a in G
@@ -82,6 +85,9 @@ class CyclicShorteningResult:
     # relative length of the input's normal form, which is its linear
     # shortening; None with relators
     linear_length: int = None
+    # syllable count of output as written, raw_relative_length(p, output):
+    # the relative length of the cyclic form
+    cyclic_length: int = None
 
 
 def resolve_k(p: RelativePresentation, tables=None, k=None) -> int:
@@ -111,10 +117,10 @@ def find_violating_window(p, w, k, trivial=None):
         # cancellation or a non-geodesic piece of one parabolic run, and
         # that piece is itself a smaller violating window, so the minimal
         # window is of one of those two shapes.
-        oracles = oracles_for(p)
+        oracles = p.oracles
         best = None  # (span, start)
         for i in range(n - 1):
-            if w[i + 1] == inverse_letter(w[i]) and (
+            if w[i + 1] == INVERSE_LETTER[w[i]] and (
                     p.letter_kind[w[i]] != HYPERBOLIC or k >= 2):
                 best = (2, i)
                 break
@@ -209,7 +215,6 @@ def word_problem(p: RelativePresentation, w: str, tables=None, k=None,
     Otherwise w is shortened and the output decided by
     shortened_is_trivial.
     """
-    p.check_word(w)
     if p.is_free_product and trivial is None:
         return words.normalize(p, w) == ""
     out = shorten(p, w, tables=tables, k=k, trivial=trivial).output
@@ -237,17 +242,18 @@ def least_rotation(seq) -> int:
     when several are equal (Booth 1980, with the Knuth-Morris-Pratt failure
     function over seq o seq): O(len(seq)) comparisons."""
     n = len(seq)
+    s = list(seq) * 2  # every index below is < 2n, since k <= j and i < j - k
     fail = [-1] * (2 * n)
     k = 0
     for j in range(1, 2 * n):
-        c = seq[j % n]
+        c = s[j]
         i = fail[j - k - 1]
-        while i != -1 and c != seq[(k + i + 1) % n]:
-            if c < seq[(k + i + 1) % n]:
+        while i != -1 and c != s[k + i + 1]:
+            if c < s[k + i + 1]:
                 k = j - i - 1
             i = fail[i]
-        if i == -1 and c != seq[k % n]:
-            if c < seq[k % n]:
+        if i == -1 and c != s[k]:
+            if c < s[k]:
                 k = j
             fail[j - k] = -1
         else:
@@ -257,17 +263,17 @@ def least_rotation(seq) -> int:
 
 def _syllable_cyclic_form(p, nf, syls):
     """Cyclic form of the normal form nf with syllables syls: (alpha, a,
-    merges, steps) with lab(alpha) = a^-1 * nf * a.  Cancels mutually
-    inverse end letters and merges end runs of one factor from the outside
-    in, then rotates the kept core to its least syllable rotation; a is a
-    prefix of nf."""
+    syllable count of alpha, merges, steps) with lab(alpha) = a^-1 * nf *
+    a.  Cancels mutually inverse end letters and merges end runs of one
+    factor from the outside in, then rotates the kept core to its least
+    syllable rotation; a is a prefix of nf."""
     steps = []
     merged = []
     i, j = 0, len(syls) - 1
     while i < j and not merged:
         first, last = syls[i], syls[j]
         if first.kind == HYPERBOLIC:
-            if last.word != inverse_letter(first.word):
+            if last.word != INVERSE_LETTER[first.word]:
                 break
         elif first.kind == last.kind:
             # merge the wrap-around run nu o eta (logged in the coordinates
@@ -284,17 +290,17 @@ def _syllable_cyclic_form(p, nf, syls):
             break
         i, j = i + 1, j - 1
     if i > j:
-        return "", "", len(steps), steps
+        return "", "", 0, len(steps), steps
     core = [s.word for s in syls[i : j + 1]] + merged
-    rank = p.letter_rank
-    r = least_rotation([tuple(rank[c] for c in s) for s in core])
+    ranks = p.rank_translation
+    r = least_rotation([s.translate(ranks) for s in core])
     alpha = "".join(core[r:] + core[:r])
     conj = nf[: syls[i].start] + "".join(core[:r])
     if len(core) == 1:
         # a lone run of a free factor can still reduce cyclically inside it
         alpha, pre = words.cyclic_reduce(alpha)
         conj += pre
-    return alpha, conj, len(steps), steps
+    return alpha, conj, len(core), len(steps), steps
 
 
 def _doubled_word_form(p, w, tables, k, trivial):
@@ -380,12 +386,14 @@ def cyclic_shorten(p: RelativePresentation, w: str, tables=None, k=None,
         nf = words.normalize(p, w)
         syls = words.raw_syllables(p, nf)
         linear_length = len(syls)
-        rho, conj, iterations, steps = _syllable_cyclic_form(p, nf, syls)
+        rho, conj, cyclic_length, iterations, steps = _syllable_cyclic_form(
+            p, nf, syls)
     else:
         rho, conj, iterations, steps = _doubled_word_form(
             p, w, tables, k, trivial)
+        cyclic_length = words.raw_relative_length(p, rho)
     residue = words.mul(conj, rho, words.inverse(conj), words.inverse(w))
     if not word_problem(p, residue, tables=tables, k=k, trivial=trivial):
         raise RelconjError("cyclic shortening produced an invalid conjugator")
     return CyclicShorteningResult(w, rho, conj, iterations, tuple(steps),
-                                  linear_length)
+                                  linear_length, cyclic_length)

@@ -33,7 +33,6 @@ from .errors import (
     OracleUnavailableError,
     RelconjError,
 )
-from .parabolic_oracles import oracles_for
 from .presentation import (
     HYPERBOLIC,
     RelativePresentation,
@@ -143,7 +142,7 @@ def enumerate_filtered_ball(p: RelativePresentation, r1: int, r2: int,
             "filtered-ball enumeration needs a relator-free presentation"
         )
     budget = 1_000_000 if budget is None else budget
-    oracles = oracles_for(p)
+    oracles = p.oracles
     hyp = [c for c in p.alphabet if p.letter_kind[c] == HYPERBOLIC]
     par = {i: [w for w in orc.ball(r2) if w] for i, orc in oracles.items()}
     members = []
@@ -200,7 +199,7 @@ def precompute(p: RelativePresentation, profile=None) -> PrecomputedTables:
         )
     profile = profile_for(p) if profile is None else profile
     budget = profile.budget
-    oracles = oracles_for(p)
+    oracles = p.oracles
 
     l3 = {}
     total = 0
@@ -236,7 +235,7 @@ def compute_M(p: RelativePresentation, tables: PrecomputedTables, u: str) -> int
     if len(kinds) != 1 or HYPERBOLIC in kinds:
         return 0
     i = kinds.pop()
-    orc = oracles_for(p)[i]
+    orc = p.oracles[i]
     if len(orc.geodesic_form(u)) <= tables.profile.c3:
         return 0
     best = None

@@ -11,21 +11,22 @@ two words are equal in the group iff they normalize identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .parabolic_oracles import oracles_for
 from .presentation import (  # noqa: F401 - inverse, cyclic_reduce re-exported
     HYPERBOLIC,
+    INVERSE_LETTER,
     RelativePresentation,
     cyclic_reduce,
     inverse,
-    inverse_letter,
 )
 
 
 def free_reduce(w: str) -> str:
+    inv = INVERSE_LETTER
     out = []
     for c in w:
-        if out and out[-1] == inverse_letter(c):
+        if out and out[-1] == inv[c]:
             out.pop()
         else:
             out.append(c)
@@ -38,42 +39,43 @@ def mul(*parts: str) -> str:
 
 
 def is_cyclically_reduced(w: str) -> bool:
-    return len(w) < 2 or w[0] != inverse_letter(w[-1])
+    return len(w) < 2 or w[0] != INVERSE_LETTER[w[-1]]
 
 
 def normalize(p: RelativePresentation, w: str) -> str:
-    """Canonical component-normalized free reduction of w (one stack pass)."""
-    oracles = oracles_for(p)
+    """Canonical component-normalized free reduction of w (one stack pass
+    over the syllables of w as written)."""
+    if not p.letter_set.issuperset(w):  # check_word inlined: the hot path
+        p.check_word(w)  # raises UnknownLetterError naming the letter
+    oracles = p.oracles
     kind_of = p.letter_kind
-    stack = []  # entries: (HYPERBOLIC, letter) or (index, oracle state)
-    for c in w:
-        try:
-            kind = kind_of[c]
-        except KeyError:
-            p.classify_letter(c)  # raises UnknownLetterError with context
+    inv = INVERSE_LETTER
+    # entries: a hyperbolic letter, or a parabolic run as [index, state]
+    stack = []
+    for syl in p.syllable_pattern.findall(w):
+        kind = kind_of[syl[0]]
         if kind == HYPERBOLIC:
-            if stack and stack[-1][0] == HYPERBOLIC and stack[-1][1] == inverse_letter(c):
+            if stack and stack[-1] == inv[syl]:
                 stack.pop()
             else:
-                stack.append((HYPERBOLIC, c))
+                stack.append(syl)
+            continue
+        top = stack[-1] if stack else None
+        if top.__class__ is list and top[0] == kind:
+            top[1] = oracles[kind].push(top[1], syl)
+            if top[1] is None:
+                stack.pop()
         else:
-            orc = oracles[kind]
-            if stack and stack[-1][0] == kind:
-                state = orc.push(stack[-1][1], c)
-                if orc.state_is_identity(state):
-                    stack.pop()
-                else:
-                    stack[-1] = (kind, state)
-            else:
-                stack.append((kind, orc.push(orc.identity_state(), c)))
-    parts = []
-    for kind, payload in stack:
-        parts.append(payload if kind == HYPERBOLIC else oracles[kind].state_word(payload))
-    return "".join(parts)
+            state = oracles[kind].push(None, syl)
+            if state is not None:
+                stack.append([kind, state])
+    for i, entry in enumerate(stack):
+        if entry.__class__ is list:
+            stack[i] = oracles[entry[0]].state_word(entry[1])
+    return "".join(stack)
 
 
-@dataclass(frozen=True)
-class Syllable:
+class Syllable(NamedTuple):
     """One unit of relative length: a single hyperbolic letter or a maximal
     parabolic run (kind is HYPERBOLIC or the 1-based parabolic index)."""
 
@@ -98,28 +100,20 @@ class SyllableDecomposition:
 
 def raw_syllables(p: RelativePresentation, w: str) -> tuple:
     """Syllables of w as written: no normalization, runs kept verbatim."""
+    p.check_word(w)
     kind_of = p.letter_kind
+    new = tuple.__new__  # a Syllable without a Python-level __new__ call
     out = []
-    i = 0
-    n = len(w)
-    while i < n:
-        kind = kind_of.get(w[i])
-        if kind is None:
-            p.classify_letter(w[i])
-        if kind == HYPERBOLIC:
-            out.append(Syllable(HYPERBOLIC, w[i], i))
-            i += 1
-        else:
-            j = i + 1
-            while j < n and kind_of.get(w[j]) == kind:
-                j += 1
-            out.append(Syllable(kind, w[i:j], i))
-            i = j
+    start = 0
+    for syl in p.syllable_pattern.findall(w):
+        out.append(new(Syllable, (kind_of[syl[0]], syl, start)))
+        start += len(syl)
     return tuple(out)
 
 
 def raw_relative_length(p: RelativePresentation, w: str) -> int:
-    return len(raw_syllables(p, w))
+    p.check_word(w)
+    return len(p.syllable_pattern.findall(w))
 
 
 def decompose(p: RelativePresentation, w: str) -> SyllableDecomposition:

@@ -1,20 +1,25 @@
-"""Shared fixtures: the three reference presentations and their tables.
+"""Shared fixtures: the reference presentations and their tables.
 
 F is the free group of rank two (hyperbolic, no parabolics), G2 is Z * Z^2
 (one hyperbolic letter against a rank-two free-abelian parabolic), ZC2 is
-Z * C2 (a finite parabolic with torsion), and C5 is the cyclic group of
-order five given by a relator, which exercises the injected-triviality-test
-code path.  Tables are built once per session; the working constants are
-pinned inside the presentation texts so every derived value in the tests is
-reproducible.
+Z * C2 (a finite parabolic with torsion), ZF2 is Z * F2 (a free parabolic,
+read from demos/presentations/zf2.txt), THREE is Z^2 * F2 * C3 * Z (all
+three factor kinds at once), and C5 is the cyclic group of order five given
+by a relator, which exercises the injected-triviality-test code path.
+Tables are built once per session; the working constants are pinned inside
+the presentation texts so every derived value in the tests is reproducible.
 """
 
 import os
+from pathlib import Path
 
 import pytest
 
 from relconj import conjugacy, tables
-from relconj.presentation import parse_presentation
+from relconj.presentation import load_presentation, parse_presentation
+
+ZF2_PATH = (Path(__file__).resolve().parents[1] / "demos" / "presentations"
+            / "zf2.txt")
 
 F_TEXT = """\
 # Free group of rank two: hyperbolic, no parabolic subgroups.
@@ -52,6 +57,22 @@ constants delta=2 c2=2 c3=2 c7=2 budget=100000
 """
 
 
+THREE_TEXT = """\
+group zf3
+hyperbolic a
+parabolic free_abelian 2
+letters x y
+parabolic free 2
+letters u v
+parabolic finite 3
+letters s r
+table 0 1 2
+table 1 2 0
+table 2 0 1
+constants delta=1 c2=1 c3=1 c7=1 threshold=3
+"""
+
+
 def c5_trivial(w):
     """Exact triviality test for the order-five relator group."""
     return (w.count("a") - w.count("A")) % 5 == 0
@@ -78,6 +99,16 @@ def pC5():
 
 
 @pytest.fixture(scope="session")
+def pZF2():
+    return load_presentation(ZF2_PATH)
+
+
+@pytest.fixture(scope="session")
+def pTHREE():
+    return parse_presentation(THREE_TEXT)
+
+
+@pytest.fixture(scope="session")
 def tF(pF):
     return tables.precompute(pF)
 
@@ -90,6 +121,11 @@ def tG2(pG2):
 @pytest.fixture(scope="session")
 def tZC2(pZC2):
     return tables.precompute(pZC2)
+
+
+@pytest.fixture(scope="session")
+def tZF2(pZF2):
+    return tables.precompute(pZF2)
 
 
 @pytest.fixture(scope="session")

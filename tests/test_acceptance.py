@@ -389,3 +389,56 @@ def test_criterion_11_shortening_scaling(capsys, pG2, tG2):
            "words (xyXa)^(n/4), n=512..4096, log-log slope %.3f < 1.3, "
            "%.1fs)" % ("PASS" if ok else "FAIL", slope, elapsed))
     assert ok
+
+
+def cyclic_free_word(rng, n):
+    """A random cyclically reduced word of n letters in the free parabolic
+    of Z * F2."""
+    while True:
+        w = random_word(rng, "xXyY", n)
+        if w[0] != words.inverse(w[-1]):
+            return w
+
+
+def test_criterion_12_free_parabolic_scaling(capsys, pZF2, tZF2):
+    # Z * F2: parabolic runs are free words of any length, so the run
+    # accumulator and the free factor's conjugacy test are on the path
+    t0 = time.perf_counter()
+    rng = random.Random(12)
+    sizes = [2 ** e for e in range(10, 15)]
+    points = {"word problem": [], "conjugate": [], "not conjugate": []}
+    for n in sizes:
+        f = random_word(rng, "xXyY", n // 2 - 2)
+        trivial = "a" + f + "a" + words.inverse("a" + f + "a")
+        u = cyclic_free_word(rng, n)
+        rev = u[::-1]
+        while rev in u + u:
+            u = cyclic_free_word(rng, n)
+            rev = u[::-1]
+        # the conjugate is a rotation of u conjugated by xa, spelled as the
+        # normal form x a rot A X
+        pos = "xa" + u[n // 3:] + u[: n // 3] + "AX"
+        assert words.normalize(pZF2, pos) == pos
+        cases = (("word problem", lambda: shortening.word_problem(
+                      pZF2, trivial, tables=tZF2), True),
+                 ("conjugate", lambda: conjugacy.decide(
+                     pZF2, tZF2, u, pos).answer, "conjugate"),
+                 ("not conjugate", lambda: conjugacy.decide(
+                     pZF2, tZF2, u, rev).answer, "not-conjugate"))
+        for name, call, want in cases:
+            best = math.inf
+            for _ in range(3):
+                t1 = time.perf_counter()
+                got = call()
+                best = min(best, time.perf_counter() - t1)
+                assert got == want
+            points[name].append((math.log(n), math.log(best)))
+    slopes = {name: loglog_slope(pts) for name, pts in points.items()}
+    elapsed = time.perf_counter() - t0
+    ok = all(s < 1.3 for s in slopes.values())
+    report(capsys, "criterion 12: %s (free-parabolic scaling on Z * F2, "
+           "n=1024..16384, log-log slopes word problem %.3f, conjugate "
+           "%.3f, not conjugate %.3f < 1.3, %.1fs)"
+           % ("PASS" if ok else "FAIL", slopes["word problem"],
+              slopes["conjugate"], slopes["not conjugate"], elapsed))
+    assert ok

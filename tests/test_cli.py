@@ -1,6 +1,9 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +53,22 @@ def test_parse_error_kind(capsys, tmp_path):
     assert code == 1
     assert "error=parse" in out
     assert "line 2" in out
+
+
+def test_unknown_letter_is_a_parse_error():
+    # as a process: a typed error and exit code 1, never a traceback
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "relconj", "conj",
+         str(root / "demos" / "presentations" / "zxz2.txt"), "a1", "x"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 1
+    assert proc.stdout == ("status=error\nerror=parse\n"
+                           "message=letter '1' is not declared by 'g2'\n")
+    assert "Traceback" not in proc.stderr
 
 
 def test_classify(capsys, paths, g2_cache):

@@ -58,6 +58,15 @@ COMMANDS = [
     "precompute zxz2.txt",
     "precompute zc2.txt",
     "precompute c5.txt",
+    "wp zf2.txt xyXY",
+    "wp zf2.txt axyYxA",
+    "wp zf2.txt yxXyYY",
+    "classify zf2.txt axyxA",
+    "classify zf2.txt xyaYX",
+    "conj zf2.txt xyy yxy --search",
+    "conj zf2.txt xxyy xyxy",
+    "conj zf2.txt axyA yx --search",
+    "conj zf2.txt x a",
 ]
 
 

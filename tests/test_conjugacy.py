@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+from conftest import THREE_TEXT
 from relconj import conjugacy as cj, metric_oracle as mo, shortening as sh, tables as tb, words
-from relconj.errors import NotConjugateError
+from relconj.errors import NotConjugateError, UnknownLetterError
 from relconj.presentation import HYPERBOLIC, parse_presentation
 
 ZZ_TEXT = """\
@@ -15,21 +16,6 @@ letters x y
 parabolic free_abelian 2
 letters s t
 constants delta=1 c2=1 c3=1 c7=1 threshold=3 r4=1 r5=1 r6=2 r9=2
-"""
-
-THREE_TEXT = """\
-group zf3
-hyperbolic a
-parabolic free_abelian 2
-letters x y
-parabolic free 2
-letters u v
-parabolic finite 3
-letters s r
-table 0 1 2
-table 1 2 0
-table 2 0 1
-constants delta=1 c2=1 c3=1 c7=1 threshold=3
 """
 
 
@@ -300,3 +286,24 @@ def test_cyclic_form_keeps_parabolic_runs_whole():
         c = cj.classify(p, t, w, engine=eng)
         assert words.raw_relative_length(p, c.representative) == \
             cyclic_syllable_count(p, c.representative)
+
+
+@pytest.mark.parametrize("w, message", [
+    ("qax", "letter 'q' is not declared by 'g2'"),
+    ("aqx", "letter 'q' is not declared by 'g2'"),
+    ("axq", "letter 'q' is not declared by 'g2'"),
+    ("a1", "letter '1' is not declared by 'g2'"),
+    ("a x", "letter ' ' is not declared by 'g2'"),
+    ("x\u00e9", "letter '\u00e9' is not declared by 'g2'"),
+])
+def test_unknown_letters_raise_the_typed_error(pG2, tG2, w, message):
+    # the word check runs before any per-letter table lookup
+    calls = [lambda: words.normalize(pG2, w),
+             lambda: sh.word_problem(pG2, w),
+             lambda: sh.cyclic_shorten(pG2, w),
+             lambda: cj.decide(pG2, tG2, w, "a"),
+             lambda: cj.decide(pG2, tG2, "a", w)]
+    for call in calls:
+        with pytest.raises(UnknownLetterError) as info:
+            call()
+        assert str(info.value) == message

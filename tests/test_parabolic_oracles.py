@@ -6,7 +6,6 @@ from relconj.parabolic_oracles import (
     FiniteOracle,
     FreeAbelianOracle,
     FreeOracle,
-    oracles_for,
 )
 from relconj.presentation import parse_presentation
 
@@ -25,13 +24,13 @@ def pFree():
 
 
 def test_oracles_for_picks_kinds(pG2, pZC2, pFree):
-    assert isinstance(oracles_for(pG2)[1], FreeAbelianOracle)
-    assert isinstance(oracles_for(pZC2)[1], FiniteOracle)
-    assert isinstance(oracles_for(pFree)[1], FreeOracle)
+    assert isinstance(pG2.oracles[1], FreeAbelianOracle)
+    assert isinstance(pZC2.oracles[1], FiniteOracle)
+    assert isinstance(pFree.oracles[1], FreeOracle)
 
 
 def test_abelian_geodesic_form(pG2):
-    orc = oracles_for(pG2)[1]
+    orc = pG2.oracles[1]
     assert orc.geodesic_form("xyX") == "y"
     assert orc.geodesic_form("yx") == "xy"
     assert orc.geodesic_form("xX") == ""
@@ -42,7 +41,7 @@ def test_abelian_geodesic_form(pG2):
 
 
 def test_abelian_ball_is_shortlex_sorted(pG2):
-    orc = oracles_for(pG2)[1]
+    orc = pG2.oracles[1]
     ball2 = orc.ball(2)
     assert len(ball2) == 13  # 1 + 4 + 8 lattice points of ell-1 norm <= 2
     assert ball2 == sorted(ball2, key=orc.shortlex_key)
@@ -51,7 +50,7 @@ def test_abelian_ball_is_shortlex_sorted(pG2):
 
 
 def test_abelian_conjugacy_is_equality(pG2):
-    orc = oracles_for(pG2)[1]
+    orc = pG2.oracles[1]
     assert orc.conjugate("xy", "yx") == ""
     assert orc.conjugate("x", "y") is None
     assert orc.min_conjugator("x", "x") == ""
@@ -60,7 +59,7 @@ def test_abelian_conjugacy_is_equality(pG2):
 
 
 def test_free_oracle_reduces_words(pFree):
-    orc = oracles_for(pFree)[1]
+    orc = pFree.oracles[1]
     assert orc.geodesic_form("uvU") == "uvU"
     assert orc.geodesic_form("uU") == ""
     assert orc.length("uUu") == 1
@@ -68,7 +67,7 @@ def test_free_oracle_reduces_words(pFree):
 
 def test_free_oracle_conjugation_convention(pFree):
     # conjugate(q1, q2) returns t with t * q1 * t^-1 = q2
-    orc = oracles_for(pFree)[1]
+    orc = pFree.oracles[1]
     t = orc.conjugate("uv", "vu")
     assert t == "U"
     assert orc.geodesic_form(t + "uv" + words.inverse(t)) == "vu"
@@ -77,7 +76,7 @@ def test_free_oracle_conjugation_convention(pFree):
 
 
 def test_free_oracle_ball_and_bound(pFree):
-    orc = oracles_for(pFree)[1]
+    orc = pFree.oracles[1]
     ball2 = orc.ball(2)
     assert len(ball2) == 17  # 1 + 4 + 12 reduced words
     assert ball2 == sorted(ball2, key=orc.shortlex_key)
@@ -85,7 +84,7 @@ def test_free_oracle_ball_and_bound(pFree):
 
 
 def test_finite_oracle_torsion(pZC2):
-    orc = oracles_for(pZC2)[1]
+    orc = pZC2.oracles[1]
     assert orc.ball(1) == ["", "t"]
     assert orc.geodesic_form("tT") == ""
     assert orc.geodesic_form("tt") == ""
@@ -94,17 +93,23 @@ def test_finite_oracle_torsion(pZC2):
     assert orc.conjugacy_bound(1) == 0
 
 
-def test_oracle_rejects_foreign_letters(pG2):
-    orc = oracles_for(pG2)[1]
+def test_oracle_rejects_foreign_letters(pG2, pZC2, pFree):
+    orc = pG2.oracles[1]
     with pytest.raises(UnknownLetterError):
         orc.geodesic_form("a")
+    # every kind checks both conjugate arguments before reading them
+    for orc in (pG2.oracles[1], pZC2.oracles[1], pFree.oracles[1]):
+        good = orc.descriptor.generators[0]
+        for p, q in ((good, "a"), ("a", good)):
+            with pytest.raises(UnknownLetterError):
+                orc.conjugate(p, q)
 
 
 def test_min_conjugator_is_minimal(pFree):
     # u v u^-1 conjugates back to v u u^-1 ... exhaustive cross-check on
     # short pairs: whenever some conjugator exists, min_conjugator finds one
     # of minimal length
-    orc = oracles_for(pFree)[1]
+    orc = pFree.oracles[1]
     ball = orc.ball(2)
     for q1 in ball:
         for q2 in ball:

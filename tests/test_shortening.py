@@ -216,6 +216,38 @@ def test_relator_group_shortening(pC5):
     assert sh.word_problem(pC5, "", trivial=c5_trivial)
 
 
+@pytest.mark.parametrize("name", ["pF", "pG2", "pZC2", "pZF2", "pTHREE"])
+def test_cyclic_length_counts_the_cyclic_form(request, name):
+    p = request.getfixturevalue(name)
+    rng = random.Random(23)
+    lengths = set()
+    for trial in range(800):
+        w = rand_word(p, rng, 0, 200 if trial % 10 == 0 else 14)
+        for v in (w, words.normalize(p, w)):
+            res = sh.cyclic_shorten(p, v)
+            assert res.cyclic_length == words.raw_relative_length(
+                p, res.output), v
+            lengths.add(res.cyclic_length)
+    assert {0, 1, 2} <= lengths
+
+
+def test_cyclic_length_on_the_doubled_word_path(pC5):
+    # with relators the doubled-word iteration fills the field; inputs of
+    # order two or three stop at the torsion guard below, so they are left
+    # out by their exponent sum
+    rng = random.Random(31)
+    lengths = set()
+    for _ in range(300):
+        w = "".join(rng.choice("aA") for _ in range(rng.randint(0, 14)))
+        if (w.count("a") - w.count("A")) % 5 in (2, 3):
+            continue
+        res = sh.cyclic_shorten(pC5, w, trivial=c5_trivial)
+        assert res.cyclic_length == words.raw_relative_length(
+            pC5, res.output), w
+        lengths.add(res.cyclic_length)
+    assert lengths == {0, 1}
+
+
 def test_relator_group_torsion_guard(pC5):
     # "a" is a one-syllable word and passes untouched; "aa" admits no cyclic
     # local geodesic at this delta because a.a wraps into the relator, and

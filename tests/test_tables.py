@@ -100,8 +100,7 @@ def test_precompute_budget(pG2):
 
 def test_per_index_lists_are_oracle_balls(pG2, tG2):
     prof = tG2.profile
-    from relconj.parabolic_oracles import oracles_for
-    orc = oracles_for(pG2)[1]
+    orc = pG2.oracles[1]
     assert tG2.l3[1] == tuple(orc.ball(prof.c3))
 
 

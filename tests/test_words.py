@@ -91,3 +91,36 @@ def test_decompose_normalizes_first(pG2):
     assert d.word == "y"
     assert d.relative_length == 1
     assert words.decompose(pG2, "axYxa").relative_length == 3
+
+
+def letter_by_letter_syllables(p, w):
+    """The splitter's earlier definition, kept as the reference: a
+    hyperbolic letter is a syllable alone, a parabolic run goes on while
+    the next letter has the same kind.  (kind, word, start) triples."""
+    kind_of = p.letter_kind
+    out = []
+    i = 0
+    while i < len(w):
+        kind = kind_of[w[i]]
+        j = i + 1
+        if kind != HYPERBOLIC:
+            while j < len(w) and kind_of[w[j]] == kind:
+                j += 1
+        out.append((kind, w[i:j], i))
+        i = j
+    return out
+
+
+@pytest.mark.parametrize("name", ["pF", "pG2", "pZC2", "pZF2", "pTHREE"])
+def test_syllable_splitter_matches_letter_by_letter_definition(request, name):
+    p = request.getfixturevalue(name)
+    rng = random.Random(23)
+    for trial in range(800):
+        hi = 200 if trial % 10 == 0 else 14
+        w = "".join(rng.choice(p.alphabet) for _ in range(rng.randint(0, hi)))
+        for v in (w, words.normalize(p, w)):
+            want = letter_by_letter_syllables(p, v)
+            got = words.raw_syllables(p, v)
+            assert [(s.kind, s.word, s.start) for s in got] == want, v
+            assert all(s.end == s.start + len(s.word) for s in got)
+            assert words.raw_relative_length(p, v) == len(want)
