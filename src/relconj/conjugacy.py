@@ -14,8 +14,10 @@ Conventions.  Every internal conjugator is carried in right form: a step
 from x to y stores c with y = c^-1 * x * c, so chains compose by plain
 concatenation.  The public witness of a certificate is converted once at
 the boundary to g = c^-1 with v = g * u * g^-1.  Every "conjugate" answer
-is verified through the word problem before the certificate is issued; a
-failed verification is an internal error, never a silent downgrade.
+is verified before the certificate is issued (shortening.same_element:
+normal-form equality of g * u * g^-1 and v without relators, the word
+problem on the residue with them); a failed verification is an internal
+error, never a silent downgrade.
 
 Negative answers name where the decision fell: class-mismatch (identity,
 parabolic and hyperbolic never meet), long-search-exhausted or
@@ -85,7 +87,14 @@ class ConjugacyCertificate:
 class ConjugacyEngine:
     """Per-presentation caches shared across many decide() calls: cyclic
     shortenings (with the relative lengths of the linear shortening and of
-    the cyclic form), classifications, and the profile hash."""
+    the cyclic form, and the input's normal form, against which decide
+    checks witnesses), classifications, and the profile hash.
+
+    _cyc and _cls are plain dicts keyed by input word and never evicted:
+    they grow with the distinct words an engine sees, each _cyc entry
+    keeping its input, normal form, cyclic form and step log.  Callers
+    that stream many distinct long words should use one engine per batch.
+    """
 
     def __init__(self, p: RelativePresentation, tables: PrecomputedTables,
                  trivial=None):
@@ -191,9 +200,9 @@ def decide(p: RelativePresentation, tables: PrecomputedTables, u: str,
         total = words.mul(cu.conjugator, core_conj,
                           words.inverse(cv.conjugator))
         g = words.inverse(total)
-        residue = words.mul(g, u, words.inverse(g), words.inverse(v))
-        if not shortening.word_problem(p, residue, tables=tables,
-                                       trivial=eng.trivial):
+        if not shortening.same_element(
+                p, words.mul(g, u, words.inverse(g)), v,
+                eng._cyc[v].normal_form, tables=tables, trivial=eng.trivial):
             raise RelconjError("conjugacy witness failed verification")
         return ConjugacyCertificate(u, v, "conjugate", g, None, regime,
                                     lbar, length, phash, True)

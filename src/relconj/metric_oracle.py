@@ -253,9 +253,9 @@ def relative_length(p: RelativePresentation, w: str, method="auto",
     method="bfs" searches the realized coned-off graph restricted to the
     ball of the normal form's length, which covers the straight path.
     """
-    if method == "auto" and p.is_free_product and trivial is None:
-        return words.decompose(p, w).relative_length
     nf = words.normalize(p, w)
+    if method == "auto" and p.is_free_product and trivial is None:
+        return words.raw_relative_length(p, nf)
     graph = _coned_graph(p, max(1, len(nf)), trivial, budget)
     src = graph.vertex("", trivial)
     tgt = graph.vertex(nf, trivial)

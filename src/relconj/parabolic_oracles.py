@@ -18,6 +18,12 @@ it.  So a state belongs to the caller that started it with push(None, ...):
 after push(state, run) that caller keeps only the returned state, and it
 never lets two runs share one state.
 
+Every oracle also carries ``canonical_run``, the regex source of a nonempty
+run spelled in its own geodesic form, so that a word can be recognised as
+a normal form without folding its runs (see
+RelativePresentation.normal_form_pattern).  The pattern matches at most
+one way at each position, so a scan with it stays linear.
+
 Three kinds are provided: ``free_abelian`` (exponent vectors), ``free``
 (reduced words) and ``finite`` (multiplication table, generating set = all
 nontrivial elements).
@@ -37,6 +43,9 @@ from .presentation import (
 
 class ParabolicOracle:
     """Interface shared by the solver kinds; see subclasses."""
+
+    # regex source of a nonempty run equal to state_word of its element
+    canonical_run: str
 
     def __init__(self, descriptor: ParabolicDescriptor):
         self.descriptor = descriptor
@@ -131,6 +140,10 @@ class FreeAbelianOracle(ParabolicOracle):
             self._index[g] = (j, 1)
             self._index[inverse_letter(g)] = (j, -1)
             self._signed.append((g, inverse_letter(g)))
+        # signed generator powers in declaration order, at least one
+        self.canonical_run = "(?=[%s])%s" % (
+            "".join(descriptor.letters),
+            "".join("(?:%s+|%s+)?" % pair for pair in self._signed))
 
     def push(self, state, run):
         if state is None:
@@ -168,6 +181,12 @@ class FreeAbelianOracle(ParabolicOracle):
 class FreeOracle(ParabolicOracle):
     """Free group on the block letters; states are lists of the letters of
     the freely reduced word, extended and cancelled in place."""
+
+    def __init__(self, descriptor):
+        super().__init__(descriptor)
+        # a freely reduced run: no letter followed by its inverse
+        self.canonical_run = "(?:%s)+" % "|".join(
+            "%s(?!%s)" % (c, inverse_letter(c)) for c in descriptor.letters)
 
     def push(self, state, run):
         if state is None:
@@ -236,6 +255,8 @@ class FiniteOracle(ParabolicOracle):
         for j, g in enumerate(descriptor.generators):
             self._elt[g] = j + 1
             self._elt[inverse_letter(g)] = inv[j + 1]
+        # every nontrivial element is spelled as one generator letter
+        self.canonical_run = "[%s]" % "".join(descriptor.generators)
 
     def push(self, state, run):
         # element 0 is the identity, which the interface spells None

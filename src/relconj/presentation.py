@@ -188,6 +188,32 @@ class RelativePresentation:
         return re.compile("|".join(runs + ["."]))
 
     @cached_property
+    def block_pattern(self) -> re.Pattern:
+        """Splits a checked word like syllable_pattern, except that a
+        maximal run of hyperbolic letters is one block."""
+        runs = ["[%s]+" % "".join(par.letters) for par in self.parabolics]
+        hyperbolic = "".join(c for g in self.hyperbolic_generators
+                             for c in (g, inverse_letter(g)))
+        if hyperbolic:
+            runs.append("[%s]+" % hyperbolic)
+        return re.compile("|".join(runs))
+
+    @cached_property
+    def normal_form_pattern(self) -> re.Pattern:
+        """Fullmatches a checked word exactly when it is its own normal form
+        (words.normalize): a hyperbolic letter never followed by its
+        inverse, and every maximal parabolic run spelled in its factor's
+        geodesic form (the oracle's canonical_run).  Each position matches
+        in at most one way, so the scan is linear in the word length."""
+        alts = ["%s(?!%s)" % (c, inverse_letter(c))
+                for g in self.hyperbolic_generators
+                for c in (g, inverse_letter(g))]
+        for orc in self.oracles.values():
+            letters = "".join(orc.descriptor.letters)
+            alts.append("(?:%s)(?![%s])" % (orc.canonical_run, letters))
+        return re.compile("(?:%s)*" % "|".join(alts))
+
+    @cached_property
     def letter_rank(self) -> dict:
         """Shortlex rank of every signed letter, in declaration order with
         each lowercase letter just before its uppercase inverse."""

@@ -74,8 +74,9 @@ class ShorteningResult:
 @dataclass
 class CyclicShorteningResult:
     """What cyclic_shorten returns.  The two lengths are syllable counts
-    taken while the pass splits the words anyway, so that callers such as
-    the conjugacy engine never split them again."""
+    taken while the pass splits the words anyway, and normal_form is the
+    normal form the pass took, so that callers such as the conjugacy
+    engine never split or normalize the input again."""
 
     input_word: str
     output: str
@@ -88,6 +89,9 @@ class CyclicShorteningResult:
     # syllable count of output as written, raw_relative_length(p, output):
     # the relative length of the cyclic form
     cyclic_length: int = None
+    # words.normalize(p, input_word), which the pass splits and against
+    # which witnesses are checked; None with relators
+    normal_form: str = None
 
 
 def resolve_k(p: RelativePresentation, tables=None, k=None) -> int:
@@ -262,40 +266,44 @@ def least_rotation(seq) -> int:
 
 
 def _syllable_cyclic_form(p, nf, syls):
-    """Cyclic form of the normal form nf with syllables syls: (alpha, a,
-    syllable count of alpha, merges, steps) with lab(alpha) = a^-1 * nf *
-    a.  Cancels mutually inverse end letters and merges end runs of one
-    factor from the outside in, then rotates the kept core to its least
-    syllable rotation; a is a prefix of nf."""
+    """Cyclic form of the normal form nf with syllables syls (strings, as
+    p.syllable_pattern splits nf): (alpha, a, syllable count of alpha,
+    merges, steps) with lab(alpha) = a^-1 * nf * a.  Cancels mutually
+    inverse end letters and merges end runs of one factor from the outside
+    in, then rotates the kept core to its least syllable rotation; a is a
+    prefix of nf."""
+    kind_of = p.letter_kind
     steps = []
     merged = []
     i, j = 0, len(syls) - 1
+    lo, hi = 0, len(nf)  # nf[lo:hi] spells syls[i..j]
     while i < j and not merged:
         first, last = syls[i], syls[j]
-        if first.kind == HYPERBOLIC:
-            if last.word != INVERSE_LETTER[first.word]:
+        kind = kind_of[first[0]]
+        if kind == HYPERBOLIC:
+            if last != INVERSE_LETTER[first]:
                 break
-        elif first.kind == last.kind:
+        elif kind == kind_of[last[0]]:
             # merge the wrap-around run nu o eta (logged in the coordinates
             # of the cyclic word left here); a nontrivial merge ends it
-            at = first.start
-            rep = words.normalize(p, last.word + first.word)
-            steps.append(ShorteningStep(last.start - at,
-                                        last.end - at + len(first.word),
-                                        last.word + first.word, rep,
-                                        TABLE_REPLACEMENT))
+            rep = words.normalize(p, last + first)
+            steps.append(ShorteningStep(hi - len(last) - lo,
+                                        hi - lo + len(first), last + first,
+                                        rep, TABLE_REPLACEMENT))
             if rep:
                 merged.append(rep)
         else:
             break
+        lo += len(first)
+        hi -= len(last)
         i, j = i + 1, j - 1
     if i > j:
         return "", "", 0, len(steps), steps
-    core = [s.word for s in syls[i : j + 1]] + merged
+    core = syls[i : j + 1] + merged
     ranks = p.rank_translation
     r = least_rotation([s.translate(ranks) for s in core])
     alpha = "".join(core[r:] + core[:r])
-    conj = nf[: syls[i].start] + "".join(core[:r])
+    conj = nf[:lo] + "".join(core[:r])
     if len(core) == 1:
         # a lone run of a free factor can still reduce cyclically inside it
         alpha, pre = words.cyclic_reduce(alpha)
@@ -381,10 +389,10 @@ def cyclic_shorten(p: RelativePresentation, w: str, tables=None, k=None,
     inconsistent with the presentation (e.g. torsion with too small a
     delta) and raises."""
     p.check_word(w)
-    linear_length = None
+    nf = linear_length = None
     if p.is_free_product:
         nf = words.normalize(p, w)
-        syls = words.raw_syllables(p, nf)
+        syls = p.syllable_pattern.findall(nf)
         linear_length = len(syls)
         rho, conj, cyclic_length, iterations, steps = _syllable_cyclic_form(
             p, nf, syls)
@@ -392,8 +400,21 @@ def cyclic_shorten(p: RelativePresentation, w: str, tables=None, k=None,
         rho, conj, iterations, steps = _doubled_word_form(
             p, w, tables, k, trivial)
         cyclic_length = words.raw_relative_length(p, rho)
-    residue = words.mul(conj, rho, words.inverse(conj), words.inverse(w))
-    if not word_problem(p, residue, tables=tables, k=k, trivial=trivial):
+    if not same_element(p, words.mul(conj, rho, words.inverse(conj)), w, nf,
+                        tables=tables, k=k, trivial=trivial):
         raise RelconjError("cyclic shortening produced an invalid conjugator")
     return CyclicShorteningResult(w, rho, conj, iterations, tuple(steps),
-                                  linear_length, cyclic_length)
+                                  linear_length, cyclic_length, nf)
+
+
+def same_element(p: RelativePresentation, x: str, w: str, nf: str,
+                 tables=None, k=None, trivial=None) -> bool:
+    """Whether the word x equals the word w in G, the check behind
+    every witness.  nf is the normal form of w, None with relators.  On a
+    relator-free presentation with no triviality test this is
+    normalize(x) == nf, the decision word_problem(x * w^-1) makes there;
+    otherwise it is that word problem."""
+    if p.is_free_product and trivial is None:
+        return words.normalize(p, x) == nf
+    return word_problem(p, words.mul(x, words.inverse(w)), tables=tables,
+                        k=k, trivial=trivial)

@@ -3,14 +3,15 @@
 Words are plain strings; uppercase is the inverse of lowercase.  The central
 routine is :func:`normalize`, a single left-to-right pass that freely reduces
 hyperbolic letters and folds every maximal parabolic run into its canonical
-geodesic form, merging runs that become adjacent when letters cancel.  On a
+geodesic form, merging runs that become adjacent when letters cancel.  A
+word that is already its own normal form is recognised first, by one scan
+with the presentation's normal_form_pattern, and returned unchanged.  On a
 presentation without relators the result is the free-product normal form, so
 two words are equal in the group iff they normalize identically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .presentation import (  # noqa: F401 - inverse, cyclic_reduce re-exported
@@ -43,32 +44,39 @@ def is_cyclically_reduced(w: str) -> bool:
 
 
 def normalize(p: RelativePresentation, w: str) -> str:
-    """Canonical component-normalized free reduction of w (one stack pass
-    over the syllables of w as written)."""
+    """Canonical component-normalized free reduction of w.  A word that
+    is its own normal form is recognised by one native scan and returned
+    as it is; any other goes through one stack pass over its blocks."""
     if not p.letter_set.issuperset(w):  # check_word inlined: the hot path
         p.check_word(w)  # raises UnknownLetterError naming the letter
+    if p.normal_form_pattern.fullmatch(w):
+        return w
     oracles = p.oracles
     kind_of = p.letter_kind
     inv = INVERSE_LETTER
     # entries: a hyperbolic letter, or a parabolic run as [index, state]
     stack = []
-    for syl in p.syllable_pattern.findall(w):
+    append = stack.append
+    pop = stack.pop
+    for syl in p.block_pattern.findall(w):
         kind = kind_of[syl[0]]
         if kind == HYPERBOLIC:
-            if stack and stack[-1] == inv[syl]:
-                stack.pop()
-            else:
-                stack.append(syl)
+            # free reduction of a hyperbolic block against the stack
+            for c in syl:
+                if stack and stack[-1] == inv[c]:
+                    pop()
+                else:
+                    append(c)
             continue
         top = stack[-1] if stack else None
         if top.__class__ is list and top[0] == kind:
             top[1] = oracles[kind].push(top[1], syl)
             if top[1] is None:
-                stack.pop()
+                pop()
         else:
             state = oracles[kind].push(None, syl)
             if state is not None:
-                stack.append([kind, state])
+                append([kind, state])
     for i, entry in enumerate(stack):
         if entry.__class__ is list:
             stack[i] = oracles[entry[0]].state_word(entry[1])
@@ -88,16 +96,6 @@ class Syllable(NamedTuple):
         return self.start + len(self.word)
 
 
-@dataclass(frozen=True)
-class SyllableDecomposition:
-    word: str
-    syllables: tuple
-
-    @property
-    def relative_length(self) -> int:
-        return len(self.syllables)
-
-
 def raw_syllables(p: RelativePresentation, w: str) -> tuple:
     """Syllables of w as written: no normalization, runs kept verbatim."""
     p.check_word(w)
@@ -115,8 +113,3 @@ def raw_relative_length(p: RelativePresentation, w: str) -> int:
     p.check_word(w)
     return len(p.syllable_pattern.findall(w))
 
-
-def decompose(p: RelativePresentation, w: str) -> SyllableDecomposition:
-    """Normalize w and decompose the result into syllables."""
-    nf = normalize(p, w)
-    return SyllableDecomposition(nf, raw_syllables(p, nf))

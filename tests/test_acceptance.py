@@ -12,10 +12,11 @@ import itertools
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 
-from relconj import conjugacy, metric_oracle, shortening, tables as tb, words
+from relconj import cli, conjugacy, metric_oracle, shortening, tables as tb, words
 
 F_LETTERS = "aAbB"
 G2_LETTERS = "aAxXyY"
@@ -441,4 +442,55 @@ def test_criterion_12_free_parabolic_scaling(capsys, pZF2, tZF2):
            "%.3f, not conjugate %.3f < 1.3, %.1fs)"
            % ("PASS" if ok else "FAIL", slopes["word problem"],
               slopes["conjugate"], slopes["not conjugate"], elapsed))
+    assert ok
+
+
+def test_criterion_13_normal_form_recognition_scaling(capsys, pG2):
+    # normalize recognises a normal form with one regex scan; the words
+    # with aA appended fail the scan at their end and take the stack pass,
+    # so both sets catch a pattern that starts to backtrack
+    t0 = time.perf_counter()
+    rng = random.Random(13)
+    sizes = [2 ** e for e in range(12, 17)]
+    points = {"normal form": [], "aA appended": []}
+    for n in sizes:
+        nf = cyclic_normal_word(rng, n)
+        assert words.normalize(pG2, nf) == nf
+        for name, w, want in (("normal form", nf, nf),
+                              ("aA appended", nf + "aA", nf)):
+            best = math.inf
+            for _ in range(3):
+                t1 = time.perf_counter()
+                got = words.normalize(pG2, w)
+                best = min(best, time.perf_counter() - t1)
+                assert got == want
+            points[name].append((math.log(len(w)), math.log(best)))
+    slopes = {name: loglog_slope(pts) for name, pts in points.items()}
+    elapsed = time.perf_counter() - t0
+    ok = all(s < 1.3 for s in slopes.values())
+    report(capsys, "criterion 13: %s (normal-form recognition scaling on "
+           "Z * Z^2, n=4096..65536, log-log slopes normal form %.3f, "
+           "aA appended %.3f < 1.3, %.1fs)"
+           % ("PASS" if ok else "FAIL", slopes["normal form"],
+              slopes["aA appended"], elapsed))
+    assert ok
+
+
+def test_criterion_14_torsion_oracle_equivalence(capsys):
+    # `relconj crosscheck demos/presentations/zc2.txt 6`: every ordered pair
+    # of the radius-6 ball of Z * C2 against the brute conjugacy classes,
+    # through the finite factor's canonical run and its torsion
+    t0 = time.perf_counter()
+    path = (Path(__file__).resolve().parents[1] / "demos" / "presentations"
+            / "zc2.txt")
+    res = cli.cmd_crosscheck(str(path), 6)
+    out = res.payload
+    elapsed = time.perf_counter() - t0
+    ok = (res.status == "ok" and out["pairs"] == out["elements"] ** 2
+          and out["mismatches"] == 0)
+    report(capsys, "criterion 14: %s (Z * C2 oracle equivalence, %d words, "
+           "%d ordered pairs, %d mismatches, %.1fs)"
+           % ("PASS" if ok else "FAIL", out["elements"], out["pairs"],
+              out["mismatches"], elapsed))
+    assert out["elements"] == 190
     assert ok

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import THREE_TEXT
 from relconj import conjugacy as cj, metric_oracle as mo, shortening as sh, tables as tb, words
-from relconj.errors import NotConjugateError, UnknownLetterError
+from relconj.errors import NotConjugateError, RelconjError, UnknownLetterError
 from relconj.presentation import HYPERBOLIC, parse_presentation
 
 ZZ_TEXT = """\
@@ -153,6 +153,21 @@ def test_decide_positive_witnesses_verify(pG2, tG2, engG2):
         assert sh.word_problem(
             pG2, words.mul(cert.witness, u, words.inverse(cert.witness),
                            words.inverse(v)))
+
+
+def test_wrong_witness_fails_verification(monkeypatch, pF, tF, pG2, tG2):
+    # equal cyclic forms answered with the conjugator a instead of the
+    # empty word: the witness check against v's normal form has to catch it
+    def off_by_a(self, alpha, beta, regime):
+        if alpha == beta:
+            return ("conjugate", "a")
+        return ("not-conjugate", cj.LONG_EXHAUSTED)
+
+    monkeypatch.setattr(cj.ConjugacyEngine, "core", off_by_a)
+    for p, t, u, v in ((pF, tF, "ab", "ba"), (pG2, tG2, "axay", "yaxa")):
+        with pytest.raises(RelconjError,
+                           match="conjugacy witness failed verification"):
+            cj.decide(p, t, u, v)
 
 
 def test_decide_is_symmetric(pG2, tG2, engG2):

@@ -257,6 +257,38 @@ def test_relator_group_torsion_guard(pC5):
         sh.cyclic_shorten(pC5, "aa", trivial=c5_trivial)
 
 
+def test_wrong_conjugator_fails_verification(monkeypatch, pG2):
+    # put the relator-free pass's conjugator one letter off; the check
+    # against the normal form has to catch it
+    original = sh._syllable_cyclic_form
+
+    def one_letter_off(p, nf, syls):
+        alpha, conj, *rest = original(p, nf, syls)
+        return (alpha, conj + "a", *rest)
+
+    monkeypatch.setattr(sh, "_syllable_cyclic_form", one_letter_off)
+    with pytest.raises(RelconjError,
+                       match="cyclic shortening produced an invalid conjugator"):
+        sh.cyclic_shorten(pG2, "axyAx")
+
+
+def test_wrong_doubled_word_form_fails_verification(monkeypatch, pC5):
+    # the relator path checks through the residue word problem; C5 is
+    # abelian, so every conjugator is right there and the output is what is
+    # put one letter off
+    original = sh._doubled_word_form
+
+    def one_letter_off(p, w, tables, k, trivial):
+        rho, conj, *rest = original(p, w, tables, k, trivial)
+        return (rho + "a", conj, *rest)
+
+    assert sh.cyclic_shorten(pC5, "a", trivial=c5_trivial).output == "a"
+    monkeypatch.setattr(sh, "_doubled_word_form", one_letter_off)
+    with pytest.raises(RelconjError,
+                       match="cyclic shortening produced an invalid conjugator"):
+        sh.cyclic_shorten(pC5, "a", trivial=c5_trivial)
+
+
 def test_shorten_preserves_element(pG2):
     rng = random.Random(18)
     for _ in range(100):

@@ -72,6 +72,55 @@ def test_normalize_torsion_letters(pZC2):
     assert words.normalize(pZC2, "tat") == "tat"
 
 
+def is_normal_form_by_syllables(p, w):
+    """The definition the recognizer compiles, checked syllable by
+    syllable: no hyperbolic letter next to its inverse, and every maximal
+    parabolic run nonempty and spelled as its factor's geodesic form."""
+    for a, b in zip(w, w[1:]):
+        if p.letter_kind[a] == HYPERBOLIC and b == words.inverse(a):
+            return False
+    return all(syl.kind == HYPERBOLIC
+               or p.oracles[syl.kind].geodesic_form(syl.word) == syl.word
+               for syl in words.raw_syllables(p, w))
+
+
+@pytest.mark.parametrize("name", ["pF", "pG2", "pZC2", "pZF2", "pTHREE"])
+def test_normal_form_pattern_is_the_fixed_point_test(request, name):
+    p = request.getfixturevalue(name)
+    rng = random.Random(29)
+    accepted = 0
+    for trial in range(600):
+        hi = 200 if trial % 10 == 0 else 14
+        w = "".join(rng.choice(p.alphabet) for _ in range(rng.randint(0, hi)))
+        nf = words.normalize(p, w)
+        for x in (w, nf, nf + nf, words.inverse(nf),
+                  nf + words.inverse(nf[:3])):
+            fixed = words.normalize(p, x) == x
+            assert bool(p.normal_form_pattern.fullmatch(x)) is fixed, x
+            assert is_normal_form_by_syllables(p, x) is fixed, x
+            accepted += fixed
+    assert 600 < accepted < 2400
+
+
+def test_normalize_calls_no_oracle_on_a_normal_form(monkeypatch, pTHREE):
+    rng = random.Random(30)
+    nf = ""
+    while len(nf) < 16384:
+        nf = words.normalize(pTHREE, nf + "".join(
+            rng.choice(pTHREE.alphabet) for _ in range(4096)))
+    assert all(c in nf for c in "axuvs")
+
+    def boom(*args):
+        raise AssertionError("oracle called on a normal form")
+
+    for orc in pTHREE.oracles.values():
+        monkeypatch.setattr(orc, "push", boom)
+        monkeypatch.setattr(orc, "state_word", boom)
+    assert words.normalize(pTHREE, nf) == nf
+    with pytest.raises(AssertionError, match="oracle called"):
+        words.normalize(pTHREE, nf + "xX")
+
+
 def test_normalize_unknown_letter(pG2):
     with pytest.raises(UnknownLetterError):
         words.normalize(pG2, "z")
@@ -84,13 +133,6 @@ def test_raw_syllables(pG2):
     assert sylls[1].end == 4
     assert words.raw_relative_length(pG2, "axxYa") == 3
     assert words.raw_relative_length(pG2, "") == 0
-
-
-def test_decompose_normalizes_first(pG2):
-    d = words.decompose(pG2, "xyX")
-    assert d.word == "y"
-    assert d.relative_length == 1
-    assert words.decompose(pG2, "axYxa").relative_length == 3
 
 
 def letter_by_letter_syllables(p, w):
