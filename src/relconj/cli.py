@@ -16,9 +16,8 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
 
-from . import conjugacy, metric_oracle, shortening, tables
+from . import conjugacy, shortening, tables
 from .errors import (
     BudgetExceededError,
     MissingTablesError,
@@ -42,11 +41,16 @@ _ERROR_KINDS = (
 )
 
 
-@dataclass
 class CommandResult:
-    status: str  # "ok" or "error"
-    payload: dict
-    timing: float = 0.0
+    """A command's status ("ok" or "error"), its key=value payload, and its
+    wall time in seconds, which run() sets."""
+
+    __slots__ = ("status", "payload", "timing")
+
+    def __init__(self, status: str, payload: dict, timing: float = 0.0):
+        self.status = status
+        self.payload = payload
+        self.timing = timing
 
 
 def _error_result(exc) -> CommandResult:
@@ -164,7 +168,10 @@ def cmd_precompute(presentation_path, cache_path=None,
 def cmd_crosscheck(presentation_path, max_word_length, profile_path=None,
                    cache_path=None, sample=None, seed=0) -> CommandResult:
     """decide() against the brute conjugation-closure oracle over all
-    ordered pairs of ball elements, or a seeded sample of them."""
+    ordered pairs of ball elements, or a seeded sample of them.  The only
+    command that loads the ball oracle (metric_oracle)."""
+    from . import metric_oracle
+
     p, profile = _setup(presentation_path, profile_path)
     t = _tables_for(p, profile, cache_path)
     index = metric_oracle.ball(p, max_word_length, budget=profile.budget)

@@ -29,9 +29,9 @@ hash the answer depends on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from . import metric_oracle, shortening, words
+from . import shortening, words
 from .errors import NotConjugateError, RelconjError
 from .presentation import HYPERBOLIC, RelativePresentation
 from .tables import PrecomputedTables, profile_hash
@@ -46,8 +46,7 @@ SHORT = "short-hyperbolic"
 PARABOLIC = "parabolic"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Verdict for one word.  representative = conjugator^-1 * word *
     conjugator in G; for a parabolic verdict it is a word in the parabolic
     alphabet, for a hyperbolic one the canonical cyclic form."""
@@ -60,8 +59,7 @@ class Classification:
     conjugator: str
 
 
-@dataclass(frozen=True)
-class ConjugacyCertificate:
+class ConjugacyCertificate(NamedTuple):
     u: str
     v: str
     answer: str  # "conjugate" or "not-conjugate"
@@ -243,6 +241,8 @@ def bounded_class(p: RelativePresentation, tables: PrecomputedTables,
                   u: str, radius: int, engine=None, trivial=None) -> dict:
     """Conjugates of u inside the Gamma-ball of the radius: canonical word
     -> verified witness."""
+    from . import metric_oracle  # the ball oracle; no query path needs it
+
     eng = _engine(p, tables, engine, trivial)
     index = metric_oracle.ball(p, radius, trivial=trivial,
                                budget=tables.profile.budget)

@@ -71,12 +71,14 @@ def normal_form(p: RelativePresentation, w: str, trivial=None, budget=None) -> s
     return rep
 
 
-@dataclass
 class BallIndex:
     """All elements of the ball of a radius, keyed by canonical word."""
 
-    radius: int
-    dist: dict  # canonical word -> graph distance from the identity
+    __slots__ = ("radius", "dist")
+
+    def __init__(self, radius: int, dist: dict):
+        self.radius = radius
+        self.dist = dist  # canonical word -> graph distance from the identity
 
     @property
     def elements(self) -> list:
@@ -102,7 +104,11 @@ class BallIndex:
 
 @lru_cache(maxsize=128)
 def ball(p: RelativePresentation, r: int, trivial=None, budget=None) -> BallIndex:
-    """Breadth-first ball of radius r; distances are exact word lengths."""
+    """Breadth-first ball of radius r; distances are exact word lengths.
+
+    Cached per (p, r, trivial, budget), at most 128 entries, each holding
+    up to budget canonical words (BudgetExceededError beyond that);
+    ball.cache_clear() frees them."""
     budget = DEFAULT_BUDGET if budget is None else budget
     if p.is_free_product and trivial is None:
         dist = {"": 0}
@@ -240,6 +246,10 @@ class ConedGraph:
 
 @lru_cache(maxsize=64)
 def _coned_graph(p, radius, trivial=None, budget=None) -> ConedGraph:
+    """The coned-off graph on the ball of the radius, cached per (p,
+    radius, trivial, budget): at most 64 graphs, each over up to budget
+    vertices with their generator edges and coset cliques (and it keeps
+    the cached ball alive); _coned_graph.cache_clear() frees them."""
     return ConedGraph(p, radius, trivial=trivial, budget=budget)
 
 
@@ -312,6 +322,9 @@ def conjugacy_classes(p: RelativePresentation, radius: int, trivial=None,
     end letters (length never grows) and rotating by first letters (length
     never grows), so the whole chain stays inside the ball.  Returns a map
     from canonical word to its class representative (shortlex least).
+
+    Cached per (p, radius, trivial, budget), at most 32 maps, each of up to
+    budget words; conjugacy_classes.cache_clear() frees them.
     """
     index = ball(p, radius, trivial=trivial, budget=budget)
     parent = {v: v for v in index.dist}

@@ -43,18 +43,21 @@ alpha o alpha passes the window check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from . import metric_oracle, words
+from . import words
 from .errors import RelconjError
 from .presentation import HYPERBOLIC, INVERSE_LETTER, RelativePresentation
+
+# metric_oracle (the ball oracle) is imported inside the functions that run
+# only with relators or an injected triviality test, so that a query on a
+# relator-free presentation never loads it.
 
 PARABOLIC_NORMALIZATION = "parabolic-normalization"
 TABLE_REPLACEMENT = "table-replacement"
 
 
-@dataclass(frozen=True)
-class ShorteningStep:
+class ShorteningStep(NamedTuple):
     """One rewrite: word[start:end] (= before) was replaced by after."""
 
     start: int
@@ -64,15 +67,13 @@ class ShorteningStep:
     justification: str
 
 
-@dataclass
-class ShorteningResult:
+class ShorteningResult(NamedTuple):
     input_word: str
     output: str
     steps: tuple
 
 
-@dataclass
-class CyclicShorteningResult:
+class CyclicShorteningResult(NamedTuple):
     """What cyclic_shorten returns.  The two lengths are syllable counts
     taken while the pass splits the words anyway, and normal_form is the
     normal form the pass took, so that callers such as the conjugacy
@@ -147,6 +148,8 @@ def find_violating_window(p, w, k, trivial=None):
         if best is None:
             return None
         return (best[1], best[1] + best[0])
+    from . import metric_oracle
+
     for span in range(2, n + 1):
         for i in range(0, n - span + 1):
             sub = w[i : i + span]
@@ -173,6 +176,8 @@ def is_cyclic_local_geodesic(p, w, k, trivial=None) -> bool:
 def _geodesic_rep(p, sub, trivial):
     """Relative geodesic word with the same endpoints as sub: the canonical
     representative from the ball oracle."""
+    from . import metric_oracle
+
     return metric_oracle.normal_form(p, sub, trivial=trivial)
 
 
@@ -238,6 +243,8 @@ def shortened_is_trivial(p: RelativePresentation, out: str, tables=None,
         return False
     if words.raw_relative_length(p, out) > 2 * resolve_delta(p, tables, k):
         return False
+    from . import metric_oracle
+
     return metric_oracle.triviality_test(p, trivial)(out)
 
 

@@ -26,6 +26,7 @@ import hashlib
 import os
 import struct
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 from . import shortening, words
 from .errors import (
@@ -123,8 +124,7 @@ def profile_hash(c: ConstantsProfile) -> str:
     return hashlib.sha256(serialize_profile(c).encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class FilteredBall:
+class FilteredBall(NamedTuple):
     """B(r1, r2): canonical words of relative length <= r1 whose parabolic
     components all have Gamma-length <= r2."""
 

@@ -9,8 +9,12 @@ working constants pinned in the reference presentations.
 
 import collections
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -445,11 +449,20 @@ def test_criterion_12_free_parabolic_scaling(capsys, pZF2, tZF2):
     assert ok
 
 
-def test_criterion_13_normal_form_recognition_scaling(capsys, pG2):
-    # normalize recognises a normal form with one regex scan; the words
-    # with aA appended fail the scan at their end and take the stack pass,
-    # so both sets catch a pattern that starts to backtrack
-    t0 = time.perf_counter()
+CRITERION_13_LIMIT_S = 60
+
+
+def normal_form_recognition_slopes():
+    """Criterion 13's scans: log-log slopes of normalize on cyclically
+    reduced normal forms of Z * Z^2, as they are and with aA appended.
+    normalize recognises a normal form with one regex scan; the words with
+    aA appended fail the scan at their end and take the stack pass, so both
+    sets catch a pattern that starts to backtrack."""
+    from conftest import G2_TEXT
+
+    from relconj.presentation import parse_presentation
+
+    pG2 = parse_presentation(G2_TEXT)
     rng = random.Random(13)
     sizes = [2 ** e for e in range(12, 17)]
     points = {"normal form": [], "aA appended": []}
@@ -465,7 +478,32 @@ def test_criterion_13_normal_form_recognition_scaling(capsys, pG2):
                 best = min(best, time.perf_counter() - t1)
                 assert got == want
             points[name].append((math.log(len(w)), math.log(best)))
-    slopes = {name: loglog_slope(pts) for name, pts in points.items()}
+    return {name: loglog_slope(pts) for name, pts in points.items()}
+
+
+def test_criterion_13_normal_form_recognition_scaling(capsys):
+    # the scans run in a child process with a time limit, so that a pattern
+    # that backtracks exponentially fails the gate instead of hanging it
+    t0 = time.perf_counter()
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
+                                         os.environ.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import json, test_acceptance as t; "
+             "print(json.dumps(t.normal_form_recognition_slopes()))"],
+            capture_output=True, text=True, timeout=CRITERION_13_LIMIT_S,
+            env=dict(os.environ, PYTHONPATH=path))
+    except subprocess.TimeoutExpired:
+        report(capsys, "criterion 13: FAIL (timeout)")
+        pytest.fail("normal-form recognition scans still running after %d s"
+                    % CRITERION_13_LIMIT_S)
+    if proc.returncode != 0:
+        report(capsys, "criterion 13: FAIL (scans exited with status %d)"
+               % proc.returncode)
+    assert proc.returncode == 0, proc.stderr
+    slopes = json.loads(proc.stdout)
     elapsed = time.perf_counter() - t0
     ok = all(s < 1.3 for s in slopes.values())
     report(capsys, "criterion 13: %s (normal-form recognition scaling on "

@@ -6,10 +6,17 @@ After a deliberate output change, rewrite the transcript with
 
     PYTHONPATH=src python tests/test_cli_golden.py --write
 
-and record the change in CHANGES.md.
+and record the change in CHANGES.md.  To compare without pytest (on any
+interpreter the package supports), run
+
+    PYTHONPATH=src python tests/test_cli_golden.py --check
+
+which prints a unified diff against the transcript and exits 1 when there
+is one.
 """
 
 import contextlib
+import difflib
 import io
 import shlex
 import sys
@@ -97,7 +104,24 @@ def test_cli_golden_transcript():
     assert got == want
 
 
+def check() -> int:
+    """0 when the rendered transcript equals the stored one; otherwise
+    print the unified diff and return 1."""
+    want = TRANSCRIPT.read_text()
+    got = render()
+    if got == want:
+        print("%s: %d commands match" % (TRANSCRIPT.name, 2 * len(COMMANDS)))
+        return 0
+    sys.stdout.writelines(difflib.unified_diff(
+        want.splitlines(True), got.splitlines(True),
+        str(TRANSCRIPT), "rendered"))
+    return 1
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: test_cli_golden.py --write")
-    TRANSCRIPT.write_text(render())
+    if sys.argv[1:] == ["--write"]:
+        TRANSCRIPT.write_text(render())
+    elif sys.argv[1:] == ["--check"]:
+        sys.exit(check())
+    else:
+        sys.exit("usage: test_cli_golden.py --write | --check")

@@ -1,0 +1,106 @@
+"""The result records are named tuples with a fixed field order, and a query
+process defines no record class it does not run.
+
+A query command loads neither the ball oracle (metric_oracle, with
+fractions and decimal behind it) nor any dataclass beyond the three that
+validate their fields: defining a dataclass costs about a millisecond of
+start-up, and building a frozen one costs several object.__setattr__ calls
+per answer.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from relconj import conjugacy, shortening, tables
+
+ROOT = Path(__file__).resolve().parents[1]
+
+RECORDS = [
+    (shortening.ShorteningStep,
+     ("start", "end", "before", "after", "justification")),
+    (shortening.ShorteningResult, ("input_word", "output", "steps")),
+    (shortening.CyclicShorteningResult,
+     ("input_word", "output", "conjugator", "iterations", "steps",
+      "linear_length", "cyclic_length", "normal_form")),
+    (conjugacy.Classification,
+     ("word", "verdict", "identity", "index", "representative",
+      "conjugator")),
+    (conjugacy.ConjugacyCertificate,
+     ("u", "v", "answer", "witness", "reason", "regime", "lbar", "length",
+      "profile", "verified")),
+    (tables.FilteredBall, ("rel_radius", "comp_bound", "members")),
+]
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS,
+                         ids=[cls.__name__ for cls, _ in RECORDS])
+def test_record_fields_and_immutability(cls, fields):
+    assert cls._fields == fields
+    rec = cls(*range(len(fields)))
+    with pytest.raises(AttributeError):
+        setattr(rec, fields[0], "changed")
+    with pytest.raises(AttributeError):
+        rec.extra = 1
+
+
+def test_cyclic_result_trailing_fields_default_to_none():
+    res = shortening.CyclicShorteningResult("ab", "ab", "", 0, ())
+    assert (res.linear_length, res.cyclic_length, res.normal_form) == \
+        (None, None, None)
+    assert shortening.CyclicShorteningResult._field_defaults == dict.fromkeys(
+        ("linear_length", "cyclic_length", "normal_form"))
+
+
+def test_certificate_record_line():
+    cert = conjugacy.ConjugacyCertificate(
+        "ab", "ba", "conjugate", "b", None, "short-hyperbolic", 2, 2,
+        "0123456789abcdef", True)
+    assert cert.to_record() == (
+        "answer=conjugate witness=b reason=- regime=short-hyperbolic lbar=2 "
+        "L=2 profile=0123456789abcdef verified=1")
+    cert = conjugacy.ConjugacyCertificate(
+        "a", "x", "not-conjugate", None, "class-mismatch", None, 1, 1,
+        "0123456789abcdef", False)
+    assert cert.to_record() == (
+        "answer=not-conjugate witness=- reason=class-mismatch regime=- "
+        "lbar=1 L=1 profile=0123456789abcdef verified=0")
+
+
+QUERY_PROCESS = """\
+import contextlib, dataclasses, io, sys
+from relconj import cli
+pres, cache = sys.argv[1], sys.argv[2]
+for argv in (["wp", pres, "xyXY"], ["classify", pres, "axA"],
+             ["conj", pres, "axA", "x"], ["conj", pres, "axA", "x", "--search"]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["--cache", cache] + argv) == 0, argv
+print(" ".join(sorted({"fractions", "decimal"} & set(sys.modules))))
+print(" ".join(sorted(
+    name for module_name, module in list(sys.modules.items())
+    if module_name.split(".")[0] == "relconj"
+    for name, obj in vars(module).items()
+    if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+    and obj.__module__ == module_name)))
+"""
+
+
+def test_query_process_defines_only_what_it_runs(tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", QUERY_PROCESS,
+         str(ROOT / "demos" / "presentations" / "zxz2.txt"),
+         str(tmp_path / "zxz2.tables")],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    loaded, record_classes = proc.stdout.split("\n")[:2]
+    assert loaded == ""
+    assert record_classes.split() == ["ConstantsProfile",
+                                      "ParabolicDescriptor",
+                                      "RelativePresentation"]
