@@ -15,7 +15,6 @@ from .conjugacy import (
 )
 from .errors import (
     BudgetExceededError,
-    MissingTablesError,
     NotConjugateError,
     OracleUnavailableError,
     ParseError,
@@ -56,7 +55,6 @@ __all__ = [
     "ConjugacyEngine",
     "ConstantsProfile",
     "CyclicShorteningResult",
-    "MissingTablesError",
     "NotConjugateError",
     "OracleUnavailableError",
     "ParabolicDescriptor",

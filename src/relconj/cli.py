@@ -1,6 +1,6 @@
-"""Command line surface: load a presentation, build or reuse the table
-cache, and run word-problem, classification, conjugacy, and cross-check
-queries.
+"""Command line surface: load a presentation and its constants profile,
+run word-problem, classification, conjugacy, and cross-check queries on the
+profile, and build (and cache) the tables with precompute.
 
 Output discipline: stdout carries machine-parseable key=value lines only
 (or a single JSON object with --json) and is byte-identical for identical
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -20,7 +19,6 @@ import time
 from . import conjugacy, shortening, tables
 from .errors import (
     BudgetExceededError,
-    MissingTablesError,
     NotConjugateError,
     OracleUnavailableError,
     ParseError,
@@ -34,7 +32,6 @@ _ERROR_KINDS = (
     (UnknownLetterError, "parse"),
     (BudgetExceededError, "budget"),
     (OracleUnavailableError, "oracle"),
-    (MissingTablesError, "tables"),
     (NotConjugateError, "conjugacy"),
     (RelconjError, "internal"),
     (OSError, "io"),
@@ -88,20 +85,6 @@ def _setup(presentation_path, profile_path):
     return p, profile
 
 
-def _tables_for(p, profile, cache_path):
-    """Load a valid cache or rebuild; a cache built for another
-    presentation or profile is silently replaced."""
-    if cache_path and os.path.exists(cache_path):
-        try:
-            return tables.load_tables(cache_path, p, profile)
-        except RelconjError:
-            pass
-    built = tables.precompute(p, profile)
-    if cache_path:
-        tables.save_tables(cache_path, built)
-    return built
-
-
 def cmd_wp(presentation_path, word, profile_path=None) -> CommandResult:
     p, profile = _setup(presentation_path, profile_path)
     res = shortening.shorten(p, word, k=profile.k)
@@ -113,11 +96,9 @@ def cmd_wp(presentation_path, word, profile_path=None) -> CommandResult:
     })
 
 
-def cmd_classify(presentation_path, word, profile_path=None,
-                 cache_path=None) -> CommandResult:
+def cmd_classify(presentation_path, word, profile_path=None) -> CommandResult:
     p, profile = _setup(presentation_path, profile_path)
-    t = _tables_for(p, profile, cache_path)
-    c = conjugacy.classify(p, t, word)
+    c = conjugacy.classify(p, profile, word)
     return CommandResult("ok", {
         "verdict": c.verdict,
         "identity": c.identity,
@@ -128,12 +109,11 @@ def cmd_classify(presentation_path, word, profile_path=None,
 
 
 def cmd_conj(presentation_path, word_u, word_v, do_search=False,
-             profile_path=None, cache_path=None) -> CommandResult:
+             profile_path=None) -> CommandResult:
     p, profile = _setup(presentation_path, profile_path)
-    t = _tables_for(p, profile, cache_path)
-    cert = conjugacy.decide(p, t, word_u, word_v)
+    cert = conjugacy.decide(p, profile, word_u, word_v)
     if do_search:
-        conjugacy.search(p, t, word_u, word_v, certificate=cert)
+        conjugacy.search(p, profile, word_u, word_v, certificate=cert)
     return CommandResult("ok", {
         "u": cert.u,
         "v": cert.v,
@@ -158,7 +138,7 @@ def cmd_precompute(presentation_path, cache_path=None,
                "profile": tables.profile_hash(t.profile)}
     for name, size in t.sizes().items():
         payload["size_" + name] = size
-    payload["k_i"] = ",".join(str(v) for v in t.profile.k_i) or "-"
+    payload["k_i"] = ",".join(str(v) for v in t.k_i) or "-"
     payload["k_hyp_4delta"] = t.k_hyp_4delta
     payload["k_4delta"] = t.k_4delta
     payload["cache"] = cache_path
@@ -166,14 +146,14 @@ def cmd_precompute(presentation_path, cache_path=None,
 
 
 def cmd_crosscheck(presentation_path, max_word_length, profile_path=None,
-                   cache_path=None, sample=None, seed=0) -> CommandResult:
+                   sample=None, seed=0) -> CommandResult:
     """decide() against the brute conjugation-closure oracle over all
     ordered pairs of ball elements, or a seeded sample of them.  The only
     command that loads the ball oracle (metric_oracle)."""
     from . import metric_oracle
 
     p, profile = _setup(presentation_path, profile_path)
-    t = _tables_for(p, profile, cache_path)
+    engine = conjugacy.ConjugacyEngine(p, profile)
     index = metric_oracle.ball(p, max_word_length, budget=profile.budget)
     elements = sorted(index.elements, key=p.shortlex_key)
     n = len(elements)
@@ -181,7 +161,6 @@ def cmd_crosscheck(presentation_path, max_word_length, profile_path=None,
         raise BudgetExceededError("crosscheck pairs", profile.budget)
     classes = metric_oracle.conjugacy_classes(p, max_word_length,
                                               budget=profile.budget)
-    engine = conjugacy.ConjugacyEngine(p, t)
     if sample is None:
         pairs = [(u, v) for u in elements for v in elements]
     else:
@@ -192,7 +171,8 @@ def cmd_crosscheck(presentation_path, max_word_length, profile_path=None,
     counterexample = None
     for u, v in pairs:
         expected = classes[u] == classes[v]
-        got = conjugacy.decide(p, t, u, v, engine=engine).answer == "conjugate"
+        got = conjugacy.decide(p, profile, u, v,
+                               engine=engine).answer == "conjugate"
         if expected != got:
             mismatches += 1
             if counterexample is None:
@@ -238,8 +218,9 @@ def _add_common(parser, suppress):
                              "(default: the presentation's constants block)")
     parser.add_argument("--cache", metavar="PATH",
                         default=d,
-                        help="tables cache file; stale caches are rebuilt "
-                             "(default: tables are built in memory)")
+                        help="tables cache file that precompute writes; "
+                             "query commands accept it and do not read it "
+                             "(default: no cache)")
     parser.add_argument("--json", action="store_true",
                         default=argparse.SUPPRESS if suppress else False,
                         help="emit one JSON object instead of key=value "
@@ -301,18 +282,17 @@ def run(args) -> CommandResult:
             result = cmd_wp(args.presentation, args.word, args.profile)
         elif args.command == "classify":
             result = cmd_classify(args.presentation, args.word,
-                                  args.profile, args.cache)
+                                  args.profile)
         elif args.command == "conj":
             result = cmd_conj(args.presentation, args.u, args.v,
-                              args.search, args.profile, args.cache)
+                              args.search, args.profile)
         elif args.command == "precompute":
             result = cmd_precompute(args.presentation,
                                     args.cachefile or args.cache,
                                     args.profile)
         else:
             result = cmd_crosscheck(args.presentation, args.maxlen,
-                                    args.profile, args.cache,
-                                    args.sample, args.seed)
+                                    args.profile, args.sample, args.seed)
     except Exception as exc:  # noqa: BLE001 - mapped to typed payloads
         result = _error_result(exc)
     result.timing = time.perf_counter() - start

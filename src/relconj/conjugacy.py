@@ -3,12 +3,12 @@
 Both rest on the canonical cyclic form of shortening.cyclic_shorten.  A
 cyclic form of one parabolic run is parabolic, any other nonempty one is
 hyperbolic.  Two hyperbolic elements are conjugate exactly when their cyclic
-forms are equal strings (the conjugacy theorem for free products; only
-relator-free presentations get tables).  Two parabolic elements are
-conjugate exactly when they lie in one factor and the subgroup oracle
-conjugates one representative onto the other (Lyndon-Schupp, Combinatorial
-Group Theory, IV.1.4).  Neither branch reads a precomputed list; the
-tables supply the profile (the regime threshold and the profile hash).
+forms are equal strings (the conjugacy theorem for free products; the
+engine refuses presentations with relators).  Two parabolic
+elements are conjugate exactly when they lie in one factor and the subgroup
+oracle conjugates one representative onto the other (Lyndon-Schupp,
+Combinatorial Group Theory, IV.1.4).  Neither branch reads a precomputed
+list.
 
 Conventions.  Every internal conjugator is carried in right form: a step
 from x to y stores c with y = c^-1 * x * c, so chains compose by plain
@@ -25,6 +25,10 @@ short-table-miss (unequal hyperbolic cyclic forms, by the regime of the
 longer one against the profile's threshold) and parabolic-tables-miss (two
 factors, or no conjugator inside one); the certificate records the profile
 hash the answer depends on.
+
+Every query function takes the constants profile (a PrecomputedTables is
+accepted too, for its profile): the regime threshold, the window bound k,
+the budget and the hash are all it reads.
 """
 
 from __future__ import annotations
@@ -34,7 +38,12 @@ from typing import NamedTuple
 from . import shortening, words
 from .errors import NotConjugateError, RelconjError
 from .presentation import HYPERBOLIC, RelativePresentation
-from .tables import PrecomputedTables, profile_hash
+from .tables import (
+    ConstantsProfile,
+    PrecomputedTables,
+    check_relator_free,
+    profile_hash,
+)
 
 CLASS_MISMATCH = "class-mismatch"
 LONG_EXHAUSTED = "long-search-exhausted"
@@ -86,7 +95,9 @@ class ConjugacyEngine:
     """Per-presentation caches shared across many decide() calls: cyclic
     shortenings (with the relative lengths of the linear shortening and of
     the cyclic form, and the input's normal form, against which decide
-    checks witnesses), classifications, and the profile hash.
+    checks witnesses), classifications, and the profile hash.  The
+    presentation must be relator-free: only there are the cyclic forms
+    canonical, so relators are refused even with a triviality test.
 
     _cyc and _cls are plain dicts keyed by input word and never evicted:
     they grow with the distinct words an engine sees, each _cyc entry
@@ -94,14 +105,17 @@ class ConjugacyEngine:
     that stream many distinct long words should use one engine per batch.
     """
 
-    def __init__(self, p: RelativePresentation, tables: PrecomputedTables,
+    def __init__(self, p: RelativePresentation, profile: ConstantsProfile,
                  trivial=None):
+        if isinstance(profile, PrecomputedTables):
+            profile = profile.profile
+        check_relator_free(p)
         self.p = p
-        self.tables = tables
+        self.profile = profile
         self.trivial = trivial
-        self.k = tables.profile.k
+        self.k = profile.k
         self.oracles = p.oracles
-        self.profile_hash = profile_hash(tables.profile)
+        self.profile_hash = profile_hash(profile)
         self._cyc = {}
         self._cls = {}
 
@@ -115,8 +129,7 @@ class ConjugacyEngine:
 
     def linear_rel(self, w: str) -> int:
         """Relative length of the linear shortening of w: the syllable
-        count of its normal form, which the cyclic shortening has taken
-        (tables exist only without relators)."""
+        count of its normal form, which the cyclic shortening has taken."""
         res = self._cyc.get(w)
         if res is None:
             res = self.cyclic(w)
@@ -125,7 +138,7 @@ class ConjugacyEngine:
     def classification(self, w: str) -> Classification:
         res = self._cls.get(w)
         if res is None:
-            res = classify(self.p, self.tables, w, engine=self)
+            res = classify(self.p, self.profile, w, engine=self)
             self._cls[w] = res
         return res
 
@@ -138,13 +151,13 @@ class ConjugacyEngine:
                 LONG_EXHAUSTED if regime == LONG else SHORT_MISS)
 
 
-def _engine(p, tables, engine, trivial):
+def _engine(p, profile, engine, trivial):
     if engine is not None:
         return engine
-    return ConjugacyEngine(p, tables, trivial)
+    return ConjugacyEngine(p, profile, trivial)
 
 
-def classify(p: RelativePresentation, tables: PrecomputedTables, w: str,
+def classify(p: RelativePresentation, profile: ConstantsProfile, w: str,
              engine=None) -> Classification:
     """Hyperbolic or parabolic, decided on the cyclic shortening: a cyclic
     form of one parabolic run is parabolic, any other nonempty one is
@@ -152,7 +165,7 @@ def classify(p: RelativePresentation, tables: PrecomputedTables, w: str,
     syllables is never conjugate into a factor).  The cyclic form is a
     normal form, so it is the representative as it stands, and
     cyclic_shorten has verified its conjugator."""
-    eng = _engine(p, tables, engine, None)
+    eng = _engine(p, profile, engine, None)
     res = eng.cyclic(w)
     alpha, a = res.output, res.conjugator
     if alpha == "":
@@ -178,12 +191,12 @@ def _parabolic_core(eng: ConjugacyEngine, cu: Classification,
     return ("not-conjugate", PARABOLIC_MISS)
 
 
-def decide(p: RelativePresentation, tables: PrecomputedTables, u: str,
+def decide(p: RelativePresentation, profile: ConstantsProfile, u: str,
            v: str, engine=None) -> ConjugacyCertificate:
     """Full conjugacy decision: classify both words, reject class
     mismatches, then run the regime search picked by the larger cyclic
     relative length.  Positive answers carry a verified witness."""
-    eng = _engine(p, tables, engine, None)
+    eng = _engine(p, profile, engine, None)
     cu = eng.classification(u)
     cv = eng.classification(v)
     lbar = max(eng.linear_rel(u), eng.linear_rel(v))
@@ -200,7 +213,7 @@ def decide(p: RelativePresentation, tables: PrecomputedTables, u: str,
         g = words.inverse(total)
         if not shortening.same_element(
                 p, words.mul(g, u, words.inverse(g)), v,
-                eng._cyc[v].normal_form, tables=tables, trivial=eng.trivial):
+                eng._cyc[v].normal_form, k=eng.k, trivial=eng.trivial):
             raise RelconjError("conjugacy witness failed verification")
         return ConjugacyCertificate(u, v, "conjugate", g, None, regime,
                                     lbar, length, phash, True)
@@ -216,14 +229,14 @@ def decide(p: RelativePresentation, tables: PrecomputedTables, u: str,
         if state == "conjugate":
             return positive(payload, PARABOLIC)
         return negative(payload, PARABOLIC)
-    regime = LONG if length > tables.profile.threshold else SHORT
+    regime = LONG if length > eng.profile.threshold else SHORT
     state, payload = eng.core(cu.representative, cv.representative, regime)
     if state == "conjugate":
         return positive(payload, regime)
     return negative(payload, regime)
 
 
-def search(p: RelativePresentation, tables: PrecomputedTables, u: str,
+def search(p: RelativePresentation, profile: ConstantsProfile, u: str,
            v: str, certificate=None, engine=None) -> str:
     """The verified witness g with v = g * u * g^-1.  Accepts a matching
     certificate from decide() to skip re-deciding; raises
@@ -231,24 +244,24 @@ def search(p: RelativePresentation, tables: PrecomputedTables, u: str,
     of the subgroup oracle's conjugating-element search."""
     cert = certificate
     if cert is None or cert.u != u or cert.v != v:
-        cert = decide(p, tables, u, v, engine=engine)
+        cert = decide(p, profile, u, v, engine=engine)
     if cert.answer != "conjugate":
         raise NotConjugateError(cert.reason)
     return cert.witness
 
 
-def bounded_class(p: RelativePresentation, tables: PrecomputedTables,
+def bounded_class(p: RelativePresentation, profile: ConstantsProfile,
                   u: str, radius: int, engine=None, trivial=None) -> dict:
     """Conjugates of u inside the Gamma-ball of the radius: canonical word
     -> verified witness."""
     from . import metric_oracle  # the ball oracle; no query path needs it
 
-    eng = _engine(p, tables, engine, trivial)
+    eng = _engine(p, profile, engine, trivial)
     index = metric_oracle.ball(p, radius, trivial=trivial,
-                               budget=tables.profile.budget)
+                               budget=eng.profile.budget)
     out = {}
     for x in sorted(index.elements, key=p.shortlex_key):
-        cert = decide(p, tables, u, x, engine=eng)
+        cert = decide(p, profile, u, x, engine=eng)
         if cert.answer == "conjugate":
             out[x] = cert.witness
     return out

@@ -28,10 +28,6 @@ class BudgetExceededError(RelconjError):
         super().__init__("%s exceeded element budget %d" % (what, budget))
 
 
-class MissingTablesError(RelconjError):
-    """A table lookup was required but no precomputed tables were supplied."""
-
-
 class OracleUnavailableError(RelconjError):
     """Ground-truth queries on a presentation with relators need an
     explicit triviality test; none was provided."""

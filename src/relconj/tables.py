@@ -1,23 +1,24 @@
 """The constants profile and the precomputed values: the parabolic balls
 B_i = L3 (words of length <= C(3) in each parabolic), which compute_M
 reads, the per-parabolic constants K_i, and the reported K^hyp_4delta and
-K_4delta.  conjugacy.decide reads only the profile: the canonical cyclic
-form of shortening.cyclic_shorten decides hyperbolic conjugacy by string
-equality, and the subgroup oracles decide parabolic conjugacy outright.
+K_4delta.  Queries read only the profile: the canonical cyclic form of
+shortening.cyclic_shorten decides hyperbolic conjugacy by string equality,
+and the subgroup oracles decide parabolic conjugacy outright, so the
+tables are what the precompute command reports and caches.
 
-Working-constants mode: every radius has a formula default taken from the
-profile's delta and C-constants (86*delta+3 and friends).  Those formula
-values are astronomically large for honest inputs, so each radius can be
-overridden in the profile; algorithms state their guarantees relative to
-the working values and certificates record the profile hash.  The derived
-quantities K^hyp_4delta = |B(4delta, 2*C3)|*(16*delta+2) and
-K_4delta = K^hyp_4delta + sum |S_i|^C3 are always computed from the true
-formula radii (they are reports, not enumeration bounds).
+Working-constants mode: the theory's constants are astronomically large
+for honest inputs, so the profile pins working values, and the regime
+threshold, whose formula default is 86*delta+3, can be overridden;
+algorithms state their guarantees relative to the working values and
+certificates record the profile hash.  The derived quantities
+K^hyp_4delta = |B(4delta, 2*C3)|*(16*delta+2) and K_4delta = K^hyp_4delta +
+sum |S_i|^C3 are always computed from the formula radii (they are reports,
+not enumeration bounds).
 
-Only relator-free presentations get tables: there the filtered ball of
-canonical alternating words enumerates group elements exactly and the
-cyclic form is canonical.  Presentations with relators use the shortening
-and oracle layers directly.
+Only relator-free presentations get tables or a conjugacy engine: there
+the filtered ball of canonical alternating words
+enumerates group elements exactly and the cyclic form is canonical.
+Presentations with relators use the shortening and oracle layers directly.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from . import shortening, words
@@ -40,49 +41,27 @@ from .presentation import (
     presentation_hash,
 )
 
-_FORMULA = {
-    "threshold": lambda c: 86 * c.delta + 3,
-    "r4": lambda c: 7 * c.delta + 1,
-    "r5": lambda c: 16 * c.delta + 1,
-    "r6": lambda c: 2 * (274 * c.delta + 9),
-    "r8": lambda c: 2 * c.c3,
-    "r9": lambda c: 4 * c.delta * c.c3,
-    "rbcc": lambda c: 4 * c.delta,
-    "rloops": lambda c: 2 * c.delta * c.c2,
-}
-
-
 @dataclass(frozen=True)
 class ConstantsProfile:
-    """delta and the BCP constants C(2), C(3), C(7,2delta), plus working
-    radii (None = the formula value) and the linear-bound coefficients.
+    """delta and the BCP constants C(2), C(3), the element budget, the
+    linear-bound coefficients and the regime threshold (None = the formula
+    value 86*delta+3): exactly the constants an algorithm or a test of the
+    paper's bounds reads.
 
     Every field is part of the serialized profile, and so of profile_hash,
-    of each certificate's profile= and of each cache header.  That is why
-    the fields marked unread, which no algorithm uses, stay until the
-    profile format itself changes."""
+    of each certificate's profile= and of each cache header."""
 
     delta: int = 1
     c2: int = 2
     c3: int = 2  # radius of L3 = B_i
-    c7: int = 2  # unread
     budget: int = 1_000_000
     nlin: int = 1  # conjugator length slope, fitted on the reference groups
     mlin: int = 0  # conjugator length offset, fitted on the reference groups
     threshold: int = None  # long/short-hyperbolic regime cut, 86*delta+3
-    r4: int = None  # unread, 7*delta+1
-    r5: int = None  # unread, 16*delta+1
-    r6: int = None  # unread, 2*(274*delta+9)
-    r8: int = None  # unread, 2*C(3)
-    r9: int = None  # unread, 4*delta*C(3)
-    rbcc: int = None  # unread, 4*delta
-    rloops: int = None  # unread, 2*delta*C(2)
-    k_i: tuple = None  # per-parabolic K_i; computed by precompute when None
 
     def __post_init__(self):
-        for name, formula in _FORMULA.items():
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, formula(self))
+        if self.threshold is None:
+            object.__setattr__(self, "threshold", 86 * self.delta + 3)
         if self.delta < 0 or self.budget < 0:
             raise RelconjError("delta and budget must be nonnegative")
         if self.c2 > self.c3:
@@ -93,9 +72,7 @@ class ConstantsProfile:
         return 8 * self.delta + 1
 
 
-_PROFILE_KEYS = tuple(
-    f.name for f in fields(ConstantsProfile) if f.name != "k_i"
-)
+_PROFILE_KEYS = tuple(f.name for f in fields(ConstantsProfile))
 
 
 def profile_from_pairs(pairs, overrides=None) -> ConstantsProfile:
@@ -114,14 +91,21 @@ def profile_for(p: RelativePresentation, overrides=None) -> ConstantsProfile:
 
 
 def serialize_profile(c: ConstantsProfile) -> str:
-    parts = ["%s=%d" % (key, getattr(c, key)) for key in _PROFILE_KEYS]
-    if c.k_i is not None:
-        parts.append("k_i=" + ",".join(str(v) for v in c.k_i))
-    return " ".join(parts)
+    return " ".join("%s=%d" % (key, getattr(c, key)) for key in _PROFILE_KEYS)
 
 
 def profile_hash(c: ConstantsProfile) -> str:
     return hashlib.sha256(serialize_profile(c).encode()).hexdigest()[:16]
+
+
+def check_relator_free(p: RelativePresentation):
+    """Refuse a presentation with relators: the tables and the conjugacy
+    engine exist only for free products."""
+    if not p.is_free_product:
+        raise OracleUnavailableError(
+            "presentation %r has relators; presentations with relators get "
+            "no tables" % p.label
+        )
 
 
 class FilteredBall(NamedTuple):
@@ -137,10 +121,7 @@ def enumerate_filtered_ball(p: RelativePresentation, r1: int, r2: int,
                             budget=None, label="filtered ball") -> FilteredBall:
     """Exhaustive B(r1, r2) for a relator-free presentation, one canonical
     word per group element (alternating syllables, canonical run forms)."""
-    if not p.is_free_product:
-        raise OracleUnavailableError(
-            "filtered-ball enumeration needs a relator-free presentation"
-        )
+    check_relator_free(p)
     budget = 1_000_000 if budget is None else budget
     oracles = p.oracles
     hyp = [c for c in p.alphabet if p.letter_kind[c] == HYPERBOLIC]
@@ -177,10 +158,11 @@ def cyclic_canonical(p: RelativePresentation, w: str, k: int):
 class PrecomputedTables:
     """Immutable bundle of the precomputed values; see precompute()."""
 
-    def __init__(self, p_hash, profile, l3, k_hyp_4delta, k_4delta):
+    def __init__(self, p_hash, profile, l3, k_i, k_hyp_4delta, k_4delta):
         self.p_hash = p_hash
         self.profile = profile
         self.l3 = l3  # dict index -> parabolic words of |.| <= C(3): B_i
+        self.k_i = k_i  # per-parabolic K_i, in parabolic index order
         self.k_hyp_4delta = k_hyp_4delta
         self.k_4delta = k_4delta
 
@@ -192,11 +174,7 @@ def precompute(p: RelativePresentation, profile=None) -> PrecomputedTables:
     """Build the tables of a relator-free presentation under the profile:
     B_i = L3, K_i, K^hyp_4delta and K_4delta.  Loudly reports which list
     overflowed the budget."""
-    if not p.is_free_product:
-        raise OracleUnavailableError(
-            "presentation %r has relators; presentations with relators get "
-            "no tables" % p.label
-        )
+    check_relator_free(p)
     profile = profile_for(p) if profile is None else profile
     budget = profile.budget
     oracles = p.oracles
@@ -218,11 +196,8 @@ def precompute(p: RelativePresentation, profile=None) -> PrecomputedTables:
         len(par.generators) ** profile.c3 for par in p.parabolics
     )
 
-    return PrecomputedTables(
-        presentation_hash(p),
-        replace(profile, k_i=k_i) if profile.k_i is None else profile,
-        l3, k_hyp_4delta, k_4delta,
-    )
+    return PrecomputedTables(presentation_hash(p), profile, l3, k_i,
+                             k_hyp_4delta, k_4delta)
 
 
 def compute_M(p: RelativePresentation, tables: PrecomputedTables, u: str) -> int:
@@ -249,10 +224,10 @@ def compute_M(p: RelativePresentation, tables: PrecomputedTables, u: str) -> int
 
 
 # ---------------------------------------------------------------------------
-# cache files: magic, presentation hash, profile text, L3, K^hyp_4delta and
-# K_4delta, little-endian u32 counts and length-prefixed UTF-8 strings
+# cache files: magic, presentation hash, profile text, L3, K_i, K^hyp_4delta
+# and K_4delta, little-endian u32 counts and length-prefixed UTF-8 strings
 
-_MAGIC = b"RCT3"
+_MAGIC = b"RCT4"
 
 
 def _encode(tables: PrecomputedTables) -> bytes:
@@ -272,6 +247,7 @@ def _encode(tables: PrecomputedTables) -> bytes:
     for i in sorted(tables.l3):
         u32(i, len(tables.l3[i]))
         text(*tables.l3[i])
+    u32(len(tables.k_i), *tables.k_i)
     u32(tables.k_hyp_4delta, tables.k_4delta)
     return b"".join(out)
 
@@ -333,27 +309,22 @@ def load_tables(path, p: RelativePresentation, profile=None) -> PrecomputedTable
     if p_hash != presentation_hash(p):
         raise RelconjError("tables cache was built for a different presentation")
     stored = _parse_profile(r.text())
-    if profile is not None and profile_hash(replace(stored, k_i=None)) != \
-            profile_hash(replace(profile, k_i=None)):
+    if profile is not None and stored != profile:
         raise RelconjError("tables cache was built with a different profile")
     l3 = {}
     for _ in range(r.u32()):
         i, n = r.u32(), r.u32()
         l3[i] = tuple(r.text() for _ in range(n))
+    k_i = tuple(r.u32() for _ in range(r.u32()))
     k_hyp, k4 = r.u32(), r.u32()
     r.finish()
-    return PrecomputedTables(p_hash, stored, l3, k_hyp, k4)
+    return PrecomputedTables(p_hash, stored, l3, k_i, k_hyp, k4)
 
 
 def _parse_profile(text: str) -> ConstantsProfile:
-    pairs, k_i = [], None
     try:
-        for kv in text.split():
-            key, _, value = kv.partition("=")
-            if key == "k_i":
-                k_i = tuple(int(v) for v in value.split(",") if v)
-            else:
-                pairs.append((key, int(value)))
+        pairs = [(key, int(value)) for key, _, value in
+                 (kv.partition("=") for kv in text.split())]
     except ValueError:
         raise RelconjError("tables cache has a malformed profile")
-    return replace(profile_from_pairs(pairs), k_i=k_i)
+    return profile_from_pairs(pairs)

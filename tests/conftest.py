@@ -25,7 +25,7 @@ F_TEXT = """\
 # Free group of rank two: hyperbolic, no parabolic subgroups.
 group free2
 hyperbolic a b
-constants delta=0 c2=2 c3=2 c7=2 budget=1000000 nlin=1 mlin=0 r6=3
+constants delta=0 c2=2 c3=2 budget=1000000 nlin=1 mlin=0
 """
 
 G2_TEXT = """\
@@ -34,7 +34,7 @@ group g2
 hyperbolic a
 parabolic free_abelian 2
 letters x y
-constants delta=1 c2=2 c3=2 c7=2 budget=1000000 nlin=1 mlin=0 threshold=3 r4=1 r5=1 r6=2 r9=2
+constants delta=1 c2=2 c3=2 budget=1000000 nlin=1 mlin=0 threshold=3
 """
 
 ZC2_TEXT = """\
@@ -45,7 +45,7 @@ parabolic finite 2
 letters t
 table 0 1
 table 1 0
-constants delta=1 c2=1 c3=1 c7=1 budget=200000 threshold=3 r4=1 r5=1 r6=2 r9=2
+constants delta=1 c2=1 c3=1 budget=200000 threshold=3
 """
 
 C5_TEXT = """\
@@ -53,7 +53,7 @@ C5_TEXT = """\
 group c5
 hyperbolic a
 relator aaaaa
-constants delta=2 c2=2 c3=2 c7=2 budget=100000
+constants delta=2 c2=2 c3=2 budget=100000
 """
 
 
@@ -69,7 +69,7 @@ letters s r
 table 0 1 2
 table 1 2 0
 table 2 0 1
-constants delta=1 c2=1 c3=1 c7=1 threshold=3
+constants delta=1 c2=1 c3=1 threshold=3
 """
 
 

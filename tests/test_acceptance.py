@@ -236,7 +236,7 @@ def test_criterion_6_linear_conjugator_bound(capsys, pG2, tG2, g2_class_data):
 
 def test_criterion_7_abelian_specialization(capsys, pG2, tG2, g2_class_data):
     t0 = time.perf_counter()
-    assert tG2.profile.k_i == (0,)
+    assert tG2.k_i == (0,)
     nonzero = 0
     checked = 0
     for n in range(5):

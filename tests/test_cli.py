@@ -9,6 +9,8 @@ import pytest
 
 from relconj import cli, tables as tb
 
+DEMOS = Path(__file__).resolve().parents[1] / "demos" / "presentations"
+
 
 def run(capsys, argv):
     code = cli.main(argv)
@@ -160,53 +162,106 @@ def test_profile_override_parse_error(capsys, paths, tmp_path):
     assert "error=parse" in out
 
 
-def test_cache_invalidation_rebuilds(capsys, paths, tmp_path, g2_cache):
+def test_cache_invalidation_rebuilds(capsys, paths, tmp_path, g2_cache, pG2):
     cache = os.fspath(tmp_path / "copy.tables")
     shutil.copy(g2_cache, cache)
     prof = tmp_path / "c3.prof"
     prof.write_text("c2=1\nc3=1\n")
-    # stale cache (different profile hash) is rebuilt and overwritten
+    # a query accepts the stale cache (different profile hash) without
+    # reading it, and leaves it as it was
     code, out, _ = run(capsys, ["crosscheck", paths["G2"], "2",
                                 "--cache", cache, "--profile", os.fspath(prof)])
     assert code == 0
     assert "agreement=1.000000" in out
+    with open(g2_cache, "rb") as fh:
+        assert Path(cache).read_bytes() == fh.read()
+    # precompute overwrites the stale cache with tables under the profile
     code, out, _ = run(capsys, ["precompute", paths["G2"], cache,
                                 "--profile", os.fspath(prof)])
+    assert code == 0
     assert "size_l3=5" in out
+    c3 = tb.profile_for(pG2, [("c2", 1), ("c3", 1)])
+    assert tb.load_tables(cache, pG2, c3).sizes() == {"l3": 5}
 
 
 def test_damaged_cache_is_rebuilt(capsys, paths, tmp_path, g2_cache):
     argv = ["classify", paths["G2"], "axxayA"]
-    _, want, _ = run(capsys, argv + ["--cache", g2_cache])
+    _, want, _ = run(capsys, argv)
     with open(g2_cache, "rb") as fh:
         good = fh.read()
     cache = tmp_path / "damaged.tables"
     for cut in (0, 3, 4, 30, len(good) // 2, len(good) - 1):
         cache.write_bytes(good[:cut])
+        # a query accepts the damaged cache without reading it
         code, out, _ = run(capsys, argv + ["--cache", os.fspath(cache)])
-        assert code == 0
-        assert out == want
-        # the rebuilt cache replaced the damaged one
+        assert (code, out) == (0, want)
+        assert cache.read_bytes() == good[:cut]
+        # precompute replaces the damaged cache with the tables
+        code, out, _ = run(capsys, ["precompute", paths["G2"],
+                                    os.fspath(cache)])
+        assert code == 0, out
         assert cache.read_bytes() == good
 
 
 def test_old_format_cache_is_rebuilt(capsys, paths, tmp_path, g2_cache):
     argv = ["classify", paths["G2"], "axxayA"]
-    _, want, _ = run(capsys, argv + ["--cache", g2_cache])
+    _, want, _ = run(capsys, argv)
     with open(g2_cache, "rb") as fh:
         good = fh.read()
     cache = tmp_path / "old.tables"
-    cache.write_bytes(b"RCT2" + good[4:])
+    cache.write_bytes(b"RCT3" + good[4:])
     code, out, _ = run(capsys, argv + ["--cache", os.fspath(cache)])
     assert (code, out) == (0, want)
+    code, out, _ = run(capsys, ["precompute", paths["G2"], os.fspath(cache)])
+    assert code == 0, out
     assert cache.read_bytes() == good
 
 
 def test_relator_presentation_gets_no_tables(capsys, paths):
-    code, out, _ = run(capsys, ["classify", paths["C5"], "a"])
+    for argv in (["classify", paths["C5"], "a"],
+                 ["conj", paths["C5"], "a", "aaaaaa"],
+                 ["crosscheck", paths["C5"], "2"]):
+        code, out, _ = run(capsys, argv)
+        assert code == 1
+        assert out.startswith("status=error\nerror=oracle\n")
+        assert "relators get no tables" in out
+
+
+def test_queries_answer_past_the_tables_budget(capsys, tmp_path):
+    # delta=2 puts B(8, 4) past the budget, so precompute fails; queries
+    # read only the profile and answer
+    prof = tmp_path / "d2.prof"
+    prof.write_text("delta=2\n")
+    pres = os.fspath(DEMOS / "zxz2.txt")
+    code, out, _ = run(capsys, ["--profile", os.fspath(prof), "conj", pres,
+                                "axA", "x", "--search"])
+    assert code == 0
+    assert out.startswith("status=ok\n")
+    assert "answer=conjugate\n" in out and "verified=true\n" in out
+    code, out, _ = run(capsys, ["--profile", os.fspath(prof), "classify",
+                                pres, "axA"])
+    assert code == 0
+    assert "verdict=parabolic\n" in out
+    code, out, _ = run(capsys, ["--profile", os.fspath(prof), "precompute",
+                                pres])
     assert code == 1
-    assert out.startswith("status=error\nerror=oracle\n")
-    assert "relators get no tables" in out
+    assert "error=budget" in out
+
+
+def test_queries_never_precompute(capsys, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a query ran precompute")
+
+    monkeypatch.setattr(tb, "precompute", refuse)
+    pres = os.fspath(DEMOS / "zxz2.txt")
+    cache = os.fspath(tmp_path / "zxz2.tables")
+    for argv in (["classify", pres, "axA"],
+                 ["conj", pres, "axA", "x", "--search"],
+                 ["crosscheck", pres, "2"]):
+        code, out, _ = run(capsys, argv + ["--cache", cache])
+        assert code == 0, out
+        assert out.startswith("status=ok\n")
+    assert not os.path.exists(cache)
 
 
 def test_crosscheck_exhaustive(capsys, paths, g2_cache):

@@ -3,9 +3,14 @@ import random
 
 import pytest
 
-from conftest import THREE_TEXT
+from conftest import THREE_TEXT, c5_trivial
 from relconj import conjugacy as cj, metric_oracle as mo, shortening as sh, tables as tb, words
-from relconj.errors import NotConjugateError, RelconjError, UnknownLetterError
+from relconj.errors import (
+    NotConjugateError,
+    OracleUnavailableError,
+    RelconjError,
+    UnknownLetterError,
+)
 from relconj.presentation import HYPERBOLIC, parse_presentation
 
 ZZ_TEXT = """\
@@ -15,7 +20,7 @@ parabolic free_abelian 2
 letters x y
 parabolic free_abelian 2
 letters s t
-constants delta=1 c2=1 c3=1 c7=1 threshold=3 r4=1 r5=1 r6=2 r9=2
+constants delta=1 c2=1 c3=1 threshold=3
 """
 
 
@@ -101,6 +106,26 @@ def test_decide_record_format(pF, tF, pG2, tG2):
         "answer=not-conjugate witness=- reason=parabolic-tables-miss "
         "regime=parabolic lbar=1 L=1 profile=%s verified=0"
         % tb.profile_hash(tG2.profile))
+
+
+def test_decide_reads_only_the_profile(pG2, tG2):
+    # tables are accepted for their profile alone: the certificates, profile
+    # hash included, are those of the bare profile
+    prof = tb.profile_for(pG2)
+    for u, v in (("axA", "x"), ("x", "y"), ("a", "x"), ("axyA", "yx"),
+                 ("axxyAy", "xxyyA"), ("axxyAy", "yaxxyA")):
+        assert cj.decide(pG2, prof, u, v).to_record() == \
+            cj.decide(pG2, tG2, u, v).to_record()
+
+
+def test_engine_refuses_relators(pC5):
+    # cyclic forms are canonical only in a free product, so a triviality
+    # test does not let the engine run on relators
+    prof = tb.profile_for(pC5)
+    with pytest.raises(OracleUnavailableError, match="relators get no tables"):
+        cj.decide(pC5, prof, "a", "aaaaaa")
+    with pytest.raises(OracleUnavailableError, match="relators get no tables"):
+        cj.bounded_class(pC5, prof, "a", 2, trivial=c5_trivial)
 
 
 def test_decide_parabolic_pairs(pG2, tG2):

@@ -14,7 +14,7 @@ group wfree
 hyperbolic a
 parabolic free 2
 letters u v
-constants delta=1 c2=2 c3=2 c7=2 budget=100000 threshold=3 r4=1 r5=1 r6=2 r9=2
+constants delta=1 c2=2 c3=2 budget=100000 threshold=3
 """
 
 

@@ -1,5 +1,5 @@
 """The result records are named tuples with a fixed field order, and a query
-process defines no record class it does not run.
+process defines no record class it does not run and writes no tables cache.
 
 A query command loads neither the ball oracle (metric_oracle, with
 fractions and decimal behind it) nor any dataclass beyond the three that
@@ -71,7 +71,7 @@ def test_certificate_record_line():
 
 
 QUERY_PROCESS = """\
-import contextlib, dataclasses, io, sys
+import contextlib, dataclasses, io, os, sys
 from relconj import cli
 pres, cache = sys.argv[1], sys.argv[2]
 for argv in (["wp", pres, "xyXY"], ["classify", pres, "axA"],
@@ -79,6 +79,7 @@ for argv in (["wp", pres, "xyXY"], ["classify", pres, "axA"],
     with contextlib.redirect_stdout(io.StringIO()), \\
             contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(["--cache", cache] + argv) == 0, argv
+assert not os.path.exists(cache), "a query wrote the tables cache"
 print(" ".join(sorted({"fractions", "decimal"} & set(sys.modules))))
 print(" ".join(sorted(
     name for module_name, module in list(sys.modules.items())

@@ -12,18 +12,14 @@ from relconj.errors import (
 
 def test_profile_formula_radii():
     p0 = tb.ConstantsProfile(delta=0)
-    assert (p0.k, p0.threshold, p0.r4, p0.r5, p0.r6) == (1, 3, 1, 1, 18)
-    assert (p0.r8, p0.r9, p0.rbcc, p0.rloops) == (4, 0, 0, 0)
+    assert (p0.k, p0.threshold) == (1, 3)
     p1 = tb.ConstantsProfile(delta=1)
-    assert (p1.k, p1.threshold, p1.r4, p1.r5, p1.r6) == (9, 89, 8, 17, 566)
-    assert (p1.r8, p1.r9, p1.rbcc, p1.rloops) == (4, 8, 4, 4)
+    assert (p1.k, p1.threshold) == (9, 89)
 
 
 def test_profile_overrides_win():
-    p = tb.ConstantsProfile(delta=1, threshold=3, r6=2)
+    p = tb.ConstantsProfile(delta=1, threshold=3)
     assert p.threshold == 3
-    assert p.r6 == 2
-    assert p.r5 == 17  # untouched radii still follow the formulas
 
 
 def test_profile_validation():
@@ -40,8 +36,8 @@ def test_profile_for_reads_presentation_constants(pG2):
     assert prof.delta == 1
     assert prof.threshold == 3
     assert prof.nlin == 1 and prof.mlin == 0
-    over = tb.profile_for(pG2, [("r9", 1)])
-    assert over.r9 == 1
+    over = tb.profile_for(pG2, [("threshold", 4)])
+    assert over.threshold == 4
 
 
 def test_profile_serialization_and_hash(pG2):
@@ -49,7 +45,8 @@ def test_profile_serialization_and_hash(pG2):
     text = tb.serialize_profile(prof)
     assert "delta=1" in text and "threshold=3" in text
     assert tb.profile_hash(prof) == tb.profile_hash(tb.profile_for(pG2))
-    assert tb.profile_hash(prof) != tb.profile_hash(tb.profile_for(pG2, [("r9", 1)]))
+    assert tb.profile_hash(prof) != tb.profile_hash(
+        tb.profile_for(pG2, [("threshold", 4)]))
     assert len(tb.profile_hash(prof)) == 16
 
 
@@ -74,14 +71,14 @@ def test_filtered_ball_needs_free_product(pC5):
 
 def test_precompute_sizes_free_group(tF):
     assert tF.sizes() == {"l3": 0}
-    assert tF.profile.k_i == ()
+    assert tF.k_i == ()
     assert tF.k_hyp_4delta == 2
     assert tF.k_4delta == 2
 
 
 def test_precompute_sizes_free_product(tG2):
     assert tG2.sizes() == {"l3": 13}
-    assert tG2.profile.k_i == (0,)
+    assert tG2.k_i == (0,)
     # ball(4 delta, 2 C3) has 20209 members; the loop bound multiplies in
     # the 16 delta + 2 rotation factor
     assert tG2.k_hyp_4delta == 20209 * 18
@@ -90,7 +87,7 @@ def test_precompute_sizes_free_product(tG2):
 
 def test_precompute_sizes_finite_parabolic(tZC2):
     assert tZC2.sizes() == {"l3": 2}
-    assert tZC2.profile.k_i == (0,)
+    assert tZC2.k_i == (0,)
 
 
 def test_precompute_budget(pG2):
@@ -133,14 +130,14 @@ def test_save_load_round_trip(tmp_path, pG2, tG2, pF):
     again = tb.load_tables(path, pG2)
     assert again.sizes() == tG2.sizes()
     assert again.l3 == tG2.l3
-    assert (again.k_hyp_4delta, again.k_4delta) == (tG2.k_hyp_4delta,
-                                                    tG2.k_4delta)
+    assert (again.k_i, again.k_hyp_4delta, again.k_4delta) == (
+        tG2.k_i, tG2.k_hyp_4delta, tG2.k_4delta)
     assert again.profile == tG2.profile
     assert tb.profile_hash(again.profile) == tb.profile_hash(tG2.profile)
     with pytest.raises(RelconjError, match="different presentation"):
         tb.load_tables(path, pF)
     with pytest.raises(RelconjError, match="different profile"):
-        tb.load_tables(path, pG2, tb.profile_for(pG2, [("r9", 1)]))
+        tb.load_tables(path, pG2, tb.profile_for(pG2, [("threshold", 4)]))
     # matching profile passes
     assert tb.load_tables(path, pG2, tb.profile_for(pG2)).sizes() == tG2.sizes()
 
@@ -149,13 +146,17 @@ def test_load_rejects_damaged_caches(tmp_path, pG2, tG2):
     path = tmp_path / "g2.tables"
     tb.save_tables(path, tG2)
     good = path.read_bytes()
-    assert good.startswith(b"RCT3")
+    assert good.startswith(b"RCT4")
     assert not list(tmp_path.glob("*.tmp"))  # the atomic write cleaned up
     bad = tmp_path / "bad.tables"
     for cut in range(len(good)):
         bad.write_bytes(good[:cut])
         with pytest.raises(RelconjError):
             tb.load_tables(bad, pG2)
+    # a cache in the previous format is refused, not misread
+    bad.write_bytes(b"RCT3" + good[4:])
+    with pytest.raises(RelconjError, match="not a tables cache"):
+        tb.load_tables(bad, pG2)
     bad.write_bytes(good + b"\0")
     with pytest.raises(RelconjError, match="trailing bytes"):
         tb.load_tables(bad, pG2)
