@@ -27,8 +27,8 @@ factors, or no conjugator inside one); the certificate records the profile
 hash the answer depends on.
 
 Every query function takes the constants profile (a PrecomputedTables is
-accepted too, for its profile): the regime threshold, the window bound k,
-the budget and the hash are all it reads.
+accepted too, for its profile): the regime threshold, the budget and the
+hash are all it reads.
 """
 
 from __future__ import annotations
@@ -97,7 +97,8 @@ class ConjugacyEngine:
     the cyclic form, and the input's normal form, against which decide
     checks witnesses), classifications, and the profile hash.  The
     presentation must be relator-free: only there are the cyclic forms
-    canonical, so relators are refused even with a triviality test.
+    canonical, so relators are refused, and the engine takes no triviality
+    test.
 
     _cyc and _cls are plain dicts keyed by input word and never evicted:
     they grow with the distinct words an engine sees, each _cyc entry
@@ -105,15 +106,12 @@ class ConjugacyEngine:
     that stream many distinct long words should use one engine per batch.
     """
 
-    def __init__(self, p: RelativePresentation, profile: ConstantsProfile,
-                 trivial=None):
+    def __init__(self, p: RelativePresentation, profile: ConstantsProfile):
         if isinstance(profile, PrecomputedTables):
             profile = profile.profile
         check_relator_free(p)
         self.p = p
         self.profile = profile
-        self.trivial = trivial
-        self.k = profile.k
         self.oracles = p.oracles
         self.profile_hash = profile_hash(profile)
         self._cyc = {}
@@ -122,18 +120,9 @@ class ConjugacyEngine:
     def cyclic(self, w: str):
         res = self._cyc.get(w)
         if res is None:
-            res = shortening.cyclic_shorten(self.p, w, k=self.k,
-                                            trivial=self.trivial)
+            res = shortening.cyclic_shorten(self.p, w)
             self._cyc[w] = res
         return res
-
-    def linear_rel(self, w: str) -> int:
-        """Relative length of the linear shortening of w: the syllable
-        count of its normal form, which the cyclic shortening has taken."""
-        res = self._cyc.get(w)
-        if res is None:
-            res = self.cyclic(w)
-        return res.linear_length
 
     def classification(self, w: str) -> Classification:
         res = self._cls.get(w)
@@ -151,10 +140,10 @@ class ConjugacyEngine:
                 LONG_EXHAUSTED if regime == LONG else SHORT_MISS)
 
 
-def _engine(p, profile, engine, trivial):
+def _engine(p, profile, engine):
     if engine is not None:
         return engine
-    return ConjugacyEngine(p, profile, trivial)
+    return ConjugacyEngine(p, profile)
 
 
 def classify(p: RelativePresentation, profile: ConstantsProfile, w: str,
@@ -165,7 +154,7 @@ def classify(p: RelativePresentation, profile: ConstantsProfile, w: str,
     syllables is never conjugate into a factor).  The cyclic form is a
     normal form, so it is the representative as it stands, and
     cyclic_shorten has verified its conjugator."""
-    eng = _engine(p, profile, engine, None)
+    eng = _engine(p, profile, engine)
     res = eng.cyclic(w)
     alpha, a = res.output, res.conjugator
     if alpha == "":
@@ -196,11 +185,12 @@ def decide(p: RelativePresentation, profile: ConstantsProfile, u: str,
     """Full conjugacy decision: classify both words, reject class
     mismatches, then run the regime search picked by the larger cyclic
     relative length.  Positive answers carry a verified witness."""
-    eng = _engine(p, profile, engine, None)
+    eng = _engine(p, profile, engine)
     cu = eng.classification(u)
     cv = eng.classification(v)
-    lbar = max(eng.linear_rel(u), eng.linear_rel(v))
-    length = max(eng._cyc[u].cyclic_length, eng._cyc[v].cyclic_length)
+    ru, rv = eng.cyclic(u), eng.cyclic(v)
+    lbar = max(ru.linear_length, rv.linear_length)
+    length = max(ru.cyclic_length, rv.cyclic_length)
     phash = eng.profile_hash
 
     def negative(reason, regime=None):
@@ -212,8 +202,7 @@ def decide(p: RelativePresentation, profile: ConstantsProfile, u: str,
                           words.inverse(cv.conjugator))
         g = words.inverse(total)
         if not shortening.same_element(
-                p, words.mul(g, u, words.inverse(g)), v,
-                eng._cyc[v].normal_form, k=eng.k, trivial=eng.trivial):
+                p, words.mul(g, u, words.inverse(g)), v, rv.normal_form):
             raise RelconjError("conjugacy witness failed verification")
         return ConjugacyCertificate(u, v, "conjugate", g, None, regime,
                                     lbar, length, phash, True)
@@ -251,14 +240,13 @@ def search(p: RelativePresentation, profile: ConstantsProfile, u: str,
 
 
 def bounded_class(p: RelativePresentation, profile: ConstantsProfile,
-                  u: str, radius: int, engine=None, trivial=None) -> dict:
+                  u: str, radius: int, engine=None) -> dict:
     """Conjugates of u inside the Gamma-ball of the radius: canonical word
     -> verified witness."""
     from . import metric_oracle  # the ball oracle; no query path needs it
 
-    eng = _engine(p, profile, engine, trivial)
-    index = metric_oracle.ball(p, radius, trivial=trivial,
-                               budget=eng.profile.budget)
+    eng = _engine(p, profile, engine)
+    index = metric_oracle.ball(p, radius, budget=eng.profile.budget)
     out = {}
     for x in sorted(index.elements, key=p.shortlex_key):
         cert = decide(p, profile, u, x, engine=eng)

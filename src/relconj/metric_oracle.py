@@ -3,9 +3,9 @@
 Everything here is computed by exhaustive enumeration and is independent of
 the curve-shortening machinery, so it can verify it.  On a presentation
 without relators, equality of group elements is decided by the free-product
-normal form (words.normalize); with relators the caller must inject an
-independent ``trivial`` callable, otherwise queries raise
-:class:`OracleUnavailableError`.
+normal form (words.normalize) and a ``trivial`` argument is never read;
+with relators the caller must inject an independent ``trivial`` callable,
+otherwise queries raise :class:`OracleUnavailableError`.
 
 The coned-off graph is realized on a finite induced vertex set: the ordinary
 ball of a chosen radius, with an edge for every generator and an edge between
@@ -30,14 +30,15 @@ DEFAULT_BUDGET = 1_000_000
 
 
 def triviality_test(p: RelativePresentation, trivial=None):
-    """A word -> bool test for equality with the identity."""
-    if trivial is not None:
-        return trivial
+    """A word -> bool test for equality with the identity: the normal form
+    on a relator-free presentation, which never reads trivial, and trivial
+    with relators."""
     if p.is_free_product:
         return lambda w: words.normalize(p, w) == ""
-    raise OracleUnavailableError(
-        "presentation %r has relators; pass an explicit triviality test" % p.label
-    )
+    if trivial is None:
+        raise OracleUnavailableError("presentation %r has relators; pass an "
+                                     "explicit triviality test" % p.label)
+    return trivial
 
 
 def validate_relators(p: RelativePresentation, trivial=None):
@@ -57,11 +58,11 @@ def validate_relators(p: RelativePresentation, trivial=None):
 def normal_form(p: RelativePresentation, w: str, trivial=None, budget=None) -> str:
     """Canonical representative of the element of w.
 
-    Free products use the syllable normal form directly.  With relators the
-    representative is the shortlex-least geodesic found by ball search out
-    to the length of w.
+    Free products use the syllable normal form directly, without reading
+    trivial.  With relators the representative is the shortlex-least
+    geodesic found by ball search out to the length of w.
     """
-    if p.is_free_product and trivial is None:
+    if p.is_free_product:
         return words.normalize(p, w)
     w = words.normalize(p, w)
     index = ball(p, len(w), trivial=trivial, budget=budget)
@@ -92,7 +93,7 @@ class BallIndex:
 
     def find(self, p, w, trivial=None):
         """Canonical representative of w inside this ball, or None."""
-        if p.is_free_product and trivial is None:
+        if p.is_free_product:
             nf = words.normalize(p, w)
             return nf if nf in self.dist else None
         check = triviality_test(p, trivial)
@@ -110,7 +111,7 @@ def ball(p: RelativePresentation, r: int, trivial=None, budget=None) -> BallInde
     up to budget canonical words (BudgetExceededError beyond that);
     ball.cache_clear() frees them."""
     budget = DEFAULT_BUDGET if budget is None else budget
-    if p.is_free_product and trivial is None:
+    if p.is_free_product:
         dist = {"": 0}
         frontier = [""]
         for depth in range(1, r + 1):
@@ -147,7 +148,7 @@ def ball(p: RelativePresentation, r: int, trivial=None, budget=None) -> BallInde
 
 def gamma_length(p: RelativePresentation, w: str, trivial=None, budget=None) -> int:
     """Distance from the identity in the ordinary Cayley graph."""
-    if p.is_free_product and trivial is None:
+    if p.is_free_product:
         return len(words.normalize(p, w))
     nf = normal_form(p, w, trivial=trivial, budget=budget)
     return ball(p, len(words.normalize(p, w)), trivial, budget).dist[nf]
@@ -264,7 +265,7 @@ def relative_length(p: RelativePresentation, w: str, method="auto",
     ball of the normal form's length, which covers the straight path.
     """
     nf = words.normalize(p, w)
-    if method == "auto" and p.is_free_product and trivial is None:
+    if method == "auto" and p.is_free_product:
         return words.raw_relative_length(p, nf)
     graph = _coned_graph(p, max(1, len(nf)), trivial, budget)
     src = graph.vertex("", trivial)
@@ -298,7 +299,7 @@ def brute_conjugate(p: RelativePresentation, u: str, v: str, max_len: int,
                     trivial=None, budget=None):
     """Shortest g (shortlex ties) with g*u*g^-1 = v and |g| <= max_len."""
     index = ball(p, max_len, trivial=trivial, budget=budget)
-    if p.is_free_product and trivial is None:
+    if p.is_free_product:
         target = words.normalize(p, v)
         for g in sorted(index.dist, key=p.shortlex_key):
             if words.normalize(p, g + u + words.inverse(g)) == target:

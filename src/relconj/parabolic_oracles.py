@@ -37,7 +37,6 @@ from .presentation import (
     ParabolicDescriptor,
     cyclic_reduce,
     inverse,
-    inverse_letter,
 )
 
 
@@ -138,8 +137,8 @@ class FreeAbelianOracle(ParabolicOracle):
         self._signed = []  # (generator, its inverse) in declaration order
         for j, g in enumerate(descriptor.generators):
             self._index[g] = (j, 1)
-            self._index[inverse_letter(g)] = (j, -1)
-            self._signed.append((g, inverse_letter(g)))
+            self._index[INVERSE_LETTER[g]] = (j, -1)
+            self._signed.append((g, INVERSE_LETTER[g]))
         # signed generator powers in declaration order, at least one
         self.canonical_run = "(?=[%s])%s" % (
             "".join(descriptor.letters),
@@ -186,7 +185,7 @@ class FreeOracle(ParabolicOracle):
         super().__init__(descriptor)
         # a freely reduced run: no letter followed by its inverse
         self.canonical_run = "(?:%s)+" % "|".join(
-            "%s(?!%s)" % (c, inverse_letter(c)) for c in descriptor.letters)
+            "%s(?!%s)" % (c, INVERSE_LETTER[c]) for c in descriptor.letters)
 
     def push(self, state, run):
         if state is None:
@@ -227,7 +226,7 @@ class FreeOracle(ParabolicOracle):
             nxt = []
             for w in frontier:
                 for c in self.descriptor.letters:
-                    if w and w[-1] == inverse_letter(c):
+                    if w and w[-1] == INVERSE_LETTER[c]:
                         continue
                     nxt.append(w + c)
             out += nxt
@@ -254,7 +253,7 @@ class FiniteOracle(ParabolicOracle):
         self._elt = {}
         for j, g in enumerate(descriptor.generators):
             self._elt[g] = j + 1
-            self._elt[inverse_letter(g)] = inv[j + 1]
+            self._elt[INVERSE_LETTER[g]] = inv[j + 1]
         # every nontrivial element is spelled as one generator letter
         self.canonical_run = "[%s]" % "".join(descriptor.generators)
 

@@ -47,10 +47,6 @@ PARABOLIC_KINDS = ("free_abelian", "free", "finite")
 INVERSE_LETTER = {c: c.swapcase() for c in string.ascii_letters}
 
 
-def inverse_letter(c: str) -> str:
-    return c.upper() if c.islower() else c.lower()
-
-
 def inverse(w: str) -> str:
     return w.swapcase()[::-1]
 
@@ -95,7 +91,7 @@ class ParabolicDescriptor:
         out = []
         for g in self.generators:
             out.append(g)
-            out.append(inverse_letter(g))
+            out.append(INVERSE_LETTER[g])
         return tuple(out)
 
 
@@ -154,11 +150,11 @@ class RelativePresentation:
         kinds = {}
         for g in self.hyperbolic_generators:
             kinds[g] = HYPERBOLIC
-            kinds[inverse_letter(g)] = HYPERBOLIC
+            kinds[INVERSE_LETTER[g]] = HYPERBOLIC
         for par in self.parabolics:
             for g in par.generators:
                 kinds[g] = par.index
-                kinds[inverse_letter(g)] = par.index
+                kinds[INVERSE_LETTER[g]] = par.index
         return kinds
 
     @cached_property
@@ -193,7 +189,7 @@ class RelativePresentation:
         maximal run of hyperbolic letters is one block."""
         runs = ["[%s]+" % "".join(par.letters) for par in self.parabolics]
         hyperbolic = "".join(c for g in self.hyperbolic_generators
-                             for c in (g, inverse_letter(g)))
+                             for c in (g, INVERSE_LETTER[g]))
         if hyperbolic:
             runs.append("[%s]+" % hyperbolic)
         return re.compile("|".join(runs))
@@ -205,9 +201,9 @@ class RelativePresentation:
         inverse, and every maximal parabolic run spelled in its factor's
         geodesic form (the oracle's canonical_run).  Each position matches
         in at most one way, so the scan is linear in the word length."""
-        alts = ["%s(?!%s)" % (c, inverse_letter(c))
+        alts = ["%s(?!%s)" % (c, INVERSE_LETTER[c])
                 for g in self.hyperbolic_generators
-                for c in (g, inverse_letter(g))]
+                for c in (g, INVERSE_LETTER[g])]
         for orc in self.oracles.values():
             letters = "".join(orc.descriptor.letters)
             alts.append("(?:%s)(?![%s])" % (orc.canonical_run, letters))
@@ -219,7 +215,7 @@ class RelativePresentation:
         each lowercase letter just before its uppercase inverse."""
         order = []
         for g in self.hyperbolic_generators:
-            order += [g, inverse_letter(g)]
+            order += [g, INVERSE_LETTER[g]]
         for par in self.parabolics:
             order += list(par.letters)
         return {c: i for i, c in enumerate(order)}

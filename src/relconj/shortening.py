@@ -16,7 +16,9 @@ free-product normal form, which is a relative geodesic (alternating
 geodesic syllables admit no shortcut in a free product), so the window scan
 cannot fire and is skipped.  With relators the scan is the whole point and
 replacements come from the ball oracle, which needs an injected triviality
-test.
+test.  The presentation alone picks the path: every function here takes
+``trivial`` and reads it only with relators, so a relator-free presentation
+never calls it.
 
 Cyclic shortening without relators is one linear pass over the normal
 form of the word.  Cyclic reduction of a free-product normal form happens
@@ -49,9 +51,9 @@ from . import words
 from .errors import RelconjError
 from .presentation import HYPERBOLIC, INVERSE_LETTER, RelativePresentation
 
-# metric_oracle (the ball oracle) is imported inside the functions that run
-# only with relators or an injected triviality test, so that a query on a
-# relator-free presentation never loads it.
+# metric_oracle (the ball oracle) is imported inside the functions that
+# need it, none of which a query on a relator-free presentation runs, so
+# such a query never loads it.
 
 PARABOLIC_NORMALIZATION = "parabolic-normalization"
 TABLE_REPLACEMENT = "table-replacement"
@@ -115,41 +117,12 @@ def resolve_delta(p: RelativePresentation, tables=None, k=None) -> int:
 
 def find_violating_window(p, w, k, trivial=None):
     """Shortest, then leftmost, subword of relative length <= k that is not
-    a relative geodesic; None if every such window passes."""
-    n = len(w)
-    if p.is_free_product and trivial is None:
-        # A violating window in a free product always contains a hyperbolic
-        # cancellation or a non-geodesic piece of one parabolic run, and
-        # that piece is itself a smaller violating window, so the minimal
-        # window is of one of those two shapes.
-        oracles = p.oracles
-        best = None  # (span, start)
-        for i in range(n - 1):
-            if w[i + 1] == INVERSE_LETTER[w[i]] and (
-                    p.letter_kind[w[i]] != HYPERBOLIC or k >= 2):
-                best = (2, i)
-                break
-        for syl in words.raw_syllables(p, w):
-            if syl.kind == HYPERBOLIC:
-                continue
-            orc = oracles[syl.kind]
-            run = syl.word
-            limit = len(run) if best is None else best[0]
-            hit = None
-            for span in range(2, min(len(run), limit) + 1):
-                for s in range(len(run) - span + 1):
-                    if orc.length(run[s : s + span]) < span:
-                        hit = (span, syl.start + s)
-                        break
-                if hit is not None:
-                    break
-            if hit is not None and (best is None or hit < best):
-                best = hit
-        if best is None:
-            return None
-        return (best[1], best[1] + best[0])
+    a relative geodesic; None if every such window passes.  The paper's one
+    scan, every window tested against the ball oracle; shorten runs it only
+    with relators."""
     from . import metric_oracle
 
+    n = len(w)
     for span in range(2, n + 1):
         for i in range(0, n - span + 1):
             sub = w[i : i + span]
@@ -193,13 +166,13 @@ def shorten(p: RelativePresentation, w: str, tables=None, k=None,
             trivial=None) -> ShorteningResult:
     """Rewrite w to a relative (8*delta+1)-local geodesic for the same
     group element, logging every step.  Without relators the output is
-    the normal form words.normalize(p, w)."""
+    the normal form words.normalize(p, w) and trivial is never read."""
     p.check_word(w)
-    k = resolve_k(p, tables, k)
     steps = []
     out = _normalized(p, w, steps)
-    if p.is_free_product and trivial is None:
+    if p.is_free_product:
         return ShorteningResult(w, out, tuple(steps))
+    k = resolve_k(p, tables, k)
     guard = 4 * (len(w) + 1)
     while True:
         win = find_violating_window(p, out, k, trivial=trivial)
@@ -220,11 +193,11 @@ def word_problem(p: RelativePresentation, w: str, tables=None, k=None,
     """True iff w represents the identity.
 
     Relator-free presentations short-circuit through the component normal
-    form, which is shorten's output there, without building a step log.
-    Otherwise w is shortened and the output decided by
+    form, which is shorten's output there, without building a step log or
+    reading trivial.  Otherwise w is shortened and the output decided by
     shortened_is_trivial.
     """
-    if p.is_free_product and trivial is None:
+    if p.is_free_product:
         return words.normalize(p, w) == ""
     out = shorten(p, w, tables=tables, k=k, trivial=trivial).output
     return shortened_is_trivial(p, out, tables=tables, k=k, trivial=trivial)
@@ -233,13 +206,14 @@ def word_problem(p: RelativePresentation, w: str, tables=None, k=None,
 def shortened_is_trivial(p: RelativePresentation, out: str, tables=None,
                          k=None, trivial=None) -> bool:
     """The word problem for out, an output of shorten.  Empty is yes.
-    Without relators any other output is no: it is a nonempty normal form.
+    Without relators any other output is no: it is a nonempty normal form,
+    and trivial is not read.
     With relators an output of relative length > 2*delta is no (a nonempty
     local geodesic that long cannot close up), and the remaining short
     outputs go to the triviality oracle."""
     if out == "":
         return True
-    if p.is_free_product and trivial is None:
+    if p.is_free_product:
         return False
     if words.raw_relative_length(p, out) > 2 * resolve_delta(p, tables, k):
         return False
@@ -390,11 +364,11 @@ def cyclic_shorten(p: RelativePresentation, w: str, tables=None, k=None,
     """Conjugacy normal form: a cyclic relative (8*delta+1)-local geodesic
     alpha and a conjugator a with lab(alpha) = a^-1 * w * a.  Without
     relators alpha is the canonical cyclic form of the module docstring,
-    found in one linear pass, and iterations counts the end-run merges.
-    With relators exceeding L-bar + 1 iterations (L-bar the relative length
-    of the first shortened form) means the constants profile is
-    inconsistent with the presentation (e.g. torsion with too small a
-    delta) and raises."""
+    found in one linear pass, iterations counts the end-run merges, and
+    neither k nor trivial is read.  With relators exceeding L-bar + 1
+    iterations (L-bar the relative length of the first shortened form)
+    means the constants profile is inconsistent with the presentation
+    (e.g. torsion with too small a delta) and raises."""
     p.check_word(w)
     nf = linear_length = None
     if p.is_free_product:
@@ -418,10 +392,10 @@ def same_element(p: RelativePresentation, x: str, w: str, nf: str,
                  tables=None, k=None, trivial=None) -> bool:
     """Whether the word x equals the word w in G, the check behind
     every witness.  nf is the normal form of w, None with relators.  On a
-    relator-free presentation with no triviality test this is
-    normalize(x) == nf, the decision word_problem(x * w^-1) makes there;
-    otherwise it is that word problem."""
-    if p.is_free_product and trivial is None:
+    relator-free presentation this is normalize(x) == nf, the decision
+    word_problem(x * w^-1) makes there, and trivial is not read; with
+    relators it is that word problem."""
+    if p.is_free_product:
         return words.normalize(p, x) == nf
     return word_problem(p, words.mul(x, words.inverse(w)), tables=tables,
                         k=k, trivial=trivial)

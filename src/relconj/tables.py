@@ -29,7 +29,7 @@ import struct
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
-from . import shortening, words
+from . import shortening
 from .errors import (
     BudgetExceededError,
     OracleUnavailableError,
@@ -37,6 +37,7 @@ from .errors import (
 )
 from .presentation import (
     HYPERBOLIC,
+    INVERSE_LETTER,
     RelativePresentation,
     presentation_hash,
 )
@@ -120,31 +121,31 @@ class FilteredBall(NamedTuple):
 def enumerate_filtered_ball(p: RelativePresentation, r1: int, r2: int,
                             budget=None, label="filtered ball") -> FilteredBall:
     """Exhaustive B(r1, r2) for a relator-free presentation, one canonical
-    word per group element (alternating syllables, canonical run forms)."""
+    word per group element (alternating syllables, canonical run forms),
+    built one relative length at a time."""
     check_relator_free(p)
     budget = 1_000_000 if budget is None else budget
-    oracles = p.oracles
-    hyp = [c for c in p.alphabet if p.letter_kind[c] == HYPERBOLIC]
-    par = {i: [w for w in orc.ball(r2) if w] for i, orc in oracles.items()}
-    members = []
-
-    def extend(w, last_kind, last_letter, rel):
-        members.append(w)
-        if len(members) > budget:
-            raise BudgetExceededError(label, budget)
-        if rel == r1:
-            return
-        for c in hyp:
-            if last_kind == HYPERBOLIC and c == words.inverse(last_letter):
-                continue
-            extend(w + c, HYPERBOLIC, c, rel + 1)
-        for i, elts in par.items():
-            if last_kind == i:
-                continue
-            for q in elts:
-                extend(w + q, i, None, rel + 1)
-
-    extend("", None, None, 0)
+    kind_of = p.letter_kind
+    hyp = [c for c in p.alphabet if kind_of[c] == HYPERBOLIC]
+    par = {i: [w for w in orc.ball(r2) if w] for i, orc in p.oracles.items()}
+    members = [""]
+    level = [""]  # the members of the last relative length
+    for _ in range(r1):
+        nxt = []
+        for w in level:
+            last = kind_of[w[-1]] if w else None
+            for c in hyp:
+                if last != HYPERBOLIC or c != INVERSE_LETTER[w[-1]]:
+                    nxt.append(w + c)
+            for i, elts in par.items():
+                if i != last:
+                    nxt += [w + q for q in elts]
+            if len(members) + len(nxt) > budget:
+                raise BudgetExceededError(label, budget)
+        members += nxt
+        level = nxt
+    if len(members) > budget:
+        raise BudgetExceededError(label, budget)
     return FilteredBall(r1, r2, frozenset(members))
 
 
@@ -234,7 +235,11 @@ def _encode(tables: PrecomputedTables) -> bytes:
     out = [_MAGIC]
 
     def u32(*values):
-        out.append(struct.pack("<%dI" % len(values), *values))
+        try:
+            out.append(struct.pack("<%dI" % len(values), *values))
+        except struct.error:
+            raise RelconjError("a tables count in %r does not fit the cache's "
+                               "u32 fields" % (values,))
 
     def text(*strings):
         for s in strings:
@@ -287,10 +292,11 @@ def save_tables(path, tables: PrecomputedTables):
     """Write the cache atomically: a temporary file beside path, then a
     rename over it, so readers never see a partial cache."""
     path = os.fspath(path)
+    data = _encode(tables)
     tmp = "%s.%d.tmp" % (path, os.getpid())
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_encode(tables))
+            fh.write(data)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

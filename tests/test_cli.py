@@ -153,6 +153,20 @@ def test_profile_override_file(capsys, paths, tmp_path):
     assert "size_l3=5" in out
 
 
+def test_precompute_deep_filtered_ball(capsys, tmp_path):
+    # B(4*delta, 2*c3) of a one-letter group has 2*4*delta+1 members, one
+    # per relative length and sign: delta=300 reaches length 1200
+    pres = tmp_path / "z.txt"
+    pres.write_text("group z\nhyperbolic a\n")
+    prof = tmp_path / "d300.prof"
+    prof.write_text("delta=300\n")
+    code, out, _ = run(capsys, ["precompute", os.fspath(pres),
+                                "--profile", os.fspath(prof)])
+    assert code == 0
+    assert out.startswith("status=ok\n")
+    assert "k_hyp_4delta=11529602\n" in out  # 2401 members * (16*300+2)
+
+
 def test_profile_override_parse_error(capsys, paths, tmp_path):
     prof = tmp_path / "bad.prof"
     prof.write_text("r9: 1\n")

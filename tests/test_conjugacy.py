@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import THREE_TEXT, c5_trivial
+from conftest import THREE_TEXT
 from relconj import conjugacy as cj, metric_oracle as mo, shortening as sh, tables as tb, words
 from relconj.errors import (
     NotConjugateError,
@@ -119,13 +119,13 @@ def test_decide_reads_only_the_profile(pG2, tG2):
 
 
 def test_engine_refuses_relators(pC5):
-    # cyclic forms are canonical only in a free product, so a triviality
-    # test does not let the engine run on relators
+    # cyclic forms are canonical only in a free product, so the engine
+    # refuses relators and takes no triviality test
     prof = tb.profile_for(pC5)
     with pytest.raises(OracleUnavailableError, match="relators get no tables"):
         cj.decide(pC5, prof, "a", "aaaaaa")
     with pytest.raises(OracleUnavailableError, match="relators get no tables"):
-        cj.bounded_class(pC5, prof, "a", 2, trivial=c5_trivial)
+        cj.bounded_class(pC5, prof, "a", 2)
 
 
 def test_decide_parabolic_pairs(pG2, tG2):
@@ -305,7 +305,7 @@ def test_linear_rel_is_the_shortened_relative_length(pF, tF, pG2, tG2, pZC2,
         eng = cj.ConjugacyEngine(p, t)
         for _ in range(400):
             w = rand_word(p, rng, 20)
-            assert eng.linear_rel(w) == words.raw_relative_length(
+            assert eng.cyclic(w).linear_length == words.raw_relative_length(
                 p, sh.shorten(p, w).output)
 
 

@@ -4,7 +4,7 @@ from conftest import F_TEXT, G2_TEXT, ZC2_TEXT, C5_TEXT
 from relconj.errors import ParseError, UnknownLetterError
 from relconj.presentation import (
     HYPERBOLIC,
-    inverse_letter,
+    INVERSE_LETTER,
     parse_presentation,
     presentation_hash,
     serialize_presentation,
@@ -12,8 +12,8 @@ from relconj.presentation import (
 
 
 def test_inverse_letter():
-    assert inverse_letter("a") == "A"
-    assert inverse_letter("X") == "x"
+    assert INVERSE_LETTER["a"] == "A"
+    assert INVERSE_LETTER["X"] == "x"
 
 
 def test_parse_free_group(pF):

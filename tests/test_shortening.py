@@ -72,6 +72,27 @@ def test_is_local_geodesic(pG2):
     assert not sh.is_cyclic_local_geodesic(pG2, "axA", 9)
 
 
+def test_relator_free_presentations_never_read_trivial(pG2):
+    # without relators the normal form decides every question, so an
+    # injected triviality test changes no answer and is never called
+    def refuse(w):
+        raise AssertionError("triviality test called on %r" % w)
+
+    rng = random.Random(41)
+    for w in ["", "axXA", "xyXY", "axA"] + [rand_word(pG2, rng, 1, 10)
+                                            for _ in range(60)]:
+        assert sh.shorten(pG2, w, trivial=refuse) == sh.shorten(pG2, w)
+        assert sh.word_problem(pG2, w, trivial=refuse) == \
+            sh.word_problem(pG2, w)
+        assert sh.cyclic_shorten(pG2, w, trivial=refuse) == \
+            sh.cyclic_shorten(pG2, w)
+        assert mo.normal_form(pG2, w, trivial=refuse) == mo.normal_form(pG2, w)
+    assert mo.ball(pG2, 2, trivial=refuse).dist == mo.ball(pG2, 2).dist
+    for u, v in (("x", "axA"), ("x", "y"), ("axyA", "yx")):
+        assert mo.brute_conjugate(pG2, u, v, 2, trivial=refuse) == \
+            mo.brute_conjugate(pG2, u, v, 2)
+
+
 def test_shorten_free_product_reaches_geodesic_length(pG2):
     # phase one is the normal form, letter for letter
     rng = random.Random(14)

@@ -142,6 +142,15 @@ def test_save_load_round_trip(tmp_path, pG2, tG2, pF):
     assert tb.load_tables(path, pG2, tb.profile_for(pG2)).sizes() == tG2.sizes()
 
 
+def test_save_refuses_counts_past_u32(tmp_path, tG2):
+    big = tb.PrecomputedTables(tG2.p_hash, tG2.profile, tG2.l3, tG2.k_i,
+                               2 ** 32, tG2.k_4delta)
+    path = tmp_path / "big.tables"
+    with pytest.raises(RelconjError, match="u32"):
+        tb.save_tables(path, big)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_load_rejects_damaged_caches(tmp_path, pG2, tG2):
     path = tmp_path / "g2.tables"
     tb.save_tables(path, tG2)
