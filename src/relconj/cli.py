@@ -86,11 +86,10 @@ def _setup(presentation_path, profile_path):
 
 
 def cmd_wp(presentation_path, word, profile_path=None) -> CommandResult:
-    p, profile = _setup(presentation_path, profile_path)
-    res = shortening.shorten(p, word, k=profile.k)
-    trivial = shortening.shortened_is_trivial(p, res.output, k=profile.k)
+    p, _ = _setup(presentation_path, profile_path)
+    res = shortening.shorten(p, word)
     return CommandResult("ok", {
-        "trivial": trivial,
+        "trivial": res.output == "",
         "shortened": res.output,
         "steps": len(res.steps),
     })
@@ -152,6 +151,10 @@ def cmd_crosscheck(presentation_path, max_word_length, profile_path=None,
     command that loads the ball oracle (metric_oracle)."""
     from . import metric_oracle
 
+    if max_word_length < 0:
+        raise ParseError("maxlen must be nonnegative")
+    if sample is not None and sample < 1:
+        raise ParseError("--sample must be at least 1")
     p, profile = _setup(presentation_path, profile_path)
     engine = conjugacy.ConjugacyEngine(p, profile)
     index = metric_oracle.ball(p, max_word_length, budget=profile.budget)
@@ -177,7 +180,7 @@ def cmd_crosscheck(presentation_path, max_word_length, profile_path=None,
             mismatches += 1
             if counterexample is None:
                 counterexample = "%s|%s" % (u, v)
-    agreement = 1.0 if not pairs else 1.0 - mismatches / len(pairs)
+    agreement = 1.0 - mismatches / len(pairs)  # the ball holds the identity
     return CommandResult("ok", {
         "elements": n,
         "pairs": len(pairs),

@@ -29,8 +29,10 @@ class BudgetExceededError(RelconjError):
 
 
 class OracleUnavailableError(RelconjError):
-    """Ground-truth queries on a presentation with relators need an
-    explicit triviality test; none was provided."""
+    """A presentation with relators lacks what a query needs: a Dehn table
+    (a relator uses a parabolic letter, or the relators fail C'(1/6)), the
+    tables and conjugacy engine that only relator-free presentations get,
+    or an explicit triviality test for the ball oracle."""
 
 
 class NotConjugateError(RelconjError):

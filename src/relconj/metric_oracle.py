@@ -20,13 +20,26 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from . import words
 from .errors import BudgetExceededError, OracleUnavailableError, RelconjError
 from .presentation import HYPERBOLIC, INVERSE_LETTER, RelativePresentation
 
 DEFAULT_BUDGET = 1_000_000
+
+
+def _cached(maxsize):
+    """lru_cache for f(p, x, trivial=None, budget=None) keyed on trivial
+    only with relators, the only presentations that read it, so that no
+    ball is held twice; f.cache_clear() frees the entries."""
+    def decorate(f):
+        cached = lru_cache(maxsize)(f)
+        call = wraps(f)(lambda p, x, trivial=None, budget=None: cached(
+            p, x, None if p.is_free_product else trivial, budget))
+        call.cache_clear, call.cache_info = cached.cache_clear, cached.cache_info
+        return call
+    return decorate
 
 
 def triviality_test(p: RelativePresentation, trivial=None):
@@ -103,13 +116,13 @@ class BallIndex:
         return None
 
 
-@lru_cache(maxsize=128)
+@_cached(128)
 def ball(p: RelativePresentation, r: int, trivial=None, budget=None) -> BallIndex:
     """Breadth-first ball of radius r; distances are exact word lengths.
 
-    Cached per (p, r, trivial, budget), at most 128 entries, each holding
-    up to budget canonical words (BudgetExceededError beyond that);
-    ball.cache_clear() frees them."""
+    Cached per (p, r, budget), and trivial with relators, at most 128
+    entries, each holding up to budget canonical words
+    (BudgetExceededError beyond that); ball.cache_clear() frees them."""
     budget = DEFAULT_BUDGET if budget is None else budget
     if p.is_free_product:
         dist = {"": 0}
@@ -245,12 +258,13 @@ class ConedGraph:
         return out
 
 
-@lru_cache(maxsize=64)
+@_cached(64)
 def _coned_graph(p, radius, trivial=None, budget=None) -> ConedGraph:
     """The coned-off graph on the ball of the radius, cached per (p,
-    radius, trivial, budget): at most 64 graphs, each over up to budget
-    vertices with their generator edges and coset cliques (and it keeps
-    the cached ball alive); _coned_graph.cache_clear() frees them."""
+    radius, budget), and trivial with relators: at most 64 graphs, each
+    over up to budget vertices with their generator edges and coset
+    cliques (and it keeps the cached ball alive); _coned_graph.cache_clear()
+    frees them."""
     return ConedGraph(p, radius, trivial=trivial, budget=budget)
 
 
@@ -312,7 +326,7 @@ def brute_conjugate(p: RelativePresentation, u: str, v: str, max_len: int,
     return None
 
 
-@lru_cache(maxsize=32)
+@_cached(32)
 def conjugacy_classes(p: RelativePresentation, radius: int, trivial=None,
                       budget=None) -> dict:
     """Partition of the ball of a radius into conjugacy classes by closing
@@ -324,8 +338,9 @@ def conjugacy_classes(p: RelativePresentation, radius: int, trivial=None,
     never grows), so the whole chain stays inside the ball.  Returns a map
     from canonical word to its class representative (shortlex least).
 
-    Cached per (p, radius, trivial, budget), at most 32 maps, each of up to
-    budget words; conjugacy_classes.cache_clear() frees them.
+    Cached per (p, radius, budget), and trivial with relators, at most 32
+    maps, each of up to budget words; conjugacy_classes.cache_clear() frees
+    them.
     """
     index = ball(p, radius, trivial=trivial, budget=budget)
     parent = {v: v for v in index.dist}

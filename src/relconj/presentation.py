@@ -15,6 +15,10 @@ File format (blank lines and ``#`` comments are ignored)::
     relator <word>            # optional, repeatable
     constants delta=1 c2=2    # optional working-constant overrides
 
+Parsing accepts relators over any declared letters, but the word problem
+with relators (Dehn's algorithm, see dehn_table) needs them over the
+hyperbolic letters and satisfying C'(1/6).
+
 A ``finite`` block carries the full multiplication table of the subgroup,
 one ``table`` row per element.  Element 0 is the identity and element j >= 1
 is the j-th declared letter, so the generating set is all nontrivial
@@ -33,8 +37,9 @@ import re
 import string
 from dataclasses import dataclass, field
 from functools import cached_property
+from os.path import commonprefix
 
-from .errors import ParseError, UnknownLetterError
+from .errors import OracleUnavailableError, ParseError, UnknownLetterError
 
 HYPERBOLIC = "hyp"
 
@@ -143,10 +148,12 @@ class RelativePresentation:
             if not r:
                 raise ParseError("empty relator")
             for c in r:
-                if c not in self._letter_kind_static():
+                if c not in self.letter_kind:
                     raise UnknownLetterError("relator %r uses unknown letter %r" % (r, c))
 
-    def _letter_kind_static(self):
+    @cached_property
+    def letter_kind(self) -> dict:
+        """Map letter -> HYPERBOLIC or 1-based parabolic index (both cases)."""
         kinds = {}
         for g in self.hyperbolic_generators:
             kinds[g] = HYPERBOLIC
@@ -156,11 +163,6 @@ class RelativePresentation:
                 kinds[g] = par.index
                 kinds[INVERSE_LETTER[g]] = par.index
         return kinds
-
-    @cached_property
-    def letter_kind(self) -> dict:
-        """Map letter -> HYPERBOLIC or 1-based parabolic index (both cases)."""
-        return self._letter_kind_static()
 
     @cached_property
     def oracles(self) -> dict:
@@ -208,6 +210,48 @@ class RelativePresentation:
             letters = "".join(orc.descriptor.letters)
             alts.append("(?:%s)(?![%s])" % (orc.canonical_run, letters))
         return re.compile("(?:%s)*" % "|".join(alts))
+
+    @cached_property
+    def dehn_table(self):
+        """Dehn's algorithm for the relators (Lyndon-Schupp V.4): the map
+        u -> v^-1, the shortest winning, for every r = u*v among the
+        rotations of each cyclically reduced relator and its inverse with
+        |u| > |r|/2, and the key lengths in ascending order.  Under C'(1/6),
+        where every piece (a common prefix of two of those rotations) is
+        shorter than a sixth of its relator, a nonempty freely reduced word
+        with no key in it is nontrivial (Greendlinger's lemma).  Built on
+        first use; a relator over a parabolic letter or a failure of
+        C'(1/6) raises OracleUnavailableError."""
+        from .words import free_reduce  # that module imports this one
+
+        symmetrized = set()
+        for r in self.relators:
+            for c in r:
+                if self.letter_kind[c] != HYPERBOLIC:
+                    raise OracleUnavailableError(
+                        "relator %r uses the parabolic letter %r; Dehn tables "
+                        "need relators over hyperbolic letters" % (r, c))
+            r = cyclic_reduce(free_reduce(r))[0]
+            for s in (r, inverse(r)):
+                symmetrized.update(s[i:] + s[:i] for i in range(len(s)))
+        rels = sorted(symmetrized)
+        worst = ""  # the longest piece of a relator that fails C'(1/6)
+        for a, b in zip(rels, rels[1:]):  # neighbours share the longest pieces
+            piece, r = commonprefix([a, b]), min(a, b, key=len)
+            if 6 * len(piece) >= len(r) and len(piece) > len(worst):
+                worst, relator = piece, r
+        if worst:
+            raise OracleUnavailableError(
+                "presentation %r is not C'(1/6): the piece %r has %d of the %d "
+                "letters of relator %r" % (self.label, worst, len(worst),
+                                           len(relator), relator))
+        table = {}
+        for r in rels:
+            for m in range(len(r) // 2 + 1, len(r) + 1):
+                rep = inverse(r[m:])
+                if len(rep) < len(table.get(r[:m], r)):
+                    table[r[:m]] = rep
+        return table, tuple(sorted({len(u) for u in table}))
 
     @cached_property
     def letter_rank(self) -> dict:

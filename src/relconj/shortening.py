@@ -5,20 +5,21 @@ The linear procedure has two phases.  Phase one is the component normal
 form (words.normalize): one left-to-right pass of free reduction in which
 every maximal parabolic run is respelled in its canonical geodesic form and
 trivial runs drop out, merging the newly adjacent neighbors.  Phase two
-repeatedly locates a minimal violating window - a subword of relative
-length at most k = 8*delta+1 that is not a relative geodesic - splices in a
-geodesic word with the same endpoints and renormalizes.  Every step is an
-equality in the group; phase one never lengthens the word and a splice
-strictly decreases (relative length, Gamma-length) lexicographically.
+rewrites bounded windows with replacements from a table computed once.
+Every step is an equality in the group, and neither phase lengthens the
+word.
 
 On a presentation without relators phase one alone produces the
 free-product normal form, which is a relative geodesic (alternating
-geodesic syllables admit no shortcut in a free product), so the window scan
-cannot fire and is skipped.  With relators the scan is the whole point and
-replacements come from the ball oracle, which needs an injected triviality
-test.  The presentation alone picks the path: every function here takes
-``trivial`` and reads it only with relators, so a relator-free presentation
-never calls it.
+geodesic syllables admit no shortcut in a free product), so there is no
+phase two.  With relators, which must be words in the hyperbolic letters,
+G is the free product of <hyperbolic letters | relators> with the
+parabolics, and phase two is Dehn's algorithm on the hyperbolic blocks
+(RelativePresentation.dehn_table): one stack pass that looks the block's
+suffixes up after each pushed letter and pushes the replacement of a hit
+back onto the input.  Each hit shortens the word, so the pass is linear;
+under C'(1/6) its Dehn-reduced output, not necessarily a local geodesic,
+is empty exactly for the identity (Greendlinger, Lyndon-Schupp V.4).
 
 Cyclic shortening without relators is one linear pass over the normal
 form of the word.  Cyclic reduction of a free-product normal form happens
@@ -35,12 +36,12 @@ syllable sequences are rotations of each other, so two elements of two or
 more syllables are conjugate exactly when their cyclic forms are equal
 strings.
 
-With relators cyclic shortening follows the doubled-word iteration: reduce
-cyclically, shorten, then while rho o rho has a violating window crossing
-the seam, split rho = eta o mid o nu, replace nu o eta by a geodesic,
-absorb lab(eta) into the running conjugator and re-shorten, at most
-L-bar + 1 times.  The result alpha satisfies lab(alpha) = a^-1 * u * a and
-alpha o alpha passes the window check.
+With relators cyclic shortening is cyclic Dehn reduction: the shortened
+word is cyclically reduced, rotated to put a window across its ends that
+the table rewrites (or its last parabolic run, when both ends are runs of
+one factor) at the front, and shortened again, until neither is left.
+Each rotation takes off a letter or, merging two runs, a syllable, and
+adds neither, so the loop ends.
 """
 
 from __future__ import annotations
@@ -50,10 +51,6 @@ from typing import NamedTuple
 from . import words
 from .errors import RelconjError
 from .presentation import HYPERBOLIC, INVERSE_LETTER, RelativePresentation
-
-# metric_oracle (the ball oracle) is imported inside the functions that
-# need it, none of which a query on a relator-free presentation runs, so
-# such a query never loads it.
 
 PARABOLIC_NORMALIZATION = "parabolic-normalization"
 TABLE_REPLACEMENT = "table-replacement"
@@ -97,29 +94,11 @@ class CyclicShorteningResult(NamedTuple):
     normal_form: str = None
 
 
-def resolve_k(p: RelativePresentation, tables=None, k=None) -> int:
-    """Window bound 8*delta+1; explicit k wins, then the tables' profile,
-    then the presentation's constants block, then delta = 1."""
-    if k is not None:
-        return k
-    if tables is not None:
-        return tables.profile.k
-    return 8 * dict(p.constants).get("delta", 1) + 1
-
-
-def resolve_delta(p: RelativePresentation, tables=None, k=None) -> int:
-    if k is not None:
-        return (k - 1) // 8
-    if tables is not None:
-        return tables.profile.delta
-    return dict(p.constants).get("delta", 1)
-
-
-def find_violating_window(p, w, k, trivial=None):
+def find_violating_window(p, w, k):
     """Shortest, then leftmost, subword of relative length <= k that is not
-    a relative geodesic; None if every such window passes.  The paper's one
-    scan, every window tested against the ball oracle; shorten runs it only
-    with relators."""
+    a relative geodesic; None if every such window passes.  The paper's
+    generic scan, every window tested against the ball oracle: the
+    reference check of local geodesics, which no query runs."""
     from . import metric_oracle
 
     n = len(w)
@@ -128,98 +107,97 @@ def find_violating_window(p, w, k, trivial=None):
             sub = w[i : i + span]
             if words.raw_relative_length(p, sub) > k:
                 continue
-            if not metric_oracle.is_relative_geodesic(p, sub, trivial=trivial):
+            if not metric_oracle.is_relative_geodesic(p, sub):
                 return (i, i + span)
     return None
 
 
-def is_local_geodesic(p, w, k, trivial=None) -> bool:
+def is_local_geodesic(p, w, k) -> bool:
     """Every subword of relative length <= k is a relative geodesic."""
-    return find_violating_window(p, w, k, trivial=trivial) is None
+    return find_violating_window(p, w, k) is None
 
 
-def is_cyclic_local_geodesic(p, w, k, trivial=None) -> bool:
+def is_cyclic_local_geodesic(p, w, k) -> bool:
     if w == "":
         return True
     if not words.is_cyclically_reduced(w):
         return False
-    return is_local_geodesic(p, w + w, k, trivial=trivial)
+    return is_local_geodesic(p, w + w, k)
 
 
-def _geodesic_rep(p, sub, trivial):
-    """Relative geodesic word with the same endpoints as sub: the canonical
-    representative from the ball oracle."""
-    from . import metric_oracle
-
-    return metric_oracle.normal_form(p, sub, trivial=trivial)
-
-
-def _normalized(p, w, steps):
-    """Phase one: the component normal form of w, logged as one step."""
-    nf = words.normalize(p, w)
-    if nf != w:
-        steps.append(ShorteningStep(0, len(w), w, nf, PARABOLIC_NORMALIZATION))
-    return nf
+def _logged(steps, before, after, justification):
+    """after, with one step from before to it logged when they differ."""
+    if after != before:
+        steps.append(ShorteningStep(0, len(before), before, after,
+                                    justification))
+    return after
 
 
-def shorten(p: RelativePresentation, w: str, tables=None, k=None,
-            trivial=None) -> ShorteningResult:
-    """Rewrite w to a relative (8*delta+1)-local geodesic for the same
-    group element, logging every step.  Without relators the output is
-    the normal form words.normalize(p, w) and trivial is never read."""
+def _dehn_reduced(p, w):
+    """Phase two: one stack pass of Dehn's algorithm over the normal form
+    w, with parabolic runs folded as in words.normalize."""
+    table, lengths = p.dehn_table
+    window = lengths[-1] if lengths else 0
+    oracles = p.oracles
+    kind_of = p.letter_kind
+    inv = INVERSE_LETTER
+    todo = []  # the input still to push, next token last
+    for block in reversed(p.block_pattern.findall(w)):
+        todo += reversed(block) if kind_of[block[0]] == HYPERBOLIC else [block]
+    # entries: a hyperbolic letter, or a parabolic run as [index, state,
+    # length of the hyperbolic block below it]
+    stack = []
+    hyp = 0  # length of the hyperbolic block on top of the stack
+    while todo:
+        tok = todo.pop()
+        kind = kind_of[tok[0]]
+        if kind != HYPERBOLIC:
+            top = stack[-1] if stack else None
+            if top.__class__ is list and top[0] == kind:
+                top[1] = oracles[kind].push(top[1], tok)
+                if top[1] is None:
+                    hyp = stack.pop()[2]
+            else:  # a run of the normal form w, so not trivial
+                stack.append([kind, oracles[kind].push(None, tok), hyp])
+                hyp = 0
+        elif hyp and stack[-1] == inv[tok]:
+            stack.pop()
+            hyp -= 1
+        else:
+            stack.append(tok)
+            hyp += 1
+            tail = "".join(stack[len(stack) - min(hyp, window):])
+            for m in lengths:
+                rep = table.get(tail[-m:]) if m <= hyp else None
+                if rep is not None:
+                    del stack[-m:]
+                    hyp -= m
+                    todo += reversed(rep)
+                    break
+    return "".join(e if e.__class__ is str else oracles[e[0]].state_word(e[1])
+                   for e in stack)
+
+
+def shorten(p: RelativePresentation, w: str) -> ShorteningResult:
+    """Rewrite w to a shorter word for the same group element, logging
+    every step: the normal form words.normalize(p, w) without relators, and
+    its Dehn reduction, logged as one more step, with them."""
     p.check_word(w)
     steps = []
-    out = _normalized(p, w, steps)
-    if p.is_free_product:
-        return ShorteningResult(w, out, tuple(steps))
-    k = resolve_k(p, tables, k)
-    guard = 4 * (len(w) + 1)
-    while True:
-        win = find_violating_window(p, out, k, trivial=trivial)
-        if win is None:
-            break
-        i, j = win
-        rep = _geodesic_rep(p, out[i:j], trivial)
-        steps.append(ShorteningStep(i, j, out[i:j], rep, TABLE_REPLACEMENT))
-        out = _normalized(p, out[:i] + rep + out[j:], steps)
-        guard -= 1
-        if guard <= 0:
-            raise RelconjError("window replacement did not stabilize")
+    out = _logged(steps, w, words.normalize(p, w), PARABOLIC_NORMALIZATION)
+    if not p.is_free_product:
+        out = _logged(steps, out, _dehn_reduced(p, out), TABLE_REPLACEMENT)
     return ShorteningResult(w, out, tuple(steps))
 
 
-def word_problem(p: RelativePresentation, w: str, tables=None, k=None,
-                 trivial=None) -> bool:
-    """True iff w represents the identity.
-
+def word_problem(p: RelativePresentation, w: str, tables=None) -> bool:
+    """True iff w represents the identity: its shortening is empty.
     Relator-free presentations short-circuit through the component normal
-    form, which is shorten's output there, without building a step log or
-    reading trivial.  Otherwise w is shortened and the output decided by
-    shortened_is_trivial.
-    """
+    form, which is shorten's output there, without building a step log.
+    tables is accepted and not read."""
     if p.is_free_product:
         return words.normalize(p, w) == ""
-    out = shorten(p, w, tables=tables, k=k, trivial=trivial).output
-    return shortened_is_trivial(p, out, tables=tables, k=k, trivial=trivial)
-
-
-def shortened_is_trivial(p: RelativePresentation, out: str, tables=None,
-                         k=None, trivial=None) -> bool:
-    """The word problem for out, an output of shorten.  Empty is yes.
-    Without relators any other output is no: it is a nonempty normal form,
-    and trivial is not read.
-    With relators an output of relative length > 2*delta is no (a nonempty
-    local geodesic that long cannot close up), and the remaining short
-    outputs go to the triviality oracle."""
-    if out == "":
-        return True
-    if p.is_free_product:
-        return False
-    if words.raw_relative_length(p, out) > 2 * resolve_delta(p, tables, k):
-        return False
-    from . import metric_oracle
-
-    return metric_oracle.triviality_test(p, trivial)(out)
+    return shorten(p, w).output == ""
 
 
 def least_rotation(seq) -> int:
@@ -292,83 +270,40 @@ def _syllable_cyclic_form(p, nf, syls):
     return alpha, conj, len(core), len(steps), steps
 
 
-def _doubled_word_form(p, w, tables, k, trivial):
-    """The doubled-word iteration of the module docstring: (alpha, a,
-    iterations, steps)."""
-    k = resolve_k(p, tables, k)
-    steps = []
-    conj = ""
-
-    def reduce_and_shorten(word):
-        nonlocal conj
-        while True:
-            core, pre = words.cyclic_reduce(words.free_reduce(word))
-            conj = words.mul(conj, pre)
-            res = shorten(p, core, tables=tables, k=k, trivial=trivial)
-            steps.extend(res.steps)
-            if words.is_cyclically_reduced(res.output):
-                return res.output
-            word = res.output
-
-    rho = reduce_and_shorten(w)
-    lbar = max(1, words.raw_relative_length(p, rho))
-    iterations = 0
-    while rho:
-        if words.raw_relative_length(p, rho) <= 1:
-            # One syllable is cyclically canonical already: a lone letter or
-            # a geodesic run inside one factor.  A doubled-word violation
-            # here only signals torsion in the factor, not a shorter form.
-            break
-        syls = words.raw_syllables(p, rho)
-        first, last = syls[0], syls[-1]
-        if first.kind != HYPERBOLIC and first.kind == last.kind:
-            # wrap-around runs in the same factor: merge the whole component
-            # across the seam in one pass, so the relative length drops by
-            # one per iteration instead of a couple of letters per window
-            iterations += 1
-            eta, mid, nu = first.word, rho[first.end:last.start], last.word
-            rep = _geodesic_rep(p, nu + eta, trivial)
-            steps.append(ShorteningStep(last.start, len(rho) + len(eta),
-                                        nu + eta, rep, TABLE_REPLACEMENT))
-            conj = words.mul(conj, eta)
-            rho = reduce_and_shorten(mid + rep)
-            continue
-        win = find_violating_window(p, rho + rho, k, trivial=trivial)
-        if win is None:
-            break
+def _dehn_cyclic_form(p, w):
+    """Cyclic Dehn reduction of the module docstring: (rho, a, syllable
+    count of rho, iterations, steps) with lab(rho) = a^-1 * w * a."""
+    table, lengths = p.dehn_table
+    kind_of = p.letter_kind
+    res = shorten(p, w)
+    steps, conj, iterations = list(res.steps), "", 0
+    while True:
+        rho, pre = words.cyclic_reduce(res.output)
+        conj += pre
+        n, doubled = len(rho), rho + rho
+        # cuts whose rotation rho[cut:] + rho[:cut] shortens: the starts of
+        # the windows across the ends that the table rewrites, and of the
+        # last run when both ends are runs of one factor
+        cuts = [cut for m in lengths if m <= n for cut in range(n - m + 1, n)
+                if doubled[cut : cut + m] in table]
+        syls = p.syllable_pattern.findall(rho)
+        if len(syls) > 1 and HYPERBOLIC != kind_of[rho[0]] == kind_of[rho[-1]]:
+            cuts.append(n - len(syls[-1]))
+        if not cuts:
+            return rho, words.free_reduce(conj), len(syls), iterations, steps
         iterations += 1
-        if iterations > lbar:
-            raise RelconjError(
-                "cyclic shortening exceeded %d iterations; constants profile "
-                "is inconsistent with the presentation" % lbar
-            )
-        i, j = win
-        # rho is itself k-local geodesic, so the window crosses the seam
-        head = max(0, j - len(rho))
-        if head > i:
-            # window wraps past a full copy; replace the whole cyclic word
-            rep = _geodesic_rep(p, rho, trivial)
-            steps.append(ShorteningStep(0, len(rho), rho, rep, TABLE_REPLACEMENT))
-            rho = reduce_and_shorten(rep)
-            continue
-        eta, mid, nu = rho[:head], rho[head:i], rho[i:]
-        rep = _geodesic_rep(p, nu + eta, trivial)
-        steps.append(ShorteningStep(i, j, nu + eta, rep, TABLE_REPLACEMENT))
-        conj = words.mul(conj, eta)
-        rho = reduce_and_shorten(mid + rep)
-    return rho, conj, iterations, steps
+        conj += rho[: cuts[0]]
+        res = shorten(p, rho[cuts[0] :] + rho[: cuts[0]])
+        steps.extend(res.steps)
 
 
-def cyclic_shorten(p: RelativePresentation, w: str, tables=None, k=None,
-                   trivial=None) -> CyclicShorteningResult:
-    """Conjugacy normal form: a cyclic relative (8*delta+1)-local geodesic
-    alpha and a conjugator a with lab(alpha) = a^-1 * w * a.  Without
-    relators alpha is the canonical cyclic form of the module docstring,
-    found in one linear pass, iterations counts the end-run merges, and
-    neither k nor trivial is read.  With relators exceeding L-bar + 1
-    iterations (L-bar the relative length of the first shortened form)
-    means the constants profile is inconsistent with the presentation
-    (e.g. torsion with too small a delta) and raises."""
+def cyclic_shorten(p: RelativePresentation, w: str) -> CyclicShorteningResult:
+    """Conjugacy normal form: a cyclic form alpha and a conjugator a with
+    lab(alpha) = a^-1 * w * a.  Without relators alpha is the canonical
+    cyclic form of the module docstring, found in one linear pass, and
+    iterations counts the end-run merges.  With relators alpha is
+    cyclically Dehn-reduced: cyclically reduced, and no cyclic subword is
+    more than half a relator; iterations counts the rotations."""
     p.check_word(w)
     nf = linear_length = None
     if p.is_free_product:
@@ -378,24 +313,19 @@ def cyclic_shorten(p: RelativePresentation, w: str, tables=None, k=None,
         rho, conj, cyclic_length, iterations, steps = _syllable_cyclic_form(
             p, nf, syls)
     else:
-        rho, conj, iterations, steps = _doubled_word_form(
-            p, w, tables, k, trivial)
-        cyclic_length = words.raw_relative_length(p, rho)
-    if not same_element(p, words.mul(conj, rho, words.inverse(conj)), w, nf,
-                        tables=tables, k=k, trivial=trivial):
+        rho, conj, cyclic_length, iterations, steps = _dehn_cyclic_form(p, w)
+    if not same_element(p, words.mul(conj, rho, words.inverse(conj)), w, nf):
         raise RelconjError("cyclic shortening produced an invalid conjugator")
     return CyclicShorteningResult(w, rho, conj, iterations, tuple(steps),
                                   linear_length, cyclic_length, nf)
 
 
-def same_element(p: RelativePresentation, x: str, w: str, nf: str,
-                 tables=None, k=None, trivial=None) -> bool:
+def same_element(p: RelativePresentation, x: str, w: str, nf: str) -> bool:
     """Whether the word x equals the word w in G, the check behind
     every witness.  nf is the normal form of w, None with relators.  On a
     relator-free presentation this is normalize(x) == nf, the decision
-    word_problem(x * w^-1) makes there, and trivial is not read; with
-    relators it is that word problem."""
+    word_problem(x * w^-1) makes there; with relators it is that word
+    problem."""
     if p.is_free_product:
         return words.normalize(p, x) == nf
-    return word_problem(p, words.mul(x, words.inverse(w)), tables=tables,
-                        k=k, trivial=trivial)
+    return word_problem(p, words.mul(x, words.inverse(w)))

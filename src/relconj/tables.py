@@ -18,7 +18,9 @@ not enumeration bounds).
 Only relator-free presentations get tables or a conjugacy engine: there
 the filtered ball of canonical alternating words
 enumerates group elements exactly and the cyclic form is canonical.
-Presentations with relators use the shortening and oracle layers directly.
+Presentations with relators get the word problem and cyclic Dehn
+reduction of the shortening layer, which read the presentation's Dehn
+table and nothing here.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from . import shortening
 from .errors import (
     BudgetExceededError,
     OracleUnavailableError,
+    ParseError,
     RelconjError,
 )
 from .presentation import (
@@ -64,9 +67,9 @@ class ConstantsProfile:
         if self.threshold is None:
             object.__setattr__(self, "threshold", 86 * self.delta + 3)
         if self.delta < 0 or self.budget < 0:
-            raise RelconjError("delta and budget must be nonnegative")
+            raise ParseError("delta and budget must be nonnegative")
         if self.c2 > self.c3:
-            raise RelconjError("profiles require C(2) <= C(3)")
+            raise ParseError("profiles require C(2) <= C(3)")
 
     @property
     def k(self) -> int:
@@ -82,7 +85,7 @@ def profile_from_pairs(pairs, overrides=None) -> ConstantsProfile:
     merged = {}
     for key, value in list(pairs) + list(overrides or []):
         if key not in _PROFILE_KEYS:
-            raise RelconjError("unknown constant %r" % key)
+            raise ParseError("unknown constant %r" % key)
         merged[key] = value
     return ConstantsProfile(**merged)
 
@@ -149,10 +152,10 @@ def enumerate_filtered_ball(p: RelativePresentation, r1: int, r2: int,
     return FilteredBall(r1, r2, frozenset(members))
 
 
-def cyclic_canonical(p: RelativePresentation, w: str, k: int):
+def cyclic_canonical(p: RelativePresentation, w: str):
     """Conjugacy key of w and the conjugator c with key = c^-1 * w * c: the
     canonical cyclic form of shortening.cyclic_shorten."""
-    res = shortening.cyclic_shorten(p, w, k=k)
+    res = shortening.cyclic_shorten(p, w)
     return res.output, res.conjugator
 
 

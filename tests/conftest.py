@@ -5,7 +5,8 @@ F is the free group of rank two (hyperbolic, no parabolics), G2 is Z * Z^2
 Z * C2 (a finite parabolic with torsion), ZF2 is Z * F2 (a free parabolic,
 read from demos/presentations/zf2.txt), THREE is Z^2 * F2 * C3 * Z (all
 three factor kinds at once), and C5 is the cyclic group of order five given
-by a relator, which exercises the injected-triviality-test code path.
+by a relator, which exercises the Dehn table (and, in the ball oracle, an
+injected triviality test).  C5Z2 is C5 * Z^2, relators beside a parabolic.
 Tables are built once per session; the working constants are pinned inside
 the presentation texts so every derived value in the tests is reproducible.
 """
@@ -56,6 +57,15 @@ relator aaaaa
 constants delta=2 c2=2 c3=2 budget=100000
 """
 
+C5Z2_TEXT = """\
+# C5 * Z^2: a relator over the hyperbolic letter beside a parabolic.
+group c5z2
+hyperbolic a
+parabolic free_abelian 2
+letters x y
+relator aaaaa
+"""
+
 
 THREE_TEXT = """\
 group zf3
@@ -71,6 +81,20 @@ table 1 2 0
 table 2 0 1
 constants delta=1 c2=1 c3=1 threshold=3
 """
+
+
+def relator_conjugates(rng, p, n):
+    """A product of conjugates g r g^-1, with g a random word over p's whole
+    alphabet and r a rotation of a relator or of its inverse, of at least n
+    letters: a word trivial in p's group."""
+    rotations = [s[i:] + s[:i] for r in p.relators
+                 for s in (r, r.swapcase()[::-1]) for i in range(len(s))]
+    parts, size = [], 0
+    while size < n:
+        g = "".join(rng.choice(p.alphabet) for _ in range(rng.randint(0, 6)))
+        parts.append(g + rng.choice(rotations) + g.swapcase()[::-1])
+        size += len(parts[-1])
+    return "".join(parts)
 
 
 def c5_trivial(w):

@@ -160,12 +160,12 @@ def test_criterion_4_local_geodesic_output(capsys, pF, tF, pG2, tG2):
     t0 = time.perf_counter()
     fails = total = 0
     for p, t, letters in ((pF, tF, F_LETTERS), (pG2, tG2, G2_LETTERS)):
-        k = shortening.resolve_k(p, tables=t)
+        k = t.profile.k
         c2 = t.profile.c2
         rng = random.Random(4)
         for _ in range(1000):
             w = random_word(rng, letters, rng.randint(1, 12))
-            res = shortening.shorten(p, w, tables=t)
+            res = shortening.shorten(p, w)
             total += 1
             if not shortening.is_local_geodesic(p, res.output, k):
                 fails += 1
@@ -183,12 +183,12 @@ def test_criterion_5_cyclic_shortening_contract(capsys, pF, tF, pG2, tG2):
     t0 = time.perf_counter()
     fails = total = 0
     for p, t, letters in ((pF, tF, F_LETTERS), (pG2, tG2, G2_LETTERS)):
-        k = shortening.resolve_k(p, tables=t)
+        k = t.profile.k
         mult = max(t.profile.c2, 8 * t.profile.delta * t.profile.c2)
         rng = random.Random(4)
         for _ in range(1000):
             w = random_word(rng, letters, rng.randint(1, 12))
-            res = shortening.cyclic_shorten(p, w, tables=t)
+            res = shortening.cyclic_shorten(p, w)
             lbar = words.raw_relative_length(p, w)
             residue = words.mul(res.conjugator, res.output,
                                 words.inverse(res.conjugator),
@@ -371,7 +371,7 @@ def test_criterion_10_conjugator_scaling(capsys, pG2, tG2):
     assert ok
 
 
-def test_criterion_11_shortening_scaling(capsys, pG2, tG2):
+def test_criterion_11_shortening_scaling(capsys, pG2):
     # the path of `relconj wp`: shorten the word, then decide the output
     t0 = time.perf_counter()
     sizes = [2 ** e for e in range(9, 13)]
@@ -381,9 +381,8 @@ def test_criterion_11_shortening_scaling(capsys, pG2, tG2):
         best = math.inf
         for _ in range(3):
             t1 = time.perf_counter()
-            res = shortening.shorten(pG2, w, tables=tG2)
-            trivial = shortening.shortened_is_trivial(pG2, res.output,
-                                                      tables=tG2)
+            res = shortening.shorten(pG2, w)
+            trivial = res.output == ""
             best = min(best, time.perf_counter() - t1)
             assert not trivial
         points.append((math.log(n), math.log(best)))
@@ -531,4 +530,69 @@ def test_criterion_14_torsion_oracle_equivalence(capsys):
            % ("PASS" if ok else "FAIL", out["elements"], out["pairs"],
               out["mismatches"], elapsed))
     assert out["elements"] == 190
+    assert ok
+
+
+CRITERION_15_LIMIT_S = 60
+
+
+def dehn_word_problem_slopes():
+    """Criterion 15's runs: log-log slopes of word_problem on products of
+    relator conjugates, which are trivial, on C5, the genus-two surface
+    group and C5 * Z^2."""
+    from conftest import C5Z2_TEXT, relator_conjugates
+
+    from relconj.presentation import load_presentation, parse_presentation
+
+    demos = Path(__file__).resolve().parents[1] / "demos" / "presentations"
+    groups = {"c5": load_presentation(demos / "c5.txt"),
+              "surface2": load_presentation(demos / "surface2.txt"),
+              "C5 * Z^2": parse_presentation(C5Z2_TEXT)}
+    rng = random.Random(15)
+    slopes = {}
+    for name, p in groups.items():
+        points = []
+        for n in [2 ** e for e in range(10, 17)]:
+            w = relator_conjugates(rng, p, n)
+            best = math.inf
+            for _ in range(3):
+                t1 = time.perf_counter()
+                got = shortening.word_problem(p, w)
+                best = min(best, time.perf_counter() - t1)
+                assert got
+            points.append((math.log(len(w)), math.log(best)))
+        slopes[name] = loglog_slope(points)
+    return slopes
+
+
+def test_criterion_15_dehn_word_problem_scaling(capsys):
+    # the runs go to a child process with a time limit, as in criterion 13,
+    # so that a quadratic word problem fails the gate instead of stalling it
+    t0 = time.perf_counter()
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
+                                         os.environ.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import json, test_acceptance as t; "
+             "print(json.dumps(t.dehn_word_problem_slopes()))"],
+            capture_output=True, text=True, timeout=CRITERION_15_LIMIT_S,
+            env=dict(os.environ, PYTHONPATH=path))
+    except subprocess.TimeoutExpired:
+        report(capsys, "criterion 15: FAIL (timeout)")
+        pytest.fail("Dehn word problem runs still going after %d s"
+                    % CRITERION_15_LIMIT_S)
+    if proc.returncode != 0:
+        report(capsys, "criterion 15: FAIL (runs exited with status %d)"
+               % proc.returncode)
+    assert proc.returncode == 0, proc.stderr
+    slopes = json.loads(proc.stdout)
+    elapsed = time.perf_counter() - t0
+    ok = all(s < 1.3 for s in slopes.values())
+    report(capsys, "criterion 15: %s (Dehn word problem scaling on trivial "
+           "products of relator conjugates, n=1024..65536, log-log slopes %s "
+           "< 1.3, %.1fs)"
+           % ("PASS" if ok else "FAIL",
+              ", ".join("%s %.3f" % kv for kv in slopes.items()), elapsed))
     assert ok

@@ -241,6 +241,45 @@ def test_relator_presentation_gets_no_tables(capsys, paths):
         assert "relators get no tables" in out
 
 
+def test_wp_decides_relators_by_the_dehn_table(capsys, paths):
+    code, out, _ = run(capsys, ["wp", paths["C5"], "aaaaa"])
+    assert (code, out) == (0, "status=ok\ntrivial=true\nshortened=\nsteps=1\n")
+
+
+@pytest.mark.parametrize("relator, named", [
+    ("abAB", "not C'(1/6): the piece 'A' has 1 of the 4 letters"),
+    ("axAX", "uses the parabolic letter 'x'")])
+def test_wp_without_a_dehn_table_is_an_oracle_error(capsys, tmp_path,
+                                                    relator, named):
+    pres = tmp_path / "r.txt"
+    pres.write_text("group r\nhyperbolic a b\nparabolic free 1\n"
+                    "letters x\nrelator %s\n" % relator)
+    code, out, err = run(capsys, ["wp", os.fspath(pres), "ab"])
+    assert code == 1
+    assert out.startswith("status=error\nerror=oracle\n")
+    assert named in out
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, profile", [
+    (["crosscheck", "G2", "-1"], None),
+    (["crosscheck", "G2", "2", "--sample", "-3"], None),
+    (["crosscheck", "G2", "2", "--sample", "0"], None),
+    (["conj", "G2", "axA", "x"], "c3=-1"),
+    (["conj", "G2", "axA", "x"], "delta=-1"),
+    (["conj", "G2", "axA", "x"], "zeta=1"),
+], ids=["maxlen", "negative-sample", "zero-sample", "c3", "delta", "key"])
+def test_bad_input_is_a_parse_error(capsys, paths, tmp_path, argv, profile):
+    argv = [paths.get(arg, arg) for arg in argv]
+    if profile is not None:
+        prof = tmp_path / "bad.prof"
+        prof.write_text(profile + "\n")
+        argv += ["--profile", os.fspath(prof)]
+    code, out, _ = run(capsys, argv)
+    assert code == 1
+    assert out.startswith("status=error\nerror=parse\n"), out
+
+
 def test_queries_answer_past_the_tables_budget(capsys, tmp_path):
     # delta=2 puts B(8, 4) past the budget, so precompute fails; queries
     # read only the profile and answer

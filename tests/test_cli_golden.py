@@ -74,6 +74,16 @@ COMMANDS = [
     "conj zf2.txt xxyy xyxy",
     "conj zf2.txt axyA yx --search",
     "conj zf2.txt x a",
+    "wp surface2.txt abABcdCD",
+    "wp surface2.txt abABcdC",
+    "wp surface2.txt ABcaaab",
+    "classify surface2.txt ab",
+    "wp c5c7.txt aaabbbbb",
+    "wp c5c7.txt aaaaaBBBBBBB",
+    "wp c5c7_twin.txt aaabbbbb",
+    "wp c5c7_twin.txt aaaaaBBBBBBB",
+    "classify c5c7_twin.txt aaabbbbb",
+    "conj c5c7_twin.txt ab ba --search",
 ]
 
 

@@ -1,6 +1,6 @@
 """Smoke test of the demos: each runs to completion as a script, and the
-cyclic shortening lines of the word-problem demo stay as the README shows
-them."""
+cyclic shortening lines and the relator step of the word-problem demo stay
+as they are."""
 
 import os
 import subprocess
@@ -16,6 +16,7 @@ EXPECTED_LINES = {
         "  'axA'          -> alpha='x' conjugator='a' (0 seam passes)",
         "  'xxxxyAXXXY'   -> alpha='Ax' conjugator='xxxxy' (1 seam passes)",
         "  'yx'           -> alpha='xy' conjugator='' (0 seam passes)",
+        "      [table-replacement] 'aaa' -> 'AA' at 0..3",
     ],
 }
 

@@ -173,9 +173,18 @@ def test_certified_local_geodesics_are_quasi_geodesic(pG2, tG2):
     rng = random.Random(9)
     for _ in range(60):
         w = "".join(rng.choice(pG2.alphabet) for _ in range(rng.randint(0, 8)))
-        out = shortening.shorten(pG2, w, tables=tG2).output
+        out = shortening.shorten(pG2, w).output
         assert mo.is_quasi_geodesic(pG2, out, qp)
         assert not mo.path_backtracks(pG2, out)
+
+
+def test_relator_free_balls_are_cached_once(pG2):
+    # trivial is not read without relators, so it is no part of the key
+    mo.ball.cache_clear()
+    mo.ball(pG2, 3)
+    assert len(mo.ball(pG2, 3, trivial=lambda w: False)) == 143
+    info = mo.ball.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 def test_relator_group_with_injected_test(pC5):

@@ -1,8 +1,8 @@
 """The result records are named tuples with a fixed field order, and a query
 process defines no record class it does not run and writes no tables cache.
 
-A query command loads neither the ball oracle (metric_oracle, with
-fractions and decimal behind it) nor any dataclass beyond the three that
+A query command, with relators too, loads neither the ball oracle
+(metric_oracle, with fractions and decimal behind it) nor any dataclass beyond the three that
 validate their fields: defining a dataclass costs about a millisecond of
 start-up, and building a frozen one costs several object.__setattr__ calls
 per answer.
@@ -73,14 +73,16 @@ def test_certificate_record_line():
 QUERY_PROCESS = """\
 import contextlib, dataclasses, io, os, sys
 from relconj import cli
-pres, cache = sys.argv[1], sys.argv[2]
+pres, cache, c5 = sys.argv[1:4]
 for argv in (["wp", pres, "xyXY"], ["classify", pres, "axA"],
-             ["conj", pres, "axA", "x"], ["conj", pres, "axA", "x", "--search"]):
+             ["conj", pres, "axA", "x"], ["conj", pres, "axA", "x", "--search"],
+             ["wp", c5, "aaaaa"]):
     with contextlib.redirect_stdout(io.StringIO()), \\
             contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(["--cache", cache] + argv) == 0, argv
 assert not os.path.exists(cache), "a query wrote the tables cache"
-print(" ".join(sorted({"fractions", "decimal"} & set(sys.modules))))
+print(" ".join(sorted({"fractions", "decimal", "relconj.metric_oracle"}
+                      & set(sys.modules))))
 print(" ".join(sorted(
     name for module_name, module in list(sys.modules.items())
     if module_name.split(".")[0] == "relconj"
@@ -96,7 +98,8 @@ def test_query_process_defines_only_what_it_runs(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", QUERY_PROCESS,
          str(ROOT / "demos" / "presentations" / "zxz2.txt"),
-         str(tmp_path / "zxz2.tables")],
+         str(tmp_path / "zxz2.tables"),
+         str(ROOT / "demos" / "presentations" / "c5.txt")],
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr

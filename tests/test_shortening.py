@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from conftest import c5_trivial
 from relconj import metric_oracle as mo, shortening as sh, words
 from relconj.errors import RelconjError
 from relconj.presentation import parse_presentation
@@ -10,15 +9,6 @@ from relconj.presentation import parse_presentation
 
 def rand_word(p, rng, lo, hi):
     return "".join(rng.choice(p.alphabet) for _ in range(rng.randint(lo, hi)))
-
-
-def test_resolve_constants(pF, pG2, tG2):
-    assert sh.resolve_k(pF) == 1
-    assert sh.resolve_delta(pF) == 0
-    assert sh.resolve_k(pG2) == 9
-    assert sh.resolve_delta(pG2) == 1
-    assert sh.resolve_k(pG2, tables=tG2) == tG2.profile.k
-    assert sh.resolve_k(pG2, k=13) == 13
 
 
 def brute_window(p, w, k):
@@ -73,19 +63,15 @@ def test_is_local_geodesic(pG2):
 
 
 def test_relator_free_presentations_never_read_trivial(pG2):
-    # without relators the normal form decides every question, so an
-    # injected triviality test changes no answer and is never called
+    # without relators the normal form decides every question of the ball
+    # oracle, so an injected triviality test changes no answer and is
+    # never called
     def refuse(w):
         raise AssertionError("triviality test called on %r" % w)
 
     rng = random.Random(41)
     for w in ["", "axXA", "xyXY", "axA"] + [rand_word(pG2, rng, 1, 10)
                                             for _ in range(60)]:
-        assert sh.shorten(pG2, w, trivial=refuse) == sh.shorten(pG2, w)
-        assert sh.word_problem(pG2, w, trivial=refuse) == \
-            sh.word_problem(pG2, w)
-        assert sh.cyclic_shorten(pG2, w, trivial=refuse) == \
-            sh.cyclic_shorten(pG2, w)
         assert mo.normal_form(pG2, w, trivial=refuse) == mo.normal_form(pG2, w)
     assert mo.ball(pG2, 2, trivial=refuse).dist == mo.ball(pG2, 2).dist
     for u, v in (("x", "axA"), ("x", "y"), ("axyA", "yx")):
@@ -142,7 +128,7 @@ def test_cyclic_shorten_contract(pG2, tG2):
     rng = random.Random(16)
     for _ in range(200):
         w = rand_word(pG2, rng, 0, 12)
-        res = sh.cyclic_shorten(pG2, w, tables=tG2)
+        res = sh.cyclic_shorten(pG2, w)
         alpha, a = res.output, res.conjugator
         assert sh.word_problem(
             pG2, words.mul(a, alpha, words.inverse(a), words.inverse(w)))
@@ -228,13 +214,13 @@ def test_cyclic_shorten_torsion_parabolic(pZC2):
 
 
 def test_relator_group_shortening(pC5):
-    res = sh.shorten(pC5, "aaa", trivial=c5_trivial)
+    res = sh.shorten(pC5, "aaa")
     assert res.output == "AA"
     assert [s.justification for s in res.steps] == [sh.TABLE_REPLACEMENT]
-    assert sh.shorten(pC5, "aaaa", trivial=c5_trivial).output == "A"
-    assert sh.word_problem(pC5, "aaaaa", trivial=c5_trivial)
-    assert not sh.word_problem(pC5, "aaa", trivial=c5_trivial)
-    assert sh.word_problem(pC5, "", trivial=c5_trivial)
+    assert sh.shorten(pC5, "aaaa").output == "A"
+    assert sh.word_problem(pC5, "aaaaa")
+    assert not sh.word_problem(pC5, "aaa")
+    assert sh.word_problem(pC5, "")
 
 
 @pytest.mark.parametrize("name", ["pF", "pG2", "pZC2", "pZF2", "pTHREE"])
@@ -253,29 +239,26 @@ def test_cyclic_length_counts_the_cyclic_form(request, name):
 
 
 def test_cyclic_length_on_the_doubled_word_path(pC5):
-    # with relators the doubled-word iteration fills the field; inputs of
-    # order two or three stop at the torsion guard below, so they are left
-    # out by their exponent sum
+    # with relators cyclic Dehn reduction fills the field: every power of
+    # a comes out as one of a^-2 .. a^2
     rng = random.Random(31)
     lengths = set()
     for _ in range(300):
         w = "".join(rng.choice("aA") for _ in range(rng.randint(0, 14)))
-        if (w.count("a") - w.count("A")) % 5 in (2, 3):
-            continue
-        res = sh.cyclic_shorten(pC5, w, trivial=c5_trivial)
+        res = sh.cyclic_shorten(pC5, w)
         assert res.cyclic_length == words.raw_relative_length(
             pC5, res.output), w
         lengths.add(res.cyclic_length)
-    assert lengths == {0, 1}
+    assert lengths == {0, 1, 2}
 
 
 def test_relator_group_torsion_guard(pC5):
-    # "a" is a one-syllable word and passes untouched; "aa" admits no cyclic
-    # local geodesic at this delta because a.a wraps into the relator, and
-    # the iteration guard reports the profile as inconsistent
-    assert sh.cyclic_shorten(pC5, "a", trivial=c5_trivial).output == "a"
-    with pytest.raises(RelconjError, match="exceeded .* iterations"):
-        sh.cyclic_shorten(pC5, "aa", trivial=c5_trivial)
+    # a^2 is cyclically Dehn-reduced: no cyclic subword of aa is more than
+    # half of aaaaa, so it comes back as it is; a^3 is rewritten to a^-2
+    assert sh.cyclic_shorten(pC5, "a").output == "a"
+    res = sh.cyclic_shorten(pC5, "aa")
+    assert (res.output, res.conjugator, res.iterations) == ("aa", "", 0)
+    assert sh.cyclic_shorten(pC5, "aaa").output == "AA"
 
 
 def test_wrong_conjugator_fails_verification(monkeypatch, pG2):
@@ -297,17 +280,17 @@ def test_wrong_doubled_word_form_fails_verification(monkeypatch, pC5):
     # the relator path checks through the residue word problem; C5 is
     # abelian, so every conjugator is right there and the output is what is
     # put one letter off
-    original = sh._doubled_word_form
+    original = sh._dehn_cyclic_form
 
-    def one_letter_off(p, w, tables, k, trivial):
-        rho, conj, *rest = original(p, w, tables, k, trivial)
+    def one_letter_off(p, w):
+        rho, conj, *rest = original(p, w)
         return (rho + "a", conj, *rest)
 
-    assert sh.cyclic_shorten(pC5, "a", trivial=c5_trivial).output == "a"
-    monkeypatch.setattr(sh, "_doubled_word_form", one_letter_off)
+    assert sh.cyclic_shorten(pC5, "a").output == "a"
+    monkeypatch.setattr(sh, "_dehn_cyclic_form", one_letter_off)
     with pytest.raises(RelconjError,
                        match="cyclic shortening produced an invalid conjugator"):
-        sh.cyclic_shorten(pC5, "a", trivial=c5_trivial)
+        sh.cyclic_shorten(pC5, "a")
 
 
 def test_shorten_preserves_element(pG2):
