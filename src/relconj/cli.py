@@ -233,48 +233,70 @@ def _add_common(parser, suppress):
                         help="seed for sampled crosscheck pairs (default 0)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="relconj",
-        description="Word problem and conjugacy for relatively hyperbolic "
-                    "groups with free, free-abelian, or finite parabolics.",
-    )
-    _add_common(parser, suppress=False)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_parser(name, **kwargs):
-        sp = sub.add_parser(name, **kwargs)
-        _add_common(sp, suppress=True)
-        return sp
-
-    sp = add_parser("wp", help="word problem: is the word trivial?")
+def _word_arguments(sp):
     sp.add_argument("presentation")
     sp.add_argument("word")
 
-    sp = add_parser("classify", help="hyperbolic or parabolic?")
-    sp.add_argument("presentation")
-    sp.add_argument("word")
 
-    sp = add_parser("conj", help="decide conjugacy of two words")
+def _conj_arguments(sp):
     sp.add_argument("presentation")
     sp.add_argument("u")
     sp.add_argument("v")
     sp.add_argument("--search", action="store_true",
                     help="fail unless a verified witness is produced")
 
-    sp = add_parser("precompute", help="build tables, print sizes")
+
+def _precompute_arguments(sp):
     sp.add_argument("presentation")
     sp.add_argument("cachefile", nargs="?", default=None,
                     help="where to write the cache (default: --cache value)")
 
-    sp = add_parser("crosscheck",
-                   help="decide vs the brute-force oracle on all pairs")
+
+def _crosscheck_arguments(sp):
     sp.add_argument("presentation")
     sp.add_argument("maxlen", type=int)
     sp.add_argument("--sample", type=int, default=None,
                     help="check this many seeded random pairs instead of "
                          "all of them (default: exhaustive)")
 
+
+# name, help line and argument builder of every subcommand, in help order
+_SUBCOMMANDS = (
+    ("wp", "word problem: is the word trivial?", _word_arguments),
+    ("classify", "hyperbolic or parabolic?", _word_arguments),
+    ("conj", "decide conjugacy of two words", _conj_arguments),
+    ("precompute", "build tables, print sizes", _precompute_arguments),
+    ("crosscheck", "decide vs the brute-force oracle on all pairs",
+     _crosscheck_arguments),
+)
+
+
+def _subparser(listed_only=False, **kwargs):
+    """The parser of one subcommand, or None for one that is only listed:
+    argv does not name it, so no parse selects it."""
+    return None if listed_only else argparse.ArgumentParser(**kwargs)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The command line parser.  Given the arguments argv it is to parse,
+    it builds a subparser only for the subcommands that argv names; the
+    others are listed by name and help line, which is all that the main
+    help, the main usage and its errors print, so every output is the full
+    parser's.  Without argv it builds every subparser."""
+    parser = argparse.ArgumentParser(
+        prog="relconj",
+        description="Word problem and conjugacy for relatively hyperbolic "
+                    "groups with free, free-abelian, or finite parabolics.",
+    )
+    _add_common(parser, suppress=False)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_subparser)
+    for name, help_line, add_arguments in _SUBCOMMANDS:
+        sp = sub.add_parser(name, help=help_line,
+                            listed_only=argv is not None and name not in argv)
+        if sp is not None:
+            _add_common(sp, suppress=True)
+            add_arguments(sp)
     return parser
 
 
@@ -303,7 +325,9 @@ def run(args) -> CommandResult:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     result = run(args)
     _emit(result, args.json)
     return 0 if result.status == "ok" else 1

@@ -15,9 +15,9 @@ from x to y stores c with y = c^-1 * x * c, so chains compose by plain
 concatenation.  The public witness of a certificate is converted once at
 the boundary to g = c^-1 with v = g * u * g^-1.  Every "conjugate" answer
 is verified before the certificate is issued (shortening.same_element:
-normal-form equality of g * u * g^-1 and v without relators, the word
-problem on the residue with them); a failed verification is an internal
-error, never a silent downgrade.
+normal-form equality of g * u * g^-1 and v, with u in its normal form so
+that words.mul gets freely reduced parts); a failed verification is an
+internal error, never a silent downgrade.
 
 Negative answers name where the decision fell: class-mismatch (identity,
 parabolic and hyperbolic never meet), long-search-exhausted or
@@ -202,7 +202,8 @@ def decide(p: RelativePresentation, profile: ConstantsProfile, u: str,
                           words.inverse(cv.conjugator))
         g = words.inverse(total)
         if not shortening.same_element(
-                p, words.mul(g, u, words.inverse(g)), v, rv.normal_form):
+                p, words.mul(g, ru.normal_form, words.inverse(g)), v,
+                rv.normal_form):
             raise RelconjError("conjugacy witness failed verification")
         return ConjugacyCertificate(u, v, "conjugate", g, None, regime,
                                     lbar, length, phash, True)

@@ -187,22 +187,27 @@ class RelativePresentation:
 
     @cached_property
     def block_pattern(self) -> re.Pattern:
-        """Splits a checked word like syllable_pattern, except that a
-        maximal run of hyperbolic letters is one block."""
+        """Splits a word like syllable_pattern, except that a maximal run
+        of hyperbolic letters is one block.  Any other character is a
+        block of its own, so an unchecked word fails the letter_kind
+        lookup of its first undeclared letter instead of losing it."""
         runs = ["[%s]+" % "".join(par.letters) for par in self.parabolics]
         hyperbolic = "".join(c for g in self.hyperbolic_generators
                              for c in (g, INVERSE_LETTER[g]))
         if hyperbolic:
             runs.append("[%s]+" % hyperbolic)
-        return re.compile("|".join(runs))
+        return re.compile("|".join(runs + ["."]), re.DOTALL)
 
     @cached_property
     def normal_form_pattern(self) -> re.Pattern:
-        """Fullmatches a checked word exactly when it is its own normal form
+        """Fullmatches a word exactly when it is its own normal form
         (words.normalize): a hyperbolic letter never followed by its
         inverse, and every maximal parabolic run spelled in its factor's
-        geodesic form (the oracle's canonical_run).  Each position matches
-        in at most one way, so the scan is linear in the word length."""
+        geodesic form (the oracle's canonical_run).  A match from a
+        syllable boundary stops at the first syllable that breaks this, so
+        what it spans is a normal form.  It spans declared letters only,
+        and each position matches in at most one way, so the scan is
+        linear in the word length."""
         alts = ["%s(?!%s)" % (c, INVERSE_LETTER[c])
                 for g in self.hyperbolic_generators
                 for c in (g, INVERSE_LETTER[g])]

@@ -42,6 +42,16 @@ the table rewrites (or its last parabolic run, when both ends are runs of
 one factor) at the front, and shortened again, until neither is left.
 Each rotation takes off a letter or, merging two runs, a syllable, and
 adds neither, so the loop ends.
+
+Every conjugator, here and in the conjugacy engine, is checked before it is
+returned (same_element).  The product that it claims equal to a word is
+formed with words.mul from freely reduced parts, the conjugator, the cyclic
+form and the conjugator's inverse, so it cancels only where they meet.
+Without relators its normal form must then equal the word's; the product is
+a normal form except at those joins, so normalize keeps the stretches
+between them whole and the check costs about one recognition scan.  With
+relators the word problem on the product times the inverse of the word must
+answer trivial.
 """
 
 from __future__ import annotations
@@ -181,8 +191,8 @@ def _dehn_reduced(p, w):
 def shorten(p: RelativePresentation, w: str) -> ShorteningResult:
     """Rewrite w to a shorter word for the same group element, logging
     every step: the normal form words.normalize(p, w) without relators, and
-    its Dehn reduction, logged as one more step, with them."""
-    p.check_word(w)
+    its Dehn reduction, logged as one more step, with them.  normalize
+    checks the letters of w."""
     steps = []
     out = _logged(steps, w, words.normalize(p, w), PARABOLIC_NORMALIZATION)
     if not p.is_free_product:
@@ -303,8 +313,8 @@ def cyclic_shorten(p: RelativePresentation, w: str) -> CyclicShorteningResult:
     cyclic form of the module docstring, found in one linear pass, and
     iterations counts the end-run merges.  With relators alpha is
     cyclically Dehn-reduced: cyclically reduced, and no cyclic subword is
-    more than half a relator; iterations counts the rotations."""
-    p.check_word(w)
+    more than half a relator; iterations counts the rotations.  Either
+    way w goes through normalize first, which checks its letters."""
     nf = linear_length = None
     if p.is_free_product:
         nf = words.normalize(p, w)
@@ -325,7 +335,8 @@ def same_element(p: RelativePresentation, x: str, w: str, nf: str) -> bool:
     every witness.  nf is the normal form of w, None with relators.  On a
     relator-free presentation this is normalize(x) == nf, the decision
     word_problem(x * w^-1) makes there; with relators it is that word
-    problem."""
+    problem, on a product that may be unreduced where w is, which the word
+    problem reduces."""
     if p.is_free_product:
         return words.normalize(p, x) == nf
     return word_problem(p, words.mul(x, words.inverse(w)))

@@ -3,11 +3,17 @@
 Words are plain strings; uppercase is the inverse of lowercase.  The central
 routine is :func:`normalize`, a single left-to-right pass that freely reduces
 hyperbolic letters and folds every maximal parabolic run into its canonical
-geodesic form, merging runs that become adjacent when letters cancel.  A
-word that is already its own normal form is recognised first, by one scan
-with the presentation's normal_form_pattern, and returned unchanged.  On a
-presentation without relators the result is the free-product normal form, so
-two words are equal in the group iff they normalize identically.
+geodesic form, merging runs that become adjacent when letters cancel.  The
+presentation's normal_form_pattern finds, in one native scan each, the
+stretches of the word that are already in normal form.  They are kept whole,
+and only the syllables where they meet the rest of the word are folded, so
+a word that is its own normal form is returned unchanged, and one with a few
+faults costs little more than recognising it.  On a presentation without
+relators the result is the free-product normal form, so two words are equal
+in the group iff they normalize identically.
+
+:func:`mul` multiplies freely reduced words (normal forms are) by cancelling
+only where two of them meet.
 """
 
 from __future__ import annotations
@@ -35,51 +41,197 @@ def free_reduce(w: str) -> str:
 
 
 def mul(*parts: str) -> str:
-    """Freely reduced concatenation (no parabolic folding)."""
-    return free_reduce("".join(parts))
+    """The concatenation of parts with letters cancelled only where two
+    parts meet (no parabolic folding).  Precondition: every part is freely
+    reduced, as a normal form is; then the product is freely reduced, and
+    equal to free_reduce of the concatenation.  With an unreduced part it
+    is still the same element, possibly unreduced, so it may only feed
+    normalize or word_problem, which reduce it."""
+    inv = INVERSE_LETTER
+    out = ""
+    for w in parts:
+        if out and w and out[-1] == inv[w[0]]:
+            # cancel back from the join while the letters meeting are inverse
+            m = len(out)
+            top = m if m < len(w) else len(w)
+            x = 1
+            while x < top and out[m - 1 - x] == inv[w[x]]:
+                x += 1
+            out = out[: m - x] + w[x:]
+        else:
+            out += w
+    return out
 
 
 def is_cyclically_reduced(w: str) -> bool:
     return len(w) < 2 or w[0] != INVERSE_LETTER[w[-1]]
 
 
+# An attempt at recognition (one normal_form_pattern.match and the fold of
+# the stretch it finds) costs about as much as the stack pass spends on this
+# many letters.  So recognition is tried again only where at least this many
+# letters are left, and a stretch it finds is kept whole only when it is at
+# least this long or ends the word.
+_ATTEMPT_LETTERS = 16
+
+
+def _expose(p, kept, stack, reach):
+    """Move the last syllables of the kept stretches, at least reach letters
+    of the last one or all of it, onto the empty stack as hyperbolic letters
+    and [index, state] runs; with no stretch left, push the sentinel "",
+    which matches nothing.  Returns the next reach, twice this one, so that
+    a cancellation deep into a stretch takes it in doubling pieces."""
+    if not kept:
+        stack.append("")
+        return reach
+    piece = kept[-1]
+    s, lo, hi = piece
+    kind_of = p.letter_kind
+    start = hi - reach if hi - reach > lo else lo
+    while start > lo and kind_of[s[start]] != HYPERBOLIC and (
+            kind_of[s[start - 1]] == kind_of[s[start]]):
+        start -= 1  # back to the start of the run
+    for block in p.block_pattern.findall(s, start, hi):
+        kind = kind_of[block[0]]
+        if kind == HYPERBOLIC:
+            stack.extend(block)
+        else:
+            stack.append([kind, p.oracles[kind].push(None, block)])
+    if start == lo:
+        kept.pop()
+    else:
+        piece[2] = start
+    return 2 * reach
+
+
+def _chunk_end(p, w, k):
+    """Where a stack pass meant to end at k stops: at the end of w when too
+    few letters would be left to pay for an attempt, else at the end of the
+    syllable of w[k - 1], so that no parabolic run is split."""
+    if len(w) - k < _ATTEMPT_LETTERS:
+        return len(w)
+    if p.letter_kind[w[k - 1]] == HYPERBOLIC:
+        return k
+    return p.syllable_pattern.match(w, k - 1).end()
+
+
 def normalize(p: RelativePresentation, w: str) -> str:
-    """Canonical component-normalized free reduction of w.  A word that
-    is its own normal form is recognised by one native scan and returned
-    as it is; any other goes through one stack pass over its blocks."""
-    if not p.letter_set.issuperset(w):  # check_word inlined: the hot path
-        p.check_word(w)  # raises UnknownLetterError naming the letter
-    if p.normal_form_pattern.fullmatch(w):
+    """Canonical component-normalized free reduction of w, in one left to
+    right pass.  Normal-form stretches, each found by one native
+    normal_form_pattern.match, are kept whole.  The letters between them go
+    through a stack pass over their blocks, and only the syllables that
+    cancel or merge where a stretch meets the stack are folded.  A word that
+    is its own normal form is one stretch and is returned as it is.
+
+    Recognition is tried again only where it can pay for itself.  After a
+    stretch is kept the stack pass takes one syllable before the next
+    attempt, and after each attempt that finds too short a stretch, four
+    times as many letters as the time before.  So a raw word costs
+    O(log n) attempts beside its stack pass, and a normal form with a few
+    faults is recognised nearly whole.  Letters are checked on the way:
+    the pattern spans declared letters only, and the block pattern makes
+    any other character a block whose letter_kind lookup fails."""
+    j = p.normal_form_pattern.match(w).end()
+    n = len(w)
+    if j == n:  # the pattern spells declared letters only
         return w
     oracles = p.oracles
     kind_of = p.letter_kind
     inv = INVERSE_LETTER
-    # entries: a hyperbolic letter, or a parabolic run as [index, state]
-    stack = []
+    # kept: the stretches kept whole, as [word, start, end].  Above them the
+    # stack: hyperbolic letters, parabolic runs as [index, state], and, when
+    # no stretch is kept, the sentinel "" at the bottom.  It is never empty
+    # while letters are pushed.  w[:i] is spelled by kept and the stack, and
+    # the stack pass goes on over w[i:k].
+    kept = []
+    stack = [""]
     append = stack.append
     pop = stack.pop
-    for syl in p.block_pattern.findall(w):
-        kind = kind_of[syl[0]]
-        if kind == HYPERBOLIC:
-            # free reduction of a hyperbolic block against the stack
-            for c in syl:
-                if stack and stack[-1] == inv[c]:
-                    pop()
+    i, k = 0, n
+    gap = 1  # letters the stack pass takes before the next attempt
+    reach = 1  # letters the next exposure moves from kept onto the stack
+    try:
+        if n >= _ATTEMPT_LETTERS:  # keep the first stretch, however short
+            if j:
+                kept.append([w, 0, j])
+                stack.clear()
+                reach = _expose(p, kept, stack, reach)
+            i = j
+            k = _chunk_end(p, w, i + gap)
+        while True:
+            for syl in p.block_pattern.findall(w, i, k):
+                kind = kind_of[syl[0]]
+                if kind == HYPERBOLIC:
+                    # free reduction of a hyperbolic block against the stack
+                    for c in syl:
+                        if stack[-1] == inv[c]:
+                            pop()
+                            if not stack:
+                                reach = _expose(p, kept, stack, reach)
+                        else:
+                            append(c)
+                    continue
+                top = stack[-1]
+                if top.__class__ is list and top[0] == kind:
+                    top[1] = oracles[kind].push(top[1], syl)
+                    if top[1] is None:
+                        pop()
+                        if not stack:
+                            reach = _expose(p, kept, stack, reach)
                 else:
-                    append(c)
-            continue
-        top = stack[-1] if stack else None
-        if top.__class__ is list and top[0] == kind:
-            top[1] = oracles[kind].push(top[1], syl)
-            if top[1] is None:
-                pop()
-        else:
-            state = oracles[kind].push(None, syl)
-            if state is not None:
-                append([kind, state])
-    for i, entry in enumerate(stack):
-        if entry.__class__ is list:
-            stack[i] = oracles[entry[0]].state_word(entry[1])
+                    state = oracles[kind].push(None, syl)
+                    if state is not None:
+                        append([kind, state])
+            if k == n:
+                break
+            i = k
+            j = p.normal_form_pattern.match(w, i).end()
+            if j < n and j - i < _ATTEMPT_LETTERS:
+                gap *= 4  # the attempt does not pay; the stack pass goes on
+            else:
+                # keep w[i:j] whole: fold its first syllables into the
+                # stack while they cancel or merge, then keep the stack
+                # and the rest
+                while i < j:
+                    top = stack[-1]
+                    c = w[i]
+                    if top == inv[c]:
+                        pop()
+                        i += 1
+                    elif top.__class__ is list and top[0] == kind_of[c]:
+                        e = p.syllable_pattern.match(w, i).end()
+                        top[1] = oracles[top[0]].push(top[1], w[i:e])
+                        i = e
+                        if top[1] is not None:
+                            break
+                        pop()
+                    else:
+                        break
+                    if not stack:
+                        reach = _expose(p, kept, stack, reach)
+                for x, e in enumerate(stack):
+                    if e.__class__ is list:
+                        stack[x] = oracles[e[0]].state_word(e[1])
+                spelled = "".join(stack)
+                if spelled:
+                    kept.append([spelled, 0, len(spelled)])
+                stack.clear()
+                if i < j:
+                    kept.append([w, i, j])
+                if j == n:
+                    break
+                reach = _expose(p, kept, stack, 1)
+                i = j
+                gap = 1
+            k = _chunk_end(p, w, i + gap)
+    except KeyError:  # from letter_kind: an undeclared letter, checked last
+        p.check_word(w)  # raises UnknownLetterError naming the letter
+        raise
+    for x, e in enumerate(stack):
+        if e.__class__ is list:
+            stack[x] = oracles[e[0]].state_word(e[1])
+    if kept:
+        stack[:0] = [s[lo:hi] for s, lo, hi in kept]
     return "".join(stack)
 
 

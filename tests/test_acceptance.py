@@ -454,9 +454,9 @@ CRITERION_13_LIMIT_S = 60
 def normal_form_recognition_slopes():
     """Criterion 13's scans: log-log slopes of normalize on cyclically
     reduced normal forms of Z * Z^2, as they are and with aA appended.
-    normalize recognises a normal form with one regex scan; the words with
-    aA appended fail the scan at their end and take the stack pass, so both
-    sets catch a pattern that starts to backtrack."""
+    normalize recognises a normal form with one regex scan; on the words
+    with aA appended the scan stops at their end, so both sets catch a
+    pattern that starts to backtrack."""
     from conftest import G2_TEXT
 
     from relconj.presentation import parse_presentation
@@ -595,4 +595,89 @@ def test_criterion_15_dehn_word_problem_scaling(capsys):
            "< 1.3, %.1fs)"
            % ("PASS" if ok else "FAIL",
               ", ".join("%s %.3f" % kv for kv in slopes.items()), elapsed))
+    assert ok
+
+
+CRITERION_16_LIMIT_S = 60
+
+
+def almost_normal_scaling():
+    """Criterion 16's runs on Z * Z^2 and Z * F2, n = 4096..65536, min of 3
+    timings each.  A normal form with one cancelling pair (aA or xX)
+    inserted at its start, middle or end is normalized at nearly the
+    recognition speed of the normal form itself: the worst ratio of their
+    times per letter.  Random raw words keep a linear stack pass: the
+    log-log slope of normalize on them."""
+    from conftest import G2_TEXT, ZF2_PATH
+
+    from relconj.presentation import load_presentation, parse_presentation
+
+    groups = {"Z * Z^2": parse_presentation(G2_TEXT),
+              "Z * F2": load_presentation(ZF2_PATH)}
+    rng = random.Random(16)
+
+    def best_per_letter(p, w, want):
+        best = math.inf
+        for _ in range(3):
+            t1 = time.perf_counter()
+            got = words.normalize(p, w)
+            best = min(best, time.perf_counter() - t1)
+            assert got == want
+        return best / len(w)
+
+    ratios, slopes = {}, {}
+    for name, p in groups.items():
+        worst, points = 0.0, []
+        for n in [2 ** e for e in range(12, 17)]:
+            nf = ""
+            while len(nf) < n:
+                nf = words.normalize(p, nf + "".join(
+                    rng.choice(p.alphabet) for _ in range(n)))
+            nf = nf[:n]  # a prefix of a normal form is one
+            recognise = best_per_letter(p, nf, nf)
+            for pair in ("aA", "xX"):
+                for i in (0, n // 2, n):
+                    w = nf[:i] + pair + nf[i:]
+                    worst = max(worst, best_per_letter(p, w, nf) / recognise)
+            raw = "".join(rng.choice(p.alphabet) for _ in range(n))
+            best = best_per_letter(p, raw, words.normalize(p, raw)) * n
+            points.append((math.log(n), math.log(best)))
+        ratios[name] = worst
+        slopes[name] = loglog_slope(points)
+    return {"ratios": ratios, "slopes": slopes}
+
+
+def test_criterion_16_almost_normal_forms_at_recognition_speed(capsys):
+    # the runs go to a child process with a time limit, as in criterion 13,
+    # so that a pass that turns quadratic fails the gate instead of stalling
+    t0 = time.perf_counter()
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
+                                         os.environ.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import json, test_acceptance as t; "
+             "print(json.dumps(t.almost_normal_scaling()))"],
+            capture_output=True, text=True, timeout=CRITERION_16_LIMIT_S,
+            env=dict(os.environ, PYTHONPATH=path))
+    except subprocess.TimeoutExpired:
+        report(capsys, "criterion 16: FAIL (timeout)")
+        pytest.fail("almost-normal runs still going after %d s"
+                    % CRITERION_16_LIMIT_S)
+    if proc.returncode != 0:
+        report(capsys, "criterion 16: FAIL (runs exited with status %d)"
+               % proc.returncode)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    elapsed = time.perf_counter() - t0
+    ok = (all(r <= 2.0 for r in out["ratios"].values())
+          and all(s <= 1.3 for s in out["slopes"].values()))
+    report(capsys, "criterion 16: %s (almost-normal forms at recognition "
+           "speed, n=4096..65536, worst time per letter over recognition %s "
+           "<= 2, raw-word log-log slopes %s <= 1.3, %.1fs)"
+           % ("PASS" if ok else "FAIL",
+              ", ".join("%s %.2f" % kv for kv in out["ratios"].items()),
+              ", ".join("%s %.3f" % kv for kv in out["slopes"].items()),
+              elapsed))
     assert ok

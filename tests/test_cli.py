@@ -382,3 +382,45 @@ def test_wp_torsion_group(capsys, paths):
     assert "trivial=true" in out
     code, out, _ = run(capsys, ["wp", paths["ZC2"], "tat"])
     assert "trivial=false" in out
+
+
+def parse_outputs(capsys, parser, argv):
+    """(exit code, stdout, stderr) of parser.parse_args(argv); None for the
+    code when it parses without exiting."""
+    try:
+        parser.parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["bogus"], ["bogus", "-h"], ["--seed", "x"],
+    ["--seed", "x", "conj"], ["--profile", "conj", "bogus"],
+    ["--profile", "wp", "conj", "f", "u", "v"], ["conj"], ["conj", "f"],
+    ["conj", "f", "u", "v", "--bogus"], ["-h", "conj"],
+] + [[name, "-h"] for name, _, _ in cli._SUBCOMMANDS])
+def test_parser_for_argv_prints_what_the_full_parser_prints(capsys, argv):
+    # the parser built for argv holds only the subparsers argv names, and
+    # every help, usage and error it prints is the full parser's
+    want = parse_outputs(capsys, cli.build_parser(), argv)
+    got = parse_outputs(capsys, cli.build_parser(argv), argv)
+    assert got == want
+    assert want[1] or want[2] or want[0] is None
+
+
+def test_main_builds_only_the_named_subparser(monkeypatch, capsys):
+    built = []
+    real = cli._subparser
+
+    def spy(listed_only=False, **kwargs):
+        built.append((kwargs["prog"], listed_only))
+        return real(listed_only, **kwargs)
+
+    monkeypatch.setattr(cli, "_subparser", spy)
+    code, _, _ = run(capsys, ["wp", os.fspath(DEMOS / "free2.txt"), "ab"])
+    assert code == 0
+    assert [prog for prog, listed in built if not listed] == ["relconj wp"]
+    assert len(built) == len(cli._SUBCOMMANDS)

@@ -180,6 +180,21 @@ def test_decide_positive_witnesses_verify(pG2, tG2, engG2):
                            words.inverse(v)))
 
 
+@pytest.mark.parametrize("u, v, witness", [
+    ("aAx", "axA", "a"), ("xaAy", "Axya", "A"), ("aAxyYx", "axxA", "a"),
+    ("xXaAaxA", "AaxAa", "A"), ("axXAaxA", "yxYAa", "A"),
+])
+def test_decide_with_an_unreduced_u_verifies_its_witness(pG2, tG2, u, v,
+                                                          witness):
+    # mul needs freely reduced parts; decide checks its witness on the
+    # normal form of u, so an unreduced u keeps the witness it always had
+    cert = cj.decide(pG2, tG2, u, v)
+    assert cert.answer == "conjugate" and cert.verified
+    assert cert.witness == witness
+    assert sh.word_problem(pG2, words.mul(witness, u, words.inverse(witness),
+                                          words.inverse(v)))
+
+
 def test_wrong_witness_fails_verification(monkeypatch, pF, tF, pG2, tG2):
     # equal cyclic forms answered with the conjugator a instead of the
     # empty word: the witness check against v's normal form has to catch it

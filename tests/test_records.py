@@ -108,3 +108,38 @@ def test_query_process_defines_only_what_it_runs(tmp_path):
     assert record_classes.split() == ["ConstantsProfile",
                                       "ParabolicDescriptor",
                                       "RelativePresentation"]
+
+
+# sha256 of the decide(...).to_record() lines, each ended by "\n", over all
+# ordered pairs of the radius-3 ball of each demo presentation, elements in
+# shortlex order, one engine per presentation
+DECIDE_DIGESTS = {
+    "free2": (53, "b8013b0474c8bc11"),
+    "zxz2": (143, "7a931a50cf8b4095"),
+    "zc2": (22, "5fabb71eec85c798"),
+    "zf2": (187, "41709ce9a1256257"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECIDE_DIGESTS))
+def test_decide_records_on_the_radius_3_balls_are_unchanged(name):
+    """Every decide record (answer, witness, reason, regime, lengths,
+    profile hash) on the radius-3 ball pairs, pinned by its digest, so that
+    a speed or design change cannot move an answer or a witness unseen.  A
+    deliberate record change updates the digest here and quotes the old and
+    the new one in CHANGES.md."""
+    import hashlib
+
+    from relconj import metric_oracle
+    from relconj.presentation import load_presentation
+
+    p = load_presentation(ROOT / "demos" / "presentations" / (name + ".txt"))
+    profile = tables.profile_for(p, [])
+    engine = conjugacy.ConjugacyEngine(p, profile)
+    elements = sorted(metric_oracle.ball(p, 3).elements, key=p.shortlex_key)
+    digest = hashlib.sha256()
+    for u in elements:
+        for v in elements:
+            record = conjugacy.decide(p, profile, u, v, engine=engine)
+            digest.update((record.to_record() + "\n").encode())
+    assert (len(elements), digest.hexdigest()[:16]) == DECIDE_DIGESTS[name]

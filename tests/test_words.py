@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -21,9 +22,34 @@ def test_free_reduce():
 
 
 def test_mul_reduces_at_joins():
+    # mul cancels only at the joins, which is free reduction of the whole
+    # concatenation when every part is freely reduced, also when a middle
+    # part cancels completely and its neighbours then cancel each other
     assert words.mul("ab", "BA") == ""
     assert words.mul("a", "", "A") == ""
     assert words.mul("ax", "Xb") == "ab"
+    assert words.mul("cab", "B", "Ad") == "cd"
+    assert words.mul("ab", "B", "A") == ""
+    assert words.mul("xab", "BA", "aX") == "xaX"
+    rng = random.Random(34)
+    letters = "aAbBxXyY"
+    seen_vanishing = 0
+    for _ in range(4000):
+        parts = [words.free_reduce(random_word(rng, letters, rng.randint(0, 9)))
+                 for _ in range(rng.randint(0, 4))]
+        if len(parts) >= 2 and rng.random() < 0.5:
+            # a middle part cancelling the whole tail of the part before it
+            left = parts[0]
+            tail = left[rng.randint(0, len(left)):]
+            parts.insert(1, words.inverse(tail))
+            keep = left[: len(left) - len(tail)]
+            if keep and rng.random() < 0.5:
+                parts[2] = words.free_reduce(
+                    words.inverse(keep[-rng.randint(1, len(keep)):]) + parts[2])
+            seen_vanishing += 1
+        assert all(words.free_reduce(x) == x for x in parts)
+        assert words.mul(*parts) == words.free_reduce("".join(parts)), parts
+    assert seen_vanishing > 1000
 
 
 def test_cyclic_reduce():
@@ -121,9 +147,127 @@ def test_normalize_calls_no_oracle_on_a_normal_form(monkeypatch, pTHREE):
         words.normalize(pTHREE, nf + "xX")
 
 
+def reference_normalize(p, w):
+    """The normal form by its definition, rewritten to a fixed point: free
+    reduction, then every maximal parabolic run replaced by its factor's
+    geodesic form (a trivial one dropped), until neither changes w."""
+    while True:
+        v = "".join(syl.word if syl.kind == HYPERBOLIC
+                    else p.oracles[syl.kind].geodesic_form(syl.word)
+                    for syl in words.raw_syllables(p, words.free_reduce(w)))
+        if v == w:
+            return w
+        w = v
+
+
+def random_word(rng, letters, n):
+    return "".join(rng.choice(letters) for _ in range(n))
+
+
+def factor_letters(p, kind):
+    return [c for c in p.alphabet if p.letter_kind[c] == kind]
+
+
+def almost_normal_words(rng, p):
+    """Normal forms with one fault each: a cancelling pair or a parabolic
+    run inserted, an inverse suffix (raw or itself a normal form) that
+    cancels deep into them, one run spelled non-canonically, and two
+    normal forms joined across a cancelling pair, so that a run of the
+    first merges with one of the second."""
+    kinds = sorted({p.letter_kind[c] for c in p.alphabet} - {HYPERBOLIC})
+    n = rng.choice([3, 12, 40, 150])
+    nf = words.normalize(p, random_word(rng, p.alphabet, 2 * n))
+    i = rng.randint(0, len(nf))
+    c = rng.choice(p.alphabet)
+    yield nf[:i] + c + words.inverse(c) + nf[i:]
+    if kinds:
+        run = random_word(rng, factor_letters(p, rng.choice(kinds)),
+                          rng.randint(1, 4))
+        yield nf[:i] + run + nf[i:]
+    k = rng.randint(0, len(nf))
+    yield nf + words.inverse(nf[k:])
+    yield nf + words.normalize(p, words.inverse(nf[k:]) + random_word(
+        rng, p.alphabet, rng.randint(0, 20)))
+    runs = [s for s in words.raw_syllables(p, nf) if s.kind != HYPERBOLIC]
+    if runs:
+        s = rng.choice(runs)
+        orc = p.oracles[s.kind]
+        x = random_word(rng, factor_letters(p, s.kind), rng.randint(1, 3))
+        spelt = x + orc.geodesic_form(words.inverse(x) + s.word)
+        yield nf[: s.start] + spelt + nf[s.end :]
+    if kinds:
+        kind = rng.choice(kinds)
+        left = words.normalize(p, random_word(rng, p.alphabet, n) + rng.choice(
+            factor_letters(p, kind)))
+        right = words.normalize(p, rng.choice(factor_letters(p, kind))
+                                + random_word(rng, p.alphabet, n))
+        c = rng.choice(p.alphabet)
+        yield left + c + words.inverse(c) + right
+        yield left + right
+
+
+@pytest.mark.parametrize("name", ["pF", "pG2", "pZC2", "pZF2", "pTHREE"])
+def test_normalize_almost_normal_words(request, name):
+    p = request.getfixturevalue(name)
+    rng = random.Random(31)
+    seen = 0
+    for _ in range(200):
+        for w in almost_normal_words(rng, p):
+            assert words.normalize(p, w) == reference_normalize(p, w), w
+            seen += 1
+    assert seen >= 600
+
+
+@pytest.mark.parametrize("name", ["pF", "pG2", "pZC2", "pZF2", "pTHREE"])
+def test_normalize_agrees_with_the_definition_on_raw_words(request, name):
+    p = request.getfixturevalue(name)
+    rng = random.Random(32)
+    for trial in range(400):
+        w = random_word(rng, p.alphabet, rng.choice([0, 1, 3, 5, 17, 60, 300]))
+        assert words.normalize(p, w) == reference_normalize(p, w), w
+
+
+def test_normalize_folds_only_the_fault(monkeypatch, pTHREE):
+    # a 16k-letter normal form with one xX inserted makes at most 4 oracle
+    # push calls wherever the pair goes: the stretches on either side are
+    # kept whole, and only the syllables at the fault are folded
+    rng = random.Random(33)
+    nf = ""
+    while len(nf) < 16384:
+        nf = words.normalize(pTHREE, nf + random_word(rng, pTHREE.alphabet,
+                                                      4096))
+    calls = []
+    for orc in pTHREE.oracles.values():
+        def push(state, run, real=orc.push):
+            calls.append(run)
+            return real(state, run)
+        monkeypatch.setattr(orc, "push", push)
+    runs = [s for s in words.raw_syllables(pTHREE, nf) if s.kind == 1]
+    cuts = [0, 1, 15, 16, 17, len(nf) // 2, len(nf) - 16, len(nf) - 1,
+            len(nf)] + [rng.randint(0, len(nf)) for _ in range(40)]
+    cuts += [s.start + 1 for s in runs[:20] if len(s.word) > 1]
+    for i in cuts:
+        w = nf[:i] + "xX" + nf[i:]
+        del calls[:]
+        assert words.normalize(pTHREE, w) == nf
+        assert len(calls) <= 4, (i, calls)
+
+
 def test_normalize_unknown_letter(pG2):
     with pytest.raises(UnknownLetterError):
         words.normalize(pG2, "z")
+
+
+@pytest.mark.parametrize("w, letter", [
+    ("xXz", "z"), ("ax\nb", "\n"), ("axA" * 10 + "xX?", "?"),
+    ("axA" * 10 + "é" + "axA" * 10, "é"), ("xyXY" * 10 + " a", " "),
+])
+def test_normalize_names_the_undeclared_letter_wherever_it_is(pG2, w,
+                                                              letter):
+    # normalize checks letters on the way: the first undeclared one is
+    # named whether a stretch, a stack pass or a fold meets it
+    with pytest.raises(UnknownLetterError, match=re.escape(repr(letter))):
+        words.normalize(pG2, w)
 
 
 def test_raw_syllables(pG2):
