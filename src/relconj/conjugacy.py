@@ -97,8 +97,7 @@ class ConjugacyEngine:
     the cyclic form, and the input's normal form, against which decide
     checks witnesses), classifications, and the profile hash.  The
     presentation must be relator-free: only there are the cyclic forms
-    canonical, so relators are refused, and the engine takes no triviality
-    test.
+    canonical, so relators are refused.
 
     _cyc and _cls are plain dicts keyed by input word and never evicted:
     they grow with the distinct words an engine sees, each _cyc entry

@@ -30,9 +30,9 @@ class BudgetExceededError(RelconjError):
 
 class OracleUnavailableError(RelconjError):
     """A presentation with relators lacks what a query needs: a Dehn table
-    (a relator uses a parabolic letter, or the relators fail C'(1/6)), the
-    tables and conjugacy engine that only relator-free presentations get,
-    or an explicit triviality test for the ball oracle."""
+    (a relator uses a parabolic letter, or the relators fail C'(1/6)), or
+    the tables, conjugacy engine and ball oracle that only relator-free
+    presentations get."""
 
 
 class NotConjugateError(RelconjError):

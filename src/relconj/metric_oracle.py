@@ -1,11 +1,11 @@
 """Brute-force ground truth on the Cayley graph and its coned-off variant.
 
 Everything here is computed by exhaustive enumeration and is independent of
-the curve-shortening machinery, so it can verify it.  On a presentation
-without relators, equality of group elements is decided by the free-product
-normal form (words.normalize) and a ``trivial`` argument is never read;
-with relators the caller must inject an independent ``trivial`` callable,
-otherwise queries raise :class:`OracleUnavailableError`.
+the curve-shortening machinery, so it can verify it.  Equality of group
+elements is decided by the free-product normal form (words.normalize), so
+the oracle serves relator-free presentations only: with relators every
+entry point raises :class:`OracleUnavailableError`.  The independent check
+of the relator path is its relator-free twin presentation.
 
 The coned-off graph is realized on a finite induced vertex set: the ordinary
 ball of a chosen radius, with an edge for every generator and an edge between
@@ -30,59 +30,30 @@ DEFAULT_BUDGET = 1_000_000
 
 
 def _cached(maxsize):
-    """lru_cache for f(p, x, trivial=None, budget=None) keyed on trivial
-    only with relators, the only presentations that read it, so that no
-    ball is held twice; f.cache_clear() frees the entries."""
+    """lru_cache for f(p, x, budget=None) keyed on (p, x, budget) however
+    budget is passed, so that no ball is held twice; f.cache_clear() frees
+    the entries."""
     def decorate(f):
         cached = lru_cache(maxsize)(f)
-        call = wraps(f)(lambda p, x, trivial=None, budget=None: cached(
-            p, x, None if p.is_free_product else trivial, budget))
+        call = wraps(f)(lambda p, x, budget=None: cached(p, x, budget))
         call.cache_clear, call.cache_info = cached.cache_clear, cached.cache_info
         return call
     return decorate
 
 
-def triviality_test(p: RelativePresentation, trivial=None):
-    """A word -> bool test for equality with the identity: the normal form
-    on a relator-free presentation, which never reads trivial, and trivial
-    with relators."""
-    if p.is_free_product:
-        return lambda w: words.normalize(p, w) == ""
-    if trivial is None:
-        raise OracleUnavailableError("presentation %r has relators; pass an "
-                                     "explicit triviality test" % p.label)
-    return trivial
+def _check_free_product(p: RelativePresentation):
+    """The one guard of the oracle: relators have no normal form here."""
+    if not p.is_free_product:
+        raise OracleUnavailableError(
+            "presentation %r has relators; the ball oracle serves free "
+            "products only" % p.label)
 
 
-def validate_relators(p: RelativePresentation, trivial=None):
-    """Check that every relator (and each of its rotations, which must also
-    die in the group) passes the triviality test.  Raises RelconjError on
-    the first violation; a sanity gate for injected tests."""
-    check = triviality_test(p, trivial)
-    for rel in p.relators:
-        for j in range(max(1, len(rel))):
-            rot = rel[j:] + rel[:j]
-            if not check(rot):
-                raise RelconjError(
-                    "relator rotation %r fails the triviality test" % rot
-                )
-
-
-def normal_form(p: RelativePresentation, w: str, trivial=None, budget=None) -> str:
-    """Canonical representative of the element of w.
-
-    Free products use the syllable normal form directly, without reading
-    trivial.  With relators the representative is the shortlex-least
-    geodesic found by ball search out to the length of w.
-    """
-    if p.is_free_product:
-        return words.normalize(p, w)
-    w = words.normalize(p, w)
-    index = ball(p, len(w), trivial=trivial, budget=budget)
-    rep = index.find(p, w, trivial)
-    if rep is None:
-        raise RelconjError("no representative for %r within radius %d" % (w, len(w)))
-    return rep
+def normal_form(p: RelativePresentation, w: str) -> str:
+    """Canonical representative of the element of w: the syllable normal
+    form."""
+    _check_free_product(p)
+    return words.normalize(p, w)
 
 
 class BallIndex:
@@ -104,67 +75,40 @@ class BallIndex:
     def __contains__(self, rep):
         return rep in self.dist
 
-    def find(self, p, w, trivial=None):
+    def find(self, p, w):
         """Canonical representative of w inside this ball, or None."""
-        if p.is_free_product:
-            nf = words.normalize(p, w)
-            return nf if nf in self.dist else None
-        check = triviality_test(p, trivial)
-        for rep in self.dist:
-            if check(w + words.inverse(rep)):
-                return rep
-        return None
+        nf = normal_form(p, w)
+        return nf if nf in self.dist else None
 
 
 @_cached(128)
-def ball(p: RelativePresentation, r: int, trivial=None, budget=None) -> BallIndex:
+def ball(p: RelativePresentation, r: int, budget=None) -> BallIndex:
     """Breadth-first ball of radius r; distances are exact word lengths.
 
-    Cached per (p, r, budget), and trivial with relators, at most 128
-    entries, each holding up to budget canonical words
-    (BudgetExceededError beyond that); ball.cache_clear() frees them."""
+    Cached per (p, r, budget), at most 128 entries, each holding up to
+    budget canonical words (BudgetExceededError beyond that);
+    ball.cache_clear() frees them."""
+    _check_free_product(p)
     budget = DEFAULT_BUDGET if budget is None else budget
-    if p.is_free_product:
-        dist = {"": 0}
-        frontier = [""]
-        for depth in range(1, r + 1):
-            nxt = []
-            for w in frontier:
-                for c in p.alphabet:
-                    nf = words.normalize(p, w + c)
-                    if nf not in dist:
-                        dist[nf] = depth
-                        nxt.append(nf)
-                        if len(dist) > budget:
-                            raise BudgetExceededError("ball(%d)" % r, budget)
-            frontier = nxt
-        return BallIndex(r, dist)
-    check = triviality_test(p, trivial)
-    reps = [""]
     dist = {"": 0}
     frontier = [""]
     for depth in range(1, r + 1):
         nxt = []
         for w in frontier:
             for c in p.alphabet:
-                cand = words.free_reduce(w + c)
-                if any(check(cand + words.inverse(rep)) for rep in reps):
-                    continue
-                reps.append(cand)
-                dist[cand] = depth
-                nxt.append(cand)
-                if len(dist) > budget:
-                    raise BudgetExceededError("ball(%d)" % r, budget)
+                nf = words.normalize(p, w + c)
+                if nf not in dist:
+                    dist[nf] = depth
+                    nxt.append(nf)
+                    if len(dist) > budget:
+                        raise BudgetExceededError("ball(%d)" % r, budget)
         frontier = nxt
     return BallIndex(r, dist)
 
 
-def gamma_length(p: RelativePresentation, w: str, trivial=None, budget=None) -> int:
+def gamma_length(p: RelativePresentation, w: str) -> int:
     """Distance from the identity in the ordinary Cayley graph."""
-    if p.is_free_product:
-        return len(words.normalize(p, w))
-    nf = normal_form(p, w, trivial=trivial, budget=budget)
-    return ball(p, len(words.normalize(p, w)), trivial, budget).dist[nf]
+    return len(normal_form(p, w))
 
 
 # ---------------------------------------------------------------------------
@@ -176,23 +120,21 @@ class ConedGraph:
     plus an edge between any two distinct elements of a common left coset of
     a parabolic subgroup (cosets realized as cliques)."""
 
-    def __init__(self, p, radius, trivial=None, budget=None):
+    def __init__(self, p, radius, budget=None):
         self.p = p
-        index = ball(p, radius, trivial=trivial, budget=budget)
-        self.index = index
+        self.index = index = ball(p, radius, budget=budget)
         self.verts = sorted(index.dist, key=p.shortlex_key)
         self._id = {v: i for i, v in enumerate(self.verts)}
-        nf = lambda w: normal_form(p, w, trivial, budget)
         self.adj = [[] for _ in self.verts]
         for i, v in enumerate(self.verts):
             for c in p.alphabet:
-                u = nf(v + c)
-                j = self._id.get(u)
+                j = self._id.get(words.normalize(p, v + c))
                 if j is not None and j != i:
                     self.adj[i].append(j)
         # left cosets of each parabolic: union-find over right multiplication
         # by the subgroup letters (both members stay in the same coset)
-        parent = {}
+        parent = {(par.index, i): (par.index, i) for par in p.parabolics
+                  for i in range(len(self.verts))}
 
         def find(x):
             while parent[x] != x:
@@ -201,12 +143,9 @@ class ConedGraph:
             return x
 
         for par in p.parabolics:
-            for i in range(len(self.verts)):
-                parent[(par.index, i)] = (par.index, i)
-        for par in p.parabolics:
             for i, v in enumerate(self.verts):
                 for c in par.letters:
-                    j = self._id.get(nf(v + c))
+                    j = self._id.get(words.normalize(p, v + c))
                     if j is not None:
                         a, b = find((par.index, i)), find((par.index, j))
                         if a != b:
@@ -221,9 +160,8 @@ class ConedGraph:
             for i in members:
                 self.vert_cliques[i].append(ci)
 
-    def vertex(self, w, trivial=None):
-        nf = normal_form(self.p, w, trivial)
-        return self._id.get(nf)
+    def vertex(self, w):
+        return self._id.get(normal_form(self.p, w))
 
     def bfs(self, source: int):
         """Distances and deterministic parents from one vertex."""
@@ -259,50 +197,47 @@ class ConedGraph:
 
 
 @_cached(64)
-def _coned_graph(p, radius, trivial=None, budget=None) -> ConedGraph:
+def _coned_graph(p, radius, budget=None) -> ConedGraph:
     """The coned-off graph on the ball of the radius, cached per (p,
-    radius, budget), and trivial with relators: at most 64 graphs, each
-    over up to budget vertices with their generator edges and coset
-    cliques (and it keeps the cached ball alive); _coned_graph.cache_clear()
-    frees them."""
-    return ConedGraph(p, radius, trivial=trivial, budget=budget)
+    radius, budget): at most 64 graphs, each over up to budget vertices
+    with their generator edges and coset cliques (and it keeps the cached
+    ball alive); _coned_graph.cache_clear() frees them."""
+    return ConedGraph(p, radius, budget=budget)
 
 
 def relative_length(p: RelativePresentation, w: str, method="auto",
-                    trivial=None, budget=None) -> int:
+                    budget=None) -> int:
     """Exact distance from the identity in the coned-off graph.
 
-    method="auto" uses the syllable count of the normal form on relator-free
-    presentations (each hyperbolic letter is one edge, each parabolic
-    syllable one coset edge; a free product admits no shortcut).
+    method="auto" uses the syllable count of the normal form (each
+    hyperbolic letter is one edge, each parabolic syllable one coset edge;
+    a free product admits no shortcut).
     method="bfs" searches the realized coned-off graph restricted to the
     ball of the normal form's length, which covers the straight path.
     """
-    nf = words.normalize(p, w)
-    if method == "auto" and p.is_free_product:
+    nf = normal_form(p, w)
+    if method == "auto":
         return words.raw_relative_length(p, nf)
-    graph = _coned_graph(p, max(1, len(nf)), trivial, budget)
-    src = graph.vertex("", trivial)
-    tgt = graph.vertex(nf, trivial)
+    graph = _coned_graph(p, max(1, len(nf)), budget)
+    src = graph.vertex("")
+    tgt = graph.vertex(nf)
     dist, _ = graph.bfs(src)
     if dist[tgt] < 0:
         raise RelconjError("coned ball too small for %r" % w)
     return dist[tgt]
 
 
-def is_relative_geodesic(p: RelativePresentation, w: str, method="auto",
-                         trivial=None, budget=None) -> bool:
+def is_relative_geodesic(p: RelativePresentation, w: str) -> bool:
     """True iff the path labeled by w is a relative geodesic as written:
     every parabolic run is geodesic in its subgroup and the syllable count
     of w equals the relative distance between its endpoints."""
     oracles = p.oracles
     sylls = words.raw_syllables(p, w)
     for s in sylls:
-        if s.kind != HYPERBOLIC:
-            if len(oracles[s.kind].geodesic_form(s.word)) != len(s.word):
-                return False
-    return len(sylls) == relative_length(p, w, method=method,
-                                         trivial=trivial, budget=budget)
+        if (s.kind != HYPERBOLIC
+                and len(oracles[s.kind].geodesic_form(s.word)) != len(s.word)):
+            return False
+    return len(sylls) == relative_length(p, w)
 
 
 # ---------------------------------------------------------------------------
@@ -310,24 +245,18 @@ def is_relative_geodesic(p: RelativePresentation, w: str, method="auto",
 
 
 def brute_conjugate(p: RelativePresentation, u: str, v: str, max_len: int,
-                    trivial=None, budget=None):
+                    budget=None):
     """Shortest g (shortlex ties) with g*u*g^-1 = v and |g| <= max_len."""
-    index = ball(p, max_len, trivial=trivial, budget=budget)
-    if p.is_free_product:
-        target = words.normalize(p, v)
-        for g in sorted(index.dist, key=p.shortlex_key):
-            if words.normalize(p, g + u + words.inverse(g)) == target:
-                return g
-        return None
-    check = triviality_test(p, trivial)
+    index = ball(p, max_len, budget=budget)
+    target = words.normalize(p, v)
     for g in sorted(index.dist, key=p.shortlex_key):
-        if check(g + u + words.inverse(g) + words.inverse(v)):
+        if words.normalize(p, g + u + words.inverse(g)) == target:
             return g
     return None
 
 
 @_cached(32)
-def conjugacy_classes(p: RelativePresentation, radius: int, trivial=None,
+def conjugacy_classes(p: RelativePresentation, radius: int,
                       budget=None) -> dict:
     """Partition of the ball of a radius into conjugacy classes by closing
     under single-generator conjugation inside the ball.
@@ -338,11 +267,10 @@ def conjugacy_classes(p: RelativePresentation, radius: int, trivial=None,
     never grows), so the whole chain stays inside the ball.  Returns a map
     from canonical word to its class representative (shortlex least).
 
-    Cached per (p, radius, budget), and trivial with relators, at most 32
-    maps, each of up to budget words; conjugacy_classes.cache_clear() frees
-    them.
+    Cached per (p, radius, budget), at most 32 maps, each of up to budget
+    words; conjugacy_classes.cache_clear() frees them.
     """
-    index = ball(p, radius, trivial=trivial, budget=budget)
+    index = ball(p, radius, budget=budget)
     parent = {v: v for v in index.dist}
 
     def find(x):
@@ -353,7 +281,7 @@ def conjugacy_classes(p: RelativePresentation, radius: int, trivial=None,
 
     for v in index.dist:
         for c in p.alphabet:
-            u = normal_form(p, c + v + words.inverse(c), trivial, budget)
+            u = normal_form(p, c + v + words.inverse(c))
             if u in parent:
                 a, b = find(v), find(u)
                 if a != b:
@@ -386,18 +314,17 @@ class QuasiGeodesicParams:
 
 
 def estimate_delta(p: RelativePresentation, r: int, gamma_radius=None,
-                   trivial=None, budget=None) -> int:
+                   budget=None) -> int:
     """Smallest integer d such that every canonical geodesic triangle with
     vertices of relative length <= r (and ordinary length <= gamma_radius)
     is d-thin in the coned-off graph.  A lower bound for the true constant;
     exhaustive within the stated window."""
     gamma_radius = 2 * r if gamma_radius is None else gamma_radius
-    graph = _coned_graph(p, max(1, gamma_radius), trivial, budget)
-    src = graph.vertex("", trivial)
+    graph = _coned_graph(p, max(1, gamma_radius), budget)
+    src = graph.vertex("")
     base_dist, _ = graph.bfs(src)
     vset = [i for i in range(len(graph.verts)) if 0 <= base_dist[i] <= r]
-    all_dist = {}
-    all_parent = {}
+    all_dist, all_parent = {}, {}
     for i in vset:
         all_dist[i], all_parent[i] = graph.bfs(i)
     # distances from arbitrary vertices are needed for thinness checks
@@ -436,24 +363,23 @@ def estimate_delta(p: RelativePresentation, r: int, gamma_radius=None,
     return best
 
 
-def _coset_key(p, prefix_nf, kind):
-    """Canonical name of the left coset prefix * P_kind (free products:
-    the normal form with its trailing run of that block stripped)."""
-    w = prefix_nf
+def _coset_key(p, w, kind):
+    """Canonical name of the left coset w * P_kind, w a normal form: w
+    with its trailing run of that block stripped."""
     i = len(w)
     while i > 0 and p.letter_kind.get(w[i - 1]) == kind:
         i -= 1
     return w[:i]
 
 
-def _path_components(p, path_word, trivial=None):
+def _path_components(p, path_word):
     """Parabolic components of the path labeled by path_word from the
     identity: (kind, start, end, coset key) per maximal run."""
     out = []
     for s in words.raw_syllables(p, path_word):
         if s.kind == HYPERBOLIC:
             continue
-        prefix = words.normalize(p, path_word[: s.start])
+        prefix = normal_form(p, path_word[: s.start])
         out.append((s.kind, s.start, s.end, (s.kind, _coset_key(p, prefix, s.kind))))
     return out
 
@@ -487,10 +413,8 @@ def estimate_bcp(p: RelativePresentation, params: QuasiGeodesicParams,
     """Largest ordinary length of an isolated parabolic component seen on a
     closed path formed by two distinct non-backtracking relative
     (lambda, eps)-quasi-geodesic paths of length <= r with common endpoints.
-    Exhaustive within radius r; a lower bound for the true constant.
-    Free-product presentations only."""
-    if not p.is_free_product:
-        raise OracleUnavailableError("component bound estimation needs a free product")
+    Exhaustive within radius r; a lower bound for the true constant."""
+    _check_free_product(p)
     paths = [""]
     frontier = [""]
     for _ in range(r):

@@ -22,7 +22,8 @@ hyperbolic letters and satisfying C'(1/6).
 A ``finite`` block carries the full multiplication table of the subgroup,
 one ``table`` row per element.  Element 0 is the identity and element j >= 1
 is the j-th declared letter, so the generating set is all nontrivial
-elements and the table must be square of size ``len(letters) + 1``::
+elements, and the declared size and the square table are both
+``len(letters) + 1``::
 
     parabolic finite 2
     letters t
@@ -336,6 +337,9 @@ def parse_presentation(text: str) -> RelativePresentation:
             raise ParseError("parabolic block missing a letters line", pending["line"])
         index = len(parabolics) + 1
         if kind == "finite":
+            if pending["param"] != len(letters) + 1:
+                raise ParseError("finite size must be %d, one more than its "
+                                 "letters" % (len(letters) + 1), pending["line"])
             desc = ParabolicDescriptor(
                 index, kind, letters, table=tuple(tuple(r) for r in pending["table"])
             )

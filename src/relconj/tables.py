@@ -66,8 +66,8 @@ class ConstantsProfile:
     def __post_init__(self):
         if self.threshold is None:
             object.__setattr__(self, "threshold", 86 * self.delta + 3)
-        if self.delta < 0 or self.budget < 0:
-            raise ParseError("delta and budget must be nonnegative")
+        if any(getattr(self, f.name) < 0 for f in fields(self)):
+            raise ParseError("profile constants must be nonnegative")
         if self.c2 > self.c3:
             raise ParseError("profiles require C(2) <= C(3)")
 

@@ -5,8 +5,8 @@ F is the free group of rank two (hyperbolic, no parabolics), G2 is Z * Z^2
 Z * C2 (a finite parabolic with torsion), ZF2 is Z * F2 (a free parabolic,
 read from demos/presentations/zf2.txt), THREE is Z^2 * F2 * C3 * Z (all
 three factor kinds at once), and C5 is the cyclic group of order five given
-by a relator, which exercises the Dehn table (and, in the ball oracle, an
-injected triviality test).  C5Z2 is C5 * Z^2, relators beside a parabolic.
+by a relator, which exercises the Dehn table (and which the ball oracle
+refuses).  C5Z2 is C5 * Z^2, relators beside a parabolic.
 Tables are built once per session; the working constants are pinned inside
 the presentation texts so every derived value in the tests is reproducible.
 """
@@ -95,11 +95,6 @@ def relator_conjugates(rng, p, n):
         parts.append(g + rng.choice(rotations) + g.swapcase()[::-1])
         size += len(parts[-1])
     return "".join(parts)
-
-
-def c5_trivial(w):
-    """Exact triviality test for the order-five relator group."""
-    return (w.count("a") - w.count("A")) % 5 == 0
 
 
 @pytest.fixture(scope="session")

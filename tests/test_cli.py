@@ -268,7 +268,9 @@ def test_wp_without_a_dehn_table_is_an_oracle_error(capsys, tmp_path,
     (["conj", "G2", "axA", "x"], "c3=-1"),
     (["conj", "G2", "axA", "x"], "delta=-1"),
     (["conj", "G2", "axA", "x"], "zeta=1"),
-], ids=["maxlen", "negative-sample", "zero-sample", "c3", "delta", "key"])
+    (["precompute", "G2"], "c2=-3\nc3=-1"),
+], ids=["maxlen", "negative-sample", "zero-sample", "c3", "delta", "key",
+        "negative-c2"])
 def test_bad_input_is_a_parse_error(capsys, paths, tmp_path, argv, profile):
     argv = [paths.get(arg, arg) for arg in argv]
     if profile is not None:

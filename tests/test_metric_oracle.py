@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from conftest import c5_trivial
 from relconj import metric_oracle as mo, shortening, words
-from relconj.errors import BudgetExceededError, OracleUnavailableError, RelconjError
+from relconj.errors import BudgetExceededError, OracleUnavailableError
 
 
 def test_ball_sizes(pF, pG2):
@@ -179,22 +178,21 @@ def test_certified_local_geodesics_are_quasi_geodesic(pG2, tG2):
 
 
 def test_relator_free_balls_are_cached_once(pG2):
-    # trivial is not read without relators, so it is no part of the key
+    # keyed on (p, r, budget) however budget is passed
     mo.ball.cache_clear()
     mo.ball(pG2, 3)
-    assert len(mo.ball(pG2, 3, trivial=lambda w: False)) == 143
+    mo.ball(pG2, 3, budget=None)
+    assert len(mo.ball(pG2, 3, None)) == 143
     info = mo.ball.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
 
 
-def test_relator_group_with_injected_test(pC5):
-    mo.validate_relators(pC5, c5_trivial)
-    assert len(mo.ball(pC5, 2, trivial=c5_trivial)) == 5
-    assert mo.normal_form(pC5, "aaa", trivial=c5_trivial) == "AA"
-    assert mo.gamma_length(pC5, "aaaa", trivial=c5_trivial) == 1
-    assert mo.brute_conjugate(pC5, "a", "a", 1, trivial=c5_trivial) == ""
-
-
-def test_validate_relators_rejects_wrong_test(pC5):
-    with pytest.raises(RelconjError, match="fails the triviality test"):
-        mo.validate_relators(pC5, lambda w: len(w) == 0)
+def test_relator_presentations_are_refused(pC5):
+    # the oracle decides equality by the free-product normal form only
+    calls = [lambda: mo.ball(pC5, 2), lambda: mo.normal_form(pC5, "aaa"),
+             lambda: mo.gamma_length(pC5, "aaaa"),
+             lambda: mo.relative_length(pC5, "aaaa"),
+             lambda: mo.brute_conjugate(pC5, "a", "a", 1)]
+    for call in calls:
+        with pytest.raises(OracleUnavailableError, match="'c5' has relators"):
+            call()

@@ -27,6 +27,11 @@ def test_profile_validation():
         tb.ConstantsProfile(delta=-1)
     with pytest.raises(RelconjError):
         tb.ConstantsProfile(c2=5, c3=2)
+    with pytest.raises(RelconjError, match="nonnegative"):
+        tb.ConstantsProfile(c2=-3, c3=-1)
+    for key in ("c3", "nlin", "mlin", "threshold"):
+        with pytest.raises(RelconjError, match="nonnegative"):
+            tb.ConstantsProfile(**{key: -1})
     with pytest.raises(RelconjError):
         tb.profile_from_pairs([("zeta", 1)])
 
