@@ -75,11 +75,6 @@ class BallIndex:
     def __contains__(self, rep):
         return rep in self.dist
 
-    def find(self, p, w):
-        """Canonical representative of w inside this ball, or None."""
-        nf = normal_form(p, w)
-        return nf if nf in self.dist else None
-
 
 @_cached(128)
 def ball(p: RelativePresentation, r: int, budget=None) -> BallIndex:

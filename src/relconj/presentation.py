@@ -15,6 +15,9 @@ File format (blank lines and ``#`` comments are ignored)::
     relator <word>            # optional, repeatable
     constants delta=1 c2=2    # optional working-constant overrides
 
+The ``group`` line, the ``hyperbolic`` line and each block's ``letters``
+line appear at most once.
+
 Parsing accepts relators over any declared letters, but the word problem
 with relators (Dehn's algorithm, see dehn_table) needs them over the
 hyperbolic letters and satisfying C'(1/6).
@@ -320,7 +323,7 @@ def _check_generator_name(g, seen):
 def parse_presentation(text: str) -> RelativePresentation:
     """Parse the file format described in the module docstring."""
     label = None
-    hyperbolic: tuple[str, ...] = ()
+    hyperbolic = None
     parabolics = []
     relators = []
     constants = []
@@ -357,9 +360,13 @@ def parse_presentation(text: str) -> RelativePresentation:
         if key == "group":
             if len(args) != 1:
                 raise ParseError("group expects one label", line_no)
+            if label is not None:
+                raise ParseError("second group line", line_no)
             label = args[0]
         elif key == "hyperbolic":
             flush()
+            if hyperbolic is not None:
+                raise ParseError("second hyperbolic line", line_no)
             hyperbolic = tuple(args)
         elif key == "parabolic":
             flush()
@@ -377,6 +384,9 @@ def parse_presentation(text: str) -> RelativePresentation:
         elif key == "letters":
             if pending is None:
                 raise ParseError("letters line outside a parabolic block", line_no)
+            if pending["letters"] is not None:
+                raise ParseError("second letters line in a parabolic block",
+                                 line_no)
             pending["letters"] = tuple(args)
         elif key == "table":
             if pending is None or pending["kind"] != "finite":
@@ -407,7 +417,8 @@ def parse_presentation(text: str) -> RelativePresentation:
     if label is None:
         raise ParseError("missing group line")
     return RelativePresentation(
-        label, hyperbolic, tuple(parabolics), tuple(relators), tuple(constants)
+        label, hyperbolic or (), tuple(parabolics), tuple(relators),
+        tuple(constants)
     )
 
 

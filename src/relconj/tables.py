@@ -13,11 +13,12 @@ algorithms state their guarantees relative to the working values and
 certificates record the profile hash.  The derived quantities
 K^hyp_4delta = |B(4delta, 2*C3)|*(16*delta+2) and K_4delta = K^hyp_4delta +
 sum |S_i|^C3 are always computed from the formula radii (they are reports,
-not enumeration bounds).
+not enumeration bounds).  |B(4delta, 2*C3)| is counted, not enumerated:
+see enumerate_filtered_ball.
 
 Only relator-free presentations get tables or a conjugacy engine: there
-the filtered ball of canonical alternating words
-enumerates group elements exactly and the cyclic form is canonical.
+normal forms are unique, so counting canonical alternating words counts
+group elements exactly, and the cyclic form is canonical.
 Presentations with relators get the word problem and cyclic Dehn
 reduction of the shortening layer, which read the presentation's Dehn
 table and nothing here.
@@ -40,7 +41,6 @@ from .errors import (
 )
 from .presentation import (
     HYPERBOLIC,
-    INVERSE_LETTER,
     RelativePresentation,
     presentation_hash,
 )
@@ -112,44 +112,33 @@ def check_relator_free(p: RelativePresentation):
         )
 
 
-class FilteredBall(NamedTuple):
-    """B(r1, r2): canonical words of relative length <= r1 whose parabolic
-    components all have Gamma-length <= r2."""
-
-    rel_radius: int
-    comp_bound: int
-    members: frozenset
-
-
 def enumerate_filtered_ball(p: RelativePresentation, r1: int, r2: int,
-                            budget=None, label="filtered ball") -> FilteredBall:
-    """Exhaustive B(r1, r2) for a relator-free presentation, one canonical
-    word per group element (alternating syllables, canonical run forms),
-    built one relative length at a time."""
+                            budget=None, label="filtered ball") -> int:
+    """|B(r1, r2)| for a relator-free presentation: the number of canonical
+    words (alternating syllables, canonical run forms) of relative length
+    <= r1 whose parabolic syllables all have Gamma-length <= r2.  Normal
+    forms are unique (Lyndon-Schupp IV.1.4), so this is the number of group
+    elements.  It is counted one relative length at a time by the kind of
+    the last syllable, and no word is built: a hyperbolic letter may follow
+    anything but its inverse, and a syllable of factor i anything but
+    another one of factor i."""
     check_relator_free(p)
     budget = 1_000_000 if budget is None else budget
-    kind_of = p.letter_kind
-    hyp = [c for c in p.alphabet if kind_of[c] == HYPERBOLIC]
-    par = {i: [w for w in orc.ball(r2) if w] for i, orc in p.oracles.items()}
-    members = [""]
-    level = [""]  # the members of the last relative length
+    hyp = sum(p.letter_kind[c] == HYPERBOLIC for c in p.alphabet)
+    choices = {i: len(orc.ball(r2)) - 1 for i, orc in p.oracles.items()}
+    ends = dict.fromkeys(choices, 0)  # words of this length ending in P_i
+    hyp_ends = 0  # words of this length ending in a hyperbolic letter
+    level = total = 1  # words of this length, and of any length so far
     for _ in range(r1):
-        nxt = []
-        for w in level:
-            last = kind_of[w[-1]] if w else None
-            for c in hyp:
-                if last != HYPERBOLIC or c != INVERSE_LETTER[w[-1]]:
-                    nxt.append(w + c)
-            for i, elts in par.items():
-                if i != last:
-                    nxt += [w + q for q in elts]
-            if len(members) + len(nxt) > budget:
-                raise BudgetExceededError(label, budget)
-        members += nxt
-        level = nxt
-    if len(members) > budget:
+        if total > budget:
+            break
+        hyp_ends = hyp * level - hyp_ends
+        ends = {i: m * (level - ends[i]) for i, m in choices.items()}
+        level = hyp_ends + sum(ends.values())
+        total += level
+    if total > budget:
         raise BudgetExceededError(label, budget)
-    return FilteredBall(r1, r2, frozenset(members))
+    return total
 
 
 def cyclic_canonical(p: RelativePresentation, w: str):
@@ -159,16 +148,15 @@ def cyclic_canonical(p: RelativePresentation, w: str):
     return res.output, res.conjugator
 
 
-class PrecomputedTables:
+class PrecomputedTables(NamedTuple):
     """Immutable bundle of the precomputed values; see precompute()."""
 
-    def __init__(self, p_hash, profile, l3, k_i, k_hyp_4delta, k_4delta):
-        self.p_hash = p_hash
-        self.profile = profile
-        self.l3 = l3  # dict index -> parabolic words of |.| <= C(3): B_i
-        self.k_i = k_i  # per-parabolic K_i, in parabolic index order
-        self.k_hyp_4delta = k_hyp_4delta
-        self.k_4delta = k_4delta
+    p_hash: str
+    profile: ConstantsProfile
+    l3: dict  # index -> parabolic words of |.| <= C(3): B_i
+    k_i: tuple  # per-parabolic K_i, in parabolic index order
+    k_hyp_4delta: int
+    k_4delta: int
 
     def sizes(self) -> dict:
         return {"l3": sum(len(v) for v in self.l3.values())}
@@ -176,8 +164,9 @@ class PrecomputedTables:
 
 def precompute(p: RelativePresentation, profile=None) -> PrecomputedTables:
     """Build the tables of a relator-free presentation under the profile:
-    B_i = L3, K_i, K^hyp_4delta and K_4delta.  Loudly reports which list
-    overflowed the budget."""
+    B_i = L3, K_i, K^hyp_4delta and K_4delta.  L3 is the only list built;
+    K^hyp_4delta multiplies the count of B(4delta, 2*C3) by 16*delta+2.
+    Loudly reports which list or count overflowed the budget."""
     check_relator_free(p)
     profile = profile_for(p) if profile is None else profile
     budget = profile.budget
@@ -192,10 +181,9 @@ def precompute(p: RelativePresentation, profile=None) -> PrecomputedTables:
             raise BudgetExceededError("l3", budget)
 
     k_i = tuple(oracles[i].conjugacy_bound(profile.c3) for i in sorted(oracles))
-    formula_ball = enumerate_filtered_ball(p, 4 * profile.delta,
-                                           2 * profile.c3, budget,
-                                           "k_hyp_4delta")
-    k_hyp_4delta = len(formula_ball.members) * (16 * profile.delta + 2)
+    k_hyp_4delta = enumerate_filtered_ball(
+        p, 4 * profile.delta, 2 * profile.c3, budget, "k_hyp_4delta"
+    ) * (16 * profile.delta + 2)
     k_4delta = k_hyp_4delta + sum(
         len(par.generators) ** profile.c3 for par in p.parabolics
     )

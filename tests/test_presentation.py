@@ -89,6 +89,9 @@ def test_classify_letter_unknown(pG2):
     ("group g\nhyperbolic a\nconstants delta=x\n", 3),
     ("group g\nhyperbolic a\nparabolic finite 9\nletters t\ntable 0 1\n"
      "table 1 0\n", 3),
+    ("group g\nhyperbolic a\ngroup h\n", 3),
+    ("group g\nhyperbolic a\nhyperbolic b\n", 3),
+    ("group g\nparabolic free 2\nletters x y\nletters u v\n", 4),
 ])
 def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(ParseError) as exc:

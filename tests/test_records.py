@@ -32,7 +32,8 @@ RECORDS = [
     (conjugacy.ConjugacyCertificate,
      ("u", "v", "answer", "witness", "reason", "regime", "lbar", "length",
       "profile", "verified")),
-    (tables.FilteredBall, ("rel_radius", "comp_bound", "members")),
+    (tables.PrecomputedTables,
+     ("p_hash", "profile", "l3", "k_i", "k_hyp_4delta", "k_4delta")),
 ]
 
 

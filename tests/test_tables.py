@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from relconj import shortening as sh, tables as tb, words
+from relconj import metric_oracle as mo, shortening as sh, tables as tb, words
 from relconj.errors import (
     BudgetExceededError,
     OracleUnavailableError,
@@ -55,16 +55,23 @@ def test_profile_serialization_and_hash(pG2):
     assert len(tb.profile_hash(prof)) == 16
 
 
-def test_filtered_ball(pG2):
-    fb = tb.enumerate_filtered_ball(pG2, 1, 2, 10 ** 6, "x")
-    assert (fb.rel_radius, fb.comp_bound) == (1, 2)
+def test_filtered_ball(pF, pG2, pZC2, pZF2):
     # identity, a, A, and the 12 nonzero lattice points of ell-1 norm <= 2
-    assert len(fb.members) == 15
-    for w in fb.members:
-        assert words.raw_relative_length(pG2, w) <= 1
-        assert all(len(s.word) <= 2 for s in words.raw_syllables(pG2, w))
-    with pytest.raises(BudgetExceededError, match="l6"):
-        tb.enumerate_filtered_ball(pG2, 4, 2, 10, "l6")
+    assert tb.enumerate_filtered_ball(pG2, 1, 2, 10 ** 6, "x") == 15
+    for p in (pF, pG2, pZC2, pZF2):
+        for r1 in range(3):
+            for r2 in range(3):
+                # the ball oracle's elements of relative length <= r1 with
+                # every parabolic syllable of at most r2 letters
+                count = sum(
+                    words.raw_relative_length(p, w) <= r1
+                    and all(len(s.word) <= r2 for s in words.raw_syllables(p, w)
+                            if s.kind != "hyp")
+                    for w in mo.ball(p, r1 * max(r2, 1)).elements)
+                assert tb.enumerate_filtered_ball(p, r1, r2) == count
+                tb.enumerate_filtered_ball(p, r1, r2, count, "edge")
+                with pytest.raises(BudgetExceededError, match="edge"):
+                    tb.enumerate_filtered_ball(p, r1, r2, count - 1, "edge")
 
 
 def test_filtered_ball_needs_free_product(pC5):
