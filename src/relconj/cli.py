@@ -59,7 +59,8 @@ def _error_result(exc) -> CommandResult:
 
 
 def _read_profile_overrides(path):
-    """key=value per line, # comments and blank lines ignored."""
+    """key=value per line, each key at most once, # comments and blank
+    lines ignored."""
     if path is None:
         return []
     out = []
@@ -71,11 +72,13 @@ def _read_profile_overrides(path):
             if "=" not in line:
                 raise ParseError("expected key=value", lineno)
             key, _, value = line.partition("=")
+            key = key.strip()
+            if key in dict(out):
+                raise ParseError("constant %r given twice" % key, lineno)
             try:
-                out.append((key.strip(), int(value)))
+                out.append((key, int(value)))
             except ValueError:
-                raise ParseError("value of %r is not an integer" % key.strip(),
-                                 lineno)
+                raise ParseError("value of %r is not an integer" % key, lineno)
     return out
 
 
@@ -160,7 +163,7 @@ def cmd_crosscheck(presentation_path, max_word_length, profile_path=None,
     index = metric_oracle.ball(p, max_word_length, budget=profile.budget)
     elements = sorted(index.elements, key=p.shortlex_key)
     n = len(elements)
-    if sample is None and n * n > profile.budget:
+    if (n * n if sample is None else sample) > profile.budget:
         raise BudgetExceededError("crosscheck pairs", profile.budget)
     classes = metric_oracle.conjugacy_classes(p, max_word_length,
                                               budget=profile.budget)

@@ -31,6 +31,8 @@ nontrivial elements).
 
 from __future__ import annotations
 
+from math import comb
+
 from .errors import UnknownLetterError
 from .presentation import (
     INVERSE_LETTER,
@@ -95,6 +97,10 @@ class ParabolicOracle:
     def ball(self, r: int) -> list:
         """Canonical words of all elements of subgroup length <= r,
         shortlex sorted."""
+        raise NotImplementedError
+
+    def ball_size(self, r: int) -> int:
+        """len(ball(r)), counted without building a word."""
         raise NotImplementedError
 
     def shortlex_key(self, w: str):
@@ -176,6 +182,12 @@ class FreeAbelianOracle(ParabolicOracle):
         out.sort(key=self.shortlex_key)
         return out
 
+    def ball_size(self, r):
+        # i nonzero coordinates: their places, signs, and a composition of
+        # at most r into i positive parts
+        k = self.descriptor.rank
+        return sum(2 ** i * comb(k, i) * comb(r, i) for i in range(k + 1))
+
 
 class FreeOracle(ParabolicOracle):
     """Free group on the block letters; states are lists of the letters of
@@ -234,6 +246,13 @@ class FreeOracle(ParabolicOracle):
         out.sort(key=self.shortlex_key)
         return out
 
+    def ball_size(self, r):
+        # 2k words of length 1, each extended by 2k - 1 letters per step
+        k = self.descriptor.rank
+        if k == 1:
+            return 2 * r + 1
+        return 1 + k * ((2 * k - 1) ** r - 1) // (k - 1)
+
 
 class FiniteOracle(ParabolicOracle):
     """Finite subgroup given by its multiplication table.  Every
@@ -282,6 +301,9 @@ class FiniteOracle(ParabolicOracle):
         if r <= 0:
             return [""]
         return [""] + list(self.descriptor.generators)
+
+    def ball_size(self, r):
+        return 1 if r <= 0 else len(self._table)
 
 
 _KIND_TO_CLASS = {

@@ -407,6 +407,8 @@ def parse_presentation(text: str) -> RelativePresentation:
                 name, eq, value = item.partition("=")
                 if not eq:
                     raise ParseError("constants entries look like key=value", line_no)
+                if name in dict(constants):
+                    raise ParseError("constant %r given twice" % name, line_no)
                 try:
                     constants.append((name, int(value)))
                 except ValueError:

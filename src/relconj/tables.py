@@ -1,10 +1,11 @@
-"""The constants profile and the precomputed values: the parabolic balls
-B_i = L3 (words of length <= C(3) in each parabolic), which compute_M
-reads, the per-parabolic constants K_i, and the reported K^hyp_4delta and
-K_4delta.  Queries read only the profile: the canonical cyclic form of
+"""The constants profile and the precomputed values: the size of L3 (the
+parabolic balls B_i of words of length <= C(3), counted, not built), the
+per-parabolic constants K_i, and the reported K^hyp_4delta and K_4delta.
+Queries read only the profile: the canonical cyclic form of
 shortening.cyclic_shorten decides hyperbolic conjugacy by string equality,
 and the subgroup oracles decide parabolic conjugacy outright, so the
-tables are what the precompute command reports and caches.
+tables are what the precompute command reports and caches.  compute_M,
+the one reader of B_i, builds it from the factor's oracle.
 
 Working-constants mode: the theory's constants are astronomically large
 for honest inputs, so the profile pins working values, and the regime
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import struct
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -125,7 +125,7 @@ def enumerate_filtered_ball(p: RelativePresentation, r1: int, r2: int,
     check_relator_free(p)
     budget = 1_000_000 if budget is None else budget
     hyp = sum(p.letter_kind[c] == HYPERBOLIC for c in p.alphabet)
-    choices = {i: len(orc.ball(r2)) - 1 for i, orc in p.oracles.items()}
+    choices = {i: orc.ball_size(r2) - 1 for i, orc in p.oracles.items()}
     ends = dict.fromkeys(choices, 0)  # words of this length ending in P_i
     hyp_ends = 0  # words of this length ending in a hyperbolic letter
     level = total = 1  # words of this length, and of any length so far
@@ -153,37 +153,33 @@ class PrecomputedTables(NamedTuple):
 
     p_hash: str
     profile: ConstantsProfile
-    l3: dict  # index -> parabolic words of |.| <= C(3): B_i
+    l3: int  # sum over the parabolics of |B_i|, the ball of radius C(3)
     k_i: tuple  # per-parabolic K_i, in parabolic index order
     k_hyp_4delta: int
     k_4delta: int
 
     def sizes(self) -> dict:
-        return {"l3": sum(len(v) for v in self.l3.values())}
+        return {"l3": self.l3}
 
 
 def precompute(p: RelativePresentation, profile=None) -> PrecomputedTables:
-    """Build the tables of a relator-free presentation under the profile:
-    B_i = L3, K_i, K^hyp_4delta and K_4delta.  L3 is the only list built;
-    K^hyp_4delta multiplies the count of B(4delta, 2*C3) by 16*delta+2.
-    Loudly reports which list or count overflowed the budget."""
+    """Compute the tables of a relator-free presentation under the profile:
+    |L3| = sum |B_i|, K^hyp_4delta, K_i and K_4delta.  No list is built:
+    the balls are counted, and K^hyp_4delta multiplies the count of
+    B(4delta, 2*C3) by 16*delta+2.  Loudly reports which count overflowed
+    the budget, before the K_i search over pairs of B_i."""
     check_relator_free(p)
     profile = profile_for(p) if profile is None else profile
     budget = profile.budget
     oracles = p.oracles
 
-    l3 = {}
-    total = 0
-    for i, orc in oracles.items():
-        l3[i] = tuple(orc.ball(profile.c3))
-        total += len(l3[i])
-        if total > budget:
-            raise BudgetExceededError("l3", budget)
-
-    k_i = tuple(oracles[i].conjugacy_bound(profile.c3) for i in sorted(oracles))
+    l3 = sum(orc.ball_size(profile.c3) for orc in oracles.values())
+    if l3 > budget:
+        raise BudgetExceededError("l3", budget)
     k_hyp_4delta = enumerate_filtered_ball(
         p, 4 * profile.delta, 2 * profile.c3, budget, "k_hyp_4delta"
     ) * (16 * profile.delta + 2)
+    k_i = tuple(oracles[i].conjugacy_bound(profile.c3) for i in sorted(oracles))
     k_4delta = k_hyp_4delta + sum(
         len(par.generators) ** profile.c3 for par in p.parabolics
     )
@@ -206,7 +202,7 @@ def compute_M(p: RelativePresentation, tables: PrecomputedTables, u: str) -> int
     if len(orc.geodesic_form(u)) <= tables.profile.c3:
         return 0
     best = None
-    for t in tables.l3[i]:
+    for t in orc.ball(tables.profile.c3):
         if orc.conjugate(u, t) is None:
             continue
         y = orc.min_conjugator(t, u)
@@ -216,74 +212,24 @@ def compute_M(p: RelativePresentation, tables: PrecomputedTables, u: str) -> int
 
 
 # ---------------------------------------------------------------------------
-# cache files: magic, presentation hash, profile text, L3, K_i, K^hyp_4delta
-# and K_4delta, little-endian u32 counts and length-prefixed UTF-8 strings
+# cache files: six lines of text, namely the magic, the presentation hash,
+# the profile, |L3|, the K_i separated by spaces, and K^hyp_4delta K_4delta
 
-_MAGIC = b"RCT4"
-
-
-def _encode(tables: PrecomputedTables) -> bytes:
-    out = [_MAGIC]
-
-    def u32(*values):
-        try:
-            out.append(struct.pack("<%dI" % len(values), *values))
-        except struct.error:
-            raise RelconjError("a tables count in %r does not fit the cache's "
-                               "u32 fields" % (values,))
-
-    def text(*strings):
-        for s in strings:
-            data = s.encode()
-            u32(len(data))
-            out.append(data)
-
-    text(tables.p_hash, serialize_profile(tables.profile))
-    u32(len(tables.l3))
-    for i in sorted(tables.l3):
-        u32(i, len(tables.l3[i]))
-        text(*tables.l3[i])
-    u32(len(tables.k_i), *tables.k_i)
-    u32(tables.k_hyp_4delta, tables.k_4delta)
-    return b"".join(out)
+_MAGIC = "RCT5\n"
 
 
-class _Reader:
-    """Length-checked reads over a cache body; every malformed read raises
-    RelconjError so callers can rebuild."""
-
-    def __init__(self, data: bytes, path):
-        self.data = data
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        end = self.pos + n
-        if end > len(self.data):
-            raise RelconjError("tables cache %s is truncated" % self.path)
-        chunk = self.data[self.pos:end]
-        self.pos = end
-        return chunk
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def text(self) -> str:
-        try:
-            return self.take(self.u32()).decode()
-        except UnicodeDecodeError:
-            raise RelconjError("tables cache %s is corrupt" % self.path)
-
-    def finish(self):
-        if self.pos != len(self.data):
-            raise RelconjError("tables cache %s has trailing bytes" % self.path)
+def _cache_text(tables: PrecomputedTables) -> str:
+    lines = (tables.p_hash, serialize_profile(tables.profile), tables.l3,
+             " ".join(map(str, tables.k_i)),
+             "%d %d" % (tables.k_hyp_4delta, tables.k_4delta))
+    return _MAGIC + "".join("%s\n" % line for line in lines)
 
 
 def save_tables(path, tables: PrecomputedTables):
     """Write the cache atomically: a temporary file beside path, then a
     rename over it, so readers never see a partial cache."""
     path = os.fspath(path)
-    data = _encode(tables)
+    data = _cache_text(tables).encode()
     tmp = "%s.%d.tmp" % (path, os.getpid())
     try:
         with open(tmp, "wb") as fh:
@@ -297,31 +243,26 @@ def save_tables(path, tables: PrecomputedTables):
 def load_tables(path, p: RelativePresentation, profile=None) -> PrecomputedTables:
     """Load a cache, refusing one built for another presentation or (when a
     profile is supplied) another profile, and one that is truncated or
-    malformed."""
+    malformed: anything but the exact text save_tables writes."""
     with open(path, "rb") as fh:
-        r = _Reader(fh.read(), path)
-    if r.take(4) != _MAGIC:
+        data = fh.read()
+    if not data.startswith(_MAGIC.encode()):
         raise RelconjError("%s is not a tables cache" % path)
-    p_hash = r.text()
+    try:
+        _, p_hash, prof, l3, k_i, k, _ = data.decode().split("\n")
+        stored = profile_from_pairs(
+            (key, int(value))
+            for key, _, value in (kv.partition("=") for kv in prof.split()))
+        k_hyp, k4 = map(int, k.split())
+        tables = PrecomputedTables(p_hash, stored, int(l3),
+                                   tuple(map(int, k_i.split())), k_hyp, k4)
+        canonical = _cache_text(tables).encode() == data
+    except (ValueError, ParseError):  # UnicodeDecodeError is a ValueError
+        canonical = False
+    if not canonical:
+        raise RelconjError("tables cache %s is truncated or malformed" % path)
     if p_hash != presentation_hash(p):
         raise RelconjError("tables cache was built for a different presentation")
-    stored = _parse_profile(r.text())
     if profile is not None and stored != profile:
         raise RelconjError("tables cache was built with a different profile")
-    l3 = {}
-    for _ in range(r.u32()):
-        i, n = r.u32(), r.u32()
-        l3[i] = tuple(r.text() for _ in range(n))
-    k_i = tuple(r.u32() for _ in range(r.u32()))
-    k_hyp, k4 = r.u32(), r.u32()
-    r.finish()
-    return PrecomputedTables(p_hash, stored, l3, k_i, k_hyp, k4)
-
-
-def _parse_profile(text: str) -> ConstantsProfile:
-    try:
-        pairs = [(key, int(value)) for key, _, value in
-                 (kv.partition("=") for kv in text.split())]
-    except ValueError:
-        raise RelconjError("tables cache has a malformed profile")
-    return profile_from_pairs(pairs)
+    return tables

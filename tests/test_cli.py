@@ -269,8 +269,9 @@ def test_wp_without_a_dehn_table_is_an_oracle_error(capsys, tmp_path,
     (["conj", "G2", "axA", "x"], "delta=-1"),
     (["conj", "G2", "axA", "x"], "zeta=1"),
     (["precompute", "G2"], "c2=-3\nc3=-1"),
+    (["conj", "G2", "axA", "x"], "delta=2\ndelta=3"),
 ], ids=["maxlen", "negative-sample", "zero-sample", "c3", "delta", "key",
-        "negative-c2"])
+        "negative-c2", "repeated-key"])
 def test_bad_input_is_a_parse_error(capsys, paths, tmp_path, argv, profile):
     argv = [paths.get(arg, arg) for arg in argv]
     if profile is not None:
@@ -347,6 +348,18 @@ def test_crosscheck_budget_error(capsys, paths, tmp_path):
                                 "--profile", os.fspath(prof)])
     assert code == 1
     assert "error=budget" in out
+    # the 7 elements of radius 1 make 49 pairs; a sample is held to the
+    # same budget as the exhaustive check
+    prof.write_text("budget=40\n")
+    argv = ["crosscheck", paths["G2"], "1", "--profile", os.fspath(prof)]
+    over = "status=error\nerror=budget\n"
+    for extra, code_want, out_want in (
+            ([], 1, over),
+            (["--sample", "40"], 0, "status=ok\nelements=7\npairs=40\n"),
+            (["--sample", "41"], 1, over),
+            (["--sample", "1000000000"], 1, over)):
+        code, out, _ = run(capsys, argv + extra)
+        assert (code, out[:len(out_want)]) == (code_want, out_want), extra
 
 
 def test_json_output(capsys, paths):

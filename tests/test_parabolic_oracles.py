@@ -49,6 +49,21 @@ def test_abelian_ball_is_shortlex_sorted(pG2):
     assert len(orc.ball(0)) == 1
 
 
+def test_ball_size_counts_the_ball(pTHREE):
+    # free abelian of rank 1 and 3 and free of rank 1 and 3 beside the
+    # rank-2 factors and the finite one of zf3
+    other = parse_presentation(
+        "group q\nparabolic free_abelian 1\nletters a\n"
+        "parabolic free_abelian 3\nletters b c d\n"
+        "parabolic free 1\nletters e\nparabolic free 3\nletters f g h\n")
+    oracles = list(pTHREE.oracles.values()) + list(other.oracles.values())
+    assert {orc.descriptor.kind for orc in oracles} == {
+        "free_abelian", "free", "finite"}
+    for orc in oracles:
+        for r in range(6):
+            assert orc.ball_size(r) == len(orc.ball(r)), (orc.descriptor, r)
+
+
 def test_abelian_conjugacy_is_equality(pG2):
     orc = pG2.oracles[1]
     assert orc.conjugate("xy", "yx") == ""

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from relconj import metric_oracle as mo, shortening as sh, tables as tb, words
+from relconj import (
+    metric_oracle as mo,
+    parabolic_oracles as po,
+    shortening as sh,
+    tables as tb,
+    words,
+)
 from relconj.errors import (
     BudgetExceededError,
     OracleUnavailableError,
@@ -107,10 +113,23 @@ def test_precompute_budget(pG2):
         tb.precompute(pG2, tb.profile_for(pG2, [("budget", 100)]))
 
 
-def test_per_index_lists_are_oracle_balls(pG2, tG2):
-    prof = tG2.profile
-    orc = pG2.oracles[1]
-    assert tG2.l3[1] == tuple(orc.ball(prof.c3))
+def test_over_budget_profile_builds_no_ball(monkeypatch, pZF2):
+    # B(4, 12) of Z * F2 is past the budget; refusing it counts the balls
+    # and reaches no search over ball pairs (conjugacy_bound)
+    def refuse(self, r):
+        raise AssertionError("ball(%d) was built" % r)
+
+    for cls in (po.FreeAbelianOracle, po.FreeOracle, po.FiniteOracle):
+        monkeypatch.setattr(cls, "ball", refuse)
+    with pytest.raises(BudgetExceededError, match="k_hyp_4delta"):
+        tb.precompute(pZF2, tb.profile_for(pZF2, [("c3", 6)]))
+
+
+def test_l3_counts_the_oracle_balls(pG2, pZC2, pZF2, pTHREE):
+    for p in (pG2, pZC2, pZF2, pTHREE):
+        t = tb.precompute(p)
+        assert t.l3 == t.sizes()["l3"] == sum(
+            len(orc.ball(t.profile.c3)) for orc in p.oracles.values())
 
 
 def test_cyclic_canonical_is_class_invariant(pG2):
@@ -153,20 +172,29 @@ def test_save_load_round_trip(tmp_path, pG2, tG2, pF):
     assert tb.load_tables(path, pG2, tb.profile_for(pG2)).sizes() == tG2.sizes()
 
 
-def test_save_refuses_counts_past_u32(tmp_path, tG2):
-    big = tb.PrecomputedTables(tG2.p_hash, tG2.profile, tG2.l3, tG2.k_i,
-                               2 ** 32, tG2.k_4delta)
+def test_large_counts_round_trip(tmp_path, pG2, tG2):
+    big = tG2._replace(k_hyp_4delta=2 ** 40)
     path = tmp_path / "big.tables"
-    with pytest.raises(RelconjError, match="u32"):
-        tb.save_tables(path, big)
-    assert list(tmp_path.iterdir()) == []
+    tb.save_tables(path, big)
+    assert tb.load_tables(path, pG2) == big
+
+
+def test_round_trip_every_factor_kind(tmp_path, pF, pG2, pZC2, pZF2, pTHREE):
+    for p in (pF, pG2, pZC2, pZF2, pTHREE):
+        t = tb.precompute(p)
+        path = tmp_path / ("%s.tables" % p.label)
+        tb.save_tables(path, t)
+        lines = path.read_text().split("\n")
+        assert len(lines) == 7 and lines[0] == "RCT5" and lines[-1] == ""
+        assert lines[2] == tb.serialize_profile(t.profile)
+        assert tb.load_tables(path, p, t.profile) == t
 
 
 def test_load_rejects_damaged_caches(tmp_path, pG2, tG2):
     path = tmp_path / "g2.tables"
     tb.save_tables(path, tG2)
     good = path.read_bytes()
-    assert good.startswith(b"RCT4")
+    assert good.startswith(b"RCT5\n")
     assert not list(tmp_path.glob("*.tmp"))  # the atomic write cleaned up
     bad = tmp_path / "bad.tables"
     for cut in range(len(good)):
@@ -174,13 +202,22 @@ def test_load_rejects_damaged_caches(tmp_path, pG2, tG2):
         with pytest.raises(RelconjError):
             tb.load_tables(bad, pG2)
     # a cache in the previous format is refused, not misread
-    bad.write_bytes(b"RCT3" + good[4:])
-    with pytest.raises(RelconjError, match="not a tables cache"):
+    for old in (b"RCT3", b"RCT4"):
+        bad.write_bytes(old + good[4:])
+        with pytest.raises(RelconjError, match="not a tables cache"):
+            tb.load_tables(bad, pG2)
+    for extra in (b"\0", b"\n", b" "):
+        bad.write_bytes(good + extra)
+        with pytest.raises(RelconjError, match="truncated or malformed"):
+            tb.load_tables(bad, pG2)
+    # byte 5 opens the presentation hash, the line after the magic
+    bad.write_bytes(good[:5] + b"\xff" + good[6:])
+    with pytest.raises(RelconjError, match="truncated or malformed"):
         tb.load_tables(bad, pG2)
-    bad.write_bytes(good + b"\0")
-    with pytest.raises(RelconjError, match="trailing bytes"):
-        tb.load_tables(bad, pG2)
-    # byte 8 opens the presentation hash, the first string after the magic
-    bad.write_bytes(good[:8] + b"\xff" + good[9:])
-    with pytest.raises(RelconjError, match="corrupt"):
-        tb.load_tables(bad, pG2)
+    # numbers that parse but are not the text save_tables writes
+    for old, new in ((b"\n13\n", b"\n013\n"), (b"\n13\n", b"\n+13\n"),
+                     (b"\n0\n", b"\n 0\n"), (b"delta=1", b"delta=x")):
+        assert old in good
+        bad.write_bytes(good.replace(old, new, 1))
+        with pytest.raises(RelconjError, match="truncated or malformed"):
+            tb.load_tables(bad, pG2)
