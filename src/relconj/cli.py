@@ -25,7 +25,7 @@ from .errors import (
     RelconjError,
     UnknownLetterError,
 )
-from .presentation import load_presentation
+from .presentation import load_presentation, read_text
 
 _ERROR_KINDS = (
     (ParseError, "parse"),
@@ -64,21 +64,20 @@ def _read_profile_overrides(path):
     if path is None:
         return []
     out = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError("expected key=value", lineno)
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in dict(out):
-                raise ParseError("constant %r given twice" % key, lineno)
-            try:
-                out.append((key, int(value)))
-            except ValueError:
-                raise ParseError("value of %r is not an integer" % key, lineno)
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError("expected key=value", lineno)
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key in dict(out):
+            raise ParseError("constant %r given twice" % key, lineno)
+        try:
+            out.append((key, int(value)))
+        except ValueError:
+            raise ParseError("value of %r is not an integer" % key, lineno)
     return out
 
 
@@ -100,34 +99,20 @@ def cmd_wp(presentation_path, word, profile_path=None) -> CommandResult:
 
 def cmd_classify(presentation_path, word, profile_path=None) -> CommandResult:
     p, profile = _setup(presentation_path, profile_path)
-    c = conjugacy.classify(p, profile, word)
-    return CommandResult("ok", {
-        "verdict": c.verdict,
-        "identity": c.identity,
-        "index": c.index,
-        "representative": c.representative,
-        "conjugator": c.conjugator,
-    })
+    c = conjugacy.classify(p, profile, word)._asdict()
+    del c["word"]  # every other field, in order
+    return CommandResult("ok", c)
 
 
 def cmd_conj(presentation_path, word_u, word_v, do_search=False,
              profile_path=None) -> CommandResult:
     p, profile = _setup(presentation_path, profile_path)
     cert = conjugacy.decide(p, profile, word_u, word_v)
-    if do_search:
-        conjugacy.search(p, profile, word_u, word_v, certificate=cert)
-    return CommandResult("ok", {
-        "u": cert.u,
-        "v": cert.v,
-        "answer": cert.answer,
-        "witness": cert.witness,
-        "reason": cert.reason,
-        "regime": cert.regime,
-        "lbar": cert.lbar,
-        "L": cert.length,
-        "profile": cert.profile,
-        "verified": cert.verified,
-    })
+    if do_search and cert.answer != "conjugate":
+        raise NotConjugateError(cert.reason)
+    # every field of the certificate, in order, with length printed as L
+    return CommandResult("ok", {"L" if key == "length" else key: value
+                                for key, value in cert._asdict().items()})
 
 
 def cmd_precompute(presentation_path, cache_path=None,
@@ -136,15 +121,15 @@ def cmd_precompute(presentation_path, cache_path=None,
     t = tables.precompute(p, profile)
     if cache_path:
         tables.save_tables(cache_path, t)
-    payload = {"presentation": t.p_hash,
-               "profile": tables.profile_hash(t.profile)}
-    for name, size in t.sizes().items():
-        payload["size_" + name] = size
-    payload["k_i"] = ",".join(str(v) for v in t.k_i) or "-"
-    payload["k_hyp_4delta"] = t.k_hyp_4delta
-    payload["k_4delta"] = t.k_4delta
-    payload["cache"] = cache_path
-    return CommandResult("ok", payload)
+    return CommandResult("ok", {
+        "presentation": t.p_hash,
+        "profile": tables.profile_hash(t.profile),
+        "size_l3": t.l3,
+        "k_i": ",".join(str(v) for v in t.k_i) or "-",
+        "k_hyp_4delta": t.k_hyp_4delta,
+        "k_4delta": t.k_4delta,
+        "cache": cache_path,
+    })
 
 
 def cmd_crosscheck(presentation_path, max_word_length, profile_path=None,

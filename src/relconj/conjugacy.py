@@ -21,8 +21,9 @@ internal error, never a silent downgrade.
 
 Negative answers name where the decision fell: class-mismatch (identity,
 parabolic and hyperbolic never meet), long-search-exhausted or
-short-table-miss (unequal hyperbolic cyclic forms, by the regime of the
-longer one against the profile's threshold) and parabolic-tables-miss (two
+short-table-miss (unequal hyperbolic cyclic forms; the regime, long when
+the larger cyclic relative length passes the profile's threshold, only
+labels the answer, as no search runs) and parabolic-tables-miss (two
 factors, or no conjugator inside one); the certificate records the profile
 hash the answer depends on.
 
@@ -38,12 +39,8 @@ from typing import NamedTuple
 from . import shortening, words
 from .errors import NotConjugateError, RelconjError
 from .presentation import HYPERBOLIC, RelativePresentation
-from .tables import (
-    ConstantsProfile,
-    PrecomputedTables,
-    check_relator_free,
-    profile_hash,
-)
+from .tables import (NO_TABLES, ConstantsProfile, PrecomputedTables,
+                     profile_hash)
 
 CLASS_MISMATCH = "class-mismatch"
 LONG_EXHAUSTED = "long-search-exhausted"
@@ -108,10 +105,9 @@ class ConjugacyEngine:
     def __init__(self, p: RelativePresentation, profile: ConstantsProfile):
         if isinstance(profile, PrecomputedTables):
             profile = profile.profile
-        check_relator_free(p)
+        p.require_free_product(NO_TABLES)
         self.p = p
         self.profile = profile
-        self.oracles = p.oracles
         self.profile_hash = profile_hash(profile)
         self._cyc = {}
         self._cls = {}
@@ -139,12 +135,6 @@ class ConjugacyEngine:
                 LONG_EXHAUSTED if regime == LONG else SHORT_MISS)
 
 
-def _engine(p, profile, engine):
-    if engine is not None:
-        return engine
-    return ConjugacyEngine(p, profile)
-
-
 def classify(p: RelativePresentation, profile: ConstantsProfile, w: str,
              engine=None) -> Classification:
     """Hyperbolic or parabolic, decided on the cyclic shortening: a cyclic
@@ -153,7 +143,7 @@ def classify(p: RelativePresentation, profile: ConstantsProfile, w: str,
     syllables is never conjugate into a factor).  The cyclic form is a
     normal form, so it is the representative as it stands, and
     cyclic_shorten has verified its conjugator."""
-    eng = _engine(p, profile, engine)
+    eng = engine or ConjugacyEngine(p, profile)
     res = eng.cyclic(w)
     alpha, a = res.output, res.conjugator
     if alpha == "":
@@ -165,14 +155,13 @@ def classify(p: RelativePresentation, profile: ConstantsProfile, w: str,
     return Classification(w, "hyperbolic", False, None, alpha, a)
 
 
-def _parabolic_core(eng: ConjugacyEngine, cu: Classification,
-                    cv: Classification):
+def _parabolic_core(p, cu: Classification, cv: Classification):
     """Right-form conjugator between parabolic representatives.  Elements
     of one factor are conjugate in a free product exactly when they are
     conjugate inside it, and elements of two factors never are, so the
     subgroup oracle's answer is complete."""
     if cu.index == cv.index:
-        orc = eng.oracles[cu.index]
+        orc = p.oracles[cu.index]
         t = orc.conjugate(cu.representative, cv.representative)
         if t is not None:
             return ("conjugate", orc.geodesic_form(words.inverse(t)))
@@ -182,58 +171,45 @@ def _parabolic_core(eng: ConjugacyEngine, cu: Classification,
 def decide(p: RelativePresentation, profile: ConstantsProfile, u: str,
            v: str, engine=None) -> ConjugacyCertificate:
     """Full conjugacy decision: classify both words, reject class
-    mismatches, then run the regime search picked by the larger cyclic
-    relative length.  Positive answers carry a verified witness."""
-    eng = _engine(p, profile, engine)
-    cu = eng.classification(u)
-    cv = eng.classification(v)
+    mismatches, then compare the representatives, parabolic ones with the
+    subgroup oracle and hyperbolic ones as strings; the regime only labels
+    the answer.  Positive answers carry a verified witness."""
+    eng = engine or ConjugacyEngine(p, profile)
+    cu, cv = eng.classification(u), eng.classification(v)
     ru, rv = eng.cyclic(u), eng.cyclic(v)
     lbar = max(ru.linear_length, rv.linear_length)
     length = max(ru.cyclic_length, rv.cyclic_length)
-    phash = eng.profile_hash
-
-    def negative(reason, regime=None):
-        return ConjugacyCertificate(u, v, "not-conjugate", None, reason,
-                                    regime, lbar, length, phash, False)
-
-    def positive(core_conj, regime):
-        total = words.mul(cu.conjugator, core_conj,
-                          words.inverse(cv.conjugator))
-        g = words.inverse(total)
-        if not shortening.same_element(
-                p, words.mul(g, ru.normal_form, words.inverse(g)), v,
-                rv.normal_form):
-            raise RelconjError("conjugacy witness failed verification")
-        return ConjugacyCertificate(u, v, "conjugate", g, None, regime,
-                                    lbar, length, phash, True)
-
-    if cu.identity or cv.identity:
-        if cu.identity and cv.identity:
-            return positive("", None)
-        return negative(CLASS_MISMATCH)
-    if cu.verdict != cv.verdict:
-        return negative(CLASS_MISMATCH)
-    if cu.verdict == "parabolic":
-        state, payload = _parabolic_core(eng, cu, cv)
-        if state == "conjugate":
-            return positive(payload, PARABOLIC)
-        return negative(payload, PARABOLIC)
-    regime = LONG if length > eng.profile.threshold else SHORT
-    state, payload = eng.core(cu.representative, cv.representative, regime)
-    if state == "conjugate":
-        return positive(payload, regime)
-    return negative(payload, regime)
+    if cu.identity or cv.identity or cu.verdict != cv.verdict:
+        regime = None
+        state, payload = (("conjugate", "") if cu.identity and cv.identity
+                          else ("not-conjugate", CLASS_MISMATCH))
+    elif cu.verdict == "parabolic":
+        regime = PARABOLIC
+        state, payload = _parabolic_core(p, cu, cv)
+    else:
+        regime = LONG if length > eng.profile.threshold else SHORT
+        state, payload = eng.core(cu.representative, cv.representative,
+                                  regime)
+    if state != "conjugate":
+        return ConjugacyCertificate(u, v, state, None, payload, regime, lbar,
+                                    length, eng.profile_hash, False)
+    g = words.inverse(words.mul(cu.conjugator, payload,
+                                words.inverse(cv.conjugator)))
+    if not shortening.same_element(
+            p, words.mul(g, ru.normal_form, words.inverse(g)), v,
+            rv.normal_form):
+        raise RelconjError("conjugacy witness failed verification")
+    return ConjugacyCertificate(u, v, state, g, None, regime, lbar, length,
+                                eng.profile_hash, True)
 
 
 def search(p: RelativePresentation, profile: ConstantsProfile, u: str,
-           v: str, certificate=None, engine=None) -> str:
-    """The verified witness g with v = g * u * g^-1.  Accepts a matching
-    certificate from decide() to skip re-deciding; raises
-    NotConjugateError otherwise.  The parabolic regime's witness comes out
-    of the subgroup oracle's conjugating-element search."""
-    cert = certificate
-    if cert is None or cert.u != u or cert.v != v:
-        cert = decide(p, profile, u, v, engine=engine)
+           v: str, engine=None) -> str:
+    """The verified witness g with v = g * u * g^-1 of decide(); raises
+    NotConjugateError with decide's reason for a negative answer.  The
+    parabolic regime's witness comes out of the subgroup oracle's
+    conjugating-element search."""
+    cert = decide(p, profile, u, v, engine=engine)
     if cert.answer != "conjugate":
         raise NotConjugateError(cert.reason)
     return cert.witness
@@ -245,7 +221,7 @@ def bounded_class(p: RelativePresentation, profile: ConstantsProfile,
     -> verified witness."""
     from . import metric_oracle  # the ball oracle; no query path needs it
 
-    eng = _engine(p, profile, engine)
+    eng = engine or ConjugacyEngine(p, profile)
     index = metric_oracle.ball(p, radius, budget=eng.profile.budget)
     out = {}
     for x in sorted(index.elements, key=p.shortlex_key):

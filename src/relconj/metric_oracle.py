@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache, wraps
 
 from . import words
-from .errors import BudgetExceededError, OracleUnavailableError, RelconjError
+from .errors import BudgetExceededError, RelconjError
 from .presentation import HYPERBOLIC, INVERSE_LETTER, RelativePresentation
 
 DEFAULT_BUDGET = 1_000_000
@@ -41,18 +41,13 @@ def _cached(maxsize):
     return decorate
 
 
-def _check_free_product(p: RelativePresentation):
-    """The one guard of the oracle: relators have no normal form here."""
-    if not p.is_free_product:
-        raise OracleUnavailableError(
-            "presentation %r has relators; the ball oracle serves free "
-            "products only" % p.label)
+_FREE_PRODUCTS_ONLY = "the ball oracle serves free products only"
 
 
 def normal_form(p: RelativePresentation, w: str) -> str:
     """Canonical representative of the element of w: the syllable normal
     form."""
-    _check_free_product(p)
+    p.require_free_product(_FREE_PRODUCTS_ONLY)
     return words.normalize(p, w)
 
 
@@ -83,7 +78,7 @@ def ball(p: RelativePresentation, r: int, budget=None) -> BallIndex:
     Cached per (p, r, budget), at most 128 entries, each holding up to
     budget canonical words (BudgetExceededError beyond that);
     ball.cache_clear() frees them."""
-    _check_free_product(p)
+    p.require_free_product(_FREE_PRODUCTS_ONLY)
     budget = DEFAULT_BUDGET if budget is None else budget
     dist = {"": 0}
     frontier = [""]
@@ -409,7 +404,7 @@ def estimate_bcp(p: RelativePresentation, params: QuasiGeodesicParams,
     closed path formed by two distinct non-backtracking relative
     (lambda, eps)-quasi-geodesic paths of length <= r with common endpoints.
     Exhaustive within radius r; a lower bound for the true constant."""
-    _check_free_product(p)
+    p.require_free_product(_FREE_PRODUCTS_ONLY)
     paths = [""]
     frontier = [""]
     for _ in range(r):

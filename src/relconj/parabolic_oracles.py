@@ -66,29 +66,16 @@ class ParabolicOracle:
         raise NotImplementedError
 
     # -- word-level operations ------------------------------------------
-    def state_of(self, w: str):
-        return self.push(None, w)
-
     def _check(self, w):
-        if self.letters.issuperset(w):
-            return
-        for c in w:
-            if c not in self.letters:
-                raise UnknownLetterError(
-                    "letter %r is foreign to parabolic %d" % (c, self.descriptor.index)
-                )
-
-    def trivial(self, w: str) -> bool:
-        self._check(w)
-        return self.state_of(w) is None
+        if not self.letters.issuperset(w):
+            c = next(c for c in w if c not in self.letters)
+            raise UnknownLetterError("letter %r is foreign to parabolic %d"
+                                     % (c, self.descriptor.index))
 
     def geodesic_form(self, w: str) -> str:
         self._check(w)
-        state = self.state_of(w)
+        state = self.push(None, w)
         return "" if state is None else self.state_word(state)
-
-    def length(self, w: str) -> int:
-        return len(self.geodesic_form(w))
 
     def conjugate(self, p: str, q: str):
         """A word t with t*p*t^-1 = q in the subgroup, or None."""
@@ -164,9 +151,8 @@ class FreeAbelianOracle(ParabolicOracle):
                         for (g, g_inv), e in zip(self._signed, state)])
 
     def conjugate(self, p, q):
-        self._check(p)
-        self._check(q)
-        return "" if self.state_of(p) == self.state_of(q) else None
+        self._check(p + q)
+        return "" if self.push(None, p) == self.push(None, q) else None
 
     def ball(self, r):
         out = []
@@ -214,9 +200,7 @@ class FreeOracle(ParabolicOracle):
         return "".join(state)
 
     def conjugate(self, p, q):
-        self._check(p)
-        self._check(q)
-        rp = self.geodesic_form(p)
+        rp = self.geodesic_form(p)  # geodesic_form checks the letters
         rq = self.geodesic_form(q)
         cp, ap = cyclic_reduce(rp)
         cq, aq = cyclic_reduce(rq)
@@ -288,10 +272,9 @@ class FiniteOracle(ParabolicOracle):
         return "" if state == 0 else self.descriptor.generators[state - 1]
 
     def conjugate(self, p, q):
-        self._check(p)
-        self._check(q)
-        ep = self.state_of(p) or 0
-        eq = self.state_of(q) or 0
+        self._check(p + q)
+        ep = self.push(None, p) or 0
+        eq = self.push(None, q) or 0
         for t in range(len(self._table)):
             if self._table[self._table[t][ep]][self._inv[t]] == eq:
                 return self.state_word(t)

@@ -284,27 +284,26 @@ class RelativePresentation:
         return tuple(sorted(self.letter_kind, key=self.letter_rank.__getitem__))
 
     @property
-    def num_parabolics(self) -> int:
-        return len(self.parabolics)
-
-    @property
     def is_free_product(self) -> bool:
         """True when there are no relators, so the group is the free product
         of the free group on the hyperbolic letters and the parabolics."""
         return not self.relators
 
-    def classify_letter(self, c: str):
-        try:
-            return self.letter_kind[c]
-        except KeyError:
-            raise UnknownLetterError("letter %r is not declared by %r" % (c, self.label))
+    def require_free_product(self, why: str):
+        """Refuse relators for what needs the free-product normal form: the
+        tables, the conjugacy engine and the ball oracle.  why ends the
+        message."""
+        if self.relators:
+            raise OracleUnavailableError(
+                "presentation %r has relators; %s" % (self.label, why))
 
     def check_word(self, w: str) -> str:
         """Validate every letter of w; returns w unchanged.  The letter loop
         runs only to name the first undeclared letter."""
         if not self.letter_set.issuperset(w):
-            for c in w:
-                self.classify_letter(c)
+            c = next(c for c in w if c not in self.letter_set)
+            raise UnknownLetterError(
+                "letter %r is not declared by %r" % (c, self.label))
         return w
 
     def shortlex_key(self, w: str):
@@ -447,9 +446,19 @@ def serialize_presentation(p: RelativePresentation) -> str:
     return "\n".join(out) + "\n"
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 file; ParseError naming the file otherwise."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("%s is not UTF-8 text (byte %d)"
+                         % (path, exc.start)) from None
+
+
 def load_presentation(path) -> RelativePresentation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_presentation(fh.read())
+    return parse_presentation(read_text(path))
 
 
 def presentation_hash(p: RelativePresentation) -> str:

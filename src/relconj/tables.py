@@ -35,7 +35,6 @@ from typing import NamedTuple
 from . import shortening
 from .errors import (
     BudgetExceededError,
-    OracleUnavailableError,
     ParseError,
     RelconjError,
 )
@@ -102,14 +101,8 @@ def profile_hash(c: ConstantsProfile) -> str:
     return hashlib.sha256(serialize_profile(c).encode()).hexdigest()[:16]
 
 
-def check_relator_free(p: RelativePresentation):
-    """Refuse a presentation with relators: the tables and the conjugacy
-    engine exist only for free products."""
-    if not p.is_free_product:
-        raise OracleUnavailableError(
-            "presentation %r has relators; presentations with relators get "
-            "no tables" % p.label
-        )
+# why the tables and the conjugacy engine refuse relators
+NO_TABLES = "presentations with relators get no tables"
 
 
 def enumerate_filtered_ball(p: RelativePresentation, r1: int, r2: int,
@@ -122,7 +115,7 @@ def enumerate_filtered_ball(p: RelativePresentation, r1: int, r2: int,
     the last syllable, and no word is built: a hyperbolic letter may follow
     anything but its inverse, and a syllable of factor i anything but
     another one of factor i."""
-    check_relator_free(p)
+    p.require_free_product(NO_TABLES)
     budget = 1_000_000 if budget is None else budget
     hyp = sum(p.letter_kind[c] == HYPERBOLIC for c in p.alphabet)
     choices = {i: orc.ball_size(r2) - 1 for i, orc in p.oracles.items()}
@@ -142,8 +135,9 @@ def enumerate_filtered_ball(p: RelativePresentation, r1: int, r2: int,
 
 
 def cyclic_canonical(p: RelativePresentation, w: str):
-    """Conjugacy key of w and the conjugator c with key = c^-1 * w * c: the
-    canonical cyclic form of shortening.cyclic_shorten."""
+    """The cyclic form of w and the conjugator c with form = c^-1 * w * c,
+    from shortening.cyclic_shorten.  It is a conjugacy key except for one
+    syllable of a free factor, which is not rotated (yxyX and Xyxy)."""
     res = shortening.cyclic_shorten(p, w)
     return res.output, res.conjugator
 
@@ -166,25 +160,37 @@ def precompute(p: RelativePresentation, profile=None) -> PrecomputedTables:
     """Compute the tables of a relator-free presentation under the profile:
     |L3| = sum |B_i|, K^hyp_4delta, K_i and K_4delta.  No list is built:
     the balls are counted, and K^hyp_4delta multiplies the count of
-    B(4delta, 2*C3) by 16*delta+2.  Loudly reports which count overflowed
-    the budget, before the K_i search over pairs of B_i."""
-    check_relator_free(p)
+    B(4delta, 2*C3) by 16*delta+2.  A count that would outgrow the budget
+    is refused, and named, before it is computed: |B_i| (l3), B(4delta,
+    2*C3), sum |S_i|^C3 (k_4delta) or the |B_i|^2 pairs of the K_i search
+    (k_i)."""
+    p.require_free_product(NO_TABLES)
     profile = profile_for(p) if profile is None else profile
-    budget = profile.budget
-    oracles = p.oracles
+    budget, c3 = profile.budget, profile.c3
+    oracles = [p.oracles[par.index] for par in p.parabolics]
 
-    l3 = sum(orc.ball_size(profile.c3) for orc in oracles.values())
-    if l3 > budget:
+    # the radius doubles up to C3 and |B(2s)| <= |B(s)|^2, so no ball size
+    # much past budget^2 is computed
+    radii = sorted({min(2 ** j, c3) for j in range(c3.bit_length() + 1)})
+    if any(orc.ball_size(s) > budget for orc in oracles for s in radii):
+        raise BudgetExceededError("l3", budget)
+    balls = [orc.ball_size(c3) for orc in oracles]
+    if sum(balls) > budget:
         raise BudgetExceededError("l3", budget)
     k_hyp_4delta = enumerate_filtered_ball(
-        p, 4 * profile.delta, 2 * profile.c3, budget, "k_hyp_4delta"
+        p, 4 * profile.delta, 2 * c3, budget, "k_hyp_4delta"
     ) * (16 * profile.delta + 2)
-    k_i = tuple(oracles[i].conjugacy_bound(profile.c3) for i in sorted(oracles))
-    k_4delta = k_hyp_4delta + sum(
-        len(par.generators) ** profile.c3 for par in p.parabolics
-    )
+    # 2^C3 > budget once C3 reaches the budget's bit length
+    letters = [len(par.generators) for par in p.parabolics]
+    if (max(letters, default=0) > 1 and c3 >= budget.bit_length()
+            or sum(n ** c3 for n in letters) > budget):
+        raise BudgetExceededError("k_4delta", budget)
+    if sum(n * n for n in balls) > budget:
+        raise BudgetExceededError("k_i", budget)
+    k_i = tuple(orc.conjugacy_bound(c3) for orc in oracles)
+    k_4delta = k_hyp_4delta + sum(n ** c3 for n in letters)
 
-    return PrecomputedTables(presentation_hash(p), profile, l3, k_i,
+    return PrecomputedTables(presentation_hash(p), profile, sum(balls), k_i,
                              k_hyp_4delta, k_4delta)
 
 

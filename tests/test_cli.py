@@ -57,19 +57,50 @@ def test_parse_error_kind(capsys, tmp_path):
     assert "line 2" in out
 
 
-def test_unknown_letter_is_a_parse_error():
-    # as a process: a typed error and exit code 1, never a traceback
-    root = Path(__file__).resolve().parents[1]
-    path = os.pathsep.join(filter(None, [str(root / "src"),
+ZC3_TEXT = ("group zc3\nhyperbolic a\nparabolic finite 3\nletters s t\n"
+            "table 0 1 2\ntable 1 2 0\ntable 2 0 1\n")
+
+
+@pytest.mark.parametrize("files, argv, kind, message", [
+    # 2^15000 has more digits than Python prints; the finite factor keeps
+    # L3 and B(4delta, 2 C3) tiny
+    ({"zc3.txt": ZC3_TEXT, "prof": "c3=15000\n"},
+     ["--profile", "prof", "precompute", "zc3.txt"], "budget",
+     "k_4delta exceeded"),
+    # 3^(10^9) would not finish
+    ({"prof": "c3=1000000000\n"},
+     ["--profile", "prof", "precompute", str(DEMOS / "zf2.txt")], "budget",
+     "l3 exceeded"),
+    # 1457^2 pairs of the radius-6 ball of F2
+    ({"prof": "delta=0\nc2=1\nc3=6\n"},
+     ["--profile", "prof", "precompute", str(DEMOS / "zf2.txt")], "budget",
+     "k_i exceeded"),
+    ({"bad.txt": b"group bad\nhyperbolic a # \xff\n"},
+     ["wp", "bad.txt", "a"], "parse", "bad.txt is not UTF-8 text"),
+    ({"prof": b"c3=2 # \xff\n"},
+     ["--profile", "prof", "wp", str(DEMOS / "free2.txt"), "a"], "parse",
+     "prof is not UTF-8 text"),
+    ({}, ["conj", str(DEMOS / "zxz2.txt"), "a1", "x"], "parse",
+     "letter '1' is not declared by 'g2'"),
+], ids=["k_4delta", "l3", "k_i", "presentation-not-utf8",
+        "profile-not-utf8", "unknown-letter"])
+def test_bad_input_fails_typed_in_a_process(tmp_path, files, argv, kind,
+                                            message):
+    # a typed error and exit code 1, never a traceback
+    for name, data in files.items():
+        if isinstance(data, str):
+            data = data.encode()
+        (tmp_path / name).write_bytes(data)
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src),
                                          os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "relconj", "conj",
-         str(root / "demos" / "presentations" / "zxz2.txt"), "a1", "x"],
+        [sys.executable, "-m", "relconj"] + argv, cwd=tmp_path,
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 1
-    assert proc.stdout == ("status=error\nerror=parse\n"
-                           "message=letter '1' is not declared by 'g2'\n")
+    assert proc.stdout.startswith("status=error\nerror=%s\n" % kind)
+    assert message in proc.stdout
     assert "Traceback" not in proc.stderr
 
 

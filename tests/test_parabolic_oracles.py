@@ -34,10 +34,10 @@ def test_abelian_geodesic_form(pG2):
     assert orc.geodesic_form("xyX") == "y"
     assert orc.geodesic_form("yx") == "xy"
     assert orc.geodesic_form("xX") == ""
-    assert orc.length("xxY") == 3
-    assert orc.length("xXy") == 1
-    assert orc.trivial("xyXY")
-    assert not orc.trivial("x")
+    assert len(orc.geodesic_form("xxY")) == 3
+    assert len(orc.geodesic_form("xXy")) == 1
+    assert orc.geodesic_form("xyXY") == ""
+    assert orc.geodesic_form("x") != ""
 
 
 def test_abelian_ball_is_shortlex_sorted(pG2):
@@ -77,7 +77,7 @@ def test_free_oracle_reduces_words(pFree):
     orc = pFree.oracles[1]
     assert orc.geodesic_form("uvU") == "uvU"
     assert orc.geodesic_form("uU") == ""
-    assert orc.length("uUu") == 1
+    assert len(orc.geodesic_form("uUu")) == 1
 
 
 def test_free_oracle_conjugation_convention(pFree):

@@ -20,7 +20,7 @@ def test_parse_free_group(pF):
     assert pF.label == "free2"
     assert pF.alphabet == ("a", "A", "b", "B")
     assert pF.is_free_product
-    assert pF.num_parabolics == 0
+    assert len(pF.parabolics) == 0
     assert all(kind == HYPERBOLIC for kind in pF.letter_kind.values())
 
 
@@ -30,7 +30,7 @@ def test_parse_free_product(pG2):
     assert pG2.letter_kind["x"] == 1
     assert pG2.letter_kind["Y"] == 1
     assert pG2.is_free_product
-    assert pG2.num_parabolics == 1
+    assert len(pG2.parabolics) == 1
     assert pG2.parabolics[0].kind == "free_abelian"
 
 
@@ -78,8 +78,9 @@ def test_check_word(pG2):
 
 
 def test_classify_letter_unknown(pG2):
-    with pytest.raises(UnknownLetterError):
-        pG2.classify_letter("z")
+    # check_word names the first undeclared letter
+    with pytest.raises(UnknownLetterError, match="letter 'z' is not declared"):
+        pG2.check_word("axzq")
 
 
 @pytest.mark.parametrize("text,line", [

@@ -2,18 +2,21 @@
 
 On free2, Z * Z^2, Z * C2 and Z * F2 (the demo presentations that can have
 tables): a conjugate pair v = g u g^-1 with |g| <= 3 is answered
-conjugate, with a verified witness no longer than |u| + |v| on normal
-forms of up to 64 letters; and a "not-conjugate" answer on short words is
-confirmed by the brute search over the ball of radius 3.  Examples are
-derandomized and bounded, so every run checks the same pairs.
+conjugate, with a verified witness no longer than |u| + |v|, on normal
+forms of up to 64 letters and, with |g| up to |u|/4, of 100 to 400; a
+"not-conjugate" answer on short words is confirmed by the brute search
+over the ball of radius 3; and cyclic_shorten keeps its contract on words
+of up to 200 letters.  Examples are derandomized and bounded, so every run
+checks the same pairs.
 """
 
+import random
 from functools import lru_cache
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from relconj import conjugacy, metric_oracle, tables, words
+from relconj import conjugacy, metric_oracle, shortening, tables, words
 from relconj.presentation import load_presentation
 
 PRES_DIR = Path(__file__).resolve().parents[1] / "demos" / "presentations"
@@ -30,9 +33,19 @@ def _setup(name):
 
 def _word(draw, p, max_size):
     # lengths uniform up to max_size; st.lists would favour short words
-    rng = draw(st.randoms(use_true_random=False))
-    return "".join(rng.choice(p.alphabet)
-                   for _ in range(rng.randint(0, max_size)))
+    return _random_word(draw(st.randoms(use_true_random=False)), p.alphabet,
+                        max_size)
+
+
+def _random_word(rng, letters, max_size, min_size=0):
+    return "".join(rng.choice(letters)
+                   for _ in range(rng.randint(min_size, max_size)))
+
+
+def _rng(data):
+    # a plain seeded generator: Hypothesis's randoms record every call,
+    # which long words cannot afford
+    return random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
 
 
 @settings(SEEDED, max_examples=300)
@@ -61,3 +74,44 @@ def test_negative_answers_agree_with_the_brute_search(name, data):
     cert = conjugacy.decide(p, profile, u, v, engine=engine)
     if cert.answer == "not-conjugate":
         assert metric_oracle.brute_conjugate(p, u, v, 3) is None
+
+
+@settings(SEEDED, max_examples=100)
+@given(st.sampled_from(NAMES), st.data())
+def test_long_conjugates_get_short_verified_witnesses(name, data):
+    p, profile, engine = _setup(name)
+    rng = _rng(data)
+    # a prefix of a normal form is one in every factor kind here
+    u = words.normalize(p, _random_word(rng, p.alphabet, 1600, 1600))
+    u = u[:rng.randint(100, 400)]
+    assert len(u) >= 100 and words.normalize(p, u) == u
+    g = _random_word(rng, p.alphabet, len(u) // 4)
+    v = words.normalize(p, g + u + words.inverse(g))
+    w = conjugacy.search(p, profile, u, v, engine=engine)
+    assert words.normalize(p, w + u + words.inverse(w)) == v
+    assert len(w) <= len(u) + len(v)
+
+
+@settings(SEEDED, max_examples=300)
+@given(st.sampled_from(NAMES), st.data())
+def test_cyclic_shorten_contract(name, data):
+    p, profile, engine = _setup(name)
+    rng = _rng(data)
+    # random words, or words in one factor, whose forms are one syllable
+    factors = [par.letters for par in p.parabolics]
+    w = _random_word(rng, rng.choice([p.alphabet] + factors), 200)
+    res = shortening.cyclic_shorten(p, w)
+    form, a = res.output, res.conjugator
+    assert words.normalize(p, form) == form
+    again = shortening.cyclic_shorten(p, form)
+    assert (again.output, again.conjugator) == (form, "")
+    assert words.normalize(p, words.inverse(a) + w + a) == form
+    g = _random_word(rng, p.alphabet, 8)
+    conjugate = g + w + words.inverse(g)
+    if res.cyclic_length != 1:
+        assert shortening.cyclic_shorten(p, conjugate).output == form
+    else:
+        # one syllable in a free factor is not rotated to a canonical
+        # form (yxyX and Xyxy on Z * F2), so only decide can compare them
+        cert = conjugacy.decide(p, profile, w, conjugate, engine=engine)
+        assert cert.answer == "conjugate"

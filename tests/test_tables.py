@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -14,6 +17,9 @@ from relconj.errors import (
     OracleUnavailableError,
     RelconjError,
 )
+from relconj.presentation import parse_presentation
+
+from conftest import ZF2_PATH
 
 
 def test_profile_formula_radii():
@@ -123,6 +129,58 @@ def test_over_budget_profile_builds_no_ball(monkeypatch, pZF2):
         monkeypatch.setattr(cls, "ball", refuse)
     with pytest.raises(BudgetExceededError, match="k_hyp_4delta"):
         tb.precompute(pZF2, tb.profile_for(pZF2, [("c3", 6)]))
+
+
+def test_k_4delta_power_is_refused_before_it_is_computed():
+    # Z * C3: the finite factor keeps L3 and B(4delta, 2 C3) tiny, so only
+    # sum |S_i|^C3 = 2^C3 grows; 2^15000 has more digits than int prints
+    p = parse_presentation("group zc3\nhyperbolic a\nparabolic finite 3\n"
+                           "letters s t\ntable 0 1 2\ntable 1 2 0\n"
+                           "table 2 0 1\n")
+    t = tb.precompute(p, tb.profile_for(p, [("c3", 19)]))
+    assert t.k_4delta - t.k_hyp_4delta == 2 ** 19  # the budget is 10^6
+    for c3 in (20, 15000):
+        with pytest.raises(BudgetExceededError, match="k_4delta"):
+            tb.precompute(p, tb.profile_for(p, [("c3", c3)]))
+
+
+def test_l3_is_refused_before_the_ball_is_counted():
+    # in a child process with a time limit: the free factor's ball size
+    # (2k-1)^C3 at C3 = 10^9 would not finish, so a count that is not
+    # refused first fails on the time limit
+    script = ("import sys\n"
+              "from relconj import tables\n"
+              "from relconj.errors import BudgetExceededError\n"
+              "from relconj.presentation import load_presentation\n"
+              "p = load_presentation(sys.argv[1])\n"
+              "try:\n"
+              "    tables.precompute(p, tables.profile_for(p, [('c3', 10**9)"
+              "]))\n"
+              "except BudgetExceededError as exc:\n"
+              "    print(exc.what)\n")
+    src = ZF2_PATH.parents[2] / "src"
+    path = os.pathsep.join(filter(None, [str(src),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, str(ZF2_PATH)],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "l3\n"
+
+
+def test_k_i_pairs_are_counted_against_the_budget(monkeypatch, pG2):
+    # delta=0 keeps B(0, 4) at one word; the radius-2 ball of Z^2 has 13
+    # elements, so the K_i search compares 169 pairs
+    profile = tb.profile_for(pG2, [("delta", 0), ("budget", 169)])
+    assert tb.precompute(pG2, profile).k_i == (0,)
+
+    def refuse(self, radius):
+        raise AssertionError("the K_i search ran")
+
+    monkeypatch.setattr(po.ParabolicOracle, "conjugacy_bound", refuse)
+    with pytest.raises(BudgetExceededError, match="k_i"):
+        tb.precompute(pG2, tb.profile_for(pG2, [("delta", 0),
+                                                 ("budget", 168)]))
 
 
 def test_l3_counts_the_oracle_balls(pG2, pZC2, pZF2, pTHREE):
