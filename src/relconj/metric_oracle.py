@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache, wraps
 
 from . import words
-from .errors import BudgetExceededError, RelconjError
+from .errors import BudgetExceededError
 from .presentation import HYPERBOLIC, INVERSE_LETTER, RelativePresentation
 
 DEFAULT_BUDGET = 1_000_000
@@ -105,10 +105,27 @@ def gamma_length(p: RelativePresentation, w: str) -> int:
 # coned-off graph
 
 
+def _coset_key(p, w, kind):
+    """Canonical name of the left coset w * P_kind, w a normal form: w
+    with its trailing run of that block stripped."""
+    i = len(w)
+    while i > 0 and p.letter_kind.get(w[i - 1]) == kind:
+        i -= 1
+    return w[:i]
+
+
 class ConedGraph:
     """The coned-off graph induced on the ball of a radius: generator edges
     plus an edge between any two distinct elements of a common left coset of
-    a parabolic subgroup (cosets realized as cliques)."""
+    a parabolic subgroup (cosets realized as cliques).
+
+    Vertices are grouped by _coset_key, which names each coset g0*P by its
+    shortest element g0.  In a free product the part of g0*P inside the
+    ball of radius R is g0 times the factor's ball of radius R - |g0|
+    (Lyndon-Schupp IV.1.4), which single letters of P connect, so the
+    cliques are exactly what those letter edges connect inside the ball.
+    Cliques come by parabolic, then by first member, each listing its
+    members in vertex order."""
 
     def __init__(self, p, radius, budget=None):
         self.p = p
@@ -121,30 +138,12 @@ class ConedGraph:
                 j = self._id.get(words.normalize(p, v + c))
                 if j is not None and j != i:
                     self.adj[i].append(j)
-        # left cosets of each parabolic: union-find over right multiplication
-        # by the subgroup letters (both members stay in the same coset)
-        parent = {(par.index, i): (par.index, i) for par in p.parabolics
-                  for i in range(len(self.verts))}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        cosets = {}
         for par in p.parabolics:
             for i, v in enumerate(self.verts):
-                for c in par.letters:
-                    j = self._id.get(words.normalize(p, v + c))
-                    if j is not None:
-                        a, b = find((par.index, i)), find((par.index, j))
-                        if a != b:
-                            parent[a] = b
-        cliques = {}
-        for par in p.parabolics:
-            for i in range(len(self.verts)):
-                cliques.setdefault(find((par.index, i)), []).append(i)
-        self.cliques = [sorted(members) for members in cliques.values() if len(members) > 1]
+                key = (par.index, _coset_key(p, v, par.index))
+                cosets.setdefault(key, []).append(i)
+        self.cliques = [members for members in cosets.values() if len(members) > 1]
         self.vert_cliques = [[] for _ in self.verts]
         for ci, members in enumerate(self.cliques):
             for i in members:
@@ -195,26 +194,12 @@ def _coned_graph(p, radius, budget=None) -> ConedGraph:
     return ConedGraph(p, radius, budget=budget)
 
 
-def relative_length(p: RelativePresentation, w: str, method="auto",
-                    budget=None) -> int:
-    """Exact distance from the identity in the coned-off graph.
-
-    method="auto" uses the syllable count of the normal form (each
-    hyperbolic letter is one edge, each parabolic syllable one coset edge;
-    a free product admits no shortcut).
-    method="bfs" searches the realized coned-off graph restricted to the
-    ball of the normal form's length, which covers the straight path.
-    """
-    nf = normal_form(p, w)
-    if method == "auto":
-        return words.raw_relative_length(p, nf)
-    graph = _coned_graph(p, max(1, len(nf)), budget)
-    src = graph.vertex("")
-    tgt = graph.vertex(nf)
-    dist, _ = graph.bfs(src)
-    if dist[tgt] < 0:
-        raise RelconjError("coned ball too small for %r" % w)
-    return dist[tgt]
+def relative_length(p: RelativePresentation, w: str) -> int:
+    """Exact distance from the identity in the coned-off graph: the
+    syllable count of the normal form.  Each hyperbolic letter is one
+    generator edge and each parabolic syllable one coset edge, and a free
+    product admits no shortcut; tests check it against ConedGraph.bfs."""
+    return words.raw_relative_length(p, normal_form(p, w))
 
 
 def is_relative_geodesic(p: RelativePresentation, w: str) -> bool:
@@ -311,32 +296,20 @@ def estimate_delta(p: RelativePresentation, r: int, gamma_radius=None,
     exhaustive within the stated window."""
     gamma_radius = 2 * r if gamma_radius is None else gamma_radius
     graph = _coned_graph(p, max(1, gamma_radius), budget)
-    src = graph.vertex("")
-    base_dist, _ = graph.bfs(src)
+    bfs = lru_cache(None)(graph.bfs)  # (dist, parent) per source vertex
+    base_dist = bfs(graph.vertex(""))[0]
     vset = [i for i in range(len(graph.verts)) if 0 <= base_dist[i] <= r]
-    all_dist, all_parent = {}, {}
-    for i in vset:
-        all_dist[i], all_parent[i] = graph.bfs(i)
-    # distances from arbitrary vertices are needed for thinness checks
-    extra = {}
-
-    def dist_from(x):
-        if x in all_dist:
-            return all_dist[x]
-        if x not in extra:
-            extra[x] = graph.bfs(x)[0]
-        return extra[x]
 
     best = 0
-    for ai in range(len(vset)):
-        a = vset[ai]
+    for ai, a in enumerate(vset):
+        parent_a = bfs(a)[1]
         for bi in range(ai + 1, len(vset)):
             b = vset[bi]
-            side_ab = graph.path(all_parent[a], a, b)
-            for ci in range(bi + 1, len(vset)):
-                c = vset[ci]
-                side_bc = graph.path(all_parent[b], b, c)
-                side_ac = graph.path(all_parent[a], a, c)
+            parent_b = bfs(b)[1]
+            side_ab = graph.path(parent_a, a, b)
+            for c in vset[bi + 1:]:
+                side_bc = graph.path(parent_b, b, c)
+                side_ac = graph.path(parent_a, a, c)
                 for side, others in (
                     (side_ab, side_bc + side_ac),
                     (side_bc, side_ab + side_ac),
@@ -346,20 +319,11 @@ def estimate_delta(p: RelativePresentation, r: int, gamma_radius=None,
                     for x in side:
                         if x in other:
                             continue
-                        dx = dist_from(x)
+                        dx = bfs(x)[0]
                         gap = min(dx[y] for y in other)
                         if gap > best:
                             best = gap
     return best
-
-
-def _coset_key(p, w, kind):
-    """Canonical name of the left coset w * P_kind, w a normal form: w
-    with its trailing run of that block stripped."""
-    i = len(w)
-    while i > 0 and p.letter_kind.get(w[i - 1]) == kind:
-        i -= 1
-    return w[:i]
 
 
 def _path_components(p, path_word):

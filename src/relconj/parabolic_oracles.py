@@ -26,7 +26,8 @@ one way at each position, so a scan with it stays linear.
 
 Three kinds are provided: ``free_abelian`` (exponent vectors), ``free``
 (reduced words) and ``finite`` (multiplication table, generating set = all
-nontrivial elements).
+nontrivial elements).  They share one ball search, and each counts its
+ball in closed form (ball_size).
 """
 
 from __future__ import annotations
@@ -83,8 +84,18 @@ class ParabolicOracle:
 
     def ball(self, r: int) -> list:
         """Canonical words of all elements of subgroup length <= r,
-        shortlex sorted."""
-        raise NotImplementedError
+        shortlex sorted: a breadth-first search over the signed letters,
+        keyed by geodesic_form.  It stops at the first level that adds no
+        element, so a finite factor costs two levels at any radius."""
+        letters = self.descriptor.letters
+        level = members = {""}
+        for _ in range(r):
+            level = {self.geodesic_form(w + c)
+                     for w in level for c in letters} - members
+            if not level:
+                break
+            members = members | level
+        return sorted(members, key=self.shortlex_key)
 
     def ball_size(self, r: int) -> int:
         """len(ball(r)), counted without building a word."""
@@ -139,7 +150,7 @@ class FreeAbelianOracle(ParabolicOracle):
 
     def push(self, state, run):
         if state is None:
-            state = [0] * self.descriptor.rank
+            state = [0] * len(self.descriptor.generators)
         index = self._index
         for c in run:
             j, sign = index[c]
@@ -154,24 +165,10 @@ class FreeAbelianOracle(ParabolicOracle):
         self._check(p + q)
         return "" if self.push(None, p) == self.push(None, q) else None
 
-    def ball(self, r):
-        out = []
-
-        def rec(j, remaining, state):
-            if j == self.descriptor.rank:
-                out.append(self.state_word(state))
-                return
-            for e in range(-remaining, remaining + 1):
-                rec(j + 1, remaining - abs(e), state + (e,))
-
-        rec(0, r, ())
-        out.sort(key=self.shortlex_key)
-        return out
-
     def ball_size(self, r):
         # i nonzero coordinates: their places, signs, and a composition of
         # at most r into i positive parts
-        k = self.descriptor.rank
+        k = len(self.descriptor.generators)
         return sum(2 ** i * comb(k, i) * comb(r, i) for i in range(k + 1))
 
 
@@ -215,24 +212,9 @@ class FreeOracle(ParabolicOracle):
         s = cp[:k]
         return self.geodesic_form(aq + inverse(s) + inverse(ap))
 
-    def ball(self, r):
-        out = [""]
-        frontier = [""]
-        for _ in range(r):
-            nxt = []
-            for w in frontier:
-                for c in self.descriptor.letters:
-                    if w and w[-1] == INVERSE_LETTER[c]:
-                        continue
-                    nxt.append(w + c)
-            out += nxt
-            frontier = nxt
-        out.sort(key=self.shortlex_key)
-        return out
-
     def ball_size(self, r):
         # 2k words of length 1, each extended by 2k - 1 letters per step
-        k = self.descriptor.rank
+        k = len(self.descriptor.generators)
         if k == 1:
             return 2 * r + 1
         return 1 + k * ((2 * k - 1) ** r - 1) // (k - 1)
@@ -279,11 +261,6 @@ class FiniteOracle(ParabolicOracle):
             if self._table[self._table[t][ep]][self._inv[t]] == eq:
                 return self.state_word(t)
         return None
-
-    def ball(self, r):
-        if r <= 0:
-            return [""]
-        return [""] + list(self.descriptor.generators)
 
     def ball_size(self, r):
         return 1 if r <= 0 else len(self._table)

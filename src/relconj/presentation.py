@@ -16,7 +16,9 @@ File format (blank lines and ``#`` comments are ignored)::
     constants delta=1 c2=2    # optional working-constant overrides
 
 The ``group`` line, the ``hyperbolic`` line and each block's ``letters``
-line appear at most once.
+line appear at most once.  A block's letters line names at least one
+letter, and the size of a ``free`` or ``free_abelian`` block is its
+number of letters.
 
 Parsing accepts relators over any declared letters, but the word problem
 with relators (Dehn's algorithm, see dehn_table) needs them over the
@@ -77,21 +79,12 @@ class ParabolicDescriptor:
     index: int
     kind: str
     generators: tuple[str, ...]
-    rank: int = 0
     table: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
         if self.kind not in PARABOLIC_KINDS:
             raise ParseError("unknown parabolic kind %r" % self.kind)
-        if self.kind in ("free_abelian", "free"):
-            if self.rank != len(self.generators):
-                raise ParseError(
-                    "parabolic %d: rank %d but %d letters"
-                    % (self.index, self.rank, len(self.generators))
-                )
-            if self.rank < 1:
-                raise ParseError("parabolic %d: rank must be >= 1" % self.index)
-        else:
+        if self.kind == "finite":
             _check_group_table(self.table, len(self.generators), self.index)
 
     @property
@@ -102,6 +95,12 @@ class ParabolicDescriptor:
             out.append(g)
             out.append(INVERSE_LETTER[g])
         return tuple(out)
+
+
+def _block_size(kind, letters):
+    """The size on a parabolic line: the number of letters (the rank) of a
+    free or free abelian factor, one more (the order) for a finite one."""
+    return len(letters) + (kind == "finite")
 
 
 def _check_group_table(table, n_letters, index):
@@ -333,21 +332,19 @@ def parse_presentation(text: str) -> RelativePresentation:
         nonlocal pending
         if pending is None:
             return
-        kind = pending["kind"]
-        letters = pending["letters"]
+        kind, letters, line = pending["kind"], pending["letters"], pending["line"]
         if letters is None:
-            raise ParseError("parabolic block missing a letters line", pending["line"])
-        index = len(parabolics) + 1
-        if kind == "finite":
-            if pending["param"] != len(letters) + 1:
-                raise ParseError("finite size must be %d, one more than its "
-                                 "letters" % (len(letters) + 1), pending["line"])
-            desc = ParabolicDescriptor(
-                index, kind, letters, table=tuple(tuple(r) for r in pending["table"])
-            )
-        else:
-            desc = ParabolicDescriptor(index, kind, letters, rank=pending["param"])
-        parabolics.append(desc)
+            raise ParseError("parabolic block missing a letters line", line)
+        if not letters:
+            raise ParseError("parabolic block names no letter", line)
+        size = _block_size(kind, letters)
+        if pending["param"] != size:
+            raise ParseError("%s size must be %d, %s" % (
+                kind, size, "one more than its letters" if kind == "finite"
+                else "the number of its letters"), line)
+        parabolics.append(ParabolicDescriptor(
+            len(parabolics) + 1, kind, letters,
+            tuple(tuple(r) for r in pending["table"])))
         pending = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -429,14 +426,10 @@ def serialize_presentation(p: RelativePresentation) -> str:
     if p.hyperbolic_generators:
         out.append("hyperbolic %s" % " ".join(p.hyperbolic_generators))
     for par in p.parabolics:
-        if par.kind == "finite":
-            out.append("parabolic finite %d" % (len(par.generators) + 1))
-            out.append("letters %s" % " ".join(par.generators))
-            for row in par.table:
-                out.append("table %s" % " ".join(str(x) for x in row))
-        else:
-            out.append("parabolic %s %d" % (par.kind, par.rank))
-            out.append("letters %s" % " ".join(par.generators))
+        out.append("parabolic %s %d" % (par.kind,
+                                        _block_size(par.kind, par.generators)))
+        out.append("letters %s" % " ".join(par.generators))
+        out += ["table %s" % " ".join(map(str, row)) for row in par.table]
     for r in p.relators:
         out.append("relator %s" % r)
     if p.constants:

@@ -233,7 +233,9 @@ def _cache_text(tables: PrecomputedTables) -> str:
 
 def save_tables(path, tables: PrecomputedTables):
     """Write the cache atomically: a temporary file beside path, then a
-    rename over it, so readers never see a partial cache."""
+    rename over it, so readers never see a partial cache.  A failure is an
+    OSError naming path, not the temporary file, so that its message does
+    not depend on the process id."""
     path = os.fspath(path)
     data = _cache_text(tables).encode()
     tmp = "%s.%d.tmp" % (path, os.getpid())
@@ -241,6 +243,8 @@ def save_tables(path, tables: PrecomputedTables):
         with open(tmp, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)

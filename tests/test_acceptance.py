@@ -356,7 +356,9 @@ def test_criterion_10_conjugator_scaling(capsys, pG2, tG2):
         assert words.normalize(pG2, v) == v
         assert len(v) == len(u) + 2 * len(g)
         best = math.inf
-        for _ in range(3):
+        # the minimum of 7 runs: with 3, a busy machine could push the
+        # slope of these inputs past 1.3
+        for _ in range(7):
             t1 = time.perf_counter()
             cert = conjugacy.decide(pG2, tG2, u, v)
             best = min(best, time.perf_counter() - t1)

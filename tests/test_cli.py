@@ -18,6 +18,22 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def run_process(cwd, argv, files=(), timeout=120):
+    """python -m relconj with argv in cwd, after writing files there (a
+    map from name to text or bytes)."""
+    for name, data in dict(files).items():
+        if isinstance(data, str):
+            data = data.encode()
+        (cwd / name).write_bytes(data)
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "relconj"] + argv, cwd=cwd,
+        capture_output=True, text=True, timeout=timeout,
+        env=dict(os.environ, PYTHONPATH=path))
+
+
 @pytest.fixture()
 def paths(pres_dir):
     return {
@@ -82,26 +98,47 @@ ZC3_TEXT = ("group zc3\nhyperbolic a\nparabolic finite 3\nletters s t\n"
      "prof is not UTF-8 text"),
     ({}, ["conj", str(DEMOS / "zxz2.txt"), "a1", "x"], "parse",
      "letter '1' is not declared by 'g2'"),
+    # the syllable pattern of a block with no letter would be "[]+"
+    ({"t.txt": "group g\nhyperbolic a\nparabolic finite 1\nletters\n"
+               "table 0\n"},
+     ["conj", "t.txt", "a", "a"], "parse",
+     "line 3: parabolic block names no letter"),
 ], ids=["k_4delta", "l3", "k_i", "presentation-not-utf8",
-        "profile-not-utf8", "unknown-letter"])
+        "profile-not-utf8", "unknown-letter", "letterless-block"])
 def test_bad_input_fails_typed_in_a_process(tmp_path, files, argv, kind,
                                             message):
     # a typed error and exit code 1, never a traceback
-    for name, data in files.items():
-        if isinstance(data, str):
-            data = data.encode()
-        (tmp_path / name).write_bytes(data)
-    src = Path(__file__).resolve().parents[1] / "src"
-    path = os.pathsep.join(filter(None, [str(src),
-                                         os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "relconj"] + argv, cwd=tmp_path,
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=path))
+    proc = run_process(tmp_path, argv, files)
     assert proc.returncode == 1
     assert proc.stdout.startswith("status=error\nerror=%s\n" % kind)
     assert message in proc.stdout
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("target", ["missing/x", "adir"])
+def test_unwritable_cache_fails_alike_in_every_process(tmp_path, target):
+    # the message names the cache path, never the temporary file, whose
+    # name holds the process id
+    (tmp_path / "adir").mkdir()
+    argv = ["precompute", str(DEMOS / "zxz2.txt"), target]
+    first, second = (run_process(tmp_path, argv) for _ in range(2))
+    assert first.stdout == second.stdout
+    assert first.returncode == 1
+    assert first.stdout.startswith("status=error\nerror=io\n")
+    assert "'%s'" % target in first.stdout
+    assert ".tmp" not in first.stdout
+    assert "Traceback" not in first.stderr
+    assert sorted(os.listdir(tmp_path)) == ["adir"]
+    assert os.listdir(tmp_path / "adir") == []
+
+
+def test_finite_factor_precomputes_under_a_huge_c3(tmp_path):
+    # the finite factor's ball search stops after two levels, not at C3
+    proc = run_process(tmp_path, ["--profile", "prof", "precompute",
+                                  str(DEMOS / "zc2.txt")],
+                       {"prof": "c3=1000000000\n"}, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("status=ok\n")
 
 
 def test_classify(capsys, paths, g2_cache):

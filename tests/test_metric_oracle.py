@@ -63,9 +63,20 @@ def test_relative_length_examples(pG2):
     assert mo.relative_length(pG2, "xxx") == 1
     assert mo.relative_length(pG2, "axxa") == 3
     assert mo.relative_length(pG2, "") == 0
-    # the coned-graph search agrees with the syllable count
-    assert mo.relative_length(pG2, "axxa", method="bfs") == 3
-    assert mo.relative_length(pG2, "xxx", method="bfs") == 1
+
+
+def test_coned_graph_distances_are_syllable_counts(pF, pG2, pZC2, pZF2):
+    # Every geodesic between two vertices of the ball runs through
+    # prefixes of their normal forms, so the search inside the ball finds
+    # the relative length of u^-1 v; a coset clique that is missing,
+    # merged with another or split moves some distance off it.  This also
+    # checks the syllable count of relative_length against the graph.
+    for p in (pF, pG2, pZC2, pZF2):
+        graph = mo.ConedGraph(p, 3)
+        for s, u in enumerate(graph.verts):
+            assert graph.bfs(s)[0] == [
+                mo.relative_length(p, words.inverse(u) + v)
+                for v in graph.verts], (p.label, u)
 
 
 def test_relative_length_never_exceeds_decomposition(pG2):

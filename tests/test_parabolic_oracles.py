@@ -50,8 +50,9 @@ def test_abelian_ball_is_shortlex_sorted(pG2):
 
 
 def test_ball_size_counts_the_ball(pTHREE):
-    # free abelian of rank 1 and 3 and free of rank 1 and 3 beside the
-    # rank-2 factors and the finite one of zf3
+    # each kind's closed form against the breadth-first search that all
+    # kinds share: free abelian of rank 1 and 3 and free of rank 1 and 3
+    # beside the rank-2 factors and the finite one of zf3
     other = parse_presentation(
         "group q\nparabolic free_abelian 1\nletters a\n"
         "parabolic free_abelian 3\nletters b c d\n"

@@ -95,6 +95,8 @@ def test_classify_letter_unknown(pG2):
     ("group g\nparabolic free 2\nletters x y\nletters u v\n", 4),
     ("group g\nhyperbolic a\nconstants delta=1 delta=5\n", 3),
     ("group g\nhyperbolic a\nconstants delta=1\nconstants c2=1 delta=2\n", 4),
+    ("group g\nhyperbolic a\nparabolic finite 1\nletters\ntable 0\n", 3),
+    ("group g\nhyperbolic a\nparabolic free 3\nletters x y\n", 3),
 ])
 def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(ParseError) as exc:
