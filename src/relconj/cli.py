@@ -11,8 +11,6 @@ exactly when the command status is ok.
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
 import time
 
@@ -155,6 +153,8 @@ def cmd_crosscheck(presentation_path, max_word_length, profile_path=None,
     if sample is None:
         pairs = [(u, v) for u in elements for v in elements]
     else:
+        import random
+
         rng = random.Random(seed)
         pairs = [(elements[rng.randrange(n)], elements[rng.randrange(n)])
                  for _ in range(sample)]
@@ -188,6 +188,8 @@ def _format_value(value):
 
 def _emit(result: CommandResult, as_json: bool):
     if as_json:
+        import json
+
         body = {"status": result.status}
         body.update(result.payload)
         sys.stdout.write(json.dumps(body, sort_keys=True) + "\n")

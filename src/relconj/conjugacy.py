@@ -92,7 +92,8 @@ class ConjugacyEngine:
     """Per-presentation caches shared across many decide() calls: cyclic
     shortenings (with the relative lengths of the linear shortening and of
     the cyclic form, and the input's normal form, against which decide
-    checks witnesses), classifications, and the profile hash.  The
+    checks witnesses), classifications, and the profile hash, which the
+    first decide computes, so that classify loads no hash function.  The
     presentation must be relator-free: only there are the cyclic forms
     canonical, so relators are refused.
 
@@ -108,7 +109,7 @@ class ConjugacyEngine:
         p.require_free_product(NO_TABLES)
         self.p = p
         self.profile = profile
-        self.profile_hash = profile_hash(profile)
+        self.profile_hash = None  # the first decide sets it
         self._cyc = {}
         self._cls = {}
 
@@ -190,6 +191,8 @@ def decide(p: RelativePresentation, profile: ConstantsProfile, u: str,
         regime = LONG if length > eng.profile.threshold else SHORT
         state, payload = eng.core(cu.representative, cv.representative,
                                   regime)
+    if eng.profile_hash is None:
+        eng.profile_hash = profile_hash(eng.profile)
     if state != "conjugate":
         return ConjugacyCertificate(u, v, state, None, payload, regime, lbar,
                                     length, eng.profile_hash, False)

@@ -18,13 +18,13 @@ true constants; they are labeled with the radius they used.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
 
 from . import words
 from .errors import BudgetExceededError
-from .presentation import HYPERBOLIC, INVERSE_LETTER, RelativePresentation
+from .presentation import (HYPERBOLIC, INVERSE_LETTER, Frozen,
+                           RelativePresentation)
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -276,15 +276,13 @@ def conjugacy_classes(p: RelativePresentation, radius: int,
 # estimators
 
 
-@dataclass(frozen=True)
-class QuasiGeodesicParams:
-    lam: Fraction
-    eps: Fraction
+class QuasiGeodesicParams(Frozen):
+    _fields = ("lam", "eps")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", Fraction(self.lam))
-        object.__setattr__(self, "eps", Fraction(self.eps))
-        if self.lam < 1 or self.eps < 0:
+    def __init__(self, lam: Fraction, eps: Fraction):
+        lam, eps = Fraction(lam), Fraction(eps)
+        self._freeze(lam, eps)
+        if lam < 1 or eps < 0:
             raise ValueError("need lambda >= 1 and epsilon >= 0")
 
 

@@ -38,10 +38,7 @@ elements, and the declared size and the square table are both
 
 from __future__ import annotations
 
-import hashlib
 import re
-import string
-from dataclasses import dataclass, field
 from functools import cached_property
 from os.path import commonprefix
 
@@ -55,7 +52,8 @@ PARABOLIC_KINDS = ("free_abelian", "free", "finite")
 # The inverse of every ASCII letter, for the per-letter loops of the word
 # kernels.  It holds letters only, so a kernel that indexes it must run
 # after check_word has rejected anything undeclared.
-INVERSE_LETTER = {c: c.swapcase() for c in string.ascii_letters}
+LOWERCASE = "abcdefghijklmnopqrstuvwxyz"
+INVERSE_LETTER = {c: c.swapcase() for c in LOWERCASE + LOWERCASE.upper()}
 
 
 def inverse(w: str) -> str:
@@ -72,20 +70,53 @@ def cyclic_reduce(w: str):
     return w[i : j + 1], w[:i]
 
 
-@dataclass(frozen=True)
-class ParabolicDescriptor:
+class Frozen:
+    """Base of the immutable records.  A subclass names its fields in
+    _fields and its __init__ sets them once with _freeze; after that no
+    attribute can be assigned or deleted.  Records compare and hash by class
+    and field values, and print as ClassName(field=value, ...).  There are
+    no __slots__, because cached_property stores into the instance
+    __dict__."""
+
+    _fields = ()
+
+    def _freeze(self, *values):
+        self.__dict__.update(zip(self._fields, values))
+
+    def _values(self):
+        return tuple(self.__dict__[name] for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.__class__, self._values()))
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
+            "%s=%r" % (name, self.__dict__[name]) for name in self._fields))
+
+
+class ParabolicDescriptor(Frozen):
     """One parabolic subgroup: solver kind, parameters and letters."""
 
-    index: int
-    kind: str
-    generators: tuple[str, ...]
-    table: tuple[tuple[int, ...], ...] = ()
+    _fields = ("index", "kind", "generators", "table")
 
-    def __post_init__(self):
-        if self.kind not in PARABOLIC_KINDS:
-            raise ParseError("unknown parabolic kind %r" % self.kind)
-        if self.kind == "finite":
-            _check_group_table(self.table, len(self.generators), self.index)
+    def __init__(self, index: int, kind: str, generators: tuple[str, ...],
+                 table: tuple[tuple[int, ...], ...] = ()):
+        if kind not in PARABOLIC_KINDS:
+            raise ParseError("unknown parabolic kind %r" % kind)
+        if kind == "finite":
+            _check_group_table(table, len(generators), index)
+        self._freeze(index, kind, generators, table)
 
     @property
     def letters(self) -> tuple[str, ...]:
@@ -127,18 +158,19 @@ def _check_group_table(table, n_letters, index):
                     raise ParseError("parabolic %d: table is not associative" % index)
 
 
-@dataclass(frozen=True)
-class RelativePresentation:
+class RelativePresentation(Frozen):
     """A relative presentation: hyperbolic letters, parabolic blocks,
     optional relators and optional constant overrides."""
 
-    label: str
-    hyperbolic_generators: tuple[str, ...]
-    parabolics: tuple[ParabolicDescriptor, ...]
-    relators: tuple[str, ...] = ()
-    constants: tuple[tuple[str, int], ...] = ()
+    _fields = ("label", "hyperbolic_generators", "parabolics", "relators",
+               "constants")
 
-    def __post_init__(self):
+    def __init__(self, label: str, hyperbolic_generators: tuple[str, ...],
+                 parabolics: tuple[ParabolicDescriptor, ...],
+                 relators: tuple[str, ...] = (),
+                 constants: tuple[tuple[str, int], ...] = ()):
+        self._freeze(label, hyperbolic_generators, parabolics, relators,
+                     constants)
         seen = set()
         for g in self.hyperbolic_generators:
             _check_generator_name(g, seen)
@@ -311,7 +343,7 @@ class RelativePresentation:
 
 
 def _check_generator_name(g, seen):
-    if len(g) != 1 or g not in string.ascii_lowercase:
+    if len(g) != 1 or g not in LOWERCASE:
         raise ParseError("generator name %r must be one lowercase ASCII letter" % g)
     if g in seen:
         raise ParseError("duplicate generator %r" % g)
@@ -456,4 +488,6 @@ def load_presentation(path) -> RelativePresentation:
 
 def presentation_hash(p: RelativePresentation) -> str:
     """Stable short hash of the canonical serialization."""
+    import hashlib  # only the commands that print a hash load it
+
     return hashlib.sha256(serialize_presentation(p).encode()).hexdigest()[:16]

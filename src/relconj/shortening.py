@@ -254,8 +254,11 @@ def _syllable_cyclic_form(p, nf, syls):
                 break
         elif kind == kind_of[last[0]]:
             # merge the wrap-around run nu o eta (logged in the coordinates
-            # of the cyclic word left here); a nontrivial merge ends it
-            rep = words.normalize(p, last + first)
+            # of the cyclic word left here) in the factor's oracle, as
+            # normalize would; a nontrivial merge ends it
+            orc = p.oracles[kind]
+            state = orc.push(None, last + first)
+            rep = "" if state is None else orc.state_word(state)
             steps.append(ShorteningStep(hi - len(last) - lo,
                                         hi - lo + len(first), last + first,
                                         rep, TABLE_REPLACEMENT))

@@ -27,9 +27,7 @@ table and nothing here.
 
 from __future__ import annotations
 
-import hashlib
 import os
-from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from . import shortening
@@ -40,12 +38,13 @@ from .errors import (
 )
 from .presentation import (
     HYPERBOLIC,
+    Frozen,
     RelativePresentation,
     presentation_hash,
 )
 
-@dataclass(frozen=True)
-class ConstantsProfile:
+
+class ConstantsProfile(Frozen):
     """delta and the BCP constants C(2), C(3), the element budget, the
     linear-bound coefficients and the regime threshold (None = the formula
     value 86*delta+3): exactly the constants an algorithm or a test of the
@@ -54,20 +53,20 @@ class ConstantsProfile:
     Every field is part of the serialized profile, and so of profile_hash,
     of each certificate's profile= and of each cache header."""
 
-    delta: int = 1
-    c2: int = 2
-    c3: int = 2  # radius of L3 = B_i
-    budget: int = 1_000_000
-    nlin: int = 1  # conjugator length slope, fitted on the reference groups
-    mlin: int = 0  # conjugator length offset, fitted on the reference groups
-    threshold: int = None  # long/short-hyperbolic regime cut, 86*delta+3
+    # c3: the radius of L3 = B_i; nlin, mlin: the conjugator length slope
+    # and offset, fitted on the reference groups; threshold: the
+    # long/short-hyperbolic regime cut
+    _fields = ("delta", "c2", "c3", "budget", "nlin", "mlin", "threshold")
 
-    def __post_init__(self):
-        if self.threshold is None:
-            object.__setattr__(self, "threshold", 86 * self.delta + 3)
-        if any(getattr(self, f.name) < 0 for f in fields(self)):
+    def __init__(self, delta: int = 1, c2: int = 2, c3: int = 2,
+                 budget: int = 1_000_000, nlin: int = 1, mlin: int = 0,
+                 threshold: int = None):
+        if threshold is None:
+            threshold = 86 * delta + 3
+        self._freeze(delta, c2, c3, budget, nlin, mlin, threshold)
+        if any(value < 0 for value in self._values()):
             raise ParseError("profile constants must be nonnegative")
-        if self.c2 > self.c3:
+        if c2 > c3:
             raise ParseError("profiles require C(2) <= C(3)")
 
     @property
@@ -75,7 +74,7 @@ class ConstantsProfile:
         return 8 * self.delta + 1
 
 
-_PROFILE_KEYS = tuple(f.name for f in fields(ConstantsProfile))
+_PROFILE_KEYS = ConstantsProfile._fields
 
 
 def profile_from_pairs(pairs, overrides=None) -> ConstantsProfile:
@@ -98,6 +97,8 @@ def serialize_profile(c: ConstantsProfile) -> str:
 
 
 def profile_hash(c: ConstantsProfile) -> str:
+    import hashlib  # only the commands that print a hash load it
+
     return hashlib.sha256(serialize_profile(c).encode()).hexdigest()[:16]
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from conftest import F_TEXT, G2_TEXT, ZC2_TEXT, C5_TEXT
@@ -5,6 +7,9 @@ from relconj.errors import ParseError, UnknownLetterError
 from relconj.presentation import (
     HYPERBOLIC,
     INVERSE_LETTER,
+    ParabolicDescriptor,
+    RelativePresentation,
+    load_presentation,
     parse_presentation,
     presentation_hash,
     serialize_presentation,
@@ -135,3 +140,82 @@ def test_constants_survive_parsing(pG2):
     assert pairs["delta"] == 1
     assert pairs["threshold"] == 3
     assert pairs["budget"] == 1000000
+
+
+# ---------------------------------------------------------------------------
+# the presentation records: frozen, compared and hashed by class and fields
+
+DEMO_PRESENTATIONS = sorted(
+    (Path(__file__).resolve().parents[1] / "demos" / "presentations")
+    .glob("*.txt"))
+
+
+@pytest.mark.parametrize("path", DEMO_PRESENTATIONS,
+                         ids=[path.stem for path in DEMO_PRESENTATIONS])
+def test_every_demo_presentation_round_trips(path):
+    p = load_presentation(path)
+    p.letter_kind, p.alphabet  # cached values take no part in equality
+    again = parse_presentation(serialize_presentation(p))
+    assert again is not p
+    assert again == p and not again != p
+    assert hash(again) == hash(p)
+    assert again.parabolics == p.parabolics
+
+
+def test_presentation_records_refuse_assignment_and_deletion(pZC2):
+    par = pZC2.parabolics[0]
+    for record, name in ((pZC2, "label"), (pZC2, "relators"),
+                         (par, "kind"), (par, "table")):
+        before = getattr(record, name)
+        with pytest.raises(AttributeError, match="cannot assign to field"):
+            setattr(record, name, "changed")
+        with pytest.raises(AttributeError, match="cannot delete field"):
+            delattr(record, name)
+        assert getattr(record, name) is before
+    with pytest.raises(AttributeError):
+        pZC2.extra = 1
+    assert not hasattr(pZC2, "extra")
+
+
+def test_cached_property_is_computed_once():
+    p = parse_presentation(G2_TEXT)
+    assert "letter_kind" not in vars(p)
+    kinds = p.letter_kind
+    assert vars(p)["letter_kind"] is kinds
+    assert p.letter_kind is kinds and p.oracles is p.oracles
+
+
+def test_presentation_records_equal_only_their_own_class():
+    par = ParabolicDescriptor(1, "free", ("x",))
+    assert par == ParabolicDescriptor(1, "free", ("x",))
+    assert par != ParabolicDescriptor(1, "free", ("y",))
+    assert par != (1, "free", ("x",), ())
+    p = RelativePresentation("g", ("a",), (par,))
+    assert p == RelativePresentation("g", ("a",), (par,), (), ())
+    assert p != ("g", ("a",), (par,), (), ())
+    assert len({p, RelativePresentation("g", ("a",), (par,))}) == 1
+
+
+def test_presentation_records_print_their_fields(pZC2):
+    pZC2.letter_kind  # a cached value is not printed
+    assert repr(pZC2) == (
+        "RelativePresentation(label='zc2', hyperbolic_generators=('a',), "
+        "parabolics=(ParabolicDescriptor(index=1, kind='finite', "
+        "generators=('t',), table=((0, 1), (1, 0))),), relators=(), "
+        "constants=(('delta', 1), ('c2', 1), ('c3', 1), "
+        "('budget', 200000), ('threshold', 3)))")
+
+
+def test_descriptor_validation_messages():
+    with pytest.raises(ParseError) as exc:
+        ParabolicDescriptor(1, "weird", ("x",))
+    assert str(exc.value) == "unknown parabolic kind 'weird'"
+    with pytest.raises(ParseError) as exc:
+        ParabolicDescriptor(2, "finite", ("t",), ((0, 1),))
+    assert str(exc.value) == "parabolic 2: table must be 2x2 (letters + identity)"
+    with pytest.raises(ParseError) as exc:
+        ParabolicDescriptor(1, "finite", ("t",), ((0, 0), (1, 0)))
+    assert str(exc.value) == "parabolic 1: table is not a Latin square"
+    with pytest.raises(ParseError) as exc:
+        RelativePresentation("g", ("a", "a"), ())
+    assert str(exc.value) == "duplicate generator 'a'"

@@ -1,11 +1,14 @@
 """The result records are named tuples with a fixed field order, and a query
-process defines no record class it does not run and writes no tables cache.
+process loads no module and defines no record class it does not run, and
+writes no tables cache.
 
 A query command, with relators too, loads neither the ball oracle
-(metric_oracle, with fractions and decimal behind it) nor any dataclass beyond the three that
-validate their fields: defining a dataclass costs about a millisecond of
-start-up, and building a frozen one costs several object.__setattr__ calls
-per answer.
+(metric_oracle, with fractions and decimal behind it) nor dataclasses,
+inspect or json, and wp and classify do not load hashlib.  The three
+records that validate their fields (ParabolicDescriptor,
+RelativePresentation, ConstantsProfile) are plain frozen classes: it is
+importing dataclasses, which brings inspect, ast, dis and tokenize with it,
+and not defining a dataclass, that costs start-up.
 """
 
 import os
@@ -72,7 +75,7 @@ def test_certificate_record_line():
 
 
 QUERY_PROCESS = """\
-import contextlib, dataclasses, io, os, sys
+import contextlib, io, os, sys
 from relconj import cli
 pres, cache, c5 = sys.argv[1:4]
 for argv in (["wp", pres, "xyXY"], ["classify", pres, "axA"],
@@ -82,8 +85,9 @@ for argv in (["wp", pres, "xyXY"], ["classify", pres, "axA"],
             contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(["--cache", cache] + argv) == 0, argv
 assert not os.path.exists(cache), "a query wrote the tables cache"
-print(" ".join(sorted({"fractions", "decimal", "relconj.metric_oracle"}
-                      & set(sys.modules))))
+print(" ".join(sorted({"fractions", "decimal", "relconj.metric_oracle",
+                       "dataclasses", "inspect", "json"} & set(sys.modules))))
+import dataclasses
 print(" ".join(sorted(
     name for module_name, module in list(sys.modules.items())
     if module_name.split(".")[0] == "relconj"
@@ -93,22 +97,58 @@ print(" ".join(sorted(
 """
 
 
-def test_query_process_defines_only_what_it_runs(tmp_path):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+def _pythonpath():
+    return os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
+
+
+def test_query_process_defines_only_what_it_runs(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", QUERY_PROCESS,
          str(ROOT / "demos" / "presentations" / "zxz2.txt"),
          str(tmp_path / "zxz2.tables"),
          str(ROOT / "demos" / "presentations" / "c5.txt")],
         capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=path))
+        env=dict(os.environ, PYTHONPATH=_pythonpath()))
     assert proc.returncode == 0, proc.stderr
     loaded, record_classes = proc.stdout.split("\n")[:2]
     assert loaded == ""
-    assert record_classes.split() == ["ConstantsProfile",
-                                      "ParabolicDescriptor",
-                                      "RelativePresentation"]
+    assert record_classes.split() == []
+
+
+HASH_PROCESS = """\
+import sys
+from relconj import cli
+code = cli.main(sys.argv[1:])
+print("hashlib" if "hashlib" in sys.modules else "-")
+sys.exit(code)
+"""
+
+# a fresh process per command: what it prints of the two hashes, and
+# whether it loaded hashlib
+HASH_COMMANDS = [
+    (["wp", "zxz2.txt", "xyXY"], [], False),
+    (["classify", "zxz2.txt", "axA"], [], False),
+    (["conj", "zxz2.txt", "axA", "x"], ["profile=ee78d136534fd600"], True),
+    (["precompute", "zxz2.txt"], ["presentation=1d7bf671254c87b8",
+                                  "profile=ee78d136534fd600"], True),
+]
+
+
+@pytest.mark.parametrize("argv, hashes, loads_hashlib", HASH_COMMANDS,
+                         ids=[argv[0] for argv, _, _ in HASH_COMMANDS])
+def test_only_a_command_that_prints_a_hash_loads_hashlib(argv, hashes,
+                                                         loads_hashlib):
+    proc = subprocess.run(
+        [sys.executable, "-c", HASH_PROCESS] + argv,
+        capture_output=True, text=True, timeout=120,
+        cwd=ROOT / "demos" / "presentations",
+        env=dict(os.environ, PYTHONPATH=_pythonpath()))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == ("hashlib" if loads_hashlib else "-")
+    assert [line for line in lines
+            if line.startswith(("profile=", "presentation="))] == hashes
 
 
 # sha256 of the decide(...).to_record() lines, each ended by "\n", over all

@@ -15,6 +15,7 @@ from relconj import (
 from relconj.errors import (
     BudgetExceededError,
     OracleUnavailableError,
+    ParseError,
     RelconjError,
 )
 from relconj.presentation import parse_presentation
@@ -46,6 +47,31 @@ def test_profile_validation():
             tb.ConstantsProfile(**{key: -1})
     with pytest.raises(RelconjError):
         tb.profile_from_pairs([("zeta", 1)])
+
+
+def test_profile_validation_messages():
+    with pytest.raises(ParseError) as exc:
+        tb.ConstantsProfile(budget=-1)
+    assert str(exc.value) == "profile constants must be nonnegative"
+    with pytest.raises(ParseError) as exc:
+        tb.ConstantsProfile(c2=3)
+    assert str(exc.value) == "profiles require C(2) <= C(3)"
+
+
+def test_profile_is_a_frozen_record():
+    prof = tb.ConstantsProfile(delta=2)
+    assert prof == tb.ConstantsProfile(delta=2, threshold=175)
+    assert hash(prof) == hash(tb.ConstantsProfile(delta=2, threshold=175))
+    assert prof != tb.ConstantsProfile(delta=2, threshold=174)
+    assert prof != (2, 2, 2, 1_000_000, 1, 0, 175)
+    assert (2, 2, 2, 1_000_000, 1, 0, 175) != prof
+    with pytest.raises(AttributeError, match="cannot assign to field"):
+        prof.delta = 3
+    with pytest.raises(AttributeError, match="cannot delete field"):
+        del prof.threshold
+    assert (prof.delta, prof.threshold) == (2, 175)
+    assert repr(prof) == ("ConstantsProfile(delta=2, c2=2, c3=2, "
+                          "budget=1000000, nlin=1, mlin=0, threshold=175)")
 
 
 def test_profile_for_reads_presentation_constants(pG2):
