@@ -23,7 +23,7 @@ from .errors import (
     RelconjError,
     UnknownLetterError,
 )
-from .presentation import load_presentation, read_text
+from .presentation import load_presentation, read_constants, read_text
 
 _ERROR_KINDS = (
     (ParseError, "parse"),
@@ -57,25 +57,14 @@ def _error_result(exc) -> CommandResult:
 
 
 def _read_profile_overrides(path):
-    """key=value per line, each key at most once, # comments and blank
+    """One key=value per line (see read_constants), # comments and blank
     lines ignored."""
-    if path is None:
-        return []
     out = []
-    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError("expected key=value", lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in dict(out):
-            raise ParseError("constant %r given twice" % key, lineno)
-        try:
-            out.append((key, int(value)))
-        except ValueError:
-            raise ParseError("value of %r is not an integer" % key, lineno)
+    if path is not None:
+        for lineno, raw in enumerate(read_text(path).splitlines(), 1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                read_constants(out, [line], lineno)
     return out
 
 

@@ -233,42 +233,35 @@ def brute_conjugate(p: RelativePresentation, u: str, v: str, max_len: int,
 @_cached(32)
 def conjugacy_classes(p: RelativePresentation, radius: int,
                       budget=None) -> dict:
-    """Partition of the ball of a radius into conjugacy classes by closing
-    under single-generator conjugation inside the ball.
+    """Partition of the ball of a radius into conjugacy classes, by a
+    search over single-letter conjugations inside the ball.
 
     Sound because every edge is a genuine conjugation.  Complete on free
     products: any conjugate pair in the ball is linked by peeling inverse
     end letters (length never grows) and rotating by first letters (length
-    never grows), so the whole chain stays inside the ball.  Returns a map
-    from canonical word to its class representative (shortlex least).
+    never grows), so the whole chain stays inside the ball.  The ball is
+    walked in shortlex order, and each element not yet labelled starts the
+    search of its class, so the class representative, the first member
+    met, is its shortlex least.  Returns a map from canonical word to its
+    class representative.
 
     Cached per (p, radius, budget), at most 32 maps, each of up to budget
     words; conjugacy_classes.cache_clear() frees them.
     """
     index = ball(p, radius, budget=budget)
-    parent = {v: v for v in index.dist}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for v in index.dist:
-        for c in p.alphabet:
-            u = normal_form(p, c + v + words.inverse(c))
-            if u in parent:
-                a, b = find(v), find(u)
-                if a != b:
-                    parent[a] = b
-    groups = {}
-    for v in index.dist:
-        groups.setdefault(find(v), []).append(v)
     out = {}
-    for members in groups.values():
-        rep = min(members, key=p.shortlex_key)
-        for m in members:
-            out[m] = rep
+    for rep in sorted(index.dist, key=p.shortlex_key):
+        if rep in out:
+            continue
+        out[rep] = rep
+        stack = [rep]
+        while stack:
+            v = stack.pop()
+            for c in p.alphabet:
+                u = normal_form(p, c + v + INVERSE_LETTER[c])
+                if u in index and u not in out:
+                    out[u] = rep
+                    stack.append(u)
     return out
 
 

@@ -135,8 +135,9 @@ def _block_size(kind, letters):
 
 
 def _check_group_table(table, n_letters, index):
-    """Validate a finite-subgroup multiplication table: identity at 0,
-    Latin rows/columns, inverses, associativity."""
+    """Validate a finite-subgroup multiplication table: Latin rows and
+    columns, identity at 0 and associativity.  Every Latin row contains 0,
+    so every element has an inverse."""
     n = n_letters + 1
     if len(table) != n or any(len(row) != n for row in table):
         raise ParseError(
@@ -148,9 +149,6 @@ def _check_group_table(table, n_letters, index):
             raise ParseError("parabolic %d: table is not a Latin square" % index)
     if any(table[0][j] != j or table[j][0] != j for j in range(n)):
         raise ParseError("parabolic %d: element 0 must be the identity" % index)
-    for a in range(n):
-        if not any(table[a][b] == 0 for b in range(n)):
-            raise ParseError("parabolic %d: element %d has no inverse" % (index, a))
     for a in range(n):
         for b in range(n):
             for c in range(n):
@@ -431,16 +429,7 @@ def parse_presentation(text: str) -> RelativePresentation:
             relators.append(args[0])
         elif key == "constants":
             flush()
-            for item in args:
-                name, eq, value = item.partition("=")
-                if not eq:
-                    raise ParseError("constants entries look like key=value", line_no)
-                if name in dict(constants):
-                    raise ParseError("constant %r given twice" % name, line_no)
-                try:
-                    constants.append((name, int(value)))
-                except ValueError:
-                    raise ParseError("constant %r must be an integer" % name, line_no)
+            read_constants(constants, args, line_no)
         else:
             raise ParseError("unknown directive %r" % key, line_no)
     flush()
@@ -471,12 +460,34 @@ def serialize_presentation(p: RelativePresentation) -> str:
     return "\n".join(out) + "\n"
 
 
+def read_constants(pairs: list, items, line=None) -> list:
+    """Append the (key, value) of each "key=value" item to pairs and return
+    them: the one grammar of a constant, on a constants line, a --profile
+    line and a cache's profile line.  Spaces around key and value are
+    ignored.  A missing "=", a key already in pairs or a value that is not
+    an integer is a ParseError naming the line."""
+    for item in items:
+        key, eq, value = item.partition("=")
+        key = key.strip()
+        if not eq:
+            raise ParseError("expected key=value", line)
+        if key in dict(pairs):
+            raise ParseError("constant %r given twice" % key, line)
+        try:
+            pairs.append((key, int(value)))
+        except ValueError:
+            raise ParseError("constant %r must be an integer" % key, line)
+    return pairs
+
+
 def read_text(path) -> str:
-    """The text of a UTF-8 file; ParseError naming the file otherwise."""
+    """The text of a UTF-8 file, without a leading byte-order mark;
+    ParseError naming the file and the offset of the first bad byte
+    otherwise.  (The utf-8-sig codec would count from after the mark.)"""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError("%s is not UTF-8 text (byte %d)"
                          % (path, exc.start)) from None
@@ -486,8 +497,13 @@ def load_presentation(path) -> RelativePresentation:
     return parse_presentation(read_text(path))
 
 
-def presentation_hash(p: RelativePresentation) -> str:
-    """Stable short hash of the canonical serialization."""
+def short_hash(text: str) -> str:
+    """The first 16 hex digits of the SHA-256 of text."""
     import hashlib  # only the commands that print a hash load it
 
-    return hashlib.sha256(serialize_presentation(p).encode()).hexdigest()[:16]
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def presentation_hash(p: RelativePresentation) -> str:
+    """Stable short hash of the canonical serialization."""
+    return short_hash(serialize_presentation(p))

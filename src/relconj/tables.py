@@ -41,6 +41,8 @@ from .presentation import (
     Frozen,
     RelativePresentation,
     presentation_hash,
+    read_constants,
+    short_hash,
 )
 
 
@@ -97,9 +99,7 @@ def serialize_profile(c: ConstantsProfile) -> str:
 
 
 def profile_hash(c: ConstantsProfile) -> str:
-    import hashlib  # only the commands that print a hash load it
-
-    return hashlib.sha256(serialize_profile(c).encode()).hexdigest()[:16]
+    return short_hash(serialize_profile(c))
 
 
 # why the tables and the conjugacy engine refuse relators
@@ -261,9 +261,7 @@ def load_tables(path, p: RelativePresentation, profile=None) -> PrecomputedTable
         raise RelconjError("%s is not a tables cache" % path)
     try:
         _, p_hash, prof, l3, k_i, k, _ = data.decode().split("\n")
-        stored = profile_from_pairs(
-            (key, int(value))
-            for key, _, value in (kv.partition("=") for kv in prof.split()))
+        stored = profile_from_pairs(read_constants([], prof.split()))
         k_hyp, k4 = map(int, k.split())
         tables = PrecomputedTables(p_hash, stored, int(l3),
                                    tuple(map(int, k_i.split())), k_hyp, k4)

@@ -221,11 +221,12 @@ def test_decide_is_symmetric(pG2, tG2, engG2):
 
 
 def test_decide_matches_closure_small_balls(pF, tF, engF, pG2, tG2, engG2,
-                                            pZC2, tZC2):
+                                            pZC2, tZC2, pZF2, tZF2):
     # exhaustive agreement with the conjugation-closure oracle on small
-    # balls; the acceptance suite scales this check up
+    # balls, a free parabolic among them (187 elements of Z * F2); the
+    # acceptance suite scales this check up
     for p, t, eng, radius in ((pF, tF, engF, 3), (pG2, tG2, engG2, 3),
-                              (pZC2, tZC2, None, 3)):
+                              (pZC2, tZC2, None, 3), (pZF2, tZF2, None, 3)):
         classes = mo.conjugacy_classes(p, radius)
         els = sorted(mo.ball(p, radius).elements, key=p.shortlex_key)
         eng = eng or cj.ConjugacyEngine(p, t)

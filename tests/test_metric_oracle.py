@@ -122,6 +122,8 @@ def test_conjugacy_classes_partition(pG2):
     assert set(classes) == set(index.elements)
     for w, rep in classes.items():
         assert classes[rep] == rep
+        # the representative is the shortlex least member
+        assert pG2.shortlex_key(rep) <= pG2.shortlex_key(w)
         # class membership is conjugation-invariant inside the ball
         for c in pG2.alphabet:
             y = mo.normal_form(pG2, c + w + words.inverse(c))

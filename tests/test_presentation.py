@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from conftest import F_TEXT, G2_TEXT, ZC2_TEXT, C5_TEXT
+from relconj import cli
 from relconj.errors import ParseError, UnknownLetterError
 from relconj.presentation import (
     HYPERBOLIC,
@@ -107,6 +108,71 @@ def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(ParseError) as exc:
         parse_presentation(text)
     assert exc.value.line == line
+
+
+# a 5-element loop: Latin rows and columns, 0 the identity, yet
+# (1*1)*2 = 2 while 1*(1*2) = 4
+LOOP5 = "".join("table %s\n" % row for row in (
+    "0 1 2 3 4", "1 0 3 4 2", "2 4 0 1 3", "3 2 4 0 1", "4 3 1 2 0"))
+
+
+@pytest.mark.parametrize("reader, text, message, line", [
+    ("presentation", "group a b\n", "group expects one label", 1),
+    ("presentation", "group g\nparabolic free\n",
+     "parabolic expects: kind and a size", 2),
+    ("presentation", "group g\nparabolic free x\n",
+     "parabolic size must be an integer", 2),
+    ("presentation", "group g\nparabolic free 1\nhyperbolic a\n",
+     "parabolic block missing a letters line", 2),
+    ("presentation", "group g\nhyperbolic a\ntable 0\n",
+     "table line outside a finite block", 3),
+    ("presentation", "group g\nparabolic finite 2\nletters t\ntable 0 x\n",
+     "table entries must be integers", 4),
+    ("presentation", "group g\nhyperbolic a\nrelator\n",
+     "relator expects one word", 3),
+    ("presentation", "group g\nhyperbolic a\nconstants c2=1 delta\n",
+     "expected key=value", 3),
+    ("presentation", "group g\n", "presentation declares no generators",
+     None),
+    ("presentation", "group g\nhyperbolic A\n",
+     "generator name 'A' must be one lowercase ASCII letter", None),
+    ("presentation", "group g\nparabolic finite 2\nletters t\n"
+     "table 1 0\ntable 0 1\n",
+     "parabolic 1: element 0 must be the identity", None),
+    ("presentation", "group g\nparabolic finite 5\nletters p q r s\n"
+     + LOOP5, "parabolic 1: table is not associative", None),
+    ("profile", "# comment\nc2 = 1\n\ndelta=x\n",
+     "constant 'delta' must be an integer", 4),
+], ids=["group", "parabolic-fields", "parabolic-size", "no-letters-line",
+        "stray-table", "table-entry", "relator-fields", "constants-item",
+        "no-generators", "generator-name", "identity", "associative",
+        "profile-value"])
+def test_every_parse_error_names_its_line(tmp_path, reader, text, message,
+                                          line):
+    path = tmp_path / "input"
+    path.write_text(text)
+    read = (load_presentation if reader == "presentation"
+            else cli._read_profile_overrides)
+    with pytest.raises(ParseError) as exc:
+        read(path)
+    assert exc.value.line == line
+    assert str(exc.value) == (message if line is None
+                              else "line %d: %s" % (line, message))
+
+
+def test_a_byte_order_mark_is_ignored(tmp_path):
+    pres = tmp_path / "g2.txt"
+    pres.write_bytes(b"\xef\xbb\xbf" + G2_TEXT.encode())
+    assert load_presentation(pres) == parse_presentation(G2_TEXT)
+    prof = tmp_path / "prof"
+    prof.write_bytes(b"\xef\xbb\xbfdelta=2\nc3 = 3\n")
+    assert cli._read_profile_overrides(prof) == [("delta", 2), ("c3", 3)]
+    # a bad byte is counted from the start of the file, mark included
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xef\xbb\xbfgroup g\xff\n")
+    with pytest.raises(ParseError) as exc:
+        load_presentation(bad)
+    assert str(exc.value) == "%s is not UTF-8 text (byte 10)" % bad
 
 
 def test_parse_rejects_duplicate_generator():

@@ -116,6 +116,24 @@ def test_query_process_defines_only_what_it_runs(tmp_path):
     assert record_classes.split() == []
 
 
+def test_the_library_imports_the_standard_library_only():
+    # every import under src/relconj, at any depth, names a standard
+    # library module or is relative within the package
+    import ast
+
+    for path in sorted((ROOT / "src" / "relconj").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, \
+                    (path.name, node.lineno, name)
+
+
 HASH_PROCESS = """\
 import sys
 from relconj import cli

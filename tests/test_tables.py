@@ -238,6 +238,16 @@ def test_compute_M_vanishes_for_abelian_parabolics(pG2, tG2):
     assert tb.compute_M(pG2, tG2, "axA") == 0
 
 
+def test_compute_M_on_a_free_parabolic(pZF2, tZF2):
+    # c3 = 1: yxY and yyxYY are conjugate to x, which lies in B_1, by y and
+    # yy; yxyY is conjugate to xy and to nothing shorter, so [u] misses B_1
+    assert tZF2.profile.c3 == 1
+    assert tb.compute_M(pZF2, tZF2, "yxY") == 1
+    assert tb.compute_M(pZF2, tZF2, "yyxYY") == 2
+    for w in ("x", "xy", "yxyY", "axA"):
+        assert tb.compute_M(pZF2, tZF2, w) == 0
+
+
 def test_save_load_round_trip(tmp_path, pG2, tG2, pF):
     path = tmp_path / "g2.tables"
     tb.save_tables(path, tG2)
