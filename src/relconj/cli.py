@@ -132,8 +132,8 @@ def cmd_crosscheck(presentation_path, max_word_length, profile_path=None,
         raise ParseError("--sample must be at least 1")
     p, profile = _setup(presentation_path, profile_path)
     engine = conjugacy.ConjugacyEngine(p, profile)
-    index = metric_oracle.ball(p, max_word_length, budget=profile.budget)
-    elements = sorted(index.elements, key=p.shortlex_key)
+    elements = metric_oracle.ball(p, max_word_length,
+                                  budget=profile.budget).elements
     n = len(elements)
     if (n * n if sample is None else sample) > profile.budget:
         raise BudgetExceededError("crosscheck pairs", profile.budget)

@@ -225,9 +225,8 @@ def bounded_class(p: RelativePresentation, profile: ConstantsProfile,
     from . import metric_oracle  # the ball oracle; no query path needs it
 
     eng = engine or ConjugacyEngine(p, profile)
-    index = metric_oracle.ball(p, radius, budget=eng.profile.budget)
     out = {}
-    for x in sorted(index.elements, key=p.shortlex_key):
+    for x in metric_oracle.ball(p, radius, budget=eng.profile.budget).dist:
         cert = decide(p, profile, u, x, engine=eng)
         if cert.answer == "conjugate":
             out[x] = cert.witness

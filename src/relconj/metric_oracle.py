@@ -23,10 +23,8 @@ from functools import lru_cache, wraps
 
 from . import words
 from .errors import BudgetExceededError
-from .presentation import (HYPERBOLIC, INVERSE_LETTER, Frozen,
-                           RelativePresentation)
-
-DEFAULT_BUDGET = 1_000_000
+from .presentation import (DEFAULT_BUDGET, HYPERBOLIC, INVERSE_LETTER,
+                           Frozen, RelativePresentation)
 
 
 def _cached(maxsize):
@@ -52,7 +50,7 @@ def normal_form(p: RelativePresentation, w: str) -> str:
 
 
 class BallIndex:
-    """All elements of the ball of a radius, keyed by canonical word."""
+    """All elements of a ball, keyed by canonical word in shortlex order."""
 
     __slots__ = ("radius", "dist")
 
@@ -73,7 +71,8 @@ class BallIndex:
 
 @_cached(128)
 def ball(p: RelativePresentation, r: int, budget=None) -> BallIndex:
-    """Breadth-first ball of radius r; distances are exact word lengths.
+    """Breadth-first ball of radius r, its words sorted into shortlex order
+    once, here, for every caller; distances are exact word lengths.
 
     Cached per (p, r, budget), at most 128 entries, each holding up to
     budget canonical words (BudgetExceededError beyond that);
@@ -93,7 +92,8 @@ def ball(p: RelativePresentation, r: int, budget=None) -> BallIndex:
                     if len(dist) > budget:
                         raise BudgetExceededError("ball(%d)" % r, budget)
         frontier = nxt
-    return BallIndex(r, dist)
+    order = sorted(dist, key=p.shortlex_key)
+    return BallIndex(r, {w: dist[w] for w in order})
 
 
 def gamma_length(p: RelativePresentation, w: str) -> int:
@@ -124,13 +124,13 @@ class ConedGraph:
     ball of radius R is g0 times the factor's ball of radius R - |g0|
     (Lyndon-Schupp IV.1.4), which single letters of P connect, so the
     cliques are exactly what those letter edges connect inside the ball.
-    Cliques come by parabolic, then by first member, each listing its
-    members in vertex order."""
+    Vertices come in the ball's shortlex order, cliques by parabolic, then
+    by first member, each listing its members in vertex order."""
 
     def __init__(self, p, radius, budget=None):
         self.p = p
         self.index = index = ball(p, radius, budget=budget)
-        self.verts = sorted(index.dist, key=p.shortlex_key)
+        self.verts = index.elements
         self._id = {v: i for i, v in enumerate(self.verts)}
         self.adj = [[] for _ in self.verts]
         for i, v in enumerate(self.verts):
@@ -206,13 +206,16 @@ def is_relative_geodesic(p: RelativePresentation, w: str) -> bool:
     """True iff the path labeled by w is a relative geodesic as written:
     every parabolic run is geodesic in its subgroup and the syllable count
     of w equals the relative distance between its endpoints."""
-    oracles = p.oracles
     sylls = words.raw_syllables(p, w)
-    for s in sylls:
-        if (s.kind != HYPERBOLIC
-                and len(oracles[s.kind].geodesic_form(s.word)) != len(s.word)):
-            return False
-    return len(sylls) == relative_length(p, w)
+    return _runs_geodesic(p, sylls) and len(sylls) == relative_length(p, w)
+
+
+def _runs_geodesic(p, sylls):
+    """Every parabolic syllable of sylls is a geodesic of its factor."""
+    oracles = p.oracles
+    return all(s.kind == HYPERBOLIC
+               or len(oracles[s.kind].geodesic_form(s.word)) == len(s.word)
+               for s in sylls)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +225,8 @@ def is_relative_geodesic(p: RelativePresentation, w: str) -> bool:
 def brute_conjugate(p: RelativePresentation, u: str, v: str, max_len: int,
                     budget=None):
     """Shortest g (shortlex ties) with g*u*g^-1 = v and |g| <= max_len."""
-    index = ball(p, max_len, budget=budget)
     target = words.normalize(p, v)
-    for g in sorted(index.dist, key=p.shortlex_key):
+    for g in ball(p, max_len, budget=budget).dist:
         if words.normalize(p, g + u + words.inverse(g)) == target:
             return g
     return None
@@ -250,7 +252,7 @@ def conjugacy_classes(p: RelativePresentation, radius: int,
     """
     index = ball(p, radius, budget=budget)
     out = {}
-    for rep in sorted(index.dist, key=p.shortlex_key):
+    for rep in index.dist:
         if rep in out:
             continue
         out[rep] = rep
@@ -279,14 +281,12 @@ class QuasiGeodesicParams(Frozen):
             raise ValueError("need lambda >= 1 and epsilon >= 0")
 
 
-def estimate_delta(p: RelativePresentation, r: int, gamma_radius=None,
-                   budget=None) -> int:
+def estimate_delta(p: RelativePresentation, r: int, budget=None) -> int:
     """Smallest integer d such that every canonical geodesic triangle with
-    vertices of relative length <= r (and ordinary length <= gamma_radius)
-    is d-thin in the coned-off graph.  A lower bound for the true constant;
+    vertices of relative length <= r (and ordinary length <= 2r) is d-thin
+    in the coned-off graph.  A lower bound for the true constant;
     exhaustive within the stated window."""
-    gamma_radius = 2 * r if gamma_radius is None else gamma_radius
-    graph = _coned_graph(p, max(1, gamma_radius), budget)
+    graph = _coned_graph(p, max(1, 2 * r), budget)
     bfs = lru_cache(None)(graph.bfs)  # (dist, parent) per source vertex
     base_dist = bfs(graph.vertex(""))[0]
     vset = [i for i in range(len(graph.verts)) if 0 <= base_dist[i] <= r]
@@ -372,16 +372,10 @@ def estimate_bcp(p: RelativePresentation, params: QuasiGeodesicParams,
         paths += nxt
         frontier = nxt
     good = {}
-    oracles = p.oracles
     for w in paths:
-        runs_geodesic = all(
-            s.kind == HYPERBOLIC
-            or len(oracles[s.kind].geodesic_form(s.word)) == len(s.word)
-            for s in words.raw_syllables(p, w)
-        )
-        if not runs_geodesic:
-            continue
-        if path_backtracks(p, w) or not is_quasi_geodesic(p, w, params):
+        if (not _runs_geodesic(p, words.raw_syllables(p, w))
+                or path_backtracks(p, w)
+                or not is_quasi_geodesic(p, w, params)):
             continue
         good.setdefault(words.normalize(p, w), []).append(w)
     best = 0

@@ -105,17 +105,16 @@ class ParabolicOracle:
         return (len(w), tuple(self._rank[c] for c in w))
 
     def min_conjugator(self, p: str, q: str):
-        """Shortest t (shortlex ties) with t*p*t^-1 = q, or None.  It tries
-        the whole ball of radius |conjugate(p, q)|, so it runs only on the
-        short words of precompute's radius c3 (through conjugacy_bound)."""
+        """Shortest t (shortlex ties) with t*p*t^-1 = q, or None: the first
+        in the ball of radius |conjugate(p, q)|, which holds the geodesic
+        form of that conjugator.  The ball is searched whole, so it runs
+        only on the short words of precompute's radius c3."""
         t = self.conjugate(p, q)
         if t is None:
             return None
         target = self.geodesic_form(q)
-        for cand in self.ball(len(t)):
-            if self.geodesic_form(cand + p + inverse(cand)) == target:
-                return cand
-        return t
+        return next(cand for cand in self.ball(len(t))
+                    if self.geodesic_form(cand + p + inverse(cand)) == target)
 
     def conjugacy_bound(self, radius: int) -> int:
         """Max over conjugate pairs in ball(radius) of the shortest

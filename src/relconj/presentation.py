@@ -48,6 +48,8 @@ HYPERBOLIC = "hyp"
 
 PARABOLIC_KINDS = ("free_abelian", "free", "finite")
 
+DEFAULT_BUDGET = 1_000_000  # element budget of an enumeration given none
+
 
 # The inverse of every ASCII letter, for the per-letter loops of the word
 # kernels.  It holds letters only, so a kernel that indexes it must run
@@ -293,14 +295,8 @@ class RelativePresentation(Frozen):
 
     @cached_property
     def letter_rank(self) -> dict:
-        """Shortlex rank of every signed letter, in declaration order with
-        each lowercase letter just before its uppercase inverse."""
-        order = []
-        for g in self.hyperbolic_generators:
-            order += [g, INVERSE_LETTER[g]]
-        for par in self.parabolics:
-            order += list(par.letters)
-        return {c: i for i, c in enumerate(order)}
+        """Shortlex rank of every signed letter: its place in alphabet."""
+        return {c: i for i, c in enumerate(self.alphabet)}
 
     @cached_property
     def rank_translation(self) -> dict:
@@ -310,7 +306,11 @@ class RelativePresentation(Frozen):
 
     @cached_property
     def alphabet(self) -> tuple[str, ...]:
-        return tuple(sorted(self.letter_kind, key=self.letter_rank.__getitem__))
+        """Every signed letter in shortlex order: declaration order, each
+        lowercase letter just before its uppercase inverse."""
+        gens = self.hyperbolic_generators + tuple(
+            g for par in self.parabolics for g in par.generators)
+        return tuple(c for g in gens for c in (g, INVERSE_LETTER[g]))
 
     @property
     def is_free_product(self) -> bool:

@@ -144,16 +144,14 @@ def _logged(steps, before, after, justification):
 
 
 def _dehn_reduced(p, w):
-    """Phase two: one stack pass of Dehn's algorithm over the normal form
-    w, with parabolic runs folded as in words.normalize."""
+    """Phase two: one stack pass of Dehn's algorithm over the syllables of
+    the normal form w, with parabolic runs folded as in words.normalize."""
     table, lengths = p.dehn_table
     window = lengths[-1] if lengths else 0
     oracles = p.oracles
     kind_of = p.letter_kind
     inv = INVERSE_LETTER
-    todo = []  # the input still to push, next token last
-    for block in reversed(p.block_pattern.findall(w)):
-        todo += reversed(block) if kind_of[block[0]] == HYPERBOLIC else [block]
+    todo = p.syllable_pattern.findall(w)[::-1]  # next token last
     # entries: a hyperbolic letter, or a parabolic run as [index, state,
     # length of the hyperbolic block below it]
     stack = []
@@ -184,8 +182,7 @@ def _dehn_reduced(p, w):
                     hyp -= m
                     todo += reversed(rep)
                     break
-    return "".join(e if e.__class__ is str else oracles[e[0]].state_word(e[1])
-                   for e in stack)
+    return words.spell_stack(p, stack)
 
 
 def shorten(p: RelativePresentation, w: str) -> ShorteningResult:

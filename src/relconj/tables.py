@@ -37,6 +37,7 @@ from .errors import (
     RelconjError,
 )
 from .presentation import (
+    DEFAULT_BUDGET,
     HYPERBOLIC,
     Frozen,
     RelativePresentation,
@@ -61,7 +62,7 @@ class ConstantsProfile(Frozen):
     _fields = ("delta", "c2", "c3", "budget", "nlin", "mlin", "threshold")
 
     def __init__(self, delta: int = 1, c2: int = 2, c3: int = 2,
-                 budget: int = 1_000_000, nlin: int = 1, mlin: int = 0,
+                 budget: int = DEFAULT_BUDGET, nlin: int = 1, mlin: int = 0,
                  threshold: int = None):
         if threshold is None:
             threshold = 86 * delta + 3
@@ -117,7 +118,7 @@ def enumerate_filtered_ball(p: RelativePresentation, r1: int, r2: int,
     anything but its inverse, and a syllable of factor i anything but
     another one of factor i."""
     p.require_free_product(NO_TABLES)
-    budget = 1_000_000 if budget is None else budget
+    budget = DEFAULT_BUDGET if budget is None else budget
     hyp = sum(p.letter_kind[c] == HYPERBOLIC for c in p.alphabet)
     choices = {i: orc.ball_size(r2) - 1 for i, orc in p.oracles.items()}
     ends = dict.fromkeys(choices, 0)  # words of this length ending in P_i

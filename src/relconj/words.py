@@ -209,10 +209,7 @@ def normalize(p: RelativePresentation, w: str) -> str:
                         break
                     if not stack:
                         reach = _expose(p, kept, stack, reach)
-                for x, e in enumerate(stack):
-                    if e.__class__ is list:
-                        stack[x] = oracles[e[0]].state_word(e[1])
-                spelled = "".join(stack)
+                spelled = spell_stack(p, stack)
                 if spelled:
                     kept.append([spelled, 0, len(spelled)])
                 stack.clear()
@@ -227,12 +224,16 @@ def normalize(p: RelativePresentation, w: str) -> str:
     except KeyError:  # from letter_kind: an undeclared letter, checked last
         p.check_word(w)  # raises UnknownLetterError naming the letter
         raise
-    for x, e in enumerate(stack):
-        if e.__class__ is list:
-            stack[x] = oracles[e[0]].state_word(e[1])
-    if kept:
-        stack[:0] = [s[lo:hi] for s, lo, hi in kept]
-    return "".join(stack)
+    return "".join([s[lo:hi] for s, lo, hi in kept]) + spell_stack(p, stack)
+
+
+def spell_stack(p: RelativePresentation, stack) -> str:
+    """The word of a fold stack of normalize or the Dehn pass, bottom first:
+    a letter, or the sentinel "", as it stands, and an [index, state, ...]
+    run as its factor's geodesic word."""
+    oracles = p.oracles
+    return "".join([e if e.__class__ is str
+                    else oracles[e[0]].state_word(e[1]) for e in stack])
 
 
 class Syllable(NamedTuple):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from relconj import cli, tables as tb
+from relconj import cli, conjugacy, tables as tb
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos" / "presentations"
 
@@ -428,6 +428,33 @@ def test_crosscheck_budget_error(capsys, paths, tmp_path):
             (["--sample", "1000000000"], 1, over)):
         code, out, _ = run(capsys, argv + extra)
         assert (code, out[:len(out_want)]) == (code_want, out_want), extra
+
+
+@pytest.mark.parametrize("argv, wrong, tail", [
+    # every answer flipped; the sample pins the order of the elements
+    (["2", "--sample", "5", "--seed", "3"], lambda u, v: True,
+     "elements=17\npairs=5\nagreement=0.000000\nmismatches=5\n"
+     "counterexample=aB|B\n"),
+    (["1"], lambda u, v: (u, v) == ("A", "b"),
+     "elements=5\npairs=25\nagreement=0.960000\nmismatches=1\n"
+     "counterexample=A|b\n"),
+])
+def test_crosscheck_reports_mismatches(capsys, monkeypatch, paths, argv,
+                                       wrong, tail):
+    decide = conjugacy.decide
+
+    def answer_wrongly(p, profile, u, v, engine=None):
+        cert = decide(p, profile, u, v, engine=engine)
+        if not wrong(u, v):
+            return cert
+        flipped = ("not-conjugate" if cert.answer == "conjugate"
+                   else "conjugate")
+        return cert._replace(answer=flipped)
+
+    monkeypatch.setattr(conjugacy, "decide", answer_wrongly)
+    code, out, _ = run(capsys, ["crosscheck", paths["F"]] + argv)
+    assert code == 0
+    assert out == "status=ok\n" + tail
 
 
 def test_json_output(capsys, paths):

@@ -4,6 +4,9 @@ import pytest
 
 from relconj import metric_oracle as mo, shortening, words
 from relconj.errors import BudgetExceededError, OracleUnavailableError
+from relconj.presentation import load_presentation
+
+from conftest import ZF2_PATH
 
 
 def test_ball_sizes(pF, pG2):
@@ -12,6 +15,16 @@ def test_ball_sizes(pF, pG2):
     assert len(mo.ball(pF, 2)) == 17
     assert len(mo.ball(pG2, 1)) == 7
     assert len(mo.ball(pG2, 4)) == 609
+
+
+def test_ball_elements_come_in_shortlex_order(pG2, pZF2, pTHREE):
+    # a breadth-first search meets the letters of a finite factor out of
+    # rank order: in C5 the inverse A of a is e, met before c
+    twin = load_presentation(ZF2_PATH.with_name("c5c7_twin.txt"))
+    for p in (pG2, pZF2, pTHREE, twin):
+        for r in range(4):
+            elements = mo.ball(p, r).elements
+            assert elements == sorted(elements, key=p.shortlex_key)
 
 
 def test_ball_budget(pG2):
@@ -175,6 +188,13 @@ def test_path_backtracks(pG2):
     assert mo.path_backtracks(pG2, "xaAy")
     assert not mo.path_backtracks(pG2, "xax")    # x*a*P differs from P
     assert not mo.path_backtracks(pG2, "xxayy")
+
+
+def test_is_quasi_geodesic_rejects_a_detour(pG2):
+    # xaAy has 4 syllables between endpoints at relative distance 1
+    qp = mo.QuasiGeodesicParams(1, 0)
+    assert not mo.is_quasi_geodesic(pG2, "xaAy", qp)
+    assert mo.is_quasi_geodesic(pG2, "xay", qp)
 
 
 def test_certified_local_geodesics_are_quasi_geodesic(pG2, tG2):

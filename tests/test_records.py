@@ -134,6 +134,37 @@ def test_the_library_imports_the_standard_library_only():
                     (path.name, node.lineno, name)
 
 
+def test_every_import_is_used_and_every_export_is_listed():
+    # an import that a deletion leaves behind fails here; an import line
+    # that says "# noqa" is a deliberate re-export
+    import ast
+
+    import relconj
+
+    for path in sorted((ROOT / "src" / "relconj").glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text, str(path))
+        lines = text.splitlines()
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            used.update(relconj.__all__)  # a re-export is a use
+        imported = []
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    and "# noqa" not in lines[node.lineno - 1]):
+                imported += [(alias.asname or alias.name).split(".")[0]
+                             for alias in node.names]
+        unused = [name for name in imported if name not in used]
+        assert unused == [], (path.name, unused)
+
+    init = ast.parse((ROOT / "src" / "relconj" / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(relconj.__all__) == sorted(exported | {"__version__"})
+
+
 HASH_PROCESS = """\
 import sys
 from relconj import cli

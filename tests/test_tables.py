@@ -194,6 +194,28 @@ def test_l3_is_refused_before_the_ball_is_counted():
     assert proc.stdout == "l3\n"
 
 
+TWO_BLOCKS = ("group zz\nhyperbolic a\nparabolic free_abelian 2\n"
+              "letters x y\nparabolic free_abelian 2\nletters u v\n")
+
+
+@pytest.mark.parametrize("text, profile, refused", [
+    # the radius-doubling check: the radius-2 ball of F2 has 17 elements
+    (None, tb.ConstantsProfile(c3=2, budget=10), "l3"),
+    (None, tb.ConstantsProfile(c3=40, budget=10), "l3"),
+    # the sum check: two balls of 13 pass one by one, not together
+    (TWO_BLOCKS, tb.ConstantsProfile(c3=2, budget=20), "l3"),
+    (TWO_BLOCKS, tb.ConstantsProfile(c3=2, budget=25), "l3"),
+    (TWO_BLOCKS, tb.ConstantsProfile(c3=2, budget=26), "k_hyp_4delta"),
+])
+def test_l3_is_refused_one_ball_or_all_at_a_time(pZF2, text, profile,
+                                                  refused):
+    p = pZF2 if text is None else parse_presentation(text)
+    with pytest.raises(BudgetExceededError,
+                       match="^%s exceeded element budget %d$"
+                       % (refused, profile.budget)):
+        tb.precompute(p, profile)
+
+
 def test_k_i_pairs_are_counted_against_the_budget(monkeypatch, pG2):
     # delta=0 keeps B(0, 4) at one word; the radius-2 ball of Z^2 has 13
     # elements, so the K_i search compares 169 pairs
