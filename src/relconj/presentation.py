@@ -301,7 +301,8 @@ class RelativePresentation(Frozen):
     @cached_property
     def rank_translation(self) -> dict:
         """str.translate table spelling each letter as the character of its
-        shortlex rank, so translated words compare as their rank tuples."""
+        shortlex rank, so translated words compare as their rank tuples.
+        Cyclic shortening sorts the distinct syllables of a core by it."""
         return {ord(c): r for c, r in self.letter_rank.items()}
 
     @cached_property

@@ -22,19 +22,23 @@ under C'(1/6) its Dehn-reduced output, not necessarily a local geodesic,
 is empty exactly for the identity (Greendlinger, Lyndon-Schupp V.4).
 
 Cyclic shortening without relators is one linear pass over the normal
-form of the word.  Cyclic reduction of a free-product normal form happens
+form of the word and one rotation.  Cyclic reduction of a free-product normal form happens
 at its syllable ends only (Lyndon-Schupp, Combinatorial Group Theory,
 IV.1.4): mutually inverse hyperbolic end letters cancel, and end runs of
 one factor merge into one run, which is either trivial (and the reduction
 goes on inwards) or a syllable between two of other kinds (and it stops).
 The kept core is rotated to the least rotation of its syllable sequence
 (hyperbolic letters one by one, parabolic runs whole, each compared by its
-shortlex letter ranks), found in linear time with Booth's algorithm, and a
-lone parabolic run is cyclically reduced inside its factor.  Cyclically
-reduced elements of a free product are conjugate exactly when their
-syllable sequences are rotations of each other, so two elements of two or
-more syllables are conjugate exactly when their cyclic forms are equal
-strings.
+shortlex letter ranks), and a lone parabolic run is cyclically reduced
+inside its factor.  A short core compares its rotations directly; a longer
+one codes each distinct syllable as one character, in rank order, and
+least_rotation cuts the code at the longest runs of its least character
+and recurses on the pieces between them, each coded as one character
+again, so the code at least halves per level: O(n log n) work in native
+string passes.  Cyclically reduced elements of a free product are
+conjugate exactly when their syllable sequences are rotations of each
+other, so two elements of two or more syllables are conjugate exactly when
+their cyclic forms are equal strings.
 
 With relators cyclic shortening is cyclic Dehn reduction: the shortened
 word is cyclically reduced, rotated to put a window across its ends that
@@ -207,28 +211,68 @@ def word_problem(p: RelativePresentation, w: str, tables=None) -> bool:
     return shorten(p, w).output == ""
 
 
-def least_rotation(seq) -> int:
-    """Start of the lexicographically least rotation of seq, the first one
-    when several are equal (Booth 1980, with the Knuth-Morris-Pratt failure
-    function over seq o seq): O(len(seq)) comparisons."""
+SHORT_CYCLE = 32  # below this many symbols comparing all rotations is faster
+
+
+def _compare_rotations(seq) -> int:
+    """least_rotation of a short str or list, by comparing all its
+    rotations; min keeps the first of equal ones."""
     n = len(seq)
-    s = list(seq) * 2  # every index below is < 2n, since k <= j and i < j - k
-    fail = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        c = s[j]
-        i = fail[j - k - 1]
-        while i != -1 and c != s[k + i + 1]:
-            if c < s[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if i == -1 and c != s[k]:
-            if c < s[k]:
-                k = j
-            fail[j - k] = -1
+    d = seq + seq
+    return min(range(n), key=lambda i: d[i : i + n], default=0)
+
+
+def _ranked_chars(ordered) -> dict:
+    """One character per item of the sorted list ordered, in its order, so
+    that strings of them compare as the sequences of items do."""
+    return dict(zip(ordered, map(chr, range(len(ordered)))))
+
+
+def least_rotation(s: str) -> int:
+    """Start of the lexicographically least rotation of s, the first one
+    when several are equal: O(n log n) work, all of it in native string
+    passes, where the linear algorithms of Booth (1980) and Shiloach (1981)
+    take a Python step per symbol.
+
+    The least period p = (s+s).find(s, 1) makes s[:p] primitive, so its
+    rotations are distinct and the first least rotation of s lies in
+    [0, p); a cycle of fewer than SHORT_CYCLE symbols compares its
+    rotations directly.  Otherwise let m be the least symbol and L the
+    length of its longest cyclic run, shorter than p, found by membership
+    tests of doubled, then bisected, runs.  The least rotation starts with
+    m*L, since any other start has fewer m's before a greater symbol.  The
+    rotation from the first m*L splits at every m*L into pieces, each
+    ending with a symbol greater than m, and rotations from the cuts order
+    as their sequences of pieces, with pieces ordered as strings: where one
+    piece is a proper prefix of another, the shorter one is followed by
+    m*L, while the longer one goes on with fewer than L m's and then a
+    greater symbol.  So each distinct piece is coded as one character, in
+    sorted order, and the least rotation of the code, at most half as long
+    as s (a piece and its run have L + 1 symbols or more), names the piece
+    to start at.  A code needs a character for each distinct piece, so s
+    has fewer than 2 * 0x110000 symbols."""
+    d = s + s
+    p = d.find(s, 1)  # -1 for the empty s, and then s[:p] is empty too
+    if p < SHORT_CYCLE:
+        return _compare_rotations(s[:p])
+    d = d[: 2 * p]
+    m = min(d)
+    run = 1
+    while m * (2 * run) in d:
+        run *= 2
+    lo, hi = run, 2 * run  # m*lo occurs in d, m*hi does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if m * mid in d:
+            lo = mid
         else:
-            fail[j - k] = i + 1
-    return k
+            hi = mid
+    cut = m * lo
+    start = d.find(cut)
+    pieces = d[start : start + p].split(cut)[1:]
+    code = _ranked_chars(sorted(set(pieces)))
+    k = least_rotation("".join(map(code.__getitem__, pieces)))
+    return (start + lo * k + sum(map(len, pieces[:k]))) % p
 
 
 def _syllable_cyclic_form(p, nf, syls):
@@ -270,7 +314,12 @@ def _syllable_cyclic_form(p, nf, syls):
         return "", "", 0, len(steps), steps
     core = syls[i : j + 1] + merged
     ranks = p.rank_translation
-    r = least_rotation([s.translate(ranks) for s in core])
+    if len(core) < SHORT_CYCLE:
+        r = _compare_rotations([s.translate(ranks) for s in core])
+    else:
+        code = _ranked_chars(sorted(set(core),
+                                    key=lambda s: s.translate(ranks)))
+        r = least_rotation("".join(map(code.__getitem__, core)))
     alpha = "".join(core[r:] + core[:r])
     conj = nf[:lo] + "".join(core[:r])
     if len(core) == 1:
@@ -310,11 +359,12 @@ def _dehn_cyclic_form(p, w):
 def cyclic_shorten(p: RelativePresentation, w: str) -> CyclicShorteningResult:
     """Conjugacy normal form: a cyclic form alpha and a conjugator a with
     lab(alpha) = a^-1 * w * a.  Without relators alpha is the canonical
-    cyclic form of the module docstring, found in one linear pass, and
-    iterations counts the end-run merges.  With relators alpha is
-    cyclically Dehn-reduced: cyclically reduced, and no cyclic subword is
-    more than half a relator; iterations counts the rotations.  Either
-    way w goes through normalize first, which checks its letters."""
+    cyclic form of the module docstring, found in one linear pass and one
+    O(n log n) rotation, and iterations counts the end-run merges.  With
+    relators alpha is cyclically Dehn-reduced: cyclically reduced, and no
+    cyclic subword is more than half a relator; iterations counts the
+    rotations.  Either way w goes through normalize first, which checks
+    its letters."""
     nf = linear_length = None
     if p.is_free_product:
         nf = words.normalize(p, w)

@@ -97,6 +97,22 @@ def relator_conjugates(rng, p, n):
     return "".join(parts)
 
 
+def rotation_families(n):
+    """Strings of about n letters that a least-rotation search finds hard:
+    the Fibonacci word (many equal pieces at every level), the Thue-Morse
+    word (squares everywhere), (ab)^k c (one symbol breaks a period) and
+    a^k b a^(k-1) b (two long runs of the least letter that almost tie)."""
+    fib, prev = "ab", "a"
+    while len(fib) < n:
+        fib, prev = fib + prev, fib
+    k = n // 2
+    return {"Fibonacci": fib[:n],
+            "Thue-Morse": "".join("ab"[bin(i).count("1") % 2]
+                                  for i in range(n)),
+            "(ab)^k c": "ab" * ((n - 1) // 2) + "c",
+            "a^k b a^(k-1) b": "a" * k + "b" + "a" * (k - 1) + "b"}
+
+
 @pytest.fixture(scope="session")
 def pF():
     return parse_presentation(F_TEXT)

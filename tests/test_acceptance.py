@@ -450,7 +450,33 @@ def test_criterion_12_free_parabolic_scaling(capsys, pZF2, tZF2):
     assert ok
 
 
-CRITERION_13_LIMIT_S = 60
+CHILD_LIMIT_S = 60
+
+
+def run_in_child(capsys, criterion, function):
+    """The JSON result of test_acceptance.function() run in a child process
+    with a CHILD_LIMIT_S time limit, so that a pass that turns quadratic, or
+    a pattern that backtracks exponentially, fails the gate instead of
+    stalling it."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
+                                         os.environ.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import json, test_acceptance as t; "
+             "print(json.dumps(t.%s()))" % function],
+            capture_output=True, text=True, timeout=CHILD_LIMIT_S,
+            env=dict(os.environ, PYTHONPATH=path))
+    except subprocess.TimeoutExpired:
+        report(capsys, "criterion %d: FAIL (timeout)" % criterion)
+        pytest.fail("criterion %d runs still going after %d s"
+                    % (criterion, CHILD_LIMIT_S))
+    if proc.returncode != 0:
+        report(capsys, "criterion %d: FAIL (runs exited with status %d)"
+               % (criterion, proc.returncode))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def normal_form_recognition_slopes():
@@ -483,28 +509,8 @@ def normal_form_recognition_slopes():
 
 
 def test_criterion_13_normal_form_recognition_scaling(capsys):
-    # the scans run in a child process with a time limit, so that a pattern
-    # that backtracks exponentially fails the gate instead of hanging it
     t0 = time.perf_counter()
-    here = Path(__file__).resolve().parent
-    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
-                                         os.environ.get("PYTHONPATH")]))
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import json, test_acceptance as t; "
-             "print(json.dumps(t.normal_form_recognition_slopes()))"],
-            capture_output=True, text=True, timeout=CRITERION_13_LIMIT_S,
-            env=dict(os.environ, PYTHONPATH=path))
-    except subprocess.TimeoutExpired:
-        report(capsys, "criterion 13: FAIL (timeout)")
-        pytest.fail("normal-form recognition scans still running after %d s"
-                    % CRITERION_13_LIMIT_S)
-    if proc.returncode != 0:
-        report(capsys, "criterion 13: FAIL (scans exited with status %d)"
-               % proc.returncode)
-    assert proc.returncode == 0, proc.stderr
-    slopes = json.loads(proc.stdout)
+    slopes = run_in_child(capsys, 13, "normal_form_recognition_slopes")
     elapsed = time.perf_counter() - t0
     ok = all(s < 1.3 for s in slopes.values())
     report(capsys, "criterion 13: %s (normal-form recognition scaling on "
@@ -533,9 +539,6 @@ def test_criterion_14_torsion_oracle_equivalence(capsys):
               out["mismatches"], elapsed))
     assert out["elements"] == 190
     assert ok
-
-
-CRITERION_15_LIMIT_S = 60
 
 
 def dehn_word_problem_slopes():
@@ -568,28 +571,8 @@ def dehn_word_problem_slopes():
 
 
 def test_criterion_15_dehn_word_problem_scaling(capsys):
-    # the runs go to a child process with a time limit, as in criterion 13,
-    # so that a quadratic word problem fails the gate instead of stalling it
     t0 = time.perf_counter()
-    here = Path(__file__).resolve().parent
-    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
-                                         os.environ.get("PYTHONPATH")]))
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import json, test_acceptance as t; "
-             "print(json.dumps(t.dehn_word_problem_slopes()))"],
-            capture_output=True, text=True, timeout=CRITERION_15_LIMIT_S,
-            env=dict(os.environ, PYTHONPATH=path))
-    except subprocess.TimeoutExpired:
-        report(capsys, "criterion 15: FAIL (timeout)")
-        pytest.fail("Dehn word problem runs still going after %d s"
-                    % CRITERION_15_LIMIT_S)
-    if proc.returncode != 0:
-        report(capsys, "criterion 15: FAIL (runs exited with status %d)"
-               % proc.returncode)
-    assert proc.returncode == 0, proc.stderr
-    slopes = json.loads(proc.stdout)
+    slopes = run_in_child(capsys, 15, "dehn_word_problem_slopes")
     elapsed = time.perf_counter() - t0
     ok = all(s < 1.3 for s in slopes.values())
     report(capsys, "criterion 15: %s (Dehn word problem scaling on trivial "
@@ -598,9 +581,6 @@ def test_criterion_15_dehn_word_problem_scaling(capsys):
            % ("PASS" if ok else "FAIL",
               ", ".join("%s %.3f" % kv for kv in slopes.items()), elapsed))
     assert ok
-
-
-CRITERION_16_LIMIT_S = 60
 
 
 def almost_normal_scaling():
@@ -650,28 +630,8 @@ def almost_normal_scaling():
 
 
 def test_criterion_16_almost_normal_forms_at_recognition_speed(capsys):
-    # the runs go to a child process with a time limit, as in criterion 13,
-    # so that a pass that turns quadratic fails the gate instead of stalling
     t0 = time.perf_counter()
-    here = Path(__file__).resolve().parent
-    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
-                                         os.environ.get("PYTHONPATH")]))
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import json, test_acceptance as t; "
-             "print(json.dumps(t.almost_normal_scaling()))"],
-            capture_output=True, text=True, timeout=CRITERION_16_LIMIT_S,
-            env=dict(os.environ, PYTHONPATH=path))
-    except subprocess.TimeoutExpired:
-        report(capsys, "criterion 16: FAIL (timeout)")
-        pytest.fail("almost-normal runs still going after %d s"
-                    % CRITERION_16_LIMIT_S)
-    if proc.returncode != 0:
-        report(capsys, "criterion 16: FAIL (runs exited with status %d)"
-               % proc.returncode)
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    out = run_in_child(capsys, 16, "almost_normal_scaling")
     elapsed = time.perf_counter() - t0
     ok = (all(r <= 2.0 for r in out["ratios"].values())
           and all(s <= 1.3 for s in out["slopes"].values()))
@@ -682,4 +642,39 @@ def test_criterion_16_almost_normal_forms_at_recognition_speed(capsys):
               ", ".join("%s %.2f" % kv for kv in out["ratios"].items()),
               ", ".join("%s %.3f" % kv for kv in out["slopes"].items()),
               elapsed))
+    assert ok
+
+
+def least_rotation_slopes():
+    """Criterion 17's runs: log-log slopes of shortening.least_rotation on
+    the four hard families of conftest.rotation_families, n = 4096..65536,
+    min of 3 timings each.  Each answer is checked to be no greater than 64
+    other rotations, the first of them the string itself."""
+    from conftest import rotation_families
+
+    rng = random.Random(17)
+    points = collections.defaultdict(list)
+    for n in [2 ** e for e in range(12, 17)]:
+        for name, s in rotation_families(n).items():
+            best = math.inf
+            for _ in range(3):
+                t1 = time.perf_counter()
+                r = shortening.least_rotation(s)
+                best = min(best, time.perf_counter() - t1)
+            m, d = len(s), s + s
+            assert all(d[r : r + m] <= d[i : i + m]
+                       for i in [0] + rng.sample(range(m), 63))
+            points[name].append((math.log(m), math.log(best)))
+    return {name: loglog_slope(pts) for name, pts in points.items()}
+
+
+def test_criterion_17_least_rotation_scaling(capsys):
+    t0 = time.perf_counter()
+    slopes = run_in_child(capsys, 17, "least_rotation_slopes")
+    elapsed = time.perf_counter() - t0
+    ok = all(s < 1.3 for s in slopes.values())
+    report(capsys, "criterion 17: %s (least-rotation scaling on hard "
+           "families, n=4096..65536, log-log slopes %s < 1.3, %.1fs)"
+           % ("PASS" if ok else "FAIL",
+              ", ".join("%s %.3f" % kv for kv in slopes.items()), elapsed))
     assert ok

@@ -161,6 +161,30 @@ def test_estimate_delta(pF, pG2):
     assert mo.estimate_delta(pG2, 2) == 0
 
 
+def cycle_graph(p, n):
+    """The n-cycle as a ConedGraph with no cliques, its vertex 0 the
+    identity: what estimate_delta reads of the coned-off graph."""
+    g = object.__new__(mo.ConedGraph)
+    g.p, g._id, g.verts = p, {"": 0}, list(range(n))
+    g.adj = [[(i - 1) % n, (i + 1) % n] for i in range(n)]
+    g.cliques, g.vert_cliques = [], [[] for _ in range(n)]
+    return g
+
+
+@pytest.mark.parametrize("n, delta", [(6, 1), (12, 3)])
+def test_estimate_delta_gap_loop(monkeypatch, pF, n, delta):
+    # the coned-off graphs of the presentations here are tree-like, so the
+    # thin-triangle gap loop only runs on a stub: the n-cycle, with r = n/2
+    # taking in every vertex.  Each side has at most n/2 edges, so a vertex
+    # off the other two sides lies within floor(n/4) of an end of its own
+    # side, which they contain; and the triangle (0, n/2, c), with c on the
+    # half of the cycle that the side from 0 to n/2 leaves out, puts the
+    # middle of that side floor(n/4) away from both other sides
+    monkeypatch.setattr(mo, "_coned_graph",
+                        lambda p, radius, budget=None: cycle_graph(p, n))
+    assert mo.estimate_delta(pF, n // 2) == delta
+
+
 def test_quasi_geodesic_params_validation():
     with pytest.raises(ValueError):
         mo.QuasiGeodesicParams(0, 0)

@@ -1,10 +1,13 @@
+import itertools
 import random
 
 import pytest
 
 from relconj import metric_oracle as mo, shortening as sh, words
 from relconj.errors import RelconjError
-from relconj.presentation import parse_presentation
+from relconj.presentation import HYPERBOLIC, INVERSE_LETTER, parse_presentation
+
+from conftest import rotation_families
 
 
 def rand_word(p, rng, lo, hi):
@@ -125,17 +128,80 @@ def test_cyclic_shorten_contract(pG2, tG2):
                 assert not sh.is_cyclic_local_geodesic(pG2, cand, k)
 
 
-def test_least_rotation_matches_brute_force():
-    # the first start of the least rotation, also on periodic sequences
+def brute_least_rotation(d):
+    n = len(d)
+    dd = d + d
+    return min(range(n), key=lambda i: (dd[i:i + n], i))
+
+
+def test_least_rotation_matches_brute_force(monkeypatch):
+    # the first start of the least rotation: every string of up to 12
+    # letters over ab and up to 8 over abc, periodic strings, and the hard
+    # families of up to 3,000 letters, rotated; SHORT_CYCLE = 2 cuts every
+    # primitive cycle of two letters or more, at every level
+    cases = ["".join(t) for letters, top in (("ab", 12), ("abc", 8))
+             for n in range(1, top + 1)
+             for t in itertools.product(letters, repeat=n)]
     rng = random.Random(19)
-    for trial in range(2000):
-        letters = "abc"[:2 + trial % 2]
-        seq = [rng.choice(letters) for _ in range(rng.randint(1, 10))]
-        if trial % 3 == 0:
-            seq = seq[:3] * 3
-        n = len(seq)
-        want = min(range(n), key=lambda i: (seq[i:] + seq[:i], i))
-        assert sh.least_rotation(seq) == want
+    for _ in range(300):
+        block = "".join(rng.choice("abc") for _ in range(rng.randint(1, 40)))
+        cases.append(block * rng.randint(2, 5))
+    for n in (100, 1000, 3000):
+        for d in rotation_families(n).values():
+            i = rng.randrange(len(d))
+            cases += [d, d[i:] + d[:i]]
+    for short_cycle in (2, sh.SHORT_CYCLE):
+        monkeypatch.setattr(sh, "SHORT_CYCLE", short_cycle)
+        assert sh.least_rotation("") == 0
+        for d in cases:
+            assert sh.least_rotation(d) == brute_least_rotation(d), d
+
+
+def cyclically_reduced_syllables(p, rng, k):
+    """The syllables of a random cyclically reduced normal form with k of
+    them: a prefix of a normal form whose end syllables neither cancel nor
+    merge (so a lone syllable is a hyperbolic letter)."""
+    kind = p.letter_kind
+    while True:
+        nf = words.normalize(p, rand_word(p, rng, 6 * k, 6 * k))
+        syls = p.syllable_pattern.findall(nf)[:k]
+        if len(syls) < k:
+            continue
+        first, last = syls[0], syls[-1]
+        if kind[first[0]] == HYPERBOLIC:
+            if last != INVERSE_LETTER[first]:
+                return syls
+        elif kind[first[0]] != kind[last[0]]:
+            return syls
+
+
+def test_cyclic_form_is_the_least_syllable_rotation(monkeypatch, pF, pG2,
+                                                    pZC2, pZF2):
+    # a cyclically reduced normal form is rotated to the first least
+    # rotation of its syllable list, compared by rank_translation: on random
+    # and periodic cores of 1-80 syllables, and on runs of Z^2 one of which
+    # is a proper prefix of the other (x against xy, x against xx), with
+    # SHORT_CYCLE = 2 (every core of two syllables or more is coded one
+    # character a syllable) and as it is (short cores compare directly)
+    hand = [["a", "xy", "a", "x"], ["a", "xx", "a", "x"],
+            ["a", "xy", "A", "x", "a", "xy", "A", "xx"]]
+    cases = [(pG2, syls) for syls in hand]
+    rng = random.Random(21)
+    for p in (pF, pG2, pZC2, pZF2):
+        for k in range(1, 81):
+            cases.append((p, cyclically_reduced_syllables(p, rng, k)))
+            block = cyclically_reduced_syllables(p, rng, 1 + k % 7)
+            cases.append((p, block * (1 + k // 7)))
+    for short_cycle in (2, sh.SHORT_CYCLE):
+        monkeypatch.setattr(sh, "SHORT_CYCLE", short_cycle)
+        for p, syls in cases:
+            ranks = p.rank_translation
+            tr = [s.translate(ranks) for s in syls]
+            r = min(range(len(tr)), key=lambda i: (tr[i:] + tr[:i], i))
+            res = sh.cyclic_shorten(p, "".join(syls))
+            assert res.output == "".join(syls[r:] + syls[:r]), syls
+            assert res.conjugator == "".join(syls[:r]), syls
+    assert sh.cyclic_shorten(pG2, "axyax").output == "axaxy"
 
 
 def test_cyclic_shorten_is_class_invariant(pG2):
