@@ -18,11 +18,19 @@ it.  So a state belongs to the caller that started it with push(None, ...):
 after push(state, run) that caller keeps only the returned state, and it
 never lets two runs share one state.
 
-Every oracle also carries ``canonical_run``, the regex source of a nonempty
-run spelled in its own geodesic form, so that a word can be recognised as
-a normal form without folding its runs (see
-RelativePresentation.normal_form_pattern).  The pattern matches at most
-one way at each position, so a scan with it stays linear.
+Every oracle also lists its ``forbidden_factors``: the words of one or two
+letters that no run spelled in its geodesic form contains.  Each kind's
+canonical runs are a strictly local language (McNaughton and Papert 1971),
+so a run is canonical exactly when it contains none of them, and one search
+for the first such factor recognises a normal form (see
+RelativePresentation.fault_pattern):
+
+- free abelian: signed generator powers in declaration order are exactly
+  the runs in which no letter meets its inverse and none is followed by a
+  letter of an earlier generator;
+- free: a run is freely reduced when no letter meets its inverse;
+- finite: a canonical run is one generator letter, so no other letter
+  and no two letters of the factor occur.
 
 Three kinds are provided: ``free_abelian`` (exponent vectors), ``free``
 (reduced words) and ``finite`` (multiplication table, generating set = all
@@ -46,8 +54,8 @@ from .presentation import (
 class ParabolicOracle:
     """Interface shared by the solver kinds; see subclasses."""
 
-    # regex source of a nonempty run equal to state_word of its element
-    canonical_run: str
+    # the one- and two-letter words that no geodesic-form run contains
+    forbidden_factors: tuple[str, ...]
 
     def __init__(self, descriptor: ParabolicDescriptor):
         self.descriptor = descriptor
@@ -142,10 +150,12 @@ class FreeAbelianOracle(ParabolicOracle):
             self._index[g] = (j, 1)
             self._index[INVERSE_LETTER[g]] = (j, -1)
             self._signed.append((g, INVERSE_LETTER[g]))
-        # signed generator powers in declaration order, at least one
-        self.canonical_run = "(?=[%s])%s" % (
-            "".join(descriptor.letters),
-            "".join("(?:%s+|%s+)?" % pair for pair in self._signed))
+        # a letter followed by its inverse or by a letter of an earlier
+        # generator: 2k^2 pairs for rank k
+        letters = descriptor.letters  # each generator, then its inverse
+        self.forbidden_factors = tuple(
+            a + b for i, a in enumerate(letters)
+            for b in (INVERSE_LETTER[a],) + letters[: i - i % 2])
 
     def push(self, state, run):
         if state is None:
@@ -177,9 +187,9 @@ class FreeOracle(ParabolicOracle):
 
     def __init__(self, descriptor):
         super().__init__(descriptor)
-        # a freely reduced run: no letter followed by its inverse
-        self.canonical_run = "(?:%s)+" % "|".join(
-            "%s(?!%s)" % (c, INVERSE_LETTER[c]) for c in descriptor.letters)
+        # a letter followed by its inverse
+        self.forbidden_factors = tuple(c + INVERSE_LETTER[c]
+                                       for c in descriptor.letters)
 
     def push(self, state, run):
         if state is None:
@@ -238,8 +248,12 @@ class FiniteOracle(ParabolicOracle):
         for j, g in enumerate(descriptor.generators):
             self._elt[g] = j + 1
             self._elt[INVERSE_LETTER[g]] = inv[j + 1]
-        # every nontrivial element is spelled as one generator letter
-        self.canonical_run = "[%s]" % "".join(descriptor.generators)
+        # every nontrivial element is spelled as one generator letter: any
+        # other letter, and any generator followed by a letter
+        self.forbidden_factors = tuple(
+            [c for c in descriptor.letters if c not in descriptor.generators]
+            + [g + c for g in descriptor.generators
+               for c in descriptor.letters])
 
     def push(self, state, run):
         # element 0 is the identity, which the interface spells None

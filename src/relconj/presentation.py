@@ -62,14 +62,37 @@ def inverse(w: str) -> str:
     return w.swapcase()[::-1]
 
 
+def cancel_length(u: str, v: str, top: int) -> int:
+    """How many letters cancel where u meets v, at most top: the largest
+    x <= top with u[-1 - t] the inverse of v[t] for every t < x.  It
+    compares u's end against the inverse of v's start in native slices,
+    of doubling lengths and then halving ones, so it takes O(log x)
+    Python steps and O(x) letter compares."""
+    m = len(u)
+    lo, step = 0, 1  # the first lo letters are known to cancel
+    while lo < top:
+        hi = min(lo + step, top)
+        if u[m - hi : m - lo] != inverse(v[lo:hi]):
+            break
+        lo, step = hi, 2 * step
+    else:
+        return lo
+    while hi - lo > 1:  # lo letters cancel and hi do not
+        mid = (lo + hi) // 2
+        if u[m - mid : m - lo] == inverse(v[lo:mid]):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def cyclic_reduce(w: str):
     """Strip mutually inverse end letters: returns (core, a) with
     w = a * core * a^-1 letter for letter."""
-    inv = INVERSE_LETTER
-    i, j = 0, len(w) - 1
-    while i < j and w[i] == inv[w[j]]:
-        i, j = i + 1, j - 1
-    return w[i : j + 1], w[:i]
+    if len(w) < 2 or w[0] != INVERSE_LETTER[w[-1]]:
+        return w, ""
+    i = cancel_length(w, w, len(w) // 2)
+    return w[i : len(w) - i], w[:i]
 
 
 class Frozen:
@@ -213,11 +236,17 @@ class RelativePresentation(Frozen):
         return frozenset(self.letter_kind)
 
     @cached_property
+    def run_letters(self) -> dict:
+        """Map 1-based parabolic index -> its signed letters as one
+        string, for character classes and str.strip."""
+        return {par.index: "".join(par.letters) for par in self.parabolics}
+
+    @cached_property
     def syllable_pattern(self) -> re.Pattern:
         """Splits a checked word into syllables in one native pass: a
         maximal run of one parabolic block's letters, or any single
         (hyperbolic) letter."""
-        runs = ["[%s]+" % "".join(par.letters) for par in self.parabolics]
+        runs = ["[%s]+" % s for s in self.run_letters.values()]
         return re.compile("|".join(runs + ["."]))
 
     @cached_property
@@ -226,7 +255,7 @@ class RelativePresentation(Frozen):
         of hyperbolic letters is one block.  Any other character is a
         block of its own, so an unchecked word fails the letter_kind
         lookup of its first undeclared letter instead of losing it."""
-        runs = ["[%s]+" % "".join(par.letters) for par in self.parabolics]
+        runs = ["[%s]+" % s for s in self.run_letters.values()]
         hyperbolic = "".join(c for g in self.hyperbolic_generators
                              for c in (g, INVERSE_LETTER[g]))
         if hyperbolic:
@@ -234,22 +263,33 @@ class RelativePresentation(Frozen):
         return re.compile("|".join(runs + ["."]), re.DOTALL)
 
     @cached_property
-    def normal_form_pattern(self) -> re.Pattern:
-        """Fullmatches a word exactly when it is its own normal form
-        (words.normalize): a hyperbolic letter never followed by its
-        inverse, and every maximal parabolic run spelled in its factor's
-        geodesic form (the oracle's canonical_run).  A match from a
-        syllable boundary stops at the first syllable that breaks this, so
-        what it spans is a normal form.  It spans declared letters only,
-        and each position matches in at most one way, so the scan is
-        linear in the word length."""
-        alts = ["%s(?!%s)" % (c, INVERSE_LETTER[c])
-                for g in self.hyperbolic_generators
-                for c in (g, INVERSE_LETTER[g])]
+    def fault_pattern(self) -> re.Pattern:
+        """Searches for the first fault of a word: a hyperbolic letter
+        followed by its inverse, a forbidden factor of a parabolic oracle
+        (parabolic_oracles), or an undeclared character.  A word is its own
+        normal form (words.normalize) exactly when it has no fault, since
+        every factor's geodesic-form runs are those without its forbidden
+        factors.  From a syllable boundary, the normal-form stretch ends at
+        the first fault, or at the start of the parabolic run it lies in.
+        There is one alternative per letter that starts a fault (y[xXY]),
+        and one class for the undeclared characters, so each position is
+        tried against each alternative once and the scan is linear."""
+        factors = [c + INVERSE_LETTER[c] for g in self.hyperbolic_generators
+                   for c in (g, INVERSE_LETTER[g])]
         for orc in self.oracles.values():
-            letters = "".join(orc.descriptor.letters)
-            alts.append("(?:%s)(?![%s])" % (orc.canonical_run, letters))
-        return re.compile("(?:%s)*" % "|".join(alts))
+            factors += orc.forbidden_factors
+        # the letters that may not follow each letter, or None where the
+        # letter itself is a fault
+        after = {}
+        for f in factors:
+            if len(f) == 1:
+                after[f] = None
+            elif after.setdefault(f[0], "") is not None:
+                after[f[0]] += f[1]
+        alts = [c if rest is None else "%s[%s]" % (c, rest)
+                for c, rest in after.items()]
+        alts.append("[^%s]" % "".join(self.letter_kind))
+        return re.compile("|".join(alts))
 
     @cached_property
     def dehn_table(self):

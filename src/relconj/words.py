@@ -3,17 +3,20 @@
 Words are plain strings; uppercase is the inverse of lowercase.  The central
 routine is :func:`normalize`, a single left-to-right pass that freely reduces
 hyperbolic letters and folds every maximal parabolic run into its canonical
-geodesic form, merging runs that become adjacent when letters cancel.  The
-presentation's normal_form_pattern finds, in one native scan each, the
-stretches of the word that are already in normal form.  They are kept whole,
-and only the syllables where they meet the rest of the word are folded, so
-a word that is its own normal form is returned unchanged, and one with a few
-faults costs little more than recognising it.  On a presentation without
-relators the result is the free-product normal form, so two words are equal
-in the group iff they normalize identically.
+geodesic form, merging runs that become adjacent when letters cancel.  A
+word is its own normal form exactly when it has no fault: no hyperbolic
+letter followed by its inverse, and no factor that its parabolic oracles
+forbid in a geodesic-form run.  So one native search of the presentation's
+fault_pattern finds where the stretch of the word that is already in normal
+form ends: at the first fault, or at the start of the parabolic run it lies
+in.  Such stretches are kept whole, and only the syllables where they meet
+the rest of the word are folded, so a word without a fault is returned
+unchanged, and one with a few faults costs little more than recognising it.
+On a presentation without relators the result is the free-product normal
+form, so two words are equal in the group iff they normalize identically.
 
 :func:`mul` multiplies freely reduced words (normal forms are) by cancelling
-only where two of them meet.
+only where two of them meet, with native compares (cancel_length).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .presentation import (  # noqa: F401 - inverse, cyclic_reduce re-exported
     HYPERBOLIC,
     INVERSE_LETTER,
     RelativePresentation,
+    cancel_length,
     cyclic_reduce,
     inverse,
 )
@@ -47,17 +51,11 @@ def mul(*parts: str) -> str:
     equal to free_reduce of the concatenation.  With an unreduced part it
     is still the same element, possibly unreduced, so it may only feed
     normalize or word_problem, which reduce it."""
-    inv = INVERSE_LETTER
     out = ""
     for w in parts:
-        if out and w and out[-1] == inv[w[0]]:
-            # cancel back from the join while the letters meeting are inverse
-            m = len(out)
-            top = m if m < len(w) else len(w)
-            x = 1
-            while x < top and out[m - 1 - x] == inv[w[x]]:
-                x += 1
-            out = out[: m - x] + w[x:]
+        if out and w and out[-1] == INVERSE_LETTER[w[0]]:
+            x = cancel_length(out, w, min(len(out), len(w)))
+            out = out[: len(out) - x] + w[x:]
         else:
             out += w
     return out
@@ -67,8 +65,8 @@ def is_cyclically_reduced(w: str) -> bool:
     return len(w) < 2 or w[0] != INVERSE_LETTER[w[-1]]
 
 
-# An attempt at recognition (one normal_form_pattern.match and the fold of
-# the stretch it finds) costs about as much as the stack pass spends on this
+# An attempt at recognition (one fault_pattern search and the fold of the
+# stretch it ends) costs about as much as the stack pass spends on this
 # many letters.  So recognition is tried again only where at least this many
 # letters are left, and a stretch it finds is kept whole only when it is at
 # least this long or ends the word.
@@ -115,13 +113,29 @@ def _chunk_end(p, w, k):
     return p.syllable_pattern.match(w, k - 1).end()
 
 
+def _stretch_end(p, w, i, fault):
+    """Where the normal-form stretch of w from the syllable boundary i
+    ends, given fault, the first match of fault_pattern at or after i: at
+    the end of w when there is none, at a hyperbolic or undeclared fault
+    itself, and otherwise at the start of the parabolic run it lies in."""
+    if fault is None:
+        return len(w)
+    f = fault.start()
+    kind = p.letter_kind.get(w[f], HYPERBOLIC)
+    if kind == HYPERBOLIC:
+        return f
+    return i + len(w[i:f].rstrip(p.run_letters[kind]))
+
+
 def normalize(p: RelativePresentation, w: str) -> str:
     """Canonical component-normalized free reduction of w, in one left to
-    right pass.  Normal-form stretches, each found by one native
-    normal_form_pattern.match, are kept whole.  The letters between them go
+    right pass.  Normal-form stretches, each ended by one native
+    fault_pattern search (_stretch_end), are kept whole.  The first search
+    also tells whether w has a fault at all; a word without one is
+    returned as it is, and a word shorter than _ATTEMPT_LETTERS costs that
+    search and its stack pass.  The letters between stretches go
     through a stack pass over their blocks, and only the syllables that
-    cancel or merge where a stretch meets the stack are folded.  A word that
-    is its own normal form is one stretch and is returned as it is.
+    cancel or merge where a stretch meets the stack are folded.
 
     Recognition is tried again only where it can pay for itself.  After a
     stretch is kept the stack pass takes one syllable before the next
@@ -129,12 +143,12 @@ def normalize(p: RelativePresentation, w: str) -> str:
     times as many letters as the time before.  So a raw word costs
     O(log n) attempts beside its stack pass, and a normal form with a few
     faults is recognised nearly whole.  Letters are checked on the way:
-    the pattern spans declared letters only, and the block pattern makes
-    any other character a block whose letter_kind lookup fails."""
-    j = p.normal_form_pattern.match(w).end()
-    n = len(w)
-    if j == n:  # the pattern spells declared letters only
+    an undeclared character is a fault, so no stretch spans it, and the
+    block pattern makes it a block whose letter_kind lookup fails."""
+    fault = p.fault_pattern.search(w)
+    if fault is None:  # undeclared letters are faults too
         return w
+    n = len(w)
     oracles = p.oracles
     kind_of = p.letter_kind
     inv = INVERSE_LETTER
@@ -152,6 +166,7 @@ def normalize(p: RelativePresentation, w: str) -> str:
     reach = 1  # letters the next exposure moves from kept onto the stack
     try:
         if n >= _ATTEMPT_LETTERS:  # keep the first stretch, however short
+            j = _stretch_end(p, w, 0, fault)
             if j:
                 kept.append([w, 0, j])
                 stack.clear()
@@ -185,7 +200,7 @@ def normalize(p: RelativePresentation, w: str) -> str:
             if k == n:
                 break
             i = k
-            j = p.normal_form_pattern.match(w, i).end()
+            j = _stretch_end(p, w, i, p.fault_pattern.search(w, i))
             if j < n and j - i < _ATTEMPT_LETTERS:
                 gap *= 4  # the attempt does not pay; the stack pass goes on
             else:

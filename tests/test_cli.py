@@ -115,6 +115,21 @@ def test_bad_input_fails_typed_in_a_process(tmp_path, files, argv, kind,
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("bad", ["Q", "é"])
+def test_an_undeclared_letter_in_a_long_word_fails_typed_in_a_process(
+        tmp_path, bad):
+    # a 4,096-letter normal form of Z * Z^2 with one undeclared letter at
+    # its start, middle or end
+    nf = "axyAXY" * 682 + "axyA"
+    for i in (0, 2048, 4096):
+        proc = run_process(tmp_path, ["wp", str(DEMOS / "zxz2.txt"),
+                                      nf[:i] + bad + nf[i:]])
+        assert proc.returncode == 1
+        assert proc.stdout.startswith("status=error\nerror=parse\n")
+        assert "letter %r is not declared by 'g2'" % bad in proc.stdout
+        assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("target", ["missing/x", "adir"])
 def test_unwritable_cache_fails_alike_in_every_process(tmp_path, target):
     # the message names the cache path, never the temporary file, whose

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from relconj import words
@@ -139,3 +141,33 @@ def test_min_conjugator_is_minimal(pFree):
                            if len(s) < len(t)
                            and orc.geodesic_form(s + q1 + words.inverse(s)) == q2]
                 assert not shorter
+
+
+@pytest.mark.parametrize("name", ["pG2", "pZC2", "pZF2", "pTHREE"])
+def test_forbidden_factors_are_exact(request, name):
+    # a run is its own geodesic form exactly when it contains none of its
+    # oracle's forbidden factors: every run of up to 6 letters of every
+    # free abelian, free and finite factor of the fixtures
+    p = request.getfixturevalue(name)
+    for orc in p.oracles.values():
+        letters = orc.descriptor.letters
+        assert all(len(f) in (1, 2) and set(f) <= set(letters)
+                   for f in orc.forbidden_factors)
+        for n in range(1, 7):
+            for run in map("".join, product(letters, repeat=n)):
+                clean = not any(f in run for f in orc.forbidden_factors)
+                assert (orc.geodesic_form(run) == run) is clean, run
+
+
+def test_forbidden_factor_counts():
+    # 2k^2 pairs for Z^k, 2k inverse pairs for F_k, and for a finite factor
+    # of n letters its n/2 inverse letters and the n^2/2 pairs after a
+    # generator
+    for kind, size, k, count in (("free_abelian", 3, 3, 18),
+                                 ("free", 3, 3, 6), ("finite", 4, 3, 3 + 18)):
+        text = ("group g\nparabolic %s %d\nletters x y z\n" % (kind, size)
+                + ("table 0 1 2 3\ntable 1 0 3 2\ntable 2 3 0 1\n"
+                   "table 3 2 1 0\n" if kind == "finite" else ""))
+        orc = parse_presentation(text).oracles[1]
+        assert len(orc.forbidden_factors) == count == len(
+            set(orc.forbidden_factors)), kind

@@ -228,6 +228,21 @@ def test_every_demo_presentation_round_trips(path):
     assert again.parabolics == p.parabolics
 
 
+@pytest.mark.parametrize("path", DEMO_PRESENTATIONS,
+                         ids=[path.stem for path in DEMO_PRESENTATIONS])
+def test_fault_pattern_has_one_alternative_per_letter(path):
+    # finite factors' pairs share one alternative per first letter instead
+    # of one literal each, and one class catches every undeclared character
+    p = load_presentation(path)
+    *alts, undeclared = p.fault_pattern.pattern.split("|")
+    firsts = [alt[0] for alt in alts]
+    assert len(set(firsts)) == len(firsts)
+    assert set(firsts) <= p.letter_set
+    assert all(len(alt) == 1 or alt[1] == "[" and alt[-1] == "]"
+               for alt in alts)
+    assert undeclared == "[^%s]" % "".join(p.letter_kind)
+
+
 def test_presentation_records_refuse_assignment_and_deletion(pZC2):
     par = pZC2.parabolics[0]
     for record, name in ((pZC2, "label"), (pZC2, "relators"),

@@ -5,7 +5,7 @@ import pytest
 
 from relconj import words
 from relconj.errors import UnknownLetterError
-from relconj.presentation import HYPERBOLIC
+from relconj.presentation import HYPERBOLIC, INVERSE_LETTER
 
 
 def test_inverse():
@@ -50,6 +50,82 @@ def test_mul_reduces_at_joins():
         assert all(words.free_reduce(x) == x for x in parts)
         assert words.mul(*parts) == words.free_reduce("".join(parts)), parts
     assert seen_vanishing > 1000
+
+
+def loop_mul(*parts):
+    """words.mul's earlier per-letter loop, kept as the reference."""
+    inv = INVERSE_LETTER
+    out = ""
+    for w in parts:
+        if out and w and out[-1] == inv[w[0]]:
+            m = len(out)
+            top = m if m < len(w) else len(w)
+            x = 1
+            while x < top and out[m - 1 - x] == inv[w[x]]:
+                x += 1
+            out = out[: m - x] + w[x:]
+        else:
+            out += w
+    return out
+
+
+def loop_cyclic_reduce(w):
+    """cyclic_reduce's earlier per-letter loop, kept as the reference."""
+    inv = INVERSE_LETTER
+    i, j = 0, len(w) - 1
+    while i < j and w[i] == inv[w[j]]:
+        i, j = i + 1, j - 1
+    return w[i : j + 1], w[:i]
+
+
+def reduced_word(rng, n):
+    """A random freely reduced word of n letters over a, b, x, y."""
+    out = []
+    while len(out) < n:
+        c = rng.choice("aAbBxXyY")
+        if not out or c != INVERSE_LETTER[out[-1]]:
+            out.append(c)
+    return "".join(out)
+
+
+def test_native_cancellation_equals_the_per_letter_loop():
+    # mul and cyclic_reduce find the letters cancelling at a join by
+    # doubling and halving slice compares; they must stop exactly where the
+    # per-letter loop stops, at every length the doubling can land near
+    rng = random.Random(36)
+    lengths = {0, 1, 3000}
+    for k in range(1, 12):
+        lengths |= {2 ** k - 1, 2 ** k, 2 ** k + 1}
+    reduced = words.free_reduce
+    for x in sorted(lengths):
+        for left, right in ((0, 0), (1, 2), (7, 0), (0, 5), (300, 301)):
+            # u = a s and v = s^-1 b, freely reduced, cancel exactly s
+            while True:
+                a, s, b = (reduced_word(rng, n) for n in (left, x, right))
+                u, v = a + s, words.inverse(s) + b
+                if reduced(u) == u and reduced(v) == v and (
+                        not a or not b or a[-1] != INVERSE_LETTER[b[0]]):
+                    break
+            assert words.mul(u, v) == a + b == loop_mul(u, v), (x, a, b)
+            assert words.mul(u, v) == reduced(u + v)
+            assert words.mul(u, "", v) == words.mul("", u, v, "") == a + b
+            # w = s core s^-1 strips exactly s, for odd and even |w|
+            while True:
+                core = reduced_word(rng, left + right + x % 2)
+                if len(core) < 2 or core[0] != INVERSE_LETTER[core[-1]]:
+                    break
+            w = s + core + words.inverse(s)
+            assert words.cyclic_reduce(w) == (core, s) == loop_cyclic_reduce(w)
+    for w in ("", "a", "A", "ab", "aA", "aaA", "abBA", "aBcCbA"):
+        assert words.cyclic_reduce(w) == loop_cyclic_reduce(w), w
+        for v in ("", "a", w, words.inverse(w)):
+            assert words.mul(w, v) == loop_mul(w, v), (w, v)
+    for n in (1, 2, 3, 2999, 3000):
+        w = reduced_word(rng, n)
+        assert words.mul(w, words.inverse(w)) == ""
+        assert words.mul(words.inverse(w), w) == ""
+        assert words.cyclic_reduce(w + words.inverse(w)) == ("", w)
+        assert loop_cyclic_reduce(w + words.inverse(w)) == ("", w)
 
 
 def test_cyclic_reduce():
@@ -122,10 +198,57 @@ def test_normal_form_pattern_is_the_fixed_point_test(request, name):
         for x in (w, nf, nf + nf, words.inverse(nf),
                   nf + words.inverse(nf[:3])):
             fixed = words.normalize(p, x) == x
-            assert bool(p.normal_form_pattern.fullmatch(x)) is fixed, x
+            assert (p.fault_pattern.search(x) is None) is fixed, x
             assert is_normal_form_by_syllables(p, x) is fixed, x
             accepted += fixed
     assert 600 < accepted < 2400
+
+
+def reference_stretch_end(p, w, i, bounds):
+    """The end of the normal-form stretch of w from the syllable boundary
+    i, by the definition: the longest syllable-aligned w[i:j] of declared
+    letters that is_normal_form_by_syllables accepts, cut before its last
+    letter when that is hyperbolic and w goes on with its inverse.  A
+    syllable-aligned prefix of an accepted word is accepted, so the longest
+    is found by bisection over the boundaries."""
+    lo, hi = bounds.index(i), len(bounds)  # bounds[lo] is accepted
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        x = w[i:bounds[mid]]
+        if p.letter_set.issuperset(x) and is_normal_form_by_syllables(p, x):
+            lo = mid
+        else:
+            hi = mid
+    best = bounds[lo]
+    if (best > i and p.letter_kind[w[best - 1]] == HYPERBOLIC
+            and w[best:best + 1] == words.inverse(w[best - 1])):
+        best -= 1
+    return best
+
+
+@pytest.mark.parametrize("name", ["pF", "pG2", "pZC2", "pZF2", "pTHREE"])
+def test_fault_search_ends_each_stretch_where_the_definition_does(request,
+                                                                  name):
+    # normalize keeps w[i:j] whole, with j found by one fault search from
+    # i: the first fault, or the start of the parabolic run it lies in
+    p = request.getfixturevalue(name)
+    rng = random.Random(35)
+    undeclared = 0
+    for trial in range(600):
+        hi = 200 if trial % 10 == 0 else 14
+        w = random_word(rng, p.alphabet, rng.randint(0, hi))
+        if trial % 2:
+            w = words.normalize(p, w)
+        if rng.random() < 0.02:
+            k = rng.randint(0, len(w))
+            w = w[:k] + rng.choice("Qé") + w[k:]
+            undeclared += 1
+        bounds = [m.start() for m in p.syllable_pattern.finditer(w)]
+        bounds.append(len(w))
+        for i in bounds:
+            got = words._stretch_end(p, w, i, p.fault_pattern.search(w, i))
+            assert got == reference_stretch_end(p, w, i, bounds), (w, i)
+    assert undeclared >= 5
 
 
 def test_normalize_calls_no_oracle_on_a_normal_form(monkeypatch, pTHREE):
@@ -268,6 +391,24 @@ def test_normalize_names_the_undeclared_letter_wherever_it_is(pG2, w,
     # named whether a stretch, a stack pass or a fold meets it
     with pytest.raises(UnknownLetterError, match=re.escape(repr(letter))):
         words.normalize(pG2, w)
+
+
+@pytest.mark.parametrize("bad", ["Q", "é"])
+def test_an_undeclared_letter_in_a_long_normal_form_fails_typed(pG2, bad):
+    # the fault search stops at an undeclared letter as at any fault, and
+    # the error names the first such letter wherever it stands
+    rng = random.Random(37)
+    nf = ""
+    while len(nf) < 4096:
+        nf = words.normalize(pG2, nf + random_word(rng, pG2.alphabet, 4096))
+    nf = nf[:4096]
+    other = "é" if bad == "Q" else "Q"
+    for i in (0, 1, 2048, 4095, 4096):
+        w = nf[:i] + bad + nf[i:]
+        with pytest.raises(UnknownLetterError, match=repr(bad)):
+            words.normalize(pG2, w)
+        with pytest.raises(UnknownLetterError, match=repr(bad)):
+            words.normalize(pG2, w + other)
 
 
 def test_raw_syllables(pG2):
