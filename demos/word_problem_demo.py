@@ -26,7 +26,12 @@ print(f"working constants: delta={t.profile.delta}, "
 
 for w in ["xyXY", "axXA", "xyX", "axyXYA", "aaxAA"]:
     res = shortening.shorten(p, w)
-    verdict = "trivial" if res.output == "" else f"shortens to {res.output!r}"
+    if res.output == "":
+        verdict = "trivial"
+    elif res.output == w:
+        verdict = "unchanged"
+    else:
+        verdict = f"shortens to {res.output!r}"
     print(f"  {w!r:12} -> {verdict} in {len(res.steps)} steps")
     for s in res.steps:
         print(f"      [{s.justification}] {s.before!r} -> {s.after!r} "
@@ -36,7 +41,7 @@ print("\ncyclic shortening (conjugacy normal form):")
 for w in ["axA", "xxxxyAXXXY", "yx"]:
     res = shortening.cyclic_shorten(p, w)
     print(f"  {w!r:14} -> alpha={res.output!r} conjugator={res.conjugator!r} "
-          f"({res.iterations} seam passes)")
+          f"({res.iterations} end-run merges)")
 
 print("\ntimings on random trivial words (insert g g^-1 pairs):")
 rng = random.Random(0)

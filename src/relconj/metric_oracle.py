@@ -10,9 +10,9 @@ of the relator path is its relator-free twin presentation.
 The coned-off graph is realized on a finite induced vertex set: the ordinary
 ball of a chosen radius, with an edge for every generator and an edge between
 any two distinct elements of a common left parabolic coset.  Distances stay
-integer valued.  Estimators (hyperbolicity constant, component bound) are
-exhaustive over that finite window and are therefore lower bounds for the
-true constants; they are labeled with the radius they used.
+integer valued.  A hyperbolicity estimator is exhaustive over that finite
+window and is therefore a lower bound for the true constant; it is labeled
+with the radius it used.
 """
 
 from __future__ import annotations
@@ -207,15 +207,11 @@ def is_relative_geodesic(p: RelativePresentation, w: str) -> bool:
     every parabolic run is geodesic in its subgroup and the syllable count
     of w equals the relative distance between its endpoints."""
     sylls = words.raw_syllables(p, w)
-    return _runs_geodesic(p, sylls) and len(sylls) == relative_length(p, w)
-
-
-def _runs_geodesic(p, sylls):
-    """Every parabolic syllable of sylls is a geodesic of its factor."""
     oracles = p.oracles
-    return all(s.kind == HYPERBOLIC
-               or len(oracles[s.kind].geodesic_form(s.word)) == len(s.word)
-               for s in sylls)
+    return (all(s.kind == HYPERBOLIC
+                or len(oracles[s.kind].geodesic_form(s.word)) == len(s.word)
+                for s in sylls)
+            and len(sylls) == relative_length(p, w))
 
 
 # ---------------------------------------------------------------------------
@@ -317,25 +313,20 @@ def estimate_delta(p: RelativePresentation, r: int, budget=None) -> int:
     return best
 
 
-def _path_components(p, path_word):
-    """Parabolic components of the path labeled by path_word from the
-    identity: (kind, start, end, coset key) per maximal run."""
-    out = []
+def path_backtracks(p, path_word) -> bool:
+    """True if the path labeled by path_word from the identity leaves some
+    parabolic coset and later re-enters it: two of its parabolic runs lie
+    in one left coset, keyed by the run's kind and the coset key of the
+    normal form of the prefix before the run."""
+    seen = set()
     for s in words.raw_syllables(p, path_word):
         if s.kind == HYPERBOLIC:
             continue
         prefix = normal_form(p, path_word[: s.start])
-        out.append((s.kind, s.start, s.end, (s.kind, _coset_key(p, prefix, s.kind))))
-    return out
-
-
-def path_backtracks(p, path_word) -> bool:
-    """True if the path leaves some parabolic coset and later re-enters it."""
-    seen = set()
-    for comp in _path_components(p, path_word):
-        if comp[3] in seen:
+        key = (s.kind, _coset_key(p, prefix, s.kind))
+        if key in seen:
             return True
-        seen.add(comp[3])
+        seen.add(key)
     return False
 
 
@@ -351,43 +342,3 @@ def is_quasi_geodesic(p: RelativePresentation, w: str,
             if arc > params.lam * d + params.eps:
                 return False
     return True
-
-
-def estimate_bcp(p: RelativePresentation, params: QuasiGeodesicParams,
-                 r: int) -> int:
-    """Largest ordinary length of an isolated parabolic component seen on a
-    closed path formed by two distinct non-backtracking relative
-    (lambda, eps)-quasi-geodesic paths of length <= r with common endpoints.
-    Exhaustive within radius r; a lower bound for the true constant."""
-    p.require_free_product(_FREE_PRODUCTS_ONLY)
-    paths = [""]
-    frontier = [""]
-    for _ in range(r):
-        nxt = []
-        for w in frontier:
-            for c in p.alphabet:
-                if w and w[-1] == INVERSE_LETTER[c]:
-                    continue
-                nxt.append(w + c)
-        paths += nxt
-        frontier = nxt
-    good = {}
-    for w in paths:
-        if (not _runs_geodesic(p, words.raw_syllables(p, w))
-                or path_backtracks(p, w)
-                or not is_quasi_geodesic(p, w, params)):
-            continue
-        good.setdefault(words.normalize(p, w), []).append(w)
-    best = 0
-    for group in good.values():
-        for i, w1 in enumerate(group):
-            for w2 in group[i + 1 :]:
-                closed = w1 + words.inverse(w2)
-                comps = _path_components(p, closed)
-                counts = {}
-                for comp in comps:
-                    counts[comp[3]] = counts.get(comp[3], 0) + 1
-                for kind, start, end, key in comps:
-                    if counts[key] == 1:
-                        best = max(best, end - start)
-    return best

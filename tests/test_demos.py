@@ -1,6 +1,7 @@
-"""Smoke test of the demos: each runs to completion as a script, and the
-cyclic shortening lines and the relator step of the word-problem demo stay
-as they are."""
+"""Smoke test of the demos: each runs to completion as a script; the
+unchanged-word, cyclic shortening and relator step lines of the
+word-problem demo and the ball size and delta lines of the ground-truth
+demo stay as they are."""
 
 import os
 import subprocess
@@ -12,10 +13,20 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 EXPECTED_LINES = {
+    "ground_truth_demo": [
+        "  radius 4: 609 elements",
+        "  radius 0: thin-triangle delta >= 0 (exhaustive over relative "
+        "length <= 0)",
+        "  radius 1: thin-triangle delta >= 0 (exhaustive over relative "
+        "length <= 1)",
+        "  radius 2: thin-triangle delta >= 0 (exhaustive over relative "
+        "length <= 2)",
+    ],
     "word_problem_demo": [
-        "  'axA'          -> alpha='x' conjugator='a' (0 seam passes)",
-        "  'xxxxyAXXXY'   -> alpha='Ax' conjugator='xxxxy' (1 seam passes)",
-        "  'yx'           -> alpha='xy' conjugator='' (0 seam passes)",
+        "  'aaxAA'      -> unchanged in 0 steps",
+        "  'axA'          -> alpha='x' conjugator='a' (0 end-run merges)",
+        "  'xxxxyAXXXY'   -> alpha='Ax' conjugator='xxxxy' (1 end-run merges)",
+        "  'yx'           -> alpha='xy' conjugator='' (0 end-run merges)",
         "      [table-replacement] 'aaa' -> 'AA' at 0..3",
     ],
 }

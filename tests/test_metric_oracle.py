@@ -194,24 +194,19 @@ def test_quasi_geodesic_params_validation():
     assert qp.lam == 2 and qp.eps == 0
 
 
-def test_estimate_bcp(pF, pG2):
-    qp = mo.QuasiGeodesicParams(2, 0)
-    assert mo.estimate_bcp(pF, qp, 3) == 0
-    assert mo.estimate_bcp(pG2, qp, 0) == 0
-    assert mo.estimate_bcp(pG2, qp, 2) == 4
-    assert mo.estimate_bcp(pG2, qp, 3) == 6
-
-
-def test_estimate_bcp_needs_free_product(pC5):
-    with pytest.raises(OracleUnavailableError):
-        mo.estimate_bcp(pC5, mo.QuasiGeodesicParams(2, 0), 2)
-
-
-def test_path_backtracks(pG2):
-    assert mo.path_backtracks(pG2, "xaAx")       # cancellation rejoins 1*P
-    assert mo.path_backtracks(pG2, "xaAy")
-    assert not mo.path_backtracks(pG2, "xax")    # x*a*P differs from P
-    assert not mo.path_backtracks(pG2, "xxayy")
+def test_path_backtracks(pF, pG2, pZF2, pZC2):
+    # in xaAx the cancellation aA rejoins 1*P; in xax the coset x*a*P
+    # differs from P.  Free2 has no parabolic coset, Z * Z^2 free abelian
+    # ones, Z * F2 free ones and Z * C2 finite ones
+    for p, backtracking, clean in [
+            (pF, [], ["aAa", "abBA", "abab"]),
+            (pG2, ["xaAx", "xaAy"], ["xax", "xxayy"]),
+            (pZF2, ["xaAx", "xaAy"], ["xax", "xxayy"]),
+            (pZC2, ["taAt"], ["tat"])]:
+        for w in backtracking:
+            assert mo.path_backtracks(p, w), (p.label, w)
+        for w in clean:
+            assert not mo.path_backtracks(p, w), (p.label, w)
 
 
 def test_is_quasi_geodesic_rejects_a_detour(pG2):
@@ -221,17 +216,22 @@ def test_is_quasi_geodesic_rejects_a_detour(pG2):
     assert mo.is_quasi_geodesic(pG2, "xay", qp)
 
 
-def test_certified_local_geodesics_are_quasi_geodesic(pG2, tG2):
-    # lambda = (k + 4 delta) / (k - 4 delta), eps = 2 delta
+def test_certified_local_geodesics_are_quasi_geodesic(pF, tF, pG2, tG2, pZF2,
+                                                     tZF2, pZC2, tZC2):
+    # lambda = (k + 4 delta) / (k - 4 delta), eps = 2 delta, from each
+    # presentation's profile
     from fractions import Fraction
-    k, delta = tG2.profile.k, tG2.profile.delta
-    qp = mo.QuasiGeodesicParams(Fraction(k + 4 * delta, k - 4 * delta), 2 * delta)
-    rng = random.Random(9)
-    for _ in range(60):
-        w = "".join(rng.choice(pG2.alphabet) for _ in range(rng.randint(0, 8)))
-        out = shortening.shorten(pG2, w).output
-        assert mo.is_quasi_geodesic(pG2, out, qp)
-        assert not mo.path_backtracks(pG2, out)
+    for p, t in [(pF, tF), (pG2, tG2), (pZF2, tZF2), (pZC2, tZC2)]:
+        k, delta = t.profile.k, t.profile.delta
+        qp = mo.QuasiGeodesicParams(Fraction(k + 4 * delta, k - 4 * delta),
+                                    2 * delta)
+        rng = random.Random(9)
+        for _ in range(60):
+            w = "".join(rng.choice(p.alphabet)
+                        for _ in range(rng.randint(0, 8)))
+            out = shortening.shorten(p, w).output
+            assert mo.is_quasi_geodesic(p, out, qp), (p.label, w)
+            assert not mo.path_backtracks(p, out), (p.label, w)
 
 
 def test_relator_free_balls_are_cached_once(pG2):
