@@ -64,12 +64,20 @@ def inverse(w: str) -> str:
 
 def cancel_length(u: str, v: str, top: int) -> int:
     """How many letters cancel where u meets v, at most top: the largest
-    x <= top with u[-1 - t] the inverse of v[t] for every t < x.  It
-    compares u's end against the inverse of v's start in native slices,
-    of doubling lengths and then halving ones, so it takes O(log x)
-    Python steps and O(x) letter compares."""
+    x <= top with u[-1 - t] the inverse of v[t] for every t < x.  Most
+    joins cancel a letter or three, so the first three letters are compared
+    one by one; beyond them it compares u's end against the inverse of v's
+    start in native slices, of doubling lengths and then halving ones, so it
+    takes O(log x) Python steps and O(x) letter compares.  v must hold
+    letters only (INVERSE_LETTER)."""
     m = len(u)
-    lo, step = 0, 1  # the first lo letters are known to cancel
+    inv = INVERSE_LETTER
+    lo = 0  # the first lo letters are known to cancel
+    while lo < 3:
+        if lo == top or u[m - 1 - lo] != inv[v[lo]]:
+            return lo
+        lo += 1
+    step = 4  # the doubling goes on from the three letters compared
     while lo < top:
         hi = min(lo + step, top)
         if u[m - hi : m - lo] != inverse(v[lo:hi]):
@@ -290,6 +298,42 @@ class RelativePresentation(Frozen):
                 for c, rest in after.items()]
         alts.append("[^%s]" % "".join(self.letter_kind))
         return re.compile("|".join(alts))
+
+    @cached_property
+    def _inverse_spelling(self):
+        """The str.translate table of inverse_form, which spells each
+        letter as its inverse's geodesic form (the generator letter of its
+        element's inverse for a finite factor, its case swapped otherwise),
+        and a pattern capturing the runs of two or more letters of each
+        free abelian factor of rank two or more, which a reversed word
+        spells in reverse generator order (None when there is none)."""
+        table, runs = str.maketrans(INVERSE_LETTER), []
+        for par in self.parabolics:
+            if par.kind == "finite":
+                orc = self.oracles[par.index]
+                table.update((ord(c), orc.geodesic_form(INVERSE_LETTER[c]))
+                             for c in par.letters)
+            elif par.kind == "free_abelian" and len(par.generators) > 1:
+                runs.append("[%s]{2,}" % self.run_letters[par.index])
+        return table, re.compile("(%s)" % "|".join(runs)) if runs else None
+
+    def inverse_form(self, w: str) -> str:
+        """A word for w^-1 that is a normal form when w is one: the
+        syllables of w in reverse order, a hyperbolic letter or a free
+        factor's run as its plain inverse, a free abelian run with its case
+        swapped and its generator order kept (xxYY as XXyy, not YYXX), and a
+        finite factor's letter as the generator letter of its inverse (in
+        Z * C2, t for t).  Native string passes: w reversed, one translate,
+        and one split over free abelian runs, which are turned back round.
+        For any word every letter and run keeps its element, so the result
+        is a word for w^-1."""
+        table, runs = self._inverse_spelling
+        w = w[::-1].translate(table)
+        if runs is None:
+            return w
+        parts = runs.split(w)
+        parts[1::2] = [run[::-1] for run in parts[1::2]]
+        return "".join(parts)
 
     @cached_property
     def dehn_table(self):

@@ -48,19 +48,22 @@ Each rotation takes off a letter or, merging two runs, a syllable, and
 adds neither, so the loop ends.
 
 Every conjugator, here and in the conjugacy engine, is checked before it is
-returned (same_element).  The product that it claims equal to a word is
-formed with words.mul from freely reduced parts, the conjugator, the cyclic
-form and the conjugator's inverse, so it cancels only where they meet.
-Without relators its normal form must then equal the word's.  Where every
-part is a normal form, as on the free group, the product is one except at
-those joins, so normalize keeps the stretches between them whole and the
-check costs about one recognition scan.  The conjugator's inverse need not
-be a normal form, though: words.inverse spells a run of Z^2 backwards (xxyy
-as YYXX) and the finite letter t of Z * C2 as T, and each is a fault.  On
-Z * Z^2 a 768-letter check product (a 512-letter word under a 128-letter
-conjugator) holds 11 faults and normalizes in about three times the scan
-of the word it is checked against.  With relators the word problem on the
-product times the inverse of the word must answer trivial.
+returned (same_element).  Without relators the product that it claims equal
+to a word is spelled by words.conjugate_form from the conjugator and the
+cyclic form, as a rule both normal forms: the conjugator's plain inverse
+cancels where it meets the cyclic form, as a rotation prefix does whole,
+and RelativePresentation.inverse_form spells the rest of the inverse as a
+normal form, where words.inverse would write a run of Z^2 backwards (xxyy
+as YYXX) or the finite letter t of Z * C2 as T, each a fault.  So the
+product is a normal form except at its joins, normalize keeps the
+stretches between them whole, and the check costs about one recognition
+scan, on Z * Z^2 as on the free group: a 768-letter check product (a
+512-letter word under a 128-letter conjugator) holds no fault, where the
+plain inverse left 11 to 19.  A conjugator of fewer than
+words._PLAIN_INVERSE_LETTERS letters keeps the plain spelling, cheaper
+there.  The product's normal form must then equal the word's.
+With relators the product is words.mul(a, alpha, a^-1), and the word
+problem on it times the inverse of the word must answer trivial.
 """
 
 from __future__ import annotations
@@ -377,9 +380,11 @@ def cyclic_shorten(p: RelativePresentation, w: str) -> CyclicShorteningResult:
         linear_length = len(syls)
         rho, conj, cyclic_length, iterations, steps = _syllable_cyclic_form(
             p, nf, syls)
+        claimed = words.conjugate_form(p, conj, rho)
     else:
         rho, conj, cyclic_length, iterations, steps = _dehn_cyclic_form(p, w)
-    if not same_element(p, words.mul(conj, rho, words.inverse(conj)), w, nf):
+        claimed = words.mul(conj, rho, words.inverse(conj))
+    if not same_element(p, claimed, w, nf):
         raise RelconjError("cyclic shortening produced an invalid conjugator")
     return CyclicShorteningResult(w, rho, conj, iterations, tuple(steps),
                                   linear_length, cyclic_length, nf)

@@ -16,7 +16,9 @@ On a presentation without relators the result is the free-product normal
 form, so two words are equal in the group iff they normalize identically.
 
 :func:`mul` multiplies freely reduced words (normal forms are) by cancelling
-only where two of them meet, with native compares (cancel_length).
+only where two of them meet, with native compares (cancel_length), and
+:func:`conjugate_form` spells g * x * g^-1 for the witness checks so that it
+is a normal form except at its joins when g and x are normal forms.
 """
 
 from __future__ import annotations
@@ -71,6 +73,37 @@ def is_cyclically_reduced(w: str) -> bool:
 # letters are left, and a stretch it finds is kept whole only when it is at
 # least this long or ends the word.
 _ATTEMPT_LETTERS = 16
+
+# Below this many letters of a conjugator, spelling the rest of its inverse
+# as a normal form (a cancel_length call, inverse_form's translate and, with
+# a Z^2 factor, its split) costs more than the stack pass saves on the faults
+# of the plain spelling.  Measured by normalizing g * x * g^-1 for 120
+# random normal forms g of each length and x of 2 to 12 letters (min of 7
+# passes, two seeds, Python 3.11.7): on Z * Z^2 the two spellings break even
+# at 3 to 5 letters (1 letter: 6.0-6.4 us plainly against 8.5-8.9 us; 16
+# letters: 17-21 us against 9.5-13.6 us), on Z * C2 the normal form wins
+# from one letter, and on the free group, where the two spell the same
+# word, the plain one is 0.3-1.5 us cheaper at every length.  The
+# short-batch benchmark checks conjugators of 0 to 7 letters, 94 % of them
+# under 4.
+_PLAIN_INVERSE_LETTERS = 5
+
+
+def conjugate_form(p: RelativePresentation, g: str, x: str) -> str:
+    """A word for g * x * g^-1, for freely reduced g and x, that is a
+    normal form except at its joins when g and x are normal forms, so that
+    normalize keeps nearly all of it whole.  The plain inverse of g cancels
+    against mul(g, x) as far as it does, letter for letter; the rest of
+    g^-1 is spelled by p.inverse_form, which writes no fault where
+    words.inverse writes one (a Z^2 run backwards, a finite letter in upper
+    case).  The cut between the two may fall inside a run; the product is
+    g * x * g^-1 either way.  Below _PLAIN_INVERSE_LETTERS letters of g it
+    is the plain mul(g, x, inverse(g)), which costs less there."""
+    if len(g) < _PLAIN_INVERSE_LETTERS:
+        return mul(g, x, inverse(g))
+    gx = mul(g, x)
+    c = cancel_length(gx, inverse(g), min(len(gx), len(g)))
+    return gx[: len(gx) - c] + p.inverse_form(g[: len(g) - c])
 
 
 def _expose(p, kept, stack, reach):

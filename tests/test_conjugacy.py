@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -11,7 +12,8 @@ from relconj.errors import (
     RelconjError,
     UnknownLetterError,
 )
-from relconj.presentation import HYPERBOLIC, parse_presentation
+from relconj.presentation import (HYPERBOLIC, RelativePresentation,
+                                  parse_presentation)
 
 ZZ_TEXT = """\
 group zz2
@@ -208,6 +210,91 @@ def test_wrong_witness_fails_verification(monkeypatch, pF, tF, pG2, tG2):
         with pytest.raises(RelconjError,
                            match="conjugacy witness failed verification"):
             cj.decide(p, t, u, v)
+
+
+def long_conjugate_pair(p, seed):
+    """(u, v, g): a cyclically reduced normal form u of 512 letters and its
+    conjugate v = g u g^-1 under a normal form g of 128 letters, with
+    nothing cancelling or merging where they meet, so v is a normal form
+    of 768 letters."""
+    rng = random.Random(seed)
+
+    def normal_form(n):
+        while True:
+            w = words.normalize(p, "".join(
+                rng.choice(p.alphabet) for _ in range(4 * n)))[:n]
+            if len(w) == n:
+                return w
+
+    while True:
+        u = normal_form(512)
+        if words.normalize(p, u + u) == u + u:  # no reduction across ends
+            break
+    while True:
+        g = normal_form(128)
+        v = words.normalize(p, g + u + words.inverse(g))
+        if len(v) == 768:
+            return u, v, g
+
+
+def test_long_witness_checks_have_no_fault_to_fold(monkeypatch, pG2, tG2):
+    # the products behind decide's check and cyclic_shorten(v)'s are normal
+    # forms except at their joins, and here nothing happens at the joins:
+    # normalize recognises them without folding a run.  A work count, not a
+    # timing: the plain spelling of g^-1 writes every Z^2 run backwards
+    u, v, g = long_conjugate_pair(pG2, 45)
+    checked = []
+    real = sh.same_element
+
+    def recording(p, x, w, nf):
+        checked.append((w, x))
+        return real(p, x, w, nf)
+
+    monkeypatch.setattr(sh, "same_element", recording)
+    cert = cj.decide(pG2, tG2, u, v)
+    assert cert.answer == "conjugate" and cert.verified
+    assert cert.witness == g
+    # cyclic_shorten(u), cyclic_shorten(v), then decide
+    assert [w for w, _ in checked] == [u, v, v]
+    for w, x in checked:
+        assert pG2.fault_pattern.findall(x) == [], x
+    assert checked[2][1] == g + u + pG2.inverse_form(g)
+    plain = words.mul(g, u, words.inverse(g))
+    assert len(pG2.fault_pattern.findall(plain)) > 10
+
+
+def test_a_wrong_long_check_spelling_or_witness_is_caught(monkeypatch, pG2,
+                                                          tG2):
+    # the checks spell the uncancelled part of g^-1 with inverse_form; one
+    # run of it spelled wrong, or a witness one letter off, must fail the
+    # check, never pass as "conjugate"
+    u, v, g = long_conjugate_pair(pG2, 46)
+    eng = cj.ConjugacyEngine(pG2, tG2)
+    eng.cyclic(u), eng.cyclic(v)  # checked with the right spelling
+    real = RelativePresentation.inverse_form
+
+    def one_run_inverted(self, w):
+        out = real(self, w)
+        run = re.search("[xXyY]+", out)
+        return out[: run.start()] + run[0].swapcase() + out[run.end() :]
+
+    with monkeypatch.context() as m:
+        m.setattr(RelativePresentation, "inverse_form", one_run_inverted)
+        with pytest.raises(RelconjError,
+                           match="conjugacy witness failed verification"):
+            cj.decide(pG2, tG2, u, v, engine=eng)
+        with pytest.raises(RelconjError, match="cyclic shortening produced "
+                                               "an invalid conjugator"):
+            sh.cyclic_shorten(pG2, v)
+
+    def off_by_a(self, alpha, beta, regime):
+        return ("conjugate", "a") if alpha == beta else (
+            "not-conjugate", cj.LONG_EXHAUSTED)
+
+    monkeypatch.setattr(cj.ConjugacyEngine, "core", off_by_a)
+    with pytest.raises(RelconjError,
+                       match="conjugacy witness failed verification"):
+        cj.decide(pG2, tG2, u, v, engine=eng)
 
 
 def test_decide_is_symmetric(pG2, tG2, engG2):

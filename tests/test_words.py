@@ -5,7 +5,10 @@ import pytest
 
 from relconj import words
 from relconj.errors import UnknownLetterError
-from relconj.presentation import HYPERBOLIC, INVERSE_LETTER
+from relconj.presentation import (HYPERBOLIC, INVERSE_LETTER, cancel_length,
+                                  load_presentation)
+
+from conftest import ZF2_PATH
 
 
 def test_inverse():
@@ -109,6 +112,12 @@ def test_native_cancellation_equals_the_per_letter_loop():
             assert words.mul(u, v) == a + b == loop_mul(u, v), (x, a, b)
             assert words.mul(u, v) == reduced(u + v)
             assert words.mul(u, "", v) == words.mul("", u, v, "") == a + b
+            # cancel_length compares three letters one by one, then
+            # doubles and halves: it stops where the loop stops, or at top
+            most = min(len(u), len(v))
+            for top in {0, 1, 2, 3, 4, rng.randint(0, most), most} & set(
+                    range(most + 1)):
+                assert cancel_length(u, v, top) == min(top, x), (u, v, top)
             # w = s core s^-1 strips exactly s, for odd and even |w|
             while True:
                 core = reduced_word(rng, left + right + x % 2)
@@ -123,9 +132,97 @@ def test_native_cancellation_equals_the_per_letter_loop():
     for n in (1, 2, 3, 2999, 3000):
         w = reduced_word(rng, n)
         assert words.mul(w, words.inverse(w)) == ""
+        assert cancel_length(w, words.inverse(w), n) == n
         assert words.mul(words.inverse(w), w) == ""
         assert words.cyclic_reduce(w + words.inverse(w)) == ("", w)
         assert loop_cyclic_reduce(w + words.inverse(w)) == ("", w)
+
+
+def presentation_named(request, name):
+    if name == "c5c7_twin":
+        return load_presentation(ZF2_PATH.with_name("c5c7_twin.txt"))
+    return request.getfixturevalue(name)
+
+
+def random_normal_form(rng, p, n):
+    """A random normal form of at most n letters (a prefix of a normal
+    form is one)."""
+    return words.normalize(p, random_word(rng, p.alphabet, 3 * n))[:n]
+
+
+INVERSE_FORM_PRESENTATIONS = ["pF", "pG2", "pZC2", "pZF2", "pTHREE",
+                              "c5c7_twin"]
+
+
+@pytest.mark.parametrize("name", INVERSE_FORM_PRESENTATIONS)
+def test_inverse_form_is_the_normal_form_of_the_inverse(request, name):
+    p = presentation_named(request, name)
+    rng = random.Random(41)
+    plain_faults = 0
+    for trial in range(300):
+        w = random_normal_form(rng, p, rng.randint(0, 200))
+        inv = p.inverse_form(w)
+        assert p.fault_pattern.search(inv) is None, (w, inv)
+        assert inv == words.normalize(p, words.inverse(w)), w
+        assert words.normalize(p, w + inv) == "" == words.normalize(p, inv + w)
+        plain_faults += p.fault_pattern.search(words.inverse(w)) is not None
+        # on any word it still spells the inverse
+        raw = random_word(rng, p.alphabet, rng.randint(0, 30))
+        assert words.normalize(p, raw + p.inverse_form(raw)) == "", raw
+    # the plain inverse writes a fault at every Z^2 run of two generators
+    # and every finite letter, which it writes in upper case
+    assert (plain_faults > 100) == (name not in ("pF", "pZF2"))
+
+
+@pytest.mark.parametrize("name", INVERSE_FORM_PRESENTATIONS)
+def test_conjugate_form_is_g_x_g_inverse(request, name):
+    p = presentation_named(request, name)
+    rng = random.Random(42)
+    n = words._PLAIN_INVERSE_LETTERS
+    reduced = words.free_reduce
+    for trial in range(200):
+        g = random_normal_form(rng, p, rng.choice([0, 1, n - 1, n, n + 1, 15,
+                                                   16, 60, 200]))
+        r = random_normal_form(rng, p, rng.randint(0, 60))
+        k = rng.randint(0, len(g))
+        xs = [r,
+              # x starting with g^-1, spelled plainly or as a normal form
+              reduced(words.inverse(g)[:k] + r),
+              words.normalize(p, words.inverse(g[len(g) - k:]) + r),
+              # x ending in g, so that g^-1 cancels against it
+              reduced(r + g[len(g) - k:]), words.normalize(p, r + g),
+              words.inverse(g)]
+        for x in xs:
+            got = words.conjugate_form(p, g, x)
+            want = words.normalize(p, g + x + words.inverse(g))
+            assert words.normalize(p, got) == want, (g, x, got)
+            if len(g) < n:
+                assert got == words.mul(g, x, words.inverse(g))
+
+
+def test_conjugate_form_spells_the_rest_of_g_inverse_canonically(pG2):
+    n = words._PLAIN_INVERSE_LETTERS
+    for g in ("xy", "axxyy"[:n - 1], "axxyy"[:n], "axxyy" * 3):
+        plain = words.mul(g, "a", words.inverse(g))
+        got = words.conjugate_form(pG2, g, "a")
+        if len(g) < n:
+            assert got == plain
+        else:
+            assert got == g + "a" + pG2.inverse_form(g) != plain
+            assert pG2.fault_pattern.search(got) is None
+        assert pG2.fault_pattern.search(plain) is not None
+    # the plain inverse cancels two letters, into the run xxyy of g, and
+    # the rest of g^-1 is spelled canonically from inside that run
+    g = "axY" * 4 + "axxyy"
+    x = "aayy"
+    gx = words.mul(g, x)
+    assert cancel_length(gx, words.inverse(g), len(g)) == 2
+    got = words.conjugate_form(pG2, g, x)
+    assert got == gx[:-2] + pG2.inverse_form(g[:-2])
+    assert got == g + "aaXXA" + "XyA" * 4
+    assert pG2.fault_pattern.search(got) is None
+    assert words.normalize(pG2, got) == words.normalize(
+        pG2, g + x + words.inverse(g))
 
 
 def test_cyclic_reduce():
