@@ -11,7 +11,14 @@ into a subgroup element with one call per run:
   the argument (start a new element) and as the result (the product is
   trivial, so normalization drops the run);
 - ``state_word(state)`` only reads a state that is not None: the canonical
-  geodesic word of its element.
+  geodesic word of its element;
+- ``inverse_run(run)`` only reads a nonempty run in geodesic form: the
+  geodesic form of its inverse, in one native string operation (free
+  abelian: the case swapped, the generator order kept; free: the plain
+  inverse; finite: the generator letter of the inverse element).  Geodesic
+  forms are unique, so two geodesic runs of one factor merge to the
+  identity exactly when one is the inverse_run of the other, which cyclic
+  shortening tests without starting a state.
 
 States may be mutable, and push may update the state it is given and return
 it.  So a state belongs to the caller that started it with push(None, ...):
@@ -72,6 +79,11 @@ class ParabolicOracle:
     def state_word(self, state) -> str:
         """Canonical geodesic word for an accumulated element other than
         the identity."""
+        raise NotImplementedError
+
+    def inverse_run(self, run: str) -> str:
+        """The geodesic form of the inverse of run, a nonempty run in
+        geodesic form, spelled without the accumulator."""
         raise NotImplementedError
 
     # -- word-level operations ------------------------------------------
@@ -170,6 +182,9 @@ class FreeAbelianOracle(ParabolicOracle):
         return "".join([g * e if e > 0 else g_inv * -e
                         for (g, g_inv), e in zip(self._signed, state)])
 
+    def inverse_run(self, run):
+        return run.swapcase()  # every exponent negated, the order kept
+
     def conjugate(self, p, q):
         self._check(p + q)
         return "" if self.push(None, p) == self.push(None, q) else None
@@ -204,6 +219,9 @@ class FreeOracle(ParabolicOracle):
 
     def state_word(self, state):
         return "".join(state)
+
+    def inverse_run(self, run):
+        return inverse(run)
 
     def conjugate(self, p, q):
         rp = self.geodesic_form(p)  # geodesic_form checks the letters
@@ -265,6 +283,9 @@ class FiniteOracle(ParabolicOracle):
 
     def state_word(self, state):
         return "" if state == 0 else self.descriptor.generators[state - 1]
+
+    def inverse_run(self, run):
+        return self.state_word(self._inv[self._elt[run]])
 
     def conjugate(self, p, q):
         self._check(p + q)

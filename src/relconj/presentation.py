@@ -258,6 +258,41 @@ class RelativePresentation(Frozen):
         return re.compile("|".join(runs + ["."]))
 
     @cached_property
+    def _syllable_cuts(self):
+        """The str.replace cuts of normal_syllables, as (old, new) pairs:
+        a space on each side of every letter that is a syllable of its own
+        in a normal form (hyperbolic and finite-factor letters), and a space
+        between two adjacent letters of two different factors whose
+        syllables are runs (free and free abelian).  None when no factor has
+        runs, so that every letter is a syllable."""
+        runs = [self.run_letters[par.index] for par in self.parabolics
+                if par.kind != "finite"]
+        if not runs:
+            return None
+        in_runs = "".join(runs)
+        cuts = [(c, " %s " % c) for c in self.letter_kind if c not in in_runs]
+        cuts += [(a + b, "%s %s" % (a, b)) for left in runs
+                 for right in runs if left != right
+                 for a in left for b in right]
+        return cuts
+
+    def normal_syllables(self, nf: str) -> list:
+        """The syllables of the normal form nf, equal to
+        syllable_pattern.findall(nf) there, in native string passes: the
+        cached replace cuts and one split, or list(nf) when no factor has
+        runs.  Only a normal form: a word in which a finite factor's run
+        has two letters (tt in Z * C2) or more is cut into letters, where
+        syllable_pattern keeps the run whole, so words that need not be
+        normal forms (raw_syllables, the Dehn pass, normalize itself) use
+        the pattern."""
+        cuts = self._syllable_cuts
+        if cuts is None:
+            return list(nf)
+        for old, new in cuts:
+            nf = nf.replace(old, new)
+        return nf.split()
+
+    @cached_property
     def block_pattern(self) -> re.Pattern:
         """Splits a word like syllable_pattern, except that a maximal run
         of hyperbolic letters is one block.  Any other character is a

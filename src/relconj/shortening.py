@@ -22,11 +22,16 @@ under C'(1/6) its Dehn-reduced output, not necessarily a local geodesic,
 is empty exactly for the identity (Greendlinger, Lyndon-Schupp V.4).
 
 Cyclic shortening without relators is one linear pass over the normal
-form of the word and one rotation.  Cyclic reduction of a free-product normal form happens
+form of the word and one rotation.  The normal form is split into its
+syllables by RelativePresentation.normal_syllables, native replace cuts
+and one split.  Cyclic reduction of a free-product normal form happens
 at its syllable ends only (Lyndon-Schupp, Combinatorial Group Theory,
 IV.1.4): mutually inverse hyperbolic end letters cancel, and end runs of
 one factor merge into one run, which is either trivial (and the reduction
 goes on inwards) or a syllable between two of other kinds (and it stops).
+Both end runs are geodesic, so a merge is trivial exactly when the last
+run is the oracle's inverse_run of the first, a native string operation;
+the factor oracle folds only the nontrivial merge that ends the pass.
 The kept core is rotated to the least rotation of its syllable sequence
 (hyperbolic letters one by one, parabolic runs whole, each compared by its
 shortlex letter ranks), and a lone parabolic run is cyclically reduced
@@ -55,15 +60,17 @@ cancels where it meets the cyclic form, as a rotation prefix does whole,
 and RelativePresentation.inverse_form spells the rest of the inverse as a
 normal form, where words.inverse would write a run of Z^2 backwards (xxyy
 as YYXX) or the finite letter t of Z * C2 as T, each a fault.  So the
-product is a normal form except at its joins, normalize keeps the
-stretches between them whole, and the check costs about one recognition
-scan, on Z * Z^2 as on the free group: a 768-letter check product (a
-512-letter word under a 128-letter conjugator) holds no fault, where the
-plain inverse left 11 to 19.  A conjugator of fewer than
+product is a normal form except at its joins, and its normal form must
+equal the word's.  Where nothing cancels or merges at the joins the
+product is spelled exactly as that normal form, and the check is one
+string compare, on Z * Z^2 as on the free group: a 768-letter check
+product (a 512-letter word under a 128-letter conjugator) is v's normal
+form letter for letter, where the plain inverse left 11 to 19 faults.
+Otherwise normalize keeps the stretches between the joins whole, and the
+check costs about one recognition scan.  A conjugator of fewer than
 words._PLAIN_INVERSE_LETTERS letters keeps the plain spelling, cheaper
-there.  The product's normal form must then equal the word's.
-With relators the product is words.mul(a, alpha, a^-1), and the word
-problem on it times the inverse of the word must answer trivial.
+there.  With relators the product is words.mul(a, alpha, a^-1), and the
+word problem on it times the inverse of the word must answer trivial.
 """
 
 from __future__ import annotations
@@ -285,11 +292,12 @@ def least_rotation(s: str) -> int:
 
 def _syllable_cyclic_form(p, nf, syls):
     """Cyclic form of the normal form nf with syllables syls (strings, as
-    p.syllable_pattern splits nf): (alpha, a, syllable count of alpha,
+    p.normal_syllables splits nf): (alpha, a, syllable count of alpha,
     merges, steps) with lab(alpha) = a^-1 * nf * a.  Cancels mutually
     inverse end letters and merges end runs of one factor from the outside
-    in, then rotates the kept core to its least syllable rotation; a is a
-    prefix of nf."""
+    in, a trivial merge found by comparing the last run with the first's
+    inverse_run, then rotates the kept core to its least syllable rotation;
+    a is a prefix of nf."""
     kind_of = p.letter_kind
     steps = []
     merged = []
@@ -303,11 +311,14 @@ def _syllable_cyclic_form(p, nf, syls):
                 break
         elif kind == kind_of[last[0]]:
             # merge the wrap-around run nu o eta (logged in the coordinates
-            # of the cyclic word left here) in the factor's oracle, as
-            # normalize would; a nontrivial merge ends it
+            # of the cyclic word left here).  Both runs are geodesic, so the
+            # merge is trivial exactly when last spells first's inverse;
+            # only the nontrivial merge, which ends it, needs the oracle
             orc = p.oracles[kind]
-            state = orc.push(None, last + first)
-            rep = "" if state is None else orc.state_word(state)
+            if last == orc.inverse_run(first):
+                rep = ""
+            else:
+                rep = orc.state_word(orc.push(None, last + first))
             steps.append(ShorteningStep(hi - len(last) - lo,
                                         hi - lo + len(first), last + first,
                                         rep, TABLE_REPLACEMENT))
@@ -376,7 +387,7 @@ def cyclic_shorten(p: RelativePresentation, w: str) -> CyclicShorteningResult:
     nf = linear_length = None
     if p.is_free_product:
         nf = words.normalize(p, w)
-        syls = p.syllable_pattern.findall(nf)
+        syls = p.normal_syllables(nf)
         linear_length = len(syls)
         rho, conj, cyclic_length, iterations, steps = _syllable_cyclic_form(
             p, nf, syls)
@@ -394,9 +405,12 @@ def same_element(p: RelativePresentation, x: str, w: str, nf: str) -> bool:
     """Whether the word x equals the word w in G, the check behind
     every witness.  nf is the normal form of w, None with relators.  On a
     relator-free presentation this is normalize(x) == nf, the decision
-    word_problem(x * w^-1) makes there; with relators it is that word
-    problem, on a product that may be unreduced where w is, which the word
-    problem reduces."""
+    word_problem(x * w^-1) makes there.  It compares x itself first: nf is
+    a normal form, and normalize returns a word without a fault unchanged,
+    so x == nf already decides normalize(x) == nf, and a product spelled as
+    nf skips the recognition scan.  With relators it is that word problem,
+    on a product that may be unreduced where w is, which the word problem
+    reduces."""
     if p.is_free_product:
-        return words.normalize(p, x) == nf
+        return x == nf or words.normalize(p, x) == nf
     return word_problem(p, words.mul(x, words.inverse(w)))

@@ -91,10 +91,12 @@ _PLAIN_INVERSE_LETTERS = 5
 
 def conjugate_form(p: RelativePresentation, g: str, x: str) -> str:
     """A word for g * x * g^-1, for freely reduced g and x, that is a
-    normal form except at its joins when g and x are normal forms, so that
-    normalize keeps nearly all of it whole.  The plain inverse of g cancels
-    against mul(g, x) as far as it does, letter for letter; the rest of
-    g^-1 is spelled by p.inverse_form, which writes no fault where
+    normal form except at its joins when g and x are normal forms.  Where
+    nothing cancels or merges at the joins it is the normal form itself,
+    and a witness check (shortening.same_element) is one string compare;
+    otherwise normalize keeps nearly all of it whole.  The plain inverse of
+    g cancels against mul(g, x) as far as it does, letter for letter; the
+    rest of g^-1 is spelled by p.inverse_form, which writes no fault where
     words.inverse writes one (a Z^2 run backwards, a finite letter in upper
     case).  The cut between the two may fall inside a run; the product is
     g * x * g^-1 either way.  Below _PLAIN_INVERSE_LETTERS letters of g it

@@ -237,30 +237,64 @@ def long_conjugate_pair(p, seed):
             return u, v, g
 
 
+def record_checks(monkeypatch):
+    """Lists that fill, while the test runs, with the (w, x, nf) of every
+    same_element check and the word of every normalize call."""
+    checked, normalized = [], []
+    real_check, real_normalize = sh.same_element, words.normalize
+
+    def recording(p, x, w, nf):
+        checked.append((w, x, nf))
+        return real_check(p, x, w, nf)
+
+    def counting(p, w):
+        normalized.append(w)
+        return real_normalize(p, w)
+
+    monkeypatch.setattr(sh, "same_element", recording)
+    monkeypatch.setattr(words, "normalize", counting)
+    return checked, normalized
+
+
 def test_long_witness_checks_have_no_fault_to_fold(monkeypatch, pG2, tG2):
     # the products behind decide's check and cyclic_shorten(v)'s are normal
     # forms except at their joins, and here nothing happens at the joins:
-    # normalize recognises them without folding a run.  A work count, not a
-    # timing: the plain spelling of g^-1 writes every Z^2 run backwards
+    # each product is spelled exactly as the normal form it is checked
+    # against, so the check is one string compare and normalize runs only
+    # on the inputs.  A work count, not a timing: the plain spelling of
+    # g^-1 writes every Z^2 run backwards
     u, v, g = long_conjugate_pair(pG2, 45)
-    checked = []
-    real = sh.same_element
-
-    def recording(p, x, w, nf):
-        checked.append((w, x))
-        return real(p, x, w, nf)
-
-    monkeypatch.setattr(sh, "same_element", recording)
+    checked, normalized = record_checks(monkeypatch)
     cert = cj.decide(pG2, tG2, u, v)
     assert cert.answer == "conjugate" and cert.verified
     assert cert.witness == g
     # cyclic_shorten(u), cyclic_shorten(v), then decide
-    assert [w for w, _ in checked] == [u, v, v]
-    for w, x in checked:
+    assert [w for w, _, _ in checked] == [u, v, v]
+    for w, x, nf in checked:
+        assert x == nf, x
         assert pG2.fault_pattern.findall(x) == [], x
+    assert normalized == [u, v]
     assert checked[2][1] == g + u + pG2.inverse_form(g)
     plain = words.mul(g, u, words.inverse(g))
     assert len(pG2.fault_pattern.findall(plain)) > 10
+
+
+def test_a_short_witness_check_with_faults_goes_through_normalize(
+        monkeypatch, pG2, tG2):
+    # a witness shorter than _PLAIN_INVERSE_LETTERS keeps the plain inverse,
+    # so its Z^2 run is spelled backwards and the product has a fault: it is
+    # not the normal form of v as written, and verifies through normalize
+    u = "aaxyaxxY" * 10
+    g = "xy"
+    assert len(g) < words._PLAIN_INVERSE_LETTERS
+    v = words.normalize(pG2, g + u + words.inverse(g))
+    checked, normalized = record_checks(monkeypatch)
+    cert = cj.decide(pG2, tG2, u, v)
+    assert cert.answer == "conjugate" and cert.verified
+    assert cert.witness == g
+    _, x, nf = checked[-1]
+    assert x != nf and pG2.fault_pattern.search(x)
+    assert normalized[-1] == x and words.normalize(pG2, x) == nf
 
 
 def test_a_wrong_long_check_spelling_or_witness_is_caught(monkeypatch, pG2,

@@ -1,9 +1,10 @@
+import random
 from pathlib import Path
 
 import pytest
 
-from conftest import F_TEXT, G2_TEXT, ZC2_TEXT, C5_TEXT
-from relconj import cli
+from conftest import F_TEXT, G2_TEXT, ZC2_TEXT, C5_TEXT, THREE_TEXT
+from relconj import cli, words
 from relconj.errors import ParseError, UnknownLetterError
 from relconj.presentation import (
     HYPERBOLIC,
@@ -226,6 +227,41 @@ def test_every_demo_presentation_round_trips(path):
     assert again == p and not again != p
     assert hash(again) == hash(p)
     assert again.parabolics == p.parabolics
+
+
+@pytest.mark.parametrize("path", DEMO_PRESENTATIONS + [None],
+                         ids=[path.stem for path in DEMO_PRESENTATIONS]
+                         + ["three"])
+def test_normal_syllables_split_as_the_syllable_pattern(path):
+    # the replace cuts split a normal form exactly as the pattern does: on
+    # seeded normal forms of 0-60 letters of every demo presentation and of
+    # Z^2 * F2 * C3 * Z, where runs of Z^2 and F2 meet and C3 letters stand
+    # alone
+    p = parse_presentation(THREE_TEXT) if path is None else (
+        load_presentation(path))
+    rng = random.Random(25)
+    forms = ["", "xyuVx", "uXyv", "XYuvsax", "sar", "Ux"]
+    for n in range(61):
+        for _ in range(8):
+            raw = "".join(rng.choice(p.alphabet) for _ in range(3 * n))
+            forms.append(words.normalize(p, raw)[:n])
+    checked = 0
+    for nf in forms:
+        if not p.letter_set.issuperset(nf) or words.normalize(p, nf) != nf:
+            continue  # a hand case for another presentation
+        assert p.normal_syllables(nf) == p.syllable_pattern.findall(nf), nf
+        checked += 1
+    assert checked > 400
+
+
+def test_normal_syllables_read_only_normal_forms(pZC2, pG2):
+    # a finite run of two letters is not a normal form; the pattern keeps
+    # it whole and the replace cuts take it letter by letter, so words that
+    # need not be normal forms are split with the pattern
+    assert pZC2.syllable_pattern.findall("atta") == ["a", "tt", "a"]
+    assert pZC2.normal_syllables("atta") == ["a", "t", "t", "a"]
+    assert pZC2.normal_syllables("ata") == ["a", "t", "a"]
+    assert pG2.normal_syllables("xxYay") == ["xxY", "a", "y"]
 
 
 @pytest.mark.parametrize("path", DEMO_PRESENTATIONS,

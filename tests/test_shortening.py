@@ -242,6 +242,78 @@ def test_cyclic_shorten_counts_end_run_merges(pG2):
     assert [(s.before, s.after) for s in res.steps] == [("XXXYxxxxy", "x")]
 
 
+def oracle_end_loop_cyclic_form(p, nf, syls):
+    """_syllable_cyclic_form as it was before inverse_run: every end-run
+    merge, trivial or not, goes through the factor oracle."""
+    kind_of = p.letter_kind
+    steps = []
+    merged = []
+    i, j = 0, len(syls) - 1
+    lo, hi = 0, len(nf)
+    while i < j and not merged:
+        first, last = syls[i], syls[j]
+        kind = kind_of[first[0]]
+        if kind == HYPERBOLIC:
+            if last != INVERSE_LETTER[first]:
+                break
+        elif kind == kind_of[last[0]]:
+            orc = p.oracles[kind]
+            state = orc.push(None, last + first)
+            rep = "" if state is None else orc.state_word(state)
+            steps.append(sh.ShorteningStep(hi - len(last) - lo,
+                                           hi - lo + len(first), last + first,
+                                           rep, sh.TABLE_REPLACEMENT))
+            if rep:
+                merged.append(rep)
+        else:
+            break
+        lo += len(first)
+        hi -= len(last)
+        i, j = i + 1, j - 1
+    if i > j:
+        return "", "", 0, len(steps), steps
+    core = syls[i : j + 1] + merged
+    ranks = p.rank_translation
+    if len(core) < sh.SHORT_CYCLE:
+        r = sh._compare_rotations([s.translate(ranks) for s in core])
+    else:
+        code = sh._ranked_chars(sorted(set(core),
+                                       key=lambda s: s.translate(ranks)))
+        r = sh.least_rotation("".join(map(code.__getitem__, core)))
+    alpha = "".join(core[r:] + core[:r])
+    conj = nf[:lo] + "".join(core[:r])
+    if len(core) == 1:
+        alpha, pre = words.cyclic_reduce(alpha)
+        conj += pre
+    return alpha, conj, len(core), len(steps), steps
+
+
+@pytest.mark.parametrize("name", ["pF", "pG2", "pZC2", "pZF2", "pTHREE"])
+def test_end_loop_equals_the_oracle_loop(request, name):
+    # a trivial end-run merge is found by comparing last with
+    # inverse_run(first); the whole result, steps included, must equal the
+    # loop that asks the oracle about every merge, on conjugated normal
+    # forms g u g^-1 with |g| up to 60, split with the syllable pattern for
+    # the reference and normal_syllables for the pass
+    p = request.getfixturevalue(name)
+    rng = random.Random(26)
+    trivial = nontrivial = 0
+    for _ in range(300):
+        u = words.normalize(p, rand_word(p, rng, 0, 40))
+        g = words.normalize(p, rand_word(p, rng, 0, 60))
+        nf = words.normalize(p, g + u + words.inverse(g))
+        got = sh._syllable_cyclic_form(p, nf, p.normal_syllables(nf))
+        want = oracle_end_loop_cyclic_form(p, nf,
+                                           p.syllable_pattern.findall(nf))
+        assert got == want, (u, g)
+        trivial += sum(not step.after for step in got[4])
+        nontrivial += sum(bool(step.after) for step in got[4])
+    if p.parabolics:  # both kinds of merge were exercised, except in C2,
+        # where two nontrivial elements always merge to the identity
+        assert trivial > 50, trivial
+        assert nontrivial > 20 or name == "pZC2", nontrivial
+
+
 def test_cyclic_shorten_reduces_a_lone_free_factor_run():
     p = parse_presentation("group fx\nhyperbolic a\nparabolic free 2\n"
                            "letters x y\n")
