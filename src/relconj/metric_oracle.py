@@ -1,30 +1,29 @@
 """Brute-force ground truth on the Cayley graph and its coned-off variant.
 
-Everything here is computed by exhaustive enumeration and is independent of
-the curve-shortening machinery, so it can verify it.  Equality of group
-elements is decided by the free-product normal form (words.normalize), so
-the oracle serves relator-free presentations only: with relators every
-entry point raises :class:`OracleUnavailableError`.  The independent check
-of the relator path is its relator-free twin presentation.
+Everything here is computed by exhaustive enumeration over relconj.reference,
+which spells normal forms and syllables by their definitions, so it shares
+no code with the curve shortening or words.normalize and can verify them.
+The normal form decides equality of group elements, so the oracle serves
+relator-free presentations only: with relators every entry point raises
+:class:`OracleUnavailableError`.  The independent check of the relator path
+is its relator-free twin presentation.
 
 The coned-off graph is realized on a finite induced vertex set: the ordinary
 ball of a chosen radius, with an edge for every generator and an edge between
 any two distinct elements of a common left parabolic coset.  Distances stay
 integer valued.  A hyperbolicity estimator is exhaustive over that finite
 window and is therefore a lower bound for the true constant; it is labeled
-with the radius it used.
-"""
+with the radius it used."""
 
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from functools import lru_cache, wraps
 
-from . import words
+from . import reference
 from .errors import BudgetExceededError
 from .presentation import (DEFAULT_BUDGET, HYPERBOLIC, INVERSE_LETTER,
-                           Frozen, RelativePresentation)
+                           RelativePresentation, inverse)
 
 
 def _cached(maxsize):
@@ -44,9 +43,9 @@ _FREE_PRODUCTS_ONLY = "the ball oracle serves free products only"
 
 def normal_form(p: RelativePresentation, w: str) -> str:
     """Canonical representative of the element of w: the syllable normal
-    form."""
+    form, by its definition (reference.normal_form)."""
     p.require_free_product(_FREE_PRODUCTS_ONLY)
-    return words.normalize(p, w)
+    return reference.normal_form(p, w)
 
 
 class BallIndex:
@@ -85,7 +84,7 @@ def ball(p: RelativePresentation, r: int, budget=None) -> BallIndex:
         nxt = []
         for w in frontier:
             for c in p.alphabet:
-                nf = words.normalize(p, w + c)
+                nf = reference.normal_form(p, w + c)
                 if nf not in dist:
                     dist[nf] = depth
                     nxt.append(nf)
@@ -135,7 +134,7 @@ class ConedGraph:
         self.adj = [[] for _ in self.verts]
         for i, v in enumerate(self.verts):
             for c in p.alphabet:
-                j = self._id.get(words.normalize(p, v + c))
+                j = self._id.get(reference.normal_form(p, v + c))
                 if j is not None and j != i:
                     self.adj[i].append(j)
         cosets = {}
@@ -199,18 +198,17 @@ def relative_length(p: RelativePresentation, w: str) -> int:
     syllable count of the normal form.  Each hyperbolic letter is one
     generator edge and each parabolic syllable one coset edge, and a free
     product admits no shortcut; tests check it against ConedGraph.bfs."""
-    return words.raw_relative_length(p, normal_form(p, w))
+    return len(reference.syllables(p, normal_form(p, w)))
 
 
 def is_relative_geodesic(p: RelativePresentation, w: str) -> bool:
     """True iff the path labeled by w is a relative geodesic as written:
     every parabolic run is geodesic in its subgroup and the syllable count
     of w equals the relative distance between its endpoints."""
-    sylls = words.raw_syllables(p, w)
-    oracles = p.oracles
-    return (all(s.kind == HYPERBOLIC
-                or len(oracles[s.kind].geodesic_form(s.word)) == len(s.word)
-                for s in sylls)
+    sylls = reference.syllables(p, w)
+    return (all(kind == HYPERBOLIC
+                or len(reference.normal_form(p, s)) == len(s)
+                for kind, s, _ in sylls)
             and len(sylls) == relative_length(p, w))
 
 
@@ -221,9 +219,9 @@ def is_relative_geodesic(p: RelativePresentation, w: str) -> bool:
 def brute_conjugate(p: RelativePresentation, u: str, v: str, max_len: int,
                     budget=None):
     """Shortest g (shortlex ties) with g*u*g^-1 = v and |g| <= max_len."""
-    target = words.normalize(p, v)
+    target = reference.normal_form(p, v)
     for g in ball(p, max_len, budget=budget).dist:
-        if words.normalize(p, g + u + words.inverse(g)) == target:
+        if reference.normal_form(p, g + u + inverse(g)) == target:
             return g
     return None
 
@@ -267,16 +265,6 @@ def conjugacy_classes(p: RelativePresentation, radius: int,
 # estimators
 
 
-class QuasiGeodesicParams(Frozen):
-    _fields = ("lam", "eps")
-
-    def __init__(self, lam: Fraction, eps: Fraction):
-        lam, eps = Fraction(lam), Fraction(eps)
-        self._freeze(lam, eps)
-        if lam < 1 or eps < 0:
-            raise ValueError("need lambda >= 1 and epsilon >= 0")
-
-
 def estimate_delta(p: RelativePresentation, r: int, budget=None) -> int:
     """Smallest integer d such that every canonical geodesic triangle with
     vertices of relative length <= r (and ordinary length <= 2r) is d-thin
@@ -311,34 +299,3 @@ def estimate_delta(p: RelativePresentation, r: int, budget=None) -> int:
                         if gap > best:
                             best = gap
     return best
-
-
-def path_backtracks(p, path_word) -> bool:
-    """True if the path labeled by path_word from the identity leaves some
-    parabolic coset and later re-enters it: two of its parabolic runs lie
-    in one left coset, keyed by the run's kind and the coset key of the
-    normal form of the prefix before the run."""
-    seen = set()
-    for s in words.raw_syllables(p, path_word):
-        if s.kind == HYPERBOLIC:
-            continue
-        prefix = normal_form(p, path_word[: s.start])
-        key = (s.kind, _coset_key(p, prefix, s.kind))
-        if key in seen:
-            return True
-        seen.add(key)
-    return False
-
-
-def is_quasi_geodesic(p: RelativePresentation, w: str,
-                      params: QuasiGeodesicParams) -> bool:
-    """Check the relative quasi-geodesic inequality on every subpath."""
-    n = len(w)
-    for i in range(n):
-        for j in range(i + 1, n + 1):
-            seg = w[i:j]
-            arc = words.raw_relative_length(p, seg)
-            d = relative_length(p, seg)
-            if arc > params.lam * d + params.eps:
-                return False
-    return True

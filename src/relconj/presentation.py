@@ -280,11 +280,10 @@ class RelativePresentation(Frozen):
         """The syllables of the normal form nf, equal to
         syllable_pattern.findall(nf) there, in native string passes: the
         cached replace cuts and one split, or list(nf) when no factor has
-        runs.  Only a normal form: a word in which a finite factor's run
-        has two letters (tt in Z * C2) or more is cut into letters, where
-        syllable_pattern keeps the run whole, so words that need not be
-        normal forms (raw_syllables, the Dehn pass, normalize itself) use
-        the pattern."""
+        runs.  Only a normal form: a finite factor's run of two letters or
+        more (tt in Z * C2) is cut into letters, so words that need not be
+        normal forms (raw_relative_length, the Dehn pass, normalize) use
+        syllable_pattern, which keeps such a run whole."""
         cuts = self._syllable_cuts
         if cuts is None:
             return list(nf)

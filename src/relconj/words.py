@@ -23,16 +23,9 @@ is a normal form except at its joins when g and x are normal forms.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .presentation import (  # noqa: F401 - inverse, cyclic_reduce re-exported
-    HYPERBOLIC,
-    INVERSE_LETTER,
-    RelativePresentation,
-    cancel_length,
-    cyclic_reduce,
-    inverse,
-)
+    HYPERBOLIC, INVERSE_LETTER, RelativePresentation, cancel_length,
+    cyclic_reduce, inverse)
 
 
 def free_reduce(w: str) -> str:
@@ -286,33 +279,6 @@ def spell_stack(p: RelativePresentation, stack) -> str:
                     else oracles[e[0]].state_word(e[1]) for e in stack])
 
 
-class Syllable(NamedTuple):
-    """One unit of relative length: a single hyperbolic letter or a maximal
-    parabolic run (kind is HYPERBOLIC or the 1-based parabolic index)."""
-
-    kind: object
-    word: str
-    start: int
-
-    @property
-    def end(self) -> int:
-        return self.start + len(self.word)
-
-
-def raw_syllables(p: RelativePresentation, w: str) -> tuple:
-    """Syllables of w as written: no normalization, runs kept verbatim."""
-    p.check_word(w)
-    kind_of = p.letter_kind
-    new = tuple.__new__  # a Syllable without a Python-level __new__ call
-    out = []
-    start = 0
-    for syl in p.syllable_pattern.findall(w):
-        out.append(new(Syllable, (kind_of[syl[0]], syl, start)))
-        start += len(syl)
-    return tuple(out)
-
-
 def raw_relative_length(p: RelativePresentation, w: str) -> int:
-    p.check_word(w)
-    return len(p.syllable_pattern.findall(w))
+    return len(p.syllable_pattern.findall(p.check_word(w)))
 

@@ -16,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from relconj import conjugacy, tables
-from relconj.presentation import load_presentation, parse_presentation
+from relconj import conjugacy, shortening, tables, words
+from relconj.presentation import (INVERSE_LETTER, load_presentation,
+                                  parse_presentation)
 
 ZF2_PATH = (Path(__file__).resolve().parents[1] / "demos" / "presentations"
             / "zf2.txt")
@@ -83,6 +84,28 @@ constants delta=1 c2=1 c3=1 threshold=3
 """
 
 
+def random_letters(rng, letters, n):
+    """n letters, each drawn with rng.choice."""
+    return "".join(rng.choice(letters) for _ in range(n))
+
+
+def random_word(rng, letters, lo, hi):
+    """A word of rng.randint(lo, hi) letters, each drawn with rng.choice:
+    the random-word draw of the suites, the length drawn first."""
+    return random_letters(rng, letters, rng.randint(lo, hi))
+
+
+def random_reduced_word(rng, letters, n):
+    """A freely reduced word of n letters, each drawn with rng.choice and
+    drawn again while it would cancel the letter before it."""
+    out = []
+    while len(out) < n:
+        c = rng.choice(letters)
+        if not out or c != INVERSE_LETTER[out[-1]]:
+            out.append(c)
+    return "".join(out)
+
+
 def relator_conjugates(rng, p, n):
     """A product of conjugates g r g^-1, with g a random word over p's whole
     alphabet and r a rotation of a relator or of its inverse, of at least n
@@ -91,10 +114,25 @@ def relator_conjugates(rng, p, n):
                  for s in (r, r.swapcase()[::-1]) for i in range(len(s))]
     parts, size = [], 0
     while size < n:
-        g = "".join(rng.choice(p.alphabet) for _ in range(rng.randint(0, 6)))
+        g = random_word(rng, p.alphabet, 0, 6)
         parts.append(g + rng.choice(rotations) + g.swapcase()[::-1])
         size += len(parts[-1])
     return "".join(parts)
+
+
+def is_local_geodesic(p, w, k):
+    """Every subword of relative length <= k is a relative geodesic."""
+    return shortening.find_violating_window(p, w, k) is None
+
+
+def is_cyclic_local_geodesic(p, w, k):
+    """w read as a cyclic word is a local geodesic: it is cyclically
+    reduced, and so is every window of w w of relative length <= k."""
+    if w == "":
+        return True
+    if not words.is_cyclically_reduced(w):
+        return False
+    return is_local_geodesic(p, w + w, k)
 
 
 def rotation_families(n):

@@ -20,7 +20,11 @@ from pathlib import Path
 
 import pytest
 
-from relconj import cli, conjugacy, metric_oracle, shortening, tables as tb, words
+from relconj import (cli, conjugacy, metric_oracle, reference, shortening,
+                     tables as tb, words)
+
+from conftest import (is_cyclic_local_geodesic, is_local_geodesic,
+                      random_letters, random_reduced_word)
 
 F_LETTERS = "aAbB"
 G2_LETTERS = "aAxXyY"
@@ -38,16 +42,6 @@ def loglog_slope(points):
     ybar = sum(y for _, y in points) / len(points)
     return (sum((x - xbar) * (y - ybar) for x, y in points)
             / sum((x - xbar) ** 2 for x, _ in points))
-
-
-def random_word(rng, letters, n):
-    w = ""
-    while len(w) < n:
-        c = rng.choice(letters)
-        if w and w[-1] == words.inverse(c):
-            continue
-        w += c
-    return w
 
 
 def reduced_words(letters, maxlen):
@@ -140,8 +134,8 @@ def test_criterion_3_witness_soundness(capsys, pF, tF, engF, pG2, tG2, engG2):
                                (pG2, tG2, engG2, G2_LETTERS)):
         rng = random.Random(3)
         for _ in range(1000):
-            u = random_word(rng, letters, rng.randint(0, 8))
-            g = random_word(rng, letters, rng.randint(0, 6))
+            u = random_reduced_word(rng, letters, rng.randint(0, 8))
+            g = random_reduced_word(rng, letters, rng.randint(0, 6))
             v = words.normalize(p, words.mul(g, u, words.inverse(g)))
             w = conjugacy.search(p, t, u, v, engine=eng)
             residue = words.mul(w, u, words.inverse(w), words.inverse(v))
@@ -164,10 +158,10 @@ def test_criterion_4_local_geodesic_output(capsys, pF, tF, pG2, tG2):
         c2 = t.profile.c2
         rng = random.Random(4)
         for _ in range(1000):
-            w = random_word(rng, letters, rng.randint(1, 12))
+            w = random_reduced_word(rng, letters, rng.randint(1, 12))
             res = shortening.shorten(p, w)
             total += 1
-            if not shortening.is_local_geodesic(p, res.output, k):
+            if not is_local_geodesic(p, res.output, k):
                 fails += 1
             elif not len(res.output) < c2 * len(w):
                 fails += 1
@@ -187,7 +181,7 @@ def test_criterion_5_cyclic_shortening_contract(capsys, pF, tF, pG2, tG2):
         mult = max(t.profile.c2, 8 * t.profile.delta * t.profile.c2)
         rng = random.Random(4)
         for _ in range(1000):
-            w = random_word(rng, letters, rng.randint(1, 12))
+            w = random_reduced_word(rng, letters, rng.randint(1, 12))
             res = shortening.cyclic_shorten(p, w)
             lbar = words.raw_relative_length(p, w)
             residue = words.mul(res.conjugator, res.output,
@@ -196,7 +190,7 @@ def test_criterion_5_cyclic_shortening_contract(capsys, pF, tF, pG2, tG2):
             total += 1
             if not shortening.word_problem(p, residue, tables=t):
                 fails += 1
-            elif not shortening.is_cyclic_local_geodesic(p, res.output, k):
+            elif not is_cyclic_local_geodesic(p, res.output, k):
                 fails += 1
             elif res.iterations > lbar:
                 fails += 1
@@ -317,8 +311,8 @@ def test_criterion_9_conjugacy_scaling(capsys, pG2, tG2):
     for n in sizes:
         while True:
             u = cyclic_normal_word(rng, n)
-            rev = "".join(s.word for s in
-                          reversed(words.raw_syllables(pG2, u)))
+            rev = "".join(s for _, s, _ in
+                          reversed(reference.syllables(pG2, u)))
             if rev not in u + u:
                 break
         assert words.normalize(pG2, u) == u
@@ -401,7 +395,7 @@ def cyclic_free_word(rng, n):
     """A random cyclically reduced word of n letters in the free parabolic
     of Z * F2."""
     while True:
-        w = random_word(rng, "xXyY", n)
+        w = random_reduced_word(rng, "xXyY", n)
         if w[0] != words.inverse(w[-1]):
             return w
 
@@ -414,7 +408,7 @@ def test_criterion_12_free_parabolic_scaling(capsys, pZF2, tZF2):
     sizes = [2 ** e for e in range(10, 15)]
     points = {"word problem": [], "conjugate": [], "not conjugate": []}
     for n in sizes:
-        f = random_word(rng, "xXyY", n // 2 - 2)
+        f = random_reduced_word(rng, "xXyY", n // 2 - 2)
         trivial = "a" + f + "a" + words.inverse("a" + f + "a")
         u = cyclic_free_word(rng, n)
         rev = u[::-1]
@@ -621,7 +615,7 @@ def almost_normal_scaling():
                 for i in (0, n // 2, n):
                     w = nf[:i] + pair + nf[i:]
                     worst = max(worst, best_per_letter(p, w, nf) / recognise)
-            raw = "".join(rng.choice(p.alphabet) for _ in range(n))
+            raw = random_letters(rng, p.alphabet, n)
             best = best_per_letter(p, raw, words.normalize(p, raw)) * n
             points.append((math.log(n), math.log(best)))
         ratios[name] = worst

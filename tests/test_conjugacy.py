@@ -4,8 +4,9 @@ import re
 
 import pytest
 
-from conftest import THREE_TEXT
-from relconj import conjugacy as cj, metric_oracle as mo, shortening as sh, tables as tb, words
+from conftest import THREE_TEXT, random_word
+from relconj import (conjugacy as cj, metric_oracle as mo, reference,
+                     shortening as sh, tables as tb, words)
 from relconj.errors import (
     NotConjugateError,
     OracleUnavailableError,
@@ -24,10 +25,6 @@ parabolic free_abelian 2
 letters s t
 constants delta=1 c2=1 c3=1 threshold=3
 """
-
-
-def rand_word(p, rng, hi):
-    return "".join(rng.choice(p.alphabet) for _ in range(rng.randint(0, hi)))
 
 
 def test_classify_parabolic(pG2, tG2):
@@ -66,7 +63,7 @@ def test_classify_representative_relation(pG2, tG2):
     # representative = conjugator^-1 * word * conjugator, always verified
     rng = random.Random(23)
     for _ in range(150):
-        w = rand_word(pG2, rng, 8)
+        w = random_word(rng, pG2.alphabet, 0, 8)
         c = cj.classify(pG2, tG2, w)
         assert sh.word_problem(
             pG2,
@@ -80,8 +77,8 @@ def test_classify_representative_relation(pG2, tG2):
 def test_classify_agrees_between_conjugates(pG2, tG2):
     rng = random.Random(24)
     for _ in range(100):
-        w = rand_word(pG2, rng, 6)
-        g = rand_word(pG2, rng, 3)
+        w = random_word(rng, pG2.alphabet, 0, 6)
+        g = random_word(rng, pG2.alphabet, 0, 3)
         a = cj.classify(pG2, tG2, w)
         b = cj.classify(pG2, tG2, words.mul(g, w, words.inverse(g)))
         assert a.verdict == b.verdict
@@ -171,8 +168,8 @@ def test_decide_long_regime(pG2, tG2):
 def test_decide_positive_witnesses_verify(pG2, tG2, engG2):
     rng = random.Random(25)
     for _ in range(150):
-        u = rand_word(pG2, rng, 6)
-        g = rand_word(pG2, rng, 4)
+        u = random_word(rng, pG2.alphabet, 0, 6)
+        g = random_word(rng, pG2.alphabet, 0, 4)
         v = words.mul(g, u, words.inverse(g))
         cert = cj.decide(pG2, tG2, u, v, engine=engG2)
         assert cert.answer == "conjugate"
@@ -334,8 +331,8 @@ def test_a_wrong_long_check_spelling_or_witness_is_caught(monkeypatch, pG2,
 def test_decide_is_symmetric(pG2, tG2, engG2):
     rng = random.Random(26)
     for _ in range(120):
-        u = rand_word(pG2, rng, 4)
-        v = rand_word(pG2, rng, 4)
+        u = random_word(rng, pG2.alphabet, 0, 4)
+        v = random_word(rng, pG2.alphabet, 0, 4)
         a = cj.decide(pG2, tG2, u, v, engine=engG2).answer
         b = cj.decide(pG2, tG2, v, u, engine=engG2).answer
         assert a == b
@@ -355,6 +352,30 @@ def test_decide_matches_closure_small_balls(pF, tF, engF, pG2, tG2, engG2,
             want = classes[u] == classes[v]
             got = cj.decide(p, t, u, v, engine=eng).answer == "conjugate"
             assert got == want, (u, v)
+
+
+@pytest.mark.parametrize("name", ["pF", "pG2", "pZC2", "pZF2", "pTHREE"])
+def test_decide_agrees_with_the_reference_past_the_balls(request, name):
+    # decide against conjugacy by the definition (reference.conjugacy_key)
+    # on words longer than the exhaustive balls hold: conjugates g u g^-1,
+    # words in one factor, their reverses and unrelated pairs
+    p = request.getfixturevalue(name)
+    eng = cj.ConjugacyEngine(p, tb.profile_for(p))
+    rng = random.Random(43)
+    factors = [par.letters for par in p.parabolics]
+    seen = set()
+    for _ in range(150):
+        letters = rng.choice([p.alphabet] + factors)
+        u = random_word(rng, letters, 0, 16)
+        g = random_word(rng, p.alphabet, 0, 8)
+        for v in (g + u + words.inverse(g), u[::-1],
+                  random_word(rng, letters, 0, 16)):
+            want = reference.conjugacy_key(p, u) == reference.conjugacy_key(
+                p, v)
+            got = cj.decide(p, eng.profile, u, v, engine=eng).answer
+            assert (got == "conjugate") == want, (u, v)
+            seen.add(want)
+    assert seen == {True, False}
 
 
 def test_decide_matches_closure_on_three_factor_kinds():
@@ -418,8 +439,8 @@ def test_bounded_class(pG2, tG2, pZC2, tZC2):
 def test_engine_reuse_is_equivalent(pG2, tG2, engG2):
     rng = random.Random(27)
     for _ in range(60):
-        u = rand_word(pG2, rng, 5)
-        v = rand_word(pG2, rng, 5)
+        u = random_word(rng, pG2.alphabet, 0, 5)
+        v = random_word(rng, pG2.alphabet, 0, 5)
         fresh = cj.decide(pG2, tG2, u, v)
         cached = cj.decide(pG2, tG2, u, v, engine=engG2)
         assert fresh.answer == cached.answer
@@ -429,9 +450,9 @@ def test_engine_reuse_is_equivalent(pG2, tG2, engG2):
 def cyclic_syllable_count(p, w):
     """Relative length of w read as a cyclic word: a parabolic run split
     across the ends counts once."""
-    syls = words.raw_syllables(p, w)
-    n = len(syls)
-    if n >= 2 and syls[0].kind != HYPERBOLIC and syls[0].kind == syls[-1].kind:
+    kinds = [kind for kind, _, _ in reference.syllables(p, w)]
+    n = len(kinds)
+    if n >= 2 and kinds[0] != HYPERBOLIC and kinds[0] == kinds[-1]:
         n -= 1
     return n
 
@@ -442,7 +463,7 @@ def test_linear_rel_is_the_shortened_relative_length(pF, tF, pG2, tG2, pZC2,
     for p, t in ((pF, tF), (pG2, tG2), (pZC2, tZC2)):
         eng = cj.ConjugacyEngine(p, t)
         for _ in range(400):
-            w = rand_word(p, rng, 20)
+            w = random_word(rng, p.alphabet, 0, 20)
             assert eng.cyclic(w).linear_length == words.raw_relative_length(
                 p, sh.shorten(p, w).output)
 
@@ -460,7 +481,7 @@ def test_cyclic_form_keeps_parabolic_runs_whole():
     eng = cj.ConjugacyEngine(p, t)
     rng = random.Random(28)
     for _ in range(300):
-        w = rand_word(p, rng, 10)
+        w = random_word(rng, p.alphabet, 0, 10)
         c = cj.classify(p, t, w, engine=eng)
         assert words.raw_relative_length(p, c.representative) == \
             cyclic_syllable_count(p, c.representative)

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import C5Z2_TEXT, relator_conjugates
+from conftest import (C5Z2_TEXT, random_letters, random_word,
+                      relator_conjugates)
 from relconj import shortening as sh, words
 from relconj.errors import OracleUnavailableError
 from relconj.presentation import load_presentation, parse_presentation
@@ -98,7 +99,7 @@ def test_twin_presentations_agree(p, twin, letters):
     rng = random.Random(11)
     disagreements = trivial = 0
     for _ in range(20000):
-        w = "".join(rng.choice(letters) for _ in range(rng.randint(0, 16)))
+        w = random_word(rng, letters, 0, 16)
         got = sh.word_problem(p, w)
         disagreements += got != (words.normalize(twin, w) == "")
         trivial += got
@@ -129,8 +130,7 @@ def test_nonzero_abelianisation_is_never_trivial(pS2, pC5Z2):
         checked = 0
         for trial in range(4000):
             if trial % 2:
-                w = "".join(rng.choice(p.alphabet)
-                            for _ in range(rng.randint(1, 20)))
+                w = random_word(rng, p.alphabet, 1, 20)
             else:
                 # a trivial word with one letter put in anywhere
                 w = relator_conjugates(rng, p, rng.randint(1, 100))
@@ -149,9 +149,9 @@ def test_cyclic_dehn_reduction(pS2, pC5Z2):
     for p in (pS2, pC5Z2):
         table, lengths = p.dehn_table
         for trial in range(300):
-            w = "".join(rng.choice(p.alphabet) for _ in range(rng.randint(0, 14)))
+            w = random_word(rng, p.alphabet, 0, 14)
             if trial % 3 == 0:
-                g = "".join(rng.choice(p.alphabet) for _ in range(5))
+                g = random_letters(rng, p.alphabet, 5)
                 w = g + relator_conjugates(rng, p, 8)[:9] + words.inverse(g)
             res = sh.cyclic_shorten(p, w)
             alpha = res.output

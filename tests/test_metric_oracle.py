@@ -1,12 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from relconj import metric_oracle as mo, shortening, words
+from relconj import (metric_oracle as mo, parabolic_oracles, reference,
+                     shortening, words)
 from relconj.errors import BudgetExceededError, OracleUnavailableError
-from relconj.presentation import load_presentation
+from relconj.presentation import HYPERBOLIC, Frozen, load_presentation
 
-from conftest import ZF2_PATH
+from conftest import ZF2_PATH, random_word
 
 
 def test_ball_sizes(pF, pG2):
@@ -61,8 +63,8 @@ def test_gamma_length(pG2):
 def test_gamma_triangle_inequality_sampled(pG2):
     rng = random.Random(5)
     for _ in range(100):
-        u = "".join(rng.choice(pG2.alphabet) for _ in range(rng.randint(0, 5)))
-        v = "".join(rng.choice(pG2.alphabet) for _ in range(rng.randint(0, 5)))
+        u = random_word(rng, pG2.alphabet, 0, 5)
+        v = random_word(rng, pG2.alphabet, 0, 5)
         assert (mo.gamma_length(pG2, u + v)
                 <= mo.gamma_length(pG2, u) + mo.gamma_length(pG2, v))
 
@@ -95,7 +97,7 @@ def test_coned_graph_distances_are_syllable_counts(pF, pG2, pZC2, pZF2):
 def test_relative_length_never_exceeds_decomposition(pG2):
     rng = random.Random(6)
     for _ in range(80):
-        w = "".join(rng.choice(pG2.alphabet) for _ in range(rng.randint(0, 6)))
+        w = random_word(rng, pG2.alphabet, 0, 6)
         assert (mo.relative_length(pG2, w) <= words.raw_relative_length(
             pG2, words.normalize(pG2, w)))
 
@@ -117,8 +119,8 @@ def test_brute_conjugate_examples(pF, pG2):
 def test_brute_conjugate_symmetry(pG2):
     rng = random.Random(7)
     for _ in range(40):
-        u = "".join(rng.choice(pG2.alphabet) for _ in range(rng.randint(0, 3)))
-        v = "".join(rng.choice(pG2.alphabet) for _ in range(rng.randint(0, 3)))
+        u = random_word(rng, pG2.alphabet, 0, 3)
+        v = random_word(rng, pG2.alphabet, 0, 3)
         g = mo.brute_conjugate(pG2, u, v, 3)
         h = mo.brute_conjugate(pG2, v, u, 3)
         assert (g is None) == (h is None)
@@ -185,12 +187,52 @@ def test_estimate_delta_gap_loop(monkeypatch, pF, n, delta):
     assert mo.estimate_delta(pF, n // 2) == delta
 
 
+class QuasiGeodesicParams(Frozen):
+    _fields = ("lam", "eps")
+
+    def __init__(self, lam: Fraction, eps: Fraction):
+        lam, eps = Fraction(lam), Fraction(eps)
+        self._freeze(lam, eps)
+        if lam < 1 or eps < 0:
+            raise ValueError("need lambda >= 1 and epsilon >= 0")
+
+
+def path_backtracks(p, path_word) -> bool:
+    """True if the path labeled by path_word from the identity leaves some
+    parabolic coset and later re-enters it: two of its parabolic runs lie
+    in one left coset, keyed by the run's kind and the coset key of the
+    normal form of the prefix before the run."""
+    seen = set()
+    for kind, _, start in reference.syllables(p, path_word):
+        if kind == HYPERBOLIC:
+            continue
+        prefix = mo.normal_form(p, path_word[:start])
+        key = (kind, mo._coset_key(p, prefix, kind))
+        if key in seen:
+            return True
+        seen.add(key)
+    return False
+
+
+def is_quasi_geodesic(p, w: str, params: QuasiGeodesicParams) -> bool:
+    """Check the relative quasi-geodesic inequality on every subpath."""
+    n = len(w)
+    for i in range(n):
+        for j in range(i + 1, n + 1):
+            seg = w[i:j]
+            arc = words.raw_relative_length(p, seg)
+            d = mo.relative_length(p, seg)
+            if arc > params.lam * d + params.eps:
+                return False
+    return True
+
+
 def test_quasi_geodesic_params_validation():
     with pytest.raises(ValueError):
-        mo.QuasiGeodesicParams(0, 0)
+        QuasiGeodesicParams(0, 0)
     with pytest.raises(ValueError):
-        mo.QuasiGeodesicParams(1, -1)
-    qp = mo.QuasiGeodesicParams(2, 0)
+        QuasiGeodesicParams(1, -1)
+    qp = QuasiGeodesicParams(2, 0)
     assert qp.lam == 2 and qp.eps == 0
 
 
@@ -204,34 +246,86 @@ def test_path_backtracks(pF, pG2, pZF2, pZC2):
             (pZF2, ["xaAx", "xaAy"], ["xax", "xxayy"]),
             (pZC2, ["taAt"], ["tat"])]:
         for w in backtracking:
-            assert mo.path_backtracks(p, w), (p.label, w)
+            assert path_backtracks(p, w), (p.label, w)
         for w in clean:
-            assert not mo.path_backtracks(p, w), (p.label, w)
+            assert not path_backtracks(p, w), (p.label, w)
 
 
 def test_is_quasi_geodesic_rejects_a_detour(pG2):
     # xaAy has 4 syllables between endpoints at relative distance 1
-    qp = mo.QuasiGeodesicParams(1, 0)
-    assert not mo.is_quasi_geodesic(pG2, "xaAy", qp)
-    assert mo.is_quasi_geodesic(pG2, "xay", qp)
+    qp = QuasiGeodesicParams(1, 0)
+    assert not is_quasi_geodesic(pG2, "xaAy", qp)
+    assert is_quasi_geodesic(pG2, "xay", qp)
 
 
 def test_certified_local_geodesics_are_quasi_geodesic(pF, tF, pG2, tG2, pZF2,
                                                      tZF2, pZC2, tZC2):
     # lambda = (k + 4 delta) / (k - 4 delta), eps = 2 delta, from each
     # presentation's profile
-    from fractions import Fraction
     for p, t in [(pF, tF), (pG2, tG2), (pZF2, tZF2), (pZC2, tZC2)]:
         k, delta = t.profile.k, t.profile.delta
-        qp = mo.QuasiGeodesicParams(Fraction(k + 4 * delta, k - 4 * delta),
-                                    2 * delta)
+        qp = QuasiGeodesicParams(Fraction(k + 4 * delta, k - 4 * delta),
+                                 2 * delta)
         rng = random.Random(9)
         for _ in range(60):
-            w = "".join(rng.choice(p.alphabet)
-                        for _ in range(rng.randint(0, 8)))
+            w = random_word(rng, p.alphabet, 0, 8)
             out = shortening.shorten(p, w).output
-            assert mo.is_quasi_geodesic(p, out, qp), (p.label, w)
-            assert not mo.path_backtracks(p, out), (p.label, w)
+            assert is_quasi_geodesic(p, out, qp), (p.label, w)
+            assert not path_backtracks(p, out), (p.label, w)
+
+
+def _ground_truth(p):
+    """What the ball oracle and the reference answer on p, from empty
+    caches: normal forms, lengths and geodesic tests of sampled words, the
+    radius-3 ball, its conjugacy classes and brute conjugators between
+    pairs of short elements."""
+    for cached in (mo.ball, mo._coned_graph, mo.conjugacy_classes):
+        cached.cache_clear()
+    rng = random.Random(8)
+    sample = [random_word(rng, p.alphabet, 0, 12) for _ in range(60)]
+    short = mo.ball(p, 1).elements
+    return ([(reference.normal_form(p, w), mo.relative_length(p, w),
+              mo.is_relative_geodesic(p, w)) for w in sample],
+            mo.ball(p, 3).dist, mo.conjugacy_classes(p, 3),
+            [mo.brute_conjugate(p, u, v, 2) for u in short for v in short])
+
+
+@pytest.mark.parametrize("name", ["free2", "zxz2", "zc2", "zf2"])
+def test_ground_truth_shares_no_code_with_the_fast_path(monkeypatch, name):
+    # with words.normalize and every oracle's push, state_word and
+    # geodesic_form raising, the ground truth answers as it does without
+    p = load_presentation(ZF2_PATH.with_name(name + ".txt"))
+    want = _ground_truth(p)
+
+    def boom(*args):
+        raise AssertionError("the ground truth called the fast path")
+
+    monkeypatch.setattr(words, "normalize", boom)
+    for cls in vars(parabolic_oracles).values():
+        if isinstance(cls, type) and issubclass(
+                cls, parabolic_oracles.ParabolicOracle):
+            for method in ("push", "state_word", "geodesic_form"):
+                if method in vars(cls):
+                    monkeypatch.setattr(cls, method, boom)
+    with pytest.raises(AssertionError, match="fast path"):
+        words.normalize(p, "aA")
+    got = _ground_truth(p)
+    assert got == want
+    assert len(got[1]) == {"free2": 53, "zxz2": 143, "zc2": 22,
+                           "zf2": 187}[name]
+
+
+@pytest.mark.parametrize("name", ["pF", "pG2", "pZC2", "pZF2", "pTHREE"])
+def test_reference_conjugacy_partitions_balls_as_the_closure(request, name):
+    # two ground truths of conjugacy agree: rotations of cyclically reduced
+    # syllable sequences (reference.conjugacy_key) and the search over
+    # single-letter conjugations inside the ball (conjugacy_classes)
+    p = request.getfixturevalue(name)
+    classes = mo.conjugacy_classes(p, 2 if name == "pTHREE" else 3)
+    reps = {}
+    for w, rep in classes.items():
+        assert reps.setdefault(reference.conjugacy_key(p, w), rep) == rep, w
+    assert len(reps) == len(set(classes.values()))
 
 
 def test_relator_free_balls_are_cached_once(pG2):

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import F_TEXT, G2_TEXT, ZC2_TEXT, C5_TEXT, THREE_TEXT
+from conftest import (F_TEXT, G2_TEXT, ZC2_TEXT, C5_TEXT, THREE_TEXT,
+                      random_letters)
 from relconj import cli, words
 from relconj.errors import ParseError, UnknownLetterError
 from relconj.presentation import (
@@ -243,7 +244,7 @@ def test_normal_syllables_split_as_the_syllable_pattern(path):
     forms = ["", "xyuVx", "uXyv", "XYuvsax", "sar", "Ux"]
     for n in range(61):
         for _ in range(8):
-            raw = "".join(rng.choice(p.alphabet) for _ in range(3 * n))
+            raw = random_letters(rng, p.alphabet, 3 * n)
             forms.append(words.normalize(p, raw)[:n])
     checked = 0
     for nf in forms:

@@ -19,6 +19,8 @@ from hypothesis import given, settings, strategies as st
 from relconj import conjugacy, metric_oracle, shortening, tables, words
 from relconj.presentation import load_presentation
 
+from conftest import random_word
+
 PRES_DIR = Path(__file__).resolve().parents[1] / "demos" / "presentations"
 NAMES = ("free2", "zxz2", "zc2", "zf2")
 SEEDED = settings(derandomize=True, database=None, deadline=None)
@@ -33,13 +35,8 @@ def _setup(name):
 
 def _word(draw, p, max_size):
     # lengths uniform up to max_size; st.lists would favour short words
-    return _random_word(draw(st.randoms(use_true_random=False)), p.alphabet,
-                        max_size)
-
-
-def _random_word(rng, letters, max_size, min_size=0):
-    return "".join(rng.choice(letters)
-                   for _ in range(rng.randint(min_size, max_size)))
+    return random_word(draw(st.randoms(use_true_random=False)), p.alphabet,
+                       0, max_size)
 
 
 def _rng(data):
@@ -82,10 +79,10 @@ def test_long_conjugates_get_short_verified_witnesses(name, data):
     p, profile, engine = _setup(name)
     rng = _rng(data)
     # a prefix of a normal form is one in every factor kind here
-    u = words.normalize(p, _random_word(rng, p.alphabet, 1600, 1600))
+    u = words.normalize(p, random_word(rng, p.alphabet, 1600, 1600))
     u = u[:rng.randint(100, 400)]
     assert len(u) >= 100 and words.normalize(p, u) == u
-    g = _random_word(rng, p.alphabet, len(u) // 4)
+    g = random_word(rng, p.alphabet, 0, len(u) // 4)
     v = words.normalize(p, g + u + words.inverse(g))
     w = conjugacy.search(p, profile, u, v, engine=engine)
     assert words.normalize(p, w + u + words.inverse(w)) == v
@@ -99,14 +96,14 @@ def test_cyclic_shorten_contract(name, data):
     rng = _rng(data)
     # random words, or words in one factor, whose forms are one syllable
     factors = [par.letters for par in p.parabolics]
-    w = _random_word(rng, rng.choice([p.alphabet] + factors), 200)
+    w = random_word(rng, rng.choice([p.alphabet] + factors), 0, 200)
     res = shortening.cyclic_shorten(p, w)
     form, a = res.output, res.conjugator
     assert words.normalize(p, form) == form
     again = shortening.cyclic_shorten(p, form)
     assert (again.output, again.conjugator) == (form, "")
     assert words.normalize(p, words.inverse(a) + w + a) == form
-    g = _random_word(rng, p.alphabet, 8)
+    g = random_word(rng, p.alphabet, 0, 8)
     conjugate = g + w + words.inverse(g)
     if res.cyclic_length != 1:
         assert shortening.cyclic_shorten(p, conjugate).output == form

@@ -2,9 +2,10 @@
 process loads no module and defines no record class it does not run, and
 writes no tables cache.
 
-A query command, with relators too, loads neither the ball oracle
-(metric_oracle, with fractions and decimal behind it) nor dataclasses,
-inspect or json, and wp and classify do not load hashlib.  The three
+A query command, with relators too, loads neither the ball oracle nor
+the ground truth it rests on (metric_oracle, reference), nor fractions,
+decimal, dataclasses, inspect or json, and wp and classify do not load
+hashlib.  The three
 records that validate their fields (ParabolicDescriptor,
 RelativePresentation, ConstantsProfile) are plain frozen classes: it is
 importing dataclasses, which brings inspect, ast, dis and tokenize with it,
@@ -86,7 +87,8 @@ for argv in (["wp", pres, "xyXY"], ["classify", pres, "axA"],
         assert cli.main(["--cache", cache] + argv) == 0, argv
 assert not os.path.exists(cache), "a query wrote the tables cache"
 print(" ".join(sorted({"fractions", "decimal", "relconj.metric_oracle",
-                       "dataclasses", "inspect", "json"} & set(sys.modules))))
+                       "relconj.reference", "dataclasses", "inspect",
+                       "json"} & set(sys.modules))))
 import dataclasses
 print(" ".join(sorted(
     name for module_name, module in list(sys.modules.items())

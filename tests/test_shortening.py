@@ -3,35 +3,33 @@ import random
 
 import pytest
 
-from relconj import metric_oracle as mo, shortening as sh, words
+from relconj import metric_oracle as mo, reference, shortening as sh, words
 from relconj.errors import RelconjError
 from relconj.presentation import HYPERBOLIC, INVERSE_LETTER, parse_presentation
 
-from conftest import rotation_families
-
-
-def rand_word(p, rng, lo, hi):
-    return "".join(rng.choice(p.alphabet) for _ in range(rng.randint(lo, hi)))
+from conftest import (is_cyclic_local_geodesic, is_local_geodesic,
+                      random_word, rotation_families)
 
 
 def brute_window(p, w, k):
-    """Reference scan: earliest shortest letter window of relative length
-    <= k that is not a relative geodesic."""
-    n = len(w)
-    for span in range(2, n + 1):
-        for i in range(n - span + 1):
-            seg = w[i:i + span]
-            if words.raw_relative_length(p, seg) > k:
-                continue
-            if not mo.is_relative_geodesic(p, seg):
-                return (i, i + span)
-    return None
+    """The violating window by its definition on the ground truth: of all
+    windows w[i:j] of two letters or more with at most k reference
+    syllables that the ball oracle finds no relative geodesic, the least by
+    (length, start), as (i, j); None if there is none."""
+    windows = [(j - i, i) for i in range(len(w))
+               for j in range(i + 2, len(w) + 1)
+               if len(reference.syllables(p, w[i:j])) <= k
+               and not mo.is_relative_geodesic(p, w[i:j])]
+    if not windows:
+        return None
+    span, i = min(windows)
+    return (i, i + span)
 
 
 def test_window_scan_matches_reference(pG2):
     rng = random.Random(12)
     for trial in range(300):
-        w = rand_word(pG2, rng, 2, 9)
+        w = random_word(rng, pG2.alphabet, 2, 9)
         if trial % 2:
             # doubled cyclic words carry the seam violations the cyclic
             # shortening loop feeds to the scanner
@@ -44,7 +42,7 @@ def test_window_scan_matches_reference_free_group(pF):
     # with delta=0 every two-letter window exceeds k=1, so nothing violates
     rng = random.Random(13)
     for _ in range(200):
-        w = rand_word(pF, rng, 2, 9)
+        w = random_word(rng, pF.alphabet, 2, 9)
         assert sh.find_violating_window(pF, w, 1) == brute_window(pF, w, 1)
         assert sh.find_violating_window(pF, w, 1) is None
 
@@ -57,19 +55,19 @@ def test_window_scan_examples(pG2):
 
 
 def test_is_local_geodesic(pG2):
-    assert sh.is_local_geodesic(pG2, "", 9)
-    assert sh.is_local_geodesic(pG2, "axya", 9)
-    assert not sh.is_local_geodesic(pG2, "xyX", 9)
-    assert sh.is_cyclic_local_geodesic(pG2, "ax", 9)
+    assert is_local_geodesic(pG2, "", 9)
+    assert is_local_geodesic(pG2, "axya", 9)
+    assert not is_local_geodesic(pG2, "xyX", 9)
+    assert is_cyclic_local_geodesic(pG2, "ax", 9)
     # ends of axA meet around the cycle and cancel
-    assert not sh.is_cyclic_local_geodesic(pG2, "axA", 9)
+    assert not is_cyclic_local_geodesic(pG2, "axA", 9)
 
 
 def test_shorten_free_product_reaches_geodesic_length(pG2):
     # phase one is the normal form, letter for letter
     rng = random.Random(14)
     for _ in range(200):
-        w = rand_word(pG2, rng, 0, 12)
+        w = random_word(rng, pG2.alphabet, 0, 12)
         res = sh.shorten(pG2, w)
         assert res.output == words.normalize(pG2, w)
         assert res.input_word == w
@@ -95,7 +93,7 @@ def test_word_problem_free_product(pG2):
     assert not sh.word_problem(pG2, "ab" if "b" in pG2.alphabet else "ax")
     rng = random.Random(15)
     for _ in range(200):
-        w = rand_word(pG2, rng, 0, 10)
+        w = random_word(rng, pG2.alphabet, 0, 10)
         assert sh.word_problem(pG2, w) == (words.normalize(pG2, w) == "")
         assert sh.word_problem(pG2, w + words.inverse(w))
 
@@ -113,25 +111,19 @@ def test_cyclic_shorten_contract(pG2, tG2):
     k = tG2.profile.k
     rng = random.Random(16)
     for _ in range(200):
-        w = rand_word(pG2, rng, 0, 12)
+        w = random_word(rng, pG2.alphabet, 0, 12)
         res = sh.cyclic_shorten(pG2, w)
         alpha, a = res.output, res.conjugator
         assert sh.word_problem(
             pG2, words.mul(a, alpha, words.inverse(a), words.inverse(w)))
         if alpha:
-            assert sh.is_cyclic_local_geodesic(pG2, alpha, k)
+            assert is_cyclic_local_geodesic(pG2, alpha, k)
         # canonical form is rotation-least: no rotation is shortlex-smaller
         # among valid cyclic local geodesics
         for j in range(1, len(alpha)):
             cand = alpha[j:] + alpha[:j]
             if pG2.shortlex_key(cand) < pG2.shortlex_key(alpha):
-                assert not sh.is_cyclic_local_geodesic(pG2, cand, k)
-
-
-def brute_least_rotation(d):
-    n = len(d)
-    dd = d + d
-    return min(range(n), key=lambda i: (dd[i:i + n], i))
+                assert not is_cyclic_local_geodesic(pG2, cand, k)
 
 
 def test_least_rotation_matches_brute_force(monkeypatch):
@@ -144,7 +136,7 @@ def test_least_rotation_matches_brute_force(monkeypatch):
              for t in itertools.product(letters, repeat=n)]
     rng = random.Random(19)
     for _ in range(300):
-        block = "".join(rng.choice("abc") for _ in range(rng.randint(1, 40)))
+        block = random_word(rng, "abc", 1, 40)
         cases.append(block * rng.randint(2, 5))
     for n in (100, 1000, 3000):
         for d in rotation_families(n).values():
@@ -154,7 +146,7 @@ def test_least_rotation_matches_brute_force(monkeypatch):
         monkeypatch.setattr(sh, "SHORT_CYCLE", short_cycle)
         assert sh.least_rotation("") == 0
         for d in cases:
-            assert sh.least_rotation(d) == brute_least_rotation(d), d
+            assert sh.least_rotation(d) == reference.least_rotation(d), d
 
 
 def cyclically_reduced_syllables(p, rng, k):
@@ -163,7 +155,7 @@ def cyclically_reduced_syllables(p, rng, k):
     merge (so a lone syllable is a hyperbolic letter)."""
     kind = p.letter_kind
     while True:
-        nf = words.normalize(p, rand_word(p, rng, 6 * k, 6 * k))
+        nf = words.normalize(p, random_word(rng, p.alphabet, 6 * k, 6 * k))
         syls = p.syllable_pattern.findall(nf)[:k]
         if len(syls) < k:
             continue
@@ -196,8 +188,7 @@ def test_cyclic_form_is_the_least_syllable_rotation(monkeypatch, pF, pG2,
         monkeypatch.setattr(sh, "SHORT_CYCLE", short_cycle)
         for p, syls in cases:
             ranks = p.rank_translation
-            tr = [s.translate(ranks) for s in syls]
-            r = min(range(len(tr)), key=lambda i: (tr[i:] + tr[:i], i))
+            r = reference.least_rotation([s.translate(ranks) for s in syls])
             res = sh.cyclic_shorten(p, "".join(syls))
             assert res.output == "".join(syls[r:] + syls[:r]), syls
             assert res.conjugator == "".join(syls[:r]), syls
@@ -208,7 +199,7 @@ def test_cyclic_shorten_is_class_invariant(pG2):
     # conjugating the input by a generator never changes the cyclic form
     rng = random.Random(17)
     for _ in range(150):
-        w = rand_word(pG2, rng, 0, 8)
+        w = random_word(rng, pG2.alphabet, 0, 8)
         g = rng.choice(pG2.alphabet)
         a = sh.cyclic_shorten(pG2, w).output
         b = sh.cyclic_shorten(pG2, g + w + words.inverse(g)).output
@@ -221,8 +212,8 @@ def test_cyclic_shorten_long_conjugates(pF, pG2, pZC2):
     rng = random.Random(20)
     for p in (pF, pG2, pZC2):
         for _ in range(20):
-            u = rand_word(p, rng, 200, 400)
-            g = rand_word(p, rng, 50, 100)
+            u = random_word(rng, p.alphabet, 200, 400)
+            g = random_word(rng, p.alphabet, 50, 100)
             v = words.normalize(p, g + u + words.inverse(g))
             res = sh.cyclic_shorten(p, v)
             assert res.output == sh.cyclic_shorten(p, u).output
@@ -299,8 +290,8 @@ def test_end_loop_equals_the_oracle_loop(request, name):
     rng = random.Random(26)
     trivial = nontrivial = 0
     for _ in range(300):
-        u = words.normalize(p, rand_word(p, rng, 0, 40))
-        g = words.normalize(p, rand_word(p, rng, 0, 60))
+        u = words.normalize(p, random_word(rng, p.alphabet, 0, 40))
+        g = words.normalize(p, random_word(rng, p.alphabet, 0, 60))
         nf = words.normalize(p, g + u + words.inverse(g))
         got = sh._syllable_cyclic_form(p, nf, p.normal_syllables(nf))
         want = oracle_end_loop_cyclic_form(p, nf,
@@ -327,7 +318,7 @@ def test_cyclic_shorten_torsion_parabolic(pZC2):
     # canonical class representative and must come back unchanged
     res = sh.cyclic_shorten(pZC2, "t")
     assert (res.output, res.conjugator) == ("t", "")
-    assert not sh.is_cyclic_local_geodesic(pZC2, "t", 9)
+    assert not is_cyclic_local_geodesic(pZC2, "t", 9)
     res = sh.cyclic_shorten(pZC2, "tat")
     assert (res.output, res.conjugator) == ("a", "t")
     res = sh.cyclic_shorten(pZC2, "tt")
@@ -350,7 +341,7 @@ def test_cyclic_length_counts_the_cyclic_form(request, name):
     rng = random.Random(23)
     lengths = set()
     for trial in range(800):
-        w = rand_word(p, rng, 0, 200 if trial % 10 == 0 else 14)
+        w = random_word(rng, p.alphabet, 0, 200 if trial % 10 == 0 else 14)
         for v in (w, words.normalize(p, w)):
             res = sh.cyclic_shorten(p, v)
             assert res.cyclic_length == words.raw_relative_length(
@@ -365,7 +356,7 @@ def test_cyclic_length_on_the_doubled_word_path(pC5):
     rng = random.Random(31)
     lengths = set()
     for _ in range(300):
-        w = "".join(rng.choice("aA") for _ in range(rng.randint(0, 14)))
+        w = random_word(rng, "aA", 0, 14)
         res = sh.cyclic_shorten(pC5, w)
         assert res.cyclic_length == words.raw_relative_length(
             pC5, res.output), w
@@ -417,6 +408,6 @@ def test_wrong_doubled_word_form_fails_verification(monkeypatch, pC5):
 def test_shorten_preserves_element(pG2):
     rng = random.Random(18)
     for _ in range(100):
-        w = rand_word(pG2, rng, 0, 12)
+        w = random_word(rng, pG2.alphabet, 0, 12)
         res = sh.shorten(pG2, w)
         assert sh.word_problem(pG2, words.mul(res.output, words.inverse(w)))

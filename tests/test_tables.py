@@ -8,6 +8,7 @@ import pytest
 from relconj import (
     metric_oracle as mo,
     parabolic_oracles as po,
+    reference,
     shortening as sh,
     tables as tb,
     words,
@@ -20,7 +21,7 @@ from relconj.errors import (
 )
 from relconj.presentation import parse_presentation
 
-from conftest import ZF2_PATH
+from conftest import ZF2_PATH, random_word
 
 
 def test_profile_formula_radii():
@@ -103,8 +104,8 @@ def test_filtered_ball(pF, pG2, pZC2, pZF2):
                 # every parabolic syllable of at most r2 letters
                 count = sum(
                     words.raw_relative_length(p, w) <= r1
-                    and all(len(s.word) <= r2 for s in words.raw_syllables(p, w)
-                            if s.kind != "hyp")
+                    and all(len(s) <= r2 for kind, s, _ in
+                            reference.syllables(p, w) if kind != "hyp")
                     for w in mo.ball(p, r1 * max(r2, 1)).elements)
                 assert tb.enumerate_filtered_ball(p, r1, r2) == count
                 tb.enumerate_filtered_ball(p, r1, r2, count, "edge")
@@ -241,8 +242,8 @@ def test_l3_counts_the_oracle_balls(pG2, pZC2, pZF2, pTHREE):
 def test_cyclic_canonical_is_class_invariant(pG2):
     rng = random.Random(21)
     for _ in range(100):
-        w = "".join(rng.choice(pG2.alphabet) for _ in range(rng.randint(0, 8)))
-        g = "".join(rng.choice(pG2.alphabet) for _ in range(rng.randint(0, 3)))
+        w = random_word(rng, pG2.alphabet, 0, 8)
+        g = random_word(rng, pG2.alphabet, 0, 3)
         key1, c1 = tb.cyclic_canonical(pG2, w)
         key2, c2 = tb.cyclic_canonical(pG2, words.mul(g, w, words.inverse(g)))
         assert key1 == key2
@@ -255,7 +256,7 @@ def test_compute_M_vanishes_for_abelian_parabolics(pG2, tG2):
     letters = [c for c in pG2.alphabet if pG2.letter_kind[c] != "hyp"]
     rng = random.Random(22)
     for _ in range(100):
-        w = "".join(rng.choice(letters) for _ in range(rng.randint(0, 6)))
+        w = random_word(rng, letters, 0, 6)
         assert tb.compute_M(pG2, tG2, w) == 0
     assert tb.compute_M(pG2, tG2, "axA") == 0
 

@@ -3,12 +3,13 @@ import re
 
 import pytest
 
-from relconj import words
+from relconj import reference, words
 from relconj.errors import UnknownLetterError
 from relconj.presentation import (HYPERBOLIC, INVERSE_LETTER, cancel_length,
                                   load_presentation)
 
-from conftest import ZF2_PATH
+from conftest import (ZF2_PATH, random_letters, random_reduced_word,
+                      random_word)
 
 
 def test_inverse():
@@ -38,7 +39,7 @@ def test_mul_reduces_at_joins():
     letters = "aAbBxXyY"
     seen_vanishing = 0
     for _ in range(4000):
-        parts = [words.free_reduce(random_word(rng, letters, rng.randint(0, 9)))
+        parts = [words.free_reduce(random_word(rng, letters, 0, 9))
                  for _ in range(rng.randint(0, 4))]
         if len(parts) >= 2 and rng.random() < 0.5:
             # a middle part cancelling the whole tail of the part before it
@@ -81,16 +82,6 @@ def loop_cyclic_reduce(w):
     return w[i : j + 1], w[:i]
 
 
-def reduced_word(rng, n):
-    """A random freely reduced word of n letters over a, b, x, y."""
-    out = []
-    while len(out) < n:
-        c = rng.choice("aAbBxXyY")
-        if not out or c != INVERSE_LETTER[out[-1]]:
-            out.append(c)
-    return "".join(out)
-
-
 def test_native_cancellation_equals_the_per_letter_loop():
     # mul and cyclic_reduce find the letters cancelling at a join by
     # doubling and halving slice compares; they must stop exactly where the
@@ -104,7 +95,8 @@ def test_native_cancellation_equals_the_per_letter_loop():
         for left, right in ((0, 0), (1, 2), (7, 0), (0, 5), (300, 301)):
             # u = a s and v = s^-1 b, freely reduced, cancel exactly s
             while True:
-                a, s, b = (reduced_word(rng, n) for n in (left, x, right))
+                a, s, b = (random_reduced_word(rng, "aAbBxXyY", n)
+                           for n in (left, x, right))
                 u, v = a + s, words.inverse(s) + b
                 if reduced(u) == u and reduced(v) == v and (
                         not a or not b or a[-1] != INVERSE_LETTER[b[0]]):
@@ -120,7 +112,8 @@ def test_native_cancellation_equals_the_per_letter_loop():
                 assert cancel_length(u, v, top) == min(top, x), (u, v, top)
             # w = s core s^-1 strips exactly s, for odd and even |w|
             while True:
-                core = reduced_word(rng, left + right + x % 2)
+                core = random_reduced_word(rng, "aAbBxXyY",
+                                           left + right + x % 2)
                 if len(core) < 2 or core[0] != INVERSE_LETTER[core[-1]]:
                     break
             w = s + core + words.inverse(s)
@@ -130,7 +123,7 @@ def test_native_cancellation_equals_the_per_letter_loop():
         for v in ("", "a", w, words.inverse(w)):
             assert words.mul(w, v) == loop_mul(w, v), (w, v)
     for n in (1, 2, 3, 2999, 3000):
-        w = reduced_word(rng, n)
+        w = random_reduced_word(rng, "aAbBxXyY", n)
         assert words.mul(w, words.inverse(w)) == ""
         assert cancel_length(w, words.inverse(w), n) == n
         assert words.mul(words.inverse(w), w) == ""
@@ -147,7 +140,7 @@ def presentation_named(request, name):
 def random_normal_form(rng, p, n):
     """A random normal form of at most n letters (a prefix of a normal
     form is one)."""
-    return words.normalize(p, random_word(rng, p.alphabet, 3 * n))[:n]
+    return words.normalize(p, random_letters(rng, p.alphabet, 3 * n))[:n]
 
 
 INVERSE_FORM_PRESENTATIONS = ["pF", "pG2", "pZC2", "pZF2", "pTHREE",
@@ -167,7 +160,7 @@ def test_inverse_form_is_the_normal_form_of_the_inverse(request, name):
         assert words.normalize(p, w + inv) == "" == words.normalize(p, inv + w)
         plain_faults += p.fault_pattern.search(words.inverse(w)) is not None
         # on any word it still spells the inverse
-        raw = random_word(rng, p.alphabet, rng.randint(0, 30))
+        raw = random_word(rng, p.alphabet, 0, 30)
         assert words.normalize(p, raw + p.inverse_form(raw)) == "", raw
     # the plain inverse writes a fault at every Z^2 run of two generators
     # and every finite letter, which it writes in upper case
@@ -253,7 +246,7 @@ def test_normalize_folds_parabolic_runs(pG2):
 def test_normalize_is_idempotent(pG2):
     rng = random.Random(1)
     for _ in range(300):
-        w = "".join(rng.choice(pG2.alphabet) for _ in range(rng.randint(0, 12)))
+        w = random_word(rng, pG2.alphabet, 0, 12)
         nf = words.normalize(pG2, w)
         assert words.normalize(pG2, nf) == nf
 
@@ -261,7 +254,7 @@ def test_normalize_is_idempotent(pG2):
 def test_normalize_respects_inverses(pG2):
     rng = random.Random(2)
     for _ in range(300):
-        w = "".join(rng.choice(pG2.alphabet) for _ in range(rng.randint(0, 10)))
+        w = random_word(rng, pG2.alphabet, 0, 10)
         assert words.normalize(pG2, w + words.inverse(w)) == ""
 
 
@@ -271,18 +264,6 @@ def test_normalize_torsion_letters(pZC2):
     assert words.normalize(pZC2, "tat") == "tat"
 
 
-def is_normal_form_by_syllables(p, w):
-    """The definition the recognizer compiles, checked syllable by
-    syllable: no hyperbolic letter next to its inverse, and every maximal
-    parabolic run nonempty and spelled as its factor's geodesic form."""
-    for a, b in zip(w, w[1:]):
-        if p.letter_kind[a] == HYPERBOLIC and b == words.inverse(a):
-            return False
-    return all(syl.kind == HYPERBOLIC
-               or p.oracles[syl.kind].geodesic_form(syl.word) == syl.word
-               for syl in words.raw_syllables(p, w))
-
-
 @pytest.mark.parametrize("name", ["pF", "pG2", "pZC2", "pZF2", "pTHREE"])
 def test_normal_form_pattern_is_the_fixed_point_test(request, name):
     p = request.getfixturevalue(name)
@@ -290,13 +271,13 @@ def test_normal_form_pattern_is_the_fixed_point_test(request, name):
     accepted = 0
     for trial in range(600):
         hi = 200 if trial % 10 == 0 else 14
-        w = "".join(rng.choice(p.alphabet) for _ in range(rng.randint(0, hi)))
+        w = random_word(rng, p.alphabet, 0, hi)
         nf = words.normalize(p, w)
         for x in (w, nf, nf + nf, words.inverse(nf),
                   nf + words.inverse(nf[:3])):
             fixed = words.normalize(p, x) == x
             assert (p.fault_pattern.search(x) is None) is fixed, x
-            assert is_normal_form_by_syllables(p, x) is fixed, x
+            assert (reference.normal_form(p, x) == x) is fixed, x
             accepted += fixed
     assert 600 < accepted < 2400
 
@@ -304,7 +285,7 @@ def test_normal_form_pattern_is_the_fixed_point_test(request, name):
 def reference_stretch_end(p, w, i, bounds):
     """The end of the normal-form stretch of w from the syllable boundary
     i, by the definition: the longest syllable-aligned w[i:j] of declared
-    letters that is_normal_form_by_syllables accepts, cut before its last
+    letters that is its own reference normal form, cut before its last
     letter when that is hyperbolic and w goes on with its inverse.  A
     syllable-aligned prefix of an accepted word is accepted, so the longest
     is found by bisection over the boundaries."""
@@ -312,7 +293,7 @@ def reference_stretch_end(p, w, i, bounds):
     while hi - lo > 1:
         mid = (lo + hi) // 2
         x = w[i:bounds[mid]]
-        if p.letter_set.issuperset(x) and is_normal_form_by_syllables(p, x):
+        if p.letter_set.issuperset(x) and reference.normal_form(p, x) == x:
             lo = mid
         else:
             hi = mid
@@ -333,7 +314,7 @@ def test_fault_search_ends_each_stretch_where_the_definition_does(request,
     undeclared = 0
     for trial in range(600):
         hi = 200 if trial % 10 == 0 else 14
-        w = random_word(rng, p.alphabet, rng.randint(0, hi))
+        w = random_word(rng, p.alphabet, 0, hi)
         if trial % 2:
             w = words.normalize(p, w)
         if rng.random() < 0.02:
@@ -367,23 +348,6 @@ def test_normalize_calls_no_oracle_on_a_normal_form(monkeypatch, pTHREE):
         words.normalize(pTHREE, nf + "xX")
 
 
-def reference_normalize(p, w):
-    """The normal form by its definition, rewritten to a fixed point: free
-    reduction, then every maximal parabolic run replaced by its factor's
-    geodesic form (a trivial one dropped), until neither changes w."""
-    while True:
-        v = "".join(syl.word if syl.kind == HYPERBOLIC
-                    else p.oracles[syl.kind].geodesic_form(syl.word)
-                    for syl in words.raw_syllables(p, words.free_reduce(w)))
-        if v == w:
-            return w
-        w = v
-
-
-def random_word(rng, letters, n):
-    return "".join(rng.choice(letters) for _ in range(n))
-
-
 def factor_letters(p, kind):
     return [c for c in p.alphabet if p.letter_kind[c] == kind]
 
@@ -396,31 +360,29 @@ def almost_normal_words(rng, p):
     first merges with one of the second."""
     kinds = sorted({p.letter_kind[c] for c in p.alphabet} - {HYPERBOLIC})
     n = rng.choice([3, 12, 40, 150])
-    nf = words.normalize(p, random_word(rng, p.alphabet, 2 * n))
+    nf = words.normalize(p, random_letters(rng, p.alphabet, 2 * n))
     i = rng.randint(0, len(nf))
     c = rng.choice(p.alphabet)
     yield nf[:i] + c + words.inverse(c) + nf[i:]
     if kinds:
-        run = random_word(rng, factor_letters(p, rng.choice(kinds)),
-                          rng.randint(1, 4))
+        run = random_word(rng, factor_letters(p, rng.choice(kinds)), 1, 4)
         yield nf[:i] + run + nf[i:]
     k = rng.randint(0, len(nf))
     yield nf + words.inverse(nf[k:])
     yield nf + words.normalize(p, words.inverse(nf[k:]) + random_word(
-        rng, p.alphabet, rng.randint(0, 20)))
-    runs = [s for s in words.raw_syllables(p, nf) if s.kind != HYPERBOLIC]
+        rng, p.alphabet, 0, 20))
+    runs = [s for s in reference.syllables(p, nf) if s[0] != HYPERBOLIC]
     if runs:
-        s = rng.choice(runs)
-        orc = p.oracles[s.kind]
-        x = random_word(rng, factor_letters(p, s.kind), rng.randint(1, 3))
-        spelt = x + orc.geodesic_form(words.inverse(x) + s.word)
-        yield nf[: s.start] + spelt + nf[s.end :]
+        kind, run, start = rng.choice(runs)
+        x = random_word(rng, factor_letters(p, kind), 1, 3)
+        spelt = x + reference.normal_form(p, words.inverse(x) + run)
+        yield nf[:start] + spelt + nf[start + len(run) :]
     if kinds:
         kind = rng.choice(kinds)
-        left = words.normalize(p, random_word(rng, p.alphabet, n) + rng.choice(
-            factor_letters(p, kind)))
+        left = words.normalize(p, random_letters(rng, p.alphabet, n)
+                               + rng.choice(factor_letters(p, kind)))
         right = words.normalize(p, rng.choice(factor_letters(p, kind))
-                                + random_word(rng, p.alphabet, n))
+                                + random_letters(rng, p.alphabet, n))
         c = rng.choice(p.alphabet)
         yield left + c + words.inverse(c) + right
         yield left + right
@@ -433,7 +395,7 @@ def test_normalize_almost_normal_words(request, name):
     seen = 0
     for _ in range(200):
         for w in almost_normal_words(rng, p):
-            assert words.normalize(p, w) == reference_normalize(p, w), w
+            assert words.normalize(p, w) == reference.normal_form(p, w), w
             seen += 1
     assert seen >= 600
 
@@ -443,8 +405,9 @@ def test_normalize_agrees_with_the_definition_on_raw_words(request, name):
     p = request.getfixturevalue(name)
     rng = random.Random(32)
     for trial in range(400):
-        w = random_word(rng, p.alphabet, rng.choice([0, 1, 3, 5, 17, 60, 300]))
-        assert words.normalize(p, w) == reference_normalize(p, w), w
+        w = random_letters(rng, p.alphabet,
+                           rng.choice([0, 1, 3, 5, 17, 60, 300]))
+        assert words.normalize(p, w) == reference.normal_form(p, w), w
 
 
 def test_normalize_folds_only_the_fault(monkeypatch, pTHREE):
@@ -454,18 +417,18 @@ def test_normalize_folds_only_the_fault(monkeypatch, pTHREE):
     rng = random.Random(33)
     nf = ""
     while len(nf) < 16384:
-        nf = words.normalize(pTHREE, nf + random_word(rng, pTHREE.alphabet,
-                                                      4096))
+        nf = words.normalize(pTHREE, nf + random_letters(rng, pTHREE.alphabet,
+                                                         4096))
     calls = []
     for orc in pTHREE.oracles.values():
         def push(state, run, real=orc.push):
             calls.append(run)
             return real(state, run)
         monkeypatch.setattr(orc, "push", push)
-    runs = [s for s in words.raw_syllables(pTHREE, nf) if s.kind == 1]
+    runs = [s for s in reference.syllables(pTHREE, nf) if s[0] == 1]
     cuts = [0, 1, 15, 16, 17, len(nf) // 2, len(nf) - 16, len(nf) - 1,
             len(nf)] + [rng.randint(0, len(nf)) for _ in range(40)]
-    cuts += [s.start + 1 for s in runs[:20] if len(s.word) > 1]
+    cuts += [start + 1 for _, run, start in runs[:20] if len(run) > 1]
     for i in cuts:
         w = nf[:i] + "xX" + nf[i:]
         del calls[:]
@@ -497,7 +460,7 @@ def test_an_undeclared_letter_in_a_long_normal_form_fails_typed(pG2, bad):
     rng = random.Random(37)
     nf = ""
     while len(nf) < 4096:
-        nf = words.normalize(pG2, nf + random_word(rng, pG2.alphabet, 4096))
+        nf = words.normalize(pG2, nf + random_letters(rng, pG2.alphabet, 4096))
     nf = nf[:4096]
     other = "é" if bad == "Q" else "Q"
     for i in (0, 1, 2048, 4095, 4096):
@@ -509,30 +472,14 @@ def test_an_undeclared_letter_in_a_long_normal_form_fails_typed(pG2, bad):
 
 
 def test_raw_syllables(pG2):
-    sylls = words.raw_syllables(pG2, "axxYa")
-    assert [(s.kind, s.word, s.start) for s in sylls] == [
+    # the compiled pattern and raw_relative_length split as the reference
+    # does, letter by letter
+    assert reference.syllables(pG2, "axxYa") == [
         (HYPERBOLIC, "a", 0), (1, "xxY", 1), (HYPERBOLIC, "a", 4)]
-    assert sylls[1].end == 4
+    assert pG2.syllable_pattern.findall("axxYa") == ["a", "xxY", "a"]
     assert words.raw_relative_length(pG2, "axxYa") == 3
     assert words.raw_relative_length(pG2, "") == 0
-
-
-def letter_by_letter_syllables(p, w):
-    """The splitter's earlier definition, kept as the reference: a
-    hyperbolic letter is a syllable alone, a parabolic run goes on while
-    the next letter has the same kind.  (kind, word, start) triples."""
-    kind_of = p.letter_kind
-    out = []
-    i = 0
-    while i < len(w):
-        kind = kind_of[w[i]]
-        j = i + 1
-        if kind != HYPERBOLIC:
-            while j < len(w) and kind_of[w[j]] == kind:
-                j += 1
-        out.append((kind, w[i:j], i))
-        i = j
-    return out
+    assert reference.syllables(pG2, "") == []
 
 
 @pytest.mark.parametrize("name", ["pF", "pG2", "pZC2", "pZF2", "pTHREE"])
@@ -541,10 +488,10 @@ def test_syllable_splitter_matches_letter_by_letter_definition(request, name):
     rng = random.Random(23)
     for trial in range(800):
         hi = 200 if trial % 10 == 0 else 14
-        w = "".join(rng.choice(p.alphabet) for _ in range(rng.randint(0, hi)))
+        w = random_word(rng, p.alphabet, 0, hi)
         for v in (w, words.normalize(p, w)):
-            want = letter_by_letter_syllables(p, v)
-            got = words.raw_syllables(p, v)
-            assert [(s.kind, s.word, s.start) for s in got] == want, v
-            assert all(s.end == s.start + len(s.word) for s in got)
+            want = reference.syllables(p, v)
+            assert p.syllable_pattern.findall(v) == [s for _, s, _ in want], v
+            assert [start for _, _, start in want] == [
+                m.start() for m in p.syllable_pattern.finditer(v)]
             assert words.raw_relative_length(p, v) == len(want)
