@@ -121,7 +121,7 @@ def cmd_precompute(presentation_path, cache_path=None,
 
 def cmd_crosscheck(presentation_path, max_word_length, profile_path=None,
                    sample=None, seed=0) -> CommandResult:
-    """decide() against the brute conjugation-closure oracle over all
+    """decide() against the ball oracle's conjugacy classes over all
     ordered pairs of ball elements, or a seeded sample of them.  The only
     command that loads the ball oracle (metric_oracle)."""
     from . import metric_oracle

@@ -13,7 +13,8 @@ ball of a chosen radius, with an edge for every generator and an edge between
 any two distinct elements of a common left parabolic coset.  Distances stay
 integer valued.  A hyperbolicity estimator is exhaustive over that finite
 window and is therefore a lower bound for the true constant; it is labeled
-with the radius it used."""
+with the radius it used.
+"""
 
 from __future__ import annotations
 
@@ -22,8 +23,8 @@ from functools import lru_cache, wraps
 
 from . import reference
 from .errors import BudgetExceededError
-from .presentation import (DEFAULT_BUDGET, HYPERBOLIC, INVERSE_LETTER,
-                           RelativePresentation, inverse)
+from .presentation import (DEFAULT_BUDGET, HYPERBOLIC, RelativePresentation,
+                           inverse)
 
 
 def _cached(maxsize):
@@ -229,36 +230,17 @@ def brute_conjugate(p: RelativePresentation, u: str, v: str, max_len: int,
 @_cached(32)
 def conjugacy_classes(p: RelativePresentation, radius: int,
                       budget=None) -> dict:
-    """Partition of the ball of a radius into conjugacy classes, by a
-    search over single-letter conjugations inside the ball.
-
-    Sound because every edge is a genuine conjugation.  Complete on free
-    products: any conjugate pair in the ball is linked by peeling inverse
-    end letters (length never grows) and rotating by first letters (length
-    never grows), so the whole chain stays inside the ball.  The ball is
-    walked in shortlex order, and each element not yet labelled starts the
-    search of its class, so the class representative, the first member
-    met, is its shortlex least.  Returns a map from canonical word to its
-    class representative.
+    """Partition of the ball of a radius into conjugacy classes, by
+    reference.conjugacy_key.  The ball is walked in shortlex order, so each
+    class representative, the first member met, is its shortlex least.
+    Returns a map from canonical word to its class representative.
 
     Cached per (p, radius, budget), at most 32 maps, each of up to budget
     words; conjugacy_classes.cache_clear() frees them.
     """
-    index = ball(p, radius, budget=budget)
-    out = {}
-    for rep in index.dist:
-        if rep in out:
-            continue
-        out[rep] = rep
-        stack = [rep]
-        while stack:
-            v = stack.pop()
-            for c in p.alphabet:
-                u = normal_form(p, c + v + INVERSE_LETTER[c])
-                if u in index and u not in out:
-                    out[u] = rep
-                    stack.append(u)
-    return out
+    reps = {}
+    return {w: reps.setdefault(reference.conjugacy_key(p, w), w)
+            for w in ball(p, radius, budget=budget).dist}
 
 
 # ---------------------------------------------------------------------------

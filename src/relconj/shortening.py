@@ -141,6 +141,19 @@ def find_violating_window(p, w, k):
     return None
 
 
+def is_local_geodesic(p, w, k) -> bool:
+    """Every subword of relative length <= k is a relative geodesic."""
+    return find_violating_window(p, w, k) is None
+
+
+def is_cyclic_local_geodesic(p, w, k) -> bool:
+    if w == "":
+        return True
+    if not words.is_cyclically_reduced(w):
+        return False
+    return is_local_geodesic(p, w + w, k)
+
+
 def _logged(steps, before, after, justification):
     """after, with one step from before to it logged when they differ."""
     if after != before:

@@ -24,8 +24,13 @@ is a normal form except at its joins when g and x are normal forms.
 from __future__ import annotations
 
 from .presentation import (  # noqa: F401 - inverse, cyclic_reduce re-exported
-    HYPERBOLIC, INVERSE_LETTER, RelativePresentation, cancel_length,
-    cyclic_reduce, inverse)
+    HYPERBOLIC,
+    INVERSE_LETTER,
+    RelativePresentation,
+    cancel_length,
+    cyclic_reduce,
+    inverse,
+)
 
 
 def free_reduce(w: str) -> str:
@@ -280,5 +285,6 @@ def spell_stack(p: RelativePresentation, stack) -> str:
 
 
 def raw_relative_length(p: RelativePresentation, w: str) -> int:
-    return len(p.syllable_pattern.findall(p.check_word(w)))
+    p.check_word(w)
+    return len(p.syllable_pattern.findall(w))
 

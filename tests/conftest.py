@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from relconj import conjugacy, shortening, tables, words
+from relconj import conjugacy, tables
 from relconj.presentation import (INVERSE_LETTER, load_presentation,
                                   parse_presentation)
 
@@ -118,21 +118,6 @@ def relator_conjugates(rng, p, n):
         parts.append(g + rng.choice(rotations) + g.swapcase()[::-1])
         size += len(parts[-1])
     return "".join(parts)
-
-
-def is_local_geodesic(p, w, k):
-    """Every subword of relative length <= k is a relative geodesic."""
-    return shortening.find_violating_window(p, w, k) is None
-
-
-def is_cyclic_local_geodesic(p, w, k):
-    """w read as a cyclic word is a local geodesic: it is cyclically
-    reduced, and so is every window of w w of relative length <= k."""
-    if w == "":
-        return True
-    if not words.is_cyclically_reduced(w):
-        return False
-    return is_local_geodesic(p, w + w, k)
 
 
 def rotation_families(n):

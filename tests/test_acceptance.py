@@ -23,8 +23,7 @@ import pytest
 from relconj import (cli, conjugacy, metric_oracle, reference, shortening,
                      tables as tb, words)
 
-from conftest import (is_cyclic_local_geodesic, is_local_geodesic,
-                      random_letters, random_reduced_word)
+from conftest import random_letters, random_reduced_word
 
 F_LETTERS = "aAbB"
 G2_LETTERS = "aAxXyY"
@@ -63,8 +62,9 @@ def reduced_words(letters, maxlen):
 def g2_class_data(pG2, tG2):
     """Brute conjugacy classes of the radius-4 ball with verified witnesses.
 
-    Witnesses come from the same in-ball single-generator conjugation BFS
-    that makes conjugacy_classes complete on free products, so every member
+    Witnesses come from an in-ball single-generator conjugation BFS, which
+    must reach every member of each class: on a free product conjugates in
+    a ball are linked by such conjugations inside it, so every member
     carries a word conjugating the class representative onto it.
     """
     classes = metric_oracle.conjugacy_classes(pG2, 4)
@@ -161,7 +161,7 @@ def test_criterion_4_local_geodesic_output(capsys, pF, tF, pG2, tG2):
             w = random_reduced_word(rng, letters, rng.randint(1, 12))
             res = shortening.shorten(p, w)
             total += 1
-            if not is_local_geodesic(p, res.output, k):
+            if not shortening.is_local_geodesic(p, res.output, k):
                 fails += 1
             elif not len(res.output) < c2 * len(w):
                 fails += 1
@@ -190,7 +190,7 @@ def test_criterion_5_cyclic_shortening_contract(capsys, pF, tF, pG2, tG2):
             total += 1
             if not shortening.word_problem(p, residue, tables=t):
                 fails += 1
-            elif not is_cyclic_local_geodesic(p, res.output, k):
+            elif not shortening.is_cyclic_local_geodesic(p, res.output, k):
                 fails += 1
             elif res.iterations > lbar:
                 fails += 1

@@ -131,19 +131,22 @@ def test_brute_conjugate_symmetry(pG2):
                 == words.normalize(pG2, u)
 
 
-def test_conjugacy_classes_partition(pG2):
-    classes = mo.conjugacy_classes(pG2, 3)
-    index = mo.ball(pG2, 3)
-    assert set(classes) == set(index.elements)
-    for w, rep in classes.items():
-        assert classes[rep] == rep
-        # the representative is the shortlex least member
-        assert pG2.shortlex_key(rep) <= pG2.shortlex_key(w)
-        # class membership is conjugation-invariant inside the ball
-        for c in pG2.alphabet:
-            y = mo.normal_form(pG2, c + w + words.inverse(c))
-            if y in classes:
-                assert classes[y] == rep
+def test_conjugacy_classes_partition(pF, pG2, pZC2, pZF2, pTHREE):
+    # the classes are sound (each member is conjugate to its representative
+    # by a brute conjugator) and closed under single-letter conjugation
+    # inside the ball, so each class of that closure lies in one class
+    for p, radius in ((pF, 3), (pG2, 3), (pZC2, 3), (pZF2, 3), (pTHREE, 2)):
+        classes = mo.conjugacy_classes(p, radius)
+        assert set(classes) == set(mo.ball(p, radius).elements)
+        for w, rep in classes.items():
+            assert classes[rep] == rep
+            # the representative is the shortlex least member
+            assert p.shortlex_key(rep) <= p.shortlex_key(w)
+            assert mo.brute_conjugate(p, rep, w, radius) is not None, w
+            for c in p.alphabet:
+                y = mo.normal_form(p, c + w + words.inverse(c))
+                if y in classes:
+                    assert classes[y] == rep, (w, c)
 
 
 def test_conjugacy_classes_match_brute_search(pF):
@@ -313,19 +316,6 @@ def test_ground_truth_shares_no_code_with_the_fast_path(monkeypatch, name):
     assert got == want
     assert len(got[1]) == {"free2": 53, "zxz2": 143, "zc2": 22,
                            "zf2": 187}[name]
-
-
-@pytest.mark.parametrize("name", ["pF", "pG2", "pZC2", "pZF2", "pTHREE"])
-def test_reference_conjugacy_partitions_balls_as_the_closure(request, name):
-    # two ground truths of conjugacy agree: rotations of cyclically reduced
-    # syllable sequences (reference.conjugacy_key) and the search over
-    # single-letter conjugations inside the ball (conjugacy_classes)
-    p = request.getfixturevalue(name)
-    classes = mo.conjugacy_classes(p, 2 if name == "pTHREE" else 3)
-    reps = {}
-    for w, rep in classes.items():
-        assert reps.setdefault(reference.conjugacy_key(p, w), rep) == rep, w
-    assert len(reps) == len(set(classes.values()))
 
 
 def test_relator_free_balls_are_cached_once(pG2):

@@ -7,8 +7,7 @@ from relconj import metric_oracle as mo, reference, shortening as sh, words
 from relconj.errors import RelconjError
 from relconj.presentation import HYPERBOLIC, INVERSE_LETTER, parse_presentation
 
-from conftest import (is_cyclic_local_geodesic, is_local_geodesic,
-                      random_word, rotation_families)
+from conftest import random_word, rotation_families
 
 
 def brute_window(p, w, k):
@@ -55,12 +54,12 @@ def test_window_scan_examples(pG2):
 
 
 def test_is_local_geodesic(pG2):
-    assert is_local_geodesic(pG2, "", 9)
-    assert is_local_geodesic(pG2, "axya", 9)
-    assert not is_local_geodesic(pG2, "xyX", 9)
-    assert is_cyclic_local_geodesic(pG2, "ax", 9)
+    assert sh.is_local_geodesic(pG2, "", 9)
+    assert sh.is_local_geodesic(pG2, "axya", 9)
+    assert not sh.is_local_geodesic(pG2, "xyX", 9)
+    assert sh.is_cyclic_local_geodesic(pG2, "ax", 9)
     # ends of axA meet around the cycle and cancel
-    assert not is_cyclic_local_geodesic(pG2, "axA", 9)
+    assert not sh.is_cyclic_local_geodesic(pG2, "axA", 9)
 
 
 def test_shorten_free_product_reaches_geodesic_length(pG2):
@@ -117,13 +116,13 @@ def test_cyclic_shorten_contract(pG2, tG2):
         assert sh.word_problem(
             pG2, words.mul(a, alpha, words.inverse(a), words.inverse(w)))
         if alpha:
-            assert is_cyclic_local_geodesic(pG2, alpha, k)
+            assert sh.is_cyclic_local_geodesic(pG2, alpha, k)
         # canonical form is rotation-least: no rotation is shortlex-smaller
         # among valid cyclic local geodesics
         for j in range(1, len(alpha)):
             cand = alpha[j:] + alpha[:j]
             if pG2.shortlex_key(cand) < pG2.shortlex_key(alpha):
-                assert not is_cyclic_local_geodesic(pG2, cand, k)
+                assert not sh.is_cyclic_local_geodesic(pG2, cand, k)
 
 
 def test_least_rotation_matches_brute_force(monkeypatch):
@@ -318,7 +317,7 @@ def test_cyclic_shorten_torsion_parabolic(pZC2):
     # canonical class representative and must come back unchanged
     res = sh.cyclic_shorten(pZC2, "t")
     assert (res.output, res.conjugator) == ("t", "")
-    assert not is_cyclic_local_geodesic(pZC2, "t", 9)
+    assert not sh.is_cyclic_local_geodesic(pZC2, "t", 9)
     res = sh.cyclic_shorten(pZC2, "tat")
     assert (res.output, res.conjugator) == ("a", "t")
     res = sh.cyclic_shorten(pZC2, "tt")
