@@ -4,11 +4,13 @@ Both rest on the canonical cyclic form of shortening.cyclic_shorten.  A
 cyclic form of one parabolic run is parabolic, any other nonempty one is
 hyperbolic.  Two hyperbolic elements are conjugate exactly when their cyclic
 forms are equal strings (the conjugacy theorem for free products; the
-engine refuses presentations with relators).  Two parabolic
-elements are conjugate exactly when they lie in one factor and the subgroup
-oracle conjugates one representative onto the other (Lyndon-Schupp,
-Combinatorial Group Theory, IV.1.4).  Neither branch reads a precomputed
-list.
+engine refuses presentations with relators).  decide shortens u first and
+hands u's result to the shortening of v, which reads v's normal form as
+P * X * P^-1 around u's cyclic form where it can, so a long conjugate pair
+costs one rotation, u's, and not two.  Two parabolic elements are
+conjugate exactly when they lie in one factor and the subgroup oracle
+conjugates one representative onto the other (Lyndon-Schupp, Combinatorial
+Group Theory, IV.1.4).  Neither branch reads a precomputed list.
 
 Conventions.  Every internal conjugator is carried in right form: a step
 from x to y stores c with y = c^-1 * x * c, so chains compose by plain
@@ -48,8 +50,7 @@ from typing import NamedTuple
 from . import shortening, words
 from .errors import NotConjugateError, RelconjError
 from .presentation import HYPERBOLIC, RelativePresentation
-from .tables import (NO_TABLES, ConstantsProfile, PrecomputedTables,
-                     profile_hash)
+from .tables import NO_TABLES, ConstantsProfile, PrecomputedTables
 
 CLASS_MISMATCH = "class-mismatch"
 LONG_EXHAUSTED = "long-search-exhausted"
@@ -101,10 +102,11 @@ class ConjugacyEngine:
     """Per-presentation caches shared across many decide() calls: cyclic
     shortenings (with the relative lengths of the linear shortening and of
     the cyclic form, and the input's normal form, against which decide
-    checks witnesses), classifications, and the profile hash, which the
-    first decide computes, so that classify loads no hash function.  The
-    presentation must be relator-free: only there are the cyclic forms
-    canonical, so relators are refused.
+    checks witnesses) and classifications.  The profile hash is kept on
+    the profile (ConstantsProfile.hash), which the first decide on it
+    computes, so that classify loads no hash function.  The presentation
+    must be relator-free: only there are the cyclic forms canonical, so
+    relators are refused.
 
     _cyc and _cls are plain dicts keyed by input word and never evicted:
     they grow with the distinct words an engine sees, each _cyc entry
@@ -118,14 +120,16 @@ class ConjugacyEngine:
         p.require_free_product(NO_TABLES)
         self.p = p
         self.profile = profile
-        self.profile_hash = None  # the first decide sets it
         self._cyc = {}
         self._cls = {}
 
-    def cyclic(self, w: str):
+    def cyclic(self, w: str, near=None):
+        """The cyclic shortening of w, cached.  near, the shortening of a
+        word that w may be conjugate to, lets cyclic_shorten try first to
+        read w around near's cyclic form."""
         res = self._cyc.get(w)
         if res is None:
-            res = shortening.cyclic_shorten(self.p, w)
+            res = shortening.cyclic_shorten(self.p, w, near)
             self._cyc[w] = res
         return res
 
@@ -184,10 +188,14 @@ def decide(p: RelativePresentation, profile: ConstantsProfile, u: str,
     """Full conjugacy decision: classify both words, reject class
     mismatches, then compare the representatives, parabolic ones with the
     subgroup oracle and hyperbolic ones as strings; the regime only labels
-    the answer.  Positive answers carry a verified witness."""
+    the answer.  Positive answers carry a verified witness.  v is
+    shortened after u and around u's cyclic form (ConjugacyEngine.cyclic),
+    which gives the same answer, record and witness as shortening it
+    alone."""
     eng = engine or ConjugacyEngine(p, profile)
+    ru = eng.cyclic(u)
+    rv = eng.cyclic(v, ru)
     cu, cv = eng.classification(u), eng.classification(v)
-    ru, rv = eng.cyclic(u), eng.cyclic(v)
     lbar = max(ru.linear_length, rv.linear_length)
     length = max(ru.cyclic_length, rv.cyclic_length)
     if cu.identity or cv.identity or cu.verdict != cv.verdict:
@@ -201,18 +209,16 @@ def decide(p: RelativePresentation, profile: ConstantsProfile, u: str,
         regime = LONG if length > eng.profile.threshold else SHORT
         state, payload = eng.core(cu.representative, cv.representative,
                                   regime)
-    if eng.profile_hash is None:
-        eng.profile_hash = profile_hash(eng.profile)
     if state != "conjugate":
         return ConjugacyCertificate(u, v, state, None, payload, regime, lbar,
-                                    length, eng.profile_hash, False)
+                                    length, eng.profile.hash, False)
     g = words.inverse(words.mul(cu.conjugator, payload,
                                 words.inverse(cv.conjugator)))
     if not shortening.same_element(
             p, words.conjugate_form(p, g, ru.normal_form), v, rv.normal_form):
         raise RelconjError("conjugacy witness failed verification")
     return ConjugacyCertificate(u, v, state, g, None, regime, lbar, length,
-                                eng.profile_hash, True)
+                                eng.profile.hash, True)
 
 
 def search(p: RelativePresentation, profile: ConstantsProfile, u: str,

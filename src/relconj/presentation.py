@@ -258,6 +258,15 @@ class RelativePresentation(Frozen):
         return re.compile("|".join(runs + ["."]))
 
     @cached_property
+    def run_pattern(self) -> re.Pattern:
+        """Matches the maximal parabolic runs of a checked word, each of
+        one factor's letters, and nothing else; with no parabolic factor
+        it matches nothing.  It captures the run, so that split returns
+        the hyperbolic letters between runs and the runs by turns."""
+        runs = ["[%s]+" % s for s in self.run_letters.values()]
+        return re.compile("(%s)" % ("|".join(runs) or "(?!)"))
+
+    @cached_property
     def _syllable_cuts(self):
         """The str.replace cuts of normal_syllables, as (old, new) pairs:
         a space on each side of every letter that is a syllable of its own

@@ -43,7 +43,12 @@ again, so the code at least halves per level: O(n log n) work in native
 string passes.  Cyclically reduced elements of a free product are
 conjugate exactly when their syllable sequences are rotations of each
 other, so two elements of two or more syllables are conjugate exactly when
-their cyclic forms are equal strings.
+their cyclic forms are equal strings.  So a word v conjugate to one whose
+cyclic form alpha is known has the normal form P * X * P^-1, X a syllable
+rotation of alpha, whenever nothing of P cancels or merges with X: given
+alpha of SHORT_CYCLE syllables or more, the pass first tries to read v's
+normal form so, by string compares and one find of alpha in X + X, and
+returns what the full pass would, without splitting v or rotating.
 
 With relators cyclic shortening is cyclic Dehn reduction: the shortened
 word is cyclically reduced, rotated to put a window across its ends that
@@ -75,6 +80,7 @@ word problem on it times the inverse of the word must answer trivial.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple
 
 from . import words
@@ -226,7 +232,9 @@ def word_problem(p: RelativePresentation, w: str, tables=None) -> bool:
     return shorten(p, w).output == ""
 
 
-SHORT_CYCLE = 32  # below this many symbols comparing all rotations is faster
+# below this many symbols comparing all rotations is faster, and a cyclic
+# form this short is not worth reading another word around (cyclic_shorten)
+SHORT_CYCLE = 32
 
 
 def _compare_rotations(seq) -> int:
@@ -271,7 +279,9 @@ def least_rotation(s: str) -> int:
     if p < SHORT_CYCLE:
         return _compare_rotations(s[:p])
     d = d[: 2 * p]
-    m = min(set(s[:p]))  # d has just the characters of s[:p]
+    # s, d and s[:p] have the same characters.  Every code of _ranked_chars
+    # has chr(0), the least there is, which one native scan finds
+    m = "\0" if "\0" in s else min(set(s[:p]))
     run = 1
     while m * (2 * run) in d:
         run *= 2
@@ -348,6 +358,52 @@ def _syllable_cyclic_form(p, nf, syls):
     return alpha, conj, len(core), len(steps), steps
 
 
+def _cyclic_form_around(p, nf, near):
+    """(syllable count of nf, then what _syllable_cyclic_form returns) for
+    the normal form nf when it reads as P * X * inverse_form(P) around a
+    syllable rotation X of alpha = near.output, the cyclic form of another
+    word, of two syllables or more; None otherwise.  Here |P| = (|nf| -
+    |alpha|) / 2, both cuts of nf and the wrap-around of X fall between
+    syllables (two letters of one factor never do, in a normal form), and
+    alpha starts at k in X + X.  So does a syllable of X, as the two ends
+    of alpha are of two kinds.  Then the syllables of X are those of alpha
+    rotated, and the end pairs of nf cancel or merge trivially down to X,
+    the merge of each parabolic run of P logged as the general pass logs
+    it; X stops the pass, as alpha is cyclically reduced.  The first alpha
+    in X + X is the first least syllable rotation of X, so the conjugator
+    is P + X[:k]."""
+    alpha = near.output
+    n, m = len(nf), len(alpha)
+    h = (n - m) // 2
+    if h < 0 or n != m + 2 * h:
+        return None
+    kind_of = p.letter_kind
+
+    def between(w, i):  # w[i - 1] and w[i], cyclically, in two syllables
+        a, b = kind_of[w[i - 1]], kind_of[w[i]]
+        return a != b or a == HYPERBOLIC
+
+    pre, x = nf[:h], nf[h : n - h]
+    if h and not (between(nf, h) and between(nf, n - h)):
+        return None
+    if nf[n - h :] != p.inverse_form(pre):
+        return None
+    k = (x + x).find(alpha)
+    if k < 0 or not between(x, 0):
+        return None
+    # hyperbolic letters and runs of P by turns.  The run at [lo, hi)
+    # merges with its inverse at [n - hi, n - lo), logged as the general
+    # pass logs it once lo letters are gone from each end
+    parts = p.run_pattern.split(pre)
+    ends = accumulate(map(len, parts))  # lo and hi of each run by turns
+    steps = [ShorteningStep(n - lo - hi, n - 3 * lo + hi,
+                            nf[n - hi : n - lo] + run, "", TABLE_REPLACEMENT)
+             for lo, hi, run in zip(ends, ends, parts[1::2])]
+    syllables = sum(map(len, parts[::2])) + len(steps)
+    return (2 * syllables + near.cyclic_length, alpha, pre + x[:k],
+            near.cyclic_length, len(steps), steps)
+
+
 def _dehn_cyclic_form(p, w):
     """Cyclic Dehn reduction of the module docstring: (rho, a, syllable
     count of rho, iterations, steps) with lab(rho) = a^-1 * w * a."""
@@ -375,22 +431,31 @@ def _dehn_cyclic_form(p, w):
         steps.extend(res.steps)
 
 
-def cyclic_shorten(p: RelativePresentation, w: str) -> CyclicShorteningResult:
+def cyclic_shorten(p: RelativePresentation, w: str,
+                   near: CyclicShorteningResult = None
+                   ) -> CyclicShorteningResult:
     """Conjugacy normal form: a cyclic form alpha and a conjugator a with
     lab(alpha) = a^-1 * w * a.  Without relators alpha is the canonical
     cyclic form of the module docstring, found in one linear pass and one
-    O(n log n) rotation, and iterations counts the end-run merges.  With
-    relators alpha is cyclically Dehn-reduced: cyclically reduced, and no
-    cyclic subword is more than half a relator; iterations counts the
-    rotations.  Either way w goes through normalize first, which checks
-    its letters."""
+    O(n log n) rotation, and iterations counts the end-run merges.  near,
+    the result for another word (the conjugacy engine passes u's for v),
+    lets that pass first read w's normal form around near's cyclic form
+    (_cyclic_form_around); the result is the same either way, and is
+    checked the same way.  With relators alpha is cyclically
+    Dehn-reduced: cyclically reduced, and no cyclic subword is more than
+    half a relator; iterations counts the rotations, and near is not read.
+    Either way w goes through normalize first, which checks its
+    letters."""
     nf = linear_length = None
     if p.is_free_product:
         nf = words.normalize(p, w)
-        syls = p.normal_syllables(nf)
-        linear_length = len(syls)
-        rho, conj, cyclic_length, iterations, steps = _syllable_cyclic_form(
-            p, nf, syls)
+        found = None
+        if near is not None and near.cyclic_length >= SHORT_CYCLE:
+            found = _cyclic_form_around(p, nf, near)
+        if found is None:
+            syls = p.normal_syllables(nf)
+            found = (len(syls),) + _syllable_cyclic_form(p, nf, syls)
+        linear_length, rho, conj, cyclic_length, iterations, steps = found
         claimed = words.conjugate_form(p, conj, rho)
     else:
         rho, conj, cyclic_length, iterations, steps = _dehn_cyclic_form(p, w)

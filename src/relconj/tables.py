@@ -28,6 +28,7 @@ table and nothing here.
 from __future__ import annotations
 
 import os
+from functools import cached_property
 from typing import NamedTuple
 
 from . import shortening
@@ -76,6 +77,12 @@ class ConstantsProfile(Frozen):
     def k(self) -> int:
         return 8 * self.delta + 1
 
+    @cached_property
+    def hash(self) -> str:
+        """profile_hash, computed on first use and kept: a profile is
+        immutable, and every engine and certificate reads it."""
+        return short_hash(serialize_profile(self))
+
 
 _PROFILE_KEYS = ConstantsProfile._fields
 
@@ -100,7 +107,7 @@ def serialize_profile(c: ConstantsProfile) -> str:
 
 
 def profile_hash(c: ConstantsProfile) -> str:
-    return short_hash(serialize_profile(c))
+    return c.hash
 
 
 # why the tables and the conjugacy engine refuse relators

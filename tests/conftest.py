@@ -16,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from relconj import conjugacy, tables
-from relconj.presentation import (INVERSE_LETTER, load_presentation,
+from relconj import conjugacy, tables, words
+from relconj.presentation import (HYPERBOLIC, INVERSE_LETTER,
+                                  load_presentation,
                                   parse_presentation)
 
 ZF2_PATH = (Path(__file__).resolve().parents[1] / "demos" / "presentations"
@@ -104,6 +105,41 @@ def random_reduced_word(rng, letters, n):
         if not out or c != INVERSE_LETTER[out[-1]]:
             out.append(c)
     return "".join(out)
+
+
+def cyclically_reduced_syllables(p, rng, k):
+    """The syllables of a random cyclically reduced normal form with k of
+    them: a prefix of a normal form whose end syllables neither cancel nor
+    merge (so a lone syllable is a hyperbolic letter).  k must be even
+    where every letter is parabolic, as the ends of an odd number of
+    syllables of two factors then lie in one."""
+    kind = p.letter_kind
+    while True:
+        nf = words.normalize(p, random_word(rng, p.alphabet, 6 * k, 6 * k))
+        syls = p.syllable_pattern.findall(nf)[:k]
+        if len(syls) < k:
+            continue
+        first, last = syls[0], syls[-1]
+        if kind[first[0]] == HYPERBOLIC:
+            if last != INVERSE_LETTER[first]:
+                return syls
+        elif kind[first[0]] != kind[last[0]]:
+            return syls
+
+
+def conjugate_without_cancellation(rng, p, u, n):
+    """g * u * g^-1 spelled as a normal form, for the normal form g of n
+    random letters, drawn again until it cancels and merges with nothing
+    where it meets u: g + u + inverse_form(g), itself a normal form, whose
+    syllables are those of the three parts.  Such a g exists when p has a
+    hyperbolic letter."""
+    syllables = p.normal_syllables
+    while True:
+        g = words.normalize(p, random_letters(rng, p.alphabet, n))
+        v = g + u + p.inverse_form(g)
+        if words.normalize(p, v) == v and len(syllables(v)) == (
+                2 * len(syllables(g)) + len(syllables(u))):
+            return v
 
 
 def relator_conjugates(rng, p, n):

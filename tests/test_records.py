@@ -13,13 +13,17 @@ and not defining a dataclass, that costs start-up.
 """
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from relconj import conjugacy, shortening, tables
+from relconj import conjugacy, shortening, tables, words
+
+from conftest import (conjugate_without_cancellation,
+                      cyclically_reduced_syllables, random_letters)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -235,3 +239,83 @@ def test_decide_records_on_the_radius_3_balls_are_unchanged(name):
             record = conjugacy.decide(p, profile, u, v, engine=engine)
             digest.update((record.to_record() + "\n").encode())
     assert (len(elements), digest.hexdigest()[:16]) == DECIDE_DIGESTS[name]
+
+
+def long_pairs(p, seed):
+    """Seeded pairs per n = 64, 128, 256 on a cyclically reduced normal form
+    u of n syllables, beside a conjugator of n / 4 random letters: u under
+    one that cancels and merges with nothing (the fast path of
+    cyclic_shorten around u's cyclic form), u rotated at a random letter,
+    and u's syllables reversed under one (in general not conjugate)."""
+    rng = random.Random(seed)
+    out = []
+    for n in (64, 128, 256):
+        syls = cyclically_reduced_syllables(p, rng, n)
+        u = "".join(syls)
+        k = rng.randrange(len(u))
+        g = random_letters(rng, p.alphabet, n // 4)
+        backwards = "".join(reversed(syls))
+        out += [(u, conjugate_without_cancellation(rng, p, u, n // 4)),
+                (u, g + u[k:] + u[:k] + words.inverse(g)),
+                (u, conjugate_without_cancellation(rng, p, backwards,
+                                                   n // 4))]
+    return out
+
+
+# sha256 of the decide(...).to_record() lines, each ended by "\n", over
+# the long_pairs of seed 29, each pair in both orders, one engine per pair
+LONG_DECIDE_DIGESTS = {
+    "free2": "2de32a61b4847354",
+    "zxz2": "c2d6970226d0e654",
+    "zc2": "37d350cbb504305f",
+    "zf2": "33e339af3a00f0db",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_DECIDE_DIGESTS))
+def test_decide_records_on_long_pairs_are_unchanged(name):
+    """The radius-3 balls above have cores of a few syllables; these pairs
+    have cores of SHORT_CYCLE syllables or more, where decide reads the
+    longer word around the shorter one's cyclic form."""
+    import hashlib
+
+    from relconj.presentation import load_presentation
+
+    p = load_presentation(ROOT / "demos" / "presentations" / (name + ".txt"))
+    profile = tables.profile_for(p, [])
+    digest = hashlib.sha256()
+    for u, v in long_pairs(p, 29):
+        for x, y in ((u, v), (v, u)):
+            record = conjugacy.decide(p, profile, x, y)
+            digest.update((record.to_record() + "\n").encode())
+    assert digest.hexdigest()[:16] == LONG_DECIDE_DIGESTS[name]
+
+
+def test_a_long_conjugate_pair_takes_one_rotation(monkeypatch):
+    """decide on u and a long conjugate v = g u g^-1 finds u's cyclic form
+    with one end-run pass and one least_rotation (not counting its
+    recursion), and reads v around it with neither."""
+    from relconj.presentation import load_presentation
+
+    p = load_presentation(ROOT / "demos" / "presentations" / "zxz2.txt")
+    u, v = long_pairs(p, 29)[-3]
+    calls = {"least_rotation": 0, "_syllable_cyclic_form": 0}
+    depth = dict(calls)
+
+    def counted(name):
+        original = getattr(shortening, name)
+
+        def run(*args):
+            calls[name] += depth[name] == 0
+            depth[name] += 1
+            try:
+                return original(*args)
+            finally:
+                depth[name] -= 1
+        monkeypatch.setattr(shortening, name, run)
+
+    counted("least_rotation")
+    counted("_syllable_cyclic_form")
+    cert = conjugacy.decide(p, tables.profile_for(p, []), u, v)
+    assert cert.answer == "conjugate" and cert.verified
+    assert calls == {"least_rotation": 1, "_syllable_cyclic_form": 1}

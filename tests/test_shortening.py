@@ -5,9 +5,12 @@ import pytest
 
 from relconj import metric_oracle as mo, reference, shortening as sh, words
 from relconj.errors import RelconjError
-from relconj.presentation import HYPERBOLIC, INVERSE_LETTER, parse_presentation
+from relconj.presentation import (HYPERBOLIC, INVERSE_LETTER,
+                                  load_presentation, parse_presentation)
 
-from conftest import random_word, rotation_families
+from conftest import (ZF2_PATH, conjugate_without_cancellation,
+                      cyclically_reduced_syllables, random_letters,
+                      random_word, rotation_families)
 
 
 def brute_window(p, w, k):
@@ -148,24 +151,6 @@ def test_least_rotation_matches_brute_force(monkeypatch):
             assert sh.least_rotation(d) == reference.least_rotation(d), d
 
 
-def cyclically_reduced_syllables(p, rng, k):
-    """The syllables of a random cyclically reduced normal form with k of
-    them: a prefix of a normal form whose end syllables neither cancel nor
-    merge (so a lone syllable is a hyperbolic letter)."""
-    kind = p.letter_kind
-    while True:
-        nf = words.normalize(p, random_word(rng, p.alphabet, 6 * k, 6 * k))
-        syls = p.syllable_pattern.findall(nf)[:k]
-        if len(syls) < k:
-            continue
-        first, last = syls[0], syls[-1]
-        if kind[first[0]] == HYPERBOLIC:
-            if last != INVERSE_LETTER[first]:
-                return syls
-        elif kind[first[0]] != kind[last[0]]:
-            return syls
-
-
 def test_cyclic_form_is_the_least_syllable_rotation(monkeypatch, pF, pG2,
                                                     pZC2, pZF2):
     # a cyclically reduced normal form is rotated to the first least
@@ -302,6 +287,101 @@ def test_end_loop_equals_the_oracle_loop(request, name):
         # where two nontrivial elements always merge to the identity
         assert trivial > 50, trivial
         assert nontrivial > 20 or name == "pZC2", nontrivial
+
+
+def pairs_around(p, rng, count):
+    """(u, v) pairs with u a cyclically reduced normal form of 8 to 60
+    syllables, an even number: v is u rotated between syllables under a
+    conjugator that nothing cancels or merges with (kind 0; there is none
+    without hyperbolic letters, where the ends of u are runs of two
+    factors, so v is the rotation), u rotated anywhere under a random
+    conjugator (1), u rotated between syllables times g on the left and
+    h^-1, |h| = |g|, on the right (2), and u rotated between syllables,
+    one syllable replaced, under g and inverse_form(g) (3)."""
+    for i in range(count):
+        syls = cyclically_reduced_syllables(p, rng, 2 * rng.randint(4, 30))
+        u = "".join(syls)
+        j, k = rng.randrange(len(syls)), rng.randrange(len(u))
+        x = "".join(syls[j:] + syls[:j])
+        g = random_letters(rng, p.alphabet, rng.randint(0, 40))
+        kind = i % 4
+        if kind == 0:
+            v = x if not p.hyperbolic_generators else (
+                conjugate_without_cancellation(rng, p, x, rng.randint(1, 30)))
+        elif kind == 1:
+            v = g + u[k:] + u[:k] + words.inverse(g)
+        elif kind == 2:
+            h = random_letters(rng, p.alphabet, len(g))
+            v = g + x + words.inverse(h)
+        else:
+            syls[j] = rng.choice(p.alphabet)
+            g = words.normalize(p, g)
+            v = g + "".join(syls) + p.inverse_form(g)
+        yield u, v
+
+
+TWIN_PATH = ZF2_PATH.with_name("c5c7_twin.txt")
+
+
+@pytest.mark.parametrize("name, floor", [("pF", 100), ("pG2", 60),
+                                         ("pZC2", 100), ("pZF2", 55),
+                                         ("twin", 45)])
+def test_cyclic_form_around_a_known_one_equals_the_general_pass(
+        monkeypatch, request, name, floor):
+    # cyclic_shorten(p, v, near=u's result) reads v as P * X * P^-1 around
+    # u's cyclic form where it can and falls back otherwise; either way the
+    # whole result, steps included, is the pass's without near, on 400
+    # seeded pairs per presentation, cores on both sides of SHORT_CYCLE.
+    # At least floor of them take the fast path, all on long cores (128,
+    # 83, 128, 76 and 64 of them, in the order of the parameters)
+    p = (load_presentation(TWIN_PATH) if name == "twin"
+         else request.getfixturevalue(name))
+    rng = random.Random(27)
+    taken = []
+    original = sh._cyclic_form_around
+
+    def spy(p, nf, near):
+        found = original(p, nf, near)
+        if found is not None:
+            taken.append(near.cyclic_length)
+        return found
+
+    monkeypatch.setattr(sh, "_cyclic_form_around", spy)
+    lengths = set()
+    for u, v in pairs_around(p, rng, 400):
+        ru = sh.cyclic_shorten(p, u)
+        lengths.add(ru.cyclic_length >= sh.SHORT_CYCLE)
+        assert sh.cyclic_shorten(p, v, ru) == sh.cyclic_shorten(p, v), (u, v)
+    assert lengths == {False, True}
+    assert len(taken) >= floor, len(taken)
+    assert min(taken) >= sh.SHORT_CYCLE
+
+
+def test_cyclic_form_around_reads_whole_runs_and_the_inverse(monkeypatch,
+                                                            pG2):
+    # with SHORT_CYCLE = 2 u's two syllables pass the gate.  u's cyclic
+    # form is Axyyy.  First v = P * X * inverse_form(P), P = AXyaya and
+    # X = yAxyy, whose ends are the two halves of the run xyyy: the letters
+    # of Axyyy start at 1 in X + X, but X's syllables are not those of
+    # Axyyy rotated, and the general pass merges the run.  Then v =
+    # xa * xyyyA * yA, where yA is not inverse_form(xa) = AX
+    monkeypatch.setattr(sh, "SHORT_CYCLE", 2)
+    ru = sh.cyclic_shorten(pG2, "Ayyxy")
+    assert (ru.output, ru.cyclic_length) == ("Axyyy", 2)
+    for v in ("AXyayayAxyyAYAxYa", "xaxyyyAyA"):
+        assert sh.cyclic_shorten(pG2, v, ru) == sh.cyclic_shorten(pG2, v)
+    res = sh.cyclic_shorten(pG2, "AXyayayAxyyAYAxYa", ru)
+    assert (res.iterations, res.linear_length) == (3, 13)
+    assert sh._cyclic_form_around(pG2, "AXyayayAxyyAYAxYa", ru) is None
+    assert sh._cyclic_form_around(pG2, "xaxyyyAyA", ru) is None
+    # and where both hold: xyyyA under xAXya, whose runs x and Xy merge
+    # with their inverses, rotated from its hyperbolic letter
+    v = "xAXya" + "xyyyA" + pG2.inverse_form("xAXya")
+    res = sh.cyclic_shorten(pG2, v, ru)
+    assert sh._cyclic_form_around(pG2, v, ru) is not None
+    assert res == sh.cyclic_shorten(pG2, v)
+    assert (res.conjugator, res.iterations, res.linear_length) == (
+        "xAXyaxyyy", 2, 10)
 
 
 def test_cyclic_shorten_reduces_a_lone_free_factor_run():
