@@ -110,7 +110,7 @@ def cmd_precompute(presentation_path, cache_path=None,
         tables.save_tables(cache_path, t)
     return CommandResult("ok", {
         "presentation": t.p_hash,
-        "profile": tables.profile_hash(t.profile),
+        "profile": t.profile.hash,
         "size_l3": t.l3,
         "k_i": ",".join(str(v) for v in t.k_i) or "-",
         "k_hyp_4delta": t.k_hyp_4delta,

@@ -46,8 +46,8 @@ other, so two elements of two or more syllables are conjugate exactly when
 their cyclic forms are equal strings.  So a word v conjugate to one whose
 cyclic form alpha is known has the normal form P * X * P^-1, X a syllable
 rotation of alpha, whenever nothing of P cancels or merges with X: given
-alpha of SHORT_CYCLE syllables or more, the pass first tries to read v's
-normal form so, by string compares and one find of alpha in X + X, and
+alpha of NEAR_CYCLE syllables or more, the pass first tries to read v's
+normal form so, by one find of alpha in X + X and string compares, and
 returns what the full pass would, without splitting v or rotating.
 
 With relators cyclic shortening is cyclic Dehn reduction: the shortened
@@ -232,9 +232,13 @@ def word_problem(p: RelativePresentation, w: str, tables=None) -> bool:
     return shorten(p, w).output == ""
 
 
-# below this many symbols comparing all rotations is faster, and a cyclic
-# form this short is not worth reading another word around (cyclic_shorten)
-SHORT_CYCLE = 32
+SHORT_CYCLE = 32  # below this many symbols comparing all rotations is faster
+
+# cyclic_shorten reads a word around a cyclic form of this many syllables
+# or more.  From here on a read that succeeds saves three times what a
+# failed try costs, or more; on shorter cores the general pass is about as
+# fast as the read, so the failed tries make reading a loss
+NEAR_CYCLE = 8
 
 
 def _compare_rotations(seq) -> int:
@@ -279,9 +283,7 @@ def least_rotation(s: str) -> int:
     if p < SHORT_CYCLE:
         return _compare_rotations(s[:p])
     d = d[: 2 * p]
-    # s, d and s[:p] have the same characters.  Every code of _ranked_chars
-    # has chr(0), the least there is, which one native scan finds
-    m = "\0" if "\0" in s else min(set(s[:p]))
+    m = min(set(s[:p]))  # d has just the characters of s[:p]
     run = 1
     while m * (2 * run) in d:
         run *= 2
@@ -384,12 +386,11 @@ def _cyclic_form_around(p, nf, near):
         return a != b or a == HYPERBOLIC
 
     pre, x = nf[:h], nf[h : n - h]
-    if h and not (between(nf, h) and between(nf, n - h)):
-        return None
-    if nf[n - h :] != p.inverse_form(pre):
-        return None
     k = (x + x).find(alpha)
     if k < 0 or not between(x, 0):
+        return None
+    if h and not (between(nf, h) and between(nf, n - h)
+                  and nf[n - h :] == p.inverse_form(pre)):
         return None
     # hyperbolic letters and runs of P by turns.  The run at [lo, hi)
     # merges with its inverse at [n - hi, n - lo), logged as the general
@@ -450,7 +451,7 @@ def cyclic_shorten(p: RelativePresentation, w: str,
     if p.is_free_product:
         nf = words.normalize(p, w)
         found = None
-        if near is not None and near.cyclic_length >= SHORT_CYCLE:
+        if near is not None and near.cyclic_length >= NEAR_CYCLE:
             found = _cyclic_form_around(p, nf, near)
         if found is None:
             syls = p.normal_syllables(nf)

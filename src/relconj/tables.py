@@ -54,7 +54,7 @@ class ConstantsProfile(Frozen):
     value 86*delta+3): exactly the constants an algorithm or a test of the
     paper's bounds reads.
 
-    Every field is part of the serialized profile, and so of profile_hash,
+    Every field is part of the serialized profile, and so of its hash,
     of each certificate's profile= and of each cache header."""
 
     # c3: the radius of L3 = B_i; nlin, mlin: the conjugator length slope
@@ -79,8 +79,9 @@ class ConstantsProfile(Frozen):
 
     @cached_property
     def hash(self) -> str:
-        """profile_hash, computed on first use and kept: a profile is
-        immutable, and every engine and certificate reads it."""
+        """The short hash of the serialized profile, computed on first use
+        and kept: a profile is immutable, and every engine and certificate
+        reads it."""
         return short_hash(serialize_profile(self))
 
 
@@ -104,10 +105,6 @@ def profile_for(p: RelativePresentation, overrides=None) -> ConstantsProfile:
 
 def serialize_profile(c: ConstantsProfile) -> str:
     return " ".join("%s=%d" % (key, getattr(c, key)) for key in _PROFILE_KEYS)
-
-
-def profile_hash(c: ConstantsProfile) -> str:
-    return c.hash
 
 
 # why the tables and the conjugacy engine refuse relators

@@ -176,7 +176,7 @@ def test_conj_with_search(capsys, paths, pF, tF):
     assert code == 0
     assert out == ("status=ok\nu=ab\nv=ba\nanswer=conjugate\nwitness=b\n"
                    "reason=-\nregime=short-hyperbolic\nlbar=2\nL=2\n"
-                   "profile=%s\nverified=true\n" % tb.profile_hash(tF.profile))
+                   "profile=%s\nverified=true\n" % tF.profile.hash)
 
 
 def test_conj_negative(capsys, paths, g2_cache):

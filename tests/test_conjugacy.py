@@ -92,19 +92,19 @@ def test_decide_short_hyperbolic(pF, tF):
     assert cert.reason is None
     assert (cert.lbar, cert.length) == (2, 2)
     assert cert.verified
-    assert cert.profile == tb.profile_hash(tF.profile)
+    assert cert.profile == tF.profile.hash
 
 
 def test_decide_record_format(pF, tF, pG2, tG2):
     cert = cj.decide(pF, tF, "ab", "ba")
     assert cert.to_record() == (
         "answer=conjugate witness=b reason=- regime=short-hyperbolic "
-        "lbar=2 L=2 profile=%s verified=1" % tb.profile_hash(tF.profile))
+        "lbar=2 L=2 profile=%s verified=1" % tF.profile.hash)
     cert = cj.decide(pG2, tG2, "x", "y")
     assert cert.to_record() == (
         "answer=not-conjugate witness=- reason=parabolic-tables-miss "
         "regime=parabolic lbar=1 L=1 profile=%s verified=0"
-        % tb.profile_hash(tG2.profile))
+        % tG2.profile.hash)
 
 
 def test_decide_reads_only_the_profile(pG2, tG2):

@@ -275,8 +275,9 @@ LONG_DECIDE_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(LONG_DECIDE_DIGESTS))
 def test_decide_records_on_long_pairs_are_unchanged(name):
     """The radius-3 balls above have cores of a few syllables; these pairs
-    have cores of SHORT_CYCLE syllables or more, where decide reads the
-    longer word around the shorter one's cyclic form."""
+    have cores of SHORT_CYCLE syllables or more, whose rotation least_rotation
+    finds on the syllable code, and conjugators of up to 64 letters around
+    them."""
     import hashlib
 
     from relconj.presentation import load_presentation

@@ -88,10 +88,9 @@ def test_profile_serialization_and_hash(pG2):
     prof = tb.profile_for(pG2)
     text = tb.serialize_profile(prof)
     assert "delta=1" in text and "threshold=3" in text
-    assert tb.profile_hash(prof) == tb.profile_hash(tb.profile_for(pG2))
-    assert tb.profile_hash(prof) != tb.profile_hash(
-        tb.profile_for(pG2, [("threshold", 4)]))
-    assert len(tb.profile_hash(prof)) == 16
+    assert prof.hash == tb.profile_for(pG2).hash
+    assert prof.hash != tb.profile_for(pG2, [("threshold", 4)]).hash
+    assert len(prof.hash) == 16
 
 
 def test_filtered_ball(pF, pG2, pZC2, pZF2):
@@ -280,7 +279,7 @@ def test_save_load_round_trip(tmp_path, pG2, tG2, pF):
     assert (again.k_i, again.k_hyp_4delta, again.k_4delta) == (
         tG2.k_i, tG2.k_hyp_4delta, tG2.k_4delta)
     assert again.profile == tG2.profile
-    assert tb.profile_hash(again.profile) == tb.profile_hash(tG2.profile)
+    assert again.profile.hash == tG2.profile.hash
     with pytest.raises(RelconjError, match="different presentation"):
         tb.load_tables(path, pF)
     with pytest.raises(RelconjError, match="different profile"):
