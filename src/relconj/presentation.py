@@ -231,6 +231,20 @@ class RelativePresentation(Frozen):
         return kinds
 
     @cached_property
+    def exponent_sum_pairs(self) -> tuple:
+        """(g, G) for every hyperbolic, free-factor and free abelian
+        generator g, in declaration order.  Without relators each exponent
+        sum, the count of g in a word less the count of G, is a homomorphism
+        from the free product to Z (Lyndon-Schupp IV.1), so a word for which
+        one of them is not zero is not trivial.  A finite factor's letters
+        have no pair: their element's image is not a function of letter
+        counts."""
+        gens = self.hyperbolic_generators + tuple(
+            g for par in self.parabolics if par.kind != "finite"
+            for g in par.generators)
+        return tuple((g, INVERSE_LETTER[g]) for g in gens)
+
+    @cached_property
     def oracles(self) -> dict:
         """Map 1-based parabolic index -> the subgroup's oracle, built once
         per presentation."""

@@ -12,14 +12,19 @@ word.
 On a presentation without relators phase one alone produces the
 free-product normal form, which is a relative geodesic (alternating
 geodesic syllables admit no shortcut in a free product), so there is no
-phase two.  With relators, which must be words in the hyperbolic letters,
-G is the free product of <hyperbolic letters | relators> with the
-parabolics, and phase two is Dehn's algorithm on the hyperbolic blocks
-(RelativePresentation.dehn_table): one stack pass that looks the block's
-suffixes up after each pushed letter and pushes the replacement of a hit
-back onto the input.  Each hit shortens the word, so the pass is linear;
-under C'(1/6) its Dehn-reduced output, not necessarily a local geodesic,
-is empty exactly for the identity (Greendlinger, Lyndon-Schupp V.4).
+phase two.  There the word problem compares the exponent sums first: that
+of each hyperbolic, free or free abelian generator is a homomorphism to Z
+(Lyndon-Schupp IV.1), so a word with one of them non-zero is non-trivial,
+which a few native str.count passes show, and only a word of zero image
+goes through phase one.  With relators, which must be words in the
+hyperbolic letters, G is the free product of <hyperbolic letters |
+relators> with the parabolics, and phase two is Dehn's algorithm on the
+hyperbolic blocks (RelativePresentation.dehn_table): one stack pass that
+looks the block's suffixes up after each pushed letter and pushes the
+replacement of a hit back onto the input.  Each hit shortens the word,
+so the pass is linear; under C'(1/6) its Dehn-reduced output, not
+necessarily a local geodesic, is empty exactly for the identity
+(Greendlinger, Lyndon-Schupp V.4).
 
 Cyclic shortening without relators is one linear pass over the normal
 form of the word and one rotation.  The normal form is split into its
@@ -224,10 +229,19 @@ def shorten(p: RelativePresentation, w: str) -> ShorteningResult:
 
 def word_problem(p: RelativePresentation, w: str, tables=None) -> bool:
     """True iff w represents the identity: its shortening is empty.
-    Relator-free presentations short-circuit through the component normal
-    form, which is shorten's output there, without building a step log.
-    tables is accepted and not read."""
+    A relator-free presentation first compares the exponent sums of w
+    (RelativePresentation.exponent_sum_pairs), each a homomorphism to Z,
+    by native str.count passes: a declared word for which one is not zero
+    is not trivial, and is answered False without normalizing it.
+    Otherwise the answer is the component normal form's, shorten's output
+    there, without a step log; so a word with an undeclared letter reaches
+    normalize, which raises.  With relators an exponent sum need not be a
+    homomorphism (a^5 = 1 in c5), and the word is shortened.  tables is
+    accepted and not read."""
     if p.is_free_product:
+        if any(w.count(g) != w.count(G) for g, G in p.exponent_sum_pairs
+               ) and p.letter_set.issuperset(w):
+            return False
         return words.normalize(p, w) == ""
     return shorten(p, w).output == ""
 

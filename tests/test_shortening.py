@@ -4,7 +4,7 @@ import random
 import pytest
 
 from relconj import metric_oracle as mo, reference, shortening as sh, words
-from relconj.errors import RelconjError
+from relconj.errors import RelconjError, UnknownLetterError
 from relconj.presentation import (HYPERBOLIC, INVERSE_LETTER,
                                   load_presentation, parse_presentation)
 
@@ -98,6 +98,117 @@ def test_word_problem_free_product(pG2):
         w = random_word(rng, pG2.alphabet, 0, 10)
         assert sh.word_problem(pG2, w) == (words.normalize(pG2, w) == "")
         assert sh.word_problem(pG2, w + words.inverse(w))
+
+
+def shuffled_runs(rng, p, w):
+    """w with the letters of every maximal run of a free abelian or finite
+    factor shuffled: the same element where those factors are abelian, as
+    the test presentations' are (Z^2, C2, C5 and C7)."""
+    out = []
+    for syl in p.syllable_pattern.findall(w):
+        kind = p.letter_kind[syl[0]]
+        if kind != HYPERBOLIC and p.parabolics[kind - 1].kind != "free":
+            syl = "".join(rng.sample(syl, len(syl)))
+        out.append(syl)
+    return "".join(out)
+
+
+def commutator(p):
+    """g h g^-1 h^-1 for the first generator g and the first generator h
+    of another kind, or the second generator where there is none: every
+    exponent sum is zero, and it is not trivial as g and h do not
+    commute."""
+    gens = p.alphabet[::2]
+    g = gens[0]
+    h = next((c for c in gens if p.letter_kind[c] != p.letter_kind[g]),
+             gens[1])
+    return g + h + INVERSE_LETTER[g] + INVERSE_LETTER[h]
+
+
+def word_problem_words(p, rng, count):
+    """count rounds of (expected answer, word), the answer None where only
+    the reference knows it: a raw word; a trivial word x * x^-1, its
+    parabolic runs shuffled so that cancelling it needs the folding; that
+    word with one signed letter of each kind inserted (a hyperbolic, free
+    or free abelian letter makes an exponent sum non-zero, a finite one
+    does not; each is a conjugate of an element of infinite order or of a
+    finite letter, so not trivial); and it with commutator(p) inserted,
+    of zero image and not trivial."""
+    by_kind = {}
+    for c in p.alphabet:
+        by_kind.setdefault(p.letter_kind[c], []).append(c)
+    for _ in range(count):
+        yield None, random_word(rng, p.alphabet, 0, 30)
+        x = random_word(rng, p.alphabet, 0, 20)
+        t = x + shuffled_runs(rng, p, words.inverse(x))
+        yield True, t
+        for s in [rng.choice(c) for c in by_kind.values()] + [commutator(p)]:
+            i = rng.randint(0, len(t))
+            yield False, t[:i] + s + t[i:]
+
+
+@pytest.mark.parametrize("name, counted, normalized", [
+    ("pF", 100, 110), ("pG2", 160, 110), ("pZC2", 90, 180),
+    ("pZF2", 160, 110), ("twin", 0, 300)])
+def test_word_problem_agrees_with_the_reference(monkeypatch, request, name,
+                                                counted, normalized):
+    # word_problem answers a word with a non-zero exponent sum by counting
+    # and every other word by normalize; either way it agrees with the
+    # reference normal form, on 60 seeded rounds of word_problem_words.
+    # At least counted words take the first path and normalized the
+    # second (116, 177, 103, 176, 0 and 124, 123, 197, 124, 300 of them,
+    # in the order of the parameters); c5c7_twin has only finite letters,
+    # so no exponent sum, and none is answered by counting
+    p = (load_presentation(TWIN_PATH) if name == "twin"
+         else request.getfixturevalue(name))
+    calls = []
+    real = words.normalize
+
+    def spy(p, w):
+        calls.append(w)
+        return real(p, w)
+
+    monkeypatch.setattr(words, "normalize", spy)
+    paths = [0, 0]  # answered by counting, by normalize
+    for expected, w in word_problem_words(p, random.Random(29), 60):
+        truth = reference.normal_form(p, w) == ""
+        assert expected in (None, truth), w
+        before = len(calls)
+        assert sh.word_problem(p, w) == truth, w
+        paths[len(calls) > before] += 1
+    assert paths[0] >= counted and paths[1] >= normalized, paths
+    if not p.exponent_sum_pairs:
+        assert paths[0] == 0
+
+
+@pytest.mark.parametrize("w", ["aQ", "Qa", "aaQ", "Q", "aQA", "xQyXY"])
+def test_word_problem_names_an_undeclared_letter(pG2, w):
+    # never False, whether the image of the declared letters is zero or
+    # not: the word reaches normalize, which names the letter
+    with pytest.raises(UnknownLetterError, match="letter 'Q'"):
+        sh.word_problem(pG2, w)
+
+
+def test_word_problem_counts_before_it_normalizes(monkeypatch, pG2, pZC2,
+                                                  pZF2, pC5):
+    # a work count, not a timing: with normalize refused, a word with a
+    # non-zero exponent sum is still answered, and every other word, or
+    # any word with relators, reaches normalize
+    def refuse(p, w):
+        raise AssertionError("normalize(%r)" % w)
+
+    rng = random.Random(30)
+    x = random_word(rng, pG2.alphabet, 2000, 2000)
+    long_one = x + shuffled_runs(rng, pG2, words.inverse(x))
+    monkeypatch.setattr(words, "normalize", refuse)
+    for p, w in ((pG2, "a"), (pG2, "xyXYx"), (pG2, "axAXY"),
+                 (pG2, long_one[:999] + "a" + long_one[999:]),
+                 (pZC2, "tat"), (pZF2, "axyXY"), (pZF2, "xyXYx")):
+        assert not sh.word_problem(p, w), w
+    for p, w in ((pG2, ""), (pG2, "axAX"), (pG2, long_one), (pZC2, "t"),
+                 (pZC2, "atAT"), (pZF2, "xyXY"), (pC5, "aaa")):
+        with pytest.raises(AssertionError, match="normalize"):
+            sh.word_problem(p, w)
 
 
 def test_cyclic_shorten_examples(pG2):
