@@ -23,7 +23,8 @@ import pytest
 from relconj import conjugacy, shortening, tables, words
 
 from conftest import (conjugate_without_cancellation,
-                      cyclically_reduced_syllables, random_letters)
+                      cyclically_reduced_syllables, random_letters,
+                      relator_conjugates)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -320,3 +321,68 @@ def test_a_long_conjugate_pair_takes_one_rotation(monkeypatch):
     cert = conjugacy.decide(p, tables.profile_for(p, []), u, v)
     assert cert.answer == "conjugate" and cert.verified
     assert calls == {"least_rotation": 1, "_syllable_cyclic_form": 1}
+
+
+def cyclic_shorten_inputs(p, name):
+    """What the cyclic_shorten digests hash, as (word, near word or None):
+    without relators each word of the radius-3 ball in shortlex order, then
+    both words of each long_pairs(p, 29) pair, v also read around u's
+    result; with relators (c5c7, surface2, which take the Dehn path) seeded
+    random words, their conjugates, the words between the two parts of a
+    relator cut once (so that it wraps around their ends) and trivial
+    products of relator conjugates."""
+    if p.is_free_product:
+        from relconj import metric_oracle
+
+        ball = sorted(metric_oracle.ball(p, 3).elements, key=p.shortlex_key)
+        out = [(w, None) for w in ball]
+        for u, v in long_pairs(p, 29):
+            out += [(u, None), (v, None), (v, u)]
+        return out
+    rng = random.Random(30)
+    out = []
+    for n in range(2, 42, 2):
+        w = random_letters(rng, p.alphabet, n)
+        g = random_letters(rng, p.alphabet, n // 2)
+        r = rng.choice(p.relators)
+        k = rng.randrange(1, len(r))
+        out += [(w, None), (g + w + words.inverse(g), None),
+                (r[k:] + w + r[:k], None),
+                (relator_conjugates(rng, p, n), None)]
+    return out
+
+
+# sha256 of the lines "output conjugator iterations linear_length
+# cyclic_length normal_form\n", each field repr'd, of cyclic_shorten over
+# cyclic_shorten_inputs(p, name)
+CYCLIC_SHORTEN_DIGESTS = {
+    "free2": "c1d5e42d578fec31",
+    "zxz2": "baca8060d945f803",
+    "zc2": "2cb71b38f40c0c39",
+    "zf2": "4ebfaeac2dfddd54",
+    "c5c7": "6b99979949a33a0f",
+    "surface2": "569511d9c1ff1cb7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CYCLIC_SHORTEN_DIGESTS))
+def test_cyclic_shorten_results_are_unchanged(name):
+    """Every field of a cyclic shortening that a caller reads (the cyclic
+    form, the conjugator, the merge or rotation count, both lengths and the
+    normal form), pinned by its digest on the balls, on the long pairs,
+    read around u's result too, and on the Dehn path.  A deliberate change
+    updates the digest here and quotes the old and the new one in
+    CHANGES.md."""
+    import hashlib
+
+    from relconj.presentation import load_presentation
+
+    p = load_presentation(ROOT / "demos" / "presentations" / (name + ".txt"))
+    digest = hashlib.sha256()
+    for w, near in cyclic_shorten_inputs(p, name):
+        res = shortening.cyclic_shorten(
+            p, w, None if near is None else shortening.cyclic_shorten(p, near))
+        digest.update(("%r %r %r %r %r %r\n" % (
+            res.output, res.conjugator, res.iterations, res.linear_length,
+            res.cyclic_length, res.normal_form)).encode())
+    assert digest.hexdigest()[:16] == CYCLIC_SHORTEN_DIGESTS[name]
