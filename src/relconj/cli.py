@@ -86,9 +86,7 @@ def cmd_wp(presentation_path, word, profile_path=None) -> CommandResult:
 
 def cmd_classify(presentation_path, word, profile_path=None) -> CommandResult:
     p, profile = _setup(presentation_path, profile_path)
-    c = conjugacy.classify(p, profile, word)._asdict()
-    del c["word"]  # every other field, in order
-    return CommandResult("ok", c)
+    return CommandResult("ok", conjugacy.classify(p, profile, word)._asdict())
 
 
 def cmd_conj(presentation_path, word_u, word_v, do_search=False,

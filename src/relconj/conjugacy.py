@@ -67,7 +67,6 @@ class Classification(NamedTuple):
     conjugator in G; for a parabolic verdict it is a word in the parabolic
     alphabet, for a hyperbolic one the canonical cyclic form."""
 
-    word: str
     verdict: str  # "hyperbolic" or "parabolic"
     identity: bool
     index: int
@@ -110,8 +109,9 @@ class ConjugacyEngine:
 
     _cyc and _cls are plain dicts keyed by input word and never evicted:
     they grow with the distinct words an engine sees, each _cyc entry
-    keeping its input, normal form, cyclic form and step log.  Callers
-    that stream many distinct long words should use one engine per batch.
+    keeping the input's normal form, cyclic form and conjugator, and no
+    step log.  Callers that stream many distinct long words should use one
+    engine per batch.
     """
 
     def __init__(self, p: RelativePresentation, profile: ConstantsProfile):
@@ -162,11 +162,11 @@ def classify(p: RelativePresentation, profile: ConstantsProfile, w: str,
     alpha, a = res.output, res.conjugator
     if alpha == "":
         verdict = "parabolic" if p.parabolics else "hyperbolic"
-        return Classification(w, verdict, True, None, "", a)
+        return Classification(verdict, True, None, "", a)
     kind = p.letter_kind[alpha[0]]
     if res.cyclic_length == 1 and kind != HYPERBOLIC:
-        return Classification(w, "parabolic", False, kind, alpha, a)
-    return Classification(w, "hyperbolic", False, None, alpha, a)
+        return Classification("parabolic", False, kind, alpha, a)
+    return Classification("hyperbolic", False, None, alpha, a)
 
 
 def _parabolic_core(p, cu: Classification, cv: Classification):

@@ -52,10 +52,9 @@ def normal_form(p: RelativePresentation, w: str) -> str:
 class BallIndex:
     """All elements of a ball, keyed by canonical word in shortlex order."""
 
-    __slots__ = ("radius", "dist")
+    __slots__ = ("dist",)
 
-    def __init__(self, radius: int, dist: dict):
-        self.radius = radius
+    def __init__(self, dist: dict):
         self.dist = dist  # canonical word -> graph distance from the identity
 
     @property
@@ -93,7 +92,7 @@ def ball(p: RelativePresentation, r: int, budget=None) -> BallIndex:
                         raise BudgetExceededError("ball(%d)" % r, budget)
         frontier = nxt
     order = sorted(dist, key=p.shortlex_key)
-    return BallIndex(r, {w: dist[w] for w in order})
+    return BallIndex({w: dist[w] for w in order})
 
 
 def gamma_length(p: RelativePresentation, w: str) -> int:

@@ -253,9 +253,11 @@ class RelativePresentation(Frozen):
         return {par.index: make_oracle(par) for par in self.parabolics}
 
     @cached_property
-    def letter_set(self) -> frozenset:
-        """Every declared signed letter."""
-        return frozenset(self.letter_kind)
+    def declared_deletion(self) -> dict:
+        """str.translate table deleting every declared signed letter: a
+        word translated by it keeps just its undeclared letters, so it is
+        empty exactly for a declared word, after one native pass."""
+        return dict.fromkeys(map(ord, self.letter_kind))
 
     @cached_property
     def run_letters(self) -> dict:
@@ -469,12 +471,12 @@ class RelativePresentation(Frozen):
                 "presentation %r has relators; %s" % (self.label, why))
 
     def check_word(self, w: str) -> str:
-        """Validate every letter of w; returns w unchanged.  The letter loop
-        runs only to name the first undeclared letter."""
-        if not self.letter_set.issuperset(w):
-            c = next(c for c in w if c not in self.letter_set)
+        """Validate every letter of w; returns w unchanged.  The first letter
+        that declared_deletion leaves is the first undeclared one."""
+        rest = w.translate(self.declared_deletion)
+        if rest:
             raise UnknownLetterError(
-                "letter %r is not declared by %r" % (c, self.label))
+                "letter %r is not declared by %r" % (rest[0], self.label))
         return w
 
     def shortlex_key(self, w: str):

@@ -7,7 +7,9 @@ every maximal parabolic run is respelled in its canonical geodesic form and
 trivial runs drop out, merging the newly adjacent neighbors.  Phase two
 rewrites bounded windows with replacements from a table computed once.
 Every step is an equality in the group, and neither phase lengthens the
-word.
+word.  shorten logs its steps (ShorteningStep), whose count the wp command
+prints; cyclic shortening keeps no log, only a count of its end-run
+merges or rotations.
 
 On a presentation without relators phase one alone produces the
 free-product normal form, which is a relative geodesic (alternating
@@ -85,7 +87,6 @@ word problem on it times the inverse of the word must answer trivial.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import NamedTuple
 
 from . import words
@@ -107,7 +108,6 @@ class ShorteningStep(NamedTuple):
 
 
 class ShorteningResult(NamedTuple):
-    input_word: str
     output: str
     steps: tuple
 
@@ -118,20 +118,18 @@ class CyclicShorteningResult(NamedTuple):
     normal form the pass took, so that callers such as the conjugacy
     engine never split or normalize the input again."""
 
-    input_word: str
     output: str
     conjugator: str  # a with lab(output) = a^-1 * input * a in G
-    iterations: int
-    steps: tuple
+    iterations: int  # end-run merges, or rotations with relators
     # relative length of the input's normal form, which is its linear
     # shortening; None with relators
-    linear_length: int = None
+    linear_length: int
     # syllable count of output as written, raw_relative_length(p, output):
     # the relative length of the cyclic form
-    cyclic_length: int = None
-    # words.normalize(p, input_word), which the pass splits and against
-    # which witnesses are checked; None with relators
-    normal_form: str = None
+    cyclic_length: int
+    # words.normalize(p, input), which the pass splits and against which
+    # witnesses are checked; None with relators
+    normal_form: str
 
 
 def find_violating_window(p, w, k):
@@ -224,7 +222,7 @@ def shorten(p: RelativePresentation, w: str) -> ShorteningResult:
     out = _logged(steps, w, words.normalize(p, w), PARABOLIC_NORMALIZATION)
     if not p.is_free_product:
         out = _logged(steps, out, _dehn_reduced(p, out), TABLE_REPLACEMENT)
-    return ShorteningResult(w, out, tuple(steps))
+    return ShorteningResult(out, tuple(steps))
 
 
 def word_problem(p: RelativePresentation, w: str, tables=None) -> bool:
@@ -240,7 +238,7 @@ def word_problem(p: RelativePresentation, w: str, tables=None) -> bool:
     accepted and not read."""
     if p.is_free_product:
         if any(w.count(g) != w.count(G) for g, G in p.exponent_sum_pairs
-               ) and p.letter_set.issuperset(w):
+               ) and not w.translate(p.declared_deletion):
             return False
         return words.normalize(p, w) == ""
     return shorten(p, w).output == ""
@@ -319,16 +317,16 @@ def least_rotation(s: str) -> int:
 def _syllable_cyclic_form(p, nf, syls):
     """Cyclic form of the normal form nf with syllables syls (strings, as
     p.normal_syllables splits nf): (alpha, a, syllable count of alpha,
-    merges, steps) with lab(alpha) = a^-1 * nf * a.  Cancels mutually
+    end-run merges) with lab(alpha) = a^-1 * nf * a.  Cancels mutually
     inverse end letters and merges end runs of one factor from the outside
     in, a trivial merge found by comparing the last run with the first's
     inverse_run, then rotates the kept core to its least syllable rotation;
     a is a prefix of nf."""
     kind_of = p.letter_kind
-    steps = []
+    merges = 0
     merged = []
     i, j = 0, len(syls) - 1
-    lo, hi = 0, len(nf)  # nf[lo:hi] spells syls[i..j]
+    lo = 0  # nf[:lo] spells syls[:i]
     while i < j and not merged:
         first, last = syls[i], syls[j]
         kind = kind_of[first[0]]
@@ -336,27 +334,20 @@ def _syllable_cyclic_form(p, nf, syls):
             if last != INVERSE_LETTER[first]:
                 break
         elif kind == kind_of[last[0]]:
-            # merge the wrap-around run nu o eta (logged in the coordinates
-            # of the cyclic word left here).  Both runs are geodesic, so the
-            # merge is trivial exactly when last spells first's inverse;
-            # only the nontrivial merge, which ends it, needs the oracle
+            # merge the wrap-around run nu o eta.  Both runs are geodesic,
+            # so the merge is trivial exactly when last spells first's
+            # inverse; only the nontrivial merge, which ends it, needs the
+            # oracle
+            merges += 1
             orc = p.oracles[kind]
-            if last == orc.inverse_run(first):
-                rep = ""
-            else:
-                rep = orc.state_word(orc.push(None, last + first))
-            steps.append(ShorteningStep(hi - len(last) - lo,
-                                        hi - lo + len(first), last + first,
-                                        rep, TABLE_REPLACEMENT))
-            if rep:
-                merged.append(rep)
+            if last != orc.inverse_run(first):
+                merged.append(orc.state_word(orc.push(None, last + first)))
         else:
             break
         lo += len(first)
-        hi -= len(last)
         i, j = i + 1, j - 1
     if i > j:
-        return "", "", 0, len(steps), steps
+        return "", "", 0, merges
     core = syls[i : j + 1] + merged
     ranks = p.rank_translation
     if len(core) < SHORT_CYCLE:
@@ -371,7 +362,7 @@ def _syllable_cyclic_form(p, nf, syls):
         # a lone run of a free factor can still reduce cyclically inside it
         alpha, pre = words.cyclic_reduce(alpha)
         conj += pre
-    return alpha, conj, len(core), len(steps), steps
+    return alpha, conj, len(core), merges
 
 
 def _cyclic_form_around(p, nf, near):
@@ -384,10 +375,9 @@ def _cyclic_form_around(p, nf, near):
     alpha starts at k in X + X.  So does a syllable of X, as the two ends
     of alpha are of two kinds.  Then the syllables of X are those of alpha
     rotated, and the end pairs of nf cancel or merge trivially down to X,
-    the merge of each parabolic run of P logged as the general pass logs
-    it; X stops the pass, as alpha is cyclically reduced.  The first alpha
-    in X + X is the first least syllable rotation of X, so the conjugator
-    is P + X[:k]."""
+    one merge for each parabolic run of P; X stops the pass, as alpha is
+    cyclically reduced.  The first alpha in X + X is the first least
+    syllable rotation of X, so the conjugator is P + X[:k]."""
     alpha = near.output
     n, m = len(nf), len(alpha)
     h = (n - m) // 2
@@ -406,28 +396,21 @@ def _cyclic_form_around(p, nf, near):
     if h and not (between(nf, h) and between(nf, n - h)
                   and nf[n - h :] == p.inverse_form(pre)):
         return None
-    # hyperbolic letters and runs of P by turns.  The run at [lo, hi)
-    # merges with its inverse at [n - hi, n - lo), logged as the general
-    # pass logs it once lo letters are gone from each end
-    parts = p.run_pattern.split(pre)
-    ends = accumulate(map(len, parts))  # lo and hi of each run by turns
-    steps = [ShorteningStep(n - lo - hi, n - 3 * lo + hi,
-                            nf[n - hi : n - lo] + run, "", TABLE_REPLACEMENT)
-             for lo, hi, run in zip(ends, ends, parts[1::2])]
-    syllables = sum(map(len, parts[::2])) + len(steps)
+    parts = p.run_pattern.split(pre)  # hyperbolic letters and runs by turns
+    runs = len(parts) // 2
+    syllables = sum(map(len, parts[::2])) + runs
     return (2 * syllables + near.cyclic_length, alpha, pre + x[:k],
-            near.cyclic_length, len(steps), steps)
+            near.cyclic_length, runs)
 
 
 def _dehn_cyclic_form(p, w):
     """Cyclic Dehn reduction of the module docstring: (rho, a, syllable
-    count of rho, iterations, steps) with lab(rho) = a^-1 * w * a."""
+    count of rho, rotations) with lab(rho) = a^-1 * w * a."""
     table, lengths = p.dehn_table
     kind_of = p.letter_kind
-    res = shorten(p, w)
-    steps, conj, iterations = list(res.steps), "", 0
+    out, conj, iterations = shorten(p, w).output, "", 0
     while True:
-        rho, pre = words.cyclic_reduce(res.output)
+        rho, pre = words.cyclic_reduce(out)
         conj += pre
         n, doubled = len(rho), rho + rho
         # cuts whose rotation rho[cut:] + rho[:cut] shortens: the starts of
@@ -439,11 +422,10 @@ def _dehn_cyclic_form(p, w):
         if len(syls) > 1 and HYPERBOLIC != kind_of[rho[0]] == kind_of[rho[-1]]:
             cuts.append(n - len(syls[-1]))
         if not cuts:
-            return rho, words.free_reduce(conj), len(syls), iterations, steps
+            return rho, words.free_reduce(conj), len(syls), iterations
         iterations += 1
         conj += rho[: cuts[0]]
-        res = shorten(p, rho[cuts[0] :] + rho[: cuts[0]])
-        steps.extend(res.steps)
+        out = shorten(p, rho[cuts[0] :] + rho[: cuts[0]]).output
 
 
 def cyclic_shorten(p: RelativePresentation, w: str,
@@ -459,8 +441,8 @@ def cyclic_shorten(p: RelativePresentation, w: str,
     checked the same way.  With relators alpha is cyclically
     Dehn-reduced: cyclically reduced, and no cyclic subword is more than
     half a relator; iterations counts the rotations, and near is not read.
-    Either way w goes through normalize first, which checks its
-    letters."""
+    Either way w goes through normalize first, which checks its letters,
+    and no step is logged."""
     nf = linear_length = None
     if p.is_free_product:
         nf = words.normalize(p, w)
@@ -470,15 +452,15 @@ def cyclic_shorten(p: RelativePresentation, w: str,
         if found is None:
             syls = p.normal_syllables(nf)
             found = (len(syls),) + _syllable_cyclic_form(p, nf, syls)
-        linear_length, rho, conj, cyclic_length, iterations, steps = found
+        linear_length, rho, conj, cyclic_length, iterations = found
         claimed = words.conjugate_form(p, conj, rho)
     else:
-        rho, conj, cyclic_length, iterations, steps = _dehn_cyclic_form(p, w)
+        rho, conj, cyclic_length, iterations = _dehn_cyclic_form(p, w)
         claimed = words.mul(conj, rho, words.inverse(conj))
     if not same_element(p, claimed, w, nf):
         raise RelconjError("cyclic shortening produced an invalid conjugator")
-    return CyclicShorteningResult(w, rho, conj, iterations, tuple(steps),
-                                  linear_length, cyclic_length, nf)
+    return CyclicShorteningResult(rho, conj, iterations, linear_length,
+                                  cyclic_length, nf)
 
 
 def same_element(p: RelativePresentation, x: str, w: str, nf: str) -> bool:

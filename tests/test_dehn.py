@@ -41,8 +41,7 @@ def test_table_of_the_surface_group(pS2):
         assert len(rep) == 8 - len(u)
         assert sh.word_problem(pS2, u + words.inverse(rep))
     assert sh.shorten(pS2, "abABcdC") == sh.ShorteningResult(
-        "abABcdC", "d",
-        (sh.ShorteningStep(0, 7, "abABcdC", "d", sh.TABLE_REPLACEMENT),))
+        "d", (sh.ShorteningStep(0, 7, "abABcdC", "d", sh.TABLE_REPLACEMENT),))
 
 
 def test_relators_are_cyclically_reduced_first():

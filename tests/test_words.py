@@ -293,7 +293,7 @@ def reference_stretch_end(p, w, i, bounds):
     while hi - lo > 1:
         mid = (lo + hi) // 2
         x = w[i:bounds[mid]]
-        if p.letter_set.issuperset(x) and reference.normal_form(p, x) == x:
+        if not x.translate(p.declared_deletion) and reference.normal_form(p, x) == x:
             lo = mid
         else:
             hi = mid
