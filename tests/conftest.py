@@ -6,7 +6,8 @@ Z * C2 (a finite parabolic with torsion), ZF2 is Z * F2 (a free parabolic,
 read from demos/presentations/zf2.txt), THREE is Z^2 * F2 * C3 * Z (all
 three factor kinds at once), and C5 is the cyclic group of order five given
 by a relator, which exercises the Dehn table (and which the ball oracle
-refuses).  C5Z2 is C5 * Z^2, relators beside a parabolic.
+refuses).  C5Z2 is C5 * Z^2, relators beside a parabolic, and C5C2F2 is
+C5 * C2 * F2, relators beside a finite and a free factor.
 Tables are built once per session; the working constants are pinned inside
 the presentation texts so every derived value in the tests is reproducible.
 """
@@ -65,6 +66,20 @@ group c5z2
 hyperbolic a
 parabolic free_abelian 2
 letters x y
+relator aaaaa
+"""
+
+C5C2F2_TEXT = """\
+# C5 * C2 * F2: a relator over the hyperbolic letter beside a finite and a
+# free factor.
+group c5c2f2
+hyperbolic a
+parabolic finite 2
+letters t
+table 0 1
+table 1 0
+parabolic free 2
+letters u v
 relator aaaaa
 """
 

@@ -22,7 +22,8 @@ import pytest
 
 from relconj import conjugacy, shortening, tables, words
 
-from conftest import (conjugate_without_cancellation,
+from conftest import (C5C2F2_TEXT, C5Z2_TEXT,
+                      conjugate_without_cancellation,
                       cyclically_reduced_syllables, random_letters,
                       relator_conjugates)
 
@@ -377,3 +378,54 @@ def test_cyclic_shorten_results_are_unchanged(name):
             res.output, res.conjugator, res.iterations, res.linear_length,
             res.cyclic_length, res.normal_form)).encode())
     assert digest.hexdigest()[:16] == CYCLIC_SHORTEN_DIGESTS[name]
+
+
+DEHN_PATH_TEXTS = {"c5z2": C5Z2_TEXT, "c5c2f2": C5C2F2_TEXT}
+
+# sha256 of the lines "output steps\n" of shorten and "output conjugator
+# iterations linear_length cyclic_length normal_form\n" of cyclic_shorten,
+# each field repr'd, over dehn_path_inputs(p)
+DEHN_PATH_DIGESTS = {
+    "c5c2f2": "ed259b73ebf721b6",
+    "c5z2": "d609ad1214b4bd68",
+}
+
+
+def dehn_path_inputs(p):
+    """Seeded random words of 1 to 60 letters, their conjugates and trivial
+    products of relator conjugates: on a presentation with relators and
+    parabolic factors, words whose Dehn pass folds parabolic runs."""
+    rng = random.Random(31)
+    out = []
+    for n in range(1, 61):
+        w = random_letters(rng, p.alphabet, n)
+        g = random_letters(rng, p.alphabet, 1 + n // 2)
+        out += [w, g + w + words.inverse(g), relator_conjugates(rng, p, n)]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(DEHN_PATH_DIGESTS))
+def test_dehn_path_with_parabolic_runs_is_unchanged(name):
+    """shorten (output and steps) and cyclic_shorten (every field) on the
+    Dehn path with parabolic runs, pinned by digest.  Every output is a
+    normal form whose normal_syllables are the syllables of the reference,
+    which lets the Dehn pass split its words with normal_syllables."""
+    import hashlib
+
+    from relconj import reference
+    from relconj.presentation import parse_presentation
+
+    p = parse_presentation(DEHN_PATH_TEXTS[name])
+    digest = hashlib.sha256()
+    for w in dehn_path_inputs(p):
+        res = shortening.shorten(p, w)
+        cyc = shortening.cyclic_shorten(p, w)
+        for x in (res.output, cyc.output):
+            assert words.normalize(p, x) == x, (w, x)
+            assert p.normal_syllables(x) == [
+                s for _, s, _ in reference.syllables(p, x)], (w, x)
+        digest.update(("%r %r\n%r %r %r %r %r %r\n" % (
+            res.output, res.steps, cyc.output, cyc.conjugator,
+            cyc.iterations, cyc.linear_length, cyc.cyclic_length,
+            cyc.normal_form)).encode())
+    assert digest.hexdigest()[:16] == DEHN_PATH_DIGESTS[name]
