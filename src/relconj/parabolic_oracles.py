@@ -66,7 +66,8 @@ class ParabolicOracle:
 
     def __init__(self, descriptor: ParabolicDescriptor):
         self.descriptor = descriptor
-        self.letters = frozenset(descriptor.letters)
+        # str.translate table deleting the subgroup's signed letters
+        self._deletion = dict.fromkeys(map(ord, descriptor.letters))
         # local shortlex rank: declaration order, lowercase before uppercase
         self._rank = {c: i for i, c in enumerate(descriptor.letters)}
 
@@ -88,10 +89,11 @@ class ParabolicOracle:
 
     # -- word-level operations ------------------------------------------
     def _check(self, w):
-        if not self.letters.issuperset(w):
-            c = next(c for c in w if c not in self.letters)
+        """The first letter that _deletion leaves is the first foreign one."""
+        rest = w.translate(self._deletion)
+        if rest:
             raise UnknownLetterError("letter %r is foreign to parabolic %d"
-                                     % (c, self.descriptor.index))
+                                     % (rest[0], self.descriptor.index))
 
     def geodesic_form(self, w: str) -> str:
         self._check(w)

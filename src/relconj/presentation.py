@@ -266,23 +266,6 @@ class RelativePresentation(Frozen):
         return {par.index: "".join(par.letters) for par in self.parabolics}
 
     @cached_property
-    def syllable_pattern(self) -> re.Pattern:
-        """Splits a checked word into syllables in one native pass: a
-        maximal run of one parabolic block's letters, or any single
-        (hyperbolic) letter."""
-        runs = ["[%s]+" % s for s in self.run_letters.values()]
-        return re.compile("|".join(runs + ["."]))
-
-    @cached_property
-    def run_pattern(self) -> re.Pattern:
-        """Matches the maximal parabolic runs of a checked word, each of
-        one factor's letters, and nothing else; with no parabolic factor
-        it matches nothing.  It captures the run, so that split returns
-        the hyperbolic letters between runs and the runs by turns."""
-        runs = ["[%s]+" % s for s in self.run_letters.values()]
-        return re.compile("(%s)" % ("|".join(runs) or "(?!)"))
-
-    @cached_property
     def _syllable_cuts(self):
         """The str.replace cuts of normal_syllables, as (old, new) pairs:
         a space on each side of every letter that is a syllable of its own
@@ -302,13 +285,14 @@ class RelativePresentation(Frozen):
         return cuts
 
     def normal_syllables(self, nf: str) -> list:
-        """The syllables of the normal form nf, equal to
-        syllable_pattern.findall(nf) there, in native string passes: the
-        cached replace cuts and one split, or list(nf) when no factor has
-        runs.  Only a normal form: a finite factor's run of two letters or
-        more (tt in Z * C2) is cut into letters, so words that need not be
-        normal forms (raw_relative_length, the Dehn pass, normalize) use
-        syllable_pattern, which keeps such a run whole."""
+        """The syllables of the normal form nf, each hyperbolic letter
+        alone and each maximal run of one factor's letters whole, as
+        reference.syllables splits it, in native string passes: the cached
+        replace cuts and one split, or list(nf) when no factor has runs.
+        Only a normal form: a finite factor's run of two letters or more
+        (tt in Z * C2), which no normal form has, is cut into letters.  So
+        normalize splits the raw words it reads with block_pattern, and the
+        ground truth splits any word with reference.syllables."""
         cuts = self._syllable_cuts
         if cuts is None:
             return list(nf)
@@ -318,8 +302,10 @@ class RelativePresentation(Frozen):
 
     @cached_property
     def block_pattern(self) -> re.Pattern:
-        """Splits a word like syllable_pattern, except that a maximal run
-        of hyperbolic letters is one block.  Any other character is a
+        """Splits a raw word for normalize into blocks in one native pass:
+        a maximal run of one parabolic factor's letters, which a match
+        from a parabolic letter ends exactly where the run ends, or a
+        maximal run of hyperbolic letters.  Any other character is a
         block of its own, so an unchecked word fails the letter_kind
         lookup of its first undeclared letter instead of losing it."""
         runs = ["[%s]+" % s for s in self.run_letters.values()]

@@ -21,21 +21,26 @@ which a few native str.count passes show, and only a word of zero image
 goes through phase one.  With relators, which must be words in the
 hyperbolic letters, G is the free product of <hyperbolic letters |
 relators> with the parabolics, and phase two is Dehn's algorithm on the
-hyperbolic blocks (RelativePresentation.dehn_table): one stack pass that
-looks the block's suffixes up after each pushed letter and pushes the
-replacement of a hit back onto the input.  Each hit shortens the word,
-so the pass is linear; under C'(1/6) its Dehn-reduced output, not
-necessarily a local geodesic, is empty exactly for the identity
-(Greendlinger, Lyndon-Schupp V.4).
+hyperbolic blocks (RelativePresentation.dehn_table): one stack pass over
+the syllables of the normal form that looks the block's suffixes up after
+each pushed letter and pushes the replacement of a hit back onto the
+input.  Each hit shortens the word, so the pass is linear; under C'(1/6)
+its Dehn-reduced output, not necessarily a local geodesic, is empty
+exactly for the identity (Greendlinger, Lyndon-Schupp V.4).
+
+Every word split into syllables here is a normal form, and
+RelativePresentation.normal_syllables splits it: native replace cuts and
+one split.  Only find_violating_window, the paper's generic local-geodesic
+scan, which the tests run against the ball oracle, splits arbitrary
+windows, with the ground truth's reference.syllables.
 
 Cyclic shortening without relators is one linear pass over the normal
-form of the word and one rotation.  The normal form is split into its
-syllables by RelativePresentation.normal_syllables, native replace cuts
-and one split.  Cyclic reduction of a free-product normal form happens
-at its syllable ends only (Lyndon-Schupp, Combinatorial Group Theory,
-IV.1.4): mutually inverse hyperbolic end letters cancel, and end runs of
-one factor merge into one run, which is either trivial (and the reduction
-goes on inwards) or a syllable between two of other kinds (and it stops).
+form of the word and one rotation.  Cyclic reduction of a free-product
+normal form happens at its syllable ends only (Lyndon-Schupp,
+Combinatorial Group Theory, IV.1.4): mutually inverse hyperbolic end
+letters cancel, and end runs of one factor merge into one run, which is
+either trivial (and the reduction goes on inwards) or a syllable between
+two of other kinds (and it stops).
 Both end runs are geodesic, so a merge is trivial exactly when the last
 run is the oracle's inverse_run of the first, a native string operation;
 the factor oracle folds only the nontrivial merge that ends the pass.
@@ -124,8 +129,8 @@ class CyclicShorteningResult(NamedTuple):
     # relative length of the input's normal form, which is its linear
     # shortening; None with relators
     linear_length: int
-    # syllable count of output as written, raw_relative_length(p, output):
-    # the relative length of the cyclic form
+    # syllable count of output, a normal form, as normal_syllables splits
+    # it: the relative length of the cyclic form
     cyclic_length: int
     # words.normalize(p, input), which the pass splits and against which
     # witnesses are checked; None with relators
@@ -135,32 +140,21 @@ class CyclicShorteningResult(NamedTuple):
 def find_violating_window(p, w, k):
     """Shortest, then leftmost, subword of relative length <= k that is not
     a relative geodesic; None if every such window passes.  The paper's
-    generic scan, every window tested against the ball oracle: the
-    reference check of local geodesics, which no query runs."""
-    from . import metric_oracle
+    generic scan, every window's syllables counted by reference.syllables
+    and tested against the ball oracle, which rests on that module: the
+    reference check of local geodesics, which the tests run and no query
+    does."""
+    from . import metric_oracle, reference
 
     n = len(w)
     for span in range(2, n + 1):
         for i in range(0, n - span + 1):
             sub = w[i : i + span]
-            if words.raw_relative_length(p, sub) > k:
+            if len(reference.syllables(p, sub)) > k:
                 continue
             if not metric_oracle.is_relative_geodesic(p, sub):
                 return (i, i + span)
     return None
-
-
-def is_local_geodesic(p, w, k) -> bool:
-    """Every subword of relative length <= k is a relative geodesic."""
-    return find_violating_window(p, w, k) is None
-
-
-def is_cyclic_local_geodesic(p, w, k) -> bool:
-    if w == "":
-        return True
-    if not words.is_cyclically_reduced(w):
-        return False
-    return is_local_geodesic(p, w + w, k)
 
 
 def _logged(steps, before, after, justification):
@@ -179,7 +173,7 @@ def _dehn_reduced(p, w):
     oracles = p.oracles
     kind_of = p.letter_kind
     inv = INVERSE_LETTER
-    todo = p.syllable_pattern.findall(w)[::-1]  # next token last
+    todo = p.normal_syllables(w)[::-1]  # next token last
     # entries: a hyperbolic letter, or a parabolic run as [index, state,
     # length of the hyperbolic block below it]
     stack = []
@@ -396,9 +390,9 @@ def _cyclic_form_around(p, nf, near):
     if h and not (between(nf, h) and between(nf, n - h)
                   and nf[n - h :] == p.inverse_form(pre)):
         return None
-    parts = p.run_pattern.split(pre)  # hyperbolic letters and runs by turns
-    runs = len(parts) // 2
-    syllables = sum(map(len, parts[::2])) + runs
+    syllables = len(p.normal_syllables(pre))  # pre is a normal form too
+    runs = syllables - sum(pre.count(g) + pre.count(INVERSE_LETTER[g])
+                           for g in p.hyperbolic_generators)
     return (2 * syllables + near.cyclic_length, alpha, pre + x[:k],
             near.cyclic_length, runs)
 
@@ -418,7 +412,7 @@ def _dehn_cyclic_form(p, w):
         # last run when both ends are runs of one factor
         cuts = [cut for m in lengths if m <= n for cut in range(n - m + 1, n)
                 if doubled[cut : cut + m] in table]
-        syls = p.syllable_pattern.findall(rho)
+        syls = p.normal_syllables(rho)
         if len(syls) > 1 and HYPERBOLIC != kind_of[rho[0]] == kind_of[rho[-1]]:
             cuts.append(n - len(syls[-1]))
         if not cuts:

@@ -61,10 +61,6 @@ def mul(*parts: str) -> str:
     return out
 
 
-def is_cyclically_reduced(w: str) -> bool:
-    return len(w) < 2 or w[0] != INVERSE_LETTER[w[-1]]
-
-
 # An attempt at recognition (one fault_pattern search and the fold of the
 # stretch it ends) costs about as much as the stack pass spends on this
 # many letters.  So recognition is tried again only where at least this many
@@ -143,7 +139,7 @@ def _chunk_end(p, w, k):
         return len(w)
     if p.letter_kind[w[k - 1]] == HYPERBOLIC:
         return k
-    return p.syllable_pattern.match(w, k - 1).end()
+    return p.block_pattern.match(w, k - 1).end()
 
 
 def _stretch_end(p, w, i, fault):
@@ -247,7 +243,7 @@ def normalize(p: RelativePresentation, w: str) -> str:
                         pop()
                         i += 1
                     elif top.__class__ is list and top[0] == kind_of[c]:
-                        e = p.syllable_pattern.match(w, i).end()
+                        e = p.block_pattern.match(w, i).end()
                         top[1] = oracles[top[0]].push(top[1], w[i:e])
                         i = e
                         if top[1] is not None:
@@ -282,9 +278,4 @@ def spell_stack(p: RelativePresentation, stack) -> str:
     oracles = p.oracles
     return "".join([e if e.__class__ is str
                     else oracles[e[0]].state_word(e[1]) for e in stack])
-
-
-def raw_relative_length(p: RelativePresentation, w: str) -> int:
-    p.check_word(w)
-    return len(p.syllable_pattern.findall(w))
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from relconj import conjugacy, tables, words
+from relconj import conjugacy, reference, shortening, tables, words
 from relconj.presentation import (HYPERBOLIC, INVERSE_LETTER,
                                   load_presentation,
                                   parse_presentation)
@@ -131,7 +131,7 @@ def cyclically_reduced_syllables(p, rng, k):
     kind = p.letter_kind
     while True:
         nf = words.normalize(p, random_word(rng, p.alphabet, 6 * k, 6 * k))
-        syls = p.syllable_pattern.findall(nf)[:k]
+        syls = [s for _, s, _ in reference.syllables(p, nf)[:k]]
         if len(syls) < k:
             continue
         first, last = syls[0], syls[-1]
@@ -140,6 +140,24 @@ def cyclically_reduced_syllables(p, rng, k):
                 return syls
         elif kind[first[0]] != kind[last[0]]:
             return syls
+
+
+def is_cyclically_reduced(w):
+    """No end letters of w cancel: cyclic_reduce strips nothing."""
+    return words.cyclic_reduce(w)[1] == ""
+
+
+def is_local_geodesic(p, w, k) -> bool:
+    """Every subword of relative length <= k is a relative geodesic."""
+    return shortening.find_violating_window(p, w, k) is None
+
+
+def is_cyclic_local_geodesic(p, w, k) -> bool:
+    if w == "":
+        return True
+    if not is_cyclically_reduced(w):
+        return False
+    return is_local_geodesic(p, w + w, k)
 
 
 def conjugate_without_cancellation(rng, p, u, n):

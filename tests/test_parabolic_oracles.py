@@ -121,6 +121,10 @@ def test_oracle_rejects_foreign_letters(pG2, pZC2, pFree):
         for p, q in ((good, "a"), ("a", good)):
             with pytest.raises(UnknownLetterError):
                 orc.conjugate(p, q)
+        # a foreign letter after a long run: the first one is named
+        with pytest.raises(UnknownLetterError) as err:
+            orc.geodesic_form(good * 400 + "Aa")
+        assert str(err.value) == "letter 'A' is foreign to parabolic 1"
 
 
 def test_min_conjugator_is_minimal(pFree):

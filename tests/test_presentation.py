@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (F_TEXT, G2_TEXT, ZC2_TEXT, C5_TEXT, THREE_TEXT,
                       random_letters)
-from relconj import cli, shortening, words
+from relconj import cli, reference, shortening, words
 from relconj.errors import ParseError, UnknownLetterError
 from relconj.presentation import (
     HYPERBOLIC,
@@ -249,10 +249,11 @@ def test_every_demo_presentation_round_trips(path):
                          ids=[path.stem for path in DEMO_PRESENTATIONS]
                          + ["three"])
 def test_normal_syllables_split_as_the_syllable_pattern(path):
-    # the replace cuts split a normal form exactly as the pattern does: on
-    # seeded normal forms of 0-60 letters of every demo presentation and of
-    # Z^2 * F2 * C3 * Z, where runs of Z^2 and F2 meet and C3 letters stand
-    # alone
+    # the replace cuts split a normal form exactly as the reference does
+    # (the name is from the compiled syllable pattern it once compared
+    # with): on seeded normal forms of 0-60 letters of every demo
+    # presentation and of Z^2 * F2 * C3 * Z, where runs of Z^2 and F2 meet
+    # and C3 letters stand alone
     p = parse_presentation(THREE_TEXT) if path is None else (
         load_presentation(path))
     rng = random.Random(25)
@@ -265,16 +266,18 @@ def test_normal_syllables_split_as_the_syllable_pattern(path):
     for nf in forms:
         if nf.translate(p.declared_deletion) or words.normalize(p, nf) != nf:
             continue  # a hand case for another presentation
-        assert p.normal_syllables(nf) == p.syllable_pattern.findall(nf), nf
+        assert p.normal_syllables(nf) == [
+            s for _, s, _ in reference.syllables(p, nf)], nf
         checked += 1
     assert checked > 400
 
 
 def test_normal_syllables_read_only_normal_forms(pZC2, pG2):
-    # a finite run of two letters is not a normal form; the pattern keeps
+    # a finite run of two letters is not a normal form; the reference keeps
     # it whole and the replace cuts take it letter by letter, so words that
-    # need not be normal forms are split with the pattern
-    assert pZC2.syllable_pattern.findall("atta") == ["a", "tt", "a"]
+    # need not be normal forms are split otherwise
+    assert [s for _, s, _ in reference.syllables(pZC2, "atta")] == [
+        "a", "tt", "a"]
     assert pZC2.normal_syllables("atta") == ["a", "t", "t", "a"]
     assert pZC2.normal_syllables("ata") == ["a", "t", "a"]
     assert pG2.normal_syllables("xxYay") == ["xxY", "a", "y"]

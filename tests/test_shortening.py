@@ -9,8 +9,9 @@ from relconj.presentation import (HYPERBOLIC, INVERSE_LETTER,
                                   load_presentation, parse_presentation)
 
 from conftest import (ZF2_PATH, conjugate_without_cancellation,
-                      cyclically_reduced_syllables, random_letters,
-                      random_word, rotation_families)
+                      cyclically_reduced_syllables, is_cyclic_local_geodesic,
+                      is_local_geodesic, random_letters, random_word,
+                      rotation_families)
 
 
 def brute_window(p, w, k):
@@ -57,12 +58,12 @@ def test_window_scan_examples(pG2):
 
 
 def test_is_local_geodesic(pG2):
-    assert sh.is_local_geodesic(pG2, "", 9)
-    assert sh.is_local_geodesic(pG2, "axya", 9)
-    assert not sh.is_local_geodesic(pG2, "xyX", 9)
-    assert sh.is_cyclic_local_geodesic(pG2, "ax", 9)
+    assert is_local_geodesic(pG2, "", 9)
+    assert is_local_geodesic(pG2, "axya", 9)
+    assert not is_local_geodesic(pG2, "xyX", 9)
+    assert is_cyclic_local_geodesic(pG2, "ax", 9)
     # ends of axA meet around the cycle and cancel
-    assert not sh.is_cyclic_local_geodesic(pG2, "axA", 9)
+    assert not is_cyclic_local_geodesic(pG2, "axA", 9)
 
 
 def test_shorten_free_product_reaches_geodesic_length(pG2):
@@ -104,7 +105,7 @@ def shuffled_runs(rng, p, w):
     factor shuffled: the same element where those factors are abelian, as
     the test presentations' are (Z^2, C2, C5 and C7)."""
     out = []
-    for syl in p.syllable_pattern.findall(w):
+    for _, syl, _ in reference.syllables(p, w):
         kind = p.letter_kind[syl[0]]
         if kind != HYPERBOLIC and p.parabolics[kind - 1].kind != "free":
             syl = "".join(rng.sample(syl, len(syl)))
@@ -229,13 +230,13 @@ def test_cyclic_shorten_contract(pG2, tG2):
         assert sh.word_problem(
             pG2, words.mul(a, alpha, words.inverse(a), words.inverse(w)))
         if alpha:
-            assert sh.is_cyclic_local_geodesic(pG2, alpha, k)
+            assert is_cyclic_local_geodesic(pG2, alpha, k)
         # canonical form is rotation-least: no rotation is shortlex-smaller
         # among valid cyclic local geodesics
         for j in range(1, len(alpha)):
             cand = alpha[j:] + alpha[:j]
             if pG2.shortlex_key(cand) < pG2.shortlex_key(alpha):
-                assert not sh.is_cyclic_local_geodesic(pG2, cand, k)
+                assert not is_cyclic_local_geodesic(pG2, cand, k)
 
 
 def test_least_rotation_matches_brute_force(monkeypatch):
@@ -311,7 +312,7 @@ def test_cyclic_shorten_long_conjugates(pF, pG2, pZC2):
             v = words.normalize(p, g + u + words.inverse(g))
             res = sh.cyclic_shorten(p, v)
             assert res.output == sh.cyclic_shorten(p, u).output
-            assert res.iterations <= words.raw_relative_length(p, v)
+            assert res.iterations <= len(reference.syllables(p, v))
             assert sh.word_problem(p, words.mul(
                 res.conjugator, res.output, words.inverse(res.conjugator),
                 words.inverse(v)))
@@ -382,8 +383,8 @@ def test_end_loop_equals_the_oracle_loop(request, name):
     # a trivial end-run merge is found by comparing last with
     # inverse_run(first); the whole result, merge count included, must
     # equal the loop that asks the oracle about every merge, on conjugated
-    # normal forms g u g^-1 with |g| up to 60, split with the syllable
-    # pattern for the reference and normal_syllables for the pass
+    # normal forms g u g^-1 with |g| up to 60, split with reference.syllables
+    # for the reference and normal_syllables for the pass
     p = request.getfixturevalue(name)
     rng = random.Random(26)
     trivial = nontrivial = 0
@@ -392,8 +393,8 @@ def test_end_loop_equals_the_oracle_loop(request, name):
         g = words.normalize(p, random_word(rng, p.alphabet, 0, 60))
         nf = words.normalize(p, g + u + words.inverse(g))
         got = sh._syllable_cyclic_form(p, nf, p.normal_syllables(nf))
-        want = oracle_end_loop_cyclic_form(p, nf,
-                                           p.syllable_pattern.findall(nf))
+        want = oracle_end_loop_cyclic_form(
+            p, nf, [s for _, s, _ in reference.syllables(p, nf)])
         assert got == want[:4], (u, g)
         trivial += want[4]
         nontrivial += want[5]
@@ -511,7 +512,7 @@ def test_cyclic_shorten_torsion_parabolic(pZC2):
     # canonical class representative and must come back unchanged
     res = sh.cyclic_shorten(pZC2, "t")
     assert (res.output, res.conjugator) == ("t", "")
-    assert not sh.is_cyclic_local_geodesic(pZC2, "t", 9)
+    assert not is_cyclic_local_geodesic(pZC2, "t", 9)
     res = sh.cyclic_shorten(pZC2, "tat")
     assert (res.output, res.conjugator) == ("a", "t")
     res = sh.cyclic_shorten(pZC2, "tt")
@@ -537,8 +538,8 @@ def test_cyclic_length_counts_the_cyclic_form(request, name):
         w = random_word(rng, p.alphabet, 0, 200 if trial % 10 == 0 else 14)
         for v in (w, words.normalize(p, w)):
             res = sh.cyclic_shorten(p, v)
-            assert res.cyclic_length == words.raw_relative_length(
-                p, res.output), v
+            assert res.cyclic_length == len(reference.syllables(
+                p, res.output)), v
             lengths.add(res.cyclic_length)
     assert {0, 1, 2} <= lengths
 
@@ -551,8 +552,8 @@ def test_cyclic_length_on_the_doubled_word_path(pC5):
     for _ in range(300):
         w = random_word(rng, "aA", 0, 14)
         res = sh.cyclic_shorten(pC5, w)
-        assert res.cyclic_length == words.raw_relative_length(
-            pC5, res.output), w
+        assert res.cyclic_length == len(reference.syllables(
+            pC5, res.output)), w
         lengths.add(res.cyclic_length)
     assert lengths == {0, 1, 2}
 

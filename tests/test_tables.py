@@ -102,7 +102,7 @@ def test_filtered_ball(pF, pG2, pZC2, pZF2):
                 # the ball oracle's elements of relative length <= r1 with
                 # every parabolic syllable of at most r2 letters
                 count = sum(
-                    words.raw_relative_length(p, w) <= r1
+                    len(reference.syllables(p, w)) <= r1
                     and all(len(s) <= r2 for kind, s, _ in
                             reference.syllables(p, w) if kind != "hyp")
                     for w in mo.ball(p, r1 * max(r2, 1)).elements)
