@@ -6,19 +6,26 @@ hyperbolic letters and folds every maximal parabolic run into its canonical
 geodesic form, merging runs that become adjacent when letters cancel.  A
 word is its own normal form exactly when it has no fault: no hyperbolic
 letter followed by its inverse, and no factor that its parabolic oracles
-forbid in a geodesic-form run.  So one native search of the presentation's
-fault_pattern finds where the stretch of the word that is already in normal
-form ends: at the first fault, or at the start of the parabolic run it lies
-in.  Such stretches are kept whole, and only the syllables where they meet
-the rest of the word are folded, so a word without a fault is returned
-unchanged, and one with a few faults costs little more than recognising it.
+forbid in a geodesic-form run.  These are words of one or two letters (the
+presentation's fault_factors), so native substring finds, one per factor,
+find where the stretch of the word that is already in normal form ends: at
+the first fault, or at the start of the parabolic run it lies in
+(first_fault); a word shorter than _FIND_LETTERS, where one search of the
+fault_pattern regex costs less, is searched with that.  Such stretches are
+kept whole, and only the syllables where they meet the rest of the word
+are folded, so a word without a fault is returned unchanged, and one with
+a few faults costs little more than recognising it.  On a 768-letter
+normal form of Z * Z^2 the finds and the letter check take about 25 us,
+where the regex search took 37 to 44 us; on the free group 11 to 13 us
+against 32 to 38 us.
 On a presentation without relators the result is the free-product normal
 form, so two words are equal in the group iff they normalize identically.
 
 :func:`mul` multiplies freely reduced words (normal forms are) by cancelling
 only where two of them meet, with native compares (cancel_length), and
 :func:`conjugate_form` spells g * x * g^-1 for the witness checks so that it
-is a normal form except at its joins when g and x are normal forms.
+is a normal form except at its joins when g and x are normal forms, with
+native endswith compares (common_suffix) and without the plain inverse of g.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .presentation import (  # noqa: F401 - inverse, cyclic_reduce re-exported
     INVERSE_LETTER,
     RelativePresentation,
     cancel_length,
+    common_suffix,
     cyclic_reduce,
     inverse,
 )
@@ -61,25 +69,40 @@ def mul(*parts: str) -> str:
     return out
 
 
-# An attempt at recognition (one fault_pattern search and the fold of the
-# stretch it ends) costs about as much as the stack pass spends on this
+# An attempt at recognition (the finds of first_fault and the fold of the
+# stretch they end) costs about as much as the stack pass spends on this
 # many letters.  So recognition is tried again only where at least this many
 # letters are left, and a stretch it finds is kept whole only when it is at
 # least this long or ends the word.
 _ATTEMPT_LETTERS = 16
 
+# From this many letters on, normalize looks for faults with one native
+# find per fault factor (first_fault) rather than one fault_pattern search.
+# A find reads about 1.7 ns a letter and the search about 45, but the finds
+# take a Python step per factor, ten on Z * Z^2 and four on the free group.
+# Measured by normalizing 200 normal forms of each length, as they are and
+# with a fault in the middle (min of 7 interleaved passes, two seeds,
+# Python 3.11.7, 2 shared cores): at 64 letters the search recognises a
+# Z * Z^2 normal form in 4.7-4.8 us against 6.7-6.8 us of finds, at 128
+# they tie (8.7-9.7 against 8.9-10.4 us) and at 256 the finds win
+# (12.4-16.8 against 10.0-13.7 us); on the free group the finds win from
+# 64 letters on normal forms and from 128 with a fault.  A raw word pays
+# the finds' Python steps at each of its O(log n) attempts, about 10 us a
+# word at 128 to 512 letters.
+_FIND_LETTERS = 128
+
 # Below this many letters of a conjugator, spelling the rest of its inverse
-# as a normal form (a cancel_length call, inverse_form's translate and, with
+# as a normal form (common_suffix calls, inverse_form's translate and, with
 # a Z^2 factor, its split) costs more than the stack pass saves on the faults
 # of the plain spelling.  Measured by normalizing g * x * g^-1 for 120
 # random normal forms g of each length and x of 2 to 12 letters (min of 7
-# passes, two seeds, Python 3.11.7): on Z * Z^2 the two spellings break even
-# at 3 to 5 letters (1 letter: 6.0-6.4 us plainly against 8.5-8.9 us; 16
-# letters: 17-21 us against 9.5-13.6 us), on Z * C2 the normal form wins
-# from one letter, and on the free group, where the two spell the same
-# word, the plain one is 0.3-1.5 us cheaper at every length.  The
-# short-batch benchmark checks conjugators of 0 to 7 letters, 94 % of them
-# under 4.
+# interleaved passes, two seeds, Python 3.11.7, 2 shared cores): on
+# Z * Z^2 the two spellings break even at 4 to 5 letters (1 letter:
+# 6.7-6.9 us plainly against 9.0-9.1 us; 16 letters: 32-40 us against
+# 19-27 us), on Z * C2 the normal form wins from two letters, and on the
+# free group, where the two spell the same word, the plain one is 1.1-2.4 us
+# cheaper at every length.  The short-batch benchmark checks conjugators of
+# 0 to 7 letters, 94 % of them under 4.
 _PLAIN_INVERSE_LETTERS = 5
 
 
@@ -88,17 +111,28 @@ def conjugate_form(p: RelativePresentation, g: str, x: str) -> str:
     normal form except at its joins when g and x are normal forms.  Where
     nothing cancels or merges at the joins it is the normal form itself,
     and a witness check (shortening.same_element) is one string compare;
-    otherwise normalize keeps nearly all of it whole.  The plain inverse of
-    g cancels against mul(g, x) as far as it does, letter for letter; the
-    rest of g^-1 is spelled by p.inverse_form, which writes no fault where
-    words.inverse writes one (a Z^2 run backwards, a finite letter in upper
-    case).  The cut between the two may fall inside a run; the product is
-    g * x * g^-1 either way.  Below _PLAIN_INVERSE_LETTERS letters of g it
-    is the plain mul(g, x, inverse(g)), which costs less there."""
+    otherwise normalize keeps nearly all of it whole.  When x is
+    cyclically reduced, a common suffix s of g = g1 * s and x = y * s is
+    dropped first, as g1 * s * (y * s) * s^-1 * g1^-1 = g1 * (s * y) *
+    g1^-1: the rotation conjugator of a cyclic form is such a suffix, so
+    the check of a rotation spells no inverse at all.  The plain inverse
+    of g then cancels against mul(g, x) as far as g and that product end
+    alike (common_suffix); the rest of g^-1 is spelled by p.inverse_form,
+    which writes no fault where words.inverse writes one (a Z^2 run
+    backwards, a finite letter in upper case).  The cut between the two
+    may fall inside a run; the product is g * x * g^-1 either way.  Below
+    _PLAIN_INVERSE_LETTERS letters of g it is the plain mul(g, x,
+    inverse(g)), which costs less there."""
     if len(g) < _PLAIN_INVERSE_LETTERS:
         return mul(g, x, inverse(g))
+    if x and x[0] != INVERSE_LETTER[x[-1]]:  # x is cyclically reduced
+        s = common_suffix(g, x, min(len(g), len(x)))
+        if s:
+            g, x = g[: len(g) - s], x[len(x) - s :] + x[: len(x) - s]
+            if not g:  # g was a rotation prefix of x
+                return x
     gx = mul(g, x)
-    c = cancel_length(gx, inverse(g), min(len(gx), len(g)))
+    c = common_suffix(gx, g, min(len(gx), len(g)))
     return gx[: len(gx) - c] + p.inverse_form(g[: len(g) - c])
 
 
@@ -142,14 +176,43 @@ def _chunk_end(p, w, k):
     return p.block_pattern.match(w, k - 1).end()
 
 
-def _stretch_end(p, w, i, fault):
+def first_fault(p: RelativePresentation, w: str, i: int,
+                found: list = None) -> int:
+    """Where the first fault factor of p (fault_factors) in w at or after i
+    starts, len(w) when there is none, by native finds.  found, when
+    given, holds where each factor was found by an earlier call with a
+    smaller i (len(w) for nowhere, -1 for not looked for) and is updated:
+    only a factor found before i is looked for again, from i.  So over the
+    calls of one normalize, with i increasing, each factor's finds read
+    disjoint stretches of w, and the scans are linear in all.  Undeclared
+    letters are not looked for; normalize rejects them first."""
+    factors = p.fault_factors
+    if found is None:
+        found = [-1] * len(factors)
+    for t, at in enumerate(found):
+        if at < i:
+            at = w.find(factors[t], i)
+            found[t] = len(w) if at < 0 else at
+    return min(found)
+
+
+def _next_fault(p, w, i, found):
+    """first_fault(p, w, i, found), or, for a word shorter than
+    _FIND_LETTERS (found None), the start of the first fault_pattern match,
+    which an undeclared letter is too: len(w) when there is none."""
+    if found is not None:
+        return first_fault(p, w, i, found)
+    fault = p.fault_pattern.search(w, i)
+    return len(w) if fault is None else fault.start()
+
+
+def _stretch_end(p, w, i, f):
     """Where the normal-form stretch of w from the syllable boundary i
-    ends, given fault, the first match of fault_pattern at or after i: at
-    the end of w when there is none, at a hyperbolic or undeclared fault
-    itself, and otherwise at the start of the parabolic run it lies in."""
-    if fault is None:
-        return len(w)
-    f = fault.start()
+    ends, given f = _next_fault(p, w, i, ...): at the end of w when there
+    is no fault, at a hyperbolic or undeclared fault itself, and otherwise
+    at the start of the parabolic run it lies in."""
+    if f == len(w):
+        return f
     kind = p.letter_kind.get(w[f], HYPERBOLIC)
     if kind == HYPERBOLIC:
         return f
@@ -158,26 +221,36 @@ def _stretch_end(p, w, i, fault):
 
 def normalize(p: RelativePresentation, w: str) -> str:
     """Canonical component-normalized free reduction of w, in one left to
-    right pass.  Normal-form stretches, each ended by one native
-    fault_pattern search (_stretch_end), are kept whole.  The first search
-    also tells whether w has a fault at all; a word without one is
-    returned as it is, and a word shorter than _ATTEMPT_LETTERS costs that
-    search and its stack pass.  The letters between stretches go
-    through a stack pass over their blocks, and only the syllables that
-    cancel or merge where a stretch meets the stack are folded.
+    right pass.  Normal-form stretches, each ended by a search for the
+    first fault (_next_fault, _stretch_end), are kept whole: for a word of
+    _FIND_LETTERS letters or more the native finds of first_fault, after
+    one translate has checked that every letter is declared (check_word),
+    and for a shorter word one fault_pattern search, which finds
+    undeclared letters too.  The first search also tells whether w has a
+    fault at all; a word without one is returned as it is, and a word
+    shorter than _ATTEMPT_LETTERS costs that search and its stack pass.
+    The letters between stretches go through a stack pass over their
+    blocks, and only the syllables that cancel or merge where a stretch
+    meets the stack are folded.
 
     Recognition is tried again only where it can pay for itself.  After a
     stretch is kept the stack pass takes one syllable before the next
     attempt, and after each attempt that finds too short a stretch, four
     times as many letters as the time before.  So a raw word costs
     O(log n) attempts beside its stack pass, and a normal form with a few
-    faults is recognised nearly whole.  Letters are checked on the way:
-    an undeclared character is a fault, so no stretch spans it, and the
-    block pattern makes it a block whose letter_kind lookup fails."""
-    fault = p.fault_pattern.search(w)
-    if fault is None:  # undeclared letters are faults too
-        return w
+    faults is recognised nearly whole.  A word shorter than _FIND_LETTERS
+    has its letters checked on the way: an undeclared character is a
+    fault, so no stretch spans it, and the block pattern makes it a block
+    whose letter_kind lookup fails."""
     n = len(w)
+    found = None  # where first_fault found each factor; None: the regex
+    if n >= _FIND_LETTERS:
+        if w.translate(p.declared_deletion):
+            p.check_word(w)  # raises UnknownLetterError naming the letter
+        found = [-1] * len(p.fault_factors)
+    f = _next_fault(p, w, 0, found)
+    if f == n:
+        return w
     oracles = p.oracles
     kind_of = p.letter_kind
     inv = INVERSE_LETTER
@@ -195,7 +268,7 @@ def normalize(p: RelativePresentation, w: str) -> str:
     reach = 1  # letters the next exposure moves from kept onto the stack
     try:
         if n >= _ATTEMPT_LETTERS:  # keep the first stretch, however short
-            j = _stretch_end(p, w, 0, fault)
+            j = _stretch_end(p, w, 0, f)
             if j:
                 kept.append([w, 0, j])
                 stack.clear()
@@ -229,7 +302,7 @@ def normalize(p: RelativePresentation, w: str) -> str:
             if k == n:
                 break
             i = k
-            j = _stretch_end(p, w, i, p.fault_pattern.search(w, i))
+            j = _stretch_end(p, w, i, _next_fault(p, w, i, found))
             if j < n and j - i < _ATTEMPT_LETTERS:
                 gap *= 4  # the attempt does not pay; the stack pass goes on
             else:

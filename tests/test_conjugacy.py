@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from conftest import THREE_TEXT, random_word
+from conftest import G2_TEXT, THREE_TEXT, random_word
 from relconj import (conjugacy as cj, metric_oracle as mo, reference,
                      shortening as sh, tables as tb, words)
 from relconj.errors import (
@@ -274,6 +274,29 @@ def test_long_witness_checks_have_no_fault_to_fold(monkeypatch, pG2, tG2):
     assert checked[2][1] == g + u + pG2.inverse_form(g)
     plain = words.mul(g, u, words.inverse(g))
     assert len(pG2.fault_pattern.findall(plain)) > 10
+
+
+def test_a_long_positive_decide_spells_the_inverse_of_its_conjugator_once(
+        monkeypatch):
+    # v = g u g^-1 is read around u's cyclic form, which compares v's tail
+    # with inverse_form(g); the checks of v's conjugator and of the witness
+    # need the same word, and a one-entry memo gives it them.  A work
+    # count on a fresh presentation, so that no memo is left from before
+    p = parse_presentation(G2_TEXT)
+    u, v, g = long_conjugate_pair(p, 45)
+    spelled = []
+    real = RelativePresentation._spell_inverse_form
+
+    def counting(self, w):
+        spelled.append(w)
+        return real(self, w)
+
+    monkeypatch.setattr(RelativePresentation, "_spell_inverse_form",
+                        counting)
+    cert = cj.decide(p, tb.profile_for(p), u, v)
+    assert cert.answer == "conjugate" and cert.witness == g
+    assert spelled.count(g) == 1
+    assert all(len(w) < len(g) for w in spelled if w != g)
 
 
 def test_a_short_witness_check_with_faults_goes_through_normalize(

@@ -18,6 +18,18 @@ def test_inverse():
     assert words.inverse(words.inverse("aXbY")) == "aXbY"
 
 
+def test_inverse_is_the_reversed_swapcase_on_ascii_words():
+    # one translate of the reversed word swaps the case of every ASCII
+    # letter, as swapcase does, and passes every other character through
+    ascii_chars = "".join(map(chr, range(128)))
+    assert words.inverse(ascii_chars) == ascii_chars.swapcase()[::-1]
+    rng = random.Random(44)
+    for n in list(range(9)) + [15, 16, 17, 466, 4096]:
+        w = "".join(rng.choice(ascii_chars) for _ in range(n))
+        assert words.inverse(w) == w.swapcase()[::-1], w
+    assert words.inverse("a1 b?é\u00c9") == "\u00c9é?B 1A"
+
+
 def test_free_reduce():
     assert words.free_reduce("aA") == ""
     assert words.free_reduce("abBA") == ""
@@ -104,12 +116,17 @@ def test_native_cancellation_equals_the_per_letter_loop():
             assert words.mul(u, v) == a + b == loop_mul(u, v), (x, a, b)
             assert words.mul(u, v) == reduced(u + v)
             assert words.mul(u, "", v) == words.mul("", u, v, "") == a + b
-            # cancel_length compares three letters one by one, then
-            # doubles and halves: it stops where the loop stops, or at top
+            # cancel_length compares three letters one by one, then takes
+            # the common suffix with the inverse, which compares the whole
+            # of top, then doubles and halves: it stops where the loop
+            # stops, or at top
             most = min(len(u), len(v))
             for top in {0, 1, 2, 3, 4, rng.randint(0, most), most} & set(
                     range(most + 1)):
                 assert cancel_length(u, v, top) == min(top, x), (u, v, top)
+                # the same count as the common suffix of u and v^-1
+                assert words.common_suffix(u, words.inverse(v), top) == min(
+                    top, x), (u, v, top)
             # w = s core s^-1 strips exactly s, for odd and even |w|
             while True:
                 core = random_reduced_word(rng, "aAbBxXyY",
@@ -307,8 +324,9 @@ def reference_stretch_end(p, w, i, bounds):
 @pytest.mark.parametrize("name", ["pF", "pG2", "pZC2", "pZF2", "pTHREE"])
 def test_fault_search_ends_each_stretch_where_the_definition_does(request,
                                                                   name):
-    # normalize keeps w[i:j] whole, with j found by one fault search from
-    # i: the first fault, or the start of the parabolic run it lies in
+    # normalize keeps w[i:j] whole, with j found by the fault finds from
+    # i: the first fault, or the start of the parabolic run it lies in.  A
+    # word with an undeclared letter is rejected before any stretch
     p = request.getfixturevalue(name)
     rng = random.Random(35)
     undeclared = 0
@@ -321,6 +339,9 @@ def test_fault_search_ends_each_stretch_where_the_definition_does(request,
             k = rng.randint(0, len(w))
             w = w[:k] + rng.choice("Qé") + w[k:]
             undeclared += 1
+            with pytest.raises(UnknownLetterError):
+                words.normalize(p, w)
+            continue
         # a position starts a syllable unless it continues the parabolic
         # run of the letter before it; an undeclared letter stands alone
         kind = p.letter_kind.get
@@ -329,7 +350,7 @@ def test_fault_search_ends_each_stretch_where_the_definition_does(request,
                   or kind(w[j - 1]) != kind(c)]
         bounds.append(len(w))
         for i in bounds:
-            got = words._stretch_end(p, w, i, p.fault_pattern.search(w, i))
+            got = words._stretch_end(p, w, i, words.first_fault(p, w, i))
             assert got == reference_stretch_end(p, w, i, bounds), (w, i)
     assert undeclared >= 5
 
@@ -439,6 +460,61 @@ def test_normalize_folds_only_the_fault(monkeypatch, pTHREE):
         del calls[:]
         assert words.normalize(pTHREE, w) == nf
         assert len(calls) <= 4, (i, calls)
+
+
+DEMO_PRESENTATIONS = sorted(ZF2_PATH.parent.glob("*.txt"))
+
+
+@pytest.mark.parametrize("path", DEMO_PRESENTATIONS, ids=lambda p: p.stem)
+def test_fault_finds_agree_with_the_pattern_and_the_reference(path):
+    # normalize recognises a word of _FIND_LETTERS letters or more by the
+    # finds of first_fault, a shorter one by fault_pattern: on declared
+    # words both find the same first fault, from any start, and a word has
+    # one exactly when it is not its own reference normal form
+    p = load_presentation(path)
+    rng = random.Random(47)
+    faults = 0
+    lengths = [rng.randint(0, 64) for _ in range(300)] + [1024] * 12
+    for trial, n in enumerate(lengths):
+        w = random_letters(rng, p.alphabet, n)
+        if trial % 3:
+            w = words.normalize(p, w + random_letters(rng, p.alphabet, n))[:n]
+        if trial % 3 == 2:
+            k, f = rng.randint(0, len(w)), rng.choice(p.fault_factors)
+            w = w[:k] + f + w[k:]
+        has_fault = reference.normal_form(p, w) != w
+        faults += has_fault
+        assert (words.first_fault(p, w, 0) < len(w)) is has_fault, w
+        assert (p.fault_pattern.search(w) is not None) is has_fault, w
+        found = [-1] * len(p.fault_factors)  # one normalize's finds
+        for i in sorted(rng.sample(range(len(w) + 1), min(len(w) + 1, 8))):
+            match = p.fault_pattern.search(w, i)
+            want = len(w) if match is None else match.start()
+            assert words.first_fault(p, w, i) == want, (w, i)
+            assert words.first_fault(p, w, i, found) == want, (w, i)
+    assert 100 < faults < len(lengths) - 50
+
+
+@pytest.mark.parametrize("name", ["pF", "pG2", "pZC2", "pZF2"])
+def test_an_undeclared_letter_fails_as_check_word_does_at_any_length(
+        request, name):
+    # below _FIND_LETTERS normalize meets an undeclared letter in its
+    # fault search and stack pass, from there on it checks the letters
+    # first; either way the error is check_word's, naming the first one
+    p = request.getfixturevalue(name)
+    rng = random.Random(48)
+    n, m = words._ATTEMPT_LETTERS, words._FIND_LETTERS
+    for length in (0, 1, n - 1, n, n + 1, m - 2, m - 1, m, m + 1, 1024):
+        nf = words.normalize(p, random_letters(rng, p.alphabet, 4 * length))
+        for bad in ("Q", "é", "5", "\n", "Qé"):
+            k = rng.randint(0, len(nf[:length]))
+            w = nf[:length][:k] + bad + nf[:length][k:]
+            with pytest.raises(UnknownLetterError) as want:
+                p.check_word(w)
+            assert repr(bad[0]) in str(want.value)
+            with pytest.raises(UnknownLetterError) as got:
+                words.normalize(p, w)
+            assert str(got.value) == str(want.value), w
 
 
 def test_normalize_unknown_letter(pG2):
