@@ -499,22 +499,27 @@ def test_fault_finds_agree_with_the_pattern_and_the_reference(path):
 def test_an_undeclared_letter_fails_as_check_word_does_at_any_length(
         request, name):
     # below _FIND_LETTERS normalize meets an undeclared letter in its
-    # fault search and stack pass, from there on it checks the letters
-    # first; either way the error is check_word's, naming the first one
+    # fault search and stack pass, from there on in its stack pass or the
+    # check of a stretch it keeps whole, or of a word without a fault,
+    # before or after a fault; the error is check_word's, naming the
+    # first undeclared letter
     p = request.getfixturevalue(name)
     rng = random.Random(48)
     n, m = words._ATTEMPT_LETTERS, words._FIND_LETTERS
     for length in (0, 1, n - 1, n, n + 1, m - 2, m - 1, m, m + 1, 1024):
         nf = words.normalize(p, random_letters(rng, p.alphabet, 4 * length))
+        nf = nf[:length]
         for bad in ("Q", "é", "5", "\n", "Qé"):
-            k = rng.randint(0, len(nf[:length]))
-            w = nf[:length][:k] + bad + nf[:length][k:]
-            with pytest.raises(UnknownLetterError) as want:
-                p.check_word(w)
-            assert repr(bad[0]) in str(want.value)
-            with pytest.raises(UnknownLetterError) as got:
-                words.normalize(p, w)
-            assert str(got.value) == str(want.value), w
+            k = rng.randint(0, len(nf))
+            w = nf[:k] + bad + nf[k:]
+            f = rng.randint(0, len(w))
+            for w in (w, w[:f] + rng.choice(p.fault_factors) + w[f:]):
+                with pytest.raises(UnknownLetterError) as want:
+                    p.check_word(w)
+                assert repr(bad[0]) in str(want.value)
+                with pytest.raises(UnknownLetterError) as got:
+                    words.normalize(p, w)
+                assert str(got.value) == str(want.value), w
 
 
 def test_normalize_unknown_letter(pG2):
