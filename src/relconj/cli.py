@@ -68,45 +68,44 @@ def _read_profile_overrides(path):
     return out
 
 
-def _setup(presentation_path, profile_path):
-    p = load_presentation(presentation_path)
-    profile = tables.profile_for(p, _read_profile_overrides(profile_path))
+def _setup(args):
+    p = load_presentation(args.presentation)
+    profile = tables.profile_for(p, _read_profile_overrides(args.profile))
     return p, profile
 
 
-def cmd_wp(presentation_path, word, profile_path=None) -> CommandResult:
-    p, _ = _setup(presentation_path, profile_path)
-    res = shortening.shorten(p, word)
-    return CommandResult("ok", {
+def cmd_wp(args) -> dict:
+    p, _ = _setup(args)
+    res = shortening.shorten(p, args.word)
+    return {
         "trivial": res.output == "",
         "shortened": res.output,
         "steps": len(res.steps),
-    })
+    }
 
 
-def cmd_classify(presentation_path, word, profile_path=None) -> CommandResult:
-    p, profile = _setup(presentation_path, profile_path)
-    return CommandResult("ok", conjugacy.classify(p, profile, word)._asdict())
+def cmd_classify(args) -> dict:
+    p, profile = _setup(args)
+    return conjugacy.classify(p, profile, args.word)._asdict()
 
 
-def cmd_conj(presentation_path, word_u, word_v, do_search=False,
-             profile_path=None) -> CommandResult:
-    p, profile = _setup(presentation_path, profile_path)
-    cert = conjugacy.decide(p, profile, word_u, word_v)
-    if do_search and cert.answer != "conjugate":
+def cmd_conj(args) -> dict:
+    p, profile = _setup(args)
+    cert = conjugacy.decide(p, profile, args.u, args.v)
+    if args.search and cert.answer != "conjugate":
         raise NotConjugateError(cert.reason)
     # every field of the certificate, in order, with length printed as L
-    return CommandResult("ok", {"L" if key == "length" else key: value
-                                for key, value in cert._asdict().items()})
+    return {"L" if key == "length" else key: value
+            for key, value in cert._asdict().items()}
 
 
-def cmd_precompute(presentation_path, cache_path=None,
-                   profile_path=None) -> CommandResult:
-    p, profile = _setup(presentation_path, profile_path)
+def cmd_precompute(args) -> dict:
+    p, profile = _setup(args)
     t = tables.precompute(p, profile)
+    cache_path = args.cachefile or args.cache
     if cache_path:
         tables.save_tables(cache_path, t)
-    return CommandResult("ok", {
+    return {
         "presentation": t.p_hash,
         "profile": t.profile.hash,
         "size_l3": t.l3,
@@ -114,37 +113,36 @@ def cmd_precompute(presentation_path, cache_path=None,
         "k_hyp_4delta": t.k_hyp_4delta,
         "k_4delta": t.k_4delta,
         "cache": cache_path,
-    })
+    }
 
 
-def cmd_crosscheck(presentation_path, max_word_length, profile_path=None,
-                   sample=None, seed=0) -> CommandResult:
+def cmd_crosscheck(args) -> dict:
     """decide() against the ball oracle's conjugacy classes over all
     ordered pairs of ball elements, or a seeded sample of them.  The only
     command that loads the ball oracle (metric_oracle)."""
     from . import metric_oracle
 
-    if max_word_length < 0:
+    if args.maxlen < 0:
         raise ParseError("maxlen must be nonnegative")
-    if sample is not None and sample < 1:
+    if args.sample is not None and args.sample < 1:
         raise ParseError("--sample must be at least 1")
-    p, profile = _setup(presentation_path, profile_path)
+    p, profile = _setup(args)
     engine = conjugacy.ConjugacyEngine(p, profile)
-    elements = metric_oracle.ball(p, max_word_length,
+    elements = metric_oracle.ball(p, args.maxlen,
                                   budget=profile.budget).elements
     n = len(elements)
-    if (n * n if sample is None else sample) > profile.budget:
+    if (n * n if args.sample is None else args.sample) > profile.budget:
         raise BudgetExceededError("crosscheck pairs", profile.budget)
-    classes = metric_oracle.conjugacy_classes(p, max_word_length,
+    classes = metric_oracle.conjugacy_classes(p, args.maxlen,
                                               budget=profile.budget)
-    if sample is None:
+    if args.sample is None:
         pairs = [(u, v) for u in elements for v in elements]
     else:
         import random
 
-        rng = random.Random(seed)
+        rng = random.Random(args.seed)
         pairs = [(elements[rng.randrange(n)], elements[rng.randrange(n)])
-                 for _ in range(sample)]
+                 for _ in range(args.sample)]
     mismatches = 0
     counterexample = None
     for u, v in pairs:
@@ -156,13 +154,13 @@ def cmd_crosscheck(presentation_path, max_word_length, profile_path=None,
             if counterexample is None:
                 counterexample = "%s|%s" % (u, v)
     agreement = 1.0 - mismatches / len(pairs)  # the ball holds the identity
-    return CommandResult("ok", {
+    return {
         "elements": n,
         "pairs": len(pairs),
         "agreement": "%.6f" % agreement,
         "mismatches": mismatches,
         "counterexample": counterexample,
-    })
+    }
 
 
 def _format_value(value):
@@ -237,14 +235,16 @@ def _crosscheck_arguments(sp):
                          "all of them (default: exhaustive)")
 
 
-# name, help line and argument builder of every subcommand, in help order
+# name, help line, argument builder and handler of every subcommand, in
+# help order; the handler takes the parsed arguments and returns the payload
 _SUBCOMMANDS = (
-    ("wp", "word problem: is the word trivial?", _word_arguments),
-    ("classify", "hyperbolic or parabolic?", _word_arguments),
-    ("conj", "decide conjugacy of two words", _conj_arguments),
-    ("precompute", "build tables, print sizes", _precompute_arguments),
+    ("wp", "word problem: is the word trivial?", _word_arguments, cmd_wp),
+    ("classify", "hyperbolic or parabolic?", _word_arguments, cmd_classify),
+    ("conj", "decide conjugacy of two words", _conj_arguments, cmd_conj),
+    ("precompute", "build tables, print sizes", _precompute_arguments,
+     cmd_precompute),
     ("crosscheck", "decide vs the brute-force oracle on all pairs",
-     _crosscheck_arguments),
+     _crosscheck_arguments, cmd_crosscheck),
 )
 
 
@@ -268,33 +268,20 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     _add_common(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_subparser)
-    for name, help_line, add_arguments in _SUBCOMMANDS:
+    for name, help_line, add_arguments, handler in _SUBCOMMANDS:
         sp = sub.add_parser(name, help=help_line,
                             listed_only=argv is not None and name not in argv)
         if sp is not None:
             _add_common(sp, suppress=True)
             add_arguments(sp)
+            sp.set_defaults(handler=handler)
     return parser
 
 
 def run(args) -> CommandResult:
     start = time.perf_counter()
     try:
-        if args.command == "wp":
-            result = cmd_wp(args.presentation, args.word, args.profile)
-        elif args.command == "classify":
-            result = cmd_classify(args.presentation, args.word,
-                                  args.profile)
-        elif args.command == "conj":
-            result = cmd_conj(args.presentation, args.u, args.v,
-                              args.search, args.profile)
-        elif args.command == "precompute":
-            result = cmd_precompute(args.presentation,
-                                    args.cachefile or args.cache,
-                                    args.profile)
-        else:
-            result = cmd_crosscheck(args.presentation, args.maxlen,
-                                    args.profile, args.sample, args.seed)
+        result = CommandResult("ok", args.handler(args))
     except Exception as exc:  # noqa: BLE001 - mapped to typed payloads
         result = _error_result(exc)
     result.timing = time.perf_counter() - start

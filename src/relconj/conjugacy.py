@@ -16,19 +16,11 @@ Conventions.  Every internal conjugator is carried in right form: a step
 from x to y stores c with y = c^-1 * x * c, so chains compose by plain
 concatenation.  The public witness of a certificate is converted once at
 the boundary to g = c^-1 with v = g * u * g^-1.  Every "conjugate" answer
-is verified before the certificate is issued (shortening.same_element:
-normal-form equality of g * u * g^-1 and v, with u in its normal form so
-that words.mul gets freely reduced parts); a failed verification is an
-internal error, never a silent downgrade.  The product is spelled by
-words.conjugate_form, which, for a witness of five letters or more, writes
-the part of g^-1 that does not cancel as a normal form, so the product has
-faults only at its joins.  Where nothing cancels or merges there it is
-spelled as v's normal form, and the check is one string compare;
-otherwise it costs about one recognition scan of the product.  On
-Z * Z^2, a 512-letter u under a 128-letter witness gives a check product
-that is v's normal form letter for letter (the plain inverse of g leaves
-11 to 19 faults): spelling and comparing it takes 3 to 4 us, against
-about 25 us to recognise v.  The witness is built as
+is verified before the certificate is issued: shortening.same_element
+checks g * u * g^-1, spelled by words.conjugate_form with u in its normal
+form, against v (the shortening module docstring gives the account of that
+check); a failed verification is an internal error, never a silent
+downgrade.  The witness is built as
 cv.conjugator * payload^-1 * cu.conjugator^-1, which spells one inverse
 fewer than inverting the product of the other order, and its check reuses
 the inverse_form of v's conjugator that shortening v spelled

@@ -68,8 +68,9 @@ class ParabolicOracle:
         self.descriptor = descriptor
         # str.translate table deleting the subgroup's signed letters
         self._deletion = dict.fromkeys(map(ord, descriptor.letters))
-        # local shortlex rank: declaration order, lowercase before uppercase
-        self._rank = {c: i for i, c in enumerate(descriptor.letters)}
+        # str.translate table spelling each signed letter as the character
+        # of its local shortlex rank: declaration order, lowercase first
+        self._rank = {ord(c): i for i, c in enumerate(descriptor.letters)}
 
     # -- accumulator interface ------------------------------------------
     def push(self, state, run):
@@ -124,7 +125,7 @@ class ParabolicOracle:
         raise NotImplementedError
 
     def shortlex_key(self, w: str):
-        return (len(w), tuple(self._rank[c] for c in w))
+        return (len(w), w.translate(self._rank))
 
     def min_conjugator(self, p: str, q: str):
         """Shortest t (shortlex ties) with t*p*t^-1 = q, or None: the first

@@ -73,31 +73,32 @@ Each rotation takes off a letter or, merging two runs, a syllable, and
 adds neither, so the loop ends.
 
 Every conjugator, here and in the conjugacy engine, is checked before it is
-returned (same_element).  Without relators the product that it claims equal
-to a word is spelled by words.conjugate_form from the conjugator and the
-cyclic form, as a rule both normal forms.  A suffix that the conjugator
-shares with the cyclic form is rotated back onto it first: a rotation
-prefix a of alpha = y * a gives a * alpha * a^-1 = a * y, the word's own
-normal form, spelled by one rotation and checked by one string compare
-(3 to 4 us for 512 letters); v's conjugator P + X[:k] around alpha
-leaves P * X * P^-1.  What is left of the conjugator's plain inverse
-cancels where it meets the cyclic form, found by native endswith compares,
-and RelativePresentation.inverse_form spells the rest of the inverse as a
+returned (same_element).  The product that it claims equal to a word is
+spelled by words.conjugate_form from the conjugator and the cyclic form, as
+a rule both normal forms.  A suffix that the conjugator shares with the
+cyclic form is rotated back onto it first: a rotation prefix a of
+alpha = y * a gives a * alpha * a^-1 = a * y, the word's own normal form,
+spelled by one rotation and checked by one string compare (3 to 4 us for
+512 letters); v's conjugator P + X[:k] around alpha leaves P * X * P^-1.
+What is left of the conjugator's plain inverse cancels where it meets the
+cyclic form, found by native endswith compares, and
+RelativePresentation.inverse_form spells the rest of the inverse as a
 normal form, where words.inverse would write a run of Z^2 backwards (xxyy
 as YYXX) or the finite letter t of Z * C2 as T, each a fault; it keeps the
 last word it spelled, so P^-1, which _cyclic_form_around compares with v's
 tail, is spelled once for that read, v's check and decide's witness
-check.  So the product is a normal form except at its joins, and its
-normal form must equal the word's.  Where nothing cancels or merges at the
-joins the product is spelled exactly as that normal form, and the check is
-one string compare, on Z * Z^2 as on the free group: a 768-letter check
-product (a 512-letter word under a 128-letter conjugator) is v's normal
-form letter for letter, where the plain inverse left 11 to 19 faults.
-Otherwise normalize keeps the stretches between the joins whole, and the
-check costs about one recognition scan.  A conjugator of fewer than
-words._PLAIN_INVERSE_LETTERS letters keeps the plain spelling, cheaper
-there.  With relators the product is words.mul(a, alpha, a^-1), and the
-word problem on it times the inverse of the word must answer trivial.
+check.  So the product is a normal form except at its joins.  A conjugator
+of fewer than words._PLAIN_INVERSE_LETTERS letters keeps the plain
+spelling, cheaper there.
+
+Without relators the product's normal form must equal the word's.  Where
+nothing cancels or merges at the joins the product is spelled exactly as
+that normal form, and the check is one string compare, on Z * Z^2 as on
+the free group: a 768-letter check product (a 512-letter word under a
+128-letter conjugator) is v's normal form letter for letter.  Otherwise
+normalize keeps the stretches between the joins whole, and the check costs
+about one recognition scan.  With relators the word problem on the product
+times the inverse of the word must answer trivial.
 """
 
 from __future__ import annotations
@@ -452,7 +453,8 @@ def cyclic_shorten(p: RelativePresentation, w: str,
     Dehn-reduced: cyclically reduced, and no cyclic subword is more than
     half a relator; iterations counts the rotations, and near is not read.
     Either way w goes through normalize first, which checks its letters,
-    and no step is logged."""
+    no step is logged, and a * alpha * a^-1, spelled by
+    words.conjugate_form, is checked equal to w (same_element)."""
     nf = linear_length = None
     if p.is_free_product:
         nf = words.normalize(p, w)
@@ -463,11 +465,9 @@ def cyclic_shorten(p: RelativePresentation, w: str,
             syls = p.normal_syllables(nf)
             found = (len(syls),) + _syllable_cyclic_form(p, nf, syls)
         linear_length, rho, conj, cyclic_length, iterations = found
-        claimed = words.conjugate_form(p, conj, rho)
     else:
         rho, conj, cyclic_length, iterations = _dehn_cyclic_form(p, w)
-        claimed = words.mul(conj, rho, words.inverse(conj))
-    if not same_element(p, claimed, w, nf):
+    if not same_element(p, words.conjugate_form(p, conj, rho), w, nf):
         raise RelconjError("cyclic shortening produced an invalid conjugator")
     return CyclicShorteningResult(rho, conj, iterations, linear_length,
                                   cyclic_length, nf)

@@ -16,16 +16,14 @@ kept whole, and only the syllables where they meet the rest of the word
 are folded, so a word without a fault is returned unchanged, and one with
 a few faults costs little more than recognising it.  On a 768-letter
 normal form of Z * Z^2 the finds and the letter check take about 25 us,
-where the regex search took 37 to 44 us; on the free group 11 to 13 us
-against 32 to 38 us.
+and on the free group 11 to 13 us.
 On a presentation without relators the result is the free-product normal
 form, so two words are equal in the group iff they normalize identically.
 
 :func:`mul` multiplies freely reduced words (normal forms are) by cancelling
 only where two of them meet, with native compares (cancel_length), and
-:func:`conjugate_form` spells g * x * g^-1 for the witness checks so that it
-is a normal form except at its joins when g and x are normal forms, with
-native endswith compares (common_suffix) and without the plain inverse of g.
+:func:`conjugate_form` spells g * x * g^-1 for the witness checks (see the
+shortening module docstring).
 """
 
 from __future__ import annotations
@@ -176,19 +174,21 @@ def _chunk_end(p, w, k):
     return p.block_pattern.match(w, k - 1).end()
 
 
-def first_fault(p: RelativePresentation, w: str, i: int,
-                found: list = None) -> int:
-    """Where the first fault factor of p (fault_factors) in w at or after i
-    starts, len(w) when there is none, by native finds.  found, when
-    given, holds where each factor was found by an earlier call with a
-    smaller i (len(w) for nowhere, -1 for not looked for) and is updated:
-    only a factor found before i is looked for again, from i.  So over the
-    calls of one normalize, with i increasing, each factor's finds read
-    disjoint stretches of w, and the scans are linear in all.  Undeclared
-    letters are not looked for; normalize rejects them first."""
-    factors = p.fault_factors
+def first_fault(p: RelativePresentation, w: str, i: int, found) -> int:
+    """Where the first fault of w at or after i starts, len(w) when there
+    is none.  With found None it is one fault_pattern search, in which an
+    undeclared letter is a fault too.  Otherwise it is native finds of the
+    fault factors of p (fault_factors), which do not look for undeclared
+    letters (normalize rejects them first), and found holds where each
+    factor was found by an earlier call with a smaller i (len(w) for
+    nowhere, -1 for not looked for) and is updated: only a factor found
+    before i is looked for again, from i.  So over the calls of one
+    normalize, with i increasing, each factor's finds read disjoint
+    stretches of w, and the scans are linear in all."""
     if found is None:
-        found = [-1] * len(factors)
+        fault = p.fault_pattern.search(w, i)
+        return len(w) if fault is None else fault.start()
+    factors = p.fault_factors
     for t, at in enumerate(found):
         if at < i:
             at = w.find(factors[t], i)
@@ -196,19 +196,9 @@ def first_fault(p: RelativePresentation, w: str, i: int,
     return min(found)
 
 
-def _next_fault(p, w, i, found):
-    """first_fault(p, w, i, found), or, for a word shorter than
-    _FIND_LETTERS (found None), the start of the first fault_pattern match,
-    which an undeclared letter is too: len(w) when there is none."""
-    if found is not None:
-        return first_fault(p, w, i, found)
-    fault = p.fault_pattern.search(w, i)
-    return len(w) if fault is None else fault.start()
-
-
 def _stretch_end(p, w, i, f):
     """Where the normal-form stretch of w from the syllable boundary i
-    ends, given f = _next_fault(p, w, i, ...): at the end of w when there
+    ends, given f = first_fault(p, w, i, ...): at the end of w when there
     is no fault, at a hyperbolic or undeclared fault itself, and otherwise
     at the start of the parabolic run it lies in."""
     if f == len(w):
@@ -222,11 +212,11 @@ def _stretch_end(p, w, i, f):
 def normalize(p: RelativePresentation, w: str) -> str:
     """Canonical component-normalized free reduction of w, in one left to
     right pass.  Normal-form stretches, each ended by a search for the
-    first fault (_next_fault, _stretch_end), are kept whole: for a word of
-    _FIND_LETTERS letters or more the native finds of first_fault, after
-    one translate has checked that every letter is declared (check_word),
-    and for a shorter word one fault_pattern search, which finds
-    undeclared letters too.  The first search also tells whether w has a
+    first fault (first_fault, _stretch_end), are kept whole: for a word of
+    _FIND_LETTERS letters or more its native finds, after one translate
+    has checked that every letter is declared (check_word), and for a
+    shorter word its fault_pattern search, which finds undeclared letters
+    too.  The first search also tells whether w has a
     fault at all; a word without one is returned as it is, and a word
     shorter than _ATTEMPT_LETTERS costs that search and its stack pass.
     The letters between stretches go through a stack pass over their
@@ -248,7 +238,7 @@ def normalize(p: RelativePresentation, w: str) -> str:
         if w.translate(p.declared_deletion):
             p.check_word(w)  # raises UnknownLetterError naming the letter
         found = [-1] * len(p.fault_factors)
-    f = _next_fault(p, w, 0, found)
+    f = first_fault(p, w, 0, found)
     if f == n:
         return w
     oracles = p.oracles
@@ -302,7 +292,7 @@ def normalize(p: RelativePresentation, w: str) -> str:
             if k == n:
                 break
             i = k
-            j = _stretch_end(p, w, i, _next_fault(p, w, i, found))
+            j = _stretch_end(p, w, i, first_fault(p, w, i, found))
             if j < n and j - i < _ATTEMPT_LETTERS:
                 gap *= 4  # the attempt does not pay; the stack pass goes on
             else:

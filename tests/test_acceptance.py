@@ -523,7 +523,8 @@ def test_criterion_14_torsion_oracle_equivalence(capsys):
     t0 = time.perf_counter()
     path = (Path(__file__).resolve().parents[1] / "demos" / "presentations"
             / "zc2.txt")
-    res = cli.cmd_crosscheck(str(path), 6)
+    res = cli.run(cli.build_parser().parse_args(
+        ["crosscheck", str(path), "6"]))
     out = res.payload
     elapsed = time.perf_counter() - t0
     ok = (res.status == "ok" and out["pairs"] == out["elements"] ** 2

@@ -526,7 +526,7 @@ def parse_outputs(capsys, parser, argv):
     ["--seed", "x", "conj"], ["--profile", "conj", "bogus"],
     ["--profile", "wp", "conj", "f", "u", "v"], ["conj"], ["conj", "f"],
     ["conj", "f", "u", "v", "--bogus"], ["-h", "conj"],
-] + [[name, "-h"] for name, _, _ in cli._SUBCOMMANDS])
+] + [[name, "-h"] for name, *_ in cli._SUBCOMMANDS])
 def test_parser_for_argv_prints_what_the_full_parser_prints(capsys, argv):
     # the parser built for argv holds only the subparsers argv names, and
     # every help, usage and error it prints is the full parser's

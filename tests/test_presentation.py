@@ -1,4 +1,5 @@
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -214,8 +215,15 @@ def test_parse_rejects_bad_finite_table():
 
 
 def test_relator_with_unknown_letter():
-    with pytest.raises(UnknownLetterError):
+    with pytest.raises(UnknownLetterError,
+                       match=re.escape("relator 'ab' uses unknown letter 'b'")):
         parse_presentation("group g\nhyperbolic a\nrelator ab\n")
+
+
+def test_constructor_rejects_an_empty_relator():
+    # parsing never builds one, so only the constructor reaches this check
+    with pytest.raises(ParseError, match="empty relator"):
+        RelativePresentation("g", ("a",), (), ("",))
 
 
 def test_constants_survive_parsing(pG2):

@@ -350,7 +350,8 @@ def test_fault_search_ends_each_stretch_where_the_definition_does(request,
                   or kind(w[j - 1]) != kind(c)]
         bounds.append(len(w))
         for i in bounds:
-            got = words._stretch_end(p, w, i, words.first_fault(p, w, i))
+            got = words._stretch_end(p, w, i, words.first_fault(
+                p, w, i, [-1] * len(p.fault_factors)))
             assert got == reference_stretch_end(p, w, i, bounds), (w, i)
     assert undeclared >= 5
 
@@ -468,11 +469,13 @@ DEMO_PRESENTATIONS = sorted(ZF2_PATH.parent.glob("*.txt"))
 @pytest.mark.parametrize("path", DEMO_PRESENTATIONS, ids=lambda p: p.stem)
 def test_fault_finds_agree_with_the_pattern_and_the_reference(path):
     # normalize recognises a word of _FIND_LETTERS letters or more by the
-    # finds of first_fault, a shorter one by fault_pattern: on declared
-    # words both find the same first fault, from any start, and a word has
-    # one exactly when it is not its own reference normal form
+    # finds of first_fault, a shorter one by its fault_pattern search
+    # (found None): on declared words both find the same first fault, from
+    # any start, and a word has one exactly when it is not its own
+    # reference normal form; the search reports an undeclared letter too
     p = load_presentation(path)
     rng = random.Random(47)
+    other = random.Random(48)  # the undeclared letters, apart from rng
     faults = 0
     lengths = [rng.randint(0, 64) for _ in range(300)] + [1024] * 12
     for trial, n in enumerate(lengths):
@@ -484,14 +487,24 @@ def test_fault_finds_agree_with_the_pattern_and_the_reference(path):
             w = w[:k] + f + w[k:]
         has_fault = reference.normal_form(p, w) != w
         faults += has_fault
-        assert (words.first_fault(p, w, 0) < len(w)) is has_fault, w
+        assert (words.first_fault(p, w, 0, [-1] * len(p.fault_factors))
+                < len(w)) is has_fault, w
         assert (p.fault_pattern.search(w) is not None) is has_fault, w
         found = [-1] * len(p.fault_factors)  # one normalize's finds
         for i in sorted(rng.sample(range(len(w) + 1), min(len(w) + 1, 8))):
             match = p.fault_pattern.search(w, i)
             want = len(w) if match is None else match.start()
-            assert words.first_fault(p, w, i) == want, (w, i)
+            assert words.first_fault(p, w, i, None) == want, (w, i)
+            assert words.first_fault(
+                p, w, i, [-1] * len(p.fault_factors)) == want, (w, i)
             assert words.first_fault(p, w, i, found) == want, (w, i)
+        k = other.randint(0, len(w))
+        bad = w[:k] + other.choice("Qé") + w[k:]
+        for i in (0, k // 2, k, k + 1):
+            match = p.fault_pattern.search(bad, i)
+            want = len(bad) if match is None else match.start()
+            assert words.first_fault(p, bad, i, None) == want, (bad, i)
+            assert (want <= k) is (i <= k), (bad, i)
     assert 100 < faults < len(lengths) - 50
 
 
