@@ -6,13 +6,17 @@ Output discipline: stdout carries machine-parseable key=value lines only
 (or a single JSON object with --json) and is byte-identical for identical
 inputs; the wall-clock timing line goes to stderr.  Exit status is 0
 exactly when the command status is ok.
+
+A well-formed command line is read straight from the grammar tables below;
+argparse, built from the same tables, loads only to print help and errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
+import types
+from itertools import zip_longest
 
 from . import conjugacy, shortening, tables
 from .errors import (
@@ -185,96 +189,134 @@ def _emit(result: CommandResult, as_json: bool):
     sys.stderr.write("elapsed_ms=%.1f\n" % (result.timing * 1000.0))
 
 
-def _add_common(parser, suppress):
-    """The global flags, attached to the main parser with real defaults and
-    to every subparser with suppressed ones, so they parse in either
-    position without the subparser clobbering main-level values."""
-    d = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--profile", metavar="PATH",
-                        default=d,
-                        help="constants overrides, one key=value per line "
-                             "(default: the presentation's constants block)")
-    parser.add_argument("--cache", metavar="PATH",
-                        default=d,
-                        help="tables cache file that precompute writes; "
-                             "query commands accept it and do not read it "
-                             "(default: no cache)")
-    parser.add_argument("--json", action="store_true",
-                        default=argparse.SUPPRESS if suppress else False,
-                        help="emit one JSON object instead of key=value "
-                             "lines (default: key=value)")
-    parser.add_argument("--seed", type=int,
-                        default=argparse.SUPPRESS if suppress else 0,
-                        help="seed for sampled crosscheck pairs (default 0)")
+# The global flags, which parse before or after the subcommand, the last
+# one given winning: flag, value type (None for a switch), default, metavar
+# and help line.
+_FLAGS = (
+    ("--profile", str, None, "PATH",
+     "constants overrides, one key=value per line "
+     "(default: the presentation's constants block)"),
+    ("--cache", str, None, "PATH",
+     "tables cache file that precompute writes; query commands accept it "
+     "and do not read it (default: no cache)"),
+    ("--json", None, False, None,
+     "emit one JSON object instead of key=value lines (default: key=value)"),
+    ("--seed", int, 0, None, "seed for sampled crosscheck pairs (default 0)"),
+)
 
+_PRESENTATION = ("presentation", str, None)
+_WORD = ("word", str, None)
 
-def _word_arguments(sp):
-    sp.add_argument("presentation")
-    sp.add_argument("word")
-
-
-def _conj_arguments(sp):
-    sp.add_argument("presentation")
-    sp.add_argument("u")
-    sp.add_argument("v")
-    sp.add_argument("--search", action="store_true",
-                    help="fail unless a verified witness is produced")
-
-
-def _precompute_arguments(sp):
-    sp.add_argument("presentation")
-    sp.add_argument("cachefile", nargs="?", default=None,
-                    help="where to write the cache (default: --cache value)")
-
-
-def _crosscheck_arguments(sp):
-    sp.add_argument("presentation")
-    sp.add_argument("maxlen", type=int)
-    sp.add_argument("--sample", type=int, default=None,
-                    help="check this many seeded random pairs instead of "
-                         "all of them (default: exhaustive)")
-
-
-# name, help line, argument builder and handler of every subcommand, in
-# help order; the handler takes the parsed arguments and returns the payload
+# name, help line, handler, positionals and options of every subcommand, in
+# help order.  A positional is (name, value type, help line), the type None
+# marking one that may be left out (it defaults to None); an option is
+# written as a global flag is.  The handler takes the parsed arguments and
+# returns the payload.
 _SUBCOMMANDS = (
-    ("wp", "word problem: is the word trivial?", _word_arguments, cmd_wp),
-    ("classify", "hyperbolic or parabolic?", _word_arguments, cmd_classify),
-    ("conj", "decide conjugacy of two words", _conj_arguments, cmd_conj),
-    ("precompute", "build tables, print sizes", _precompute_arguments,
-     cmd_precompute),
+    ("wp", "word problem: is the word trivial?", cmd_wp,
+     (_PRESENTATION, _WORD), ()),
+    ("classify", "hyperbolic or parabolic?", cmd_classify,
+     (_PRESENTATION, _WORD), ()),
+    ("conj", "decide conjugacy of two words", cmd_conj,
+     (_PRESENTATION, ("u", str, None), ("v", str, None)),
+     (("--search", None, False, None,
+       "fail unless a verified witness is produced"),)),
+    ("precompute", "build tables, print sizes", cmd_precompute,
+     (_PRESENTATION, ("cachefile", None,
+                      "where to write the cache (default: --cache value)")),
+     ()),
     ("crosscheck", "decide vs the brute-force oracle on all pairs",
-     _crosscheck_arguments, cmd_crosscheck),
+     cmd_crosscheck, (_PRESENTATION, ("maxlen", int, None)),
+     (("--sample", int, None, None,
+       "check this many seeded random pairs instead of all of them "
+       "(default: exhaustive)"),)),
 )
 
 
-def _subparser(listed_only=False, **kwargs):
-    """The parser of one subcommand, or None for one that is only listed:
-    argv does not name it, so no parse selects it."""
-    return None if listed_only else argparse.ArgumentParser(**kwargs)
+def _parse(argv):
+    """The arguments that build_parser().parse_args(argv) gives, read
+    straight from the tables above, or None for a command line that is not
+    plainly well formed: one that asks for help, abbreviates a flag, writes
+    --flag=value or --, has any other token starting with -, leaves a flag
+    without its value or an integer unreadable, splits the positionals by a
+    flag, or has too few or too many positionals.  main hands those to
+    argparse, so that every help, usage and error line is argparse's own."""
+    values = {flag[2:]: default for flag, _, default, _, _ in _FLAGS}
+    kinds = {flag: kind for flag, kind, *_ in _FLAGS}
+    positionals = None  # until the subcommand
+    words = []
+    split = False
+    tokens = iter(argv)
+    try:
+        for token in tokens:
+            if token.startswith("-"):
+                kind = kinds[token]
+                if kind is None:
+                    value = True
+                else:
+                    value = next(tokens, "-")  # a missing value declines
+                    if value.startswith("-"):
+                        return None
+                    value = kind(value)
+                values[token[2:]] = value
+                split = bool(words)
+            elif positionals is None:
+                name, _, handler, positionals, options = next(
+                    sub for sub in _SUBCOMMANDS if sub[0] == token)
+                values.update(command=name, handler=handler)
+                for flag, kind, default, _, _ in options:
+                    kinds[flag] = kind
+                    values[flag[2:]] = default
+            elif split:
+                return None
+            else:
+                words.append(token)
+        if positionals is None or not (
+                sum(kind is not None for _, kind, _ in positionals)
+                <= len(words) <= len(positionals)):
+            return None
+        for (name, kind, _), word in zip_longest(positionals, words):
+            values[name] = word if kind is None else kind(word)
+    except (KeyError, StopIteration, ValueError):
+        return None
+    return types.SimpleNamespace(**values)
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The command line parser.  Given the arguments argv it is to parse,
-    it builds a subparser only for the subcommands that argv names; the
-    others are listed by name and help line, which is all that the main
-    help, the main usage and its errors print, so every output is the full
-    parser's.  Without argv it builds every subparser."""
+def build_parser():
+    """The argparse parser of the same grammar, for help, usage and error
+    messages: main runs it only on a command line that _parse declines."""
+    import argparse
+
+    def add_flag(parser, flag, kind, default, metavar, help_line):
+        if kind is None:
+            parser.add_argument(flag, action="store_true", default=default,
+                                help=help_line)
+        else:
+            parser.add_argument(flag, type=kind, default=default,
+                                metavar=metavar, help=help_line)
+
     parser = argparse.ArgumentParser(
         prog="relconj",
         description="Word problem and conjugacy for relatively hyperbolic "
                     "groups with free, free-abelian, or finite parabolics.",
     )
-    _add_common(parser, suppress=False)
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_subparser)
-    for name, help_line, add_arguments, handler in _SUBCOMMANDS:
-        sp = sub.add_parser(name, help=help_line,
-                            listed_only=argv is not None and name not in argv)
-        if sp is not None:
-            _add_common(sp, suppress=True)
-            add_arguments(sp)
-            sp.set_defaults(handler=handler)
+    for flag in _FLAGS:
+        add_flag(parser, *flag)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_line, handler, positionals, options in _SUBCOMMANDS:
+        sp = sub.add_parser(name, help=help_line)
+        # suppressed defaults, so that a subparser leaves the main-level
+        # values of the flags it is not given alone
+        for flag, kind, _, metavar, flag_help in _FLAGS:
+            add_flag(sp, flag, kind, argparse.SUPPRESS, metavar, flag_help)
+        for arg, kind, arg_help in positionals:
+            if kind is None:
+                sp.add_argument(arg, nargs="?", default=None, help=arg_help)
+            else:
+                sp.add_argument(arg, type=kind, help=arg_help)
+        for option in options:
+            add_flag(sp, *option)
+        sp.set_defaults(handler=handler)
     return parser
 
 
@@ -291,7 +333,9 @@ def run(args) -> CommandResult:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    args = _parse(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     result = run(args)
     _emit(result, args.json)
     return 0 if result.status == "ok" else 1

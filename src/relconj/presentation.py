@@ -670,10 +670,15 @@ def load_presentation(path) -> RelativePresentation:
 
 
 def short_hash(text: str) -> str:
-    """The first 16 hex digits of the SHA-256 of text."""
-    import hashlib  # only the commands that print a hash load it
+    """The first 16 hex digits of the SHA-256 of text, from CPython's
+    built-in _sha256 where it has one: hashlib would load OpenSSL's
+    libcrypto for the same digest."""
+    try:
+        from _sha256 import sha256
+    except ImportError:  # Python 3.12 and later call it _sha2
+        from hashlib import sha256
 
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return sha256(text.encode()).hexdigest()[:16]
 
 
 def presentation_hash(p: RelativePresentation) -> str:

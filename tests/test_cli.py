@@ -1,5 +1,7 @@
+import functools
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -509,43 +511,175 @@ def test_wp_torsion_group(capsys, paths):
     assert "trivial=false" in out
 
 
-def parse_outputs(capsys, parser, argv):
-    """(exit code, stdout, stderr) of parser.parse_args(argv); None for the
-    code when it parses without exiting."""
+def parse_outputs(capsys, argv):
+    """(exit code, stdout, stderr, arguments) of the full parser,
+    cli.build_parser().parse_args(argv): no code when it parses, and no
+    arguments when it exits."""
     try:
-        parser.parse_args(argv)
+        args = vars(cli.build_parser().parse_args(argv))
+        code = None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, args
+
+
+def main_outputs(capsys, monkeypatch, argv):
+    """parse_outputs of cli.main(argv), with run replaced by a stub that
+    keeps the arguments main hands it, and the stub's output dropped."""
+    ran = []
+    monkeypatch.setattr(cli, "run", lambda args: (
+        ran.append(vars(args)) or cli.CommandResult("ok", {})))
+    try:
+        cli.main(argv)
         code = None
     except SystemExit as exc:
         code = exc.code
     captured = capsys.readouterr()
-    return code, captured.out, captured.err
+    if ran:
+        return code, "", "", ran[0]
+    return code, captured.out, captured.err, None
 
 
-@pytest.mark.parametrize("argv", [
+def assert_main_parses_as_the_full_parser(capsys, monkeypatch, argv):
+    """Where the direct parse accepts argv, its arguments are the full
+    parser's; either way main runs what the full parser parses, and exits
+    with its code, stdout and stderr where it exits."""
+    want = parse_outputs(capsys, argv)
+    direct = cli._parse(argv)
+    if direct is not None:
+        assert vars(direct) == want[3], argv
+    assert main_outputs(capsys, monkeypatch, argv) == want, argv
+    return direct is not None
+
+
+ERROR_ARGVS = [
     [], ["-h"], ["--help"], ["bogus"], ["bogus", "-h"], ["--seed", "x"],
     ["--seed", "x", "conj"], ["--profile", "conj", "bogus"],
     ["--profile", "wp", "conj", "f", "u", "v"], ["conj"], ["conj", "f"],
     ["conj", "f", "u", "v", "--bogus"], ["-h", "conj"],
-] + [[name, "-h"] for name, *_ in cli._SUBCOMMANDS])
-def test_parser_for_argv_prints_what_the_full_parser_prints(capsys, argv):
-    # the parser built for argv holds only the subparsers argv names, and
-    # every help, usage and error it prints is the full parser's
-    want = parse_outputs(capsys, cli.build_parser(), argv)
-    got = parse_outputs(capsys, cli.build_parser(argv), argv)
-    assert got == want
+] + [[name, "-h"] for name, *_ in cli._SUBCOMMANDS]
+
+# each form that the direct parse leaves to argparse, once
+DECLINED_ARGVS = [
+    ["--cache=F", "wp", "F", "ab"], ["--ca", "F", "wp", "F", "ab"],
+    ["wp", "--", "F", "ab"], ["crosscheck", "F", "-1"],
+    ["--seed", "x", "wp", "F", "ab"], ["wp", "F", "ab", "--seed"],
+    ["crosscheck", "F", "x"], ["crosscheck", "F", "2", "--sample", "y"],
+    ["conj", "F", "--search", "u", "v"], ["precompute", "F", "--json", "c"],
+    ["wp", "F"], ["wp", "F", "a", "b"], ["precompute"],
+    ["precompute", "F", "c", "d"], ["--search", "conj", "F", "u", "v"],
+]
+
+
+@pytest.mark.parametrize("argv", ERROR_ARGVS)
+def test_parser_for_argv_prints_what_the_full_parser_prints(capsys,
+                                                            monkeypatch,
+                                                            argv):
+    # every help, usage and error main prints is the full parser's
+    assert_main_parses_as_the_full_parser(capsys, monkeypatch, argv)
+    want = parse_outputs(capsys, argv)
     assert want[1] or want[2] or want[0] is None
 
 
-def test_main_builds_only_the_named_subparser(monkeypatch, capsys):
-    built = []
-    real = cli._subparser
+# tokens of seeded command lines: the grammar's words, its flags spelled
+# exactly and in the forms that the direct parse leaves to argparse, and
+# values that are and are not integers
+VALUES = ["", "bogus", "F", "ab", "x", "0", "3", "+4", " 5", "1_0", "\u0663",
+          "a b", "-a b", "-1"]
+NAMES = [name for name, *_ in cli._SUBCOMMANDS]
+GRAMMAR_FLAGS = [flag for flag, *_ in cli._FLAGS] + ["--search", "--sample"]
+FLAGS = GRAMMAR_FLAGS + ["--cache=F", "--ca", "--s", "--js", "--", "-",
+                         "-h", "--help"]
+TOKENS = NAMES + FLAGS + VALUES
 
-    def spy(listed_only=False, **kwargs):
-        built.append((kwargs["prog"], listed_only))
-        return real(listed_only, **kwargs)
 
-    monkeypatch.setattr(cli, "_subparser", spy)
-    code, _, _ = run(capsys, ["wp", os.fspath(DEMOS / "free2.txt"), "ab"])
-    assert code == 0
-    assert [prog for prog, listed in built if not listed] == ["relconj wp"]
-    assert len(built) == len(cli._SUBCOMMANDS)
+def grammar_argv(rng):
+    """A command line of the grammar: a subcommand with its positionals (the
+    last one sometimes left out), global flags before or after them and its
+    own options after them, each value drawn from VALUES."""
+    name, _, _, positionals, options = rng.choice(cli._SUBCOMMANDS)
+    words = [rng.choice(VALUES) for _ in positionals[:rng.randrange(
+        len(positionals) - 1, len(positionals) + 1)]]
+    before, after = [], []
+    for flag in rng.sample(cli._FLAGS + options, rng.randrange(4)):
+        side = before if flag in cli._FLAGS and rng.randrange(2) else after
+        side += flag[:1] if flag[1] is None else [flag[0],
+                                                  rng.choice(VALUES)]
+    return before + [name] + words + after
+
+
+def seeded_argvs(count, seed=34):
+    """Command lines of the grammar, the golden ones with tokens inserted
+    (a token, or a flag and a value), deleted and replaced, and lines of
+    random tokens, a third each."""
+    import shlex
+
+    from test_cli_golden import COMMANDS
+
+    rng = random.Random(seed)
+    golden = [shlex.split(line) for line in COMMANDS]
+    out = []
+    for i in range(count):
+        if i % 3 == 0:
+            out.append(grammar_argv(rng))
+            continue
+        if i % 3 == 1:
+            out.append([rng.choice(TOKENS)
+                        for _ in range(rng.randrange(8))])
+            continue
+        argv = list(rng.choice(golden))
+        for _ in range(rng.randrange(4)):
+            at = rng.randrange(len(argv) + 1)
+            op = rng.randrange(4)
+            if op == 0:
+                argv.insert(at, rng.choice(TOKENS))
+            elif op == 1:
+                argv[at:at] = [rng.choice(FLAGS), rng.choice(VALUES)]
+            elif at < len(argv):
+                if op == 2:
+                    del argv[at]
+                else:
+                    argv[at] = rng.choice(TOKENS)
+        out.append(argv)
+    return out
+
+
+def test_the_direct_parse_is_the_full_parsers(capsys, monkeypatch):
+    """On the golden command lines, the lines above and 2,000 seeded ones,
+    main parses as the full parser does; the direct parse accepts every
+    golden line and declines every line of DECLINED_ARGVS."""
+    import shlex
+
+    from test_cli_golden import COMMANDS
+
+    # one parser serves every parse, main's too
+    monkeypatch.setattr(cli, "build_parser",
+                        functools.lru_cache(cli.build_parser))
+    golden = [shlex.split(line) for line in COMMANDS]
+    accepted = [argv for argv in golden + ERROR_ARGVS + DECLINED_ARGVS
+                + [["wp", "F", ""], ["crosscheck", "F", "2", "--sample", "0"]]
+                + seeded_argvs(2000)
+                if assert_main_parses_as_the_full_parser(capsys, monkeypatch,
+                                                         argv)]
+    assert all(cli._parse(argv) is not None for argv in golden)
+    assert not any(cli._parse(argv) for argv in DECLINED_ARGVS)
+    assert len(accepted) > len(golden) + 200
+    assert ({token for argv in accepted for token in argv}
+            >= set(GRAMMAR_FLAGS + NAMES))
+
+
+def test_a_well_formed_command_builds_no_argparse_parser(monkeypatch,
+                                                         capsys, tmp_path):
+    def refuse():
+        raise AssertionError("argparse parser built")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    free2 = os.fspath(DEMOS / "free2.txt")
+    for argv in (["wp", free2, "ab"], ["--json", "classify", free2, "aB"],
+                 ["conj", free2, "ab", "ba", "--search", "--seed", "3"],
+                 ["--cache", os.fspath(tmp_path / "c"), "precompute", free2],
+                 ["precompute", free2, os.fspath(tmp_path / "d"), "--json"],
+                 ["crosscheck", free2, "1", "--sample", "4"]):
+        code, _, _ = run(capsys, argv)
+        assert code == 0, argv

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from relconj.presentation import (
     parse_presentation,
     presentation_hash,
     serialize_presentation,
+    short_hash,
 )
 
 
@@ -73,6 +75,32 @@ def test_hash_sensitive_to_constants():
     other = G2_TEXT.replace("delta=1", "delta=2")
     assert (presentation_hash(parse_presentation(other))
             != presentation_hash(parse_presentation(G2_TEXT)))
+
+
+def hash_texts():
+    """Seeded strings: empty, ASCII and non-ASCII, up to 10k characters."""
+    rng = random.Random(34)
+    ascii_letters = [chr(c) for c in range(32, 127)]
+    other = ascii_letters + ["\u00e9", "\u03a9", "\u4e2d", "\U0001f600"]
+    return [""] + ["".join(rng.choice(alphabet) for _ in range(n))
+                   for alphabet in (ascii_letters, other)
+                   for n in (1, 3, 55, 64, 1000, 10000)]
+
+
+@pytest.mark.parametrize("builtin", [True, False],
+                         ids=["_sha256", "hashlib"])
+def test_short_hash_is_the_sha256_prefix(monkeypatch, builtin):
+    import hashlib
+
+    texts = hash_texts()
+    want = [hashlib.sha256(text.encode()).hexdigest()[:16] for text in texts]
+    if not builtin:  # as on an interpreter without _sha256
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+    real, calls = hashlib.sha256, []
+    monkeypatch.setattr(hashlib, "sha256",
+                        lambda data: calls.append(data) or real(data))
+    assert [short_hash(text) for text in texts] == want
+    assert len(calls) == (0 if builtin else len(texts))
 
 
 def test_shortlex_key_orders_by_length_then_rank(pG2):
