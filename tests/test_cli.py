@@ -2,6 +2,7 @@ import functools
 import json
 import os
 import random
+import shlex
 import shutil
 import subprocess
 import sys
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from relconj import cli, conjugacy, tables as tb
+
+from test_cli_golden import COMMANDS
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos" / "presentations"
 
@@ -592,6 +595,7 @@ GRAMMAR_FLAGS = [flag for flag, *_ in cli._FLAGS] + ["--search", "--sample"]
 FLAGS = GRAMMAR_FLAGS + ["--cache=F", "--ca", "--s", "--js", "--", "-",
                          "-h", "--help"]
 TOKENS = NAMES + FLAGS + VALUES
+GOLDEN = [shlex.split(line) for line in COMMANDS]
 
 
 def grammar_argv(rng):
@@ -613,12 +617,7 @@ def seeded_argvs(count, seed=34):
     """Command lines of the grammar, the golden ones with tokens inserted
     (a token, or a flag and a value), deleted and replaced, and lines of
     random tokens, a third each."""
-    import shlex
-
-    from test_cli_golden import COMMANDS
-
     rng = random.Random(seed)
-    golden = [shlex.split(line) for line in COMMANDS]
     out = []
     for i in range(count):
         if i % 3 == 0:
@@ -628,7 +627,7 @@ def seeded_argvs(count, seed=34):
             out.append([rng.choice(TOKENS)
                         for _ in range(rng.randrange(8))])
             continue
-        argv = list(rng.choice(golden))
+        argv = list(rng.choice(GOLDEN))
         for _ in range(rng.randrange(4)):
             at = rng.randrange(len(argv) + 1)
             op = rng.randrange(4)
@@ -649,22 +648,17 @@ def test_the_direct_parse_is_the_full_parsers(capsys, monkeypatch):
     """On the golden command lines, the lines above and 2,000 seeded ones,
     main parses as the full parser does; the direct parse accepts every
     golden line and declines every line of DECLINED_ARGVS."""
-    import shlex
-
-    from test_cli_golden import COMMANDS
-
     # one parser serves every parse, main's too
     monkeypatch.setattr(cli, "build_parser",
                         functools.lru_cache(cli.build_parser))
-    golden = [shlex.split(line) for line in COMMANDS]
-    accepted = [argv for argv in golden + ERROR_ARGVS + DECLINED_ARGVS
+    accepted = [argv for argv in GOLDEN + ERROR_ARGVS + DECLINED_ARGVS
                 + [["wp", "F", ""], ["crosscheck", "F", "2", "--sample", "0"]]
                 + seeded_argvs(2000)
                 if assert_main_parses_as_the_full_parser(capsys, monkeypatch,
                                                          argv)]
-    assert all(cli._parse(argv) is not None for argv in golden)
+    assert all(cli._parse(argv) is not None for argv in GOLDEN)
     assert not any(cli._parse(argv) for argv in DECLINED_ARGVS)
-    assert len(accepted) > len(golden) + 200
+    assert len(accepted) > len(GOLDEN) + 200
     assert ({token for argv in accepted for token in argv}
             >= set(GRAMMAR_FLAGS + NAMES))
 
