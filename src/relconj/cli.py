@@ -238,14 +238,15 @@ def _parse(argv):
     straight from the tables above, or None for a command line that is not
     plainly well formed: one that asks for help, abbreviates a flag, writes
     --flag=value or --, has any other token starting with -, leaves a flag
-    without its value or an integer unreadable, splits the positionals by a
-    flag, or has too few or too many positionals.  main hands those to
-    argparse, so that every help, usage and error line is argparse's own."""
+    without its value or an integer unreadable, or has too few or too many
+    positionals.  Positionals may stand on both sides of a flag, as in
+    precompute F --json C, whose optional cache file argparse would leave
+    unread and reject.  main hands the declined lines to argparse, so that
+    every help, usage and error line is argparse's own."""
     values = {flag[2:]: default for flag, _, default, _, _ in _FLAGS}
     kinds = {flag: kind for flag, kind, *_ in _FLAGS}
     positionals = None  # until the subcommand
     words = []
-    split = False
     tokens = iter(argv)
     try:
         for token in tokens:
@@ -259,7 +260,6 @@ def _parse(argv):
                         return None
                     value = kind(value)
                 values[token[2:]] = value
-                split = bool(words)
             elif positionals is None:
                 name, _, handler, positionals, options = next(
                     sub for sub in _SUBCOMMANDS if sub[0] == token)
@@ -267,8 +267,6 @@ def _parse(argv):
                 for flag, kind, default, _, _ in options:
                     kinds[flag] = kind
                     values[flag[2:]] = default
-            elif split:
-                return None
             else:
                 words.append(token)
         if positionals is None or not (

@@ -3,22 +3,16 @@
 Each parabolic factor gets an oracle exposing the handful of subgroup-local
 questions the main algorithms need: triviality, canonical geodesic forms,
 conjugacy with witness, and ball enumeration.  Oracles also expose a small
-accumulator interface so that word normalization can fold a parabolic run
-into a subgroup element with one call per run:
+accumulator interface, push and state_word, so that word normalization can
+fold a parabolic run into a subgroup element with one call per run, and
+cyclic shortening can fold two end runs into one:
 
 - ``push(state, run)`` returns the state of the element times the word run,
   in time linear in len(run).  None is the state of the identity, both as
   the argument (start a new element) and as the result (the product is
   trivial, so normalization drops the run);
 - ``state_word(state)`` only reads a state that is not None: the canonical
-  geodesic word of its element;
-- ``inverse_run(run)`` only reads a nonempty run in geodesic form: the
-  geodesic form of its inverse, in one native string operation (free
-  abelian: the case swapped, the generator order kept; free: the plain
-  inverse; finite: the generator letter of the inverse element).  Geodesic
-  forms are unique, so two geodesic runs of one factor merge to the
-  identity exactly when one is the inverse_run of the other, which cyclic
-  shortening tests without starting a state.
+  geodesic word of its element.
 
 States may be mutable, and push may update the state it is given and return
 it.  So a state belongs to the caller that started it with push(None, ...):
@@ -81,11 +75,6 @@ class ParabolicOracle:
     def state_word(self, state) -> str:
         """Canonical geodesic word for an accumulated element other than
         the identity."""
-        raise NotImplementedError
-
-    def inverse_run(self, run: str) -> str:
-        """The geodesic form of the inverse of run, a nonempty run in
-        geodesic form, spelled without the accumulator."""
         raise NotImplementedError
 
     # -- word-level operations ------------------------------------------
@@ -185,9 +174,6 @@ class FreeAbelianOracle(ParabolicOracle):
         return "".join([g * e if e > 0 else g_inv * -e
                         for (g, g_inv), e in zip(self._signed, state)])
 
-    def inverse_run(self, run):
-        return run.swapcase()  # every exponent negated, the order kept
-
     def conjugate(self, p, q):
         self._check(p + q)
         return "" if self.push(None, p) == self.push(None, q) else None
@@ -222,9 +208,6 @@ class FreeOracle(ParabolicOracle):
 
     def state_word(self, state):
         return "".join(state)
-
-    def inverse_run(self, run):
-        return inverse(run)
 
     def conjugate(self, p, q):
         rp = self.geodesic_form(p)  # geodesic_form checks the letters
@@ -286,9 +269,6 @@ class FiniteOracle(ParabolicOracle):
 
     def state_word(self, state):
         return "" if state == 0 else self.descriptor.generators[state - 1]
-
-    def inverse_run(self, run):
-        return self.state_word(self._inv[self._elt[run]])
 
     def conjugate(self, p, q):
         self._check(p + q)

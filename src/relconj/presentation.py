@@ -229,9 +229,10 @@ class RelativePresentation(Frozen):
         for r in self.relators:
             if not r:
                 raise ParseError("empty relator")
-            for c in r:
-                if c not in self.letter_kind:
-                    raise UnknownLetterError("relator %r uses unknown letter %r" % (r, c))
+            rest = r.translate(self.declared_deletion)
+            if rest:
+                raise UnknownLetterError(
+                    "relator %r uses unknown letter %r" % (r, rest[0]))
 
     @cached_property
     def letter_kind(self) -> dict:
@@ -373,18 +374,17 @@ class RelativePresentation(Frozen):
     @cached_property
     def _inverse_spelling(self):
         """The str.translate table of inverse_form, which spells each
-        letter as its inverse's geodesic form (the generator letter of its
-        element's inverse for a finite factor, its case swapped otherwise),
-        and a pattern capturing the runs of two or more letters of each
-        free abelian factor of rank two or more, which a reversed word
-        spells in reverse generator order (None when there is none)."""
+        letter as its inverse's geodesic form (a factor letter's from its
+        oracle, a hyperbolic letter's case swapped), and a pattern
+        capturing the runs of two or more letters of each free abelian
+        factor of rank two or more, which a reversed word spells in reverse
+        generator order (None when there is none)."""
         table, runs = str.maketrans(INVERSE_LETTER), []
         for par in self.parabolics:
-            if par.kind == "finite":
-                orc = self.oracles[par.index]
-                table.update((ord(c), orc.geodesic_form(INVERSE_LETTER[c]))
-                             for c in par.letters)
-            elif par.kind == "free_abelian" and len(par.generators) > 1:
+            orc = self.oracles[par.index]
+            table.update((ord(c), orc.geodesic_form(INVERSE_LETTER[c]))
+                         for c in par.letters)
+            if par.kind == "free_abelian" and len(par.generators) > 1:
                 runs.append("[%s]{2,}" % self.run_letters[par.index])
         return table, re.compile("(%s)" % "|".join(runs)) if runs else None
 

@@ -41,9 +41,8 @@ Combinatorial Group Theory, IV.1.4): mutually inverse hyperbolic end
 letters cancel, and end runs of one factor merge into one run, which is
 either trivial (and the reduction goes on inwards) or a syllable between
 two of other kinds (and it stops).
-Both end runs are geodesic, so a merge is trivial exactly when the last
-run is the oracle's inverse_run of the first, a native string operation;
-the factor oracle folds only the nontrivial merge that ends the pass.
+Each merge is one fold of the factor oracle (push, then state_word for the
+nontrivial merge that ends the pass).
 The kept core is rotated to the least rotation of its syllable sequence
 (hyperbolic letters one by one, parabolic runs whole, each compared by its
 shortlex letter ranks), and a lone parabolic run is cyclically reduced
@@ -324,9 +323,8 @@ def _syllable_cyclic_form(p, nf, syls):
     p.normal_syllables splits nf): (alpha, a, syllable count of alpha,
     end-run merges) with lab(alpha) = a^-1 * nf * a.  Cancels mutually
     inverse end letters and merges end runs of one factor from the outside
-    in, a trivial merge found by comparing the last run with the first's
-    inverse_run, then rotates the kept core to its least syllable rotation;
-    a is a prefix of nf."""
+    in, each merge one fold of its factor's oracle, then rotates the kept
+    core to its least syllable rotation; a is a prefix of nf."""
     kind_of = p.letter_kind
     merges = 0
     merged = []
@@ -339,14 +337,13 @@ def _syllable_cyclic_form(p, nf, syls):
             if last != INVERSE_LETTER[first]:
                 break
         elif kind == kind_of[last[0]]:
-            # merge the wrap-around run nu o eta.  Both runs are geodesic,
-            # so the merge is trivial exactly when last spells first's
-            # inverse; only the nontrivial merge, which ends it, needs the
-            # oracle
+            # merge the wrap-around run nu o eta with the factor's fold: a
+            # trivial merge goes on inwards, a nontrivial one ends it
             merges += 1
             orc = p.oracles[kind]
-            if last != orc.inverse_run(first):
-                merged.append(orc.state_word(orc.push(None, last + first)))
+            state = orc.push(None, last + first)
+            if state is not None:
+                merged.append(orc.state_word(state))
         else:
             break
         lo += len(first)

@@ -544,12 +544,42 @@ def main_outputs(capsys, monkeypatch, argv):
     return code, captured.out, captured.err, None
 
 
+def flags_after_positionals(argv):
+    """argv with its flags, each with its value, moved after its other
+    tokens: the subcommand and its positionals."""
+    kinds = {flag: kind for flag, kind, *_ in cli._FLAGS}
+    kinds.update((flag, kind) for *_, options in cli._SUBCOMMANDS
+                 for flag, kind, *_ in options)
+    words, flags = [], []
+    tokens = iter(argv)
+    for token in tokens:
+        if token.startswith("-"):
+            flags.append(token)
+            if kinds[token] is not None:
+                flags.append(next(tokens))
+        else:
+            words.append(token)
+    return words + flags
+
+
 def assert_main_parses_as_the_full_parser(capsys, monkeypatch, argv):
     """Where the direct parse accepts argv, its arguments are the full
     parser's; either way main runs what the full parser parses, and exits
-    with its code, stdout and stderr where it exits."""
+    with its code, stdout and stderr where it exits.  One kind of line the
+    direct parse accepts and the full parser rejects: an optional
+    positional after a flag, which the full parser leaves unread.  There
+    the full parser stands for what it parses from the same tokens with
+    the flags after the positionals."""
     want = parse_outputs(capsys, argv)
     direct = cli._parse(argv)
+    if direct is not None and want[3] is None:
+        moved = flags_after_positionals(argv)
+        _, _, _, positionals, _ = next(
+            sub for sub in cli._SUBCOMMANDS if sub[0] == direct.command)
+        assert moved != argv and any(
+            kind is None and vars(direct)[name] is not None
+            for name, kind, _ in positionals), argv
+        want = parse_outputs(capsys, moved)
     if direct is not None:
         assert vars(direct) == want[3], argv
     assert main_outputs(capsys, monkeypatch, argv) == want, argv
@@ -569,10 +599,15 @@ DECLINED_ARGVS = [
     ["wp", "--", "F", "ab"], ["crosscheck", "F", "-1"],
     ["--seed", "x", "wp", "F", "ab"], ["wp", "F", "ab", "--seed"],
     ["crosscheck", "F", "x"], ["crosscheck", "F", "2", "--sample", "y"],
-    ["conj", "F", "--search", "u", "v"], ["precompute", "F", "--json", "c"],
     ["wp", "F"], ["wp", "F", "a", "b"], ["precompute"],
     ["precompute", "F", "c", "d"], ["--search", "conj", "F", "u", "v"],
 ]
+
+# positionals on both sides of a flag, which the direct parse reads: the
+# full parser reads the conj line alike and leaves the optional cache file
+# of the precompute line unread
+SPLIT_ARGVS = [["conj", "F", "--search", "u", "v"],
+               ["precompute", "F", "--json", "c"]]
 
 
 @pytest.mark.parametrize("argv", ERROR_ARGVS)
@@ -647,16 +682,18 @@ def seeded_argvs(count, seed=34):
 def test_the_direct_parse_is_the_full_parsers(capsys, monkeypatch):
     """On the golden command lines, the lines above and 2,000 seeded ones,
     main parses as the full parser does; the direct parse accepts every
-    golden line and declines every line of DECLINED_ARGVS."""
+    golden line and every SPLIT_ARGVS line, and declines every line of
+    DECLINED_ARGVS."""
     # one parser serves every parse, main's too
     monkeypatch.setattr(cli, "build_parser",
                         functools.lru_cache(cli.build_parser))
     accepted = [argv for argv in GOLDEN + ERROR_ARGVS + DECLINED_ARGVS
+                + SPLIT_ARGVS
                 + [["wp", "F", ""], ["crosscheck", "F", "2", "--sample", "0"]]
                 + seeded_argvs(2000)
                 if assert_main_parses_as_the_full_parser(capsys, monkeypatch,
                                                          argv)]
-    assert all(cli._parse(argv) is not None for argv in GOLDEN)
+    assert all(cli._parse(argv) is not None for argv in GOLDEN + SPLIT_ARGVS)
     assert not any(cli._parse(argv) for argv in DECLINED_ARGVS)
     assert len(accepted) > len(GOLDEN) + 200
     assert ({token for argv in accepted for token in argv}
@@ -674,6 +711,21 @@ def test_a_well_formed_command_builds_no_argparse_parser(monkeypatch,
                  ["conj", free2, "ab", "ba", "--search", "--seed", "3"],
                  ["--cache", os.fspath(tmp_path / "c"), "precompute", free2],
                  ["precompute", free2, os.fspath(tmp_path / "d"), "--json"],
+                 ["precompute", free2, "--json", os.fspath(tmp_path / "e")],
+                 ["conj", free2, "--search", "ab", "ba"],
                  ["crosscheck", free2, "1", "--sample", "4"]):
         code, _, _ = run(capsys, argv)
         assert code == 0, argv
+
+
+def test_a_cache_file_after_a_flag_is_written_alike(tmp_path):
+    # precompute F --json C writes the cache that precompute F C --json
+    # writes, and prints the same JSON but for the cache path
+    zxz2 = str(DEMOS / "zxz2.txt")
+    split = run_process(tmp_path, ["precompute", zxz2, "--json", "a"])
+    after = run_process(tmp_path, ["precompute", zxz2, "b", "--json"])
+    assert split.returncode == after.returncode == 0, split.stderr
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+    split, after = json.loads(split.stdout), json.loads(after.stdout)
+    assert (split.pop("cache"), after.pop("cache")) == ("a", "b")
+    assert split == after

@@ -179,6 +179,7 @@ def test_forbidden_factor_counts():
 
 @pytest.mark.parametrize("name", ["pG2", "pZC2", "pZF2", "pTHREE"])
 def test_inverse_run_is_the_geodesic_form_of_the_inverse(request, name):
+    # the inverse run that RelativePresentation.inverse_form spells, for
     # every geodesic run of up to 6 letters of every free abelian, free and
     # finite factor of the fixtures; in C3 the inverse of a generator letter
     # is the other one
@@ -187,8 +188,7 @@ def test_inverse_run_is_the_geodesic_form_of_the_inverse(request, name):
         runs = {orc.geodesic_form("".join(w)) for n in range(1, 7)
                 for w in product(orc.descriptor.letters, repeat=n)} - {""}
         for run in runs:
-            assert orc.inverse_run(run) == orc.geodesic_form(
+            assert p.inverse_form(run) == orc.geodesic_form(
                 words.inverse(run)), run
     if name == "pTHREE":
-        c3 = p.oracles[3]
-        assert (c3.inverse_run("s"), c3.inverse_run("r")) == ("r", "s")
+        assert (p.inverse_form("s"), p.inverse_form("r")) == ("r", "s")

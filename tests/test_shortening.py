@@ -331,10 +331,10 @@ def test_cyclic_shorten_counts_end_run_merges(pG2):
 
 
 def oracle_end_loop_cyclic_form(p, nf, syls):
-    """_syllable_cyclic_form as it was before inverse_run: every end-run
-    merge, trivial or not, goes through the factor oracle.  Returns what
-    _syllable_cyclic_form does, then the counts of trivial and of
-    nontrivial merges."""
+    """_syllable_cyclic_form spelled out as a reference: every end-run
+    merge, trivial or not, is spelled by the factor oracle and tested for
+    the empty word.  Returns what _syllable_cyclic_form does, then the
+    counts of trivial and of nontrivial merges."""
     kind_of = p.letter_kind
     trivial = nontrivial = 0
     merged = []
@@ -380,11 +380,11 @@ def oracle_end_loop_cyclic_form(p, nf, syls):
 
 @pytest.mark.parametrize("name", ["pF", "pG2", "pZC2", "pZF2", "pTHREE"])
 def test_end_loop_equals_the_oracle_loop(request, name):
-    # a trivial end-run merge is found by comparing last with
-    # inverse_run(first); the whole result, merge count included, must
-    # equal the loop that asks the oracle about every merge, on conjugated
-    # normal forms g u g^-1 with |g| up to 60, split with reference.syllables
-    # for the reference and normal_syllables for the pass
+    # the pass, which splits with normal_syllables and ranks syllables by
+    # one joined translate, must equal the reference loop, which splits with
+    # reference.syllables and sorts the syllables one by one, in the whole
+    # result, merge count included, on conjugated normal forms g u g^-1
+    # with |g| up to 60
     p = request.getfixturevalue(name)
     rng = random.Random(26)
     trivial = nontrivial = 0
