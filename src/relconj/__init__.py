@@ -39,7 +39,6 @@ from .shortening import (
 from .tables import (
     ConstantsProfile,
     PrecomputedTables,
-    compute_M,
     load_tables,
     precompute,
     profile_for,
@@ -66,7 +65,6 @@ __all__ = [
     "UnknownLetterError",
     "bounded_class",
     "classify",
-    "compute_M",
     "cyclic_shorten",
     "decide",
     "load_presentation",

@@ -113,9 +113,6 @@ def cmd_precompute(args) -> dict:
         "presentation": t.p_hash,
         "profile": t.profile.hash,
         "size_l3": t.l3,
-        "k_i": ",".join(str(v) for v in t.k_i) or "-",
-        "k_hyp_4delta": t.k_hyp_4delta,
-        "k_4delta": t.k_4delta,
         "cache": cache_path,
     }
 

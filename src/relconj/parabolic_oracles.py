@@ -2,7 +2,7 @@
 
 Each parabolic factor gets an oracle exposing the handful of subgroup-local
 questions the main algorithms need: triviality, canonical geodesic forms,
-conjugacy with witness, and ball enumeration.  Oracles also expose a small
+conjugacy with witness, and ball sizes.  Oracles also expose a small
 accumulator interface, push and state_word, so that word normalization can
 fold a parabolic run into a subgroup element with one call per run, and
 cyclic shortening can fold two end runs into one:
@@ -35,8 +35,7 @@ RelativePresentation.fault_pattern):
 
 Three kinds are provided: ``free_abelian`` (exponent vectors), ``free``
 (reduced words) and ``finite`` (multiplication table, generating set = all
-nontrivial elements).  They share one ball search, and each counts its
-ball in closed form (ball_size).
+nontrivial elements).  Each counts its ball in closed form (ball_size).
 """
 
 from __future__ import annotations
@@ -62,9 +61,6 @@ class ParabolicOracle:
         self.descriptor = descriptor
         # str.translate table deleting the subgroup's signed letters
         self._deletion = dict.fromkeys(map(ord, descriptor.letters))
-        # str.translate table spelling each signed letter as the character
-        # of its local shortlex rank: declaration order, lowercase first
-        self._rank = {ord(c): i for i, c in enumerate(descriptor.letters)}
 
     # -- accumulator interface ------------------------------------------
     def push(self, state, run):
@@ -94,51 +90,10 @@ class ParabolicOracle:
         """A word t with t*p*t^-1 = q in the subgroup, or None."""
         raise NotImplementedError
 
-    def ball(self, r: int) -> list:
-        """Canonical words of all elements of subgroup length <= r,
-        shortlex sorted: a breadth-first search over the signed letters,
-        keyed by geodesic_form.  It stops at the first level that adds no
-        element, so a finite factor costs two levels at any radius."""
-        letters = self.descriptor.letters
-        level = members = {""}
-        for _ in range(r):
-            level = {self.geodesic_form(w + c)
-                     for w in level for c in letters} - members
-            if not level:
-                break
-            members = members | level
-        return sorted(members, key=self.shortlex_key)
-
     def ball_size(self, r: int) -> int:
-        """len(ball(r)), counted without building a word."""
+        """The number of elements of subgroup length <= r, counted without
+        building a word."""
         raise NotImplementedError
-
-    def shortlex_key(self, w: str):
-        return (len(w), w.translate(self._rank))
-
-    def min_conjugator(self, p: str, q: str):
-        """Shortest t (shortlex ties) with t*p*t^-1 = q, or None: the first
-        in the ball of radius |conjugate(p, q)|, which holds the geodesic
-        form of that conjugator.  The ball is searched whole, so it runs
-        only on the short words of precompute's radius c3."""
-        t = self.conjugate(p, q)
-        if t is None:
-            return None
-        target = self.geodesic_form(q)
-        return next(cand for cand in self.ball(len(t))
-                    if self.geodesic_form(cand + p + inverse(cand)) == target)
-
-    def conjugacy_bound(self, radius: int) -> int:
-        """Max over conjugate pairs in ball(radius) of the shortest
-        conjugator length; 0 when the ball has no nontrivial pairs."""
-        members = self.ball(radius)
-        best = 0
-        for i, p in enumerate(members):
-            for q in members[i:]:
-                t = self.min_conjugator(p, q)
-                if t is not None:
-                    best = max(best, len(t))
-        return best
 
 
 class FreeAbelianOracle(ParabolicOracle):

@@ -1,21 +1,15 @@
-"""The constants profile and the precomputed values: the size of L3 (the
-parabolic balls B_i of words of length <= C(3), counted, not built), the
-per-parabolic constants K_i, and the reported K^hyp_4delta and K_4delta.
+"""The constants profile and the precomputed values: the size of L3, the
+parabolic balls B_i of words of length <= C(3), counted, not built.
 Queries read only the profile: the canonical cyclic form of
 shortening.cyclic_shorten decides hyperbolic conjugacy by string equality,
 and the subgroup oracles decide parabolic conjugacy outright, so the
-tables are what the precompute command reports and caches.  compute_M,
-the one reader of B_i, builds it from the factor's oracle.
+tables are what the precompute command reports and caches.
 
 Working-constants mode: the theory's constants are astronomically large
 for honest inputs, so the profile pins working values, and the regime
 threshold, whose formula default is 86*delta+3, can be overridden;
 algorithms state their guarantees relative to the working values and
-certificates record the profile hash.  The derived quantities
-K^hyp_4delta = |B(4delta, 2*C3)|*(16*delta+2) and K_4delta = K^hyp_4delta +
-sum |S_i|^C3 are always computed from the formula radii (they are reports,
-not enumeration bounds).  |B(4delta, 2*C3)| is counted, not enumerated:
-see enumerate_filtered_ball.
+certificates record the profile hash.
 
 Only relator-free presentations get tables or a conjugacy engine: there
 normal forms are unique, so counting canonical alternating words counts
@@ -154,9 +148,6 @@ class PrecomputedTables(NamedTuple):
     p_hash: str
     profile: ConstantsProfile
     l3: int  # sum over the parabolics of |B_i|, the ball of radius C(3)
-    k_i: tuple  # per-parabolic K_i, in parabolic index order
-    k_hyp_4delta: int
-    k_4delta: int
 
     def sizes(self) -> dict:
         return {"l3": self.l3}
@@ -164,12 +155,9 @@ class PrecomputedTables(NamedTuple):
 
 def precompute(p: RelativePresentation, profile=None) -> PrecomputedTables:
     """Compute the tables of a relator-free presentation under the profile:
-    |L3| = sum |B_i|, K^hyp_4delta, K_i and K_4delta.  No list is built:
-    the balls are counted, and K^hyp_4delta multiplies the count of
-    B(4delta, 2*C3) by 16*delta+2.  A count that would outgrow the budget
-    is refused, and named, before it is computed: |B_i| (l3), B(4delta,
-    2*C3), sum |S_i|^C3 (k_4delta) or the |B_i|^2 pairs of the K_i search
-    (k_i)."""
+    |L3| = sum |B_i|, counted from each oracle's closed form, no list
+    built.  A count that would outgrow the budget is refused, as l3, before
+    it is computed."""
     p.require_free_product(NO_TABLES)
     profile = profile_for(p) if profile is None else profile
     budget, c3 = profile.budget, profile.c3
@@ -180,60 +168,21 @@ def precompute(p: RelativePresentation, profile=None) -> PrecomputedTables:
     radii = sorted({min(2 ** j, c3) for j in range(c3.bit_length() + 1)})
     if any(orc.ball_size(s) > budget for orc in oracles for s in radii):
         raise BudgetExceededError("l3", budget)
-    balls = [orc.ball_size(c3) for orc in oracles]
-    if sum(balls) > budget:
+    l3 = sum(orc.ball_size(c3) for orc in oracles)
+    if l3 > budget:
         raise BudgetExceededError("l3", budget)
-    k_hyp_4delta = enumerate_filtered_ball(
-        p, 4 * profile.delta, 2 * c3, budget, "k_hyp_4delta"
-    ) * (16 * profile.delta + 2)
-    # 2^C3 > budget once C3 reaches the budget's bit length
-    letters = [len(par.generators) for par in p.parabolics]
-    if (max(letters, default=0) > 1 and c3 >= budget.bit_length()
-            or sum(n ** c3 for n in letters) > budget):
-        raise BudgetExceededError("k_4delta", budget)
-    if sum(n * n for n in balls) > budget:
-        raise BudgetExceededError("k_i", budget)
-    k_i = tuple(orc.conjugacy_bound(c3) for orc in oracles)
-    k_4delta = k_hyp_4delta + sum(n ** c3 for n in letters)
-
-    return PrecomputedTables(presentation_hash(p), profile, sum(balls), k_i,
-                             k_hyp_4delta, k_4delta)
-
-
-def compute_M(p: RelativePresentation, tables: PrecomputedTables, u: str) -> int:
-    """min over t in [u]_{P_i} intersect B_i of the least |y|_Gamma with
-    u = y*t*y^-1 in P_i; zero when u is not a word in one parabolic
-    alphabet, when u already lies in B_i, or when the intersection is
-    empty."""
-    p.check_word(u)
-    kinds = {p.letter_kind[c] for c in u}
-    if len(kinds) != 1 or HYPERBOLIC in kinds:
-        return 0
-    i = kinds.pop()
-    orc = p.oracles[i]
-    if len(orc.geodesic_form(u)) <= tables.profile.c3:
-        return 0
-    best = None
-    for t in orc.ball(tables.profile.c3):
-        if orc.conjugate(u, t) is None:
-            continue
-        y = orc.min_conjugator(t, u)
-        if best is None or len(y) < best:
-            best = len(y)
-    return 0 if best is None else best
+    return PrecomputedTables(presentation_hash(p), profile, l3)
 
 
 # ---------------------------------------------------------------------------
-# cache files: six lines of text, namely the magic, the presentation hash,
-# the profile, |L3|, the K_i separated by spaces, and K^hyp_4delta K_4delta
+# cache files: four lines of text, namely the magic, the presentation hash,
+# the profile and |L3|
 
-_MAGIC = "RCT5\n"
+_MAGIC = "RCT6\n"
 
 
 def _cache_text(tables: PrecomputedTables) -> str:
-    lines = (tables.p_hash, serialize_profile(tables.profile), tables.l3,
-             " ".join(map(str, tables.k_i)),
-             "%d %d" % (tables.k_hyp_4delta, tables.k_4delta))
+    lines = (tables.p_hash, serialize_profile(tables.profile), tables.l3)
     return _MAGIC + "".join("%s\n" % line for line in lines)
 
 
@@ -265,11 +214,9 @@ def load_tables(path, p: RelativePresentation, profile=None) -> PrecomputedTable
     if not data.startswith(_MAGIC.encode()):
         raise RelconjError("%s is not a tables cache" % path)
     try:
-        _, p_hash, prof, l3, k_i, k, _ = data.decode().split("\n")
+        _, p_hash, prof, l3, _ = data.decode().split("\n")
         stored = profile_from_pairs(read_constants([], prof.split()))
-        k_hyp, k4 = map(int, k.split())
-        tables = PrecomputedTables(p_hash, stored, int(l3),
-                                   tuple(map(int, k_i.split())), k_hyp, k4)
+        tables = PrecomputedTables(p_hash, stored, int(l3))
         canonical = _cache_text(tables).encode() == data
     except (ValueError, ParseError):  # UnicodeDecodeError is a ValueError
         canonical = False

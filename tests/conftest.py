@@ -17,8 +17,10 @@ from pathlib import Path
 
 import pytest
 
-from relconj import conjugacy, reference, shortening, tables, words
+from relconj import (conjugacy, metric_oracle, reference, shortening,
+                     tables, words)
 from relconj.presentation import (HYPERBOLIC, INVERSE_LETTER,
+                                  ParabolicDescriptor, RelativePresentation,
                                   load_presentation,
                                   parse_presentation)
 
@@ -98,6 +100,17 @@ table 1 2 0
 table 2 0 1
 constants delta=1 c2=1 c3=1 threshold=3
 """
+
+
+def factor_ball(orc, r):
+    """The elements of subgroup length <= r of orc's factor, shortlex
+    sorted: the ball oracle's ball on the presentation of that factor
+    alone, which spells its elements by reference.normal_form and so does
+    not read the oracle."""
+    d = orc.descriptor
+    alone = RelativePresentation("alone", (), (
+        ParabolicDescriptor(1, d.kind, d.generators, d.table),))
+    return metric_oracle.ball(alone, r).elements
 
 
 def random_letters(rng, letters, n):

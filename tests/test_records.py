@@ -43,7 +43,7 @@ RECORDS = [
      ("u", "v", "answer", "witness", "reason", "regime", "lbar", "length",
       "profile", "verified")),
     (tables.PrecomputedTables,
-     ("p_hash", "profile", "l3", "k_i", "k_hyp_4delta", "k_4delta")),
+     ("p_hash", "profile", "l3")),
 ]
 
 

@@ -21,7 +21,7 @@ from relconj.errors import (
 )
 from relconj.presentation import parse_presentation
 
-from conftest import ZF2_PATH, random_word
+from conftest import ZF2_PATH, factor_ball, random_word
 
 
 def test_profile_formula_radii():
@@ -121,53 +121,34 @@ def test_filtered_ball_needs_free_product(pC5):
 
 def test_precompute_sizes_free_group(tF):
     assert tF.sizes() == {"l3": 0}
-    assert tF.k_i == ()
-    assert tF.k_hyp_4delta == 2
-    assert tF.k_4delta == 2
 
 
 def test_precompute_sizes_free_product(tG2):
     assert tG2.sizes() == {"l3": 13}
-    assert tG2.k_i == (0,)
-    # ball(4 delta, 2 C3) has 20209 members; the loop bound multiplies in
-    # the 16 delta + 2 rotation factor
-    assert tG2.k_hyp_4delta == 20209 * 18
-    assert tG2.k_4delta == 20209 * 18 + 4
 
 
 def test_precompute_sizes_finite_parabolic(tZC2):
     assert tZC2.sizes() == {"l3": 2}
-    assert tZC2.k_i == (0,)
 
 
 def test_precompute_budget(pG2):
-    with pytest.raises(BudgetExceededError):
-        tb.precompute(pG2, tb.profile_for(pG2, [("budget", 100)]))
+    # the radius-2 ball of Z^2 has 13 elements
+    with pytest.raises(BudgetExceededError, match="l3"):
+        tb.precompute(pG2, tb.profile_for(pG2, [("budget", 10)]))
 
 
 def test_over_budget_profile_builds_no_ball(monkeypatch, pZF2):
-    # B(4, 12) of Z * F2 is past the budget; refusing it counts the balls
-    # and reaches no search over ball pairs (conjugacy_bound)
-    def refuse(self, r):
-        raise AssertionError("ball(%d) was built" % r)
+    # each ball is counted in closed form and no word is folded, whether
+    # the count fits the budget (|B_i| = 1457 at C3 = 6) or not (3188645 at
+    # C3 = 13, past 10^6)
+    def refuse(self, state, run):
+        raise AssertionError("a word was folded")
 
     for cls in (po.FreeAbelianOracle, po.FreeOracle, po.FiniteOracle):
-        monkeypatch.setattr(cls, "ball", refuse)
-    with pytest.raises(BudgetExceededError, match="k_hyp_4delta"):
-        tb.precompute(pZF2, tb.profile_for(pZF2, [("c3", 6)]))
-
-
-def test_k_4delta_power_is_refused_before_it_is_computed():
-    # Z * C3: the finite factor keeps L3 and B(4delta, 2 C3) tiny, so only
-    # sum |S_i|^C3 = 2^C3 grows; 2^15000 has more digits than int prints
-    p = parse_presentation("group zc3\nhyperbolic a\nparabolic finite 3\n"
-                           "letters s t\ntable 0 1 2\ntable 1 2 0\n"
-                           "table 2 0 1\n")
-    t = tb.precompute(p, tb.profile_for(p, [("c3", 19)]))
-    assert t.k_4delta - t.k_hyp_4delta == 2 ** 19  # the budget is 10^6
-    for c3 in (20, 15000):
-        with pytest.raises(BudgetExceededError, match="k_4delta"):
-            tb.precompute(p, tb.profile_for(p, [("c3", c3)]))
+        monkeypatch.setattr(cls, "push", refuse)
+    assert tb.precompute(pZF2, tb.profile_for(pZF2, [("c3", 6)])).l3 == 1457
+    with pytest.raises(BudgetExceededError, match="l3"):
+        tb.precompute(pZF2, tb.profile_for(pZF2, [("c3", 13)]))
 
 
 def test_l3_is_refused_before_the_ball_is_counted():
@@ -202,40 +183,29 @@ TWO_BLOCKS = ("group zz\nhyperbolic a\nparabolic free_abelian 2\n"
     # the radius-doubling check: the radius-2 ball of F2 has 17 elements
     (None, tb.ConstantsProfile(c3=2, budget=10), "l3"),
     (None, tb.ConstantsProfile(c3=40, budget=10), "l3"),
-    # the sum check: two balls of 13 pass one by one, not together
+    # the sum check: two balls of 13 pass one by one, not together, and
+    # pass together at a budget of 26
     (TWO_BLOCKS, tb.ConstantsProfile(c3=2, budget=20), "l3"),
     (TWO_BLOCKS, tb.ConstantsProfile(c3=2, budget=25), "l3"),
-    (TWO_BLOCKS, tb.ConstantsProfile(c3=2, budget=26), "k_hyp_4delta"),
+    (TWO_BLOCKS, tb.ConstantsProfile(c3=2, budget=26), None),
 ])
 def test_l3_is_refused_one_ball_or_all_at_a_time(pZF2, text, profile,
                                                   refused):
     p = pZF2 if text is None else parse_presentation(text)
+    if refused is None:
+        assert tb.precompute(p, profile).l3 == 26
+        return
     with pytest.raises(BudgetExceededError,
                        match="^%s exceeded element budget %d$"
                        % (refused, profile.budget)):
         tb.precompute(p, profile)
 
 
-def test_k_i_pairs_are_counted_against_the_budget(monkeypatch, pG2):
-    # delta=0 keeps B(0, 4) at one word; the radius-2 ball of Z^2 has 13
-    # elements, so the K_i search compares 169 pairs
-    profile = tb.profile_for(pG2, [("delta", 0), ("budget", 169)])
-    assert tb.precompute(pG2, profile).k_i == (0,)
-
-    def refuse(self, radius):
-        raise AssertionError("the K_i search ran")
-
-    monkeypatch.setattr(po.ParabolicOracle, "conjugacy_bound", refuse)
-    with pytest.raises(BudgetExceededError, match="k_i"):
-        tb.precompute(pG2, tb.profile_for(pG2, [("delta", 0),
-                                                 ("budget", 168)]))
-
-
 def test_l3_counts_the_oracle_balls(pG2, pZC2, pZF2, pTHREE):
     for p in (pG2, pZC2, pZF2, pTHREE):
         t = tb.precompute(p)
         assert t.l3 == t.sizes()["l3"] == sum(
-            len(orc.ball(t.profile.c3)) for orc in p.oracles.values())
+            len(factor_ball(orc, t.profile.c3)) for orc in p.oracles.values())
 
 
 def test_cyclic_canonical_is_class_invariant(pG2):
@@ -251,33 +221,12 @@ def test_cyclic_canonical_is_class_invariant(pG2):
             pG2, words.mul(words.inverse(c1), w, c1, words.inverse(key1)))
 
 
-def test_compute_M_vanishes_for_abelian_parabolics(pG2, tG2):
-    letters = [c for c in pG2.alphabet if pG2.letter_kind[c] != "hyp"]
-    rng = random.Random(22)
-    for _ in range(100):
-        w = random_word(rng, letters, 0, 6)
-        assert tb.compute_M(pG2, tG2, w) == 0
-    assert tb.compute_M(pG2, tG2, "axA") == 0
-
-
-def test_compute_M_on_a_free_parabolic(pZF2, tZF2):
-    # c3 = 1: yxY and yyxYY are conjugate to x, which lies in B_1, by y and
-    # yy; yxyY is conjugate to xy and to nothing shorter, so [u] misses B_1
-    assert tZF2.profile.c3 == 1
-    assert tb.compute_M(pZF2, tZF2, "yxY") == 1
-    assert tb.compute_M(pZF2, tZF2, "yyxYY") == 2
-    for w in ("x", "xy", "yxyY", "axA"):
-        assert tb.compute_M(pZF2, tZF2, w) == 0
-
-
 def test_save_load_round_trip(tmp_path, pG2, tG2, pF):
     path = tmp_path / "g2.tables"
     tb.save_tables(path, tG2)
     again = tb.load_tables(path, pG2)
     assert again.sizes() == tG2.sizes()
     assert again.l3 == tG2.l3
-    assert (again.k_i, again.k_hyp_4delta, again.k_4delta) == (
-        tG2.k_i, tG2.k_hyp_4delta, tG2.k_4delta)
     assert again.profile == tG2.profile
     assert again.profile.hash == tG2.profile.hash
     with pytest.raises(RelconjError, match="different presentation"):
@@ -289,7 +238,7 @@ def test_save_load_round_trip(tmp_path, pG2, tG2, pF):
 
 
 def test_large_counts_round_trip(tmp_path, pG2, tG2):
-    big = tG2._replace(k_hyp_4delta=2 ** 40)
+    big = tG2._replace(l3=2 ** 40)
     path = tmp_path / "big.tables"
     tb.save_tables(path, big)
     assert tb.load_tables(path, pG2) == big
@@ -301,7 +250,7 @@ def test_round_trip_every_factor_kind(tmp_path, pF, pG2, pZC2, pZF2, pTHREE):
         path = tmp_path / ("%s.tables" % p.label)
         tb.save_tables(path, t)
         lines = path.read_text().split("\n")
-        assert len(lines) == 7 and lines[0] == "RCT5" and lines[-1] == ""
+        assert len(lines) == 5 and lines[0] == "RCT6" and lines[-1] == ""
         assert lines[2] == tb.serialize_profile(t.profile)
         assert tb.load_tables(path, p, t.profile) == t
 
@@ -310,7 +259,7 @@ def test_load_rejects_damaged_caches(tmp_path, pG2, tG2):
     path = tmp_path / "g2.tables"
     tb.save_tables(path, tG2)
     good = path.read_bytes()
-    assert good.startswith(b"RCT5\n")
+    assert good.startswith(b"RCT6\n")
     assert not list(tmp_path.glob("*.tmp"))  # the atomic write cleaned up
     bad = tmp_path / "bad.tables"
     for cut in range(len(good)):
@@ -318,7 +267,7 @@ def test_load_rejects_damaged_caches(tmp_path, pG2, tG2):
         with pytest.raises(RelconjError):
             tb.load_tables(bad, pG2)
     # a cache in the previous format is refused, not misread
-    for old in (b"RCT3", b"RCT4"):
+    for old in (b"RCT3", b"RCT4", b"RCT5"):
         bad.write_bytes(old + good[4:])
         with pytest.raises(RelconjError, match="not a tables cache"):
             tb.load_tables(bad, pG2)
@@ -332,7 +281,7 @@ def test_load_rejects_damaged_caches(tmp_path, pG2, tG2):
         tb.load_tables(bad, pG2)
     # numbers that parse but are not the text save_tables writes
     for old, new in ((b"\n13\n", b"\n013\n"), (b"\n13\n", b"\n+13\n"),
-                     (b"\n0\n", b"\n 0\n"), (b"delta=1", b"delta=x")):
+                     (b"\n13\n", b"\n 13\n"), (b"delta=1", b"delta=x")):
         assert old in good
         bad.write_bytes(good.replace(old, new, 1))
         with pytest.raises(RelconjError, match="truncated or malformed"):
