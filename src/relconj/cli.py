@@ -335,6 +335,3 @@ def main(argv=None) -> int:
     _emit(result, args.json)
     return 0 if result.status == "ok" else 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

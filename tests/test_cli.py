@@ -1,4 +1,5 @@
 import functools
+import gc
 import json
 import os
 import random
@@ -10,9 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from relconj import cli, conjugacy, parse_presentation, tables as tb
+from relconj import (cli, conjugacy, load_presentation, parse_presentation,
+                     tables as tb)
 
-from test_cli_golden import COMMANDS
+from test_cli_golden import COMMANDS, TRANSCRIPT, _argv
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos" / "presentations"
 
@@ -25,7 +27,9 @@ def run(capsys, argv):
 
 def run_process(cwd, argv, files=(), timeout=120):
     """python -m relconj with argv in cwd, after writing files there (a
-    map from name to text or bytes)."""
+    map from name to text or bytes).  The child's streams are buffered, as
+    when a shell pipes them, so output it does not flush before exit is
+    lost."""
     for name, data in dict(files).items():
         if isinstance(data, str):
             data = data.encode()
@@ -33,10 +37,11 @@ def run_process(cwd, argv, files=(), timeout=120):
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src),
                                          os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run(
         [sys.executable, "-m", "relconj"] + argv, cwd=cwd,
-        capture_output=True, text=True, timeout=timeout,
-        env=dict(os.environ, PYTHONPATH=path))
+        capture_output=True, text=True, timeout=timeout, env=env)
 
 
 @pytest.fixture()
@@ -724,3 +729,64 @@ def test_a_cache_file_after_a_flag_is_written_alike(tmp_path):
     split, after = json.loads(split.stdout), json.loads(after.stdout)
     assert (split.pop("cache"), after.pop("cache")) == ("a", "b")
     assert split == after
+
+
+@pytest.mark.parametrize("argv", [
+    ["conj", "G2", "axA", "x", "--search"],
+    ["precompute", "G2", "CACHE"],
+    ["wp", "BAD", "a"],
+], ids=["query", "precompute", "parse-error"])
+def test_the_library_call_leaves_the_collector_alone(capsys, paths, tmp_path,
+                                                     argv):
+    # only the process entry point freezes the heap; cli.main runs in its
+    # caller's process
+    bad = tmp_path / "bad.txt"
+    bad.write_text("group g\nbogus directive\n")
+    names = dict(paths, CACHE=os.fspath(tmp_path / "c"), BAD=os.fspath(bad))
+    before = gc.get_freeze_count(), gc.isenabled()
+    code, _, _ = run(capsys, [names.get(arg, arg) for arg in argv])
+    assert code == (1 if "BAD" in argv else 0)
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+GOLDEN_TRANSCRIPT = dict(block.split("\n", 1)
+                         for block in TRANSCRIPT.read_text().split("$ ")[1:])
+
+
+@pytest.mark.parametrize("command", [
+    "wp zxz2.txt xyXY",
+    "classify zxz2.txt axA",
+    "conj zxz2.txt axA x --search",
+    "conj zxz2.txt a x",
+    "--json conj free2.txt ab ba --search",
+    "classify c5.txt a",
+])
+def test_the_process_entry_point_prints_the_golden_transcript(tmp_path,
+                                                              command):
+    # python -m relconj, the process the benchmark times, against the
+    # in-process transcript: a wp, classify, positive and negative conj,
+    # --json and error= line
+    proc = run_process(tmp_path, _argv(command))
+    assert ("exit=%d\n%s" % (proc.returncode, proc.stdout)
+            == GOLDEN_TRANSCRIPT[command])
+    assert proc.stderr.startswith("elapsed_ms=")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_a_precompute_process_writes_the_in_process_cache(tmp_path):
+    # the cache a process writes before it exits is the bytes save_tables
+    # writes in-process
+    zxz2 = DEMOS / "zxz2.txt"
+    tb.save_tables(tmp_path / "want", tb.precompute(load_presentation(zxz2)))
+    proc = run_process(tmp_path, ["precompute", str(zxz2), "got"])
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
+
+
+def test_the_console_script_runs_the_process_entry_point():
+    # `relconj` and `python -m relconj` run one function, which freezes
+    # the heap only after cli.main has returned
+    from relconj.__main__ import main
+
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert '\nrelconj = "%s:%s"\n' % (main.__module__, main.__name__) in text
