@@ -5,10 +5,13 @@ cyclic form of one parabolic run is parabolic, any other nonempty one is
 hyperbolic.  Two hyperbolic elements are conjugate exactly when their cyclic
 forms are equal strings (the conjugacy theorem for free products; the
 engine refuses presentations with relators).  decide shortens u first and
-hands u's result to the shortening of v, which reads v's normal form as
-P * X * P^-1 around u's cyclic form where it can, so a long conjugate pair
-costs one rotation, u's, and not two.  Two parabolic elements are
-conjugate exactly when they lie in one factor and the subgroup oracle
+reads v against u's cyclic form alpha (shortening.cyclic_core): v's normal
+form as P * X * P^-1 around alpha where it can, else alpha as a rotation
+of v's cyclically reduced core.  So a long pair costs one rotation, u's,
+conjugate or not: a v conjugate to u has the cyclic form alpha, found
+without rotating v, and any other v is answered on its core, and rotated
+only if a caller asks for its cyclic form later.  Two parabolic elements
+are conjugate exactly when they lie in one factor and the subgroup oracle
 conjugates one representative onto the other (Lyndon-Schupp, Combinatorial
 Group Theory, IV.1.4).  Neither branch reads a precomputed list.
 
@@ -32,7 +35,10 @@ short-table-miss (unequal hyperbolic cyclic forms; the regime, long when
 the larger cyclic relative length passes the profile's threshold, only
 labels the answer, as no search runs) and parabolic-tables-miss (two
 factors, or no conjugator inside one); the certificate records the profile
-hash the answer depends on.
+hash the answer depends on.  A negative answer read off v's core has the
+same record: the core has the cyclic form's syllable count, the L of the
+record, and v's verdict (empty for the identity, one parabolic run, or
+hyperbolic).
 
 Every query function takes the constants profile (a PrecomputedTables is
 accepted too, for its profile): the regime threshold, the budget and the
@@ -105,9 +111,11 @@ class ConjugacyEngine:
 
     _cyc and _cls are plain dicts keyed by input word and never evicted:
     they grow with the distinct words an engine sees, each _cyc entry
-    keeping the input's normal form, cyclic form and conjugator, and no
-    step log.  Callers that stream many distinct long words should use one
-    engine per batch.
+    keeping the input's normal form, canonical cyclic form and conjugator,
+    and no step log.  A core that cyclic returns for a word found not
+    conjugate to near's is not canonical and is never kept, so a word is in
+    _cyc exactly when its cyclic form has been computed.  Callers that
+    stream many distinct long words should use one engine per batch.
     """
 
     def __init__(self, p: RelativePresentation, profile: ConstantsProfile):
@@ -121,11 +129,18 @@ class ConjugacyEngine:
 
     def cyclic(self, w: str, near=None):
         """The cyclic shortening of w, cached.  near, the shortening of a
-        word that w may be conjugate to, lets cyclic_shorten try first to
-        read w around near's cyclic form."""
+        word u that w may be conjugate to, of NEAR_CYCLE syllables or more,
+        has w read against u's cyclic form (shortening.cyclic_core): where w
+        is not conjugate to u the result is w's cyclically reduced core, not
+        rotated, which is returned and not kept."""
         res = self._cyc.get(w)
         if res is None:
-            res = shortening.cyclic_shorten(self.p, w, near)
+            if near is None or near.cyclic_length < shortening.NEAR_CYCLE:
+                res = shortening.cyclic_shorten(self.p, w)
+            else:
+                res = shortening.cyclic_core(self.p, w, near)
+                if res.output != near.output:
+                    return res
             self._cyc[w] = res
         return res
 
@@ -154,7 +169,14 @@ def classify(p: RelativePresentation, profile: ConstantsProfile, w: str,
     normal form, so it is the representative as it stands, and
     cyclic_shorten has verified its conjugator."""
     eng = engine or ConjugacyEngine(p, profile)
-    res = eng.cyclic(w)
+    return _classified(p, eng.cyclic(w))
+
+
+def _classified(p, res) -> Classification:
+    """classify's verdict on the cyclic shortening res.  decide also reads
+    it off v's core (ConjugacyEngine.cyclic), which has the syllable count
+    and the letter kinds of v's cyclic form, so that the verdict is v's;
+    only the representative is not canonical."""
     alpha, a = res.output, res.conjugator
     if alpha == "":
         verdict = "parabolic" if p.parabolics else "hyperbolic"
@@ -185,13 +207,17 @@ def decide(p: RelativePresentation, profile: ConstantsProfile, u: str,
     mismatches, then compare the representatives, parabolic ones with the
     subgroup oracle and hyperbolic ones as strings; the regime only labels
     the answer.  Positive answers carry a verified witness.  v is
-    shortened after u and around u's cyclic form (ConjugacyEngine.cyclic),
-    which gives the same answer, record and witness as shortening it
-    alone."""
+    shortened after u and read against u's cyclic form
+    (ConjugacyEngine.cyclic).  Where that gives v's core and not its
+    cyclic form, v is not conjugate to u, and v's verdict is read off the
+    core: the answer, record and witness are the ones of shortening v
+    alone either way."""
     eng = engine or ConjugacyEngine(p, profile)
     ru = eng.cyclic(u)
     rv = eng.cyclic(v, ru)
-    cu, cv = eng.classification(u), eng.classification(v)
+    cu = eng.classification(u)
+    # the engine keeps every cyclic form it computes and no core
+    cv = eng.classification(v) if v in eng._cyc else _classified(p, rv)
     lbar = max(ru.linear_length, rv.linear_length)
     length = max(ru.cyclic_length, rv.cyclic_length)
     if cu.identity or cv.identity or cu.verdict != cv.verdict:

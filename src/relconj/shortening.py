@@ -63,6 +63,19 @@ rotation of alpha, whenever nothing of P cancels or merges with X: given
 alpha of NEAR_CYCLE syllables or more, the pass first tries to read v's
 normal form so, by one find of alpha in X + X and string compares, and
 returns what the full pass would, without splitting v or rotating.
+Where that read fails, cyclic_core runs v's end pass alone, which leaves
+v's core s, and looks for alpha in s + s when the two have as many
+syllables and letters.  The find is exact.  Neither s nor alpha has its
+first and last syllables in one factor, so alpha can only start between
+two syllables of s: an alpha starting inside a run of s would end inside
+the same run, |s| letters on, and begin and end in one factor.  So a hit
+at k makes s[k:] + s[:k] equal to alpha syllable by syllable, which the
+conjugacy theorem says happens exactly when v is conjugate to the word
+alpha came from, and the first hit is the first least rotation of s:
+v's cyclic form and conjugator, found without least_rotation.  A miss
+leaves s unrotated, with the syllable count of v's cyclic form.  (The
+equal letter counts make the find exact; equal syllable counts follow
+from a hit, and are compared first only because that costs nothing.)
 
 With relators cyclic shortening is cyclic Dehn reduction: the shortened
 word is cyclically reduced, rotated to put a window across its ends that
@@ -250,10 +263,11 @@ def word_problem(p: RelativePresentation, w: str, tables=None) -> bool:
 
 SHORT_CYCLE = 32  # below this many symbols comparing all rotations is faster
 
-# cyclic_shorten reads a word around a cyclic form of this many syllables
-# or more.  From here on a read that succeeds saves three times what a
-# failed try costs, or more; on shorter cores the general pass is about as
-# fast as the read, so the failed tries make reading a loss
+# cyclic_shorten and ConjugacyEngine.cyclic read a word against a cyclic
+# form of this many syllables or more.  From here on reading saves 6 to
+# 11 % of a decide (fresh engine) on Z * Z^2 and Z * F2, conjugate pair or
+# not, and evens out on the free group (-7 to +4 %); below it the free
+# group pays up to 13 % for reading, at two syllables
 NEAR_CYCLE = 8
 
 
@@ -318,18 +332,20 @@ def least_rotation(s: str) -> int:
     return (start + lo * k + sum(map(len, pieces[:k]))) % p
 
 
-def _syllable_cyclic_form(p, nf, syls):
-    """Cyclic form of the normal form nf with syllables syls (strings, as
-    p.normal_syllables splits nf): (alpha, a, syllable count of alpha,
-    end-run merges) with lab(alpha) = a^-1 * nf * a.  Cancels mutually
-    inverse end letters and merges end runs of one factor from the outside
-    in, each merge one fold of its factor's oracle, then rotates the kept
-    core to its least syllable rotation; a is a prefix of nf."""
+def _end_pass(p, nf, syls):
+    """The cyclically reduced core of the normal form nf with syllables
+    syls (strings, as p.normal_syllables splits nf): (core, s, lo, end-run
+    merges), where core lists the syllables of s and lab(s) = a^-1 * nf * a
+    for the prefix a = nf[:lo].  Cancels mutually inverse end letters and
+    merges end runs of one factor from the outside in, each merge one fold
+    of its factor's oracle.  s is a normal form whose first and last
+    syllables are never of one factor, so it is cyclically reduced, except
+    that a lone run of a free factor can still reduce inside it."""
     kind_of = p.letter_kind
     merges = 0
     merged = []
     i, j = 0, len(syls) - 1
-    lo = 0  # nf[:lo] spells syls[:i]
+    lo, hi = 0, len(nf)  # nf[:lo] spells syls[:i], nf[hi:] syls[j + 1 :]
     while i < j and not merged:
         first, last = syls[i], syls[j]
         kind = kind_of[first[0]]
@@ -347,15 +363,24 @@ def _syllable_cyclic_form(p, nf, syls):
         else:
             break
         lo += len(first)
+        hi -= len(last)
         i, j = i + 1, j - 1
-    if i > j:
-        return "", "", 0, merges
-    core = syls[i : j + 1] + merged
+    # only the empty normal form cancels away, leaving lo = hi = 0
+    return syls[i : j + 1] + merged, nf[lo:hi] + "".join(merged), lo, merges
+
+
+def _syllable_cyclic_form(p, nf, syls):
+    """Cyclic form of the normal form nf with syllables syls: (alpha, a,
+    syllable count of alpha, end-run merges) with lab(alpha) = a^-1 * nf *
+    a, the core of _end_pass rotated to its least syllable rotation (the
+    first one, syllables compared by their shortlex letter ranks); a is a
+    prefix of nf."""
+    core, s, lo, merges = _end_pass(p, nf, syls)
     ranks = p.rank_translation
-    if p._syllable_cuts is None:  # one-letter syllables, as nf[i : j + 1]
-        r = least_rotation((nf[i : j + 1] + "".join(merged)).translate(ranks))
+    if p._syllable_cuts is None:  # one-letter syllables, as s
+        r = least_rotation(s.translate(ranks))
     elif len(core) < SHORT_CYCLE:
-        r = _compare_rotations([s.translate(ranks) for s in core])
+        r = _compare_rotations([x.translate(ranks) for x in core])
     else:
         # the distinct syllables' rank strings, by one translate of their
         # joined string; the separator is above every rank character
@@ -443,27 +468,58 @@ def cyclic_shorten(p: RelativePresentation, w: str,
     lab(alpha) = a^-1 * w * a.  Without relators alpha is the canonical
     cyclic form of the module docstring, found in one linear pass and one
     O(n log n) rotation, and iterations counts the end-run merges.  near,
-    the result for another word (the conjugacy engine passes u's for v),
-    lets that pass first read w's normal form around near's cyclic form
-    (_cyclic_form_around); the result is the same either way, and is
-    checked the same way.  With relators alpha is cyclically
+    the result for another word, lets that pass first read w's normal form
+    around near's cyclic form (_cyclic_form_around); the result is the same
+    either way, and is checked the same way.  The conjugacy engine calls
+    cyclic_core instead, which where that read fails looks for near's form
+    in w's core and rotates nothing.  With relators alpha is cyclically
     Dehn-reduced: cyclically reduced, and no cyclic subword is more than
     half a relator; iterations counts the rotations, and near is not read.
     Either way w goes through normalize first, which checks its letters,
     no step is logged, and a * alpha * a^-1, spelled by
     words.conjugate_form, is checked equal to w (same_element)."""
-    nf = linear_length = None
-    if p.is_free_product:
-        nf = words.normalize(p, w)
-        found = None
-        if near is not None and near.cyclic_length >= NEAR_CYCLE:
-            found = _cyclic_form_around(p, nf, near)
-        if found is None:
-            syls = p.normal_syllables(nf)
-            found = (len(syls),) + _syllable_cyclic_form(p, nf, syls)
-        linear_length, rho, conj, cyclic_length, iterations = found
-    else:
-        rho, conj, cyclic_length, iterations = _dehn_cyclic_form(p, w)
+    if not p.is_free_product:
+        return _checked(p, w, None, (None,) + _dehn_cyclic_form(p, w))
+    nf = words.normalize(p, w)
+    found = None
+    if near is not None and near.cyclic_length >= NEAR_CYCLE:
+        found = _cyclic_form_around(p, nf, near)
+    if found is None:
+        syls = p.normal_syllables(nf)
+        found = (len(syls),) + _syllable_cyclic_form(p, nf, syls)
+    return _checked(p, w, nf, found)
+
+
+def cyclic_core(p: RelativePresentation, w: str,
+                near: CyclicShorteningResult) -> CyclicShorteningResult:
+    """w read against near, the cyclic shortening of a word u whose cyclic
+    form alpha has two syllables or more, on a presentation without
+    relators: cyclic_shorten(p, w) when w is conjugate to u, else w's
+    cyclically reduced core, not rotated, which is not canonical.  w's
+    normal form is read around alpha first (_cyclic_form_around); failing
+    that, the end pass leaves the core s, and alpha is looked for in s + s
+    when the two have as many syllables and letters, which by the module
+    docstring finds exactly the first least rotation of a conjugate s.  So
+    the output is alpha exactly when w is conjugate to u, and no rotation
+    is computed either way.  The fields other than output and conjugator
+    are cyclic_shorten's, and the conjugator is checked the same way."""
+    nf = words.normalize(p, w)
+    found = _cyclic_form_around(p, nf, near)
+    if found is None:
+        syls = p.normal_syllables(nf)
+        core, s, lo, merges = _end_pass(p, nf, syls)
+        alpha, k = near.output, 0  # a miss leaves s as it is
+        if len(core) == near.cyclic_length and len(s) == len(alpha):
+            k = max((s + s).find(alpha), 0)
+        found = len(syls), s[k:] + s[:k], nf[:lo] + s[:k], len(core), merges
+    return _checked(p, w, nf, found)
+
+
+def _checked(p, w, nf, found):
+    """The CyclicShorteningResult of found = (linear length, cyclic form,
+    conjugator, cyclic length, iterations) for w with normal form nf, once
+    the conjugator is checked."""
+    linear_length, rho, conj, cyclic_length, iterations = found
     if not same_element(p, words.conjugate_form(p, conj, rho), w, nf):
         raise RelconjError("cyclic shortening produced an invalid conjugator")
     return CyclicShorteningResult(rho, conj, iterations, linear_length,
