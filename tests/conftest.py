@@ -26,6 +26,7 @@ from relconj.presentation import (HYPERBOLIC, INVERSE_LETTER,
 
 ZF2_PATH = (Path(__file__).resolve().parents[1] / "demos" / "presentations"
             / "zf2.txt")
+TWIN_PATH = ZF2_PATH.with_name("c5c7_twin.txt")
 
 F_TEXT = """\
 # Free group of rank two: hyperbolic, no parabolic subgroups.
@@ -186,6 +187,37 @@ def conjugate_without_cancellation(rng, p, u, n):
         if words.normalize(p, v) == v and len(syllables(v)) == (
                 2 * len(syllables(g)) + len(syllables(u))):
             return v
+
+
+def pairs_around(p, rng, count):
+    """(u, v) pairs with u a cyclically reduced normal form of 8 to 60
+    syllables, an even number: v is u rotated between syllables under a
+    conjugator that nothing cancels or merges with (kind 0; there is none
+    without hyperbolic letters, where the ends of u are runs of two
+    factors, so v is the rotation), u rotated anywhere under a random
+    conjugator (1), u rotated between syllables times g on the left and
+    h^-1, |h| = |g|, on the right (2), and u rotated between syllables,
+    one syllable replaced, under g and inverse_form(g) (3)."""
+    for i in range(count):
+        syls = cyclically_reduced_syllables(p, rng, 2 * rng.randint(4, 30))
+        u = "".join(syls)
+        j, k = rng.randrange(len(syls)), rng.randrange(len(u))
+        x = "".join(syls[j:] + syls[:j])
+        g = random_letters(rng, p.alphabet, rng.randint(0, 40))
+        kind = i % 4
+        if kind == 0:
+            v = x if not p.hyperbolic_generators else (
+                conjugate_without_cancellation(rng, p, x, rng.randint(1, 30)))
+        elif kind == 1:
+            v = g + u[k:] + u[:k] + words.inverse(g)
+        elif kind == 2:
+            h = random_letters(rng, p.alphabet, len(g))
+            v = g + x + words.inverse(h)
+        else:
+            syls[j] = rng.choice(p.alphabet)
+            g = words.normalize(p, g)
+            v = g + "".join(syls) + p.inverse_form(g)
+        yield u, v
 
 
 def relator_conjugates(rng, p, n):

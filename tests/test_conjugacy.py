@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from conftest import G2_TEXT, THREE_TEXT, random_word
+from conftest import G2_TEXT, THREE_TEXT, TWIN_PATH, pairs_around, random_word
 from relconj import (conjugacy as cj, metric_oracle as mo, reference,
                      shortening as sh, tables as tb, words)
 from relconj.errors import (
@@ -14,7 +14,7 @@ from relconj.errors import (
     UnknownLetterError,
 )
 from relconj.presentation import (HYPERBOLIC, RelativePresentation,
-                                  parse_presentation)
+                                  load_presentation, parse_presentation)
 
 ZZ_TEXT = """\
 group zz2
@@ -399,6 +399,51 @@ def test_decide_agrees_with_the_reference_past_the_balls(request, name):
             assert (got == "conjugate") == want, (u, v)
             seen.add(want)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("name", ["pF", "pG2", "pZC2", "pZF2", "twin"])
+def test_reading_v_against_u_answers_as_rotating_both(monkeypatch, request,
+                                                      name):
+    # decide reads v against u's cyclic form, and rotates v only where it
+    # is asked for later.  On 400 pairs_around pairs per presentation (u of
+    # 8 syllables or more, so every pair passes NEAR_CYCLE):
+    # - the record is the one of an engine that holds v's cyclic form
+    #   already, and so compares two cyclic forms;
+    # - a positive answer's witness is verified, and a negative answer is
+    #   the ground truth's;
+    # - after a negative the engine hands out v's canonical cyclic form and
+    #   classification, as a fresh engine does.
+    # Each presentation has 165 to 186 negatives, all answered on v's core
+    # (the spy); at least 150 must be
+    p = (load_presentation(TWIN_PATH) if name == "twin"
+         else request.getfixturevalue(name))
+    profile = tb.profile_for(p, [])
+    cores = 0
+    original = sh.cyclic_core
+
+    def spy(p, w, near):
+        nonlocal cores
+        res = original(p, w, near)
+        cores += res.output != near.output
+        return res
+
+    monkeypatch.setattr(sh, "cyclic_core", spy)
+    for u, v in pairs_around(p, random.Random(39), 400):
+        eng = cj.ConjugacyEngine(p, profile)
+        cert = cj.decide(p, profile, u, v, engine=eng)
+        rotated = cj.ConjugacyEngine(p, profile)
+        rotated.cyclic(v)
+        assert cert.to_record() == cj.decide(
+            p, profile, u, v, engine=rotated).to_record(), (u, v)
+        if cert.answer == "conjugate":
+            assert cert.verified
+        else:
+            assert reference.conjugacy_key(p, u) != reference.conjugacy_key(
+                p, v), (u, v)
+            fresh = cj.ConjugacyEngine(p, profile)
+            assert eng.cyclic(v) == fresh.cyclic(v)
+            assert eng.classification(v) == fresh.classification(v)
+    assert cores >= 150, cores
 
 
 def test_decide_matches_closure_on_three_factor_kinds():

@@ -292,14 +292,24 @@ def test_decide_records_on_long_pairs_are_unchanged(name):
     assert digest.hexdigest()[:16] == LONG_DECIDE_DIGESTS[name]
 
 
-def test_a_long_conjugate_pair_takes_one_rotation(monkeypatch):
-    """decide on u and a long conjugate v = g u g^-1 finds u's cyclic form
-    with one end-run pass and one least_rotation (not counting its
-    recursion), and reads v around it with neither."""
+@pytest.mark.parametrize("index, answer", [
+    (6, "conjugate"), (1, "conjugate"), (8, "not-conjugate")],
+    ids=["conjugate", "conjugate-with-cancellation", "not-conjugate"])
+def test_a_long_pair_takes_one_rotation(monkeypatch, index, answer):
+    """decide on u and a long v finds u's cyclic form with one end-run pass
+    and one least_rotation (not counting its recursion), and reads v
+    against it with no rotation: around u's cyclic form for a conjugate
+    under a conjugator that cancels with nothing (n = 256), and by v's end
+    pass and one find in v's core for u rotated at a letter under a random
+    conjugator whose joins cancel (n = 64), and for u's syllables reversed
+    (n = 256), which is not conjugate."""
     from relconj.presentation import load_presentation
 
     p = load_presentation(ROOT / "demos" / "presentations" / "zxz2.txt")
-    u, v = long_pairs(p, 29)[-3]
+    u, v = long_pairs(p, 29)[index]
+    around = shortening._cyclic_form_around(
+        p, words.normalize(p, v), shortening.cyclic_shorten(p, u))
+    assert (around is None) == (index != 6)
     calls = {"least_rotation": 0, "_syllable_cyclic_form": 0}
     depth = dict(calls)
 
@@ -318,7 +328,7 @@ def test_a_long_conjugate_pair_takes_one_rotation(monkeypatch):
     counted("least_rotation")
     counted("_syllable_cyclic_form")
     cert = conjugacy.decide(p, tables.profile_for(p, []), u, v)
-    assert cert.answer == "conjugate" and cert.verified
+    assert cert.answer == answer and cert.verified == (answer == "conjugate")
     assert calls == {"least_rotation": 1, "_syllable_cyclic_form": 1}
 
 

@@ -8,10 +8,9 @@ from relconj.errors import RelconjError, UnknownLetterError
 from relconj.presentation import (HYPERBOLIC, INVERSE_LETTER,
                                   load_presentation, parse_presentation)
 
-from conftest import (ZF2_PATH, conjugate_without_cancellation,
-                      cyclically_reduced_syllables, is_cyclic_local_geodesic,
-                      is_local_geodesic, random_letters, random_word,
-                      rotation_families)
+from conftest import (TWIN_PATH, cyclically_reduced_syllables,
+                      is_cyclic_local_geodesic, is_local_geodesic,
+                      pairs_around, random_word, rotation_families)
 
 
 def brute_window(p, w, k):
@@ -404,40 +403,6 @@ def test_end_loop_equals_the_oracle_loop(request, name):
         assert nontrivial > 20 or name == "pZC2", nontrivial
 
 
-def pairs_around(p, rng, count):
-    """(u, v) pairs with u a cyclically reduced normal form of 8 to 60
-    syllables, an even number: v is u rotated between syllables under a
-    conjugator that nothing cancels or merges with (kind 0; there is none
-    without hyperbolic letters, where the ends of u are runs of two
-    factors, so v is the rotation), u rotated anywhere under a random
-    conjugator (1), u rotated between syllables times g on the left and
-    h^-1, |h| = |g|, on the right (2), and u rotated between syllables,
-    one syllable replaced, under g and inverse_form(g) (3)."""
-    for i in range(count):
-        syls = cyclically_reduced_syllables(p, rng, 2 * rng.randint(4, 30))
-        u = "".join(syls)
-        j, k = rng.randrange(len(syls)), rng.randrange(len(u))
-        x = "".join(syls[j:] + syls[:j])
-        g = random_letters(rng, p.alphabet, rng.randint(0, 40))
-        kind = i % 4
-        if kind == 0:
-            v = x if not p.hyperbolic_generators else (
-                conjugate_without_cancellation(rng, p, x, rng.randint(1, 30)))
-        elif kind == 1:
-            v = g + u[k:] + u[:k] + words.inverse(g)
-        elif kind == 2:
-            h = random_letters(rng, p.alphabet, len(g))
-            v = g + x + words.inverse(h)
-        else:
-            syls[j] = rng.choice(p.alphabet)
-            g = words.normalize(p, g)
-            v = g + "".join(syls) + p.inverse_form(g)
-        yield u, v
-
-
-TWIN_PATH = ZF2_PATH.with_name("c5c7_twin.txt")
-
-
 @pytest.mark.parametrize("name, floor", [("pF", 180), ("pG2", 110),
                                          ("pZC2", 190), ("pZF2", 100),
                                          ("twin", 85)])
@@ -497,6 +462,30 @@ def test_cyclic_form_around_reads_whole_runs_and_the_inverse(monkeypatch,
     assert res == sh.cyclic_shorten(pG2, v)
     assert (res.conjugator, res.iterations, res.linear_length) == (
         "xAXyaxyyy", 2, 10)
+
+
+def test_cyclic_core_finds_u_only_in_a_core_of_as_many_letters(pG2):
+    # w = alpha * c, where c is the last letter of alpha, u's cyclic form,
+    # and ends a parabolic run of it, is a cyclically reduced normal form
+    # with alpha's syllable count that starts with alpha.  So alpha occurs
+    # in v + v for v, w rotated by one syllable, and only the letter counts
+    # tell that v is not a rotation of alpha (nor conjugate to u: its
+    # exponent sum of c is one more).  v's core, v itself, comes back
+    # unrotated, with v's own cyclic length
+    rng = random.Random(39)
+    while True:
+        u = "".join(cyclically_reduced_syllables(pG2, rng, 8))
+        ru = sh.cyclic_shorten(pG2, u)
+        if pG2.letter_kind[ru.output[-1]] != HYPERBOLIC:
+            break
+    w = ru.output + ru.output[-1]
+    first = len(pG2.normal_syllables(w)[0])
+    v = w[first:] + w[:first]
+    assert words.normalize(pG2, v) == v and ru.output in v + v
+    res = sh.cyclic_core(pG2, v, ru)
+    assert (res.output, res.conjugator, res.cyclic_length) == (
+        v, "", ru.cyclic_length)
+    assert res.cyclic_length == sh.cyclic_shorten(pG2, v).cyclic_length
 
 
 def test_cyclic_shorten_reduces_a_lone_free_factor_run():
