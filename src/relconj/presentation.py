@@ -301,6 +301,20 @@ class RelativePresentation(Frozen):
                  for a in left for b in right]
         return cuts
 
+    @cached_property
+    def letters_order_syllables(self) -> bool:
+        """Whether rotations of a cyclically reduced core that start at
+        syllables compare by their rank strings (rank_translation) as by
+        their syllable sequences, so that cyclic shortening rotates a core
+        of two syllables or more as its rank string (the shortening module
+        docstring has the argument): at most one factor has runs (free or
+        free abelian), and its letters rank above every other letter, as
+        when it is declared last."""
+        runs = [self.run_letters[par.index] for par in self.parabolics
+                if par.kind != "finite"]
+        return not runs or (len(runs) == 1
+                            and "".join(self.alphabet).endswith(runs[0]))
+
     def normal_syllables(self, nf: str) -> list:
         """The syllables of the normal form nf, each hyperbolic letter
         alone and each maximal run of one factor's letters whole, as
@@ -470,9 +484,9 @@ class RelativePresentation(Frozen):
         """str.translate table spelling each signed letter as the character
         of its shortlex rank, its place in alphabet, so translated words of
         one length compare as in shortlex order (shortlex_key).  Cyclic
-        shortening codes a core by it: all of it where every syllable is
-        one letter, else the joined distinct syllables, which it then
-        sorts."""
+        shortening rotates a core of two syllables or more as its
+        translation where letters_order_syllables holds, and elsewhere
+        translates the joined distinct syllables, which it then sorts."""
         return {ord(c): r for r, c in enumerate(self.alphabet)}
 
     @cached_property

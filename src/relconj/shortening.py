@@ -44,13 +44,27 @@ two of other kinds (and it stops).
 Each merge is one fold of the factor oracle (push, then state_word for the
 nontrivial merge that ends the pass).
 The kept core is rotated to the least rotation of its syllable sequence
-(hyperbolic letters one by one, parabolic runs whole, each compared by its
-shortlex letter ranks), and a lone parabolic run is cyclically reduced
-inside its factor.  Where every syllable is one letter (no factor has
-runs) the code of the core is its rank translation, one translate.
-Otherwise a short core compares its rotations directly; a longer one codes
-each distinct syllable as one character, in rank order, sorted by the rank
-strings of one translate of their joined string, and
+(hyperbolic letters one by one, parabolic runs whole, each compared by the
+string of its letters' shortlex ranks), and a lone parabolic run is
+cyclically reduced inside its factor.  Where at most one factor has runs
+(free or free abelian) and its letters rank above every other letter
+(RelativePresentation.letters_order_syllables, true of every presentation
+in demos/presentations), a core of two syllables or more is rotated as its
+rank string, one translate and one least_rotation, and that is exact:
+- the core has a letter outside the run factor, as two runs of one factor
+  are never adjacent, even cyclically; so its least letter is a syllable
+  of its own, and the least rotation of its letters starts at a syllable;
+- two rotations from syllable starts compare letter by letter as they do
+  syllable by syllable.  A syllable is a proper prefix of another only
+  when both are runs of the run factor, and then the shorter one is
+  followed by a letter outside that factor, which ranks below the longer
+  run's next letter;
+- equal rotations are equal either way, so the first least rotation is
+  the same.
+Otherwise (two factors with runs, or a run factor declared before a finite
+one) a short core compares its syllables' rotations directly; a longer one
+codes each distinct syllable as one character, in rank order, sorted by
+the rank strings of one translate of their joined string, and
 least_rotation cuts the code at the longest runs of its least character
 and recurses on the pieces between them, each coded as one character
 again, so the code at least halves per level: O(n log n) work in native
@@ -265,9 +279,10 @@ SHORT_CYCLE = 32  # below this many symbols comparing all rotations is faster
 
 # cyclic_shorten and ConjugacyEngine.cyclic read a word against a cyclic
 # form of this many syllables or more.  From here on reading saves 6 to
-# 11 % of a decide (fresh engine) on Z * Z^2 and Z * F2, conjugate pair or
-# not, and evens out on the free group (-7 to +4 %); below it the free
-# group pays up to 13 % for reading, at two syllables
+# 18 % of a decide (fresh engine) on Z * Z^2 and Z * F2 for a conjugate
+# pair and 13 to 21 % for another, and on the free group up to 13 % and 7
+# to 26 %; below it the free group gains nothing by reading and pays up to
+# 9 %, at two syllables
 NEAR_CYCLE = 8
 
 
@@ -374,12 +389,18 @@ def _syllable_cyclic_form(p, nf, syls):
     syllable count of alpha, end-run merges) with lab(alpha) = a^-1 * nf *
     a, the core of _end_pass rotated to its least syllable rotation (the
     first one, syllables compared by their shortlex letter ranks); a is a
-    prefix of nf."""
+    prefix of nf.  Where letters_order_syllables holds, that is the first
+    least rotation of the core's rank string, by the module docstring."""
     core, s, lo, merges = _end_pass(p, nf, syls)
+    if len(core) < 2:
+        # a lone run of a free factor can still reduce cyclically inside it
+        alpha, pre = words.cyclic_reduce(s)
+        return alpha, nf[:lo] + pre, len(core), merges
     ranks = p.rank_translation
-    if p._syllable_cuts is None:  # one-letter syllables, as s
-        r = least_rotation(s.translate(ranks))
-    elif len(core) < SHORT_CYCLE:
+    if p.letters_order_syllables:
+        k = least_rotation(s.translate(ranks))
+        return s[k:] + s[:k], nf[:lo] + s[:k], len(core), merges
+    if len(core) < SHORT_CYCLE:
         r = _compare_rotations([x.translate(ranks) for x in core])
     else:
         # the distinct syllables' rank strings, by one translate of their
@@ -389,13 +410,8 @@ def _syllable_cyclic_form(p, nf, syls):
         order = sorted(range(len(keys)), key=keys.__getitem__)
         code = _ranked_chars(list(map(distinct.__getitem__, order)))
         r = least_rotation("".join(map(code.__getitem__, core)))
-    alpha = "".join(core[r:] + core[:r])
-    conj = nf[:lo] + "".join(core[:r])
-    if len(core) == 1:
-        # a lone run of a free factor can still reduce cyclically inside it
-        alpha, pre = words.cyclic_reduce(alpha)
-        conj += pre
-    return alpha, conj, len(core), merges
+    return ("".join(core[r:] + core[:r]), nf[:lo] + "".join(core[:r]),
+            len(core), merges)
 
 
 def _cyclic_form_around(p, nf, near):

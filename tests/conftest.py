@@ -7,12 +7,18 @@ read from demos/presentations/zf2.txt), THREE is Z^2 * F2 * C3 * Z (all
 three factor kinds at once), and C5 is the cyclic group of order five given
 by a relator, which exercises the Dehn table (and which the ball oracle
 refuses).  C5Z2 is C5 * Z^2, relators beside a parabolic, and C5C2F2 is
-C5 * C2 * F2, relators beside a finite and a free factor.
+C5 * C2 * F2, relators beside a finite and a free factor.  C2Z2 and Z2C2
+are Z * C2 * Z^2 with the two factors declared in either order, so that
+letter order and syllable order agree on the first and not on the second
+(RelativePresentation.letters_order_syllables), and ZS3 is Z * S3, a
+non-abelian finite factor built from permutations.
 Tables are built once per session; the working constants are pinned inside
 the presentation texts so every derived value in the tests is reproducible.
 """
 
+import itertools
 import os
+import warnings
 from pathlib import Path
 
 import pytest
@@ -23,6 +29,19 @@ from relconj.presentation import (HYPERBOLIC, INVERSE_LETTER,
                                   ParabolicDescriptor, RelativePresentation,
                                   load_presentation,
                                   parse_presentation)
+
+# On a test's first failing example hypothesis's pytest plugin imports
+# hypothesis.extra._patching inside a report hook.  That imports libcst,
+# whose import raises mypy_extensions' TypedDict DeprecationWarning, and
+# filterwarnings = error turns it into an INTERNALERROR that ends the
+# session before the other failures are reported.  Imported once here, with
+# that warning ignored, the module is already loaded when the hook asks.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst: the hook then fails without a warning
+        pass
 
 ZF2_PATH = (Path(__file__).resolve().parents[1] / "demos" / "presentations"
             / "zf2.txt")
@@ -101,6 +120,45 @@ table 1 2 0
 table 2 0 1
 constants delta=1 c2=1 c3=1 threshold=3
 """
+
+C2Z2_TEXT = """\
+group c2z2
+hyperbolic a
+parabolic finite 2
+letters t
+table 0 1
+table 1 0
+parabolic free_abelian 2
+letters x y
+"""
+
+Z2C2_TEXT = """\
+group z2c2
+hyperbolic a
+parabolic free_abelian 2
+letters x y
+parabolic finite 2
+letters t
+table 0 1
+table 1 0
+"""
+
+
+def permutation_group_text(label, perms, letters):
+    """The presentation text of Z * P: hyperbolic a against the finite
+    factor P of the permutations perms (tuples), identity first and closed
+    under composition, the j-th of letters naming perms[j + 1].  Row i of
+    the table composes perms[i], then each perms[j]."""
+    index = {q: i for i, q in enumerate(perms)}
+    rows = ["table %s" % " ".join(str(index[tuple(q[k] for k in r)])
+                                  for q in perms) for r in perms]
+    return "\n".join(["group %s" % label, "hyperbolic a",
+                      "parabolic finite %d" % len(perms),
+                      "letters %s" % " ".join(letters)] + rows) + "\n"
+
+
+ZS3_TEXT = permutation_group_text(
+    "zs3", list(itertools.permutations(range(3))), "bcdef")
 
 
 def factor_ball(orc, r):
@@ -278,6 +336,21 @@ def pZF2():
 @pytest.fixture(scope="session")
 def pTHREE():
     return parse_presentation(THREE_TEXT)
+
+
+@pytest.fixture(scope="session")
+def pC2Z2():
+    return parse_presentation(C2Z2_TEXT)
+
+
+@pytest.fixture(scope="session")
+def pZ2C2():
+    return parse_presentation(Z2C2_TEXT)
+
+
+@pytest.fixture(scope="session")
+def pZS3():
+    return parse_presentation(ZS3_TEXT)
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import re
@@ -399,6 +400,33 @@ def test_decide_agrees_with_the_reference_past_the_balls(request, name):
             assert (got == "conjugate") == want, (u, v)
             seen.add(want)
     assert seen == {True, False}
+
+
+def test_decide_agrees_with_the_reference_on_z_s3(pZS3):
+    # Z * S3, whose finite factor is not abelian, so that the oracle must
+    # conjugate by an element other than the identity: decide against
+    # reference.conjugacy_key on 2,000 seeded pairs, half of them with u in
+    # S3.  v is a conjugate g u g^-1 or an unrelated word; 300 or more pairs
+    # are parabolic and conjugate with unequal representatives
+    p = pZS3
+    eng = cj.ConjugacyEngine(p, tb.profile_for(p))
+    rng = random.Random(47)
+    factor = p.parabolics[0].letters
+    seen = collections.Counter()
+    for i in range(1000):
+        letters = factor if i % 2 else p.alphabet
+        u = random_word(rng, letters, 1, 12)
+        g = random_word(rng, p.alphabet, 0, 6)
+        for v in (g + u + words.inverse(g), random_word(rng, letters, 1, 12)):
+            want = reference.conjugacy_key(p, u) == reference.conjugacy_key(
+                p, v)
+            cert = cj.decide(p, eng.profile, u, v, engine=eng)
+            assert (cert.answer == "conjugate") == want, (u, v)
+            moved = (eng.classification(u).representative
+                     != eng.classification(v).representative)
+            seen[cert.regime, want, moved] += 1
+    assert seen[cj.PARABOLIC, True, True] >= 300, seen
+    assert seen[cj.PARABOLIC, False, True] and seen[cj.SHORT, True, False]
 
 
 @pytest.mark.parametrize("name", ["pF", "pG2", "pZC2", "pZF2", "twin"])

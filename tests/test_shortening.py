@@ -8,7 +8,8 @@ from relconj.errors import RelconjError, UnknownLetterError
 from relconj.presentation import (HYPERBOLIC, INVERSE_LETTER,
                                   load_presentation, parse_presentation)
 
-from conftest import (TWIN_PATH, cyclically_reduced_syllables,
+from conftest import (C5C2F2_TEXT, C5Z2_TEXT, TWIN_PATH,
+                      cyclically_reduced_syllables,
                       is_cyclic_local_geodesic, is_local_geodesic,
                       pairs_around, random_word, rotation_families)
 
@@ -261,19 +262,23 @@ def test_least_rotation_matches_brute_force(monkeypatch):
             assert sh.least_rotation(d) == reference.least_rotation(d), d
 
 
-def test_cyclic_form_is_the_least_syllable_rotation(monkeypatch, pF, pG2,
-                                                    pZC2, pZF2):
+def test_cyclic_form_is_the_least_syllable_rotation(
+        monkeypatch, pF, pG2, pZC2, pZF2, pTHREE, pC2Z2, pZ2C2, pZS3):
     # a cyclically reduced normal form is rotated to the first least
     # rotation of its syllable list, compared by rank_translation: on random
     # and periodic cores of 1-80 syllables, and on runs of Z^2 one of which
     # is a proper prefix of the other (x against xy, x against xx), with
     # SHORT_CYCLE = 2 (every core of two syllables or more is coded one
-    # character a syllable) and as it is (short cores compare directly)
-    hand = [["a", "xy", "a", "x"], ["a", "xx", "a", "x"],
-            ["a", "xy", "A", "x", "a", "xy", "A", "xx"]]
-    cases = [(pG2, syls) for syls in hand]
+    # character a syllable where letters_order_syllables is false) and as
+    # it is (short cores compare directly).  Where the property holds the
+    # core is rotated as its rank string: every presentation here but
+    # THREE (Z^2 and F2 have runs) and Z2C2 (Z^2 ranks below C2)
+    hand = [(pG2, ["a", "xy", "a", "x"]), (pG2, ["a", "xx", "a", "x"]),
+            (pG2, ["a", "xy", "A", "x", "a", "xy", "A", "xx"])]
+    hand += [(p, ["a", "xy", "t", "a", "x", "t"]) for p in (pC2Z2, pZ2C2)]
+    cases = list(hand)
     rng = random.Random(21)
-    for p in (pF, pG2, pZC2, pZF2):
+    for p in (pF, pG2, pZC2, pZF2, pTHREE, pC2Z2, pZ2C2, pZS3):
         for k in range(1, 81):
             cases.append((p, cyclically_reduced_syllables(p, rng, k)))
             block = cyclically_reduced_syllables(p, rng, 1 + k % 7)
@@ -287,6 +292,27 @@ def test_cyclic_form_is_the_least_syllable_rotation(monkeypatch, pF, pG2,
             assert res.output == "".join(syls[r:] + syls[:r]), syls
             assert res.conjugator == "".join(syls[:r]), syls
     assert sh.cyclic_shorten(pG2, "axyax").output == "axaxy"
+    # x < xy as syllables; as letters xt > xy on Z2C2, and xt < xy on C2Z2
+    for p in (pC2Z2, pZ2C2):
+        res = sh.cyclic_shorten(p, "axytaxt")
+        assert (res.output, res.conjugator) == ("axtaxyt", "axyt")
+
+
+def test_letters_order_syllables_on_every_presentation(pF, pG2, pZC2, pC5,
+                                                       pZF2, pTHREE, pC2Z2,
+                                                       pZ2C2, pZS3):
+    # true where at most one factor has runs and it is declared last: on
+    # every demo presentation and every test one but THREE, which has two
+    # run factors, and Z2C2, whose run factor comes before C2
+    demos = sorted(TWIN_PATH.parent.glob("*.txt"))
+    assert len(demos) == 8
+    for path in demos:
+        assert load_presentation(path).letters_order_syllables, path
+    for p in (pF, pG2, pZC2, pC5, pZF2, pC2Z2, pZS3,
+              parse_presentation(C5Z2_TEXT), parse_presentation(C5C2F2_TEXT)):
+        assert p.letters_order_syllables, p.label
+    assert not pTHREE.letters_order_syllables
+    assert not pZ2C2.letters_order_syllables
 
 
 def test_cyclic_shorten_is_class_invariant(pG2):
