@@ -273,10 +273,9 @@ def test_cyclic_form_is_the_least_syllable_rotation(
     # it is (short cores compare directly).  Where the property holds the
     # core is rotated as its rank string: every presentation here but
     # THREE (Z^2 and F2 have runs) and Z2C2 (Z^2 ranks below C2)
-    hand = [(pG2, ["a", "xy", "a", "x"]), (pG2, ["a", "xx", "a", "x"]),
-            (pG2, ["a", "xy", "A", "x", "a", "xy", "A", "xx"])]
-    hand += [(p, ["a", "xy", "t", "a", "x", "t"]) for p in (pC2Z2, pZ2C2)]
-    cases = list(hand)
+    cases = [(pG2, ["a", "xy", "a", "x"]), (pG2, ["a", "xx", "a", "x"]),
+             (pG2, ["a", "xy", "A", "x", "a", "xy", "A", "xx"])]
+    cases += [(p, ["a", "xy", "t", "a", "x", "t"]) for p in (pC2Z2, pZ2C2)]
     rng = random.Random(21)
     for p in (pF, pG2, pZC2, pZF2, pTHREE, pC2Z2, pZ2C2, pZS3):
         for k in range(1, 81):
