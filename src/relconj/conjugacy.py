@@ -129,10 +129,11 @@ class ConjugacyEngine:
 
     def cyclic(self, w: str, near=None):
         """The cyclic shortening of w, cached.  near, the shortening of a
-        word u that w may be conjugate to, of NEAR_CYCLE syllables or more,
-        has w read against u's cyclic form (shortening.cyclic_core): where w
-        is not conjugate to u the result is w's cyclically reduced core, not
-        rotated, which is returned and not kept."""
+        word u that w may be conjugate to, has w read against u's cyclic
+        form (shortening.cyclic_core) when that form has NEAR_CYCLE
+        syllables or more, a gate kept here alone: where w is not conjugate
+        to u the result is w's cyclically reduced core, not rotated, which
+        is returned and not kept."""
         res = self._cyc.get(w)
         if res is None:
             if near is None or near.cyclic_length < shortening.NEAR_CYCLE:

@@ -9,7 +9,7 @@ rewrites bounded windows with replacements from a table computed once.
 Every step is an equality in the group, and neither phase lengthens the
 word.  shorten logs its steps (ShorteningStep), whose count the wp command
 prints; cyclic shortening keeps no log, only a count of its end-run
-merges or rotations.
+merges and rotations.
 
 On a presentation without relators phase one alone produces the
 free-product normal form, which is a relative geodesic (alternating
@@ -73,13 +73,13 @@ conjugate exactly when their syllable sequences are rotations of each
 other, so two elements of two or more syllables are conjugate exactly when
 their cyclic forms are equal strings.  So a word v conjugate to one whose
 cyclic form alpha is known has the normal form P * X * P^-1, X a syllable
-rotation of alpha, whenever nothing of P cancels or merges with X: given
-alpha of NEAR_CYCLE syllables or more, the pass first tries to read v's
-normal form so, by one find of alpha in X + X and string compares, and
-returns what the full pass would, without splitting v or rotating.
-Where that read fails, cyclic_core runs v's end pass alone, which leaves
-v's core s, and looks for alpha in s + s when the two have as many
-syllables and letters.  The find is exact.  Neither s nor alpha has its
+rotation of alpha, whenever nothing of P cancels or merges with X.
+cyclic_core, which the conjugacy engine calls given alpha of NEAR_CYCLE
+syllables or more, first tries to read v's normal form so, by one find
+of alpha in X + X and string compares, and returns what the full pass
+would, without splitting v or rotating.  Where that read fails, it runs
+v's end pass alone, which leaves v's core s, and looks for alpha in s +
+s when the two have as many syllables and letters.  The find is exact.  Neither s nor alpha has its
 first and last syllables in one factor, so alpha can only start between
 two syllables of s: an alpha starting inside a run of s would end inside
 the same run, |s| letters on, and begin and end in one factor.  So a hit
@@ -91,12 +91,26 @@ leaves s unrotated, with the syllable count of v's cyclic form.  (The
 equal letter counts make the find exact; equal syllable counts follow
 from a hit, and are compared first only because that costs nothing.)
 
-With relators cyclic shortening is cyclic Dehn reduction: the shortened
-word is cyclically reduced, rotated to put a window across its ends that
-the table rewrites (or its last parabolic run, when both ends are runs of
-one factor) at the front, and shortened again, until neither is left.
-Each rotation takes off a letter or, merging two runs, a syllable, and
-adds neither, so the loop ends.
+With relators cyclic shortening is cyclic Dehn reduction, and the
+shortened word goes through the same end pass: inverse end letters
+cancel and end runs of one factor merge, by the factor's fold.  What the
+pass can leave is a window across the ends of the core that the table
+rewrites, never after a nontrivial merge, which ends the core with a
+parabolic run.  The core is rotated to put the first such window in its
+middle, shortened again and passed again, until no window is left.  Each
+rotation takes off a letter or more and adds none, so the loop ends.
+Rotating the window to the front instead leaves the new ends beside the
+rewritten text, where the next window often is: on (cdCD)^k * aa *
+(abAB)^k on the genus-two surface group, whose relator abABcdCD reads k
+times across the ends, that takes k - 1 rotations, each a full Dehn
+pass, 4 s on 4,098 letters.  A centred window puts the new ends in the
+middle of text the Dehn pass has already reduced, so as a rule one
+rotation ends the loop and the whole is linear: that word takes one
+rotation and 18 ms, under 4 times its word problem (2 cores, Python
+3.11).  Only windows are centred.  A merged run stays at the end, where
+the pass puts it: centred too, it would loop forever on yAAxxyAxx on
+C5 * Z^2, whose end runs xx and y merge to xxy, which shorten leaves as
+it is.
 
 Every conjugator, here and in the conjugacy engine, is checked before it is
 returned (same_element).  The product that it claims equal to a word is
@@ -162,7 +176,7 @@ class CyclicShorteningResult(NamedTuple):
 
     output: str
     conjugator: str  # a with lab(output) = a^-1 * input * a in G
-    iterations: int  # end-run merges, or rotations with relators
+    iterations: int  # end-run merges, plus rotations with relators
     # relative length of the input's normal form, which is its linear
     # shortening; None with relators
     linear_length: int
@@ -277,8 +291,8 @@ def word_problem(p: RelativePresentation, w: str, tables=None) -> bool:
 
 SHORT_CYCLE = 32  # below this many symbols comparing all rotations is faster
 
-# cyclic_shorten and ConjugacyEngine.cyclic read a word against a cyclic
-# form of this many syllables or more.  From here on reading saves 6 to
+# ConjugacyEngine.cyclic reads a word against a cyclic form of this many
+# syllables or more (cyclic_core).  From here on reading saves 6 to
 # 18 % of a decide (fresh engine) on Z * Z^2 and Z * F2 for a conjugate
 # pair and 13 to 21 % for another, and on the free group up to 13 % and 7
 # to 26 %; below it the free group gains nothing by reading and pays up to
@@ -347,15 +361,18 @@ def least_rotation(s: str) -> int:
     return (start + lo * k + sum(map(len, pieces[:k]))) % p
 
 
-def _end_pass(p, nf, syls):
-    """The cyclically reduced core of the normal form nf with syllables
-    syls (strings, as p.normal_syllables splits nf): (core, s, lo, end-run
-    merges), where core lists the syllables of s and lab(s) = a^-1 * nf * a
-    for the prefix a = nf[:lo].  Cancels mutually inverse end letters and
-    merges end runs of one factor from the outside in, each merge one fold
-    of its factor's oracle.  s is a normal form whose first and last
-    syllables are never of one factor, so it is cyclically reduced, except
-    that a lone run of a free factor can still reduce inside it."""
+def _end_pass(p, nf):
+    """The cyclically reduced core of the normal form nf: (syllable count
+    of nf, core, s, a, end-run merges), where core lists the syllables of s
+    (a lone run as it was before it reduced) and lab(s) = a^-1 * nf * a.
+    Splits nf (p.normal_syllables), cancels mutually inverse end letters
+    and merges end runs of one factor from the outside in, each merge one
+    fold of its factor's oracle, and cyclically reduces a lone run of a
+    free factor inside it.  s is a normal form whose first and last
+    syllables are never of one factor, so it is cyclically reduced; a
+    nontrivial merge ends s, so that then no hyperbolic window spans its
+    ends."""
+    syls = p.normal_syllables(nf)
     kind_of = p.letter_kind
     merges = 0
     merged = []
@@ -380,26 +397,26 @@ def _end_pass(p, nf, syls):
         lo += len(first)
         hi -= len(last)
         i, j = i + 1, j - 1
-    # only the empty normal form cancels away, leaving lo = hi = 0
-    return syls[i : j + 1] + merged, nf[lo:hi] + "".join(merged), lo, merges
+    # only the empty normal form cancels away, leaving lo = hi = 0; and
+    # only a lone run can reduce cyclically, inside its factor
+    s, pre = words.cyclic_reduce(nf[lo:hi] + "".join(merged))
+    return len(syls), syls[i : j + 1] + merged, s, nf[:lo] + pre, merges
 
 
-def _syllable_cyclic_form(p, nf, syls):
-    """Cyclic form of the normal form nf with syllables syls: (alpha, a,
+def _syllable_cyclic_form(p, nf):
+    """Cyclic form of the normal form nf: (syllable count of nf, alpha, a,
     syllable count of alpha, end-run merges) with lab(alpha) = a^-1 * nf *
     a, the core of _end_pass rotated to its least syllable rotation (the
-    first one, syllables compared by their shortlex letter ranks); a is a
-    prefix of nf.  Where letters_order_syllables holds, that is the first
-    least rotation of the core's rank string, by the module docstring."""
-    core, s, lo, merges = _end_pass(p, nf, syls)
+    first one, syllables compared by their shortlex letter ranks).  Where
+    letters_order_syllables holds, that is the first least rotation of the
+    core's rank string, by the module docstring."""
+    n, core, s, a, merges = _end_pass(p, nf)
     if len(core) < 2:
-        # a lone run of a free factor can still reduce cyclically inside it
-        alpha, pre = words.cyclic_reduce(s)
-        return alpha, nf[:lo] + pre, len(core), merges
+        return n, s, a, len(core), merges
     ranks = p.rank_translation
     if p.letters_order_syllables:
         k = least_rotation(s.translate(ranks))
-        return s[k:] + s[:k], nf[:lo] + s[:k], len(core), merges
+        return n, s[k:] + s[:k], a + s[:k], len(core), merges
     if len(core) < SHORT_CYCLE:
         r = _compare_rotations([x.translate(ranks) for x in core])
     else:
@@ -410,23 +427,23 @@ def _syllable_cyclic_form(p, nf, syls):
         order = sorted(range(len(keys)), key=keys.__getitem__)
         code = _ranked_chars(list(map(distinct.__getitem__, order)))
         r = least_rotation("".join(map(code.__getitem__, core)))
-    return ("".join(core[r:] + core[:r]), nf[:lo] + "".join(core[:r]),
+    return (n, "".join(core[r:] + core[:r]), a + "".join(core[:r]),
             len(core), merges)
 
 
 def _cyclic_form_around(p, nf, near):
-    """(syllable count of nf, then what _syllable_cyclic_form returns) for
-    the normal form nf when it reads as P * X * inverse_form(P) around a
-    syllable rotation X of alpha = near.output, the cyclic form of another
-    word, of two syllables or more; None otherwise.  Here |P| = (|nf| -
-    |alpha|) / 2, both cuts of nf and the wrap-around of X fall between
-    syllables (two letters of one factor never do, in a normal form), and
-    alpha starts at k in X + X.  So does a syllable of X, as the two ends
-    of alpha are of two kinds.  Then the syllables of X are those of alpha
-    rotated, and the end pairs of nf cancel or merge trivially down to X,
-    one merge for each parabolic run of P; X stops the pass, as alpha is
-    cyclically reduced.  The first alpha in X + X is the first least
-    syllable rotation of X, so the conjugator is P + X[:k]."""
+    """What _syllable_cyclic_form returns for the normal form nf when nf
+    reads as P * X * inverse_form(P) around a syllable rotation X of alpha
+    = near.output, the cyclic form of another word, of two syllables or
+    more; None otherwise.  Here |P| = (|nf| - |alpha|) / 2, both cuts of nf
+    and the wrap-around of X fall between syllables (two letters of one
+    factor never do, in a normal form), and alpha starts at k in X + X.  So
+    does a syllable of X, as the two ends of alpha are of two kinds.  Then
+    the syllables of X are those of alpha rotated, and the end pairs of nf
+    cancel or merge trivially down to X, one merge for each parabolic run
+    of P; X stops the pass, as alpha is cyclically reduced.  The first
+    alpha in X + X is the first least syllable rotation of X, so the
+    conjugator is P + X[:k]."""
     alpha = near.output
     n, m = len(nf), len(alpha)
     h = (n - m) // 2
@@ -454,56 +471,43 @@ def _cyclic_form_around(p, nf, near):
 
 def _dehn_cyclic_form(p, w):
     """Cyclic Dehn reduction of the module docstring: (rho, a, syllable
-    count of rho, rotations) with lab(rho) = a^-1 * w * a."""
+    count of rho, end-run merges plus rotations) with lab(rho) = a^-1 * w
+    * a."""
     table, lengths = p.dehn_table
-    kind_of = p.letter_kind
     out, conj, iterations = shorten(p, w).output, "", 0
     while True:
-        rho, pre = words.cyclic_reduce(out)
-        conj += pre
-        n, doubled = len(rho), rho + rho
-        # cuts whose rotation rho[cut:] + rho[:cut] shortens: the starts of
-        # the windows across the ends that the table rewrites, and of the
-        # last run when both ends are runs of one factor
-        cuts = [cut for m in lengths if m <= n for cut in range(n - m + 1, n)
-                if doubled[cut : cut + m] in table]
-        syls = p.normal_syllables(rho)
-        if len(syls) > 1 and HYPERBOLIC != kind_of[rho[0]] == kind_of[rho[-1]]:
-            cuts.append(n - len(syls[-1]))
+        _, core, s, a, merges = _end_pass(p, out)
+        conj += a
+        iterations += merges
+        n, doubled = len(s), s + s
+        # the rotations s[cut:] + s[:cut] that centre a window across the
+        # ends of s that the table rewrites
+        cuts = [start - (n - m) // 2 for m in lengths if m <= n
+                for start in range(n - m + 1, n)
+                if doubled[start : start + m] in table]
         if not cuts:
-            return rho, words.free_reduce(conj), len(syls), iterations
+            return s, words.free_reduce(conj), len(core), iterations
         iterations += 1
-        conj += rho[: cuts[0]]
-        out = shorten(p, rho[cuts[0] :] + rho[: cuts[0]]).output
+        conj += s[: cuts[0]]
+        out = shorten(p, s[cuts[0] :] + s[: cuts[0]]).output
 
 
-def cyclic_shorten(p: RelativePresentation, w: str,
-                   near: CyclicShorteningResult = None
-                   ) -> CyclicShorteningResult:
+def cyclic_shorten(p: RelativePresentation, w: str) -> CyclicShorteningResult:
     """Conjugacy normal form: a cyclic form alpha and a conjugator a with
     lab(alpha) = a^-1 * w * a.  Without relators alpha is the canonical
     cyclic form of the module docstring, found in one linear pass and one
-    O(n log n) rotation, and iterations counts the end-run merges.  near,
-    the result for another word, lets that pass first read w's normal form
-    around near's cyclic form (_cyclic_form_around); the result is the same
-    either way, and is checked the same way.  The conjugacy engine calls
-    cyclic_core instead, which where that read fails looks for near's form
-    in w's core and rotates nothing.  With relators alpha is cyclically
-    Dehn-reduced: cyclically reduced, and no cyclic subword is more than
-    half a relator; iterations counts the rotations, and near is not read.
-    Either way w goes through normalize first, which checks its letters,
-    no step is logged, and a * alpha * a^-1, spelled by
-    words.conjugate_form, is checked equal to w (same_element)."""
+    O(n log n) rotation, and iterations counts the end-run merges.  The
+    conjugacy engine reads a word against a known cyclic form with
+    cyclic_core instead.  With relators alpha is cyclically Dehn-reduced:
+    cyclically reduced, and no cyclic subword is more than half a relator;
+    iterations counts the end-run merges and the rotations.  Either way w
+    goes through normalize first, which checks its letters, no step is
+    logged, and a * alpha * a^-1, spelled by words.conjugate_form, is
+    checked equal to w (same_element)."""
     if not p.is_free_product:
         return _checked(p, w, None, (None,) + _dehn_cyclic_form(p, w))
     nf = words.normalize(p, w)
-    found = None
-    if near is not None and near.cyclic_length >= NEAR_CYCLE:
-        found = _cyclic_form_around(p, nf, near)
-    if found is None:
-        syls = p.normal_syllables(nf)
-        found = (len(syls),) + _syllable_cyclic_form(p, nf, syls)
-    return _checked(p, w, nf, found)
+    return _checked(p, w, nf, _syllable_cyclic_form(p, nf))
 
 
 def cyclic_core(p: RelativePresentation, w: str,
@@ -522,12 +526,11 @@ def cyclic_core(p: RelativePresentation, w: str,
     nf = words.normalize(p, w)
     found = _cyclic_form_around(p, nf, near)
     if found is None:
-        syls = p.normal_syllables(nf)
-        core, s, lo, merges = _end_pass(p, nf, syls)
+        n, core, s, a, merges = _end_pass(p, nf)
         alpha, k = near.output, 0  # a miss leaves s as it is
         if len(core) == near.cyclic_length and len(s) == len(alpha):
             k = max((s + s).find(alpha), 0)
-        found = len(syls), s[k:] + s[:k], nf[:lo] + s[:k], len(core), merges
+        found = n, s[k:] + s[:k], a + s[:k], len(core), merges
     return _checked(p, w, nf, found)
 
 

@@ -10,8 +10,8 @@ refuses).  C5Z2 is C5 * Z^2, relators beside a parabolic, and C5C2F2 is
 C5 * C2 * F2, relators beside a finite and a free factor.  C2Z2 and Z2C2
 are Z * C2 * Z^2 with the two factors declared in either order, so that
 letter order and syllable order agree on the first and not on the second
-(RelativePresentation.letters_order_syllables), and ZS3 is Z * S3, a
-non-abelian finite factor built from permutations.
+(RelativePresentation.letters_order_syllables), and ZS3 and ZD4 are Z * S3
+and Z * D4, non-abelian finite factors built from permutations.
 Tables are built once per session; the working constants are pinned inside
 the presentation texts so every derived value in the tests is reproducible.
 """
@@ -159,6 +159,10 @@ def permutation_group_text(label, perms, letters):
 
 ZS3_TEXT = permutation_group_text(
     "zs3", list(itertools.permutations(range(3))), "bcdef")
+# the symmetries of a square, i -> k + i and i -> k - i on its corners
+ZD4_TEXT = permutation_group_text(
+    "zd4", sorted(tuple((k + e * i) % 4 for i in range(4))
+                  for k in range(4) for e in (1, -1)), "bcdefgh")
 
 
 def factor_ball(orc, r):
@@ -351,6 +355,11 @@ def pZ2C2():
 @pytest.fixture(scope="session")
 def pZS3():
     return parse_presentation(ZS3_TEXT)
+
+
+@pytest.fixture(scope="session")
+def pZD4():
+    return parse_presentation(ZD4_TEXT)
 
 
 @pytest.fixture(scope="session")

@@ -691,3 +691,84 @@ def test_criterion_17_least_rotation_scaling(capsys):
            % ("PASS" if ok else "FAIL",
               ", ".join("%s %.3f" % kv for kv in slopes.items()), elapsed))
     assert ok
+
+
+CYCLIC_DEHN_ROUNDS = 7  # rounds of criterion 18's interleaved timings
+
+
+def cyclic_dehn_slopes():
+    """Criterion 18's runs: log-log slopes of cyclic_shorten with relators,
+    n = 1024..16384, on (cdCD)^k * aa * (abAB)^k on the genus-two surface
+    group, whose relator abABcdCD reads k times across its ends, and on g *
+    u * g^-1 on that group and on C5 * Z^2, g of n/4 random letters and u
+    of n/4 letters of a product of relator conjugates, so that every u has
+    windows to rewrite, then n/4 random letters.  All words are timed in
+    turns, CYCLIC_DEHN_ROUNDS rounds of one call each, and each word keeps
+    its fastest call.  Each family word takes one rotation (iterations, as
+    the group has no end runs to merge) to its cyclic form aa, and no
+    output has a table window, across its ends or not.  Also the time of
+    the 4098-letter family word over that of its word problem."""
+    from conftest import C5Z2_TEXT, relator_conjugates
+
+    from relconj.presentation import load_presentation, parse_presentation
+
+    demos = Path(__file__).resolve().parents[1] / "demos" / "presentations"
+    pS2 = load_presentation(demos / "surface2.txt")
+    pC5Z2 = parse_presentation(C5Z2_TEXT)
+    rng = random.Random(18)
+
+    def conjugated(p, n):
+        g = random_letters(rng, p.alphabet, n // 4)
+        u = (relator_conjugates(rng, p, n // 4)[: n // 4]
+             + random_letters(rng, p.alphabet, n // 4))
+        return g + u + words.inverse(g)
+
+    cases = []  # (name, p, word, run)
+    for n in [2 ** e for e in range(10, 15)]:
+        family = "cdCD" * (n // 8) + "aa" + "abAB" * (n // 8)
+        cases += [("surface2 family", pS2, family, shortening.cyclic_shorten),
+                  ("g u g^-1 on surface2", pS2, conjugated(pS2, n),
+                   shortening.cyclic_shorten),
+                  ("g u g^-1 on C5 * Z^2", pC5Z2, conjugated(pC5Z2, n),
+                   shortening.cyclic_shorten)]
+        if len(family) == 4098:
+            cases.append(("word problem", pS2, family,
+                          shortening.word_problem))
+    best = [math.inf] * len(cases)
+    results = [None] * len(cases)
+    for _ in range(CYCLIC_DEHN_ROUNDS):
+        for k, (_, p, w, run) in enumerate(cases):
+            t1 = time.perf_counter()
+            results[k] = run(p, w)
+            best[k] = min(best[k], time.perf_counter() - t1)
+    points = collections.defaultdict(list)
+    for (name, p, w, run), t, res in zip(cases, best, results):
+        if run is shortening.word_problem:
+            continue
+        table, lengths = p.dehn_table
+        alpha = res.output
+        assert not any((alpha + alpha)[i : i + m] in table
+                       for m in lengths if m <= len(alpha)
+                       for i in range(len(alpha)))
+        if name == "surface2 family":
+            assert (alpha, res.iterations) == ("aa", 1)
+        points[name].append((math.log(len(w)), math.log(t)))
+    times = {(name, len(w)): t for (name, _, w, _), t in zip(cases, best)}
+    return {"slopes": {name: loglog_slope(pts)
+                       for name, pts in points.items()},
+            "ratio": (times["surface2 family", 4098]
+                      / times["word problem", 4098])}
+
+
+def test_criterion_18_cyclic_dehn_scaling(capsys):
+    t0 = time.perf_counter()
+    out = run_in_child(capsys, 18, "cyclic_dehn_slopes")
+    elapsed = time.perf_counter() - t0
+    ok = all(s < 1.3 for s in out["slopes"].values())
+    report(capsys, "criterion 18: %s (cyclic Dehn reduction scaling, "
+           "n=1024..16384, log-log slopes %s < 1.3, one rotation per family "
+           "word; 4098-letter family word %.1fx its word problem, %.1fs)"
+           % ("PASS" if ok else "FAIL",
+              ", ".join("%s %.3f" % kv for kv in out["slopes"].items()),
+              out["ratio"], elapsed))
+    assert ok

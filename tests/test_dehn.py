@@ -54,7 +54,8 @@ def test_relators_are_cyclically_reduced_first():
                            "letters x\nrelator aA\n")
     assert p.dehn_table == ({}, ())
     assert sh.shorten(p, "xaaAx").output == "xax"
-    assert sh.cyclic_shorten(p, "xaaAx").output == "xxa"
+    # the end runs x and x merge, and the merged run ends the cyclic form
+    assert sh.cyclic_shorten(p, "xaaAx").output == "axx"
 
 
 def test_small_cancellation_failure_names_the_piece():
@@ -162,10 +163,13 @@ def test_cyclic_dehn_reduction(pS2, pC5Z2):
 
 
 def test_cyclic_dehn_reduction_rotates_across_the_ends(pS2, pC5Z2):
-    # abABc, more than half of the relator, only across the ends of ABcaaab
+    # abABc, more than half of the relator, only across the ends of
+    # ABcaaab: one rotation, by ABca, puts it in the middle of caaabAB,
+    # where shorten rewrites it to dcD
     res = sh.cyclic_shorten(pS2, "ABcaaab")
-    assert (res.output, res.conjugator, res.iterations) == ("dcDaa", "ABcaa", 1)
-    # end runs of one factor merge, as without relators
+    assert (res.output, res.conjugator, res.iterations) == ("adcDa", "ABca", 1)
+    # end runs of one factor merge, as without relators, in one end-run
+    # merge and no rotation: aaa shortens to AA, and y * x to xy
     res = sh.cyclic_shorten(pC5Z2, "xaaay")
-    assert (res.output, res.conjugator, res.iterations) == ("xyAA", "xAA", 1)
+    assert (res.output, res.conjugator, res.iterations) == ("AAxy", "x", 1)
     assert sh.cyclic_shorten(pC5Z2, "xaX").output == "a"

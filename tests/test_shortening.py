@@ -263,7 +263,8 @@ def test_least_rotation_matches_brute_force(monkeypatch):
 
 
 def test_cyclic_form_is_the_least_syllable_rotation(
-        monkeypatch, pF, pG2, pZC2, pZF2, pTHREE, pC2Z2, pZ2C2, pZS3):
+        monkeypatch, pF, pG2, pZC2, pZF2, pTHREE, pC2Z2, pZ2C2, pZS3,
+        pZD4):
     # a cyclically reduced normal form is rotated to the first least
     # rotation of its syllable list, compared by rank_translation: on random
     # and periodic cores of 1-80 syllables, and on runs of Z^2 one of which
@@ -277,7 +278,7 @@ def test_cyclic_form_is_the_least_syllable_rotation(
              (pG2, ["a", "xy", "A", "x", "a", "xy", "A", "xx"])]
     cases += [(p, ["a", "xy", "t", "a", "x", "t"]) for p in (pC2Z2, pZ2C2)]
     rng = random.Random(21)
-    for p in (pF, pG2, pZC2, pZF2, pTHREE, pC2Z2, pZ2C2, pZS3):
+    for p in (pF, pG2, pZC2, pZF2, pTHREE, pC2Z2, pZ2C2, pZS3, pZD4):
         for k in range(1, 81):
             cases.append((p, cyclically_reduced_syllables(p, rng, k)))
             block = cyclically_reduced_syllables(p, rng, 1 + k % 7)
@@ -299,7 +300,7 @@ def test_cyclic_form_is_the_least_syllable_rotation(
 
 def test_letters_order_syllables_on_every_presentation(pF, pG2, pZC2, pC5,
                                                        pZF2, pTHREE, pC2Z2,
-                                                       pZ2C2, pZS3):
+                                                       pZ2C2, pZS3, pZD4):
     # true where at most one factor has runs and it is declared last: on
     # every demo presentation and every test one but THREE, which has two
     # run factors, and Z2C2, whose run factor comes before C2
@@ -307,7 +308,7 @@ def test_letters_order_syllables_on_every_presentation(pF, pG2, pZC2, pC5,
     assert len(demos) == 8
     for path in demos:
         assert load_presentation(path).letters_order_syllables, path
-    for p in (pF, pG2, pZC2, pC5, pZF2, pC2Z2, pZS3,
+    for p in (pF, pG2, pZC2, pC5, pZF2, pC2Z2, pZS3, pZD4,
               parse_presentation(C5Z2_TEXT), parse_presentation(C5C2F2_TEXT)):
         assert p.letters_order_syllables, p.label
     assert not pTHREE.letters_order_syllables
@@ -416,10 +417,10 @@ def test_end_loop_equals_the_oracle_loop(request, name):
         u = words.normalize(p, random_word(rng, p.alphabet, 0, 40))
         g = words.normalize(p, random_word(rng, p.alphabet, 0, 60))
         nf = words.normalize(p, g + u + words.inverse(g))
-        got = sh._syllable_cyclic_form(p, nf, p.normal_syllables(nf))
-        want = oracle_end_loop_cyclic_form(
-            p, nf, [s for _, s, _ in reference.syllables(p, nf)])
-        assert got == want[:4], (u, g)
+        got = sh._syllable_cyclic_form(p, nf)
+        syls = [s for _, s, _ in reference.syllables(p, nf)]
+        want = oracle_end_loop_cyclic_form(p, nf, syls)
+        assert got == (len(syls),) + want[:4], (u, g)
         trivial += want[4]
         nontrivial += want[5]
     if p.parabolics:  # both kinds of merge were exercised, except in C2,
@@ -432,59 +433,62 @@ def test_end_loop_equals_the_oracle_loop(request, name):
                                          ("pZC2", 190), ("pZF2", 100),
                                          ("twin", 85)])
 def test_cyclic_form_around_a_known_one_equals_the_general_pass(
-        monkeypatch, request, name, floor):
-    # cyclic_shorten(p, v, near=u's result) reads v as P * X * P^-1 around
-    # u's cyclic form where it can and falls back otherwise; either way the
-    # whole result, steps included, is the pass's without near, on 400
-    # seeded pairs per presentation, cores on both sides of SHORT_CYCLE.
-    # At least floor of them take the fast path, on cores on both sides
-    # (228, 136, 239, 122 and 109 of them, 100, 53, 111, 46 and 45 under
-    # SHORT_CYCLE syllables, in the order of the parameters)
+        request, name, floor):
+    # _cyclic_form_around reads v's normal form as P * X * P^-1 around u's
+    # cyclic form where it can, and then returns what the general pass,
+    # _syllable_cyclic_form, does, on 400 seeded pairs per presentation
+    # whose u has a cyclic form of NEAR_CYCLE syllables or more, the
+    # engine's gate, cores on both sides of SHORT_CYCLE.  At least floor of
+    # them are read so, on cores on both sides (228, 136, 239, 122 and 109
+    # of them, 100, 53, 111, 46 and 45 under SHORT_CYCLE syllables, in the
+    # order of the parameters).  cyclic_core, which falls back on v's end
+    # pass, is cyclic_shorten exactly where it finds u's cyclic form
     p = (load_presentation(TWIN_PATH) if name == "twin"
          else request.getfixturevalue(name))
     rng = random.Random(27)
     taken = {False: 0, True: 0}  # by core of SHORT_CYCLE syllables or more
-    original = sh._cyclic_form_around
-
-    def spy(p, nf, near):
-        found = original(p, nf, near)
-        if found is not None:
-            taken[near.cyclic_length >= sh.SHORT_CYCLE] += 1
-        return found
-
-    monkeypatch.setattr(sh, "_cyclic_form_around", spy)
     lengths = set()
     for u, v in pairs_around(p, rng, 400):
         ru = sh.cyclic_shorten(p, u)
         lengths.add(ru.cyclic_length >= sh.SHORT_CYCLE)
-        assert sh.cyclic_shorten(p, v, ru) == sh.cyclic_shorten(p, v), (u, v)
+        if ru.cyclic_length < sh.NEAR_CYCLE:
+            continue
+        nf = words.normalize(p, v)
+        found = sh._cyclic_form_around(p, nf, ru)
+        if found is not None:
+            assert found == sh._syllable_cyclic_form(p, nf), (u, v)
+            taken[ru.cyclic_length >= sh.SHORT_CYCLE] += 1
+        res, full = sh.cyclic_core(p, v, ru), sh.cyclic_shorten(p, v)
+        if full.output == ru.output:
+            assert res == full, (u, v)
+        else:
+            assert res.output != ru.output, (u, v)
     assert lengths == {False, True}
     assert min(taken.values()) > 0 and sum(taken.values()) >= floor, taken
 
 
-def test_cyclic_form_around_reads_whole_runs_and_the_inverse(monkeypatch,
-                                                            pG2):
-    # with NEAR_CYCLE = 2 u's two syllables pass the gate.  u's cyclic
-    # form is Axyyy.  First v = P * X * inverse_form(P), P = AXyaya and
-    # X = yAxyy, whose ends are the two halves of the run xyyy: the letters
-    # of Axyyy start at 1 in X + X, but X's syllables are not those of
-    # Axyyy rotated, and the general pass merges the run.  Then v =
-    # xa * xyyyA * yA, where yA is not inverse_form(xa) = AX
-    monkeypatch.setattr(sh, "NEAR_CYCLE", 2)
+def test_cyclic_form_around_reads_whole_runs_and_the_inverse(pG2):
+    # u's cyclic form is Axyyy, of two syllables.  First v = P * X *
+    # inverse_form(P), P = AXyaya and X = yAxyy, whose ends are the two
+    # halves of the run xyyy: the letters of Axyyy start at 1 in X + X, but
+    # X's syllables are not those of Axyyy rotated, and the general pass
+    # merges the run.  Then v = xa * xyyyA * yA, where yA is not
+    # inverse_form(xa) = AX
     ru = sh.cyclic_shorten(pG2, "Ayyxy")
     assert (ru.output, ru.cyclic_length) == ("Axyyy", 2)
     for v in ("AXyayayAxyyAYAxYa", "xaxyyyAyA"):
-        assert sh.cyclic_shorten(pG2, v, ru) == sh.cyclic_shorten(pG2, v)
-    res = sh.cyclic_shorten(pG2, "AXyayayAxyyAYAxYa", ru)
+        assert words.normalize(pG2, v) == v
+        assert sh._cyclic_form_around(pG2, v, ru) is None
+    res = sh.cyclic_shorten(pG2, "AXyayayAxyyAYAxYa")
     assert (res.iterations, res.linear_length) == (3, 13)
-    assert sh._cyclic_form_around(pG2, "AXyayayAxyyAYAxYa", ru) is None
-    assert sh._cyclic_form_around(pG2, "xaxyyyAyA", ru) is None
     # and where both hold: xyyyA under xAXya, whose runs x and Xy merge
     # with their inverses, rotated from its hyperbolic letter
     v = "xAXya" + "xyyyA" + pG2.inverse_form("xAXya")
-    res = sh.cyclic_shorten(pG2, v, ru)
-    assert sh._cyclic_form_around(pG2, v, ru) is not None
-    assert res == sh.cyclic_shorten(pG2, v)
+    assert words.normalize(pG2, v) == v
+    found = sh._cyclic_form_around(pG2, v, ru)
+    assert found == sh._syllable_cyclic_form(pG2, v)
+    res = sh.cyclic_shorten(pG2, v)
+    assert sh.cyclic_core(pG2, v, ru) == res
     assert (res.conjugator, res.iterations, res.linear_length) == (
         "xAXyaxyyy", 2, 10)
 
@@ -586,9 +590,9 @@ def test_wrong_conjugator_fails_verification(monkeypatch, pG2):
     # against the normal form has to catch it
     original = sh._syllable_cyclic_form
 
-    def one_letter_off(p, nf, syls):
-        alpha, conj, *rest = original(p, nf, syls)
-        return (alpha, conj + "a", *rest)
+    def one_letter_off(p, nf):
+        n, alpha, conj, *rest = original(p, nf)
+        return (n, alpha, conj + "a", *rest)
 
     monkeypatch.setattr(sh, "_syllable_cyclic_form", one_letter_off)
     with pytest.raises(RelconjError,
