@@ -283,6 +283,13 @@ class RelativePresentation(Frozen):
         return {par.index: "".join(par.letters) for par in self.parabolics}
 
     @cached_property
+    def _run_factor_letters(self) -> list:
+        """The signed letters of each factor whose syllables are runs (free
+        and free abelian), one string a factor, in declaration order."""
+        return [self.run_letters[par.index] for par in self.parabolics
+                if par.kind != "finite"]
+
+    @cached_property
     def _syllable_cuts(self):
         """The str.replace cuts of normal_syllables, as (old, new) pairs:
         a space on each side of every letter that is a syllable of its own
@@ -290,8 +297,7 @@ class RelativePresentation(Frozen):
         between two adjacent letters of two different factors whose
         syllables are runs (free and free abelian).  None when no factor has
         runs, so that every letter is a syllable."""
-        runs = [self.run_letters[par.index] for par in self.parabolics
-                if par.kind != "finite"]
+        runs = self._run_factor_letters
         if not runs:
             return None
         in_runs = "".join(runs)
@@ -306,12 +312,12 @@ class RelativePresentation(Frozen):
         """Whether rotations of a cyclically reduced core that start at
         syllables compare by their rank strings (rank_translation) as by
         their syllable sequences, so that cyclic shortening rotates a core
-        of two syllables or more as its rank string (the shortening module
+        of two syllables or more as its rank string, without the separators
+        it puts between syllables elsewhere (the shortening module
         docstring has the argument): at most one factor has runs (free or
         free abelian), and its letters rank above every other letter, as
         when it is declared last."""
-        runs = [self.run_letters[par.index] for par in self.parabolics
-                if par.kind != "finite"]
+        runs = self._run_factor_letters
         return not runs or (len(runs) == 1
                             and "".join(self.alphabet).endswith(runs[0]))
 
@@ -482,12 +488,12 @@ class RelativePresentation(Frozen):
     @cached_property
     def rank_translation(self) -> dict:
         """str.translate table spelling each signed letter as the character
-        of its shortlex rank, its place in alphabet, so translated words of
-        one length compare as in shortlex order (shortlex_key).  Cyclic
-        shortening rotates a core of two syllables or more as its
-        translation where letters_order_syllables holds, and elsewhere
-        translates the joined distinct syllables, which it then sorts."""
-        return {ord(c): r for r, c in enumerate(self.alphabet)}
+        of its shortlex rank plus one, its place in alphabet counted from 1,
+        so translated words of one length compare as in shortlex order
+        (shortlex_key).  The character chr(0) ranks below every letter and is
+        left as it is, so cyclic shortening puts it before each syllable of
+        a core as a separator, where letters_order_syllables is false."""
+        return {ord(c): r for r, c in enumerate(self.alphabet, 1)}
 
     @cached_property
     def alphabet(self) -> tuple[str, ...]:

@@ -14,6 +14,7 @@ import pytest
 from relconj import (cli, conjugacy, load_presentation, parse_presentation,
                      tables as tb)
 
+from conftest import THREE_TEXT, Z2C2_TEXT, ZD4_TEXT, ZS3_TEXT
 from test_cli_golden import COMMANDS, TRANSCRIPT, _argv
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos" / "presentations"
@@ -407,6 +408,23 @@ def test_crosscheck_exhaustive(capsys, paths, g2_cache):
     code, out, _ = run(capsys, ["crosscheck", paths["F"], "3"])
     assert code == 0
     assert "agreement=1.000000" in out
+
+
+@pytest.mark.parametrize("text, radius, elements", [
+    (ZS3_TEXT, 4, 434), (ZD4_TEXT, 4, 772), (Z2C2_TEXT, 3, 250),
+    (THREE_TEXT, 2, 139)], ids=["zs3", "zd4", "z2c2", "three"])
+def test_crosscheck_agrees_on_every_factor_layout(capsys, tmp_path, text,
+                                                  radius, elements):
+    # every ordered pair of the ball against the brute conjugacy classes:
+    # Z * S3 and Z * D4, non-abelian finite factors, and Z2C2 and THREE,
+    # whose cyclic forms rotate the rank code with separators
+    path = tmp_path / "presentation.txt"
+    path.write_text(text)
+    code, out, _ = run(capsys, ["crosscheck", os.fspath(path), str(radius)])
+    assert code == 0
+    assert out == ("status=ok\nelements=%d\npairs=%d\nagreement=1.000000\n"
+                   "mismatches=0\ncounterexample=-\n"
+                   % (elements, elements ** 2))
 
 
 def test_crosscheck_sampled_is_seeded(capsys, paths, g2_cache):

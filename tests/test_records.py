@@ -276,7 +276,7 @@ LONG_DECIDE_DIGESTS = {
 def test_decide_records_on_long_pairs_are_unchanged(name):
     """The radius-3 balls above have cores of a few syllables; these pairs
     have cores of SHORT_CYCLE syllables or more, whose rotation least_rotation
-    finds on the syllable code, and conjugators of up to 64 letters around
+    finds on the rank code, and conjugators of up to 64 letters around
     them."""
     import hashlib
 

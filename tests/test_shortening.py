@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -8,7 +9,8 @@ from relconj.errors import RelconjError, UnknownLetterError
 from relconj.presentation import (HYPERBOLIC, INVERSE_LETTER,
                                   load_presentation, parse_presentation)
 
-from conftest import (C5C2F2_TEXT, C5Z2_TEXT, TWIN_PATH,
+from conftest import (C2Z2_TEXT, C5C2F2_TEXT, C5Z2_TEXT, F_TEXT, G2_TEXT,
+                      TWIN_PATH, ZC2_TEXT, ZD4_TEXT, ZS3_TEXT,
                       cyclically_reduced_syllables,
                       is_cyclic_local_geodesic, is_local_geodesic,
                       pairs_around, random_word, rotation_families)
@@ -269,11 +271,12 @@ def test_cyclic_form_is_the_least_syllable_rotation(
     # rotation of its syllable list, compared by rank_translation: on random
     # and periodic cores of 1-80 syllables, and on runs of Z^2 one of which
     # is a proper prefix of the other (x against xy, x against xx), with
-    # SHORT_CYCLE = 2 (every core of two syllables or more is coded one
-    # character a syllable where letters_order_syllables is false) and as
-    # it is (short cores compare directly).  Where the property holds the
-    # core is rotated as its rank string: every presentation here but
-    # THREE (Z^2 and F2 have runs) and Z2C2 (Z^2 ranks below C2)
+    # SHORT_CYCLE = 2 (least_rotation cuts every rank code of two
+    # characters or more at its least character, the separator where
+    # letters_order_syllables is false) and as it is (short codes compare
+    # their rotations directly).  Where the property holds the code is the
+    # core's rank string: every presentation here but THREE (Z^2 and F2
+    # have runs) and Z2C2 (Z^2 ranks below C2), whose codes have separators
     cases = [(pG2, ["a", "xy", "a", "x"]), (pG2, ["a", "xx", "a", "x"]),
              (pG2, ["a", "xy", "A", "x", "a", "xy", "A", "xx"])]
     cases += [(p, ["a", "xy", "t", "a", "x", "t"]) for p in (pC2Z2, pZ2C2)]
@@ -313,6 +316,43 @@ def test_letters_order_syllables_on_every_presentation(pF, pG2, pZC2, pC5,
         assert p.letters_order_syllables, p.label
     assert not pTHREE.letters_order_syllables
     assert not pZ2C2.letters_order_syllables
+
+
+def test_separator_code_agrees_with_the_plain_code():
+    # the rank code with a separator before each syllable is right on every
+    # presentation, and where letters_order_syllables holds it must give
+    # what the plain rank string gives: cyclic_shorten on seeded words
+    # (random words of up to 400 letters, periodic cores and conjugates
+    # g u g^-1) on every relator-free letters-order presentation in
+    # conftest and demos/presentations, against a second instance of each
+    # with the property written False
+    loaders = [functools.partial(parse_presentation, text)
+               for text in (F_TEXT, G2_TEXT, ZC2_TEXT, C2Z2_TEXT, ZS3_TEXT,
+                            ZD4_TEXT)]
+    loaders += [functools.partial(load_presentation, path)
+                for path in sorted(TWIN_PATH.parent.glob("*.txt"))]
+    rng = random.Random(43)
+    checked = 0
+    for load in loaders:
+        plain, forced = load(), load()
+        if not plain.is_free_product:
+            continue
+        assert plain.letters_order_syllables, plain.label
+        forced.__dict__["letters_order_syllables"] = False
+        cases = [random_word(rng, plain.alphabet, 0, 400) for _ in range(60)]
+        for k in range(1, 61):
+            size = 1 + k % 8  # even where every letter is parabolic
+            size += size % 2 * (not plain.hyperbolic_generators)
+            block = "".join(cyclically_reduced_syllables(plain, rng, size))
+            cases.append(block * (1 + k % 12))
+            g = random_word(rng, plain.alphabet, 0, 60)
+            cases.append(g + random_word(rng, plain.alphabet, 0, 200)
+                         + words.inverse(g))
+        for w in cases:
+            assert sh.cyclic_shorten(forced, w) == sh.cyclic_shorten(
+                plain, w), (plain.label, w)
+        checked += 1
+    assert checked == 11
 
 
 def test_cyclic_shorten_is_class_invariant(pG2):
@@ -358,8 +398,10 @@ def test_cyclic_shorten_counts_end_run_merges(pG2):
 def oracle_end_loop_cyclic_form(p, nf, syls):
     """_syllable_cyclic_form spelled out as a reference: every end-run
     merge, trivial or not, is spelled by the factor oracle and tested for
-    the empty word.  Returns what _syllable_cyclic_form does, then the
-    counts of trivial and of nontrivial merges."""
+    the empty word, and the core is rotated by reference.least_rotation on
+    its syllables' rank strings, compared from all rotations.  Returns what
+    _syllable_cyclic_form does, then the counts of trivial and of
+    nontrivial merges."""
     kind_of = p.letter_kind
     trivial = nontrivial = 0
     merged = []
@@ -389,12 +431,7 @@ def oracle_end_loop_cyclic_form(p, nf, syls):
         return ("", "", 0) + merges
     core = syls[i : j + 1] + merged
     ranks = p.rank_translation
-    if len(core) < sh.SHORT_CYCLE:
-        r = sh._compare_rotations([s.translate(ranks) for s in core])
-    else:
-        code = sh._ranked_chars(sorted(set(core),
-                                       key=lambda s: s.translate(ranks)))
-        r = sh.least_rotation("".join(map(code.__getitem__, core)))
+    r = reference.least_rotation([s.translate(ranks) for s in core])
     alpha = "".join(core[r:] + core[:r])
     conj = nf[:lo] + "".join(core[:r])
     if len(core) == 1:
@@ -403,13 +440,15 @@ def oracle_end_loop_cyclic_form(p, nf, syls):
     return (alpha, conj, len(core)) + merges
 
 
-@pytest.mark.parametrize("name", ["pF", "pG2", "pZC2", "pZF2", "pTHREE"])
+@pytest.mark.parametrize("name", ["pF", "pG2", "pZC2", "pZF2", "pTHREE",
+                                  "pZ2C2"])
 def test_end_loop_equals_the_oracle_loop(request, name):
-    # the pass, which splits with normal_syllables and ranks syllables by
-    # one joined translate, must equal the reference loop, which splits with
-    # reference.syllables and sorts the syllables one by one, in the whole
-    # result, merge count included, on conjugated normal forms g u g^-1
-    # with |g| up to 60
+    # the pass, which splits with normal_syllables and rotates the rank
+    # code of the core, must equal the reference loop, which splits with
+    # reference.syllables and compares all rotations of the syllables, in
+    # the whole result, merge count included, on conjugated normal forms
+    # g u g^-1 with |g| up to 60; THREE and Z2C2 rotate the code with
+    # separators (letters_order_syllables is false there)
     p = request.getfixturevalue(name)
     rng = random.Random(26)
     trivial = nontrivial = 0
