@@ -3,14 +3,17 @@
 Each parabolic factor gets an oracle exposing the handful of subgroup-local
 questions the main algorithms need: triviality, canonical geodesic forms,
 conjugacy with witness, and ball sizes.  Oracles also expose a small
-accumulator interface, push and state_word, so that word normalization can
-fold a parabolic run into a subgroup element with one call per run, and
-cyclic shortening can fold two end runs into one:
+accumulator interface, push and state_word, so that cyclic shortening's
+end pass can fold two end runs into one and the Dehn pass a run into the
+one below it, with one call per run.  words.normalize folds runs in its
+own packed integers instead: push builds its letter table once per
+presentation and word-length base, and state_word spells the runs it
+leaves:
 
 - ``push(state, run)`` returns the state of the element times the word run,
   in time linear in len(run).  None is the state of the identity, both as
   the argument (start a new element) and as the result (the product is
-  trivial, so normalization drops the run);
+  trivial, so the caller drops the run);
 - ``state_word(state)`` only reads a state that is not None: the canonical
   geodesic word of its element.
 

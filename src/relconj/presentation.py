@@ -338,21 +338,6 @@ class RelativePresentation(Frozen):
         return nf.split()
 
     @cached_property
-    def block_pattern(self) -> re.Pattern:
-        """Splits a raw word for normalize into blocks in one native pass:
-        a maximal run of one parabolic factor's letters, which a match
-        from a parabolic letter ends exactly where the run ends, or a
-        maximal run of hyperbolic letters.  Any other character is a
-        block of its own, so an unchecked word fails the letter_kind
-        lookup of its first undeclared letter instead of losing it."""
-        runs = ["[%s]+" % s for s in self.run_letters.values()]
-        hyperbolic = "".join(c for g in self.hyperbolic_generators
-                             for c in (g, INVERSE_LETTER[g]))
-        if hyperbolic:
-            runs.append("[%s]+" % hyperbolic)
-        return re.compile("|".join(runs + ["."]), re.DOTALL)
-
-    @cached_property
     def fault_factors(self) -> tuple:
         """The factors of one or two letters that no normal form contains:
         a hyperbolic letter followed by its inverse, and each parabolic
@@ -407,6 +392,12 @@ class RelativePresentation(Frozen):
             if par.kind == "free_abelian" and len(par.generators) > 1:
                 runs.append("[%s]{2,}" % self.run_letters[par.index])
         return table, re.compile("(%s)" % "|".join(runs)) if runs else None
+
+    @cached_property
+    def letter_tables(self) -> dict:
+        """Memo of words.letter_table: the packing base of a word length ->
+        normalize's letter table for it."""
+        return {}
 
     @cached_property
     def _last_inverse_form(self) -> list:

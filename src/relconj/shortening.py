@@ -224,7 +224,8 @@ def _logged(steps, before, after, justification):
 
 def _dehn_reduced(p, w):
     """Phase two: one stack pass of Dehn's algorithm over the syllables of
-    the normal form w, with parabolic runs folded as in words.normalize."""
+    the normal form w, with each parabolic run folded into its oracle's
+    state, spelled at the end by the oracle's state_word."""
     table, lengths = p.dehn_table
     window = lengths[-1] if lengths else 0
     oracles = p.oracles
@@ -261,7 +262,8 @@ def _dehn_reduced(p, w):
                     hyp -= m
                     todo += reversed(rep)
                     break
-    return words.spell_stack(p, stack)
+    return "".join([e if e.__class__ is str
+                    else oracles[e[0]].state_word(e[1]) for e in stack])
 
 
 def shorten(p: RelativePresentation, w: str) -> ShorteningResult:

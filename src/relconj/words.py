@@ -12,13 +12,19 @@ find where the stretch of the word that is already in normal form ends: at
 the first fault, or at the start of the parabolic run it lies in
 (first_fault); a word shorter than _FIND_LETTERS, where one search of the
 fault_pattern regex costs less, is searched with that.  Such stretches are
-kept whole, and only the syllables where they meet the rest of the word
-are folded, so a word without a fault is returned unchanged, and one with
-a few faults costs little more than recognising it.  On a 768-letter
-normal form of Z * Z^2 the finds and the letter check take about 25 us,
-and on the free group 11 to 13 us.
-On a presentation without relators the result is the free-product normal
-form, so two words are equal in the group iff they normalize identically.
+kept whole, and only the letters where they meet the rest of the word are
+folded, so a word without a fault is returned unchanged, and one with a
+few faults costs little more than recognising it.  On a 768-letter normal
+form of Z * Z^2 the finds and the letter check take about 25 us, and on
+the free group 11 to 13 us.  The other letters go through one stack pass
+over the word's ASCII codes (_fold) on a stack of small integers: a letter
+that only cancels is its code point, and a free abelian or finite run one
+integer, its exponent vector or element packed beside its factor's tag
+(letter_table).  A letter costs three compares and table lookups, and no
+regex match or oracle call; the oracles spell only the runs left on the
+stack (state_word).  On a presentation without relators the result is the
+free-product normal form, so two words are equal in the group iff they
+normalize identically.
 
 :func:`mul` multiplies freely reduced words (normal forms are) by cancelling
 only where two of them meet, with native compares (cancel_length), and
@@ -27,6 +33,8 @@ shortening module docstring).
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from .presentation import (  # noqa: F401 - inverse, cyclic_reduce re-exported
     HYPERBOLIC,
@@ -71,7 +79,13 @@ def mul(*parts: str) -> str:
 # stretch they end) costs about as much as the stack pass spends on this
 # many letters.  So recognition is tried again only where at least this many
 # letters are left, and a stretch it finds is kept whole only when it is at
-# least this long or ends the word.
+# least this long or ends the word.  Measured on 50 raw words of 1,024
+# letters (min of 15, Python 3.11.7, 2 shared cores): an attempt, the finds
+# with one normalize's found list and _stretch_end, takes 3.1 us on Z * Z^2,
+# 1.5 us on the free group and 1.9 us on Z * C2, what the stack pass takes
+# on 12, 15 and 16 letters of those words (0.25, 0.10 and 0.12 us a letter,
+# spelling included), and on 35, 27 and 23 letters of trivial 16k-letter
+# words.
 _ATTEMPT_LETTERS = 16
 
 # From this many letters on, normalize looks for faults with one native
@@ -134,44 +148,140 @@ def conjugate_form(p: RelativePresentation, g: str, x: str) -> str:
     return gx[: len(gx) - c] + p.inverse_form(g[: len(g) - c])
 
 
-def _expose(p, kept, stack, reach):
-    """Move the last syllables of the kept stretches, at least reach letters
-    of the last one or all of it, onto the empty stack as hyperbolic letters
-    and [index, state] runs; with no stretch left, push the sentinel "",
-    which matches nothing.  Returns the next reach, twice this one, so that
-    a cancellation deep into a stretch takes it in doubling pieces."""
+class _Letters(NamedTuple):
+    """normalize's letter table for words of fewer than base / 2 letters
+    (letter_table): for each ASCII code b, inv[b] is the entry that b
+    cancels (-1: none), fac[b] the tag of the run b merges into (-1: none),
+    own[b] the entry b pushes (None for an undeclared character), and
+    step[b] what merging b adds to a free abelian run's entry, or a dict
+    from a finite run's entry to the entry times b.  spelled maps the
+    entries that are one letter, and every finite run's, to their words."""
+
+    inv: list
+    fac: list
+    own: list
+    step: list
+    spelled: dict
+
+
+def letter_table(p: RelativePresentation, base: int) -> _Letters:
+    """The fold's letter table for base, built from the oracles and kept
+    in p.letter_tables, which normalize reads first.  A hyperbolic letter,
+    or a letter of a free factor, is its code point and cancels its
+    inverse's.  A run of a free abelian or finite factor is the entry
+    tag + 256 * v, the tag being the factor's 1-based index: v packs a
+    free abelian run's exponent vector (e_0, e_1, ...) as e_0 + e_1 * base
+    + ..., and is a finite run's element index.  A word of n letters has
+    no exponent above n in absolute value, and base > 2n, so the packing
+    is exact, and the entry is tag exactly when the run is trivial."""
+    inv, fac, own, step = [-1] * 128, [-1] * 128, [None] * 128, [None] * 128
+    spelled = {}
+    for c, kind in p.letter_kind.items():
+        b = ord(c)
+        orc = p.oracles.get(kind)
+        if orc is None or orc.descriptor.kind == "free":
+            inv[b], own[b] = ord(INVERSE_LETTER[c]), b
+            spelled[b] = c
+            continue
+        fac[b] = kind
+        state = orc.push(None, c)
+        if orc.descriptor.kind == "finite":
+            step[b] = {kind + 256 * e: kind + 256 * (orc.push(e or None, c)
+                                                    or 0)
+                       for e in range(len(orc.descriptor.table))}
+            own[b] = step[b][kind]
+            spelled.update((e, orc.state_word(e >> 8)) for e in step[b])
+        else:
+            step[b] = 256 * sum(e * base ** j for j, e in enumerate(state))
+            own[b] = kind + step[b]
+            spelled[own[b]] = orc.state_word(state)
+    return p.letter_tables.setdefault(base, _Letters(inv, fac, own, step,
+                                                     spelled))
+
+
+def _run_word(p, base, e):
+    """The canonical word of a run's fold stack entry, from its oracle."""
+    orc = p.oracles[e & 255]
+    v = e >> 8
+    if orc.descriptor.kind == "finite":
+        return orc.state_word(v)
+    half, state = base // 2, []
+    for _ in orc.descriptor.generators:  # balanced digits: |e_j| < base/2
+        v, r = divmod(v + half, base)
+        state.append(r - half)
+    return orc.state_word(state)
+
+
+def _spell(p, base, t, stack) -> str:
+    """The word of a fold stack, bottom first, with the bottom 0 dropped:
+    an entry of t.spelled as its word, and any other as its run's word.
+    An undeclared letter's None fails None & 255 with TypeError."""
+    get = t.spelled.get
+    return "".join([get(e) or _run_word(p, base, e) for e in stack
+                    if e != 0])
+
+
+def _fold(t, codes, i, k, stack, kept, reach):
+    """Push the letters codes[i:k] onto the fold stack, which is never
+    empty: each cancels the top, merges into the top run, or is pushed.
+    An emptied stack takes the next piece of kept (_expose).  An
+    undeclared character pushes None, on which the next letter's & fails
+    with TypeError.  Returns the next reach."""
+    inv, fac, own, step, _ = t
+    append, pop = stack.append, stack.pop
+    top = stack[-1]
+    for b in codes[i:k]:
+        if top == inv[b]:
+            pop()
+            if not stack:
+                reach = _expose(t, kept, stack, reach)
+            top = stack[-1]
+        elif top & 255 == fac[b]:
+            d = step[b]
+            top = d[top] if d.__class__ is dict else top + d
+            if top == fac[b]:  # the run is trivial
+                pop()
+                if not stack:
+                    reach = _expose(t, kept, stack, reach)
+                top = stack[-1]
+            else:
+                stack[-1] = top
+        else:
+            top = own[b]
+            append(top)
+    return reach
+
+
+def _expose(t, kept, stack, reach):
+    """Move the last letters of the kept stretches, at least reach letters
+    of the last one or all of it, back to the start of a free abelian or
+    finite run they end in, onto the empty stack; with no stretch left,
+    push the bottom 0, which matches nothing.  Returns the next reach,
+    twice this one, so that a cancellation deep into a stretch takes it in
+    doubling pieces."""
     if not kept:
-        stack.append("")
+        stack.append(0)
         return reach
     piece = kept[-1]
     s, lo, hi = piece
-    kind_of = p.letter_kind
+    fac = t.fac
     start = hi - reach if hi - reach > lo else lo
-    while start > lo and kind_of[s[start]] != HYPERBOLIC and (
-            kind_of[s[start - 1]] == kind_of[s[start]]):
+    while start > lo and fac[s[start - 1]] == fac[s[start]] > 0:
         start -= 1  # back to the start of the run
-    for block in p.block_pattern.findall(s, start, hi):
-        kind = kind_of[block[0]]
-        if kind == HYPERBOLIC:
-            stack.extend(block)
-        else:
-            stack.append([kind, p.oracles[kind].push(None, block)])
     if start == lo:
         kept.pop()
     else:
         piece[2] = start
+    stack.append(t.own[s[start]])
+    # s[start:hi] is a normal form, so nothing in it cancels
+    _fold(t, s, start + 1, hi, stack, kept, reach)
     return 2 * reach
 
 
-def _chunk_end(p, w, k):
-    """Where a stack pass meant to end at k stops: at the end of w when too
-    few letters would be left to pay for an attempt, else at the end of the
-    syllable of w[k - 1], so that no parabolic run is split."""
-    if len(w) - k < _ATTEMPT_LETTERS:
-        return len(w)
-    if p.letter_kind[w[k - 1]] == HYPERBOLIC:
-        return k
-    return p.block_pattern.match(w, k - 1).end()
+def _chunk_end(n, k):
+    """Where a stack pass meant to end at k stops: at the end n of the word
+    when too few letters would be left to pay for an attempt."""
+    return n if n - k < _ATTEMPT_LETTERS else k
 
 
 def first_fault(p: RelativePresentation, w: str, i: int, found) -> int:
@@ -197,10 +307,11 @@ def first_fault(p: RelativePresentation, w: str, i: int, found) -> int:
 
 
 def _stretch_end(p, w, i, f):
-    """Where the normal-form stretch of w from the syllable boundary i
-    ends, given f = first_fault(p, w, i, ...): at the end of w when there
-    is no fault, at a hyperbolic or undeclared fault itself, and otherwise
-    at the start of the parabolic run it lies in."""
+    """Where the normal-form stretch of w from i ends, given f =
+    first_fault(p, w, i, ...): at the end of w when there is no fault, at
+    a hyperbolic or undeclared fault itself, and otherwise at the start of
+    the parabolic run it lies in, or at i if that run starts before i (a
+    stack pass may end inside a run)."""
     if f == len(w):
         return f
     kind = p.letter_kind.get(w[f], HYPERBOLIC)
@@ -216,22 +327,24 @@ def normalize(p: RelativePresentation, w: str) -> str:
     _FIND_LETTERS letters or more its native finds, after one translate
     has checked that every letter is declared (check_word), and for a
     shorter word its fault_pattern search, which finds undeclared letters
-    too.  The first search also tells whether w has a
-    fault at all; a word without one is returned as it is, and a word
-    shorter than _ATTEMPT_LETTERS costs that search and its stack pass.
-    The letters between stretches go through a stack pass over their
-    blocks, and only the syllables that cancel or merge where a stretch
-    meets the stack are folded.
+    too.  The first search also tells whether w has a fault at all; a
+    word without one is returned as it is, and a word shorter than
+    _ATTEMPT_LETTERS costs that search and its stack pass.  The letters
+    between stretches go through a stack pass over the ASCII codes of w
+    (_fold) on a stack of small integers (letter_table), three compares a
+    letter and no oracle call, and where a stretch meets the stack its
+    first letters are folded while they cancel or merge.
 
     Recognition is tried again only where it can pay for itself.  After a
-    stretch is kept the stack pass takes one syllable before the next
+    stretch is kept the stack pass takes one letter before the next
     attempt, and after each attempt that finds too short a stretch, four
     times as many letters as the time before.  So a raw word costs
     O(log n) attempts beside its stack pass, and a normal form with a few
     faults is recognised nearly whole.  A word shorter than _FIND_LETTERS
     has its letters checked on the way: an undeclared character is a
-    fault, so no stretch spans it, and the block pattern makes it a block
-    whose letter_kind lookup fails."""
+    fault, so no stretch spans it, and the stack pass meets it: a
+    non-ASCII one fails the encoding, and an ASCII one pushes None, which
+    fails the next letter's & or the spelling (_fold)."""
     n = len(w)
     found = None  # where first_fault found each factor; None: the regex
     if n >= _FIND_LETTERS:
@@ -241,18 +354,20 @@ def normalize(p: RelativePresentation, w: str) -> str:
     f = first_fault(p, w, 0, found)
     if f == n:
         return w
-    oracles = p.oracles
-    kind_of = p.letter_kind
-    inv = INVERSE_LETTER
-    # kept: the stretches kept whole, as [word, start, end].  Above them the
-    # stack: hyperbolic letters, parabolic runs as [index, state], and, when
-    # no stretch is kept, the sentinel "" at the bottom.  It is never empty
-    # while letters are pushed.  w[:i] is spelled by kept and the stack, and
-    # the stack pass goes on over w[i:k].
+    try:
+        codes = w.encode("ascii")
+    except UnicodeEncodeError:  # only below _FIND_LETTERS letters
+        p.check_word(w)  # raises UnknownLetterError naming the letter
+        raise
+    base = 2 << n.bit_length()  # above 2n
+    t = p.letter_tables.get(base) or letter_table(p, base)
+    # kept: the stretches kept whole, as [ASCII codes, start, end].  Above
+    # them the stack of letter_table's entries, and, when no stretch is
+    # kept, the bottom 0.  It is never empty while letters are pushed.
+    # w[:i] is spelled by kept and the stack, and the stack pass goes on
+    # over w[i:k].
     kept = []
-    stack = [""]
-    append = stack.append
-    pop = stack.pop
+    stack = [0]
     i, k = 0, n
     gap = 1  # letters the stack pass takes before the next attempt
     reach = 1  # letters the next exposure moves from kept onto the stack
@@ -260,35 +375,13 @@ def normalize(p: RelativePresentation, w: str) -> str:
         if n >= _ATTEMPT_LETTERS:  # keep the first stretch, however short
             j = _stretch_end(p, w, 0, f)
             if j:
-                kept.append([w, 0, j])
+                kept.append([codes, 0, j])
                 stack.clear()
-                reach = _expose(p, kept, stack, reach)
+                reach = _expose(t, kept, stack, reach)
             i = j
-            k = _chunk_end(p, w, i + gap)
+            k = _chunk_end(n, i + gap)
         while True:
-            for syl in p.block_pattern.findall(w, i, k):
-                kind = kind_of[syl[0]]
-                if kind == HYPERBOLIC:
-                    # free reduction of a hyperbolic block against the stack
-                    for c in syl:
-                        if stack[-1] == inv[c]:
-                            pop()
-                            if not stack:
-                                reach = _expose(p, kept, stack, reach)
-                        else:
-                            append(c)
-                    continue
-                top = stack[-1]
-                if top.__class__ is list and top[0] == kind:
-                    top[1] = oracles[kind].push(top[1], syl)
-                    if top[1] is None:
-                        pop()
-                        if not stack:
-                            reach = _expose(p, kept, stack, reach)
-                else:
-                    state = oracles[kind].push(None, syl)
-                    if state is not None:
-                        append([kind, state])
+            reach = _fold(t, codes, i, k, stack, kept, reach)
             if k == n:
                 break
             i = k
@@ -296,49 +389,43 @@ def normalize(p: RelativePresentation, w: str) -> str:
             if j < n and j - i < _ATTEMPT_LETTERS:
                 gap *= 4  # the attempt does not pay; the stack pass goes on
             else:
-                # keep w[i:j] whole: fold its first syllables into the
-                # stack while they cancel or merge, then keep the stack
-                # and the rest
+                # keep w[i:j] whole: fold its first letters into the stack
+                # while they cancel or merge, then keep the stack and the
+                # rest
+                inv, fac, _, step, _ = t
                 while i < j:
+                    b = codes[i]
                     top = stack[-1]
-                    c = w[i]
-                    if top == inv[c]:
-                        pop()
-                        i += 1
-                    elif top.__class__ is list and top[0] == kind_of[c]:
-                        e = p.block_pattern.match(w, i).end()
-                        top[1] = oracles[top[0]].push(top[1], w[i:e])
-                        i = e
-                        if top[1] is not None:
-                            break
-                        pop()
+                    if top == inv[b]:
+                        stack.pop()
+                    elif top & 255 == fac[b]:
+                        d = step[b]
+                        top = d[top] if d.__class__ is dict else top + d
+                        if top == fac[b]:
+                            stack.pop()
+                        else:
+                            stack[-1] = top
                     else:
                         break
+                    i += 1
                     if not stack:
-                        reach = _expose(p, kept, stack, reach)
-                spelled = spell_stack(p, stack)
+                        reach = _expose(t, kept, stack, reach)
+                spelled = _spell(p, base, t, stack).encode()
                 if spelled:
                     kept.append([spelled, 0, len(spelled)])
                 stack.clear()
                 if i < j:
-                    kept.append([w, i, j])
+                    kept.append([codes, i, j])
                 if j == n:
                     break
-                reach = _expose(p, kept, stack, 1)
+                reach = _expose(t, kept, stack, 1)
                 i = j
                 gap = 1
-            k = _chunk_end(p, w, i + gap)
-    except KeyError:  # from letter_kind: an undeclared letter, checked last
+            k = _chunk_end(n, i + gap)
+        spelled = _spell(p, base, t, stack)
+    except TypeError:  # from an undeclared letter's None, checked last
         p.check_word(w)  # raises UnknownLetterError naming the letter
         raise
-    return "".join([s[lo:hi] for s, lo, hi in kept]) + spell_stack(p, stack)
-
-
-def spell_stack(p: RelativePresentation, stack) -> str:
-    """The word of a fold stack of normalize or the Dehn pass, bottom first:
-    a letter, or the sentinel "", as it stands, and an [index, state, ...]
-    run as its factor's geodesic word."""
-    oracles = p.oracles
-    return "".join([e if e.__class__ is str
-                    else oracles[e[0]].state_word(e[1]) for e in stack])
-
+    if not kept:
+        return spelled
+    return b"".join([s[lo:hi] for s, lo, hi in kept]).decode() + spelled

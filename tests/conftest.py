@@ -10,8 +10,9 @@ refuses).  C5Z2 is C5 * Z^2, relators beside a parabolic, and C5C2F2 is
 C5 * C2 * F2, relators beside a finite and a free factor.  C2Z2 and Z2C2
 are Z * C2 * Z^2 with the two factors declared in either order, so that
 letter order and syllable order agree on the first and not on the second
-(RelativePresentation.letters_order_syllables), and ZS3 and ZD4 are Z * S3
-and Z * D4, non-abelian finite factors built from permutations.
+(RelativePresentation.letters_order_syllables), ZS3 and ZD4 are Z * S3
+and Z * D4, non-abelian finite factors built from permutations, and Z3 is
+Z * Z^3, a free abelian factor of rank three.
 Tables are built once per session; the working constants are pinned inside
 the presentation texts so every derived value in the tests is reproducible.
 """
@@ -141,6 +142,13 @@ parabolic finite 2
 letters t
 table 0 1
 table 1 0
+"""
+
+Z3_TEXT = """\
+group z3
+hyperbolic a
+parabolic free_abelian 3
+letters x y z
 """
 
 
@@ -360,6 +368,11 @@ def pZS3():
 @pytest.fixture(scope="session")
 def pZD4():
     return parse_presentation(ZD4_TEXT)
+
+
+@pytest.fixture(scope="session")
+def pZ3():
+    return parse_presentation(Z3_TEXT)
 
 
 @pytest.fixture(scope="session")

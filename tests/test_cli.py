@@ -128,6 +128,33 @@ def test_an_undeclared_letter_in_a_long_word_fails_typed_in_a_process(
         assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("name", ["free2", "zxz2", "zc2", "zf2"])
+def test_an_undeclared_character_fails_wp_typed(capsys, name):
+    # an undeclared ASCII letter, a non-ASCII letter and a lone surrogate
+    # first, in the middle or last, in words of 1-20 and 130-300 letters
+    path = str(DEMOS / (name + ".txt"))
+    p = load_presentation(path)
+    rng = random.Random(51)
+    for n in (1, 7, 20, 130, 211, 300):
+        w = "".join(rng.choice(p.alphabet) for _ in range(n))
+        for bad in ("q", "é", "\udc80"):
+            for x in (bad + w, w[: n // 2] + bad + w[n // 2 :], w + bad):
+                code, out, _ = run(capsys, ["wp", path, x])
+                assert code == 1
+                assert out.startswith("status=error\nerror=parse\n"), out
+                assert "letter %r is not declared" % bad in out
+
+
+def test_a_byte_that_is_not_utf8_fails_wp_typed_in_a_process(tmp_path):
+    # the command line decodes the byte 0x80 to the lone surrogate \udc80
+    proc = run_process(tmp_path, ["wp", str(DEMOS / "zxz2.txt"),
+                                  "ax" * 80 + "\udc80" + "yA"])
+    assert proc.returncode == 1
+    assert proc.stdout.startswith("status=error\nerror=parse\n")
+    assert "letter '\\udc80' is not declared by 'g2'" in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("target", ["missing/x", "adir"])
 def test_unwritable_cache_fails_alike_in_every_process(tmp_path, target):
     # the message names the cache path, never the temporary file, whose

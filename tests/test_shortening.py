@@ -477,26 +477,29 @@ def test_cyclic_form_around_a_known_one_equals_the_general_pass(
     # cyclic form where it can, and then returns what the general pass,
     # _syllable_cyclic_form, does, on 400 seeded pairs per presentation
     # whose u has a cyclic form of NEAR_CYCLE syllables or more, the
-    # engine's gate, cores on both sides of SHORT_CYCLE.  At least floor of
-    # them are read so, on cores on both sides (228, 136, 239, 122 and 109
-    # of them, 100, 53, 111, 46 and 45 under SHORT_CYCLE syllables, in the
-    # order of the parameters).  cyclic_core, which falls back on v's end
-    # pass, is cyclic_shorten exactly where it finds u's cyclic form
+    # engine's gate, and cores on both sides of SHORT_CYCLE letters: on
+    # these presentations letter order is syllable order, so least_rotation
+    # is given the core's rank code, of one symbol a letter.  At least floor
+    # of them are read so, on cores on both sides (228, 136, 239, 122 and
+    # 109 of them, 100, 31, 111, 24 and 45 under SHORT_CYCLE letters, in
+    # the order of the parameters).  cyclic_core, which falls back on v's
+    # end pass, is cyclic_shorten exactly where it finds u's cyclic form
     p = (load_presentation(TWIN_PATH) if name == "twin"
          else request.getfixturevalue(name))
+    assert p.letters_order_syllables
     rng = random.Random(27)
-    taken = {False: 0, True: 0}  # by core of SHORT_CYCLE syllables or more
+    taken = {False: 0, True: 0}  # by core of SHORT_CYCLE letters or more
     lengths = set()
     for u, v in pairs_around(p, rng, 400):
         ru = sh.cyclic_shorten(p, u)
-        lengths.add(ru.cyclic_length >= sh.SHORT_CYCLE)
+        lengths.add(len(ru.output) >= sh.SHORT_CYCLE)
         if ru.cyclic_length < sh.NEAR_CYCLE:
             continue
         nf = words.normalize(p, v)
         found = sh._cyclic_form_around(p, nf, ru)
         if found is not None:
             assert found == sh._syllable_cyclic_form(p, nf), (u, v)
-            taken[ru.cyclic_length >= sh.SHORT_CYCLE] += 1
+            taken[len(ru.output) >= sh.SHORT_CYCLE] += 1
         res, full = sh.cyclic_core(p, v, ru), sh.cyclic_shorten(p, v)
         if full.output == ru.output:
             assert res == full, (u, v)

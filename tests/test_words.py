@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from relconj import reference, words
+from relconj import reference, shortening, words
 from relconj.errors import UnknownLetterError
 from relconj.presentation import (HYPERBOLIC, INVERSE_LETTER, cancel_length,
                                   load_presentation)
@@ -365,13 +365,14 @@ def test_normalize_calls_no_oracle_on_a_normal_form(monkeypatch, pTHREE):
     assert all(c in nf for c in "axuvs")
 
     def boom(*args):
-        raise AssertionError("oracle called on a normal form")
+        raise AssertionError("oracle or fold called on a normal form")
 
     for orc in pTHREE.oracles.values():
         monkeypatch.setattr(orc, "push", boom)
         monkeypatch.setattr(orc, "state_word", boom)
+    monkeypatch.setattr(words, "_fold", boom)
     assert words.normalize(pTHREE, nf) == nf
-    with pytest.raises(AssertionError, match="oracle called"):
+    with pytest.raises(AssertionError, match="fold called"):
         words.normalize(pTHREE, nf + "xX")
 
 
@@ -438,29 +439,119 @@ def test_normalize_agrees_with_the_definition_on_raw_words(request, name):
 
 
 def test_normalize_folds_only_the_fault(monkeypatch, pTHREE):
-    # a 16k-letter normal form with one xX inserted makes at most 4 oracle
-    # push calls wherever the pair goes: the stretches on either side are
-    # kept whole, and only the syllables at the fault are folded
+    # a 16k-letter normal form with one xX inserted folds at most 8 letters
+    # wherever the pair goes, and calls no oracle push: the stretches on
+    # either side are kept whole, and only the letters at the fault and
+    # the run they meet are folded, each by a lookup in the letter table
+    # that the normalize calls building nf made
     rng = random.Random(33)
     nf = ""
     while len(nf) < 16384:
         nf = words.normalize(pTHREE, nf + random_letters(rng, pTHREE.alphabet,
                                                          4096))
-    calls = []
+    folded = []
+
+    def fold(t, codes, i, k, *rest, real=words._fold):
+        folded.append(k - i)
+        return real(t, codes, i, k, *rest)
+
+    def refuse(*args):
+        raise AssertionError("normalize called an oracle's push")
+
+    monkeypatch.setattr(words, "_fold", fold)
     for orc in pTHREE.oracles.values():
-        def push(state, run, real=orc.push):
-            calls.append(run)
-            return real(state, run)
-        monkeypatch.setattr(orc, "push", push)
+        monkeypatch.setattr(orc, "push", refuse)
     runs = [s for s in reference.syllables(pTHREE, nf) if s[0] == 1]
     cuts = [0, 1, 15, 16, 17, len(nf) // 2, len(nf) - 16, len(nf) - 1,
             len(nf)] + [rng.randint(0, len(nf)) for _ in range(40)]
     cuts += [start + 1 for _, run, start in runs[:20] if len(run) > 1]
     for i in cuts:
         w = nf[:i] + "xX" + nf[i:]
-        del calls[:]
+        del folded[:]
         assert words.normalize(pTHREE, w) == nf
-        assert len(calls) <= 4, (i, calls)
+        assert 0 < sum(folded) <= 8, (i, folded)
+
+
+RELATOR_FREE = ["pF", "pG2", "pZC2", "pZF2", "pTHREE", "pC2Z2", "pZ2C2",
+                "pZS3", "pZD4", "pZ3"]
+
+
+def long_fold_words(rng, p):
+    """Words of 128 to 2,000 letters for normalize's stack pass: raw ones,
+    normal forms with raw letters inserted (stretches kept, and folded
+    where they meet the stack) and normal forms followed by the inverse of
+    a suffix, raw or not (exposures deep into a kept stretch)."""
+    for n in (128, 300, 777, 2000):
+        yield random_letters(rng, p.alphabet, n)
+        nf = words.normalize(p, random_letters(rng, p.alphabet, 3 * n))[:n]
+        for _ in range(3):
+            k = rng.randint(0, len(nf))
+            nf = nf[:k] + random_word(rng, p.alphabet, 1, 40) + nf[k:]
+        yield nf
+        k = rng.randint(0, len(nf))
+        tail = words.inverse(nf[k:])
+        yield nf + tail
+        yield nf + "".join(random_letters(rng, p.alphabet, 2) + c
+                           for c in tail)
+
+
+def packing_words(p):
+    """For lengths n = 2^j - 1, 2^j and 2^j + 1: every letter c to the
+    power n - 1 after or before one other letter d, n letters long, so
+    that c's exponent n - 1 sits beside d's in one packed run, and
+    c^k d D C^k with 2k + 2 = n or n + 1, which cancels to nothing
+    through a run exposed whole."""
+    for j in (7, 9, 11):
+        for n in (2 ** j - 1, 2 ** j, 2 ** j + 1):
+            for c in p.alphabet:
+                for d in p.alphabet:
+                    if d != c:
+                        yield c * (n - 1) + d
+                        yield d + c * (n - 1)
+                k = n // 2 - 1
+                yield c * k + "a" + "A" + words.inverse(c) * k
+
+
+@pytest.mark.parametrize("name", RELATOR_FREE)
+def test_normalize_agrees_with_the_reference_on_long_words(
+        monkeypatch, request, name):
+    # the stack pass, its exposures, the fault finds and the folds where a
+    # kept stretch meets the stack, on every relator-free layout: finite
+    # factors that do not commute (Z * S3, Z * D4), all three kinds at
+    # once, both orders of C2 and Z^2, and free abelian runs of rank three
+    p = request.getfixturevalue(name)
+    rng = random.Random(49)
+    seen = {"expose": 0, "find": 0, "spell": 0}  # calls
+
+    def count(key, real):
+        def counted(*args):
+            seen[key] += 1
+            return real(*args)
+        return counted
+
+    monkeypatch.setattr(words, "_expose",
+                        count("expose", words._expose))
+    monkeypatch.setattr(words, "first_fault",
+                        count("find", words.first_fault))
+    monkeypatch.setattr(words, "_spell", count("spell", words._spell))
+    count_words = 0
+    for _ in range(3):
+        for w in long_fold_words(rng, p):
+            assert words.normalize(p, w) == reference.normal_form(p, w), w
+            count_words += 1
+    # a spelling beside each word's last one is a stretch kept whole
+    assert seen["spell"] - count_words >= 20, seen
+    assert seen["expose"] >= 100 and seen["find"] >= 100, seen
+
+
+@pytest.mark.parametrize("name", ["pG2", "pZ2C2", "pZ3", "pZS3", "pTHREE"])
+def test_runs_pack_exactly_up_to_the_word_length(request, name):
+    # a run's exponents are packed in base 2^(bit length of n + 1), above
+    # 2n, so an exponent of n - 1 beside another one is still exact at n =
+    # 2^j - 1, 2^j and 2^j + 1, where a base half as large is not
+    p = request.getfixturevalue(name)
+    for w in packing_words(p):
+        assert words.normalize(p, w) == reference.normal_form(p, w), w
 
 
 DEMO_PRESENTATIONS = sorted(ZF2_PATH.parent.glob("*.txt"))
@@ -533,6 +624,30 @@ def test_an_undeclared_letter_fails_as_check_word_does_at_any_length(
                 with pytest.raises(UnknownLetterError) as got:
                     words.normalize(p, w)
                 assert str(got.value) == str(want.value), w
+
+
+@pytest.mark.parametrize("name", RELATOR_FREE)
+def test_an_undeclared_character_anywhere_fails_typed(request, name):
+    # an undeclared ASCII letter, a non-ASCII letter and a lone surrogate
+    # (what a command line byte that is not UTF-8 decodes to), first, in
+    # the middle or last, in raw words and normal forms below and above
+    # _FIND_LETTERS: normalize and word_problem raise UnknownLetterError
+    # naming it
+    p = request.getfixturevalue(name)
+    assert "q" not in p.letter_kind
+    rng = random.Random(50)
+    for lo, hi in ((1, 20), (130, 300)):
+        for trial in range(6):
+            w = random_word(rng, p.alphabet, lo, hi)
+            if trial % 2:
+                w = words.normalize(p, w + w) or w
+            for bad in ("q", "é", "\udc80"):
+                m = len(w) // 2
+                for x in (bad + w, w[:m] + bad + w[m:], w + bad):
+                    for solve in (words.normalize, shortening.word_problem):
+                        with pytest.raises(UnknownLetterError,
+                                           match=re.escape(repr(bad))):
+                            solve(p, x)
 
 
 def test_normalize_unknown_letter(pG2):
