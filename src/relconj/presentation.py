@@ -328,7 +328,7 @@ class RelativePresentation(Frozen):
         replace cuts and one split, or list(nf) when no factor has runs.
         Only a normal form: a finite factor's run of two letters or more
         (tt in Z * C2), which no normal form has, is cut into letters.  So
-        normalize splits the raw words it reads with block_pattern, and the
+        normalize reads the raw words it folds letter by letter, and the
         ground truth splits any word with reference.syllables."""
         cuts = self._syllable_cuts
         if cuts is None:
