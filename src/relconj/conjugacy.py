@@ -4,16 +4,21 @@ Both rest on the canonical cyclic form of shortening.cyclic_shorten.  A
 cyclic form of one parabolic run is parabolic, any other nonempty one is
 hyperbolic.  Two hyperbolic elements are conjugate exactly when their cyclic
 forms are equal strings (the conjugacy theorem for free products; the
-engine refuses presentations with relators).  decide shortens u first and
-reads v against u's cyclic form alpha (shortening.cyclic_core): v's normal
-form as P * X * P^-1 around alpha where it can, else alpha as a rotation
-of v's cyclically reduced core.  So a long pair costs one rotation, u's,
-conjugate or not: a v conjugate to u has the cyclic form alpha, found
-without rotating v, and any other v is answered on its core, and rotated
-only if a caller asks for its cyclic form later.  Two parabolic elements
-are conjugate exactly when they lie in one factor and the subgroup oracle
-conjugates one representative onto the other (Lyndon-Schupp, Combinatorial
-Group Theory, IV.1.4).  Neither branch reads a precomputed list.
+engine refuses presentations with relators).  decide takes u's cyclically
+reduced core first and, where it has NEAR_CYCLE syllables or more, reads v
+against it (shortening.cyclic_pair): v's normal form as P * X * P^-1
+around the core where it can, else the core as a rotation of v's own
+core.  So a long pair costs one rotation where the two are conjugate and
+none where they are not: on a hit u's core is rotated to its cyclic form
+alpha, and v's cyclic form is alpha, found in v's core without rotating
+it; any other pair is answered on the two cores, each rotated only if a
+caller asks for its cyclic form later.  Where the engine holds u's or v's
+cyclic form already, u's cyclic form is taken and v read against it
+(shortening.cyclic_core), so that a cyclic form is never compared with a
+core.  Two parabolic elements are conjugate exactly when they lie in one
+factor and the subgroup oracle conjugates one representative onto the
+other (Lyndon-Schupp, Combinatorial Group Theory, IV.1.4).  Neither
+branch reads a precomputed list.
 
 Conventions.  Every internal conjugator is carried in right form: a step
 from x to y stores c with y = c^-1 * x * c, so chains compose by plain
@@ -35,10 +40,11 @@ short-table-miss (unequal hyperbolic cyclic forms; the regime, long when
 the larger cyclic relative length passes the profile's threshold, only
 labels the answer, as no search runs) and parabolic-tables-miss (two
 factors, or no conjugator inside one); the certificate records the profile
-hash the answer depends on.  A negative answer read off v's core has the
-same record: the core has the cyclic form's syllable count, the L of the
-record, and v's verdict (empty for the identity, one parabolic run, or
-hyperbolic).
+hash the answer depends on.  A negative answer read off the cores has the
+same record: a core has its cyclic form's syllable count, the L of the
+record, and its word's verdict (empty for the identity, one parabolic run,
+or hyperbolic), and two cores are equal strings only when they are
+conjugate, which the read finds.
 
 Every query function takes the constants profile (a PrecomputedTables is
 accepted too, for its profile): the regime threshold, the budget and the
@@ -112,8 +118,8 @@ class ConjugacyEngine:
     _cyc and _cls are plain dicts keyed by input word and never evicted:
     they grow with the distinct words an engine sees, each _cyc entry
     keeping the input's normal form, canonical cyclic form and conjugator,
-    and no step log.  A core that cyclic returns for a word found not
-    conjugate to near's is not canonical and is never kept, so a word is in
+    and no step log.  A core, u's or v's, that pair returns for a pair
+    found not conjugate is not canonical and is never kept, so a word is in
     _cyc exactly when its cyclic form has been computed.  Callers that
     stream many distinct long words should use one engine per batch.
     """
@@ -127,23 +133,37 @@ class ConjugacyEngine:
         self._cyc = {}
         self._cls = {}
 
-    def cyclic(self, w: str, near=None):
-        """The cyclic shortening of w, cached.  near, the shortening of a
-        word u that w may be conjugate to, has w read against u's cyclic
-        form (shortening.cyclic_core) when that form has NEAR_CYCLE
-        syllables or more, a gate kept here alone: where w is not conjugate
-        to u the result is w's cyclically reduced core, not rotated, which
-        is returned and not kept."""
+    def cyclic(self, w: str):
+        """The cyclic shortening of w, cached."""
         res = self._cyc.get(w)
         if res is None:
-            if near is None or near.cyclic_length < shortening.NEAR_CYCLE:
-                res = shortening.cyclic_shorten(self.p, w)
-            else:
-                res = shortening.cyclic_core(self.p, w, near)
-                if res.output != near.output:
-                    return res
-            self._cyc[w] = res
+            res = self._cyc[w] = shortening.cyclic_shorten(self.p, w)
         return res
+
+    def pair(self, u: str, v: str):
+        """decide's cyclic shortenings of u and v, v read against u where
+        u's core has NEAR_CYCLE syllables or more.  With neither cached,
+        shortening.cyclic_pair reads v against u's cyclically reduced core
+        and rotates nothing unless the two are conjugate.  With u's cyclic
+        form cached, v is read against it (shortening.cyclic_core), and with
+        v's cached, u's cyclic form is taken, so that a cached cyclic form
+        is only ever compared with another.  Where the two are conjugate or
+        u's core is short, both results are cyclic forms and kept; else
+        they are cores, returned and not kept."""
+        ru, rv = self._cyc.get(u), self._cyc.get(v)
+        if rv is None:
+            if ru is None:
+                ru, rv = shortening.cyclic_pair(self.p, u, v)
+            elif ru.cyclic_length < shortening.NEAR_CYCLE:
+                return ru, self.cyclic(v)
+            else:
+                rv = shortening.cyclic_core(self.p, v, ru)
+            if (ru.cyclic_length < shortening.NEAR_CYCLE
+                    or ru.output == rv.output):
+                self._cyc[u], self._cyc[v] = ru, rv
+        elif ru is None:
+            ru = self.cyclic(u)
+        return ru, rv
 
     def classification(self, w: str) -> Classification:
         res = self._cls.get(w)
@@ -175,9 +195,10 @@ def classify(p: RelativePresentation, profile: ConstantsProfile, w: str,
 
 def _classified(p, res) -> Classification:
     """classify's verdict on the cyclic shortening res.  decide also reads
-    it off v's core (ConjugacyEngine.cyclic), which has the syllable count
-    and the letter kinds of v's cyclic form, so that the verdict is v's;
-    only the representative is not canonical."""
+    it off u's and v's cores (ConjugacyEngine.pair), each of which has the
+    syllable count and the letter kinds of its word's cyclic form, so that
+    the verdict is the word's; only the representative is not
+    canonical."""
     alpha, a = res.output, res.conjugator
     if alpha == "":
         verdict = "parabolic" if p.parabolics else "hyperbolic"
@@ -207,18 +228,19 @@ def decide(p: RelativePresentation, profile: ConstantsProfile, u: str,
     """Full conjugacy decision: classify both words, reject class
     mismatches, then compare the representatives, parabolic ones with the
     subgroup oracle and hyperbolic ones as strings; the regime only labels
-    the answer.  Positive answers carry a verified witness.  v is
-    shortened after u and read against u's cyclic form
-    (ConjugacyEngine.cyclic).  Where that gives v's core and not its
-    cyclic form, v is not conjugate to u, and v's verdict is read off the
-    core: the answer, record and witness are the ones of shortening v
-    alone either way."""
+    the answer.  Positive answers carry a verified witness.  v is read
+    against u (ConjugacyEngine.pair).  Where that gives the two cores and
+    not their cyclic forms, v is not conjugate to u, and both verdicts are
+    read off the cores: the answer, record and witness are the ones of
+    rotating both words either way."""
     eng = engine or ConjugacyEngine(p, profile)
-    ru = eng.cyclic(u)
-    rv = eng.cyclic(v, ru)
-    cu = eng.classification(u)
-    # the engine keeps every cyclic form it computes and no core
-    cv = eng.classification(v) if v in eng._cyc else _classified(p, rv)
+    ru, rv = eng.pair(u, v)
+    # the engine keeps every cyclic form it computes and no core, and u's
+    # whenever it keeps v's
+    if v in eng._cyc:
+        cu, cv = eng.classification(u), eng.classification(v)
+    else:
+        cu, cv = _classified(p, ru), _classified(p, rv)
     lbar = max(ru.linear_length, rv.linear_length)
     length = max(ru.cyclic_length, rv.cyclic_length)
     if cu.identity or cv.identity or cu.verdict != cv.verdict:

@@ -321,6 +321,30 @@ class RelativePresentation(Frozen):
         return not runs or (len(runs) == 1
                             and "".join(self.alphabet).endswith(runs[0]))
 
+    @cached_property
+    def count_syllables(self):
+        """len(normal_syllables(nf)) for a normal form nf, without the
+        split: len where no factor has runs, else a function that translates
+        "." + nf to a kind mask, "." for a letter that is a syllable of its
+        own and one mark for each factor whose syllables are runs, and
+        counts the dots, less the first, and the run starts, each after a
+        dot or another factor's mark, with native str.count passes."""
+        runs = self._run_factor_letters
+        if not runs:
+            return len
+        marks = "".join(chr(48 + i) for i in range(len(runs)))  # "01..."
+        mask = dict.fromkeys(map(ord, self.letter_kind), ".")
+        for mark, letters in zip(marks, runs):
+            mask.update(dict.fromkeys(map(ord, letters), mark))
+        found = ["."] + [a + b for a in "." + marks for b in marks if a != b]
+
+        def count(nf):
+            n, m = -1, ("." + nf).translate(mask)
+            for f in found:
+                n += m.count(f)
+            return n
+        return count
+
     def normal_syllables(self, nf: str) -> list:
         """The syllables of the normal form nf, each hyperbolic letter
         alone and each maximal run of one factor's letters whole, as

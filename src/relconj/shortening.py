@@ -30,7 +30,10 @@ exactly for the identity (Greendlinger, Lyndon-Schupp V.4).
 
 Every word split into syllables here is a normal form, and
 RelativePresentation.normal_syllables splits it: native replace cuts and
-one split.  Only find_violating_window, the paper's generic local-geodesic
+one split.  Where only their number is needed, as for a normal form whose
+ends neither cancel nor merge, RelativePresentation.count_syllables counts
+them without the split: one translate to a kind mask and a few str.count
+passes.  Only find_violating_window, the paper's generic local-geodesic
 scan, which the tests run against the ball oracle, splits arbitrary
 windows, with the ground truth's reference.syllables.
 
@@ -42,7 +45,11 @@ letters cancel, and end runs of one factor merge into one run, which is
 either trivial (and the reduction goes on inwards) or a syllable between
 two of other kinds (and it stops).
 Each merge is one fold of the factor oracle (push, then state_word for the
-nontrivial merge that ends the pass).
+nontrivial merge that ends the pass).  The pass looks at the two end
+letters first: where they neither cancel nor merge, as in every
+cyclically reduced word, the normal form is its own core, and the pass
+counts its syllables and splits nothing; only where they meet does it
+split the word and walk its syllable ends.
 The kept core is rotated to the least rotation of its syllable sequence
 (hyperbolic letters one by one, parabolic runs whole, each compared by the
 string of its letters' shortlex ranks), and a lone parabolic run is
@@ -85,17 +92,26 @@ syllables or more, first tries to read v's normal form so, by one find
 of alpha in X + X and string compares, and returns what the full pass
 would, without splitting v or rotating.  Where that read fails, it runs
 v's end pass alone, which leaves v's core s, and looks for alpha in s +
-s when the two have as many syllables and letters.  The find is exact.  Neither s nor alpha has its
-first and last syllables in one factor, so alpha can only start between
-two syllables of s: an alpha starting inside a run of s would end inside
-the same run, |s| letters on, and begin and end in one factor.  So a hit
-at k makes s[k:] + s[:k] equal to alpha syllable by syllable, which the
-conjugacy theorem says happens exactly when v is conjugate to the word
-alpha came from, and the first hit is the first least rotation of s:
-v's cyclic form and conjugator, found without least_rotation.  A miss
-leaves s unrotated, with the syllable count of v's cyclic form.  (The
-equal letter counts make the find exact; equal syllable counts follow
-from a hit, and are compared first only because that costs nothing.)
+s when the two have as many syllables and letters.  The find is exact.
+Neither s nor alpha has its first and last syllables in one factor, so
+alpha can only start between two syllables of s: an alpha starting inside
+a run of s would end inside the same run, |s| letters on, and begin and
+end in one factor.  So a hit at k makes s[k:] + s[:k] equal to alpha
+syllable by syllable, which the conjugacy theorem says happens exactly
+when v is conjugate to the word alpha came from, and the first hit is the
+first least rotation of s: v's cyclic form and conjugator, found without
+least_rotation.  A miss leaves s unrotated, with the syllable count of v's
+cyclic form.  (The equal letter counts make the find exact; equal
+syllable counts follow from a hit, and are compared first only because
+that costs nothing.)
+Only the conjugator needs alpha to be a least rotation: the read and the
+find are exact for any cyclically reduced normal form of two syllables or
+more whose ends are of two kinds, which u's core from the end pass is
+too.  So cyclic_pair, which decides pairs for the engine, reads v
+against u's core, unrotated, the same way: a miss answers the pair on the
+two cores, with no rotation at all.  Only a hit rotates u's core to
+alpha, and one more find of alpha in X + X gives the first least rotation
+of X, and so cyclic_core's conjugator, without reading v again.
 
 With relators cyclic shortening is cyclic Dehn reduction, and the
 shortened word goes through the same end pass: inverse end letters
@@ -299,12 +315,13 @@ def word_problem(p: RelativePresentation, w: str, tables=None) -> bool:
 
 SHORT_CYCLE = 32  # below this many symbols comparing all rotations is faster
 
-# ConjugacyEngine.cyclic reads a word against a cyclic form of this many
-# syllables or more (cyclic_core).  From here on reading saves 6 to
-# 18 % of a decide (fresh engine) on Z * Z^2 and Z * F2 for a conjugate
-# pair and 13 to 21 % for another, and on the free group up to 13 % and 7
-# to 26 %; below it the free group gains nothing by reading and pays up to
-# 9 %, at two syllables
+# ConjugacyEngine.pair reads a word against a cyclic form of this many
+# syllables or more (cyclic_core), and cyclic_pair against a core of as
+# many (the gate was measured on cyclic forms).  From here on reading
+# saves 6 to 18 % of a decide (fresh engine) on Z * Z^2 and Z * F2 for a
+# conjugate pair and 13 to 21 % for another, and on the free group up to
+# 13 % and 7 to 26 %; below it the free group gains nothing by reading and
+# pays up to 9 %, at two syllables
 NEAR_CYCLE = 8
 
 
@@ -359,17 +376,24 @@ def least_rotation(s: str) -> int:
 
 def _end_pass(p, nf):
     """The cyclically reduced core of the normal form nf: (syllable count
-    of nf, core, s, a, end-run merges), where core lists the syllables of s
-    (a lone run as it was before it reduced) and lab(s) = a^-1 * nf * a.
-    Splits nf (p.normal_syllables), cancels mutually inverse end letters
-    and merges end runs of one factor from the outside in, each merge one
-    fold of its factor's oracle, and cyclically reduces a lone run of a
-    free factor inside it.  s is a normal form whose first and last
+    of nf, s, a, syllable count of s, end-run merges) with lab(s) = a^-1 *
+    nf * a.  Where the ends of nf neither cancel nor merge, nf is its own
+    core, and its syllables are counted (p.count_syllables), not split.
+    Otherwise it splits nf (p.normal_syllables), cancels mutually inverse
+    end letters and merges end runs of one factor from the outside in, each
+    merge one fold of its factor's oracle, and cyclically reduces a lone run
+    of a free factor inside it.  s is a normal form whose first and last
     syllables are never of one factor, so it is cyclically reduced; a
     nontrivial merge ends s, so that then no hyperbolic window spans its
     ends."""
-    syls = p.normal_syllables(nf)
     kind_of = p.letter_kind
+    if not nf or (nf[-1] != INVERSE_LETTER[nf[0]]
+                  if kind_of[nf[0]] == HYPERBOLIC
+                  else kind_of[nf[-1]] != kind_of[nf[0]]):
+        # the ends neither cancel nor merge: nf is its own core
+        n = p.count_syllables(nf)
+        return n, nf, "", n, 0
+    syls = p.normal_syllables(nf)
     merges = 0
     merged = []
     i, j = 0, len(syls) - 1
@@ -396,41 +420,48 @@ def _end_pass(p, nf):
     # only the empty normal form cancels away, leaving lo = hi = 0; and
     # only a lone run can reduce cyclically, inside its factor
     s, pre = words.cyclic_reduce(nf[lo:hi] + "".join(merged))
-    return len(syls), syls[i : j + 1] + merged, s, nf[:lo] + pre, merges
+    return len(syls), s, nf[:lo] + pre, j + 1 - i + len(merged), merges
 
 
-def _syllable_cyclic_form(p, nf):
-    """Cyclic form of the normal form nf: (syllable count of nf, alpha, a,
-    syllable count of alpha, end-run merges) with lab(alpha) = a^-1 * nf *
-    a, the core of _end_pass rotated to its least syllable rotation (the
-    first one, syllables compared by their shortlex letter ranks): the
-    first least rotation of its rank code, which puts a separator before
-    each syllable unless letters_order_syllables holds, by the module
+def _rotated(found, k):
+    """found = (n, s, a, m, merges) with s rotated to start at k."""
+    n, s, a, m, merges = found
+    return n, s[k:] + s[:k], a + s[:k], m, merges
+
+
+def _syllable_cyclic_form(p, found):
+    """The cyclic form of the end pass's found = (n, s, a, m, merges) for a
+    normal form nf: (n, alpha, a', m, merges) with lab(alpha) = a'^-1 * nf
+    * a', the core s rotated to its least syllable rotation (the first
+    one, syllables compared by their shortlex letter ranks): the first
+    least rotation of its rank code, which puts a separator before each
+    syllable unless letters_order_syllables holds, by the module
     docstring."""
-    n, core, s, a, merges = _end_pass(p, nf)
-    if len(core) < 2:
-        return n, s, a, len(core), merges
-    code = s if p.letters_order_syllables else "\0" + "\0".join(core)
+    s = found[1]
+    if found[3] < 2:
+        return found
+    code = s if p.letters_order_syllables else "\0" + "\0".join(
+        p.normal_syllables(s))
     code = code.translate(p.rank_translation)
     k = least_rotation(code)
-    k -= code.count("\0", 0, k)
-    return n, s[k:] + s[:k], a + s[:k], len(core), merges
+    return _rotated(found, k - code.count("\0", 0, k))
 
 
-def _cyclic_form_around(p, nf, near):
-    """What _syllable_cyclic_form returns for the normal form nf when nf
-    reads as P * X * inverse_form(P) around a syllable rotation X of alpha
-    = near.output, the cyclic form of another word, of two syllables or
-    more; None otherwise.  Here |P| = (|nf| - |alpha|) / 2, both cuts of nf
-    and the wrap-around of X fall between syllables (two letters of one
-    factor never do, in a normal form), and alpha starts at k in X + X.  So
-    does a syllable of X, as the two ends of alpha are of two kinds.  Then
-    the syllables of X are those of alpha rotated, and the end pairs of nf
-    cancel or merge trivially down to X, one merge for each parabolic run
-    of P; X stops the pass, as alpha is cyclically reduced.  The first
-    alpha in X + X is the first least syllable rotation of X, so the
-    conjugator is P + X[:k]."""
-    alpha = near.output
+def _cyclic_form_around(p, nf, alpha, length):
+    """(found, k) for the normal form nf when nf reads as P * X *
+    inverse_form(P) around a syllable rotation X of alpha, a cyclically
+    reduced normal form of length >= 2 syllables (another word's cyclic
+    form or end-pass core): found = (n, X, P, length, merges) is what
+    _end_pass(p, nf) returns; None otherwise.  Here |P| = (|nf| -
+    |alpha|) / 2, both cuts of nf and the wrap-around of X fall between
+    syllables (two letters of one factor never do, in a normal form), and
+    alpha starts at k in X + X.  So does a syllable of X, as the two ends
+    of alpha are of two kinds.  Then the syllables of X are those of alpha
+    rotated, and the end pairs of nf cancel or merge trivially down to X,
+    one merge for each parabolic run of P; X stops the pass, as alpha is
+    cyclically reduced.  Where alpha
+    is a cyclic form, its first start in X + X is the first least syllable
+    rotation of X, so the conjugator is P + X[:k]."""
     n, m = len(nf), len(alpha)
     h = (n - m) // 2
     if h < 0 or n != m + 2 * h:
@@ -448,11 +479,28 @@ def _cyclic_form_around(p, nf, near):
     if h and not (between(nf, h) and between(nf, n - h)
                   and nf[n - h :] == p.inverse_form(pre)):
         return None
-    syllables = len(p.normal_syllables(pre))  # pre is a normal form too
+    syllables = p.count_syllables(pre)  # pre is a normal form too
     runs = syllables - sum(pre.count(g) + pre.count(INVERSE_LETTER[g])
                            for g in p.hyperbolic_generators)
-    return (2 * syllables + near.cyclic_length, alpha, pre + x[:k],
-            near.cyclic_length, runs)
+    return (2 * syllables + length, x, pre, length, runs), k
+
+
+def _read(p, nf, alpha, length):
+    """(found, k): the normal form nf read against alpha, as in
+    _cyclic_form_around, where it can; else nf's end pass, found, and k the
+    first start of alpha in s + s, for its core s, when the two have as many
+    syllables and letters, else -1.  k is -1 exactly when nf is not
+    conjugate to alpha (the module docstring)."""
+    read = _cyclic_form_around(p, nf, alpha, length)
+    if read is None:
+        found = _end_pass(p, nf)
+        s, k = found[1], -1
+        # where the pass returns nf itself, _cyclic_form_around has looked
+        # for alpha in s + s already
+        if found[3] == length and len(s) == len(alpha) and s is not nf:
+            k = (s + s).find(alpha)
+        read = found, k
+    return read
 
 
 def _dehn_cyclic_form(p, w):
@@ -462,7 +510,7 @@ def _dehn_cyclic_form(p, w):
     table, lengths = p.dehn_table
     out, conj, iterations = shorten(p, w).output, "", 0
     while True:
-        _, core, s, a, merges = _end_pass(p, out)
+        _, s, a, length, merges = _end_pass(p, out)
         conj += a
         iterations += merges
         n, doubled = len(s), s + s
@@ -472,7 +520,7 @@ def _dehn_cyclic_form(p, w):
                 for start in range(n - m + 1, n)
                 if doubled[start : start + m] in table]
         if not cuts:
-            return s, words.free_reduce(conj), len(core), iterations
+            return s, words.free_reduce(conj), length, iterations
         iterations += 1
         conj += s[: cuts[0]]
         out = shorten(p, s[cuts[0] :] + s[: cuts[0]]).output
@@ -484,7 +532,8 @@ def cyclic_shorten(p: RelativePresentation, w: str) -> CyclicShorteningResult:
     cyclic form of the module docstring, found in one linear pass and one
     O(n log n) rotation, and iterations counts the end-run merges.  The
     conjugacy engine reads a word against a known cyclic form with
-    cyclic_core instead.  With relators alpha is cyclically Dehn-reduced:
+    cyclic_core, or against another word's core with cyclic_pair, instead.
+    With relators alpha is cyclically Dehn-reduced:
     cyclically reduced, and no cyclic subword is more than half a relator;
     iterations counts the end-run merges and the rotations.  Either way w
     goes through normalize first, which checks its letters, no step is
@@ -493,7 +542,7 @@ def cyclic_shorten(p: RelativePresentation, w: str) -> CyclicShorteningResult:
     if not p.is_free_product:
         return _checked(p, w, None, (None,) + _dehn_cyclic_form(p, w))
     nf = words.normalize(p, w)
-    return _checked(p, w, nf, _syllable_cyclic_form(p, nf))
+    return _checked(p, w, nf, _syllable_cyclic_form(p, _end_pass(p, nf)))
 
 
 def cyclic_core(p: RelativePresentation, w: str,
@@ -510,14 +559,34 @@ def cyclic_core(p: RelativePresentation, w: str,
     is computed either way.  The fields other than output and conjugator
     are cyclic_shorten's, and the conjugator is checked the same way."""
     nf = words.normalize(p, w)
-    found = _cyclic_form_around(p, nf, near)
-    if found is None:
-        n, core, s, a, merges = _end_pass(p, nf)
-        alpha, k = near.output, 0  # a miss leaves s as it is
-        if len(core) == near.cyclic_length and len(s) == len(alpha):
-            k = max((s + s).find(alpha), 0)
-        found = n, s[k:] + s[:k], a + s[:k], len(core), merges
-    return _checked(p, w, nf, found)
+    found, k = _read(p, nf, near.output, near.cyclic_length)
+    return _checked(p, w, nf, _rotated(found, max(k, 0)))
+
+
+def cyclic_pair(p: RelativePresentation, u: str, v: str):
+    """The cyclic shortenings of u and v for a conjugacy decision, on a
+    presentation without relators, with no rotation unless v is conjugate
+    to u: (cyclic_shorten(p, u), cyclic_shorten(p, v)) when u's cyclically
+    reduced core has fewer than NEAR_CYCLE syllables or v is conjugate to
+    u, else the two cores, unrotated, with the cyclic forms' syllable
+    counts.  v is read against u's core as cyclic_core reads a word
+    against a cyclic form (_read), which is exact because the core's ends
+    are of two kinds too.  On a hit u's core is rotated to its cyclic
+    form alpha, and alpha found again in v's core X, doubled, gives v's
+    cyclic form and cyclic_shorten's conjugator.  Each result is checked as
+    cyclic_shorten checks it."""
+    nu = words.normalize(p, u)
+    fu = _end_pass(p, nu)
+    if fu[3] < NEAR_CYCLE:
+        ru = _checked(p, u, nu, _syllable_cyclic_form(p, fu))
+        return ru, ru if v == u else cyclic_shorten(p, v)
+    nv = words.normalize(p, v)
+    fv, k = _read(p, nv, fu[1], fu[3])
+    if k >= 0:
+        fu = _syllable_cyclic_form(p, fu)
+        x = fv[1]
+        fv = _rotated(fv, (x + x).find(fu[1]))
+    return _checked(p, u, nu, fu), _checked(p, v, nv, fv)
 
 
 def _checked(p, w, nf, found):

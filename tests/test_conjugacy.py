@@ -378,7 +378,8 @@ def test_decide_matches_closure_small_balls(pF, tF, engF, pG2, tG2, engG2,
             assert got == want, (u, v)
 
 
-@pytest.mark.parametrize("name", ["pF", "pG2", "pZC2", "pZF2", "pTHREE"])
+@pytest.mark.parametrize("name", ["pF", "pG2", "pZC2", "pZF2", "pTHREE",
+                                  "pZ2C2", "pZS3", "pZD4"])
 def test_decide_agrees_with_the_reference_past_the_balls(request, name):
     # decide against conjugacy by the definition (reference.conjugacy_key)
     # on words longer than the exhaustive balls hold: conjugates g u g^-1,
@@ -429,49 +430,62 @@ def test_decide_agrees_with_the_reference_on_z_s3(pZS3):
     assert seen[cj.PARABOLIC, False, True] and seen[cj.SHORT, True, False]
 
 
-@pytest.mark.parametrize("name", ["pF", "pG2", "pZC2", "pZF2", "twin"])
+@pytest.mark.parametrize("name", ["pF", "pG2", "pZC2", "pZF2", "twin",
+                                  "pTHREE", "pZ2C2", "pZS3", "pZD4"])
 def test_reading_v_against_u_answers_as_rotating_both(monkeypatch, request,
                                                       name):
-    # decide reads v against u's cyclic form, and rotates v only where it
-    # is asked for later.  On 400 pairs_around pairs per presentation (u of
-    # 8 syllables or more, so every pair passes NEAR_CYCLE):
+    # decide reads v against u's cyclically reduced core, and rotates u's
+    # core only on a hit, and v's never.  On 400 pairs_around pairs per
+    # presentation (u of 8 syllables or more, so every pair passes
+    # NEAR_CYCLE; on THREE and Z2C2 letter order is not syllable order, and
+    # the finite factors of ZS3 and ZD4 are not abelian):
     # - the record is the one of an engine that holds v's cyclic form
     #   already, and so compares two cyclic forms;
     # - a positive answer's witness is verified, and a negative answer is
     #   the ground truth's;
-    # - after a negative the engine hands out v's canonical cyclic form and
-    #   classification, as a fresh engine does.
-    # Each presentation has 165 to 186 negatives, all answered on v's core
-    # (the spy); at least 150 must be
+    # - least_rotation is called (not counting its recursion) exactly once
+    #   for a positive answer, on u's core, and never for a negative one;
+    # - after a negative the engine hands out u's and v's canonical cyclic
+    #   forms and classifications, as a fresh engine does.
+    # Each presentation has 150 negatives or more
     p = (load_presentation(TWIN_PATH) if name == "twin"
          else request.getfixturevalue(name))
     profile = tb.profile_for(p, [])
-    cores = 0
-    original = sh.cyclic_core
+    rotations = depth = negatives = 0
+    original = sh.least_rotation
 
-    def spy(p, w, near):
-        nonlocal cores
-        res = original(p, w, near)
-        cores += res.output != near.output
-        return res
+    def spy(s):
+        nonlocal rotations, depth
+        rotations += depth == 0
+        depth += 1
+        try:
+            return original(s)
+        finally:
+            depth -= 1
 
-    monkeypatch.setattr(sh, "cyclic_core", spy)
     for u, v in pairs_around(p, random.Random(39), 400):
         eng = cj.ConjugacyEngine(p, profile)
+        monkeypatch.setattr(sh, "least_rotation", spy)
+        rotations = 0
         cert = cj.decide(p, profile, u, v, engine=eng)
+        monkeypatch.setattr(sh, "least_rotation", original)
         rotated = cj.ConjugacyEngine(p, profile)
         rotated.cyclic(v)
         assert cert.to_record() == cj.decide(
             p, profile, u, v, engine=rotated).to_record(), (u, v)
         if cert.answer == "conjugate":
             assert cert.verified
+            assert rotations == 1, (u, v)
         else:
             assert reference.conjugacy_key(p, u) != reference.conjugacy_key(
                 p, v), (u, v)
+            assert rotations == 0, (u, v)
+            negatives += 1
             fresh = cj.ConjugacyEngine(p, profile)
-            assert eng.cyclic(v) == fresh.cyclic(v)
-            assert eng.classification(v) == fresh.classification(v)
-    assert cores >= 150, cores
+            for w in (u, v):
+                assert eng.cyclic(w) == fresh.cyclic(w)
+                assert eng.classification(w) == fresh.classification(w)
+    assert negatives >= 150, negatives
 
 
 def test_decide_matches_closure_on_three_factor_kinds():
@@ -541,6 +555,23 @@ def test_engine_reuse_is_equivalent(pG2, tG2, engG2):
         cached = cj.decide(pG2, tG2, u, v, engine=engG2)
         assert fresh.answer == cached.answer
         assert fresh.to_record() == cached.to_record()
+    # long conjugate pairs on an engine that holds v's cyclic form, then on
+    # one that holds u's: the cached cyclic form must be compared with the
+    # other word's cyclic form, not with its unrotated core.  u is a
+    # cyclically reduced normal form, its own core, and at least 30 of the
+    # pairs have a u that is not its cyclic form
+    unrotated = 0
+    for u, v in itertools.islice(pairs_around(pG2, random.Random(41), 400),
+                                 0, None, 4):  # kind 0: conjugate
+        fresh = cj.decide(pG2, tG2, u, v)
+        assert fresh.answer == "conjugate", (u, v)
+        for held in (v, u):
+            eng = cj.ConjugacyEngine(pG2, tG2)
+            eng.cyclic(held)
+            assert cj.decide(pG2, tG2, u, v, engine=eng).to_record() == (
+                fresh.to_record()), (u, v, held)
+        unrotated += sh.cyclic_shorten(pG2, u).output != u
+    assert unrotated >= 30, unrotated
 
 
 def cyclic_syllable_count(p, w):

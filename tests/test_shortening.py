@@ -456,7 +456,7 @@ def test_end_loop_equals_the_oracle_loop(request, name):
         u = words.normalize(p, random_word(rng, p.alphabet, 0, 40))
         g = words.normalize(p, random_word(rng, p.alphabet, 0, 60))
         nf = words.normalize(p, g + u + words.inverse(g))
-        got = sh._syllable_cyclic_form(p, nf)
+        got = sh._syllable_cyclic_form(p, sh._end_pass(p, nf))
         syls = [s for _, s, _ in reference.syllables(p, nf)]
         want = oracle_end_loop_cyclic_form(p, nf, syls)
         assert got == (len(syls),) + want[:4], (u, g)
@@ -496,9 +496,12 @@ def test_cyclic_form_around_a_known_one_equals_the_general_pass(
         if ru.cyclic_length < sh.NEAR_CYCLE:
             continue
         nf = words.normalize(p, v)
-        found = sh._cyclic_form_around(p, nf, ru)
-        if found is not None:
-            assert found == sh._syllable_cyclic_form(p, nf), (u, v)
+        read = sh._cyclic_form_around(p, nf, ru.output, ru.cyclic_length)
+        if read is not None:
+            found, k = read
+            assert found == sh._end_pass(p, nf), (u, v)
+            assert sh._rotated(found, k) == sh._syllable_cyclic_form(
+                p, found), (u, v)
             taken[len(ru.output) >= sh.SHORT_CYCLE] += 1
         res, full = sh.cyclic_core(p, v, ru), sh.cyclic_shorten(p, v)
         if full.output == ru.output:
@@ -520,15 +523,16 @@ def test_cyclic_form_around_reads_whole_runs_and_the_inverse(pG2):
     assert (ru.output, ru.cyclic_length) == ("Axyyy", 2)
     for v in ("AXyayayAxyyAYAxYa", "xaxyyyAyA"):
         assert words.normalize(pG2, v) == v
-        assert sh._cyclic_form_around(pG2, v, ru) is None
+        assert sh._cyclic_form_around(pG2, v, ru.output, 2) is None
     res = sh.cyclic_shorten(pG2, "AXyayayAxyyAYAxYa")
     assert (res.iterations, res.linear_length) == (3, 13)
     # and where both hold: xyyyA under xAXya, whose runs x and Xy merge
     # with their inverses, rotated from its hyperbolic letter
     v = "xAXya" + "xyyyA" + pG2.inverse_form("xAXya")
     assert words.normalize(pG2, v) == v
-    found = sh._cyclic_form_around(pG2, v, ru)
-    assert found == sh._syllable_cyclic_form(pG2, v)
+    found, k = sh._cyclic_form_around(pG2, v, ru.output, 2)
+    assert found == sh._end_pass(pG2, v)
+    assert sh._rotated(found, k) == sh._syllable_cyclic_form(pG2, found)
     res = sh.cyclic_shorten(pG2, v)
     assert sh.cyclic_core(pG2, v, ru) == res
     assert (res.conjugator, res.iterations, res.linear_length) == (
