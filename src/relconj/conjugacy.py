@@ -4,21 +4,21 @@ Both rest on the canonical cyclic form of shortening.cyclic_shorten.  A
 cyclic form of one parabolic run is parabolic, any other nonempty one is
 hyperbolic.  Two hyperbolic elements are conjugate exactly when their cyclic
 forms are equal strings (the conjugacy theorem for free products; the
-engine refuses presentations with relators).  decide takes u's cyclically
-reduced core first and, where it has NEAR_CYCLE syllables or more, reads v
-against it (shortening.cyclic_pair): v's normal form as P * X * P^-1
-around the core where it can, else the core as a rotation of v's own
-core.  So a long pair costs one rotation where the two are conjugate and
-none where they are not: on a hit u's core is rotated to its cyclic form
-alpha, and v's cyclic form is alpha, found in v's core without rotating
-it; any other pair is answered on the two cores, each rotated only if a
-caller asks for its cyclic form later.  Where the engine holds u's or v's
-cyclic form already, u's cyclic form is taken and v read against it
-(shortening.cyclic_core), so that a cyclic form is never compared with a
-core.  Two parabolic elements are conjugate exactly when they lie in one
-factor and the subgroup oracle conjugates one representative onto the
-other (Lyndon-Schupp, Combinatorial Group Theory, IV.1.4).  Neither
-branch reads a precomputed list.
+engine refuses presentations with relators).  decide reads v against u
+once (shortening.cyclic_pair): where u's cyclically reduced core has
+NEAR_CYCLE syllables or more, v's normal form is read as P * X * P^-1
+around that core where it can, else the core is looked for as a rotation
+of v's own core.  So a long pair costs one rotation where the two are
+conjugate and none where they are not: on a hit u's core is rotated to its
+cyclic form alpha, and v's cyclic form is alpha, found in v's core without
+rotating it; any other pair is answered on the two cores, each rotated
+only if a caller asks for its cyclic form later.  Where the engine holds
+u's or v's cyclic form already, it takes both cyclic forms and compares
+them, so that a cyclic form is never compared with a core.  Two parabolic
+elements are conjugate exactly when they lie in one factor and the
+subgroup oracle conjugates one representative onto the other
+(Lyndon-Schupp, Combinatorial Group Theory, IV.1.4).  Neither branch reads
+a precomputed list.
 
 Conventions.  Every internal conjugator is carried in right form: a step
 from x to y stores c with y = c^-1 * x * c, so chains compose by plain
@@ -118,8 +118,8 @@ class ConjugacyEngine:
     _cyc and _cls are plain dicts keyed by input word and never evicted:
     they grow with the distinct words an engine sees, each _cyc entry
     keeping the input's normal form, canonical cyclic form and conjugator,
-    and no step log.  A core, u's or v's, that pair returns for a pair
-    found not conjugate is not canonical and is never kept, so a word is in
+    and no step log.  The two cores that pair's one read returns for a pair
+    found not conjugate are not canonical and never kept, so a word is in
     _cyc exactly when its cyclic form has been computed.  Callers that
     stream many distinct long words should use one engine per batch.
     """
@@ -141,29 +141,20 @@ class ConjugacyEngine:
         return res
 
     def pair(self, u: str, v: str):
-        """decide's cyclic shortenings of u and v, v read against u where
-        u's core has NEAR_CYCLE syllables or more.  With neither cached,
-        shortening.cyclic_pair reads v against u's cyclically reduced core
-        and rotates nothing unless the two are conjugate.  With u's cyclic
-        form cached, v is read against it (shortening.cyclic_core), and with
-        v's cached, u's cyclic form is taken, so that a cached cyclic form
-        is only ever compared with another.  Where the two are conjugate or
-        u's core is short, both results are cyclic forms and kept; else
-        they are cores, returned and not kept."""
+        """decide's cyclic shortenings of u and v.  With neither cached,
+        shortening.cyclic_pair reads v against u once; where the two are
+        conjugate or u's core is short, both results are cyclic forms and
+        kept, else they are cores, returned and not kept.  With either
+        cached, both are cyclic forms, so that a cached cyclic form is only
+        ever compared with another."""
         ru, rv = self._cyc.get(u), self._cyc.get(v)
-        if rv is None:
-            if ru is None:
-                ru, rv = shortening.cyclic_pair(self.p, u, v)
-            elif ru.cyclic_length < shortening.NEAR_CYCLE:
-                return ru, self.cyclic(v)
-            else:
-                rv = shortening.cyclic_core(self.p, v, ru)
+        if ru is None and rv is None:
+            ru, rv = shortening.cyclic_pair(self.p, u, v)
             if (ru.cyclic_length < shortening.NEAR_CYCLE
                     or ru.output == rv.output):
                 self._cyc[u], self._cyc[v] = ru, rv
-        elif ru is None:
-            ru = self.cyclic(u)
-        return ru, rv
+            return ru, rv
+        return ru or self.cyclic(u), rv or self.cyclic(v)
 
     def classification(self, w: str) -> Classification:
         res = self._cls.get(w)

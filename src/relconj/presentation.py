@@ -706,12 +706,15 @@ def load_presentation(path) -> RelativePresentation:
 
 def short_hash(text: str) -> str:
     """The first 16 hex digits of the SHA-256 of text, from CPython's
-    built-in _sha256 where it has one: hashlib would load OpenSSL's
-    libcrypto for the same digest."""
+    built-in module where it has one, _sha256, or _sha2 from Python 3.12
+    on: hashlib would load OpenSSL's libcrypto for the same digest."""
     try:
         from _sha256 import sha256
-    except ImportError:  # Python 3.12 and later call it _sha2
-        from hashlib import sha256
+    except ImportError:
+        try:
+            from _sha2 import sha256
+        except ImportError:
+            from hashlib import sha256
 
     return sha256(text.encode()).hexdigest()[:16]
 

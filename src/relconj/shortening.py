@@ -84,34 +84,29 @@ again, so the code at least halves per level: O(n log n) work in native
 string passes.  Cyclically reduced elements of a free product are
 conjugate exactly when their syllable sequences are rotations of each
 other, so two elements of two or more syllables are conjugate exactly when
-their cyclic forms are equal strings.  So a word v conjugate to one whose
-cyclic form alpha is known has the normal form P * X * P^-1, X a syllable
-rotation of alpha, whenever nothing of P cancels or merges with X.
-cyclic_core, which the conjugacy engine calls given alpha of NEAR_CYCLE
-syllables or more, first tries to read v's normal form so, by one find
-of alpha in X + X and string compares, and returns what the full pass
-would, without splitting v or rotating.  Where that read fails, it runs
-v's end pass alone, which leaves v's core s, and looks for alpha in s +
-s when the two have as many syllables and letters.  The find is exact.
-Neither s nor alpha has its first and last syllables in one factor, so
-alpha can only start between two syllables of s: an alpha starting inside
-a run of s would end inside the same run, |s| letters on, and begin and
-end in one factor.  So a hit at k makes s[k:] + s[:k] equal to alpha
-syllable by syllable, which the conjugacy theorem says happens exactly
-when v is conjugate to the word alpha came from, and the first hit is the
-first least rotation of s: v's cyclic form and conjugator, found without
-least_rotation.  A miss leaves s unrotated, with the syllable count of v's
-cyclic form.  (The equal letter counts make the find exact; equal
-syllable counts follow from a hit, and are compared first only because
-that costs nothing.)
-Only the conjugator needs alpha to be a least rotation: the read and the
-find are exact for any cyclically reduced normal form of two syllables or
-more whose ends are of two kinds, which u's core from the end pass is
-too.  So cyclic_pair, which decides pairs for the engine, reads v
-against u's core, unrotated, the same way: a miss answers the pair on the
-two cores, with no rotation at all.  Only a hit rotates u's core to
-alpha, and one more find of alpha in X + X gives the first least rotation
-of X, and so cyclic_core's conjugator, without reading v again.
+their cyclic forms are equal strings, and exactly when the cyclically
+reduced core of one is a syllable rotation of the other's.
+cyclic_pair, which decides pairs for the conjugacy engine, reads v
+against u's core c from the end pass, unrotated, where c has NEAR_CYCLE
+syllables or more.  c is a cyclically reduced normal form whose ends are
+of two kinds.  A v conjugate to u has the normal form P * X * P^-1, X a
+syllable rotation of c, whenever nothing of P cancels or merges with X,
+and the read tries that first, by one find of c in X + X and string
+compares, which gives what v's end pass would without splitting v.  Where
+that fails, v's end pass runs alone and leaves v's core s, and c is looked
+for in s + s when the two have as many syllables and letters.  The find is
+exact.  Neither s nor c has its first and last syllables in one factor, so
+c can only start between two syllables of s: a c starting inside a run of
+s would end inside the same run, |s| letters on, and begin and end in one
+factor.  So a hit makes a rotation of s equal to c syllable by syllable,
+which the conjugacy theorem says happens exactly when v is conjugate to u.
+(The equal letter counts make the find exact; equal syllable counts follow
+from a hit, and are compared first only because that costs nothing.)  A
+miss answers the pair on the two cores, with no rotation at all, each
+with the syllable count of its cyclic form.  Only a hit rotates u's core
+to its cyclic form alpha, and one more find of alpha in v's doubled core
+gives its first least rotation: v's cyclic form and cyclic_shorten's
+conjugator, found without least_rotation and without reading v again.
 
 With relators cyclic shortening is cyclic Dehn reduction, and the
 shortened word goes through the same end pass: inverse end letters
@@ -315,9 +310,8 @@ def word_problem(p: RelativePresentation, w: str, tables=None) -> bool:
 
 SHORT_CYCLE = 32  # below this many symbols comparing all rotations is faster
 
-# ConjugacyEngine.pair reads a word against a cyclic form of this many
-# syllables or more (cyclic_core), and cyclic_pair against a core of as
-# many (the gate was measured on cyclic forms).  From here on reading
+# cyclic_pair reads v against u's core where it has this many syllables
+# or more (the gate was measured on cyclic forms).  From here on reading
 # saves 6 to 18 % of a decide (fresh engine) on Z * Z^2 and Z * F2 for a
 # conjugate pair and 13 to 21 % for another, and on the free group up to
 # 13 % and 7 to 26 %; below it the free group gains nothing by reading and
@@ -450,18 +444,18 @@ def _syllable_cyclic_form(p, found):
 def _cyclic_form_around(p, nf, alpha, length):
     """(found, k) for the normal form nf when nf reads as P * X *
     inverse_form(P) around a syllable rotation X of alpha, a cyclically
-    reduced normal form of length >= 2 syllables (another word's cyclic
-    form or end-pass core): found = (n, X, P, length, merges) is what
-    _end_pass(p, nf) returns; None otherwise.  Here |P| = (|nf| -
-    |alpha|) / 2, both cuts of nf and the wrap-around of X fall between
-    syllables (two letters of one factor never do, in a normal form), and
-    alpha starts at k in X + X.  So does a syllable of X, as the two ends
-    of alpha are of two kinds.  Then the syllables of X are those of alpha
-    rotated, and the end pairs of nf cancel or merge trivially down to X,
-    one merge for each parabolic run of P; X stops the pass, as alpha is
-    cyclically reduced.  Where alpha
-    is a cyclic form, its first start in X + X is the first least syllable
-    rotation of X, so the conjugator is P + X[:k]."""
+    reduced normal form of length >= 2 syllables whose ends are of two
+    kinds (another word's end-pass core or cyclic form): found = (n, X, P,
+    length, merges) is what _end_pass(p, nf) returns; None otherwise.  Here
+    |P| = (|nf| - |alpha|) / 2, both cuts of nf and the wrap-around of X
+    fall between syllables (two letters of one factor never do, in a normal
+    form), and alpha starts at k in X + X.  So does a syllable of X, as the
+    two ends of alpha are of two kinds.  Then the syllables of X are those
+    of alpha rotated, and the end pairs of nf cancel or merge trivially
+    down to X, one merge for each parabolic run of P; X stops the pass, as
+    alpha is cyclically reduced.  Where alpha is a cyclic form, its first
+    start in X + X is the first least syllable rotation of X, so the
+    conjugator is P + X[:k]."""
     n, m = len(nf), len(alpha)
     h = (n - m) // 2
     if h < 0 or n != m + 2 * h:
@@ -483,24 +477,6 @@ def _cyclic_form_around(p, nf, alpha, length):
     runs = syllables - sum(pre.count(g) + pre.count(INVERSE_LETTER[g])
                            for g in p.hyperbolic_generators)
     return (2 * syllables + length, x, pre, length, runs), k
-
-
-def _read(p, nf, alpha, length):
-    """(found, k): the normal form nf read against alpha, as in
-    _cyclic_form_around, where it can; else nf's end pass, found, and k the
-    first start of alpha in s + s, for its core s, when the two have as many
-    syllables and letters, else -1.  k is -1 exactly when nf is not
-    conjugate to alpha (the module docstring)."""
-    read = _cyclic_form_around(p, nf, alpha, length)
-    if read is None:
-        found = _end_pass(p, nf)
-        s, k = found[1], -1
-        # where the pass returns nf itself, _cyclic_form_around has looked
-        # for alpha in s + s already
-        if found[3] == length and len(s) == len(alpha) and s is not nf:
-            k = (s + s).find(alpha)
-        read = found, k
-    return read
 
 
 def _dehn_cyclic_form(p, w):
@@ -530,10 +506,9 @@ def cyclic_shorten(p: RelativePresentation, w: str) -> CyclicShorteningResult:
     """Conjugacy normal form: a cyclic form alpha and a conjugator a with
     lab(alpha) = a^-1 * w * a.  Without relators alpha is the canonical
     cyclic form of the module docstring, found in one linear pass and one
-    O(n log n) rotation, and iterations counts the end-run merges.  The
-    conjugacy engine reads a word against a known cyclic form with
-    cyclic_core, or against another word's core with cyclic_pair, instead.
-    With relators alpha is cyclically Dehn-reduced:
+    O(n log n) rotation, and iterations counts the end-run merges.  For a
+    conjugacy decision cyclic_pair reads one word against the other's core
+    instead.  With relators alpha is cyclically Dehn-reduced:
     cyclically reduced, and no cyclic subword is more than half a relator;
     iterations counts the end-run merges and the rotations.  Either way w
     goes through normalize first, which checks its letters, no step is
@@ -545,47 +520,34 @@ def cyclic_shorten(p: RelativePresentation, w: str) -> CyclicShorteningResult:
     return _checked(p, w, nf, _syllable_cyclic_form(p, _end_pass(p, nf)))
 
 
-def cyclic_core(p: RelativePresentation, w: str,
-                near: CyclicShorteningResult) -> CyclicShorteningResult:
-    """w read against near, the cyclic shortening of a word u whose cyclic
-    form alpha has two syllables or more, on a presentation without
-    relators: cyclic_shorten(p, w) when w is conjugate to u, else w's
-    cyclically reduced core, not rotated, which is not canonical.  w's
-    normal form is read around alpha first (_cyclic_form_around); failing
-    that, the end pass leaves the core s, and alpha is looked for in s + s
-    when the two have as many syllables and letters, which by the module
-    docstring finds exactly the first least rotation of a conjugate s.  So
-    the output is alpha exactly when w is conjugate to u, and no rotation
-    is computed either way.  The fields other than output and conjugator
-    are cyclic_shorten's, and the conjugator is checked the same way."""
-    nf = words.normalize(p, w)
-    found, k = _read(p, nf, near.output, near.cyclic_length)
-    return _checked(p, w, nf, _rotated(found, max(k, 0)))
-
-
 def cyclic_pair(p: RelativePresentation, u: str, v: str):
     """The cyclic shortenings of u and v for a conjugacy decision, on a
     presentation without relators, with no rotation unless v is conjugate
     to u: (cyclic_shorten(p, u), cyclic_shorten(p, v)) when u's cyclically
     reduced core has fewer than NEAR_CYCLE syllables or v is conjugate to
     u, else the two cores, unrotated, with the cyclic forms' syllable
-    counts.  v is read against u's core as cyclic_core reads a word
-    against a cyclic form (_read), which is exact because the core's ends
-    are of two kinds too.  On a hit u's core is rotated to its cyclic
-    form alpha, and alpha found again in v's core X, doubled, gives v's
-    cyclic form and cyclic_shorten's conjugator.  Each result is checked as
-    cyclic_shorten checks it."""
+    counts.  v's normal form is read around u's core c where it can
+    (_cyclic_form_around), else v's end pass leaves its core s, and c is
+    looked for in s + s when the two have as many syllables and letters,
+    which by the module docstring hits exactly when v is conjugate to u.
+    On a hit u's core is rotated to its cyclic form alpha, and alpha found
+    in v's core, doubled, gives v's cyclic form and cyclic_shorten's
+    conjugator.  Each result is checked as cyclic_shorten checks it."""
     nu = words.normalize(p, u)
     fu = _end_pass(p, nu)
     if fu[3] < NEAR_CYCLE:
         ru = _checked(p, u, nu, _syllable_cyclic_form(p, fu))
         return ru, ru if v == u else cyclic_shorten(p, v)
-    nv = words.normalize(p, v)
-    fv, k = _read(p, nv, fu[1], fu[3])
-    if k >= 0:
+    nv, c = words.normalize(p, v), fu[1]
+    read = _cyclic_form_around(p, nv, c, fu[3])
+    fv = read[0] if read else _end_pass(p, nv)
+    s = fv[1]
+    # where the end pass returns nv itself, _cyclic_form_around has looked
+    # for c in s + s already
+    if read or (fv[3] == fu[3] and len(s) == len(c) and s is not nv
+                and c in s + s):
         fu = _syllable_cyclic_form(p, fu)
-        x = fv[1]
-        fv = _rotated(fv, (x + x).find(fu[1]))
+        fv = _rotated(fv, (s + s).find(fu[1]))
     return _checked(p, u, nu, fu), _checked(p, v, nv, fv)
 
 

@@ -544,7 +544,7 @@ def test_bounded_class(pG2, tG2, pZC2, tZC2):
     assert set(bc) == {"t", "atA", "Ata"}
 
 
-def test_engine_reuse_is_equivalent(pG2, tG2, engG2):
+def test_engine_reuse_is_equivalent(request, pG2, tG2, engG2):
     rng = random.Random(27)
     for _ in range(60):
         u = random_word(rng, pG2.alphabet, 0, 5)
@@ -553,22 +553,41 @@ def test_engine_reuse_is_equivalent(pG2, tG2, engG2):
         cached = cj.decide(pG2, tG2, u, v, engine=engG2)
         assert fresh.answer == cached.answer
         assert fresh.to_record() == cached.to_record()
-    # long conjugate pairs on an engine that holds v's cyclic form, then on
+    # long pairs of every pairs_around kind, conjugate (kind 0) and mostly
+    # not (kinds 1 to 3), on an engine that holds v's cyclic form, then on
     # one that holds u's: the cached cyclic form must be compared with the
-    # other word's cyclic form, not with its unrotated core.  u is a
-    # cyclically reduced normal form, its own core, and at least 30 of the
-    # pairs have a u that is not its cyclic form
+    # other word's cyclic form, not with its unrotated core, and afterwards
+    # the engine keeps both words' cyclic forms, a fresh engine's.  Then one
+    # engine shared over all ordered pairs of 20 long words answers each as
+    # a fresh engine does.  u is a cyclically reduced normal form, its own
+    # core, and at least 30 of the conjugate pairs on G2 have a u that is
+    # not its cyclic form
     unrotated = 0
-    for u, v in itertools.islice(pairs_around(pG2, random.Random(41), 400),
-                                 0, None, 4):  # kind 0: conjugate
-        fresh = cj.decide(pG2, tG2, u, v)
-        assert fresh.answer == "conjugate", (u, v)
-        for held in (v, u):
-            eng = cj.ConjugacyEngine(pG2, tG2)
-            eng.cyclic(held)
-            assert cj.decide(pG2, tG2, u, v, engine=eng).to_record() == (
-                fresh.to_record()), (u, v, held)
-        unrotated += sh.cyclic_shorten(pG2, u).output != u
+    for name in ("pF", "pG2", "pZC2", "pZF2", "twin", "pTHREE", "pZ2C2",
+                 "pZS3", "pZD4"):
+        p = (load_presentation(TWIN_PATH) if name == "twin"
+             else request.getfixturevalue(name))
+        profile = tb.profile_for(p, [])
+        pairs = list(pairs_around(p, random.Random(41), 400))
+        for i, (u, v) in enumerate(pairs):
+            fresh = cj.decide(p, profile, u, v)
+            assert fresh.answer == "conjugate" or i % 4, (name, u, v)
+            for held in (v, u):
+                eng = cj.ConjugacyEngine(p, profile)
+                eng.cyclic(held)
+                assert cj.decide(p, profile, u, v, engine=eng).to_record(
+                ) == fresh.to_record(), (name, u, v, held)
+                for w in (u, v):
+                    assert w in eng._cyc, (name, u, v, held)
+                    assert eng._cyc[w] == cj.ConjugacyEngine(
+                        p, profile).cyclic(w), (name, u, v, held)
+            unrotated += (name == "pG2" and i % 4 == 0
+                          and sh.cyclic_shorten(p, u).output != u)
+        long_words = [w for pair in pairs[:10] for w in pair]
+        shared = cj.ConjugacyEngine(p, profile)
+        for u, v in itertools.product(long_words, long_words):
+            assert cj.decide(p, profile, u, v, engine=shared).to_record() == (
+                cj.decide(p, profile, u, v).to_record()), (name, u, v)
     assert unrotated >= 30, unrotated
 
 

@@ -1,6 +1,7 @@
 import random
 import re
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -87,20 +88,31 @@ def hash_texts():
                    for n in (1, 3, 55, 64, 1000, 10000)]
 
 
-@pytest.mark.parametrize("builtin", [True, False],
-                         ids=["_sha256", "hashlib"])
-def test_short_hash_is_the_sha256_prefix(monkeypatch, builtin):
+@pytest.mark.parametrize("source", ["_sha256", "_sha2", "hashlib"])
+def test_short_hash_is_the_sha256_prefix(monkeypatch, source):
+    # the digest comes from the built-in module, _sha256 up to Python 3.11
+    # and _sha2 from 3.12 on (a stand-in here), and from hashlib only on an
+    # interpreter without either
     import hashlib
 
     texts = hash_texts()
     want = [hashlib.sha256(text.encode()).hexdigest()[:16] for text in texts]
-    if not builtin:  # as on an interpreter without _sha256
+    real, calls = hashlib.sha256, {"_sha2": [], "hashlib": []}
+
+    def spy(name):
+        return lambda data: calls[name].append(data) or real(data)
+
+    if source != "_sha256":
         monkeypatch.setitem(sys.modules, "_sha256", None)
-    real, calls = hashlib.sha256, []
-    monkeypatch.setattr(hashlib, "sha256",
-                        lambda data: calls.append(data) or real(data))
+        stand_in = None
+        if source == "_sha2":
+            stand_in = types.ModuleType("_sha2")
+            stand_in.sha256 = spy("_sha2")
+        monkeypatch.setitem(sys.modules, "_sha2", stand_in)
+    monkeypatch.setattr(hashlib, "sha256", spy("hashlib"))
     assert [short_hash(text) for text in texts] == want
-    assert len(calls) == (0 if builtin else len(texts))
+    assert {name: len(c) for name, c in calls.items()} == {
+        name: len(texts) if name == source else 0 for name in calls}
 
 
 def test_shortlex_key_orders_by_length_then_rank(pG2):

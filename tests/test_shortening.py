@@ -482,8 +482,9 @@ def test_cyclic_form_around_a_known_one_equals_the_general_pass(
     # is given the core's rank code, of one symbol a letter.  At least floor
     # of them are read so, on cores on both sides (228, 136, 239, 122 and
     # 109 of them, 100, 31, 111, 24 and 45 under SHORT_CYCLE letters, in
-    # the order of the parameters).  cyclic_core, which falls back on v's
-    # end pass, is cyclic_shorten exactly where it finds u's cyclic form
+    # the order of the parameters).  cyclic_pair, reading v against u's
+    # cyclic form alpha, which is its own core, and falling back on v's end
+    # pass, gives cyclic_shorten exactly where it finds alpha
     p = (load_presentation(TWIN_PATH) if name == "twin"
          else request.getfixturevalue(name))
     assert p.letters_order_syllables
@@ -503,7 +504,8 @@ def test_cyclic_form_around_a_known_one_equals_the_general_pass(
             assert sh._rotated(found, k) == sh._syllable_cyclic_form(
                 p, found), (u, v)
             taken[len(ru.output) >= sh.SHORT_CYCLE] += 1
-        res, full = sh.cyclic_core(p, v, ru), sh.cyclic_shorten(p, v)
+        res = sh.cyclic_pair(p, ru.output, v)[1]
+        full = sh.cyclic_shorten(p, v)
         if full.output == ru.output:
             assert res == full, (u, v)
         else:
@@ -534,7 +536,7 @@ def test_cyclic_form_around_reads_whole_runs_and_the_inverse(pG2):
     assert found == sh._end_pass(pG2, v)
     assert sh._rotated(found, k) == sh._syllable_cyclic_form(pG2, found)
     res = sh.cyclic_shorten(pG2, v)
-    assert sh.cyclic_core(pG2, v, ru) == res
+    assert sh.cyclic_pair(pG2, ru.output, v)[1] == res
     assert (res.conjugator, res.iterations, res.linear_length) == (
         "xAXyaxyyy", 2, 10)
 
@@ -546,20 +548,27 @@ def test_cyclic_core_finds_u_only_in_a_core_of_as_many_letters(pG2):
     # in v + v for v, w rotated by one syllable, and only the letter counts
     # tell that v is not a rotation of alpha (nor conjugate to u: its
     # exponent sum of c is one more).  v's core, v itself, comes back
-    # unrotated, with v's own cyclic length
+    # unrotated, with v's own cyclic length, both where v is read as it is
+    # and where it is conjugated by a hyperbolic letter g, so that v's end
+    # pass, not the read around alpha, leaves the core
     rng = random.Random(39)
     while True:
         u = "".join(cyclically_reduced_syllables(pG2, rng, 8))
         ru = sh.cyclic_shorten(pG2, u)
         if pG2.letter_kind[ru.output[-1]] != HYPERBOLIC:
             break
+    assert ru.cyclic_length >= sh.NEAR_CYCLE  # so cyclic_pair reads v
     w = ru.output + ru.output[-1]
     first = len(pG2.normal_syllables(w)[0])
     v = w[first:] + w[:first]
     assert words.normalize(pG2, v) == v and ru.output in v + v
-    res = sh.cyclic_core(pG2, v, ru)
-    assert (res.output, res.conjugator, res.cyclic_length) == (
-        v, "", ru.cyclic_length)
+    g = "A" if v[-1] == "a" else "a"
+    gv = g + v + words.inverse(g)
+    assert words.normalize(pG2, gv) == gv
+    for x, conjugator in ((v, ""), (gv, g)):
+        res = sh.cyclic_pair(pG2, ru.output, x)[1]
+        assert (res.output, res.conjugator, res.cyclic_length) == (
+            v, conjugator, ru.cyclic_length), x
     assert res.cyclic_length == sh.cyclic_shorten(pG2, v).cyclic_length
 
 
