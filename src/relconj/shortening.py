@@ -294,15 +294,16 @@ def word_problem(p: RelativePresentation, w: str, tables=None) -> bool:
     A relator-free presentation first compares the exponent sums of w
     (RelativePresentation.exponent_sum_pairs), each a homomorphism to Z,
     by native str.count passes: a declared word for which one is not zero
-    is not trivial, and is answered False without normalizing it.
-    Otherwise the answer is the component normal form's, shorten's output
-    there, without a step log; so a word with an undeclared letter reaches
-    normalize, which raises.  With relators an exponent sum need not be a
-    homomorphism (a^5 = 1 in c5), and the word is shortened.  tables is
-    accepted and not read."""
+    is not trivial, and is answered False without normalizing it, once
+    one bytes deletion has found every letter declared
+    (words.declared_codes, which raises on an undeclared one).  Otherwise
+    the answer is the component normal form's, shorten's output there,
+    without a step log, and normalize checks the letters.  With relators
+    an exponent sum need not be a homomorphism (a^5 = 1 in c5), and the
+    word is shortened.  tables is accepted and not read."""
     if p.is_free_product:
-        if any(w.count(g) != w.count(G) for g, G in p.exponent_sum_pairs
-               ) and not w.translate(p.declared_deletion):
+        if any(w.count(g) != w.count(G) for g, G in p.exponent_sum_pairs):
+            words.declared_codes(p, w)  # raises on an undeclared letter
             return False
         return words.normalize(p, w) == ""
     return shorten(p, w).output == ""

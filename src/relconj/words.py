@@ -7,24 +7,30 @@ geodesic form, merging runs that become adjacent when letters cancel.  A
 word is its own normal form exactly when it has no fault: no hyperbolic
 letter followed by its inverse, and no factor that its parabolic oracles
 forbid in a geodesic-form run.  These are words of one or two letters (the
-presentation's fault_factors), so native substring finds, one per factor,
-find where the stretch of the word that is already in normal form ends: at
-the first fault, or at the start of the parabolic run it lies in
-(first_fault); a word shorter than _FIND_LETTERS, where one search of the
-fault_pattern regex costs less, is searched with that.  Such stretches are
-kept whole, and only the letters where they meet the rest of the word are
-folded, so a word without a fault is returned unchanged, and one with a
-few faults costs little more than recognising it.  On a 768-letter normal
-form of Z * Z^2 the finds and the letter check take about 25 us, and on
-the free group 11 to 13 us.  The other letters go through one stack pass
-over the word's ASCII codes (_fold) on a stack of small integers: a letter
-that only cancels is its code point, and a free abelian or finite run one
-integer, its exponent vector or element packed beside its factor's tag
-(letter_table).  A letter costs three compares and table lookups, and no
-regex match or oracle call; the oracles spell only the runs left on the
-stack (state_word).  On a presentation without relators the result is the
-free-product normal form, so two words are equal in the group iff they
-normalize identically.
+presentation's fault_factors), so a fixed set of native passes over the
+word's ASCII codes finds where the stretch of the word that is already in
+normal form ends: at the first fault, or at the start of the parabolic run
+it lies in (first_fault).  One deletion checks the letters, one XOR of
+each code with the next finds every letter followed by its inverse, and
+the other faults are a few finds on the letters' class codes: one on
+Z * Z^2, none on the free group (fault_finds,
+RelativePresentation.fault_classes).  A word shorter than _FIND_LETTERS,
+where one search of the fault_pattern regex costs less, is searched with
+that.  Such stretches are kept whole, and only the letters where they
+meet the rest of the word are folded, so a word without a fault is
+returned unchanged, and one with a few faults costs little more than
+recognising it.  Recognising a 768-letter normal form takes about 7 us
+on Z * Z^2 and on the free group, against 23 and 12 us with a native find
+per fault factor (min of 15 interleaved rounds over 10 words, Python
+3.11.7, 2 shared cores).  The other letters go through one stack pass
+over the word's ASCII codes (_fold) on a stack of small integers: a
+letter that only cancels is its code point, and a free abelian or finite
+run one integer, its exponent vector or element packed beside its
+factor's tag (letter_table).  A letter costs three compares and table
+lookups, and no regex match or oracle call; the oracles spell only the
+runs left on the stack (state_word).  On a presentation without relators
+the result is the free-product normal form, so two words are equal in
+the group iff they normalize identically.
 
 :func:`mul` multiplies freely reduced words (normal forms are) by cancelling
 only where two of them meet, with native compares (cancel_length), and
@@ -88,20 +94,20 @@ def mul(*parts: str) -> str:
 # words.
 _ATTEMPT_LETTERS = 16
 
-# From this many letters on, normalize looks for faults with one native
-# find per fault factor (first_fault) rather than one fault_pattern search.
-# A find reads about 1.7 ns a letter and the search about 45, but the finds
-# take a Python step per factor, ten on Z * Z^2 and four on the free group.
-# Measured by normalizing 200 normal forms of each length, as they are and
-# with a fault in the middle (min of 7 interleaved passes, two seeds,
-# Python 3.11.7, 2 shared cores): at 64 letters the search recognises a
-# Z * Z^2 normal form in 4.7-4.8 us against 6.7-6.8 us of finds, at 128
-# they tie (8.7-9.7 against 8.9-10.4 us) and at 256 the finds win
-# (12.4-16.8 against 10.0-13.7 us); on the free group the finds win from
-# 64 letters on normal forms and from 128 with a fault.  A raw word pays
-# the finds' Python steps at each of its O(log n) attempts, about 10 us a
-# word at 128 to 512 letters.
-_FIND_LETTERS = 128
+# From this many letters on, normalize looks for faults with the passes of
+# fault_finds and first_fault rather than one fault_pattern search.  The
+# passes read under 3 ns a letter and the search about 45, but the passes
+# cost about 2 us of fixed steps.  Measured by normalizing 100 normal forms
+# of each length, as they are and with a fault in the middle (min of 11
+# interleaved rounds, Python 3.11.7, 2 shared cores): at 48 letters the
+# search recognises a Z * Z^2 normal form in 3.8 us against 4.2 us of
+# passes, at 64 they tie (4.7 against 4.3 us; 12.4 against 12.4 with a
+# fault) and at 128 the passes win (6.2 against 2.7 us; 15.4 against 13.1
+# with a fault); on the free group and Z * C2 the passes recognise normal
+# forms faster from 48 and 64 letters.  A raw word, faults every few
+# letters, pays the fixed steps and a few finds at each of its O(log n)
+# attempts: 5 to 25 % more than the search at 64 to 128 letters.
+_FIND_LETTERS = 64
 
 # Below this many letters of a conjugator, spelling the rest of its inverse
 # as a normal form (common_suffix calls, inverse_form's translate and, with
@@ -284,26 +290,67 @@ def _chunk_end(n, k):
     return n if n - k < _ATTEMPT_LETTERS else k
 
 
+def declared_codes(p: RelativePresentation, w: str) -> bytes:
+    """The ASCII codes of w, once one bytes deletion of the declared
+    letters (RelativePresentation.declared_letters) has left none: else
+    check_word raises UnknownLetterError naming the first undeclared
+    letter, also a non-ASCII one.  On a 16k-letter word it takes about
+    7.5 us, str.translate with a dict 22 to 24 us."""
+    try:
+        codes = w.encode("ascii")
+    except UnicodeEncodeError:
+        codes = None
+    if codes is None or codes.translate(None, p.declared_letters):
+        p.check_word(w)  # raises UnknownLetterError naming the letter
+    return codes
+
+
+def fault_finds(p: RelativePresentation, codes: bytes) -> list:
+    """first_fault's state for a declared word with these ASCII codes: the
+    two strings its finds read, then where each find found a fault (-1 for
+    not looked for), the inverse pairs' first.  The first string is the
+    XOR of each code with the next, in one int pass.  Generator names are
+    single lower-case letters, so two declared letters XOR to 0x20 exactly
+    when they are inverses, and in every factor kind a letter followed by
+    its inverse is a fault (RelativePresentation.fault_classes checks it).
+    The second is the codes' classes, whose patterns find the other
+    faults."""
+    x = int.from_bytes(codes, "little")
+    return [(x ^ (x >> 8)).to_bytes(len(codes), "little"),
+            codes.translate(p.fault_classes[0])] + [-1] * (
+                1 + len(p.fault_classes[1]))
+
+
 def first_fault(p: RelativePresentation, w: str, i: int, found) -> int:
     """Where the first fault of w at or after i starts, len(w) when there
     is none.  With found None it is one fault_pattern search, in which an
-    undeclared letter is a fault too.  Otherwise it is native finds of the
-    fault factors of p (fault_factors), which do not look for undeclared
-    letters (normalize rejects them first), and found holds where each
-    factor was found by an earlier call with a smaller i (len(w) for
-    nowhere, -1 for not looked for) and is updated: only a factor found
-    before i is looked for again, from i.  So over the calls of one
-    normalize, with i increasing, each factor's finds read disjoint
-    stretches of w, and the scans are linear in all."""
+    undeclared letter is a fault too.  Otherwise found is fault_finds of
+    a declared word: one native find for the inverse pairs and one for each
+    class pattern, each kept in found, and only a find that found a fault
+    before i is made again, from i.  So over the calls of one normalize,
+    with i increasing, each find reads disjoint stretches of w, and the
+    scans are linear in all.  A single-letter fault found at j is a fault
+    factor's second letter when a fault starts at j - 1 (fault_pattern
+    tells: a finite factor's generator before one of its upper-case
+    letters), and that is then the first fault of those that end in a
+    single-letter one, since they all end at j or later."""
     if found is None:
         fault = p.fault_pattern.search(w, i)
         return len(w) if fault is None else fault.start()
-    factors = p.fault_factors
-    for t, at in enumerate(found):
-        if at < i:
-            at = w.find(factors[t], i)
-            found[t] = len(w) if at < 0 else at
-    return min(found)
+    n = len(w)
+    if found[2] < i:
+        at = found[0].find(b" ", i)  # 0x20: a letter before its inverse
+        found[2] = n if at < 0 else at
+    for t, pattern in enumerate(p.fault_classes[1], 3):
+        if found[t] < i:
+            at = found[1].find(pattern, i)
+            if at < 0:
+                at = n
+            elif len(pattern) == 1 and at > i and p.fault_pattern.match(
+                    w, at - 1):
+                at -= 1
+            found[t] = at
+    return min(found[2:])
 
 
 def _stretch_end(p, w, i, f):
@@ -324,12 +371,13 @@ def normalize(p: RelativePresentation, w: str) -> str:
     """Canonical component-normalized free reduction of w, in one left to
     right pass.  Normal-form stretches, each ended by a search for the
     first fault (first_fault, _stretch_end), are kept whole: for a word of
-    _FIND_LETTERS letters or more its native finds, after one translate
-    has checked that every letter is declared (check_word), and for a
-    shorter word its fault_pattern search, which finds undeclared letters
-    too.  The first search also tells whether w has a fault at all; a
-    word without one is returned as it is, and a word shorter than
-    _ATTEMPT_LETTERS costs that search and its stack pass.  The letters
+    _FIND_LETTERS letters or more the passes of fault_finds, after one
+    bytes deletion has checked that every letter is declared
+    (declared_codes), and for a shorter word its fault_pattern search,
+    which finds undeclared letters too.  The first search also tells
+    whether w has a fault at all; a word without one is returned as it
+    is, and a word shorter than _ATTEMPT_LETTERS costs that search and
+    its stack pass.  The letters
     between stretches go through a stack pass over the ASCII codes of w
     (_fold) on a stack of small integers (letter_table), three compares a
     letter and no oracle call, and where a stretch meets the stack its
@@ -346,19 +394,19 @@ def normalize(p: RelativePresentation, w: str) -> str:
     non-ASCII one fails the encoding, and an ASCII one pushes None, which
     fails the next letter's & or the spelling (_fold)."""
     n = len(w)
-    found = None  # where first_fault found each factor; None: the regex
+    found = None  # first_fault's finds; None: the regex
     if n >= _FIND_LETTERS:
-        if w.translate(p.declared_deletion):
-            p.check_word(w)  # raises UnknownLetterError naming the letter
-        found = [-1] * len(p.fault_factors)
+        codes = declared_codes(p, w)
+        found = fault_finds(p, codes)
     f = first_fault(p, w, 0, found)
     if f == n:
         return w
-    try:
-        codes = w.encode("ascii")
-    except UnicodeEncodeError:  # only below _FIND_LETTERS letters
-        p.check_word(w)  # raises UnknownLetterError naming the letter
-        raise
+    if found is None:
+        try:
+            codes = w.encode("ascii")
+        except UnicodeEncodeError:
+            p.check_word(w)  # raises UnknownLetterError naming the letter
+            raise
     base = 2 << n.bit_length()  # above 2n
     t = p.letter_tables.get(base) or letter_table(p, base)
     # kept: the stretches kept whole, as [ASCII codes, start, end].  Above

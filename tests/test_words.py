@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -351,7 +352,7 @@ def test_fault_search_ends_each_stretch_where_the_definition_does(request,
         bounds.append(len(w))
         for i in bounds:
             got = words._stretch_end(p, w, i, words.first_fault(
-                p, w, i, [-1] * len(p.fault_factors)))
+                p, w, i, words.fault_finds(p, w.encode())))
             assert got == reference_stretch_end(p, w, i, bounds), (w, i)
     assert undeclared >= 5
 
@@ -578,16 +579,16 @@ def test_fault_finds_agree_with_the_pattern_and_the_reference(path):
             w = w[:k] + f + w[k:]
         has_fault = reference.normal_form(p, w) != w
         faults += has_fault
-        assert (words.first_fault(p, w, 0, [-1] * len(p.fault_factors))
+        assert (words.first_fault(p, w, 0, words.fault_finds(p, w.encode()))
                 < len(w)) is has_fault, w
         assert (p.fault_pattern.search(w) is not None) is has_fault, w
-        found = [-1] * len(p.fault_factors)  # one normalize's finds
+        found = words.fault_finds(p, w.encode())  # one normalize's finds
         for i in sorted(rng.sample(range(len(w) + 1), min(len(w) + 1, 8))):
             match = p.fault_pattern.search(w, i)
             want = len(w) if match is None else match.start()
             assert words.first_fault(p, w, i, None) == want, (w, i)
             assert words.first_fault(
-                p, w, i, [-1] * len(p.fault_factors)) == want, (w, i)
+                p, w, i, words.fault_finds(p, w.encode())) == want, (w, i)
             assert words.first_fault(p, w, i, found) == want, (w, i)
         k = other.randint(0, len(w))
         bad = w[:k] + other.choice("Qé") + w[k:]
@@ -597,6 +598,84 @@ def test_fault_finds_agree_with_the_pattern_and_the_reference(path):
             assert words.first_fault(p, bad, i, None) == want, (bad, i)
             assert (want <= k) is (i <= k), (bad, i)
     assert 100 < faults < len(lengths) - 50
+
+
+def long_normal_form(rng, p, n):
+    """A normal form of n letters: a prefix of a long one."""
+    nf = ""
+    while len(nf) < n:
+        nf = words.normalize(p, nf + random_letters(rng, p.alphabet, 4 * n))
+    return nf[:n]
+
+
+def next_faults(p, w):
+    """For each start i of w, where its first fault at or after i starts
+    by fault_pattern, from one match at each position."""
+    want = [len(w)] * (len(w) + 1)
+    for j in range(len(w) - 1, -1, -1):
+        want[j] = j if p.fault_pattern.match(w, j) else want[j + 1]
+    return want
+
+
+SCAN_PRESENTATIONS = [path.stem for path in DEMO_PRESENTATIONS] + RELATOR_FREE
+
+
+@pytest.mark.parametrize("name", SCAN_PRESENTATIONS)
+def test_the_scan_finds_every_short_word_where_the_pattern_does(request,
+                                                                name):
+    # every word x of up to three letters, at the start, in the middle and
+    # at the end of a normal form of _FIND_LETTERS letters: from every
+    # start, the passes of fault_finds, shared across the starts as in one
+    # normalize, find the first fault where fault_pattern does, and so do
+    # fresh passes from the starts around x
+    if name.startswith("p"):
+        p = request.getfixturevalue(name)
+    else:
+        p = load_presentation(ZF2_PATH.with_name(name + ".txt"))
+    nf = long_normal_form(random.Random(51), p, words._FIND_LETTERS)
+    m = len(nf) // 2
+    letters = list(p.letter_kind)
+    faults = 0
+    for size in (1, 2, 3):
+        for x in map("".join, itertools.product(letters, repeat=size)):
+            for k in (0, m, len(nf)):
+                w = nf[:k] + x + nf[k:]
+                want = next_faults(p, w)
+                found = words.fault_finds(p, w.encode())
+                for i in range(len(w) + 1):
+                    assert words.first_fault(p, w, i, found) == want[i], (
+                        w, i)
+                for i in range(max(k - 1, 0), k + size + 1):
+                    assert words.first_fault(
+                        p, w, i, words.fault_finds(p, w.encode())
+                    ) == want[i], (w, i)
+                faults += want[0] < len(w)
+    assert faults > 0
+
+
+@pytest.mark.parametrize("name", RELATOR_FREE)
+def test_a_fault_at_every_position_is_found_and_folded(request, name):
+    # each fault factor at every position of normal forms of _FIND_LETTERS
+    # letters and a few more: the XOR's shift crosses the 30-bit digits of
+    # a CPython int at every alignment, its last byte is the last code
+    # alone, and normalize's stack pass meets the fault at each of its
+    # chunk edges; first_fault agrees with fault_pattern from the fault's
+    # start, and normalize with the reference
+    p = request.getfixturevalue(name)
+    rng = random.Random(52)
+    n = words._FIND_LETTERS
+    for length in (n - 2, n, n + 1, 2 * n + 3):
+        nf = long_normal_form(rng, p, length)
+        for k in range(len(nf) + 1):
+            for f in p.fault_factors:
+                w = nf[:k] + f + nf[k:]
+                found = words.fault_finds(p, w.encode())
+                want = next_faults(p, w)
+                for i in (0, k):
+                    assert words.first_fault(p, w, i, found) == want[i], (
+                        w, i)
+            w = nf[:k] + rng.choice(p.fault_factors) + nf[k:]
+            assert words.normalize(p, w) == reference.normal_form(p, w), w
 
 
 @pytest.mark.parametrize("name", ["pF", "pG2", "pZC2", "pZF2"])
@@ -628,25 +707,27 @@ def test_an_undeclared_letter_fails_as_check_word_does_at_any_length(
 
 @pytest.mark.parametrize("name", RELATOR_FREE)
 def test_an_undeclared_character_anywhere_fails_typed(request, name):
-    # an undeclared ASCII letter, a non-ASCII letter and a lone surrogate
-    # (what a command line byte that is not UTF-8 decodes to), first, in
-    # the middle or last, in raw words and normal forms below and above
-    # _FIND_LETTERS: normalize and word_problem raise UnknownLetterError
-    # naming it
+    # an undeclared ASCII letter, also before its inverse (their codes XOR
+    # to 0x20, as a declared inverse pair's do), NUL (the fault class of an
+    # undeclared code), a non-ASCII letter and a lone surrogate (what a
+    # command line byte that is not UTF-8 decodes to), first, in the middle
+    # or last, in raw words and normal forms below and above _FIND_LETTERS:
+    # normalize and word_problem raise UnknownLetterError naming it
     p = request.getfixturevalue(name)
     assert "q" not in p.letter_kind
     rng = random.Random(50)
-    for lo, hi in ((1, 20), (130, 300)):
+    n = words._FIND_LETTERS
+    for lo, hi in ((1, 20), (130, 300), (n, 2 * n)):
         for trial in range(6):
             w = random_word(rng, p.alphabet, lo, hi)
             if trial % 2:
                 w = words.normalize(p, w + w) or w
-            for bad in ("q", "é", "\udc80"):
+            for bad in ("q", "é", "\udc80", "qQ", "\0", "\xff"):
                 m = len(w) // 2
                 for x in (bad + w, w[:m] + bad + w[m:], w + bad):
                     for solve in (words.normalize, shortening.word_problem):
                         with pytest.raises(UnknownLetterError,
-                                           match=re.escape(repr(bad))):
+                                           match=re.escape(repr(bad[0]))):
                             solve(p, x)
 
 
@@ -694,6 +775,8 @@ def test_raw_syllables(pG2):
 
 @pytest.mark.parametrize("name", ["pF", "pG2", "pZC2", "pZF2", "pTHREE"])
 def test_syllable_splitter_matches_letter_by_letter_definition(request, name):
+    # normal_syllables splits a normal form as the reference does, and
+    # count_syllables counts its syllables without the split
     p = request.getfixturevalue(name)
     rng = random.Random(23)
     for trial in range(800):
@@ -701,3 +784,4 @@ def test_syllable_splitter_matches_letter_by_letter_definition(request, name):
         v = words.normalize(p, random_word(rng, p.alphabet, 0, hi))
         assert p.normal_syllables(v) == [
             s for _, s, _ in reference.syllables(p, v)], v
+        assert p.count_syllables(v) == len(p.normal_syllables(v)), v
