@@ -404,36 +404,34 @@ class RelativePresentation(Frozen):
         inverses.  Two letters share a class when they are of one factor,
         or both hyperbolic, and such a pair tells them apart neither as its
         first letter nor as its second; the patterns are the single-letter
-        class and the classes of those pairs: one, "21"-like, on Z * Z^2,
-        none on the free group.  A pair whose second letter is a fault
-        alone is found from that letter, one back (first_fault).  Checked
-        here: the patterns cover exactly those faults."""
+        class and the classes of those pairs: one, "21" (y or Y before x or
+        X), on Z * Z^2, none on the free group.  A pair whose second letter
+        is a fault alone is found from that letter, one back (first_fault).
+        Checked here: the patterns cover exactly those faults."""
         faults, inv = set(self.fault_factors), INVERSE_LETTER
-        letters = [c for c in self.letter_kind if c not in faults]
-
-        def paired(a, b):  # a fault of two letters the patterns find
-            return b != inv[a] and a + b in faults
-
-        def classes(*word):
-            return bytes(table[ord(c)] for c in word)
-        codes, table = {}, bytearray(256)  # an undeclared letter: class 0
-        for c in self.letter_kind:
+        found = {f for f in faults  # the faults the pair patterns find
+                 if len(f) == 2 and f[1] != inv[f[0]]
+                 and f[0] not in faults and f[1] not in faults}
+        keys, code = {}, {}
+        for c, kind in self.letter_kind.items():
             key = "single" if c in faults else (
-                self.letter_kind[c],
-                frozenset(b for b in letters if paired(c, b)),
-                frozenset(a for a in letters if paired(a, c)))
-            table[ord(c)] = codes.setdefault(key, 48 + len(codes))
-        patterns = {classes(c) for c in self.letter_kind if c in faults}
-        patterns.update(classes(a, b) for a in letters for b in letters
-                        if paired(a, b))
-        for a in letters:  # b a single-letter fault: found one back
-            for b in self.letter_kind:
-                if b == inv[a] or b in letters:
-                    found = b == inv[a] or classes(a, b) in patterns
-                    if found is not (a + b in faults):
-                        raise AssertionError("fault classes of %r miss %r"
-                                             % (self.label, a + b))
-        return bytes(table), tuple(sorted(patterns, key=len))
+                kind, frozenset(f[1] for f in found if f[0] == c),
+                frozenset(f[0] for f in found if f[1] == c))
+            code[c] = keys.setdefault(key, 48 + len(keys))
+        pairs = {(code[f[0]], code[f[1]]) for f in found}
+        for a in code:  # b a single-letter fault: found one back
+            for b in code:
+                if a in faults or b in faults and b != inv[a]:
+                    continue
+                hit = b == inv[a] or (code[a], code[b]) in pairs
+                if hit is not (a + b in faults):
+                    raise AssertionError("fault classes of %r miss %r"
+                                         % (self.label, a + b))
+        table = bytearray(256)  # an undeclared letter: NUL
+        for c, k in code.items():
+            table[ord(c)] = k
+        single = [bytes([code[c]]) for c in code if c in faults][:1]
+        return bytes(table), tuple(single + [bytes(t) for t in sorted(pairs)])
 
     @cached_property
     def fault_pattern(self) -> re.Pattern:

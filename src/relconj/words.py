@@ -97,17 +97,18 @@ _ATTEMPT_LETTERS = 16
 # From this many letters on, normalize looks for faults with the passes of
 # fault_finds and first_fault rather than one fault_pattern search.  The
 # passes read under 3 ns a letter and the search about 45, but the passes
-# cost about 2 us of fixed steps.  Measured by normalizing 100 normal forms
+# take a few more native calls.  Measured by normalizing 100 normal forms
 # of each length, as they are and with a fault in the middle (min of 11
-# interleaved rounds, Python 3.11.7, 2 shared cores): at 48 letters the
-# search recognises a Z * Z^2 normal form in 3.8 us against 4.2 us of
-# passes, at 64 they tie (4.7 against 4.3 us; 12.4 against 12.4 with a
-# fault) and at 128 the passes win (6.2 against 2.7 us; 15.4 against 13.1
-# with a fault); on the free group and Z * C2 the passes recognise normal
-# forms faster from 48 and 64 letters.  A raw word, faults every few
-# letters, pays the fixed steps and a few finds at each of its O(log n)
-# attempts: 5 to 25 % more than the search at 64 to 128 letters.
-_FIND_LETTERS = 64
+# interleaved rounds, Python 3.11.7, 2 shared cores), the two tie at 64
+# letters on Z * Z^2 (4.7 against 4.3 us; 12.4 against 12.4 with a
+# fault).  With caches evicted before each call, as the benchmark's speed
+# readings evict them between queries (median of 120 calls), the passes
+# cost more: at 64 letters 4.2 against 3.6 us (19.3 against 15.7 with a
+# fault), at 96 a tie, and at 128 the passes win or tie on Z * Z^2, the
+# free group and Z * C2 (3.3 against 5.9 us on Z * Z^2; 16.7 against
+# 17.5 with a fault).  A raw word pays the passes' fixed steps at each of
+# its O(log n) attempts.
+_FIND_LETTERS = 128
 
 # Below this many letters of a conjugator, spelling the rest of its inverse
 # as a normal form (common_suffix calls, inverse_form's translate and, with
@@ -294,8 +295,9 @@ def declared_codes(p: RelativePresentation, w: str) -> bytes:
     """The ASCII codes of w, once one bytes deletion of the declared
     letters (RelativePresentation.declared_letters) has left none: else
     check_word raises UnknownLetterError naming the first undeclared
-    letter, also a non-ASCII one.  On a 16k-letter word it takes about
-    7.5 us, str.translate with a dict 22 to 24 us."""
+    letter, also a non-ASCII one.  On a 16k-letter word it takes 8 us,
+    against 25 us for str.translate with a dict (min of 7 x 2,000 calls,
+    Python 3.11.7)."""
     try:
         codes = w.encode("ascii")
     except UnicodeEncodeError:

@@ -656,15 +656,16 @@ def test_the_scan_finds_every_short_word_where_the_pattern_does(request,
 @pytest.mark.parametrize("name", RELATOR_FREE)
 def test_a_fault_at_every_position_is_found_and_folded(request, name):
     # each fault factor at every position of normal forms of _FIND_LETTERS
-    # letters and a few more: the XOR's shift crosses the 30-bit digits of
-    # a CPython int at every alignment, its last byte is the last code
-    # alone, and normalize's stack pass meets the fault at each of its
-    # chunk edges; first_fault agrees with fault_pattern from the fault's
-    # start, and normalize with the reference
+    # - 2 to _FIND_LETTERS + 1 letters, so that every word takes the
+    # passes: the XOR meets the fault at every alignment with the 30-bit
+    # digits of a CPython int and at its last byte, the last code alone,
+    # and normalize's stack pass and attempts at every offset from their
+    # chunk edges.  first_fault agrees with fault_pattern from the start
+    # and from the fault, and normalize with the reference
     p = request.getfixturevalue(name)
     rng = random.Random(52)
     n = words._FIND_LETTERS
-    for length in (n - 2, n, n + 1, 2 * n + 3):
+    for length in (n - 2, n, n + 1):
         nf = long_normal_form(rng, p, length)
         for k in range(len(nf) + 1):
             for f in p.fault_factors:
