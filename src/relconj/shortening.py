@@ -555,9 +555,13 @@ def cyclic_pair(p: RelativePresentation, u: str, v: str):
 def _checked(p, w, nf, found):
     """The CyclicShorteningResult of found = (linear length, cyclic form,
     conjugator, cyclic length, iterations) for w with normal form nf, once
-    the conjugator is checked."""
+    the conjugator is checked.  Where found holds nf itself with the empty
+    conjugator, as the unrotated core of a cyclically reduced normal form
+    does (cyclic_pair's cores of a pair that is not conjugate), the check
+    would compare nf with itself, and is skipped."""
     linear_length, rho, conj, cyclic_length, iterations = found
-    if not same_element(p, words.conjugate_form(p, conj, rho), w, nf):
+    if (conj or rho is not nf) and not same_element(
+            p, words.conjugate_form(p, conj, rho), w, nf):
         raise RelconjError("cyclic shortening produced an invalid conjugator")
     return CyclicShorteningResult(rho, conj, iterations, linear_length,
                                   cyclic_length, nf)
