@@ -412,21 +412,25 @@ class RelativePresentation(Frozen):
         found = {f for f in faults  # the faults the pair patterns find
                  if len(f) == 2 and f[1] != inv[f[0]]
                  and f[0] not in faults and f[1] not in faults}
+        after, before = {}, {}  # each letter's partners in those faults
+        for a, b in found:
+            after[a] = after.get(a, "") + b
+            before[b] = before.get(b, "") + a
         keys, code = {}, {}
         for c, kind in self.letter_kind.items():
             key = "single" if c in faults else (
-                kind, frozenset(f[1] for f in found if f[0] == c),
-                frozenset(f[0] for f in found if f[1] == c))
+                kind, frozenset(after.get(c, "")), frozenset(before.get(c, "")))
             code[c] = keys.setdefault(key, 48 + len(keys))
-        pairs = {(code[f[0]], code[f[1]]) for f in found}
-        for a in code:  # b a single-letter fault: found one back
-            for b in code:
-                if a in faults or b in faults and b != inv[a]:
-                    continue
-                hit = b == inv[a] or (code[a], code[b]) in pairs
-                if hit is not (a + b in faults):
-                    raise AssertionError("fault classes of %r miss %r"
-                                         % (self.label, a + b))
+        pairs = {(code[a], code[b]) for a, b in found}
+        # every pair the passes flag is a fault and the other way round; a
+        # pair that ends in a single-letter fault is found from that letter
+        missed = [a + b for a in code if a not in faults for b in code
+                  if (b not in faults or b == inv[a])
+                  and (b == inv[a] or (code[a], code[b]) in pairs)
+                  is not (a + b in faults)]
+        if missed:
+            raise AssertionError("fault classes of %r miss %r"
+                                 % (self.label, missed[0]))
         table = bytearray(256)  # an undeclared letter: NUL
         for c, k in code.items():
             table[ord(c)] = k

@@ -653,6 +653,16 @@ def test_the_scan_finds_every_short_word_where_the_pattern_does(request,
     assert faults > 0
 
 
+def test_fault_classes_refuse_an_inverse_pair_that_is_no_fault():
+    # the XOR pass flags every letter followed by its inverse, so
+    # fault_classes refuses fault factors that leave out one such pair
+    p = load_presentation(ZF2_PATH.with_name("zxz2.txt"))
+    p.__dict__["fault_factors"] = tuple(f for f in p.fault_factors
+                                        if f != "aA")
+    with pytest.raises(AssertionError, match="miss 'aA'"):
+        p.fault_classes
+
+
 @pytest.mark.parametrize("name", RELATOR_FREE)
 def test_a_fault_at_every_position_is_found_and_folded(request, name):
     # each fault factor at every position of normal forms of _FIND_LETTERS
