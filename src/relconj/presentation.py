@@ -421,7 +421,8 @@ class RelativePresentation(Frozen):
         keys, code = {}, {}
         for c, kind in self.letter_kind.items():
             key = "single" if c in faults else (
-                kind, frozenset(after.get(c, "")), frozenset(before.get(c, "")))
+                kind, frozenset(after.get(c, "")),
+                frozenset(before.get(c, "")))
             code[c] = keys.setdefault(key, 48 + len(keys))
         pairs = {(code[a], code[b]) for a, b in found}
         # every pair the passes flag is a fault and the other way round; a
