@@ -132,17 +132,14 @@ it is.
 Every conjugator, here and in the conjugacy engine, is checked before it is
 returned (same_element).  The product that it claims equal to a word is
 spelled by words.conjugate_form from the conjugator and the cyclic form, as
-a rule both normal forms.  A suffix that the conjugator shares with the
-cyclic form is rotated back onto it first: a rotation prefix a of
-alpha = y * a gives a * alpha * a^-1 = a * y, the word's own normal form,
-spelled by one rotation and checked by one string compare (3 to 4 us for
-512 letters); v's conjugator P + X[:k] around alpha leaves P * X * P^-1.
-What is left of the conjugator's plain inverse cancels where it meets the
-cyclic form, found by native endswith compares, and
-RelativePresentation.inverse_form spells the rest of the inverse as a
-normal form, where words.inverse would write a run of Z^2 backwards (xxyy
-as YYXX) or the finite letter t of Z * C2 as T, each a fault; it keeps the
-last word it spelled, so P^-1, which _cyclic_form_around compares with v's
+a rule both normal forms.  The plain inverse of the conjugator g cancels
+against g times the cyclic form as far as the two end alike, found by
+native endswith compares, and RelativePresentation.inverse_form spells the
+rest of g^-1 as a normal form, where words.inverse would write a run of
+Z^2 backwards (xxyy as YYXX) or the finite letter t of Z * C2 as T, each a
+fault.  A rotation conjugator a of alpha = y * a leaves no rest: the
+product is a * y, the word's own normal form.  inverse_form keeps the last
+word it spelled, so P^-1, which _cyclic_form_around compares with v's
 tail, is spelled once for that read, v's check and decide's witness
 check.  So the product is a normal form except at its joins.  A conjugator
 of fewer than words._PLAIN_INVERSE_LETTERS letters keeps the plain
@@ -443,20 +440,18 @@ def _syllable_cyclic_form(p, found):
 
 
 def _cyclic_form_around(p, nf, alpha, length):
-    """(found, k) for the normal form nf when nf reads as P * X *
+    """found for the normal form nf when nf reads as P * X *
     inverse_form(P) around a syllable rotation X of alpha, a cyclically
     reduced normal form of length >= 2 syllables whose ends are of two
     kinds (another word's end-pass core or cyclic form): found = (n, X, P,
     length, merges) is what _end_pass(p, nf) returns; None otherwise.  Here
     |P| = (|nf| - |alpha|) / 2, both cuts of nf and the wrap-around of X
     fall between syllables (two letters of one factor never do, in a normal
-    form), and alpha starts at k in X + X.  So does a syllable of X, as the
-    two ends of alpha are of two kinds.  Then the syllables of X are those
-    of alpha rotated, and the end pairs of nf cancel or merge trivially
-    down to X, one merge for each parabolic run of P; X stops the pass, as
-    alpha is cyclically reduced.  Where alpha is a cyclic form, its first
-    start in X + X is the first least syllable rotation of X, so the
-    conjugator is P + X[:k]."""
+    form), and alpha occurs in X + X.  Where it starts, so does a syllable
+    of X, as the two ends of alpha are of two kinds.  Then the syllables of
+    X are those of alpha rotated, and the end pairs of nf cancel or merge
+    trivially down to X, one merge for each parabolic run of P; X stops the
+    pass, as alpha is cyclically reduced."""
     n, m = len(nf), len(alpha)
     h = (n - m) // 2
     if h < 0 or n != m + 2 * h:
@@ -468,8 +463,7 @@ def _cyclic_form_around(p, nf, alpha, length):
         return a != b or a == HYPERBOLIC
 
     pre, x = nf[:h], nf[h : n - h]
-    k = (x + x).find(alpha)
-    if k < 0 or not between(x, 0):
+    if alpha not in x + x or not between(x, 0):
         return None
     if h and not (between(nf, h) and between(nf, n - h)
                   and nf[n - h :] == p.inverse_form(pre)):
@@ -477,7 +471,7 @@ def _cyclic_form_around(p, nf, alpha, length):
     syllables = p.count_syllables(pre)  # pre is a normal form too
     runs = syllables - sum(pre.count(g) + pre.count(INVERSE_LETTER[g])
                            for g in p.hyperbolic_generators)
-    return (2 * syllables + length, x, pre, length, runs), k
+    return 2 * syllables + length, x, pre, length, runs
 
 
 def _dehn_cyclic_form(p, w):
@@ -531,9 +525,11 @@ def cyclic_pair(p: RelativePresentation, u: str, v: str):
     (_cyclic_form_around), else v's end pass leaves its core s, and c is
     looked for in s + s when the two have as many syllables and letters,
     which by the module docstring hits exactly when v is conjugate to u.
-    On a hit u's core is rotated to its cyclic form alpha, and alpha found
-    in v's core, doubled, gives v's cyclic form and cyclic_shorten's
-    conjugator.  Each result is checked as cyclic_shorten checks it."""
+    On a hit u's core is rotated to its cyclic form alpha, and alpha's
+    first start k in s + s is the first least syllable rotation of s, so
+    v's cyclic form is s rotated by k and cyclic_shorten's conjugator is
+    v's end-pass conjugator + s[:k] (_rotated).  Each result is checked as
+    cyclic_shorten checks it."""
     nu = words.normalize(p, u)
     fu = _end_pass(p, nu)
     if fu[3] < NEAR_CYCLE:
@@ -541,7 +537,7 @@ def cyclic_pair(p: RelativePresentation, u: str, v: str):
         return ru, ru if v == u else cyclic_shorten(p, v)
     nv, c = words.normalize(p, v), fu[1]
     read = _cyclic_form_around(p, nv, c, fu[3])
-    fv = read[0] if read else _end_pass(p, nv)
+    fv = read or _end_pass(p, nv)
     s = fv[1]
     # where the end pass returns nv itself, _cyclic_form_around has looked
     # for c in s + s already

@@ -120,39 +120,31 @@ _FIND_LETTERS = 128
 # 6.7-6.9 us plainly against 9.0-9.1 us; 16 letters: 32-40 us against
 # 19-27 us), on Z * C2 the normal form wins from two letters, and on the
 # free group, where the two spell the same word, the plain one is 1.1-2.4 us
-# cheaper at every length.  The short-batch benchmark checks conjugators of
-# 0 to 7 letters, 94 % of them under 4.
+# cheaper at every length.  One seed-1 short-batch benchmark round makes
+# 13,626 checks, 97.9 % of them with a conjugator under 5 letters; spelled
+# the other way, 5,000 of those and the normalize of each took 13.6-14.2 ms,
+# against 12.2-13.0 ms plainly (min of 5, five readings, Python 3.11.7).
 _PLAIN_INVERSE_LETTERS = 5
 
 
 def conjugate_form(p: RelativePresentation, g: str, x: str) -> str:
     """A word for g * x * g^-1, for freely reduced g and x, that is a
-    normal form except at its joins when g and x are normal forms.  Where
-    nothing cancels or merges at the joins it is the normal form itself,
-    and a witness check (shortening.same_element) is one string compare;
-    otherwise normalize keeps nearly all of it whole.  When x is
-    cyclically reduced, a common suffix s of g = g1 * s and x = y * s is
-    dropped first, as g1 * s * (y * s) * s^-1 * g1^-1 = g1 * (s * y) *
-    g1^-1: the rotation conjugator of a cyclic form is such a suffix, so
-    the check of a rotation spells no inverse at all.  The plain inverse
-    of g then cancels against mul(g, x) as far as g and that product end
-    alike (common_suffix); the rest of g^-1 is spelled by p.inverse_form,
-    which writes no fault where words.inverse writes one (a Z^2 run
-    backwards, a finite letter in upper case).  The cut between the two
-    may fall inside a run; the product is g * x * g^-1 either way.  Below
-    _PLAIN_INVERSE_LETTERS letters of g it is the plain mul(g, x,
-    inverse(g)), which costs less there."""
+    normal form except at its joins when g and x are normal forms, so that
+    a witness check (shortening.same_element) is as a rule one string
+    compare.  The plain inverse of g cancels against mul(g, x) as far as
+    the two end alike (common_suffix), and p.inverse_form spells the rest
+    of g^-1 without the faults of words.inverse (a Z^2 run backwards, a
+    finite letter in upper case); the cut may fall inside a run.  When all
+    of g cancels so, as a rotation conjugator a of alpha = y * a does
+    (mul(a, alpha) ends in a), no inverse is spelled, and inverse_form
+    keeps the last one it spelled.  Below _PLAIN_INVERSE_LETTERS letters
+    of g it is mul(g, x, inverse(g)), which costs less there."""
     if len(g) < _PLAIN_INVERSE_LETTERS:
         return mul(g, x, inverse(g))
-    if x and x[0] != INVERSE_LETTER[x[-1]]:  # x is cyclically reduced
-        s = common_suffix(g, x, min(len(g), len(x)))
-        if s:
-            g, x = g[: len(g) - s], x[len(x) - s :] + x[: len(x) - s]
-            if not g:  # g was a rotation prefix of x
-                return x
     gx = mul(g, x)
     c = common_suffix(gx, g, min(len(gx), len(g)))
-    return gx[: len(gx) - c] + p.inverse_form(g[: len(g) - c])
+    rest = g[: len(g) - c]
+    return gx[: len(gx) - c] + (p.inverse_form(rest) if rest else "")
 
 
 class _Letters(NamedTuple):

@@ -184,6 +184,31 @@ def factor_ball(orc, r):
     return metric_oracle.ball(alone, r).elements
 
 
+def tries(helper):
+    """The tries of a rejection loop in helper: 1,000 of them, then an
+    AssertionError naming helper.  A draw that never passes, as under a
+    normalize that misses a fault, then fails the test instead of hanging
+    it; while draws pass, the rng calls are those of an unbounded loop.
+    No loop of the suite needs more than 39 tries."""
+    yield from range(1000)
+    raise AssertionError("%s: no draw passed in 1,000 tries" % helper)
+
+
+def counted_inverse_spellings(monkeypatch):
+    """A list that fills with the word of every inverse that
+    RelativePresentation.inverse_form spells (its memo missed)."""
+    spelled = []
+    real = RelativePresentation._spell_inverse_form
+
+    def counting(self, w):
+        spelled.append(w)
+        return real(self, w)
+
+    monkeypatch.setattr(RelativePresentation, "_spell_inverse_form",
+                        counting)
+    return spelled
+
+
 def random_letters(rng, letters, n):
     """n letters, each drawn with rng.choice."""
     return "".join(rng.choice(letters) for _ in range(n))
@@ -213,7 +238,7 @@ def cyclically_reduced_syllables(p, rng, k):
     where every letter is parabolic, as the ends of an odd number of
     syllables of two factors then lie in one."""
     kind = p.letter_kind
-    while True:
+    for _ in tries("cyclically_reduced_syllables"):
         nf = words.normalize(p, random_word(rng, p.alphabet, 6 * k, 6 * k))
         syls = [s for _, s, _ in reference.syllables(p, nf)[:k]]
         if len(syls) < k:
@@ -251,7 +276,7 @@ def conjugate_without_cancellation(rng, p, u, n):
     syllables are those of the three parts.  Such a g exists when p has a
     hyperbolic letter."""
     syllables = p.normal_syllables
-    while True:
+    for _ in tries("conjugate_without_cancellation"):
         g = words.normalize(p, random_letters(rng, p.alphabet, n))
         v = g + u + p.inverse_form(g)
         if words.normalize(p, v) == v and len(syllables(v)) == (

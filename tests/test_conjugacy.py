@@ -5,7 +5,9 @@ import re
 
 import pytest
 
-from conftest import G2_TEXT, THREE_TEXT, TWIN_PATH, pairs_around, random_word
+from conftest import (G2_TEXT, THREE_TEXT, TWIN_PATH,
+                      counted_inverse_spellings, pairs_around, random_word,
+                      tries)
 from relconj import (conjugacy as cj, metric_oracle as mo, reference,
                      shortening as sh, tables as tb, words)
 from relconj.errors import (
@@ -218,17 +220,17 @@ def long_conjugate_pair(p, seed):
     rng = random.Random(seed)
 
     def normal_form(n):
-        while True:
+        for _ in tries("long_conjugate_pair"):
             w = words.normalize(p, "".join(
                 rng.choice(p.alphabet) for _ in range(4 * n)))[:n]
             if len(w) == n:
                 return w
 
-    while True:
+    for _ in tries("long_conjugate_pair"):
         u = normal_form(512)
         if words.normalize(p, u + u) == u + u:  # no reduction across ends
             break
-    while True:
+    for _ in tries("long_conjugate_pair"):
         g = normal_form(128)
         v = words.normalize(p, g + u + words.inverse(g))
         if len(v) == 768:
@@ -285,15 +287,7 @@ def test_a_long_positive_decide_spells_the_inverse_of_its_conjugator_once(
     # count on a fresh presentation, so that no memo is left from before
     p = parse_presentation(G2_TEXT)
     u, v, g = long_conjugate_pair(p, 45)
-    spelled = []
-    real = RelativePresentation._spell_inverse_form
-
-    def counting(self, w):
-        spelled.append(w)
-        return real(self, w)
-
-    monkeypatch.setattr(RelativePresentation, "_spell_inverse_form",
-                        counting)
+    spelled = counted_inverse_spellings(monkeypatch)
     cert = cj.decide(p, tb.profile_for(p), u, v)
     assert cert.answer == "conjugate" and cert.witness == g
     assert spelled.count(g) == 1

@@ -7,9 +7,10 @@ import pytest
 from relconj import reference, shortening, words
 from relconj.errors import UnknownLetterError
 from relconj.presentation import (HYPERBOLIC, INVERSE_LETTER, cancel_length,
-                                  load_presentation)
+                                  load_presentation, parse_presentation)
 
-from conftest import (ZF2_PATH, is_cyclically_reduced, random_letters,
+from conftest import (G2_TEXT, ZF2_PATH, counted_inverse_spellings,
+                      is_cyclically_reduced, random_letters,
                       random_reduced_word, random_word)
 
 
@@ -186,11 +187,12 @@ def test_inverse_form_is_the_normal_form_of_the_inverse(request, name):
 
 
 @pytest.mark.parametrize("name", INVERSE_FORM_PRESENTATIONS)
-def test_conjugate_form_is_g_x_g_inverse(request, name):
+def test_conjugate_form_is_g_x_g_inverse(monkeypatch, request, name):
     p = presentation_named(request, name)
     rng = random.Random(42)
     n = words._PLAIN_INVERSE_LETTERS
     reduced = words.free_reduce
+    spelled = counted_inverse_spellings(monkeypatch)
     for trial in range(200):
         g = random_normal_form(rng, p, rng.choice([0, 1, n - 1, n, n + 1, 15,
                                                    16, 60, 200]))
@@ -209,6 +211,29 @@ def test_conjugate_form_is_g_x_g_inverse(request, name):
             assert words.normalize(p, got) == want, (g, x, got)
             if len(g) < n:
                 assert got == words.mul(g, x, words.inverse(g))
+        # a rotation check: u = a * y, the core of r, conjugated from
+        # alpha = y * a by a of n letters or more; mul(a, alpha) ends in a,
+        # so the product is u letter for letter and spells no inverse
+        u = words.cyclic_reduce(r)[0]
+        spelled.clear()
+        for k in range(n, len(u) + 1):
+            assert words.conjugate_form(p, u[:k], u[k:] + u[:k]) == u, (u, k)
+        assert spelled == [], u
+
+
+def test_a_check_that_cancels_all_of_g_keeps_the_inverse_form_memo(
+        monkeypatch):
+    # inverse_form keeps the last inverse it spelled, which a long positive
+    # decide asks for three times.  A check whose mul(g, x) ends in all of
+    # g, here axxyy * Yaaxxyy = axxyaaxxyy, has no rest of g^-1 to spell,
+    # and leaves that memo as it was
+    p = parse_presentation(G2_TEXT)
+    h = "axxyy" * 3
+    held = [(h, p.inverse_form(h))]
+    spelled = counted_inverse_spellings(monkeypatch)
+    assert words.conjugate_form(p, "axxyy", "Yaaxxyy") == "axxya"
+    assert spelled == [] and p._last_inverse_form == held
+    assert p.inverse_form(h) == held[0][1] and spelled == []
 
 
 def test_conjugate_form_spells_the_rest_of_g_inverse_canonically(pG2):
