@@ -6,13 +6,12 @@ hyperbolic.  Two hyperbolic elements are conjugate exactly when their cyclic
 forms are equal strings (the conjugacy theorem for free products; the
 engine refuses presentations with relators).  decide reads v against u
 once (shortening.cyclic_pair): where u's cyclically reduced core has
-NEAR_CYCLE syllables or more, v's normal form is read as P * X * P^-1
-around that core where it can, else the core is looked for as a rotation
-of v's own core.  So a long pair costs one rotation where the two are
-conjugate and none where they are not: on a hit u's core is rotated to its
-cyclic form alpha, and v's cyclic form is alpha, found in v's core without
-rotating it; any other pair is answered on the two cores, each rotated
-only if a caller asks for its cyclic form later.  Where the engine holds
+NEAR_CYCLE syllables or more, it is looked for as a rotation of v's core.
+So a long pair costs one rotation where the two are conjugate and none
+where they are not: on a hit u's core is rotated to its cyclic form
+alpha, and v's cyclic form is alpha, found in v's core without rotating
+it; any other pair is answered on the two cores, each rotated only if a
+caller asks for its cyclic form later.  Where the engine holds
 u's or v's cyclic form already, it takes both cyclic forms and compares
 them, so that a cyclic form is never compared with a core.  Two parabolic
 elements are conjugate exactly when they lie in one factor and the

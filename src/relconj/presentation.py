@@ -110,6 +110,17 @@ def cancel_length(u: str, v: str, top: int) -> int:
     return common_suffix(u, inverse(v[:top]), top)
 
 
+def free_reduce(w: str) -> str:
+    inv = INVERSE_LETTER
+    out = []
+    for c in w:
+        if out and out[-1] == inv[c]:
+            out.pop()
+        else:
+            out.append(c)
+    return "".join(out)
+
+
 def cyclic_reduce(w: str):
     """Strip mutually inverse end letters: returns (core, a) with
     w = a * core * a^-1 letter for letter."""
@@ -490,18 +501,15 @@ class RelativePresentation(Frozen):
         return [("", "")]
 
     def inverse_form(self, w: str) -> str:
-        """A word for w^-1 that is a normal form when w is one: the
-        syllables of w in reverse order, a hyperbolic letter or a free
-        factor's run as its plain inverse, a free abelian run with its case
-        swapped and its generator order kept (xxYY as XXyy, not YYXX), and a
-        finite factor's letter as the generator letter of its inverse (in
-        Z * C2, t for t).  Native string passes: w reversed, one translate,
-        and one split over free abelian runs, which are turned back round.
-        For any word every letter and run keeps its element, so the result
-        is a word for w^-1.  The last word spelled is remembered: a long
-        positive decide asks for the inverse of one conjugator P three
-        times (shortening._cyclic_form_around and the checks of v's
-        conjugator and of the witness), and spells it once."""
+        """A word for w^-1, a normal form when w is one: w's syllables in
+        reverse order, each its plain inverse but a free abelian run, whose
+        generator order is kept (xxYY as XXyy, not YYXX), and a finite
+        letter, spelled as its inverse's letter (t for t in Z * C2).  w is
+        reversed, translated once and split over free abelian runs, which
+        are turned back round.  The last word spelled is remembered: a long
+        positive decide asks for the inverse of its conjugator P three
+        times (v's end pass, v's check, the witness check), and spells it
+        once."""
         memo = self._last_inverse_form
         last, spelled = memo[0]
         if w == last:
@@ -530,8 +538,6 @@ class RelativePresentation(Frozen):
         with no key in it is nontrivial (Greendlinger's lemma).  Built on
         first use; a relator over a parabolic letter or a failure of
         C'(1/6) raises OracleUnavailableError."""
-        from .words import free_reduce  # that module imports this one
-
         symmetrized = set()
         for r in self.relators:
             for c in r:

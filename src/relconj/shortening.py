@@ -88,25 +88,19 @@ their cyclic forms are equal strings, and exactly when the cyclically
 reduced core of one is a syllable rotation of the other's.
 cyclic_pair, which decides pairs for the conjugacy engine, reads v
 against u's core c from the end pass, unrotated, where c has NEAR_CYCLE
-syllables or more.  c is a cyclically reduced normal form whose ends are
-of two kinds.  A v conjugate to u has the normal form P * X * P^-1, X a
-syllable rotation of c, whenever nothing of P cancels or merges with X,
-and the read tries that first, by one find of c in X + X and string
-compares, which gives what v's end pass would without splitting v.  Where
-that fails, v's end pass runs alone and leaves v's core s, and c is looked
-for in s + s when the two have as many syllables and letters.  The find is
-exact.  Neither s nor c has its first and last syllables in one factor, so
-c can only start between two syllables of s: a c starting inside a run of
-s would end inside the same run, |s| letters on, and begin and end in one
-factor.  So a hit makes a rotation of s equal to c syllable by syllable,
-which the conjugacy theorem says happens exactly when v is conjugate to u.
-(The equal letter counts make the find exact; equal syllable counts follow
-from a hit, and are compared first only because that costs nothing.)  A
-miss answers the pair on the two cores, with no rotation at all, each
-with the syllable count of its cyclic form.  Only a hit rotates u's core
-to its cyclic form alpha, and one more find of alpha in v's doubled core
-gives its first least rotation: v's cyclic form and cyclic_shorten's
-conjugator, found without least_rotation and without reading v again.
+syllables or more.  v's end pass leaves v's core s; where v's normal form
+is P * X * inverse_form(P) around a rotation X of c, the pass, given |P|,
+takes P off both ends without splitting it (_end_pass).  c is looked for
+in s + s when the two have as many syllables and letters, and the find is
+exact: neither s nor c begins and ends in one factor, so c can only start
+between two syllables of s (one starting inside a run of s would end
+inside the same run, |s| letters on).  So a hit makes a rotation of s
+equal to c syllable by syllable, which the conjugacy theorem says happens
+exactly when v is conjugate to u.  A miss answers the pair on the two
+cores, with no rotation at all, each with the syllable count of its
+cyclic form.  Only a hit rotates u's core to its cyclic form alpha, and
+one more find of alpha in s + s gives its first least rotation: v's
+cyclic form and cyclic_shorten's conjugator, without least_rotation.
 
 With relators cyclic shortening is cyclic Dehn reduction, and the
 shortened word goes through the same end pass: inverse end letters
@@ -139,11 +133,11 @@ rest of g^-1 as a normal form, where words.inverse would write a run of
 Z^2 backwards (xxyy as YYXX) or the finite letter t of Z * C2 as T, each a
 fault.  A rotation conjugator a of alpha = y * a leaves no rest: the
 product is a * y, the word's own normal form.  inverse_form keeps the last
-word it spelled, so P^-1, which _cyclic_form_around compares with v's
-tail, is spelled once for that read, v's check and decide's witness
-check.  So the product is a normal form except at its joins.  A conjugator
-of fewer than words._PLAIN_INVERSE_LETTERS letters keeps the plain
-spelling, cheaper there.
+word it spelled, so P^-1, which v's end pass compares with v's tail, is
+spelled once for that peel, v's check and decide's witness check.  So the
+product is a normal form except at its joins.  A conjugator of fewer than
+words._PLAIN_INVERSE_LETTERS letters keeps the plain spelling, cheaper
+there.
 
 Without relators the product's normal form must equal the word's.  Where
 nothing cancels or merges at the joins the product is spelled exactly as
@@ -366,7 +360,7 @@ def least_rotation(s: str) -> int:
     return (start + lo * k + sum(map(len, pieces[:k]))) % p
 
 
-def _end_pass(p, nf):
+def _end_pass(p, nf, h=0):
     """The cyclically reduced core of the normal form nf: (syllable count
     of nf, s, a, syllable count of s, end-run merges) with lab(s) = a^-1 *
     nf * a.  Where the ends of nf neither cancel nor merge, nf is its own
@@ -377,8 +371,26 @@ def _end_pass(p, nf):
     of a free factor inside it.  s is a normal form whose first and last
     syllables are never of one factor, so it is cyclically reduced; a
     nontrivial merge ends s, so that then no hyperbolic window spans its
-    ends."""
+    ends.  First, where 0 < 2h < |nf|, both cuts h and |nf| - h fall
+    between syllables and nf ends in inverse_form(P) for P = nf[:h], whose
+    syllables are P's inverted in reverse order, P comes off both ends, its
+    syllables counted, not split.  Those are the walk's first steps, one
+    trivial merge per run of P, so h changes the work, never the result."""
     kind_of = p.letter_kind
+    if 0 < h and 2 * h < len(nf):
+
+        def between(i):  # nf[i - 1] and nf[i] lie in two syllables
+            kind = kind_of[nf[i - 1]]
+            return kind != kind_of[nf[i]] or kind == HYPERBOLIC
+
+        pre = nf[:h]
+        if (between(h) and between(len(nf) - h)
+                and nf[-h:] == p.inverse_form(pre)):
+            syllables = p.count_syllables(pre)
+            runs = syllables - sum(pre.count(g) + pre.count(INVERSE_LETTER[g])
+                                   for g in p.hyperbolic_generators)
+            m, s, a, length, merges = _end_pass(p, nf[h:-h])
+            return m + 2 * syllables, s, pre + a, length, merges + runs
     if not nf or (nf[-1] != INVERSE_LETTER[nf[0]]
                   if kind_of[nf[0]] == HYPERBOLIC
                   else kind_of[nf[-1]] != kind_of[nf[0]]):
@@ -439,41 +451,6 @@ def _syllable_cyclic_form(p, found):
     return _rotated(found, k - code.count("\0", 0, k))
 
 
-def _cyclic_form_around(p, nf, alpha, length):
-    """found for the normal form nf when nf reads as P * X *
-    inverse_form(P) around a syllable rotation X of alpha, a cyclically
-    reduced normal form of length >= 2 syllables whose ends are of two
-    kinds (another word's end-pass core or cyclic form): found = (n, X, P,
-    length, merges) is what _end_pass(p, nf) returns; None otherwise.  Here
-    |P| = (|nf| - |alpha|) / 2, both cuts of nf and the wrap-around of X
-    fall between syllables (two letters of one factor never do, in a normal
-    form), and alpha occurs in X + X.  Where it starts, so does a syllable
-    of X, as the two ends of alpha are of two kinds.  Then the syllables of
-    X are those of alpha rotated, and the end pairs of nf cancel or merge
-    trivially down to X, one merge for each parabolic run of P; X stops the
-    pass, as alpha is cyclically reduced."""
-    n, m = len(nf), len(alpha)
-    h = (n - m) // 2
-    if h < 0 or n != m + 2 * h:
-        return None
-    kind_of = p.letter_kind
-
-    def between(w, i):  # w[i - 1] and w[i], cyclically, in two syllables
-        a, b = kind_of[w[i - 1]], kind_of[w[i]]
-        return a != b or a == HYPERBOLIC
-
-    pre, x = nf[:h], nf[h : n - h]
-    if alpha not in x + x or not between(x, 0):
-        return None
-    if h and not (between(nf, h) and between(nf, n - h)
-                  and nf[n - h :] == p.inverse_form(pre)):
-        return None
-    syllables = p.count_syllables(pre)  # pre is a normal form too
-    runs = syllables - sum(pre.count(g) + pre.count(INVERSE_LETTER[g])
-                           for g in p.hyperbolic_generators)
-    return 2 * syllables + length, x, pre, length, runs
-
-
 def _dehn_cyclic_form(p, w):
     """Cyclic Dehn reduction of the module docstring: (rho, a, syllable
     count of rho, end-run merges plus rotations) with lab(rho) = a^-1 * w
@@ -521,8 +498,8 @@ def cyclic_pair(p: RelativePresentation, u: str, v: str):
     to u: (cyclic_shorten(p, u), cyclic_shorten(p, v)) when u's cyclically
     reduced core has fewer than NEAR_CYCLE syllables or v is conjugate to
     u, else the two cores, unrotated, with the cyclic forms' syllable
-    counts.  v's normal form is read around u's core c where it can
-    (_cyclic_form_around), else v's end pass leaves its core s, and c is
+    counts.  v's end pass, told to peel (|v| - |c|) / 2 letters off each
+    end of v's normal form around u's core c, leaves v's core s, and c is
     looked for in s + s when the two have as many syllables and letters,
     which by the module docstring hits exactly when v is conjugate to u.
     On a hit u's core is rotated to its cyclic form alpha, and alpha's
@@ -536,13 +513,9 @@ def cyclic_pair(p: RelativePresentation, u: str, v: str):
         ru = _checked(p, u, nu, _syllable_cyclic_form(p, fu))
         return ru, ru if v == u else cyclic_shorten(p, v)
     nv, c = words.normalize(p, v), fu[1]
-    read = _cyclic_form_around(p, nv, c, fu[3])
-    fv = read or _end_pass(p, nv)
+    fv = _end_pass(p, nv, (len(nv) - len(c)) // 2)
     s = fv[1]
-    # where the end pass returns nv itself, _cyclic_form_around has looked
-    # for c in s + s already
-    if read or (fv[3] == fu[3] and len(s) == len(c) and s is not nv
-                and c in s + s):
+    if fv[3] == fu[3] and len(s) == len(c) and c in s + s:
         fu = _syllable_cyclic_form(p, fu)
         fv = _rotated(fv, (s + s).find(fu[1]))
     return _checked(p, u, nu, fu), _checked(p, v, nv, fv)

@@ -42,26 +42,16 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .presentation import (  # noqa: F401 - inverse, cyclic_reduce re-exported
+from .presentation import (  # noqa: F401 - inverse, *_reduce re-exported
     HYPERBOLIC,
     INVERSE_LETTER,
     RelativePresentation,
     cancel_length,
     common_suffix,
     cyclic_reduce,
+    free_reduce,
     inverse,
 )
-
-
-def free_reduce(w: str) -> str:
-    inv = INVERSE_LETTER
-    out = []
-    for c in w:
-        if out and out[-1] == inv[c]:
-            out.pop()
-        else:
-            out.append(c)
-    return "".join(out)
 
 
 def mul(*parts: str) -> str:

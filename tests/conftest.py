@@ -209,6 +209,34 @@ def counted_inverse_spellings(monkeypatch):
     return spelled
 
 
+def counted_end_passes(monkeypatch):
+    """A list that fills with the h of every shortening._end_pass call.  A
+    call that peels nf[:h] off both ends makes one more, on the middle."""
+    calls = []
+    real = shortening._end_pass
+
+    def counting(p, nf, h=0):
+        calls.append(h)
+        return real(p, nf, h)
+
+    monkeypatch.setattr(shortening, "_end_pass", counting)
+    return calls
+
+
+def read_around(p, nf, alpha, calls):
+    """cyclic_pair's end pass of the normal form nf against a core alpha,
+    with calls from counted_end_passes, and whether it read nf as P * X *
+    inverse_form(P) around a syllable rotation X of alpha, |P| = h =
+    (|nf| - |alpha|) / 2: it peeled P (none where h is 0), kept the middle
+    X whole as the core, and alpha occurs in X + X."""
+    h = (len(nf) - len(alpha)) // 2
+    del calls[:]
+    found = shortening._end_pass(p, nf, h)
+    x = nf[h : len(nf) - h]
+    return found, (h >= 0 and len(calls) == 1 + (h > 0) and found[1] == x
+                   and len(x) == len(alpha) and alpha in x + x)
+
+
 def random_letters(rng, letters, n):
     """n letters, each drawn with rng.choice."""
     return "".join(rng.choice(letters) for _ in range(n))

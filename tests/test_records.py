@@ -24,9 +24,9 @@ import pytest
 from relconj import conjugacy, shortening, tables, words
 
 from conftest import (C5C2F2_TEXT, C5Z2_TEXT,
-                      conjugate_without_cancellation,
+                      conjugate_without_cancellation, counted_end_passes,
                       cyclically_reduced_syllables, random_letters,
-                      relator_conjugates)
+                      read_around, relator_conjugates)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -302,21 +302,21 @@ def test_decide_records_on_long_pairs_are_unchanged(name):
     ids=["conjugate", "conjugate-with-cancellation", "not-conjugate"])
 def test_a_long_pair_takes_one_rotation(monkeypatch, index, answer):
     """decide on u and a long v takes u's core from one end-run pass and
-    reads v against it with no rotation: around u's core for a conjugate
-    under a conjugator that cancels with nothing (n = 256), and by v's end
-    pass and one find in v's core for u rotated at a letter under a random
-    conjugator whose joins cancel (n = 64), and for u's syllables reversed
-    (n = 256), which is not conjugate.  A conjugate pair then takes one
-    least_rotation (not counting its recursion), of u's core, and a
-    non-conjugate pair none."""
+    reads v against it with no rotation: v's end pass peels the conjugator
+    off around u's core for a conjugate under a conjugator that cancels
+    with nothing (n = 256), and walks v's ends for u rotated at a letter
+    under a random conjugator whose joins cancel (n = 64), and for u's
+    syllables reversed (n = 256), which is not conjugate; then one find in
+    v's core.  A conjugate pair then takes one least_rotation (not
+    counting its recursion), of u's core, and a non-conjugate pair none."""
     from relconj.presentation import load_presentation
 
     p = load_presentation(ROOT / "demos" / "presentations" / "zxz2.txt")
     u, v = long_pairs(p, 29)[index]
     ru = shortening.cyclic_shorten(p, u)
-    around = shortening._cyclic_form_around(
-        p, words.normalize(p, v), ru.output, ru.cyclic_length)
-    assert (around is None) == (index != 6)
+    passes = counted_end_passes(monkeypatch)
+    _, around = read_around(p, words.normalize(p, v), ru.output, passes)
+    assert around == (index == 6)
     calls = {"least_rotation": 0, "_syllable_cyclic_form": 0}
     depth = dict(calls)
 

@@ -11,9 +11,10 @@ from relconj.presentation import (HYPERBOLIC, INVERSE_LETTER,
 
 from conftest import (C2Z2_TEXT, C5C2F2_TEXT, C5Z2_TEXT, F_TEXT, G2_TEXT,
                       TWIN_PATH, ZC2_TEXT, ZD4_TEXT, ZS3_TEXT,
-                      cyclically_reduced_syllables,
+                      counted_end_passes, cyclically_reduced_syllables,
                       is_cyclic_local_geodesic, is_local_geodesic,
-                      pairs_around, random_word, rotation_families, tries)
+                      pairs_around, random_word, read_around,
+                      rotation_families, tries)
 
 
 def brute_window(p, w, k):
@@ -472,10 +473,11 @@ def test_end_loop_equals_the_oracle_loop(request, name):
                                          ("pZC2", 190), ("pZF2", 100),
                                          ("twin", 85)])
 def test_cyclic_form_around_a_known_one_equals_the_general_pass(
-        request, name, floor):
-    # _cyclic_form_around reads v's normal form as P * X * P^-1 around u's
-    # cyclic form where it can, and then returns what the general pass,
-    # _syllable_cyclic_form, does, on 400 seeded pairs per presentation
+        monkeypatch, request, name, floor):
+    # v's end pass at cyclic_pair's h peels P off v's normal form P * X *
+    # P^-1 around u's cyclic form where it can (read_around), and then
+    # returns what the walk does, and with it the general pass,
+    # _syllable_cyclic_form, on 400 seeded pairs per presentation
     # whose u has a cyclic form of NEAR_CYCLE syllables or more, the
     # engine's gate, and cores on both sides of SHORT_CYCLE letters: on
     # these presentations letter order is syllable order, so least_rotation
@@ -489,6 +491,7 @@ def test_cyclic_form_around_a_known_one_equals_the_general_pass(
          else request.getfixturevalue(name))
     assert p.letters_order_syllables
     rng = random.Random(27)
+    passes = counted_end_passes(monkeypatch)
     taken = {False: 0, True: 0}  # by core of SHORT_CYCLE letters or more
     lengths = set()
     for u, v in pairs_around(p, rng, 400):
@@ -497,9 +500,9 @@ def test_cyclic_form_around_a_known_one_equals_the_general_pass(
         if ru.cyclic_length < sh.NEAR_CYCLE:
             continue
         nf = words.normalize(p, v)
-        read = sh._cyclic_form_around(p, nf, ru.output, ru.cyclic_length)
-        if read is not None:
-            found, k = read, (read[1] * 2).find(ru.output)
+        found, read = read_around(p, nf, ru.output, passes)
+        if read:
+            k = (found[1] * 2).find(ru.output)
             assert found == sh._end_pass(p, nf), (u, v)
             assert sh._rotated(found, k) == sh._syllable_cyclic_form(
                 p, found), (u, v)
@@ -514,25 +517,30 @@ def test_cyclic_form_around_a_known_one_equals_the_general_pass(
     assert min(taken.values()) > 0 and sum(taken.values()) >= floor, taken
 
 
-def test_cyclic_form_around_reads_whole_runs_and_the_inverse(pG2):
+def test_cyclic_form_around_reads_whole_runs_and_the_inverse(
+        monkeypatch, pG2):
     # u's cyclic form is Axyyy, of two syllables.  First v = P * X *
     # inverse_form(P), P = AXyaya and X = yAxyy, whose ends are the two
     # halves of the run xyyy: the letters of Axyyy start at 1 in X + X, but
-    # X's syllables are not those of Axyyy rotated, and the general pass
-    # merges the run.  Then v = xa * xyyyA * yA, where yA is not
-    # inverse_form(xa) = AX
+    # X's syllables are not those of Axyyy rotated, and the walk goes on
+    # past the peel of P and merges the run.  Then v = xa * xyyyA * yA,
+    # where yA is not inverse_form(xa) = AX, and the peel is refused
     ru = sh.cyclic_shorten(pG2, "Ayyxy")
     assert (ru.output, ru.cyclic_length) == ("Axyyy", 2)
-    for v in ("AXyayayAxyyAYAxYa", "xaxyyyAyA"):
+    passes = counted_end_passes(monkeypatch)
+    for v, peels in (("AXyayayAxyyAYAxYa", [6, 0]), ("xaxyyyAyA", [2])):
         assert words.normalize(pG2, v) == v
-        assert sh._cyclic_form_around(pG2, v, ru.output, 2) is None
+        assert read_around(pG2, v, ru.output, passes)[1] is False
+        assert passes == peels
     res = sh.cyclic_shorten(pG2, "AXyayayAxyyAYAxYa")
     assert (res.iterations, res.linear_length) == (3, 13)
     # and where both hold: xyyyA under xAXya, whose runs x and Xy merge
-    # with their inverses, rotated from its hyperbolic letter
+    # with their inverses, rotated from its hyperbolic letter; P^-1 spelled
+    # with words.inverse would end in Yx, not in inverse_form's xY
     v = "xAXya" + "xyyyA" + pG2.inverse_form("xAXya")
     assert words.normalize(pG2, v) == v
-    found = sh._cyclic_form_around(pG2, v, ru.output, 2)
+    found, read = read_around(pG2, v, ru.output, passes)
+    assert read is True and passes == [5, 0]
     k = (found[1] * 2).find(ru.output)
     assert found == sh._end_pass(pG2, v)
     assert sh._rotated(found, k) == sh._syllable_cyclic_form(pG2, found)
@@ -540,6 +548,42 @@ def test_cyclic_form_around_reads_whole_runs_and_the_inverse(pG2):
     assert sh.cyclic_pair(pG2, ru.output, v)[1] == res
     assert (res.conjugator, res.iterations, res.linear_length) == (
         "xAXyaxyyy", 2, 10)
+
+
+@pytest.mark.parametrize("name", ["pF", "pG2", "pZC2", "pZF2", "pTHREE",
+                                  "pC2Z2", "pZ2C2", "pZ3", "pZS3", "pZD4",
+                                  "twin"])
+def test_end_pass_is_the_walk_for_every_h(monkeypatch, request, name):
+    # _end_pass(p, nf, h) peels nf[:h] off both ends only where that is
+    # the walk's first steps, so every h in 0..|nf|/2 gives the walk's
+    # result, on normal forms of P * M * inverse_form(P), which it peels,
+    # of P * M * P^-1 spelled with the plain inverse, and of random words,
+    # whose cuts fall inside runs too.  The peel is taken at least 150
+    # times (173 to 545 times on each presentation), and cuts inside a run
+    # are tried on every presentation with a free or free abelian factor
+    p = (load_presentation(TWIN_PATH) if name == "twin"
+         else request.getfixturevalue(name))
+    rng = random.Random(51)
+    walk = sh._end_pass
+    passes = counted_end_passes(monkeypatch)
+    kind = p.letter_kind
+    peeled = inside = 0
+    for _ in range(40):
+        g = words.normalize(p, random_word(rng, p.alphabet, 1, 20))
+        m = words.normalize(p, random_word(rng, p.alphabet, 1, 30))
+        for w in (g + m + p.inverse_form(g), g + m + words.inverse(g),
+                  random_word(rng, p.alphabet, 2, 60)):
+            nf = words.normalize(p, w)
+            want = walk(p, nf)
+            for h in range(len(nf) // 2 + 1):
+                del passes[:]
+                assert sh._end_pass(p, nf, h) == want, (nf, h)
+                peeled += len(passes) == 2
+                inside += (0 < h and kind[nf[h - 1]] == kind[nf[h]]
+                           != HYPERBOLIC)
+    assert peeled >= 150, peeled
+    # finite letters are runs of one letter
+    assert (inside > 0) == any(f.kind != "finite" for f in p.parabolics)
 
 
 def test_cyclic_core_finds_u_only_in_a_core_of_as_many_letters(pG2):

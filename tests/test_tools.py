@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -38,3 +39,58 @@ def test_count_lines_classes_each_kind_of_line(tmp_path, capsys):
     count_lines.main([str(tmp_path)])
     assert capsys.readouterr().out.splitlines()[-1].split() == [
         "total", "5", "3", "1", "3"]
+
+
+def unused_private_names(directory):
+    """(module, name) for each private top-level function, class or
+    constant of the modules in directory that no module loads, by name or
+    as an attribute, or imports, outside the name's own definition."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(directory).glob("*.py"))}
+    private = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [target.id for target in node.targets
+                         if isinstance(target, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                names = [node.target.id]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    private[module, name] = node
+
+    def uses(statements):
+        for node in statements:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    yield sub.id
+                elif isinstance(sub, ast.Attribute):
+                    yield sub.attr
+                elif isinstance(sub, ast.alias):
+                    yield sub.name
+
+    return sorted(
+        (module, name) for (module, name), definition in private.items()
+        if not any(name in uses(statement for statement in tree.body
+                                if statement is not definition)
+                   for tree in trees.values()))
+
+
+def test_every_private_library_name_has_a_use():
+    # a private helper of src/relconj that nothing in the library reads is
+    # dead code, such as a fast path left behind when its caller moved on
+    assert unused_private_names(ROOT / "src" / "relconj") == []
+
+
+def test_an_unused_private_name_is_reported(tmp_path):
+    # a recursive call or a read inside its own definition is no use
+    (tmp_path / "a.py").write_text(
+        "_LIMIT = 3\n_SPARE = 4\n\n\ndef _helper(n):\n"
+        "    return _helper(n - 1) if n else _SPARE\n\n\n"
+        "def _used():\n    return _LIMIT\n")
+    (tmp_path / "b.py").write_text("from .a import _used\n")
+    assert unused_private_names(tmp_path) == [("a.py", "_helper")]
