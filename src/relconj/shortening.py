@@ -86,21 +86,15 @@ conjugate exactly when their syllable sequences are rotations of each
 other, so two elements of two or more syllables are conjugate exactly when
 their cyclic forms are equal strings, and exactly when the cyclically
 reduced core of one is a syllable rotation of the other's.
-cyclic_pair, which decides pairs for the conjugacy engine, reads v
-against u's core c from the end pass, unrotated, where c has NEAR_CYCLE
-syllables or more.  v's end pass leaves v's core s; where v's normal form
-is P * X * inverse_form(P) around a rotation X of c, the pass, given |P|,
-takes P off both ends without splitting it (_end_pass).  c is looked for
-in s + s when the two have as many syllables and letters, and the find is
-exact: neither s nor c begins and ends in one factor, so c can only start
-between two syllables of s (one starting inside a run of s would end
-inside the same run, |s| letters on).  So a hit makes a rotation of s
-equal to c syllable by syllable, which the conjugacy theorem says happens
-exactly when v is conjugate to u.  A miss answers the pair on the two
-cores, with no rotation at all, each with the syllable count of its
-cyclic form.  Only a hit rotates u's core to its cyclic form alpha, and
-one more find of alpha in s + s gives its first least rotation: v's
-cyclic form and cyclic_shorten's conjugator, without least_rotation.
+The conjugacy engine decides pairs on the cores (cyclic_core), unrotated.
+v's end pass, given u's core c, peels P off v's normal form P * X *
+inverse_form(P) without splitting it (_end_pass), and leaves v's core s.
+c is looked for in s + s when the two have as many syllables and letters,
+and the find is exact: neither s nor c begins and ends in one factor, so c
+can only start between two syllables of s (one starting inside a run of s
+would end inside the same run, |s| letters on).  So a hit at k makes s
+rotated by k equal to c syllable by syllable, which happens exactly when v
+is conjugate to u, and s[:k] is the rotation's conjugator.
 
 With relators cyclic shortening is cyclic Dehn reduction, and the
 shortened word goes through the same end pass: inverse end letters
@@ -134,10 +128,10 @@ Z^2 backwards (xxyy as YYXX) or the finite letter t of Z * C2 as T, each a
 fault.  A rotation conjugator a of alpha = y * a leaves no rest: the
 product is a * y, the word's own normal form.  inverse_form keeps the last
 word it spelled, so P^-1, which v's end pass compares with v's tail, is
-spelled once for that peel, v's check and decide's witness check.  So the
-product is a normal form except at its joins.  A conjugator of fewer than
-words._PLAIN_INVERSE_LETTERS letters keeps the plain spelling, cheaper
-there.
+spelled once for that peel, the check of v's core and decide's witness
+check.  So the product is a normal form except at its joins.  A
+conjugator of fewer than words._PLAIN_INVERSE_LETTERS letters keeps the
+plain spelling, cheaper there.
 
 Without relators the product's normal form must equal the word's.  Where
 nothing cancels or merges at the joins the product is spelled exactly as
@@ -301,15 +295,6 @@ def word_problem(p: RelativePresentation, w: str, tables=None) -> bool:
 
 
 SHORT_CYCLE = 32  # below this many symbols comparing all rotations is faster
-
-# cyclic_pair reads v against u's core where it has this many syllables
-# or more (the gate was measured on cyclic forms).  From here on reading
-# saves 6 to 18 % of a decide (fresh engine) on Z * Z^2 and Z * F2 for a
-# conjugate pair and 13 to 21 % for another, and on the free group up to
-# 13 % and 7 to 26 %; below it the free group gains nothing by reading and
-# pays up to 9 %, at two syllables
-NEAR_CYCLE = 8
-
 
 def least_rotation(s: str) -> int:
     """Start of the lexicographically least rotation of s, the first one
@@ -478,11 +463,11 @@ def cyclic_shorten(p: RelativePresentation, w: str) -> CyclicShorteningResult:
     """Conjugacy normal form: a cyclic form alpha and a conjugator a with
     lab(alpha) = a^-1 * w * a.  Without relators alpha is the canonical
     cyclic form of the module docstring, found in one linear pass and one
-    O(n log n) rotation, and iterations counts the end-run merges.  For a
-    conjugacy decision cyclic_pair reads one word against the other's core
-    instead.  With relators alpha is cyclically Dehn-reduced:
-    cyclically reduced, and no cyclic subword is more than half a relator;
-    iterations counts the end-run merges and the rotations.  Either way w
+    O(n log n) rotation, and iterations counts the end-run merges; a
+    conjugacy decision takes the unrotated core (cyclic_core) instead.
+    With relators alpha is cyclically Dehn-reduced: cyclically reduced, and
+    no cyclic subword is more than half a relator; iterations counts the
+    end-run merges and the rotations.  Either way w
     goes through normalize first, which checks its letters, no step is
     logged, and a * alpha * a^-1, spelled by words.conjugate_form, is
     checked equal to w (same_element)."""
@@ -492,33 +477,16 @@ def cyclic_shorten(p: RelativePresentation, w: str) -> CyclicShorteningResult:
     return _checked(p, w, nf, _syllable_cyclic_form(p, _end_pass(p, nf)))
 
 
-def cyclic_pair(p: RelativePresentation, u: str, v: str):
-    """The cyclic shortenings of u and v for a conjugacy decision, on a
-    presentation without relators, with no rotation unless v is conjugate
-    to u: (cyclic_shorten(p, u), cyclic_shorten(p, v)) when u's cyclically
-    reduced core has fewer than NEAR_CYCLE syllables or v is conjugate to
-    u, else the two cores, unrotated, with the cyclic forms' syllable
-    counts.  v's end pass, told to peel (|v| - |c|) / 2 letters off each
-    end of v's normal form around u's core c, leaves v's core s, and c is
-    looked for in s + s when the two have as many syllables and letters,
-    which by the module docstring hits exactly when v is conjugate to u.
-    On a hit u's core is rotated to its cyclic form alpha, and alpha's
-    first start k in s + s is the first least syllable rotation of s, so
-    v's cyclic form is s rotated by k and cyclic_shorten's conjugator is
-    v's end-pass conjugator + s[:k] (_rotated).  Each result is checked as
-    cyclic_shorten checks it."""
-    nu = words.normalize(p, u)
-    fu = _end_pass(p, nu)
-    if fu[3] < NEAR_CYCLE:
-        ru = _checked(p, u, nu, _syllable_cyclic_form(p, fu))
-        return ru, ru if v == u else cyclic_shorten(p, v)
-    nv, c = words.normalize(p, v), fu[1]
-    fv = _end_pass(p, nv, (len(nv) - len(c)) // 2)
-    s = fv[1]
-    if fv[3] == fu[3] and len(s) == len(c) and c in s + s:
-        fu = _syllable_cyclic_form(p, fu)
-        fv = _rotated(fv, (s + s).find(fu[1]))
-    return _checked(p, u, nu, fu), _checked(p, v, nv, fv)
+def cyclic_core(p: RelativePresentation, w: str, around: str = ""):
+    """The cyclically reduced core of w from the end pass, unrotated, as a
+    checked CyclicShorteningResult with its cyclic form's syllable count:
+    what the conjugacy engine decides pairs on, on a presentation without
+    relators.  around is another word's core, for which the pass first
+    tries to peel (|nf| - |around|) / 2 letters off both ends of w's normal
+    form nf; that changes the work, never the result (_end_pass)."""
+    nf = words.normalize(p, w)
+    h = (len(nf) - len(around)) // 2 if around else 0
+    return _checked(p, w, nf, _end_pass(p, nf, h))
 
 
 def _checked(p, w, nf, found):
@@ -526,8 +494,8 @@ def _checked(p, w, nf, found):
     conjugator, cyclic length, iterations) for w with normal form nf, once
     the conjugator is checked.  Where found holds nf itself with the empty
     conjugator, as the unrotated core of a cyclically reduced normal form
-    does (cyclic_pair's cores of a pair that is not conjugate), the check
-    would compare nf with itself, and is skipped."""
+    does (cyclic_core), the check would compare nf with itself, and is
+    skipped."""
     linear_length, rho, conj, cyclic_length, iterations = found
     if (conj or rho is not nf) and not same_element(
             p, words.conjugate_form(p, conj, rho), w, nf):

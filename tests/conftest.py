@@ -224,11 +224,12 @@ def counted_end_passes(monkeypatch):
 
 
 def read_around(p, nf, alpha, calls):
-    """cyclic_pair's end pass of the normal form nf against a core alpha,
-    with calls from counted_end_passes, and whether it read nf as P * X *
-    inverse_form(P) around a syllable rotation X of alpha, |P| = h =
-    (|nf| - |alpha|) / 2: it peeled P (none where h is 0), kept the middle
-    X whole as the core, and alpha occurs in X + X."""
+    """The end pass of the normal form nf around a core alpha, as the core
+    read (shortening.cyclic_core) runs it, with calls from
+    counted_end_passes, and whether it read nf as P * X * inverse_form(P)
+    around a syllable rotation X of alpha, |P| = h = (|nf| - |alpha|) / 2:
+    it peeled P (none where h is 0), kept the middle X whole as the core,
+    and alpha occurs in X + X."""
     h = (len(nf) - len(alpha)) // 2
     del calls[:]
     found = shortening._end_pass(p, nf, h)

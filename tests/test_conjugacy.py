@@ -197,19 +197,34 @@ def test_decide_with_an_unreduced_u_verifies_its_witness(pG2, tG2, u, v,
                                           words.inverse(v)))
 
 
-def test_wrong_witness_fails_verification(monkeypatch, pF, tF, pG2, tG2):
-    # equal cyclic forms answered with the conjugator a instead of the
-    # empty word: the witness check against v's normal form has to catch it
-    def off_by_a(self, alpha, beta, regime):
-        if alpha == beta:
-            return ("conjugate", "a")
-        return ("not-conjugate", cj.LONG_EXHAUSTED)
+def v_core_one_letter_off(monkeypatch, v):
+    """Make ConjugacyEngine.core hand out v's core with one letter put on
+    the end of its conjugator, past the core's own check, so that decide
+    builds a witness one letter off: a, or A where the conjugator ends in
+    a, so that nothing cancels."""
+    real = cj.ConjugacyEngine.core
+
+    def off_by_a(self, w, around=""):
+        res, cls = real(self, w, around)
+        if w != v:
+            return res, cls
+        conj = res.conjugator + ("A" if res.conjugator.endswith("a")
+                                 else "a")
+        return res._replace(conjugator=conj), cls._replace(conjugator=conj)
 
     monkeypatch.setattr(cj.ConjugacyEngine, "core", off_by_a)
+
+
+def test_wrong_witness_fails_verification(monkeypatch, pF, tF, pG2, tG2):
+    # a conjugate pair answered with v's core conjugator one letter off:
+    # the witness check against v's normal form has to catch it
     for p, t, u, v in ((pF, tF, "ab", "ba"), (pG2, tG2, "axay", "yaxa")):
-        with pytest.raises(RelconjError,
-                           match="conjugacy witness failed verification"):
-            cj.decide(p, t, u, v)
+        with monkeypatch.context() as m:
+            v_core_one_letter_off(m, v)
+            with pytest.raises(RelconjError,
+                               match="conjugacy witness failed "
+                                     "verification"):
+                cj.decide(p, t, u, v)
 
 
 def long_conjugate_pair(p, seed):
@@ -257,8 +272,9 @@ def record_checks(monkeypatch):
 
 
 def test_long_witness_checks_have_no_fault_to_fold(monkeypatch, pG2, tG2):
-    # the products behind decide's check and cyclic_shorten(v)'s are normal
-    # forms except at their joins, and here nothing happens at the joins:
+    # the products behind the check of v's core and decide's witness check
+    # are normal forms except at their joins, and here nothing happens at
+    # the joins:
     # each product is spelled exactly as the normal form it is checked
     # against, so the check is one string compare and normalize runs only
     # on the inputs.  A work count, not a timing: the plain spelling of
@@ -268,21 +284,21 @@ def test_long_witness_checks_have_no_fault_to_fold(monkeypatch, pG2, tG2):
     cert = cj.decide(pG2, tG2, u, v)
     assert cert.answer == "conjugate" and cert.verified
     assert cert.witness == g
-    # cyclic_shorten(u), cyclic_shorten(v), then decide
-    assert [w for w, _, _ in checked] == [u, v, v]
+    # u is its own core, whose check is skipped; v's core, then decide
+    assert [w for w, _, _ in checked] == [v, v]
     for w, x, nf in checked:
         assert x == nf, x
         assert pG2.fault_pattern.findall(x) == [], x
     assert normalized == [u, v]
-    assert checked[2][1] == g + u + pG2.inverse_form(g)
+    assert checked[1][1] == g + u + pG2.inverse_form(g)
     plain = words.mul(g, u, words.inverse(g))
     assert len(pG2.fault_pattern.findall(plain)) > 10
 
 
 def test_a_long_positive_decide_spells_the_inverse_of_its_conjugator_once(
         monkeypatch):
-    # v = g u g^-1 is read around u's cyclic form, which compares v's tail
-    # with inverse_form(g); the checks of v's conjugator and of the witness
+    # v = g u g^-1 is read around u's core, which compares v's tail with
+    # inverse_form(g); the checks of v's core conjugator and of the witness
     # need the same word, and a one-entry memo gives it them.  A work
     # count on a fresh presentation, so that no memo is left from before
     p = parse_presentation(G2_TEXT)
@@ -316,10 +332,13 @@ def test_a_wrong_long_check_spelling_or_witness_is_caught(monkeypatch, pG2,
                                                           tG2):
     # the checks spell the uncancelled part of g^-1 with inverse_form; one
     # run of it spelled wrong, or a witness one letter off, must fail the
-    # check, never pass as "conjugate"
+    # check, never pass as "conjugate": decide's witness check on cores
+    # checked before, and the check of v's core or cyclic form where it is
+    # read with the wrong spelling
     u, v, g = long_conjugate_pair(pG2, 46)
     eng = cj.ConjugacyEngine(pG2, tG2)
-    eng.cyclic(u), eng.cyclic(v)  # checked with the right spelling
+    # both cores checked with the right spelling
+    eng.core(v, eng.core(u)[0].output)
     real = RelativePresentation.inverse_form
 
     def one_run_inverted(self, w):
@@ -332,15 +351,14 @@ def test_a_wrong_long_check_spelling_or_witness_is_caught(monkeypatch, pG2,
         with pytest.raises(RelconjError,
                            match="conjugacy witness failed verification"):
             cj.decide(pG2, tG2, u, v, engine=eng)
-        with pytest.raises(RelconjError, match="cyclic shortening produced "
-                                               "an invalid conjugator"):
-            sh.cyclic_shorten(pG2, v)
+        for read in (lambda: cj.ConjugacyEngine(pG2, tG2).core(v, u),
+                     lambda: sh.cyclic_shorten(pG2, v)):
+            with pytest.raises(RelconjError, match="cyclic shortening "
+                                                   "produced an invalid "
+                                                   "conjugator"):
+                read()
 
-    def off_by_a(self, alpha, beta, regime):
-        return ("conjugate", "a") if alpha == beta else (
-            "not-conjugate", cj.LONG_EXHAUSTED)
-
-    monkeypatch.setattr(cj.ConjugacyEngine, "core", off_by_a)
+    v_core_one_letter_off(monkeypatch, v)
     with pytest.raises(RelconjError,
                        match="conjugacy witness failed verification"):
         cj.decide(pG2, tG2, u, v, engine=eng)
@@ -377,7 +395,9 @@ def test_decide_matches_closure_small_balls(pF, tF, engF, pG2, tG2, engG2,
 def test_decide_agrees_with_the_reference_past_the_balls(request, name):
     # decide against conjugacy by the definition (reference.conjugacy_key)
     # on words longer than the exhaustive balls hold: conjugates g u g^-1,
-    # words in one factor, their reverses and unrelated pairs
+    # words in one factor, their reverses and unrelated pairs.  Every
+    # positive witness has at most |u| + |v| letters, the paper's linear
+    # bound on conjugator length
     p = request.getfixturevalue(name)
     eng = cj.ConjugacyEngine(p, tb.profile_for(p))
     rng = random.Random(43)
@@ -391,8 +411,9 @@ def test_decide_agrees_with_the_reference_past_the_balls(request, name):
                   random_word(rng, letters, 0, 16)):
             want = reference.conjugacy_key(p, u) == reference.conjugacy_key(
                 p, v)
-            got = cj.decide(p, eng.profile, u, v, engine=eng).answer
-            assert (got == "conjugate") == want, (u, v)
+            cert = cj.decide(p, eng.profile, u, v, engine=eng)
+            assert (cert.answer == "conjugate") == want, (u, v)
+            assert not want or len(cert.witness) <= len(u) + len(v), (u, v)
             seen.add(want)
     assert seen == {True, False}
 
@@ -402,7 +423,8 @@ def test_decide_agrees_with_the_reference_on_z_s3(pZS3):
     # conjugate by an element other than the identity: decide against
     # reference.conjugacy_key on 2,000 seeded pairs, half of them with u in
     # S3.  v is a conjugate g u g^-1 or an unrelated word; 300 or more pairs
-    # are parabolic and conjugate with unequal representatives
+    # are parabolic and conjugate with unequal representatives.  Every
+    # positive witness has at most |u| + |v| letters
     p = pZS3
     eng = cj.ConjugacyEngine(p, tb.profile_for(p))
     rng = random.Random(47)
@@ -417,6 +439,7 @@ def test_decide_agrees_with_the_reference_on_z_s3(pZS3):
                 p, v)
             cert = cj.decide(p, eng.profile, u, v, engine=eng)
             assert (cert.answer == "conjugate") == want, (u, v)
+            assert not want or len(cert.witness) <= len(u) + len(v), (u, v)
             moved = (eng.classification(u).representative
                      != eng.classification(v).representative)
             seen[cert.regime, want, moved] += 1
@@ -428,45 +451,43 @@ def test_decide_agrees_with_the_reference_on_z_s3(pZS3):
                                   "pTHREE", "pZ2C2", "pZS3", "pZD4"])
 def test_reading_v_against_u_answers_as_rotating_both(monkeypatch, request,
                                                       name):
-    # decide reads v against u's cyclically reduced core, and rotates u's
-    # core only on a hit, and v's never.  On 400 pairs_around pairs per
-    # presentation (u of 8 syllables or more, so every pair passes
-    # NEAR_CYCLE; on THREE and Z2C2 letter order is not syllable order, and
-    # the finite factors of ZS3 and ZD4 are not abelian):
-    # - the record is the one of an engine that holds v's cyclic form
-    #   already, and so compares two cyclic forms;
+    # decide reads v's core against u's and rotates neither.  On 400
+    # pairs_around pairs per presentation (u of 8 syllables or more; on
+    # THREE and Z2C2 letter order is not syllable order, and the finite
+    # factors of ZS3 and ZD4 are not abelian):
+    # - least_rotation and _syllable_cyclic_form are never called, on a
+    #   fresh engine, on one that holds v's core and on one that holds v's
+    #   cyclic form (after classify);
+    # - the record is the same on all three;
     # - a positive answer's witness is verified, and a negative answer is
     #   the ground truth's;
-    # - least_rotation is called (not counting its recursion) exactly once
-    #   for a positive answer, on u's core, and never for a negative one;
     # - after a negative the engine hands out u's and v's canonical cyclic
     #   forms and classifications, as a fresh engine does.
     # Each presentation has 150 negatives or more
     p = (load_presentation(TWIN_PATH) if name == "twin"
          else request.getfixturevalue(name))
     profile = tb.profile_for(p, [])
-    rotations = depth = negatives = 0
-    original = sh.least_rotation
+    calls = {"least_rotation": 0, "_syllable_cyclic_form": 0}
+    negatives = 0
+    for fn in calls:
+        def spy(*args, fn=fn, original=getattr(sh, fn)):
+            calls[fn] += 1
+            return original(*args)
 
-    def spy(s):
-        nonlocal rotations, depth
-        rotations += depth == 0
-        depth += 1
-        try:
-            return original(s)
-        finally:
-            depth -= 1
-
-    monkeypatch.setattr(sh, "least_rotation", spy)
+        monkeypatch.setattr(sh, fn, spy)
     for u, v in pairs_around(p, random.Random(39), 400):
         eng = cj.ConjugacyEngine(p, profile)
-        rotations = 0
+        held_core = cj.ConjugacyEngine(p, profile)
+        held_core.core(v)
+        held_cyclic = cj.ConjugacyEngine(p, profile)
+        cj.classify(p, profile, v, engine=held_cyclic)
+        calls.update(dict.fromkeys(calls, 0))
         cert = cj.decide(p, profile, u, v, engine=eng)
-        assert rotations == (cert.answer == "conjugate"), (u, v)
-        rotated = cj.ConjugacyEngine(p, profile)
-        rotated.cyclic(v)
-        assert cert.to_record() == cj.decide(
-            p, profile, u, v, engine=rotated).to_record(), (u, v)
+        for held in (held_core, held_cyclic):
+            assert cert.to_record() == cj.decide(
+                p, profile, u, v, engine=held).to_record(), (u, v)
+        assert calls == {"least_rotation": 0, "_syllable_cyclic_form": 0}, \
+            (u, v)
         if cert.answer == "conjugate":
             assert cert.verified
         else:
@@ -548,14 +569,13 @@ def test_engine_reuse_is_equivalent(request, pG2, tG2, engG2):
         assert fresh.answer == cached.answer
         assert fresh.to_record() == cached.to_record()
     # long pairs of every pairs_around kind, conjugate (kind 0) and mostly
-    # not (kinds 1 to 3), on an engine that holds v's cyclic form, then on
-    # one that holds u's: the cached cyclic form must be compared with the
-    # other word's cyclic form, not with its unrotated core, and afterwards
-    # the engine keeps both words' cyclic forms, a fresh engine's.  Then one
-    # engine shared over all ordered pairs of 20 long words answers each as
-    # a fresh engine does.  u is a cyclically reduced normal form, its own
-    # core, and at least 30 of the conjugate pairs on G2 have a u that is
-    # not its cyclic form
+    # not (kinds 1 to 3), on engines that hold v's core, u's core, v's
+    # cyclic form or u's cyclic form: each answers as a fresh engine does,
+    # and afterwards hands out both words' cores and cyclic forms as a
+    # fresh engine does.  Then one engine shared over all ordered pairs of
+    # 20 long words answers each as a fresh engine does.  u is a cyclically
+    # reduced normal form, its own core, and at least 30 of the conjugate
+    # pairs on G2 have a u that is not its cyclic form
     unrotated = 0
     for name in ("pF", "pG2", "pZC2", "pZF2", "twin", "pTHREE", "pZ2C2",
                  "pZS3", "pZD4"):
@@ -566,15 +586,17 @@ def test_engine_reuse_is_equivalent(request, pG2, tG2, engG2):
         for i, (u, v) in enumerate(pairs):
             fresh = cj.decide(p, profile, u, v)
             assert fresh.answer == "conjugate" or i % 4, (name, u, v)
-            for held in (v, u):
+            ref = cj.ConjugacyEngine(p, profile)
+            for held, read in itertools.product(
+                    (v, u), (cj.ConjugacyEngine.core,
+                             cj.ConjugacyEngine.cyclic)):
                 eng = cj.ConjugacyEngine(p, profile)
-                eng.cyclic(held)
+                read(eng, held)
                 assert cj.decide(p, profile, u, v, engine=eng).to_record(
-                ) == fresh.to_record(), (name, u, v, held)
+                ) == fresh.to_record(), (name, u, v, held, read)
                 for w in (u, v):
-                    assert w in eng._cyc, (name, u, v, held)
-                    assert eng._cyc[w] == cj.ConjugacyEngine(
-                        p, profile).cyclic(w), (name, u, v, held)
+                    assert eng.core(w) == ref.core(w), (name, u, v, held)
+                    assert eng.cyclic(w) == ref.cyclic(w), (name, u, v, held)
             unrotated += (name == "pG2" and i % 4 == 0
                           and sh.cyclic_shorten(p, u).output != u)
         long_words = [w for pair in pairs[:10] for w in pair]

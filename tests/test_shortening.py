@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from relconj import metric_oracle as mo, reference, shortening as sh, words
+from relconj import (conjugacy as cj, metric_oracle as mo, reference,
+                     shortening as sh, tables as tb, words)
 from relconj.errors import RelconjError, UnknownLetterError
 from relconj.presentation import (HYPERBOLIC, INVERSE_LETTER,
                                   load_presentation, parse_presentation)
@@ -469,24 +470,37 @@ def test_end_loop_equals_the_oracle_loop(request, name):
         assert nontrivial > 20 or name == "pZC2", nontrivial
 
 
+def core_read(p, alpha, v):
+    """v's core as the conjugacy engine reads it around the core alpha
+    (ConjugacyEngine.core), and, where alpha is a rotation of it, the cyclic
+    shortening that rotation gives: the core rotated to the first start of
+    alpha in it, with the rotation's conjugator appended; else None."""
+    res = cj.ConjugacyEngine(p, tb.profile_for(p, [])).core(v, alpha)[0]
+    s = res.output
+    k = (s + s).find(alpha) if len(s) == len(alpha) else -1
+    return res, (res._replace(output=s[k:] + s[:k],
+                              conjugator=res.conjugator + s[:k])
+                 if k >= 0 else None)
+
+
 @pytest.mark.parametrize("name, floor", [("pF", 180), ("pG2", 110),
                                          ("pZC2", 190), ("pZF2", 100),
                                          ("twin", 85)])
-def test_cyclic_form_around_a_known_one_equals_the_general_pass(
+def test_end_pass_peel_around_a_known_core_equals_the_general_pass(
         monkeypatch, request, name, floor):
-    # v's end pass at cyclic_pair's h peels P off v's normal form P * X *
+    # v's end pass at the core read's h peels P off v's normal form P * X *
     # P^-1 around u's cyclic form where it can (read_around), and then
     # returns what the walk does, and with it the general pass,
-    # _syllable_cyclic_form, on 400 seeded pairs per presentation
-    # whose u has a cyclic form of NEAR_CYCLE syllables or more, the
-    # engine's gate, and cores on both sides of SHORT_CYCLE letters: on
-    # these presentations letter order is syllable order, so least_rotation
-    # is given the core's rank code, of one symbol a letter.  At least floor
-    # of them are read so, on cores on both sides (228, 136, 239, 122 and
-    # 109 of them, 100, 31, 111, 24 and 45 under SHORT_CYCLE letters, in
-    # the order of the parameters).  cyclic_pair, reading v against u's
-    # cyclic form alpha, which is its own core, and falling back on v's end
-    # pass, gives cyclic_shorten exactly where it finds alpha
+    # _syllable_cyclic_form, on 400 seeded pairs per presentation whose u
+    # has a cyclic form of 8 syllables or more, and cores on both sides of
+    # SHORT_CYCLE letters: on these presentations letter order is syllable
+    # order, so least_rotation is given the core's rank code, of one symbol
+    # a letter.  At least floor of them are read so, on cores on both sides
+    # (228, 136, 239, 122 and 109 of them, 100, 31, 111, 24 and 45 under
+    # SHORT_CYCLE letters, in the order of the parameters).  The engine's
+    # core read of v around u's cyclic form alpha, which is its own core,
+    # is the walk's core, and rotated to the first start of alpha in it
+    # gives cyclic_shorten exactly where v is conjugate to u
     p = (load_presentation(TWIN_PATH) if name == "twin"
          else request.getfixturevalue(name))
     assert p.letters_order_syllables
@@ -497,8 +511,7 @@ def test_cyclic_form_around_a_known_one_equals_the_general_pass(
     for u, v in pairs_around(p, rng, 400):
         ru = sh.cyclic_shorten(p, u)
         lengths.add(len(ru.output) >= sh.SHORT_CYCLE)
-        if ru.cyclic_length < sh.NEAR_CYCLE:
-            continue
+        assert ru.cyclic_length >= 8, u
         nf = words.normalize(p, v)
         found, read = read_around(p, nf, ru.output, passes)
         if read:
@@ -507,18 +520,19 @@ def test_cyclic_form_around_a_known_one_equals_the_general_pass(
             assert sh._rotated(found, k) == sh._syllable_cyclic_form(
                 p, found), (u, v)
             taken[len(ru.output) >= sh.SHORT_CYCLE] += 1
-        res = sh.cyclic_pair(p, ru.output, v)[1]
+        res, rotated = core_read(p, ru.output, v)
+        assert (res.output, res.conjugator) == sh._end_pass(p, nf)[1:3], (
+            u, v)
         full = sh.cyclic_shorten(p, v)
         if full.output == ru.output:
-            assert res == full, (u, v)
+            assert rotated == full, (u, v)
         else:
-            assert res.output != ru.output, (u, v)
+            assert rotated is None, (u, v)
     assert lengths == {False, True}
     assert min(taken.values()) > 0 and sum(taken.values()) >= floor, taken
 
 
-def test_cyclic_form_around_reads_whole_runs_and_the_inverse(
-        monkeypatch, pG2):
+def test_end_pass_peel_reads_whole_runs_and_the_inverse(monkeypatch, pG2):
     # u's cyclic form is Axyyy, of two syllables.  First v = P * X *
     # inverse_form(P), P = AXyaya and X = yAxyy, whose ends are the two
     # halves of the run xyyy: the letters of Axyyy start at 1 in X + X, but
@@ -545,7 +559,7 @@ def test_cyclic_form_around_reads_whole_runs_and_the_inverse(
     assert found == sh._end_pass(pG2, v)
     assert sh._rotated(found, k) == sh._syllable_cyclic_form(pG2, found)
     res = sh.cyclic_shorten(pG2, v)
-    assert sh.cyclic_pair(pG2, ru.output, v)[1] == res
+    assert core_read(pG2, ru.output, v)[1] == res
     assert (res.conjugator, res.iterations, res.linear_length) == (
         "xAXyaxyyy", 2, 10)
 
@@ -595,7 +609,8 @@ def test_cyclic_core_finds_u_only_in_a_core_of_as_many_letters(pG2):
     # exponent sum of c is one more).  v's core, v itself, comes back
     # unrotated, with v's own cyclic length, both where v is read as it is
     # and where it is conjugated by a hyperbolic letter g, so that v's end
-    # pass, not the read around alpha, leaves the core
+    # pass, not the peel around alpha, leaves the core; and decide answers
+    # not conjugate
     rng = random.Random(39)
     for _ in tries("test_cyclic_core_finds_u_only_in_a_core_of_as_many_"
                    "letters"):
@@ -603,7 +618,7 @@ def test_cyclic_core_finds_u_only_in_a_core_of_as_many_letters(pG2):
         ru = sh.cyclic_shorten(pG2, u)
         if pG2.letter_kind[ru.output[-1]] != HYPERBOLIC:
             break
-    assert ru.cyclic_length >= sh.NEAR_CYCLE  # so cyclic_pair reads v
+    assert ru.cyclic_length == 8
     w = ru.output + ru.output[-1]
     first = len(pG2.normal_syllables(w)[0])
     v = w[first:] + w[:first]
@@ -611,10 +626,14 @@ def test_cyclic_core_finds_u_only_in_a_core_of_as_many_letters(pG2):
     g = "A" if v[-1] == "a" else "a"
     gv = g + v + words.inverse(g)
     assert words.normalize(pG2, gv) == gv
+    profile = tb.profile_for(pG2, [])
     for x, conjugator in ((v, ""), (gv, g)):
-        res = sh.cyclic_pair(pG2, ru.output, x)[1]
+        res, rotated = core_read(pG2, ru.output, x)
         assert (res.output, res.conjugator, res.cyclic_length) == (
             v, conjugator, ru.cyclic_length), x
+        assert rotated is None, x
+        assert cj.decide(pG2, profile, ru.output, x).answer == (
+            "not-conjugate"), x
     assert res.cyclic_length == sh.cyclic_shorten(pG2, v).cyclic_length
 
 
