@@ -1,9 +1,10 @@
 """Hyperbolic/parabolic classification and the conjugacy decision.
 
-classify rests on the canonical cyclic form of shortening.cyclic_shorten:
-a cyclic form of one parabolic run is parabolic, any other nonempty one is
-hyperbolic.  decide rests on the cyclically reduced cores of
-shortening.cyclic_core, unrotated, which have their cyclic forms' syllable
+Both rest on the cyclically reduced cores of shortening.cyclic_core,
+which the engine caches with their verdicts.  classify rotates a word's
+core to its canonical cyclic form (shortening.cyclic_form): a cyclic form
+of one parabolic run is parabolic, any other nonempty one is hyperbolic.
+decide reads the cores unrotated, which have their cyclic forms' syllable
 counts and verdicts, and rotates nothing.  Two hyperbolic elements are
 conjugate exactly when the core c of one is a syllable rotation of the
 other's, s (the conjugacy theorem for free products; the engine refuses
@@ -64,7 +65,9 @@ PARABOLIC = "parabolic"
 class Classification(NamedTuple):
     """Verdict for one word.  representative = conjugator^-1 * word *
     conjugator in G; for a parabolic verdict it is a word in the parabolic
-    alphabet, for a hyperbolic one the canonical cyclic form."""
+    alphabet, for a hyperbolic one the canonical cyclic form from classify,
+    and the unrotated core in the verdict ConjugacyEngine.core(w)[1]
+    holds."""
 
     verdict: str  # "hyperbolic" or "parabolic"
     identity: bool
@@ -97,19 +100,19 @@ class ConjugacyCertificate(NamedTuple):
 
 
 class ConjugacyEngine:
-    """Per-presentation caches shared across many decide() calls: cores
-    with their verdicts, for decide, and cyclic shortenings and
-    classifications, for classify.  Each keeps the relative lengths of the
-    linear shortening and of the cyclic form, and the input's normal form,
-    against which decide checks witnesses.  The profile hash is kept on the
-    profile (ConstantsProfile.hash), which the first decide on it computes,
-    so that classify loads no hash function.  The presentation must be
+    """Per-presentation cache shared across many decide() calls: each
+    word's checked core with its verdict, which decide reads and classify
+    rotates (cyclic, classification).  A core keeps the relative lengths
+    of the linear shortening and of the cyclic form, and the input's
+    normal form, against which decide checks witnesses.  The profile hash
+    is kept on the profile (ConstantsProfile.hash), which the first decide
+    on it computes, so that classify loads no hash function.  The presentation must be
     relator-free: only there are the cyclic forms canonical and two cores
     conjugate exactly when one is a rotation of the other, so relators are
     refused.
 
-    The caches are plain dicts keyed by input word and never evicted: they
-    grow with the distinct words an engine sees, and keep no step log.
+    The cache is a plain dict keyed by input word and never evicted: it
+    grows with the distinct words an engine sees, and keeps no step log.
     Callers that stream many distinct long words should use one engine per
     batch.
     """
@@ -121,8 +124,6 @@ class ConjugacyEngine:
         self.p = p
         self.profile = profile
         self._cores = {}
-        self._cyc = {}
-        self._cls = {}
 
     def core(self, w: str, around: str = ""):
         """w's checked core (shortening.cyclic_core, which may peel around
@@ -135,18 +136,11 @@ class ConjugacyEngine:
         return hit
 
     def cyclic(self, w: str):
-        """The cyclic shortening of w, cached."""
-        res = self._cyc.get(w)
-        if res is None:
-            res = self._cyc[w] = shortening.cyclic_shorten(self.p, w)
-        return res
+        """The cyclic shortening of w: its cached core, rotated."""
+        return shortening.cyclic_form(self.p, w, self.core(w)[0])
 
     def classification(self, w: str) -> Classification:
-        res = self._cls.get(w)
-        if res is None:
-            res = classify(self.p, self.profile, w, engine=self)
-            self._cls[w] = res
-        return res
+        return classify(self.p, self.profile, w, engine=self)
 
 
 def classify(p: RelativePresentation, profile: ConstantsProfile, w: str,
@@ -154,9 +148,9 @@ def classify(p: RelativePresentation, profile: ConstantsProfile, w: str,
     """Hyperbolic or parabolic, decided on the cyclic shortening: a cyclic
     form of one parabolic run is parabolic, any other nonempty one is
     hyperbolic (a cyclically reduced free-product element of two or more
-    syllables is never conjugate into a factor).  The cyclic form is a
-    normal form, so it is the representative as it stands, and
-    cyclic_shorten has verified its conjugator."""
+    syllables is never conjugate into a factor).  The cyclic form, the
+    engine's core rotated, is a normal form, so it is the representative
+    as it stands, and its conjugator is verified."""
     eng = engine or ConjugacyEngine(p, profile)
     return _classified(p, eng.cyclic(w))
 

@@ -326,20 +326,6 @@ class RelativePresentation(Frozen):
         return cuts
 
     @cached_property
-    def letters_order_syllables(self) -> bool:
-        """Whether rotations of a cyclically reduced core that start at
-        syllables compare by their rank strings (rank_translation) as by
-        their syllable sequences, so that cyclic shortening rotates a core
-        of two syllables or more as its rank string, without the separators
-        it puts between syllables elsewhere (the shortening module
-        docstring has the argument): at most one factor has runs (free or
-        free abelian), and its letters rank above every other letter, as
-        when it is declared last."""
-        runs = self._run_factor_letters
-        return not runs or (len(runs) == 1
-                            and "".join(self.alphabet).endswith(runs[0]))
-
-    @cached_property
     def count_syllables(self):
         """len(normal_syllables(nf)) for a normal form nf, without the
         split: len where no factor has runs, else a function that translates
@@ -574,7 +560,7 @@ class RelativePresentation(Frozen):
         so translated words of one length compare as in shortlex order
         (shortlex_key).  The character chr(0) ranks below every letter and is
         left as it is, so cyclic shortening puts it before each syllable of
-        a core as a separator, where letters_order_syllables is false."""
+        a core as a separator (shortening.cyclic_form)."""
         return {ord(c): r for r, c in enumerate(self.alphabet, 1)}
 
     @cached_property

@@ -49,15 +49,16 @@ nontrivial merge that ends the pass).  The pass looks at the two end
 letters first: where they neither cancel nor merge, as in every
 cyclically reduced word, the normal form is its own core, and the pass
 counts its syllables and splits nothing; only where they meet does it
-split the word and walk its syllable ends.
-The kept core is rotated to the least rotation of its syllable sequence
-(hyperbolic letters one by one, parabolic runs whole, each compared by the
-string of its letters' shortlex ranks), and a lone parabolic run is
-cyclically reduced inside its factor.  A core of two syllables or more is
-rotated by one translate and one least_rotation of its rank code: its rank
-string (RelativePresentation.rank_translation) with a separator chr(0),
-which ranks below every letter, before each syllable.  That is exact on
-every presentation:
+split the word and walk its syllable ends; a lone parabolic run left is
+cyclically reduced inside its factor.
+The canonical cyclic form is that core, checked (cyclic_core), rotated to
+the least rotation of its syllable sequence (hyperbolic letters one by
+one, parabolic runs whole, each compared by the string of its letters'
+shortlex ranks).  cyclic_form rotates a core of two syllables or more by
+one translate and one least_rotation of its rank code: its rank string
+(RelativePresentation.rank_translation) with a separator chr(0), which
+ranks below every letter, before each syllable.  That is exact on every
+presentation:
 - the least rotation of the code starts with its least character, a
   separator, so at a syllable;
 - two rotations from separators compare character by character as they
@@ -66,18 +67,6 @@ every presentation:
   the longer one's next letter;
 - equal rotations are equal either way, so the first least rotation is
   the same, and the letters before it are its start less the separators.
-Where at most one factor has runs (free or free abelian) and its letters
-rank above every other letter (RelativePresentation.letters_order_syllables,
-true of every presentation in demos/presentations), the code needs no
-separators, and least_rotation takes a fifth of the time on the shorter
-code (18 us against 85 us on cores of about 560 letters of Z * Z^2, 2
-cores, Python 3.11):
-- the core has a letter outside the run factor, as two runs of one factor
-  are never adjacent, even cyclically; so its least letter is a syllable
-  of its own, and the least rotation of its letters starts at a syllable;
-- a syllable is a proper prefix of another only when both are runs of the
-  run factor, and then the shorter one is followed by a letter outside
-  that factor, which ranks below the longer run's next letter.
 least_rotation cuts the code at the longest runs of its least character
 and recurses on the pieces between them, each coded as one character
 again, so the code at least halves per level: O(n log n) work in native
@@ -86,7 +75,8 @@ conjugate exactly when their syllable sequences are rotations of each
 other, so two elements of two or more syllables are conjugate exactly when
 their cyclic forms are equal strings, and exactly when the cyclically
 reduced core of one is a syllable rotation of the other's.
-The conjugacy engine decides pairs on the cores (cyclic_core), unrotated.
+The conjugacy engine caches each word's core, decides pairs on the cores
+unrotated, and rotates one (cyclic_form) only to classify its word.
 v's end pass, given u's core c, peels P off v's normal form P * X *
 inverse_form(P) without splitting it (_end_pass), and leaves v's core s.
 c is looked for in s + s when the two have as many syllables and letters,
@@ -171,10 +161,11 @@ class ShorteningResult(NamedTuple):
 
 
 class CyclicShorteningResult(NamedTuple):
-    """What cyclic_shorten returns.  The two lengths are syllable counts
-    taken while the pass splits the words anyway, and normal_form is the
-    normal form the pass took, so that callers such as the conjugacy
-    engine never split or normalize the input again."""
+    """What cyclic_shorten and cyclic_core return.  The two lengths are
+    the syllable counts the end pass takes, by its split or, where it
+    splits nothing (its fast path and its peel), by count_syllables, and
+    normal_form is the normal form the pass took, so that callers such as
+    the conjugacy engine never split or normalize the input again."""
 
     output: str
     conjugator: str  # a with lab(output) = a^-1 * input * a in G
@@ -301,8 +292,7 @@ def least_rotation(s: str) -> int:
     when several are equal: O(n log n) work, all of it in native string
     passes, where the linear algorithms of Booth (1980) and Shiloach (1981)
     take a Python step per symbol.  It is the one rotation of cyclic
-    shortening, which calls it on a core's rank code, separators included
-    where letters_order_syllables is false (the module docstring).
+    shortening, which calls it on a core's rank code (cyclic_form).
 
     The least period p = (s+s).find(s, 1) makes s[:p] primitive, so its
     rotations are distinct and the first least rotation of s lies in
@@ -412,30 +402,6 @@ def _end_pass(p, nf, h=0):
     return len(syls), s, nf[:lo] + pre, j + 1 - i + len(merged), merges
 
 
-def _rotated(found, k):
-    """found = (n, s, a, m, merges) with s rotated to start at k."""
-    n, s, a, m, merges = found
-    return n, s[k:] + s[:k], a + s[:k], m, merges
-
-
-def _syllable_cyclic_form(p, found):
-    """The cyclic form of the end pass's found = (n, s, a, m, merges) for a
-    normal form nf: (n, alpha, a', m, merges) with lab(alpha) = a'^-1 * nf
-    * a', the core s rotated to its least syllable rotation (the first
-    one, syllables compared by their shortlex letter ranks): the first
-    least rotation of its rank code, which puts a separator before each
-    syllable unless letters_order_syllables holds, by the module
-    docstring."""
-    s = found[1]
-    if found[3] < 2:
-        return found
-    code = s if p.letters_order_syllables else "\0" + "\0".join(
-        p.normal_syllables(s))
-    code = code.translate(p.rank_translation)
-    k = least_rotation(code)
-    return _rotated(found, k - code.count("\0", 0, k))
-
-
 def _dehn_cyclic_form(p, w):
     """Cyclic Dehn reduction of the module docstring: (rho, a, syllable
     count of rho, end-run merges plus rotations) with lab(rho) = a^-1 * w
@@ -462,9 +428,9 @@ def _dehn_cyclic_form(p, w):
 def cyclic_shorten(p: RelativePresentation, w: str) -> CyclicShorteningResult:
     """Conjugacy normal form: a cyclic form alpha and a conjugator a with
     lab(alpha) = a^-1 * w * a.  Without relators alpha is the canonical
-    cyclic form of the module docstring, found in one linear pass and one
-    O(n log n) rotation, and iterations counts the end-run merges; a
-    conjugacy decision takes the unrotated core (cyclic_core) instead.
+    cyclic form of the module docstring, w's core (cyclic_core) rotated by
+    cyclic_form, and iterations counts the end-run merges; a conjugacy
+    decision takes the unrotated core instead.
     With relators alpha is cyclically Dehn-reduced: cyclically reduced, and
     no cyclic subword is more than half a relator; iterations counts the
     end-run merges and the rotations.  Either way w
@@ -473,20 +439,42 @@ def cyclic_shorten(p: RelativePresentation, w: str) -> CyclicShorteningResult:
     checked equal to w (same_element)."""
     if not p.is_free_product:
         return _checked(p, w, None, (None,) + _dehn_cyclic_form(p, w))
-    nf = words.normalize(p, w)
-    return _checked(p, w, nf, _syllable_cyclic_form(p, _end_pass(p, nf)))
+    return cyclic_form(p, w, cyclic_core(p, w))
 
 
 def cyclic_core(p: RelativePresentation, w: str, around: str = ""):
     """The cyclically reduced core of w from the end pass, unrotated, as a
     checked CyclicShorteningResult with its cyclic form's syllable count:
-    what the conjugacy engine decides pairs on, on a presentation without
-    relators.  around is another word's core, for which the pass first
-    tries to peel (|nf| - |around|) / 2 letters off both ends of w's normal
-    form nf; that changes the work, never the result (_end_pass)."""
+    what the conjugacy engine caches and decides pairs on, and cyclic_form
+    rotates, on a presentation without relators.  around is another word's
+    core, for which the pass first tries to peel (|nf| - |around|) / 2
+    letters off both ends of w's normal form nf; that changes the work,
+    never the result (_end_pass)."""
     nf = words.normalize(p, w)
     h = (len(nf) - len(around)) // 2 if around else 0
     return _checked(p, w, nf, _end_pass(p, nf, h))
+
+
+def cyclic_form(p: RelativePresentation, w: str,
+                core: CyclicShorteningResult) -> CyclicShorteningResult:
+    """The canonical cyclic form of w from its core, cyclic_core(p, w): a
+    core of two syllables or more rotated to the first least rotation of
+    its rank code, with a separator before each syllable (the module
+    docstring), the rotation's letters appended to its conjugator, which
+    is checked.  A core already at its least rotation, and a core of fewer
+    syllables, is returned as it is."""
+    if core.cyclic_length < 2:
+        return core
+    s = core.output
+    code = ("\0" + "\0".join(p.normal_syllables(s))).translate(
+        p.rank_translation)
+    k = least_rotation(code)
+    k -= code.count("\0", 0, k)
+    if not k:
+        return core
+    return _checked(p, w, core.normal_form,
+                    (core.linear_length, s[k:] + s[:k], core.conjugator
+                     + s[:k], core.cyclic_length, core.iterations))
 
 
 def _checked(p, w, nf, found):

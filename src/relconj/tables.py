@@ -1,9 +1,10 @@
 """The constants profile and the precomputed values: the size of L3, the
 parabolic balls B_i of words of length <= C(3), counted, not built.
-Queries read only the profile: the canonical cyclic form of
-shortening.cyclic_shorten decides hyperbolic conjugacy by string equality,
-and the subgroup oracles decide parabolic conjugacy outright, so the
-tables are what the precompute command reports and caches.
+Queries read only the profile: the conjugacy engine decides hyperbolic
+conjugacy by finding one word's cyclically reduced core in the other's
+doubled core, and the subgroup oracles decide parabolic conjugacy
+outright, so the tables are what the precompute command reports and
+caches.
 
 Working-constants mode: the theory's constants are astronomically large
 for honest inputs, so the profile pins working values, and the regime
@@ -136,8 +137,11 @@ def enumerate_filtered_ball(p: RelativePresentation, r1: int, r2: int,
 
 def cyclic_canonical(p: RelativePresentation, w: str):
     """The cyclic form of w and the conjugator c with form = c^-1 * w * c,
-    from shortening.cyclic_shorten.  It is a conjugacy key except for one
-    syllable of a free factor, which is not rotated (yxyX and Xyxy)."""
+    from shortening.cyclic_shorten.  It is a conjugacy key except for a
+    lone parabolic syllable, which is not conjugated inside its factor: a
+    run of a free factor is not rotated (yxyX and Xyxy), and a letter of a
+    non-abelian finite factor keeps its own form (b, c and f, conjugate in
+    S3, on Z * S3)."""
     res = shortening.cyclic_shorten(p, w)
     return res.output, res.conjugator
 

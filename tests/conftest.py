@@ -10,7 +10,7 @@ refuses).  C5Z2 is C5 * Z^2, relators beside a parabolic, and C5C2F2 is
 C5 * C2 * F2, relators beside a finite and a free factor.  C2Z2 and Z2C2
 are Z * C2 * Z^2 with the two factors declared in either order, so that
 letter order and syllable order agree on the first and not on the second
-(RelativePresentation.letters_order_syllables), ZS3 and ZD4 are Z * S3
+(the separators of shortening.cyclic_form), ZS3 and ZD4 are Z * S3
 and Z * D4, non-abelian finite factors built from permutations, and Z3 is
 Z * Z^3, a free abelian factor of rank three.
 Tables are built once per session; the working constants are pinned inside

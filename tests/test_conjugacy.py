@@ -455,9 +455,9 @@ def test_reading_v_against_u_answers_as_rotating_both(monkeypatch, request,
     # pairs_around pairs per presentation (u of 8 syllables or more; on
     # THREE and Z2C2 letter order is not syllable order, and the finite
     # factors of ZS3 and ZD4 are not abelian):
-    # - least_rotation and _syllable_cyclic_form are never called, on a
-    #   fresh engine, on one that holds v's core and on one that holds v's
-    #   cyclic form (after classify);
+    # - least_rotation and cyclic_form are never called, on a fresh
+    #   engine, on one that holds v's core and on one that has classified
+    #   v, and so rotated its core;
     # - the record is the same on all three;
     # - a positive answer's witness is verified, and a negative answer is
     #   the ground truth's;
@@ -467,7 +467,7 @@ def test_reading_v_against_u_answers_as_rotating_both(monkeypatch, request,
     p = (load_presentation(TWIN_PATH) if name == "twin"
          else request.getfixturevalue(name))
     profile = tb.profile_for(p, [])
-    calls = {"least_rotation": 0, "_syllable_cyclic_form": 0}
+    calls = {"least_rotation": 0, "cyclic_form": 0}
     negatives = 0
     for fn in calls:
         def spy(*args, fn=fn, original=getattr(sh, fn)):
@@ -486,7 +486,7 @@ def test_reading_v_against_u_answers_as_rotating_both(monkeypatch, request,
         for held in (held_core, held_cyclic):
             assert cert.to_record() == cj.decide(
                 p, profile, u, v, engine=held).to_record(), (u, v)
-        assert calls == {"least_rotation": 0, "_syllable_cyclic_form": 0}, \
+        assert calls == {"least_rotation": 0, "cyclic_form": 0}, \
             (u, v)
         if cert.answer == "conjugate":
             assert cert.verified
@@ -499,6 +499,70 @@ def test_reading_v_against_u_answers_as_rotating_both(monkeypatch, request,
                 assert eng.cyclic(w) == fresh.cyclic(w)
                 assert eng.classification(w) == fresh.classification(w)
     assert negatives >= 150, negatives
+
+
+@pytest.mark.parametrize("name", ["pG2", "pZ2C2", "pZS3"])
+def test_classify_and_decide_read_one_core_per_word(monkeypatch, request,
+                                                    name):
+    # an engine keeps one core per word: classify(w) after decide(u, w)
+    # neither normalizes w again nor runs the end pass of its normal form,
+    # and so does decide(u, w) after classify(w); each gives what a fresh
+    # engine gives.  A conjugator check (same_element) may normalize a
+    # product spelled as w, which is no read of w and is not counted.  On
+    # 100 pairs_around pairs (half of them rotated by cyclic_form to
+    # classify) and 100 pairs of random words of up to 12 letters per
+    # presentation, with normal forms apart
+    p = request.getfixturevalue(name)
+    profile = tb.profile_for(p, [])
+    rng = random.Random(53)
+    pairs = list(pairs_around(p, rng, 100))
+    pairs += [(random_word(rng, p.alphabet, 0, 12),
+               random_word(rng, p.alphabet, 0, 12)) for _ in range(100)]
+    normalized, passed, checking = [], [], []
+    normalize, end_pass, same_element = (words.normalize, sh._end_pass,
+                                         sh.same_element)
+
+    def counted_normalize(p, w):
+        if not checking:
+            normalized.append(w)
+        return normalize(p, w)
+
+    def check(*args):
+        checking.append(True)
+        try:
+            return same_element(*args)
+        finally:
+            checking.pop()
+
+    monkeypatch.setattr(words, "normalize", counted_normalize)
+    monkeypatch.setattr(sh, "same_element", check)
+    monkeypatch.setattr(sh, "_end_pass", lambda p, nf, h=0: passed.append(
+        nf) or end_pass(p, nf, h))
+    rotated = 0
+    for u, w in pairs:
+        nf = normalize(p, w)
+        if normalize(p, u) == nf:
+            continue
+        want = cj.classify(p, profile, w)
+        rotated += want.representative != cj.ConjugacyEngine(
+            p, profile).core(w)[0].output
+        record = cj.decide(p, profile, u, w).to_record()
+        for first in ("decide", "classify"):
+            eng = cj.ConjugacyEngine(p, profile)
+            if first == "decide":
+                assert cj.decide(p, profile, u, w,
+                                 engine=eng).to_record() == record
+            else:
+                assert cj.classify(p, profile, w, engine=eng) == want
+            del normalized[:], passed[:]
+            if first == "decide":
+                assert cj.classify(p, profile, w, engine=eng) == want
+            else:
+                assert cj.decide(p, profile, u, w,
+                                 engine=eng).to_record() == record
+            assert w not in normalized, (u, w, first)
+            assert nf not in passed, (u, w, first)
+    assert rotated >= 50, rotated
 
 
 def test_decide_matches_closure_on_three_factor_kinds():

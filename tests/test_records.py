@@ -307,7 +307,7 @@ def test_a_long_pair_takes_no_rotation(monkeypatch, index, answer):
     with nothing (n = 256), and walks v's ends for u rotated at a letter
     under a random conjugator whose joins cancel (n = 64), and for u's
     syllables reversed (n = 256), which is not conjugate; then one find in
-    v's core.  No pair calls least_rotation or _syllable_cyclic_form."""
+    v's core.  No pair calls least_rotation or cyclic_form."""
     from relconj.presentation import load_presentation
 
     p = load_presentation(ROOT / "demos" / "presentations" / "zxz2.txt")
@@ -316,7 +316,7 @@ def test_a_long_pair_takes_no_rotation(monkeypatch, index, answer):
     passes = counted_end_passes(monkeypatch)
     _, around = read_around(p, words.normalize(p, v), ru.output, passes)
     assert around == (index == 6)
-    calls = {"least_rotation": 0, "_syllable_cyclic_form": 0}
+    calls = {"least_rotation": 0, "cyclic_form": 0}
     for name in calls:
         def run(*args, name=name, original=getattr(shortening, name)):
             calls[name] += 1
@@ -325,7 +325,7 @@ def test_a_long_pair_takes_no_rotation(monkeypatch, index, answer):
         monkeypatch.setattr(shortening, name, run)
     cert = conjugacy.decide(p, tables.profile_for(p, []), u, v)
     assert cert.answer == answer and cert.verified == (answer == "conjugate")
-    assert calls == {"least_rotation": 0, "_syllable_cyclic_form": 0}
+    assert calls == {"least_rotation": 0, "cyclic_form": 0}
 
 
 def cyclic_shorten_inputs(p, name):

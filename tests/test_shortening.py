@@ -10,12 +10,11 @@ from relconj.errors import RelconjError, UnknownLetterError
 from relconj.presentation import (HYPERBOLIC, INVERSE_LETTER,
                                   load_presentation, parse_presentation)
 
-from conftest import (C2Z2_TEXT, C5C2F2_TEXT, C5Z2_TEXT, F_TEXT, G2_TEXT,
-                      TWIN_PATH, ZC2_TEXT, ZD4_TEXT, ZS3_TEXT,
-                      counted_end_passes, cyclically_reduced_syllables,
-                      is_cyclic_local_geodesic, is_local_geodesic,
-                      pairs_around, random_word, read_around,
-                      rotation_families, tries)
+from conftest import (C2Z2_TEXT, F_TEXT, G2_TEXT, TWIN_PATH, ZC2_TEXT,
+                      ZD4_TEXT, ZS3_TEXT, counted_end_passes,
+                      cyclically_reduced_syllables, is_cyclic_local_geodesic,
+                      is_local_geodesic, pairs_around, random_word,
+                      read_around, rotation_families, tries)
 
 
 def brute_window(p, w, k):
@@ -274,11 +273,8 @@ def test_cyclic_form_is_the_least_syllable_rotation(
     # and periodic cores of 1-80 syllables, and on runs of Z^2 one of which
     # is a proper prefix of the other (x against xy, x against xx), with
     # SHORT_CYCLE = 2 (least_rotation cuts every rank code of two
-    # characters or more at its least character, the separator where
-    # letters_order_syllables is false) and as it is (short codes compare
-    # their rotations directly).  Where the property holds the code is the
-    # core's rank string: every presentation here but THREE (Z^2 and F2
-    # have runs) and Z2C2 (Z^2 ranks below C2), whose codes have separators
+    # characters or more at its least character, a separator) and as it is
+    # (short codes compare their rotations directly)
     cases = [(pG2, ["a", "xy", "a", "x"]), (pG2, ["a", "xx", "a", "x"]),
              (pG2, ["a", "xy", "A", "x", "a", "xy", "A", "xx"])]
     cases += [(p, ["a", "xy", "t", "a", "x", "t"]) for p in (pC2Z2, pZ2C2)]
@@ -297,37 +293,20 @@ def test_cyclic_form_is_the_least_syllable_rotation(
             assert res.output == "".join(syls[r:] + syls[:r]), syls
             assert res.conjugator == "".join(syls[:r]), syls
     assert sh.cyclic_shorten(pG2, "axyax").output == "axaxy"
-    # x < xy as syllables; as letters xt > xy on Z2C2, and xt < xy on C2Z2
+    # x < xy as syllables; as letters xt > xy on Z2C2, and xt < xy on C2Z2,
+    # so only the separators rotate the first one right
     for p in (pC2Z2, pZ2C2):
         res = sh.cyclic_shorten(p, "axytaxt")
         assert (res.output, res.conjugator) == ("axtaxyt", "axyt")
 
 
-def test_letters_order_syllables_on_every_presentation(pF, pG2, pZC2, pC5,
-                                                       pZF2, pTHREE, pC2Z2,
-                                                       pZ2C2, pZS3, pZD4):
-    # true where at most one factor has runs and it is declared last: on
-    # every demo presentation and every test one but THREE, which has two
-    # run factors, and Z2C2, whose run factor comes before C2
-    demos = sorted(TWIN_PATH.parent.glob("*.txt"))
-    assert len(demos) == 8
-    for path in demos:
-        assert load_presentation(path).letters_order_syllables, path
-    for p in (pF, pG2, pZC2, pC5, pZF2, pC2Z2, pZS3, pZD4,
-              parse_presentation(C5Z2_TEXT), parse_presentation(C5C2F2_TEXT)):
-        assert p.letters_order_syllables, p.label
-    assert not pTHREE.letters_order_syllables
-    assert not pZ2C2.letters_order_syllables
-
-
-def test_separator_code_agrees_with_the_plain_code():
-    # the rank code with a separator before each syllable is right on every
-    # presentation, and where letters_order_syllables holds it must give
-    # what the plain rank string gives: cyclic_shorten on seeded words
-    # (random words of up to 400 letters, periodic cores and conjugates
-    # g u g^-1) on every relator-free letters-order presentation in
-    # conftest and demos/presentations, against a second instance of each
-    # with the property written False
+def test_cyclic_shorten_is_the_reference_loop_on_seeded_words():
+    # cyclic_shorten, the core rotated by its rank code with separators,
+    # against the reference loop (oracle_end_loop_cyclic_form on
+    # reference.normal_form), in output, conjugator, both lengths and
+    # merge count: random words of up to 400 letters, periodic cores and
+    # conjugates g u g^-1, on the 11 relator-free presentations of these
+    # conftest texts and of demos/presentations
     loaders = [functools.partial(parse_presentation, text)
                for text in (F_TEXT, G2_TEXT, ZC2_TEXT, C2Z2_TEXT, ZS3_TEXT,
                             ZD4_TEXT)]
@@ -336,23 +315,26 @@ def test_separator_code_agrees_with_the_plain_code():
     rng = random.Random(43)
     checked = 0
     for load in loaders:
-        plain, forced = load(), load()
-        if not plain.is_free_product:
+        p = load()
+        if not p.is_free_product:
             continue
-        assert plain.letters_order_syllables, plain.label
-        forced.__dict__["letters_order_syllables"] = False
-        cases = [random_word(rng, plain.alphabet, 0, 400) for _ in range(60)]
+        cases = [random_word(rng, p.alphabet, 0, 400) for _ in range(60)]
         for k in range(1, 61):
             size = 1 + k % 8  # even where every letter is parabolic
-            size += size % 2 * (not plain.hyperbolic_generators)
-            block = "".join(cyclically_reduced_syllables(plain, rng, size))
+            size += size % 2 * (not p.hyperbolic_generators)
+            block = "".join(cyclically_reduced_syllables(p, rng, size))
             cases.append(block * (1 + k % 12))
-            g = random_word(rng, plain.alphabet, 0, 60)
-            cases.append(g + random_word(rng, plain.alphabet, 0, 200)
+            g = random_word(rng, p.alphabet, 0, 60)
+            cases.append(g + random_word(rng, p.alphabet, 0, 200)
                          + words.inverse(g))
         for w in cases:
-            assert sh.cyclic_shorten(forced, w) == sh.cyclic_shorten(
-                plain, w), (plain.label, w)
+            nf = reference.normal_form(p, w)
+            syls = [s for _, s, _ in reference.syllables(p, nf)]
+            want = oracle_end_loop_cyclic_form(p, nf, syls)
+            res = sh.cyclic_shorten(p, w)
+            assert (res.linear_length, res.output, res.conjugator,
+                    res.cyclic_length, res.iterations) == (
+                        (len(syls),) + want[:4]), (p.label, w)
         checked += 1
     assert checked == 11
 
@@ -398,12 +380,13 @@ def test_cyclic_shorten_counts_end_run_merges(pG2):
 
 
 def oracle_end_loop_cyclic_form(p, nf, syls):
-    """_syllable_cyclic_form spelled out as a reference: every end-run
-    merge, trivial or not, is spelled by the factor oracle and tested for
-    the empty word, and the core is rotated by reference.least_rotation on
-    its syllables' rank strings, compared from all rotations.  Returns what
-    _syllable_cyclic_form does, then the counts of trivial and of
-    nontrivial merges."""
+    """The cyclic form of the normal form nf with syllables syls, spelled
+    out as a reference: every end-run merge, trivial or not, is spelled by
+    the factor oracle and tested for the empty word, and the core is
+    rotated by reference.least_rotation on its syllables' rank strings,
+    compared from all rotations.  Returns (cyclic form, conjugator, cyclic
+    length, merges) as cyclic_shorten finds them, then the counts of
+    trivial and of nontrivial merges."""
     kind_of = p.letter_kind
     trivial = nontrivial = 0
     merged = []
@@ -449,8 +432,8 @@ def test_end_loop_equals_the_oracle_loop(request, name):
     # code of the core, must equal the reference loop, which splits with
     # reference.syllables and compares all rotations of the syllables, in
     # the whole result, merge count included, on conjugated normal forms
-    # g u g^-1 with |g| up to 60; THREE and Z2C2 rotate the code with
-    # separators (letters_order_syllables is false there)
+    # g u g^-1 with |g| up to 60; on THREE and Z2C2 the separators of the
+    # code are needed
     p = request.getfixturevalue(name)
     rng = random.Random(26)
     trivial = nontrivial = 0
@@ -458,16 +441,26 @@ def test_end_loop_equals_the_oracle_loop(request, name):
         u = words.normalize(p, random_word(rng, p.alphabet, 0, 40))
         g = words.normalize(p, random_word(rng, p.alphabet, 0, 60))
         nf = words.normalize(p, g + u + words.inverse(g))
-        got = sh._syllable_cyclic_form(p, sh._end_pass(p, nf))
+        got = sh.cyclic_form(p, nf, sh.cyclic_core(p, nf))
         syls = [s for _, s, _ in reference.syllables(p, nf)]
         want = oracle_end_loop_cyclic_form(p, nf, syls)
-        assert got == (len(syls),) + want[:4], (u, g)
+        assert (got.linear_length, got.output, got.conjugator,
+                got.cyclic_length, got.iterations) == (
+                    (len(syls),) + want[:4]), (u, g)
         trivial += want[4]
         nontrivial += want[5]
     if p.parabolics:  # both kinds of merge were exercised, except in C2,
         # where two nontrivial elements always merge to the identity
         assert trivial > 50, trivial
         assert nontrivial > 20 or name == "pZC2", nontrivial
+
+
+def rotated_at(found, alpha):
+    """The end pass's found = (n, s, a, m, merges) rotated to the first
+    start of alpha in s + s: (s rotated, a with the rotation's letters)."""
+    s, a = found[1:3]
+    k = (s + s).find(alpha)
+    return s[k:] + s[:k], a + s[:k]
 
 
 def core_read(p, alpha, v):
@@ -490,12 +483,11 @@ def test_end_pass_peel_around_a_known_core_equals_the_general_pass(
         monkeypatch, request, name, floor):
     # v's end pass at the core read's h peels P off v's normal form P * X *
     # P^-1 around u's cyclic form where it can (read_around), and then
-    # returns what the walk does, and with it the general pass,
-    # _syllable_cyclic_form, on 400 seeded pairs per presentation whose u
-    # has a cyclic form of 8 syllables or more, and cores on both sides of
-    # SHORT_CYCLE letters: on these presentations letter order is syllable
-    # order, so least_rotation is given the core's rank code, of one symbol
-    # a letter.  At least floor of them are read so, on cores on both sides
+    # returns what the walk does, and rotated to the start of u's cyclic
+    # form in it gives the general pass, cyclic_shorten, on 400 seeded
+    # pairs per presentation whose u has a cyclic form of 8 syllables or
+    # more, and cores on both sides of SHORT_CYCLE letters.  At least floor
+    # of them are read so, on cores on both sides
     # (228, 136, 239, 122 and 109 of them, 100, 31, 111, 24 and 45 under
     # SHORT_CYCLE letters, in the order of the parameters).  The engine's
     # core read of v around u's cyclic form alpha, which is its own core,
@@ -503,7 +495,6 @@ def test_end_pass_peel_around_a_known_core_equals_the_general_pass(
     # gives cyclic_shorten exactly where v is conjugate to u
     p = (load_presentation(TWIN_PATH) if name == "twin"
          else request.getfixturevalue(name))
-    assert p.letters_order_syllables
     rng = random.Random(27)
     passes = counted_end_passes(monkeypatch)
     taken = {False: 0, True: 0}  # by core of SHORT_CYCLE letters or more
@@ -515,10 +506,9 @@ def test_end_pass_peel_around_a_known_core_equals_the_general_pass(
         nf = words.normalize(p, v)
         found, read = read_around(p, nf, ru.output, passes)
         if read:
-            k = (found[1] * 2).find(ru.output)
             assert found == sh._end_pass(p, nf), (u, v)
-            assert sh._rotated(found, k) == sh._syllable_cyclic_form(
-                p, found), (u, v)
+            assert rotated_at(found, ru.output) == sh.cyclic_shorten(
+                p, v)[:2], (u, v)
             taken[len(ru.output) >= sh.SHORT_CYCLE] += 1
         res, rotated = core_read(p, ru.output, v)
         assert (res.output, res.conjugator) == sh._end_pass(p, nf)[1:3], (
@@ -555,10 +545,9 @@ def test_end_pass_peel_reads_whole_runs_and_the_inverse(monkeypatch, pG2):
     assert words.normalize(pG2, v) == v
     found, read = read_around(pG2, v, ru.output, passes)
     assert read is True and passes == [5, 0]
-    k = (found[1] * 2).find(ru.output)
     assert found == sh._end_pass(pG2, v)
-    assert sh._rotated(found, k) == sh._syllable_cyclic_form(pG2, found)
     res = sh.cyclic_shorten(pG2, v)
+    assert rotated_at(found, ru.output) == res[:2]
     assert core_read(pG2, ru.output, v)[1] == res
     assert (res.conjugator, res.iterations, res.linear_length) == (
         "xAXyaxyyy", 2, 10)
@@ -706,18 +695,23 @@ def test_relator_group_torsion_guard(pC5):
 
 
 def test_wrong_conjugator_fails_verification(monkeypatch, pG2):
-    # put the relator-free pass's conjugator one letter off; the check
-    # against the normal form has to catch it
-    original = sh._syllable_cyclic_form
+    # put the relator-free pass's conjugator one letter off, and then the
+    # conjugator of a core that cyclic_form rotates (xyAxa from a): the
+    # check against the normal form has to catch each
+    original = sh._end_pass
 
-    def one_letter_off(p, nf):
-        n, alpha, conj, *rest = original(p, nf)
+    def one_letter_off(p, nf, h=0):
+        n, alpha, conj, *rest = original(p, nf, h)
         return (n, alpha, conj + "a", *rest)
 
-    monkeypatch.setattr(sh, "_syllable_cyclic_form", one_letter_off)
-    with pytest.raises(RelconjError,
-                       match="cyclic shortening produced an invalid conjugator"):
+    core = sh.cyclic_core(pG2, "xyAxa")
+    assert sh.cyclic_form(pG2, "xyAxa", core).output == "axyAx"
+    monkeypatch.setattr(sh, "_end_pass", one_letter_off)
+    match = "cyclic shortening produced an invalid conjugator"
+    with pytest.raises(RelconjError, match=match):
         sh.cyclic_shorten(pG2, "axyAx")
+    with pytest.raises(RelconjError, match=match):
+        sh.cyclic_form(pG2, "xyAxa", core._replace(conjugator="a"))
 
 
 def test_wrong_doubled_word_form_fails_verification(monkeypatch, pC5):

@@ -94,3 +94,63 @@ def test_an_unused_private_name_is_reported(tmp_path):
         "def _used():\n    return _LIMIT\n")
     (tmp_path / "b.py").write_text("from .a import _used\n")
     assert unused_private_names(tmp_path) == [("a.py", "_helper")]
+
+
+def unread_properties(library, readers):
+    """(module, class, name) for each property or cached_property defined
+    in a class of the modules in library that no module of library or
+    readers reads as an attribute outside the property's own definition."""
+    trees = {path: ast.parse(path.read_text())
+             for directory in (library, *readers)
+             for path in sorted(Path(directory).glob("*.py"))}
+    defined = {}
+    for path, tree in trees.items():
+        if path.parent != Path(library):
+            continue
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and any(
+                        ast.unparse(d) in ("property", "cached_property",
+                                           "functools.cached_property")
+                        for d in node.decorator_list):
+                    defined[path.name, cls.name, node.name] = node
+
+    def read_outside(name, definition):
+        for tree in trees.values():
+            skip = set(map(id, ast.walk(definition)))
+            for sub in ast.walk(tree):
+                if (isinstance(sub, ast.Attribute) and sub.attr == name
+                        and isinstance(sub.ctx, ast.Load)
+                        and id(sub) not in skip):
+                    return True
+        return False
+
+    return sorted(key for key, definition in defined.items()
+                  if not read_outside(key[2], definition))
+
+
+def test_every_library_property_is_read():
+    # a derived table of src/relconj that neither the library nor a demo
+    # reads is dead code, such as a fast path's test left behind when the
+    # path went
+    assert unread_properties(ROOT / "src" / "relconj",
+                             [ROOT / "demos"]) == []
+
+
+def test_an_unread_property_is_reported(tmp_path):
+    # a read inside the property's own definition is no read; a demo's is
+    (tmp_path / "lib").mkdir()
+    (tmp_path / "demos").mkdir()
+    (tmp_path / "lib" / "a.py").write_text(
+        "from functools import cached_property\n\n\nclass P:\n"
+        "    @cached_property\n    def table(self):\n"
+        "        return self.table\n\n"
+        "    @property\n    def size(self):\n        return 2\n\n"
+        "    @cached_property\n    def shown(self):\n        return 3\n")
+    (tmp_path / "lib" / "b.py").write_text(
+        "def f(p):\n    return p.size\n")
+    (tmp_path / "demos" / "d.py").write_text("print(P().shown)\n")
+    assert unread_properties(tmp_path / "lib", [tmp_path / "demos"]) == [
+        ("a.py", "P", "table")]
